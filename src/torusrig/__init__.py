@@ -9,8 +9,8 @@ construction certificates rooted at K3.
 
 from .complexes import (ClosedWalk, DiscMap, SurfaceComplex, TorusComplex,
                         TorusWithHole, boundary_graph, build_complex,
-                        cut_hole, cut_holes, detachment_walk,
-                        identify_face_graph, rectangular_torus)
+                        cut_hole, cut_holes, identify_face_graph,
+                        rectangular_torus)
 from .graphs import Graph, double_banana, freedom, is_isomorphic
 from .catalog import (Classification, DetachmentWord, build_H, classify,
                       parse_word, the_17)
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ClosedWalk", "DiscMap", "SurfaceComplex", "TorusComplex", "TorusWithHole",
     "boundary_graph", "build_complex", "cut_hole", "cut_holes",
-    "detachment_walk", "identify_face_graph", "rectangular_torus",
+    "identify_face_graph", "rectangular_torus",
     "Graph", "double_banana", "freedom", "is_isomorphic",
     "Classification", "DetachmentWord", "build_H", "classify", "parse_word",
     "the_17",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import errors
-from .complexes import ClosedWalk, TorusComplex, TorusWithHole, DiscMap
+from .complexes import ClosedWalk, TorusWithHole, _union_find
 
 VERTEX_LETTERS = "vwx"
 EDGE_LETTERS = "efg"
@@ -104,19 +104,7 @@ def expand_word(word: DetachmentWord) -> tuple:
     of an exposed edge are traversed oppositely on an orientable surface).
     """
     n = word.walk_length()
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
+    glued = []
     pos = 0
     vertex_slot: dict = {}
     edge_slot: dict = {}
@@ -126,22 +114,21 @@ def expand_word(word: DetachmentWord) -> tuple:
         elif t in VERTEX_LETTERS:
             slot = pos % n
             if t in vertex_slot:
-                union(vertex_slot[t], slot)
+                glued.append((vertex_slot[t], slot))
             else:
                 vertex_slot[t] = slot
         else:  # edge letter: traverse one copy of the edge
             here, there = pos % n, (pos + 1) % n
             if t in edge_slot:
                 a, b = edge_slot[t]
-                union(here, b)
-                union(there, a)
+                glued += [(here, b), (there, a)]
             else:
                 edge_slot[t] = (here, there)
             pos += 1
     if pos != n:
         raise errors.BadToken(f"word {word} does not advance exactly {n} edges")
-    seq = [find(i) for i in range(n)]
-    return canonical_pattern(seq)
+    find = _union_find(glued)
+    return canonical_pattern([find(i) for i in range(n)])
 
 
 def canonical_pattern(seq) -> tuple:

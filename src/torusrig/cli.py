@@ -80,7 +80,9 @@ def cmd_reduce(args) -> int:
     hole = _load(args.graph)
     leaf, moves = reduction.reduce_greedy(hole)
     if args.validate:
-        assert reduction.is_uncontractible(leaf)
+        if not reduction.is_uncontractible(leaf):
+            raise errors.StuckButContractible(
+                "greedy reduction stopped at a contractible leaf")
         for m in moves:
             hole = reduction.contract(hole, m.edge)
             if not sparsity.check_3_6(hole.graph).is_tight:

@@ -7,6 +7,12 @@ hole deletes the edges interior to a triangulated disc mapped into the torus;
 the disc may wrap around the torus and touch itself along its boundary, which
 is why the disc structure is recovered by *unfolding* the chosen face region
 rather than by taking an induced subcomplex.
+
+The hole and every critical separating cycle are the same kind of object,
+the boundary of such a disc.  One search, ``disc_structures``, finds them
+all: it unfolds a region with up to ``MAX_KEEP`` shared edges kept unglued
+(exposed), in a fixed order.  ``infer_disc`` takes its first result for a
+hole; the reduction takes enlargements of a hole from it.
 """
 
 from __future__ import annotations
@@ -280,56 +286,16 @@ class DiscMap:
     def _unfold(self):
         torus = self.torus
         region = set(self.faces)
-        shared = set()
-        for e, fs in torus.edge_faces.items():
-            if fs[0] in region and fs[1] in region:
-                shared.add(e)
-        bad = self.keep_edges - shared
+        shared = _shared_edges(torus, region)
+        bad = self.keep_edges.difference(shared)
         if bad:
             raise errors.NotADisc(f"keep edges {sorted(bad)} are not interior to the region")
-        glued = shared - self.keep_edges
-
-        # Connectivity of the region in the torus (over any shared edge).
-        adj_all = {f: set() for f in region}
-        for e in shared:
-            f1, f2 = torus.edge_faces[e]
-            adj_all[f1].add(f2)
-            adj_all[f2].add(f1)
-        if not _connected(region, adj_all):
+        glued = set(shared) - self.keep_edges
+        if not _face_connected(torus, region, shared):
             raise errors.NotFaceConnected("hole face set is not adjacency-connected")
-
-        # Connectivity under the gluings actually used by the disc structure.
-        adj_glued = {f: set() for f in region}
-        for e in glued:
-            f1, f2 = torus.edge_faces[e]
-            adj_glued[f1].add(f2)
-            adj_glued[f2].add(f1)
-        if not _connected(region, adj_glued):
+        if not _face_connected(torus, region, glued):
             raise errors.NotADisc("unfolded complex is disconnected")
-
-        # Union-find on corners (face, vertex) generated by the gluings.
-        parent: dict = {}
-        def find(x):
-            root = x
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(x, x) != x:
-                parent[x], x = root, parent[x]
-            return root
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-        for e in glued:
-            f1, f2 = torus.edge_faces[e]
-            for v in e:
-                union((f1, v), (f2, v))
-
-        corners = [(f, v) for f in self.faces for v in torus.faces[f]]
-        vclasses = {find(c) for c in corners}
-        n_faces = len(region)
-        n_abstract_edges = 3 * n_faces - len(glued)
-        chi = len(vclasses) - n_abstract_edges + n_faces
+        find, chi = _unfolding(torus, self.faces, glued)
         if chi != 1:
             raise errors.NotADisc(f"unfolded Euler characteristic {chi} != 1")
 
@@ -349,12 +315,10 @@ class DiscMap:
                 raise errors.NotADisc("boundary is not a single cycle")
 
         self.interior_edges = frozenset(glued)
-        self.interior_vertices = frozenset(
-            v for v in torus.vertices
-            if all(e in self.interior_edges
-                   for e in torus.edges if v in e))
-        self._find = find
-        self._boundary_slots = boundary_slots
+        # only a corner of the region can lose all its edges
+        corners = {v for f in self.faces for v in torus.faces[f]}
+        exposed = {v for e in torus.edges - self.interior_edges for v in e}
+        self.interior_vertices = frozenset(corners - exposed)
         self.boundary_walk = self._trace_boundary(find, boundary_slots, slot_at)
 
     def _trace_boundary(self, find, boundary_slots, slot_at) -> ClosedWalk:
@@ -399,11 +363,19 @@ class DiscMap:
         return len(self.boundary_walk)
 
 
-def _fully_glued_chi(torus: TorusComplex, region: set) -> int:
-    """Euler characteristic of the fully glued unfolding of a face region."""
-    glued = [e for e, fs in torus.edge_faces.items()
-             if fs[0] in region and fs[1] in region]
+#: most exposed edges a disc structure keeps unglued; the wrap-around
+#: detachment forms need one to three
+MAX_KEEP = 3
+
+
+def _union_find(pairs):
+    """Class lookup for the equivalence that gluing each pair generates.
+
+    The root of a class is its least element, so roots do not depend on the
+    order of the pairs.
+    """
     parent: dict = {}
+
     def find(x):
         root = x
         while parent.get(root, root) != root:
@@ -411,62 +383,105 @@ def _fully_glued_chi(torus: TorusComplex, region: set) -> int:
         while parent.get(x, x) != x:
             parent[x], x = root, parent[x]
         return root
+
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    return find
+
+
+def _shared_edges(torus: TorusComplex, region) -> list:
+    """Sorted torus edges whose two faces both lie in the region."""
+    return sorted(e for e, (f1, f2) in torus.edge_faces.items()
+                  if f1 in region and f2 in region)
+
+
+def _face_connected(torus: TorusComplex, region, edges) -> bool:
+    """Whether the region's faces are connected across the given edges."""
+    adj = {f: set() for f in region}
+    for e in edges:
+        f1, f2 = torus.edge_faces[e]
+        adj[f1].add(f2)
+        adj[f2].add(f1)
+    seen = set()
+    stack = list(region)[:1]
+    while stack:
+        f = stack.pop()
+        if f not in seen:
+            seen.add(f)
+            stack.extend(adj[f] - seen)
+    return len(seen) == len(adj)
+
+
+def _unfolding(torus: TorusComplex, faces, glued):
+    """Corner classes and Euler characteristic of the faces glued along ``glued``.
+
+    A corner is a (face, vertex) pair; gluing an edge merges the corners of
+    its two faces at each endpoint, and a class representative is the least
+    corner of its class.
+    """
+    pairs = []
     for e in glued:
         f1, f2 = torus.edge_faces[e]
-        for v in e:
-            a, b = find((f1, v)), find((f2, v))
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    corners = {find((f, v)) for f in region for v in torus.faces[f]}
-    return len(corners) - (3 * len(region) - len(glued)) + len(region)
+        pairs.extend(((f1, v), (f2, v)) for v in e)
+    find = _union_find(pairs)
+    classes = {find((f, v)) for f in faces for v in torus.faces[f]}
+    return find, len(classes) - (3 * len(faces) - len(glued)) + len(faces)
 
 
-def infer_disc(torus: TorusComplex, face_indices, max_keep: int = 3) -> DiscMap:
-    """Find a disc structure on a face region, trying exposed-edge sets.
+def disc_structures(torus: TorusComplex, face_indices, forbid_keep=(),
+                    boundary_length=None):
+    """Every disc structure on a face region, as DiscMaps in a fixed order.
 
-    Fully glued regions are tried first; if the unfolded characteristic falls
-    short, progressively larger sets of interior edges are kept unglued (the
-    wrap-around forms need one to three exposed edges).  Each ungluing raises
-    the characteristic by at most one, which bounds the search depth from
-    below.  Deterministic: the lexicographically first valid keep set wins.
+    A disc structure glues the region's faces along every shared edge except
+    a keep set of at most ``MAX_KEEP`` edges.  Keep sets are tried by size,
+    then lexicographically over the sorted shared edges, skipping any that
+    contains an edge of ``forbid_keep``.  Two bounds prune the search: each
+    kept edge raises the fully glued characteristic chi0 by at most one, so
+    a size k needs chi0 + k >= 1; and a boundary of length L has
+    3|F| - 2|shared| + 2k edges, so a given ``boundary_length`` fixes k.
+    Raises NotFaceConnected, when the generator is first advanced, if the
+    region is not connected across shared edges.
     """
     region = set(face_indices)
-    chi0 = _fully_glued_chi(torus, region)
-    if chi0 == 1:
-        try:
-            return DiscMap(torus, face_indices)
-        except errors.NotADisc:
-            pass
-    k_min = max(1, 1 - chi0)
-    if k_min > max_keep:
-        raise errors.NotADisc(
-            f"unfolded characteristic {chi0} is beyond {max_keep} exposed edges")
-    shared = sorted(e for e, fs in torus.edge_faces.items()
-                    if fs[0] in region and fs[1] in region)
-    for k in range(k_min, max_keep + 1):
-        for keep in itertools.combinations(shared, k):
+    shared = _shared_edges(torus, region)
+    if not _face_connected(torus, region, shared):
+        raise errors.NotFaceConnected("face set is not adjacency-connected")
+    _, chi0 = _unfolding(torus, region, shared)
+    if boundary_length is None:
+        sizes = range(MAX_KEEP + 1)
+    else:
+        twice_k = boundary_length - 3 * len(region) + 2 * len(shared)
+        fits = twice_k % 2 == 0 and 0 <= twice_k <= 2 * MAX_KEEP
+        sizes = [twice_k // 2] if fits else []
+    forbid = {edge_key(*e) for e in forbid_keep}
+    allowed = [e for e in shared if e not in forbid]
+    for k in sizes:
+        if chi0 + k < 1:
+            continue
+        for keep in itertools.combinations(allowed, k):
             try:
-                return DiscMap(torus, face_indices, keep_edges=keep)
+                disc = DiscMap(torus, region, keep_edges=keep)
             except errors.NotADisc:
                 continue
-    raise errors.NotADisc(
-        f"face set of size {len(region)} carries no disc structure "
-        f"(up to {max_keep} exposed edges)")
+            yield disc
 
 
-def _connected(nodes, adj) -> bool:
-    nodes = set(nodes)
-    if not nodes:
-        return True
-    seen = set()
-    stack = [next(iter(sorted(nodes)))]
-    while stack:
-        x = stack.pop()
-        if x in seen:
-            continue
-        seen.add(x)
-        stack.extend(adj[x] - seen)
-    return seen == nodes
+def infer_disc(torus: TorusComplex, face_indices) -> DiscMap:
+    """The first disc structure on a face region, as ``disc_structures``
+    orders them: fully glued if that is a disc, else the lexicographically
+    first keep set of the least size up to ``MAX_KEEP``.
+
+    Raises NotFaceConnected for a region that is not face-connected and
+    NotADisc when no keep set yields a disc.
+    """
+    disc = next(disc_structures(torus, face_indices), None)
+    if disc is None:
+        raise errors.NotADisc(
+            f"face set of size {len(set(face_indices))} carries no disc "
+            f"structure (up to {MAX_KEEP} exposed edges)")
+    return disc
 
 
 def retriangulate_holes(retained_faces, walks) -> "TorusWithHole":
@@ -553,7 +568,8 @@ class TorusWithHole:
         self.boundary_edges = frozenset(
             e for e, fs in self.edge_retained_faces.items() if len(fs) < 2)
         walk_edges = frozenset(e for d in self.discs for e in d.boundary_walk.edge_set())
-        assert walk_edges == self.boundary_edges, "boundary graph != detachment image"
+        if walk_edges != self.boundary_edges:
+            raise errors.NotADisc("boundary graph != detachment image")
 
     def __repr__(self):
         return (f"TorusWithHole(|V|={len(self.graph.vertices)}, "
@@ -569,9 +585,6 @@ class TorusWithHole:
     def detachment_walk(self) -> ClosedWalk:
         """The closed walk i(bd D) around the (single) hole."""
         return self.single_disc.boundary_walk
-
-    def retained_face_cycles(self) -> tuple:
-        return self.faces
 
     def freedom(self) -> int:
         return freedom(self.graph)
@@ -619,7 +632,3 @@ def cut_holes(torus: TorusComplex, hole_specs) -> TorusWithHole:
 def boundary_graph(hole: TorusWithHole) -> frozenset:
     """Edges lying in fewer than two retained facial 3-cycles."""
     return hole.boundary_edges
-
-
-def detachment_walk(hole: TorusWithHole) -> ClosedWalk:
-    return hole.detachment_walk()

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 from . import catalog, errors
 from .complexes import (ClosedWalk, DiscMap, TorusComplex, TorusWithHole,
-                        _face_edges, _fully_glued_chi, retriangulate_holes)
+                        _face_edges, _shared_edges, _face_connected,
+                        disc_structures, retriangulate_holes)
 from .graphs import Graph, complete_graph, edge_key, freedom, is_isomorphic
 from .maxflow import densest_extension
 from .rigidity import generic_rank
@@ -237,7 +238,10 @@ def separating_cycle(hole: TorusWithHole, region_faces, keep_edges=None) -> Sepa
     """Validate an enlarged-disc region into a separating cycle.
 
     The region must contain every hole face and its disc structure must keep
-    deleting everything the hole deletes.
+    deleting everything the hole deletes.  Without ``keep_edges`` the disc
+    structure is the first that ``disc_structures`` finds with no hole-deleted
+    edge kept unglued, of any boundary length and up to ``MAX_KEEP`` exposed
+    edges.
     """
     disc_of_hole = hole.single_disc
     region = frozenset(region_faces)
@@ -247,77 +251,13 @@ def separating_cycle(hole: TorusWithHole, region_faces, keep_edges=None) -> Sepa
     if keep_edges is not None:
         d1 = DiscMap(torus, region, keep_edges=keep_edges)
     else:
-        d1 = _infer_enlargement(hole, region)
+        d1 = next(disc_structures(torus, region, forbid_keep=hole.deleted_edges),
+                  None)
+        if d1 is None:
+            raise errors.InvalidCycle("region carries no enlargement disc structure")
     if not hole.deleted_edges <= d1.interior_edges:
         raise errors.InvalidCycle("enlargement stops deleting a hole-interior edge")
     return SeparatingCycle(d1.boundary_walk, d1)
-
-
-def _enlargement_keep_count(torus, region) -> int | None:
-    """Number of exposed edges a length-9 boundary forces on this region."""
-    shared = sum(1 for e, fs in torus.edge_faces.items()
-                 if fs[0] in region and fs[1] in region)
-    twok = 9 - 3 * len(region) + 2 * shared
-    if twok < 0 or twok % 2 or twok // 2 > 3:
-        return None
-    return twok // 2
-
-
-def _iter_enlargement_discs(hole: TorusWithHole, region):
-    """Valid disc structures on a region, nine-edge boundaries only."""
-    torus = hole.torus
-    region = frozenset(region)
-    k = _enlargement_keep_count(torus, region)
-    if k is None:
-        return
-    if _fully_glued_chi(torus, set(region)) + k < 1:
-        return
-    if k == 0:
-        candidates = [()]
-    else:
-        shared = sorted(e for e, fs in torus.edge_faces.items()
-                        if fs[0] in region and fs[1] in region)
-        allowed = [e for e in shared if e not in hole.deleted_edges]
-        candidates = itertools.combinations(allowed, k)
-    for keep in candidates:
-        try:
-            d1 = DiscMap(torus, region, keep_edges=keep)
-        except errors.TorusRigError:
-            continue
-        if d1.boundary_length() != 9:
-            continue
-        if not hole.deleted_edges <= d1.interior_edges:
-            continue
-        yield d1
-
-
-def _infer_enlargement(hole: TorusWithHole, region) -> DiscMap:
-    """First disc structure on the region whose deletions cover the hole's.
-
-    Any boundary length is allowed here; the criticality search separately
-    restricts to nine-edge boundaries.
-    """
-    torus = hole.torus
-    region = frozenset(region)
-    try:
-        d1 = DiscMap(torus, region)
-        if hole.deleted_edges <= d1.interior_edges:
-            return d1
-    except errors.TorusRigError:
-        pass
-    chi0 = _fully_glued_chi(torus, set(region))
-    shared = sorted(e for e, fs in torus.edge_faces.items()
-                    if fs[0] in region and fs[1] in region)
-    allowed = [e for e in shared if e not in hole.deleted_edges]
-    for k in range(max(1, 1 - chi0), 4):
-        for keep in itertools.combinations(allowed, k):
-            try:
-                d1 = DiscMap(torus, region, keep_edges=keep)
-            except errors.TorusRigError:
-                continue
-            if hole.deleted_edges <= d1.interior_edges:
-                return d1
-    raise errors.InvalidCycle("region carries no enlargement disc structure")
 
 
 def divide(hole: TorusWithHole, cycle: SeparatingCycle) -> tuple[TorusWithHole, Graph]:
@@ -371,7 +311,8 @@ def _region_criticals(hole, region, e):
     hole_faces = set(hole.single_disc.faces)
     if not hole_faces <= set(region):
         return out
-    for d1 in _iter_enlargement_discs(hole, region):
+    for d1 in disc_structures(hole.torus, region, forbid_keep=hole.deleted_edges,
+                              boundary_length=catalog.WALK_LENGTH):
         if edge_key(*e) not in d1.boundary_walk.edge_set():
             continue
         cycle = SeparatingCycle(d1.boundary_walk, d1)
@@ -458,8 +399,9 @@ def exhaustive_critical_cycles_through(hole: TorusWithHole, e) -> list[Separatin
     validating the constructive search on small graphs.
     """
     e = edge_key(*e)
+    torus = hole.torus
     hole_faces = tuple(hole.single_disc.faces)
-    retained = [i for i in range(len(hole.torus.faces)) if i not in hole_faces]
+    retained = [i for i in range(len(torus.faces)) if i not in hole_faces]
     found = []
     seen_regions = set()
     for size in range(len(retained) + 1):
@@ -468,6 +410,8 @@ def exhaustive_critical_cycles_through(hole: TorusWithHole, e) -> list[Separatin
             if region in seen_regions:
                 continue
             seen_regions.add(region)
+            if not _face_connected(torus, region, _shared_edges(torus, region)):
+                continue
             found.extend(_region_criticals(hole, region, e))
     return found
 
@@ -585,14 +529,17 @@ def _contraction_record(hole: TorusWithHole, e) -> Contraction:
     return Contraction(e, apexes, moved)
 
 
-def _tight_after_contract(hole: TorusWithHole, e) -> TorusWithHole | None:
-    """The contracted graph when contraction keeps tightness, else None."""
-    try:
-        result = contract(hole, e)
-    except errors.NotContractible:
-        return None
-    if check_3_6(result.graph, through_vertex=e[0]).is_tight:
-        return result
+def _first_tight_contraction(hole: TorusWithHole
+                             ) -> tuple[Contraction, TorusWithHole] | None:
+    """The first contractible FF edge whose contraction keeps the graph
+    tight, as (record, contracted graph); None when there is none."""
+    for e in contractible_edges(hole):
+        try:
+            result = contract(hole, e)
+        except errors.NotContractible:
+            continue
+        if check_3_6(result.graph, through_vertex=e[0]).is_tight:
+            return _contraction_record(hole, e), result
     return None
 
 
@@ -608,20 +555,15 @@ def reduce_greedy(hole: TorusWithHole, validate: bool = True
         raise ValueError("reduce_greedy needs a tight single-hole graph")
     current = hole
     moves: list[Contraction] = []
-    while True:
-        cand = contractible_edges(current)
-        if not cand:
-            return current, moves
-        for e in cand:
-            nxt = _tight_after_contract(current, e)
-            if nxt is not None:
-                moves.append(_contraction_record(current, e))
-                current = nxt
-                break
-        else:
-            raise errors.StuckButContractible(
-                f"no tightness-preserving contraction among {len(cand)} "
-                "contractible edges")
+    while (step := _first_tight_contraction(current)) is not None:
+        move, current = step
+        moves.append(move)
+    cand = contractible_edges(current)
+    if cand:
+        raise errors.StuckButContractible(
+            f"no tightness-preserving contraction among {len(cand)} "
+            "contractible edges")
+    return current, moves
 
 
 @dataclass
@@ -706,26 +648,19 @@ def reduction_tree(hole: TorusWithHole, validate: bool = True) -> ReductionTree:
     while stack:
         i = stack.pop()
         current = nodes[i].hole
-        cand = contractible_edges(current)
-        if not cand:
+        step = _first_tight_contraction(current)
+        if step is not None:
+            move, nxt = step
+            children = (nxt,)
+        elif is_uncontractible(current):
             continue
-        advanced = False
-        for e in cand:
-            nxt = _tight_after_contract(current, e)
-            if nxt is not None:
-                nodes.append(TreeNode(nxt, i, _contraction_record(current, e)))
-                nodes[i].children.append(len(nodes) - 1)
-                stack.append(len(nodes) - 1)
-                advanced = True
-                break
-        if advanced:
-            continue
-        cycle = _reducing_fission(current)
-        g1, g2 = fission(current, cycle)
-        move = Fission(cycle.walk.vertices,
-                       catalog.catalog_graph_for_class(
-                           catalog.walk_class(g1.detachment_walk()))[0])
-        for child in (g1, g2):
+        else:
+            cycle = _reducing_fission(current)
+            children = fission(current, cycle)
+            cls = catalog.walk_class(children[0].detachment_walk())
+            move = Fission(cycle.walk.vertices,
+                           catalog.catalog_graph_for_class(cls)[0])
+        for child in children:
             nodes.append(TreeNode(child, i, move))
             nodes[i].children.append(len(nodes) - 1)
             stack.append(len(nodes) - 1)

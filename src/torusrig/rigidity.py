@@ -146,37 +146,6 @@ def generic_rank(graph, trials: int = 3, seed: int = 0) -> int:
     return best
 
 
-def approximate_rank(graph, seed: int = 0, tol: float = 1e-9) -> int:
-    """Floating-point rank estimate (diagnostics only, never used in tests
-    of record)."""
-    g = as_graph(graph)
-    rng = random.Random(seed)
-    coords = {v: tuple(rng.uniform(-1, 1) for _ in range(DIM)) for v in g.vertices}
-    verts = sorted(g.vertices)
-    col = {v: DIM * i for i, v in enumerate(verts)}
-    rows = []
-    for u, v in g.sorted_edges():
-        row = [0.0] * (DIM * len(verts))
-        for d in range(DIM):
-            diff = coords[u][d] - coords[v][d]
-            row[col[u] + d] = diff
-            row[col[v] + d] = -diff
-        rows.append(row)
-    # modified Gram-Schmidt row elimination
-    rank = 0
-    for row in rows:
-        vec = row[:]
-        for prow in rows[:rank]:
-            dot = sum(a * b for a, b in zip(vec, prow))
-            nrm = sum(b * b for b in prow)
-            if nrm > tol:
-                vec = [a - dot / nrm * b for a, b in zip(vec, prow)]
-        if sum(a * a for a in vec) > tol:
-            rows[rank] = vec
-            rank += 1
-    return rank
-
-
 @dataclass(frozen=True)
 class RigidityReport:
     rank: int

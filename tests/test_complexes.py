@@ -1,11 +1,15 @@
+import itertools
+import random
+
 import pytest
 
 from torusrig import errors
-from torusrig.complexes import (DiscMap, SurfaceComplex, TorusComplex,
-                                TorusWithHole, boundary_graph, build_complex,
-                                cut_hole, cut_holes, detachment_walk,
-                                identify_face_graph, infer_disc,
-                                rectangular_torus, retriangulate_holes)
+from torusrig.complexes import (MAX_KEEP, DiscMap, SurfaceComplex,
+                                TorusComplex, TorusWithHole, boundary_graph,
+                                build_complex, cut_hole, cut_holes,
+                                disc_structures, identify_face_graph,
+                                infer_disc, rectangular_torus,
+                                retriangulate_holes)
 from torusrig.graphs import freedom
 
 
@@ -138,6 +142,13 @@ def test_not_face_connected():
            if not (set(t.faces[i]) & set(t.faces[0]))]
     with pytest.raises(errors.NotFaceConnected):
         DiscMap(t, [0, far[0]])
+    with pytest.raises(errors.NotFaceConnected):
+        infer_disc(t, [0, far[0]])
+
+
+def test_infer_disc_empty_region():
+    with pytest.raises(errors.NotADisc):
+        infer_disc(rectangular_torus(3, 3), [])
 
 
 def test_wraparound_strip_needs_exposed_edge():
@@ -207,3 +218,78 @@ def test_retriangulate_holes_roundtrip():
     rebuilt = retriangulate_holes(hole.faces, [hole.detachment_walk()])
     assert rebuilt.graph == hole.graph
     assert len(rebuilt.detachment_walk()) == len(hole.detachment_walk())
+
+
+def test_swapped_boundary_walk_raises_typed_error():
+    t = rectangular_torus(3, 3)
+    disc = DiscMap(t, [0])
+    disc.boundary_walk = DiscMap(t, [1]).boundary_walk
+    with pytest.raises(errors.NotADisc, match="detachment image"):
+        TorusWithHole(t, [disc])
+
+
+def _grow(torus, rng, region, n):
+    """The region plus n random faces, each adjacent to the faces before it."""
+    adj = torus.face_adjacency()
+    region = set(region)
+    for _ in range(n):
+        region.add(rng.choice(sorted({g for f in region for g in adj[f]} - region)))
+    return frozenset(region)
+
+
+def _brute_force_discs(torus, region, keeps_deleted_of=None, boundary_length=None):
+    """Every keep set of at most MAX_KEEP shared edges that DiscMap accepts,
+    filtered by boundary length and by still deleting a hole's edges."""
+    shared = sorted(e for e, (f1, f2) in torus.edge_faces.items()
+                    if f1 in region and f2 in region)
+    out = []
+    for k in range(MAX_KEEP + 1):
+        for keep in itertools.combinations(shared, k):
+            try:
+                d = DiscMap(torus, region, keep_edges=keep)
+            except errors.NotADisc:
+                continue
+            if boundary_length is not None and d.boundary_length() != boundary_length:
+                continue
+            if keeps_deleted_of is not None and \
+                    not keeps_deleted_of.deleted_edges <= d.interior_edges:
+                continue
+            out.append(d)
+    return out
+
+
+def _summary(discs):
+    return [(d.faces, sorted(d.keep_edges), d.boundary_walk.vertices) for d in discs]
+
+
+def test_disc_structures_match_brute_force():
+    t = rectangular_torus(3, 3)
+    rng = random.Random(20261018)
+    found = 0
+    for _ in range(30):
+        region = _grow(t, rng, [rng.randrange(18)], rng.randrange(18))
+        want = _brute_force_discs(t, region)
+        assert _summary(disc_structures(t, region)) == _summary(want), sorted(region)
+        found += len(want)
+    assert found > 30
+
+
+def test_enlargement_disc_structures_match_brute_force():
+    # nine-edge enlargements of random holes that never keep a deleted edge
+    t = rectangular_torus(3, 3)
+    rng = random.Random(20261019)
+    holes = found = 0
+    while holes < 150:
+        hole_faces = _grow(t, rng, [rng.randrange(18)], rng.randrange(2, 7))
+        try:
+            hole = cut_hole(t, hole_faces)
+        except errors.NotADisc:
+            continue
+        holes += 1
+        region = _grow(t, rng, hole_faces, rng.randrange(1, 7))
+        want = _brute_force_discs(t, region, keeps_deleted_of=hole, boundary_length=9)
+        got = disc_structures(t, region, forbid_keep=hole.deleted_edges,
+                              boundary_length=9)
+        assert _summary(got) == _summary(want), (sorted(hole_faces), sorted(region))
+        found += sum(1 for d in want if d.keep_edges)
+    assert found > 10
