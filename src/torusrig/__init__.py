@@ -8,13 +8,12 @@ construction certificates rooted at K3.
 """
 
 from .complexes import (ClosedWalk, DiscMap, SurfaceComplex, TorusComplex,
-                        TorusWithHole, boundary_graph, build_complex,
-                        cut_hole, cut_holes, identify_face_graph,
-                        rectangular_torus)
+                        TorusWithHole, cut_hole, cut_holes,
+                        identify_face_graph, rectangular_torus)
 from .graphs import Graph, double_banana, freedom, is_isomorphic
 from .catalog import (Classification, DetachmentWord, build_H, classify,
                       parse_word, the_17)
-from .homology import crossover_class, standard_cochain, walk_class
+from .homology import crossover_class, standard_cochain, walk_homology
 from .reduction import (Certificate, EdgeClass, ReductionTree, SeparatingCycle,
                         certify, classify_edge, contract, divide, fission,
                         find_critical_cycle_through, is_uncontractible,
@@ -29,12 +28,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClosedWalk", "DiscMap", "SurfaceComplex", "TorusComplex", "TorusWithHole",
-    "boundary_graph", "build_complex", "cut_hole", "cut_holes",
-    "identify_face_graph", "rectangular_torus",
+    "cut_hole", "cut_holes", "identify_face_graph", "rectangular_torus",
     "Graph", "double_banana", "freedom", "is_isomorphic",
     "Classification", "DetachmentWord", "build_H", "classify", "parse_word",
     "the_17",
-    "crossover_class", "standard_cochain", "walk_class",
+    "crossover_class", "standard_cochain", "walk_homology",
     "Certificate", "EdgeClass", "ReductionTree", "SeparatingCycle", "certify",
     "classify_edge", "contract", "divide", "fission",
     "find_critical_cycle_through", "is_uncontractible", "reduce_greedy",

@@ -190,16 +190,12 @@ def the_17() -> list[tuple[str, CanonicalWalkClass]]:
     return out
 
 
-_CLASS_TO_WORD = None
-
-
-def _class_table() -> dict:
-    global _CLASS_TO_WORD
-    if _CLASS_TO_WORD is None:
-        _CLASS_TO_WORD = {cls.pattern: text for text, cls in the_17()}
-        for text in TRIPLE_VISIT_WORDS:
-            _CLASS_TO_WORD[expand_word(parse_word(text))] = text
-    return _CLASS_TO_WORD
+#: canonical pattern -> (catalog index, word) for the 17 words, and
+#: (None, word) for the triple-visit words, which have no catalog graph
+PATTERNS = {cls.pattern: (idx, text)
+            for idx, (text, cls) in enumerate(the_17(), start=1)}
+PATTERNS.update((expand_word(parse_word(text)), (None, text))
+                for text in TRIPLE_VISIT_WORDS)
 
 
 def _nonalternating_pinch(pattern) -> bool:
@@ -268,9 +264,8 @@ def classify(hole: TorusWithHole) -> Classification:
     if len(walk) != WALK_LENGTH:
         raise errors.WalkNot9(f"detachment walk has length {len(walk)}, not 9")
     cls = walk_class(walk)
-    word = _class_table().get(cls.pattern)
-    if word is not None:
-        return Classification(cls, word)
+    if cls.pattern in PATTERNS:
+        return Classification(cls, PATTERNS[cls.pattern][1])
     family = "nonalternating-pinch" if _nonalternating_pinch(cls.pattern) else None
     return Classification(cls, None, excluded_family=family)
 
@@ -299,7 +294,7 @@ def build_H(i: int) -> TorusWithHole:
 
 def catalog_graph_for_class(cls: CanonicalWalkClass) -> tuple[int, TorusWithHole]:
     """Find (index, H_i) whose stored word matches the given class."""
-    for idx, (text, stored_cls) in enumerate(the_17(), start=1):
-        if stored_cls.pattern == cls.pattern:
-            return idx, build_H(idx)
-    raise errors.NoMatchingCatalogGraph(f"no catalog word matches {cls.pattern}")
+    idx = PATTERNS.get(cls.pattern, (None, None))[0]
+    if idx is None:
+        raise errors.NoMatchingCatalogGraph(f"no catalog word matches {cls.pattern}")
+    return idx, build_H(idx)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import catalog, errors, fileio, homology, reduction, rigidity, sparsity
 from .corpus import CorpusSpec, corpus_records
@@ -38,11 +37,15 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    hole = _load(args.graph)
+def _verdict(hole) -> tuple[sparsity.SparsityVerdict, dict]:
+    """The (3,6)-sparsity verdict of a graph and its JSON, with the
+    freedom number."""
     verdict = sparsity.check_3_6(hole.graph)
-    out = verdict.to_json()
-    out["freedom"] = freedom(hole.graph)
+    return verdict, {**verdict.to_json(), "freedom": freedom(hole.graph)}
+
+
+def cmd_check(args) -> int:
+    verdict, out = _verdict(_load(args.graph))
     _emit(out)
     return 0 if verdict.is_tight else 2
 
@@ -125,26 +128,15 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _check_record(line: str) -> str:
-    rec = json.loads(line)
-    hole = fileio.record_to_hole(rec)
-    verdict = sparsity.check_3_6(hole.graph)
-    out = verdict.to_json()
-    out["freedom"] = freedom(hole.graph)
-    if "meta" in rec:
-        out["index"] = rec["meta"].get("index")
-    return json.dumps(out, sort_keys=True)
-
-
 def cmd_batch_check(args) -> int:
-    lines = [ln for ln in sys.stdin if ln.strip()]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for out in pool.map(_check_record, lines):
-                sys.stdout.write(out + "\n")
-    else:
-        for ln in lines:
-            sys.stdout.write(_check_record(ln) + "\n")
+    for line in sys.stdin:
+        if not line.strip():
+            continue
+        rec = json.loads(line)
+        _, out = _verdict(fileio.record_to_hole(rec))
+        if "meta" in rec:
+            out["index"] = rec["meta"].get("index")
+        _emit(out)
     return 0
 
 
@@ -184,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("batch-check", help="check JSON-line graphs from stdin")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_batch_check)
     return ap
 
@@ -193,7 +184,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except errors.TorusRigError as exc:
+    except (errors.TorusRigError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

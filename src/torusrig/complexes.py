@@ -92,11 +92,6 @@ class SurfaceComplex:
         return adj
 
 
-def build_complex(faces) -> SurfaceComplex:
-    """Validate a list of corner triples into a SurfaceComplex."""
-    return SurfaceComplex(faces)
-
-
 def _orient_coherently(faces, edge_faces):
     """Flip faces so adjacent faces traverse shared edges oppositely.
 
@@ -142,7 +137,9 @@ class TorusComplex(SurfaceComplex):
     """A closed, connected, orientable surface complex of genus one.
 
     Faces are stored coherently oriented, so each edge is traversed once in
-    each direction by its two incident faces.
+    each direction by its two incident faces.  Reorienting may rotate or
+    reverse a face's corners but never moves it: face i has the corner set
+    of the i-th input face, and callers address faces by that position.
     """
 
     def __init__(self, faces, provenance: GridProvenance | None = None):
@@ -170,6 +167,18 @@ class TorusComplex(SurfaceComplex):
         raise KeyError(face)
 
 
+def grid_faces(r: int, s: int) -> list[tuple[int, int, int]]:
+    """Faces of the r x s grid torus, two per cell; vertex (i, j) is i*s + j."""
+    def vid(i, j):
+        return (i % r) * s + (j % s)
+    faces = []
+    for i in range(r):
+        for j in range(s):
+            faces.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
+            faces.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
+    return faces
+
+
 def rectangular_torus(r: int, s: int) -> TorusComplex:
     """The r x s grid torus: one diagonal per cell, opposite sides identified.
 
@@ -178,14 +187,7 @@ def rectangular_torus(r: int, s: int) -> TorusComplex:
     """
     if r < 3 or s < 3:
         raise errors.TooSmall(f"grid {r}x{s}: both dimensions must be >= 3")
-    def vid(i, j):
-        return (i % r) * s + (j % s)
-    faces = []
-    for i in range(r):
-        for j in range(s):
-            faces.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
-            faces.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
-    return TorusComplex(faces, provenance=GridProvenance(r, s))
+    return TorusComplex(grid_faces(r, s), provenance=GridProvenance(r, s))
 
 
 def identify_face_graph(disc: SurfaceComplex, boundary_matching) -> TorusComplex:
@@ -277,9 +279,7 @@ class DiscMap:
         self.faces = tuple(sorted(set(face_indices)))
         if not self.faces:
             raise errors.NotADisc("empty face set")
-        for i in self.faces:
-            if not 0 <= i < len(torus.faces):
-                raise errors.NotADisc(f"face index {i} out of range")
+        _check_face_indices(torus, self.faces)
         self.keep_edges = frozenset(edge_key(*e) for e in keep_edges)
         self._unfold()
 
@@ -391,6 +391,12 @@ def _union_find(pairs):
     return find
 
 
+def _check_face_indices(torus: TorusComplex, face_indices) -> None:
+    for i in face_indices:
+        if not 0 <= i < len(torus.faces):
+            raise errors.NotADisc(f"face index {i} out of range")
+
+
 def _shared_edges(torus: TorusComplex, region) -> list:
     """Sorted torus edges whose two faces both lie in the region."""
     return sorted(e for e, (f1, f2) in torus.edge_faces.items()
@@ -441,10 +447,12 @@ def disc_structures(torus: TorusComplex, face_indices, forbid_keep=(),
     kept edge raises the fully glued characteristic chi0 by at most one, so
     a size k needs chi0 + k >= 1; and a boundary of length L has
     3|F| - 2|shared| + 2k edges, so a given ``boundary_length`` fixes k.
-    Raises NotFaceConnected, when the generator is first advanced, if the
-    region is not connected across shared edges.
+    When the generator is first advanced, raises NotADisc for a face index
+    out of range and NotFaceConnected if the region is not connected across
+    shared edges.
     """
     region = set(face_indices)
+    _check_face_indices(torus, region)
     shared = _shared_edges(torus, region)
     if not _face_connected(torus, region, shared):
         raise errors.NotFaceConnected("face set is not adjacency-connected")
@@ -506,17 +514,14 @@ def retriangulate_holes(retained_faces, walks) -> "TorusWithHole":
         ring = list(range(next_id, next_id + n))
         centre = next_id + n
         next_id += n + 1
-        region = []
+        regions.append((range(len(faces), len(faces) + 3 * n), w))
         for t in range(n):
-            region.append((b[t], b[(t + 1) % n], ring[t]))
-            region.append((b[(t + 1) % n], ring[t], ring[(t + 1) % n]))
-            region.append((ring[t], ring[(t + 1) % n], centre))
-        faces.extend(region)
-        regions.append((region, w))
+            faces.append((b[t], b[(t + 1) % n], ring[t]))
+            faces.append((b[(t + 1) % n], ring[t], ring[(t + 1) % n]))
+            faces.append((ring[t], ring[(t + 1) % n], centre))
     torus = TorusComplex(faces)
     discs = []
-    for region, w in regions:
-        idxs = [torus.face_index(f) for f in region]
+    for idxs, w in regions:
         cover: dict = {}
         for e in w.edges():
             cover[e] = cover.get(e, 0) + 1
@@ -627,8 +632,3 @@ def cut_holes(torus: TorusComplex, hole_specs) -> TorusWithHole:
         else:
             discs.append(infer_disc(torus, spec))
     return TorusWithHole(torus, discs)
-
-
-def boundary_graph(hole: TorusWithHole) -> frozenset:
-    """Edges lying in fewer than two retained facial 3-cycles."""
-    return hole.boundary_edges

@@ -11,7 +11,11 @@ class TorusRigError(Exception):
     """Base class for all torusrig errors."""
 
 
-# -- complex construction ---------------------------------------------------
+# -- records and complex construction ---------------------------------------
+
+class MalformedRecord(TorusRigError):
+    """A JSON graph record does not have the documented shape."""
+
 
 class LoopEdge(TorusRigError):
     """A face repeats a corner, inducing a loop edge."""

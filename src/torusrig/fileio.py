@@ -6,8 +6,11 @@ Record schema::
 
 where HOLE is either a list of face indices (disc structure inferred) or
 ``{"faces": [...], "keep": [[u,v], ...]}`` pinning the exposed edges of a
-wrap-around disc.  Grid provenance is not stored: on load the face list is
-compared against the rectangular builders and recognised automatically.
+wrap-around disc.  A hole's face indices are positions in the record's
+``faces`` list, which the loaded torus keeps.  A record of any other shape
+raises MalformedRecord naming the bad field.  Grid provenance is not stored:
+on load the face list is compared against the rectangular grid faces and
+recognised automatically.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import json
 
 from . import errors
 from .complexes import (DiscMap, GridProvenance, TorusComplex, TorusWithHole,
-                        canon_face, infer_disc, rectangular_torus)
+                        grid_faces, infer_disc)
 
 
 def hole_to_record(hole: TorusWithHole) -> dict:
@@ -36,44 +39,58 @@ def hole_to_record(hole: TorusWithHole) -> dict:
 
 def _detect_grid(n_vertices: int, faces) -> GridProvenance | None:
     face_sets = {frozenset(f) for f in faces}
-    for r in range(3, n_vertices // 3 + 1):
-        if n_vertices % r:
-            continue
+    for r in range(3, n_vertices // 3 + 1):  # r <= |V|/3 keeps s >= 3
         s = n_vertices // r
-        if s < 3:
-            continue
-        grid = rectangular_torus(r, s)
-        if {frozenset(f) for f in grid.faces} == face_sets:
+        if n_vertices % r == 0 and \
+                {frozenset(f) for f in grid_faces(r, s)} == face_sets:
             return GridProvenance(r, s)
     return None
 
 
-def record_to_torus(record: dict) -> TorusComplex:
-    faces = [tuple(f) for f in record["faces"]]
-    torus = TorusComplex(faces)
+def _items(value, field: str, length: int | None = None, ints=False) -> list:
+    """``value`` if it is a list (of ``length`` entries, of integers), else
+    MalformedRecord naming ``field``."""
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)) \
+            or ints and any(type(x) is not int for x in value):
+        want = f"{length or ''} {'integers' if ints else 'entries'}".strip()
+        raise errors.MalformedRecord(f"{field} must be a list of {want}, got {value!r}")
+    return value
+
+
+def _check_record(record) -> None:
+    """Raise MalformedRecord unless the record has the schema's shape and
+    every hole face index is a position in its face list."""
+    if not isinstance(record, dict) or type(record.get("vertices")) is not int:
+        raise errors.MalformedRecord("record must be an object with integer vertices")
+    faces = _items(record.get("faces"), "faces")
+    for i, f in enumerate(faces):
+        _items(f, f"faces[{i}]", 3, ints=True)
+    for i, h in enumerate(_items(record.get("holes", []), "holes")):
+        field = f"holes[{i}]"
+        if isinstance(h, dict):
+            for k, e in enumerate(_items(h.get("keep", []), f"{field}.keep")):
+                _items(e, f"{field}.keep[{k}]", 2, ints=True)
+            h, field = h.get("faces"), f"{field}.faces"
+        for k, x in enumerate(_items(h, field, ints=True)):
+            if not 0 <= x < len(faces):
+                raise errors.MalformedRecord(f"{field}[{k}]: {x} is not a face index")
+
+
+def record_to_hole(record: dict) -> TorusWithHole:
+    _check_record(record)
+    torus = TorusComplex(record["faces"])
     if len(torus.vertices) != record["vertices"]:
         raise errors.NotClosedSurface(
             f"face list spans {len(torus.vertices)} vertices, "
             f"record says {record['vertices']}")
-    torus.provenance = _detect_grid(record["vertices"], faces)
-    return torus
-
-
-def record_to_hole(record: dict) -> TorusWithHole:
-    torus = record_to_torus(record)
-    # face indices in the record refer to the record's face order, which may
-    # differ from the validated torus order after reorientation; map by corner set
-    index_map = {}
-    for rec_idx, f in enumerate(record["faces"]):
-        index_map[rec_idx] = torus.face_index(tuple(f))
+    torus.provenance = _detect_grid(record["vertices"], record["faces"])
     discs = []
     for h in record.get("holes", []):
         if isinstance(h, dict):
-            faces = [index_map[i] for i in h["faces"]]
             keep = [tuple(e) for e in h.get("keep", [])]
-            discs.append(DiscMap(torus, faces, keep_edges=keep))
+            discs.append(DiscMap(torus, h["faces"], keep_edges=keep))
         else:
-            discs.append(infer_disc(torus, [index_map[i] for i in h]))
+            discs.append(infer_disc(torus, h))
     return TorusWithHole(torus, discs)
 
 

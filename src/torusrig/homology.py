@@ -67,7 +67,7 @@ def standard_cochain(torus: TorusComplex) -> EdgeCochain:
     return EdgeCochain(torus)
 
 
-def walk_class(cochain: EdgeCochain, walk: ClosedWalk) -> tuple[int, int]:
+def walk_homology(cochain: EdgeCochain, walk: ClosedWalk) -> tuple[int, int]:
     """Sum of cochain values along the walk's traversal directions."""
     a = b = 0
     for tail, head in walk.directed_edges():

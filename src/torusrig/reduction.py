@@ -92,8 +92,9 @@ def contract(hole: TorusWithHole, e) -> TorusWithHole:
         torus2 = TorusComplex(new_faces)
         discs2 = []
         for d in hole.discs:
-            faces2 = [torus2.face_index(tuple(rename(x) for x in torus.faces[i]))
-                      for i in d.faces]
+            # the collapsed faces are retained ones; a hole face moves down
+            # past those before it
+            faces2 = [i - sum(c < i for c in collapsed) for i in d.faces]
             keep2 = [edge_key(rename(a), rename(b)) for a, b in d.keep_edges]
             discs2.append(DiscMap(torus2, faces2, keep_edges=keep2))
         return TorusWithHole(torus2, discs2)
@@ -203,21 +204,15 @@ def _facial_split(hole: TorusWithHole, v1, v2, v3, moved_edges, new_vertex):
     new_faces.append((v1, v0, cyc[j % k]))
     torus2 = TorusComplex(new_faces)
     discs2 = []
+    # every old face keeps its index; the two new faces come last
     for d in hole.discs:
-        faces2 = []
-        for fi in d.faces:
-            f = torus.faces[fi]
-            try:
-                faces2.append(torus2.face_index(f))
-            except KeyError:
-                faces2.append(torus2.face_index(rename(f)))
         keep2 = []
         for a, b in d.keep_edges:
             if edge_key(a, b) in torus2.edges:
                 keep2.append((a, b))
             else:
                 keep2.append(edge_key(v0 if a == v1 else a, v0 if b == v1 else b))
-        discs2.append(DiscMap(torus2, faces2, keep_edges=keep2))
+        discs2.append(DiscMap(torus2, d.faces, keep_edges=keep2))
     return TorusWithHole(torus2, discs2)
 
 
@@ -403,13 +398,9 @@ def exhaustive_critical_cycles_through(hole: TorusWithHole, e) -> list[Separatin
     hole_faces = tuple(hole.single_disc.faces)
     retained = [i for i in range(len(torus.faces)) if i not in hole_faces]
     found = []
-    seen_regions = set()
     for size in range(len(retained) + 1):
         for extra in itertools.combinations(retained, size):
             region = frozenset(hole_faces) | frozenset(extra)
-            if region in seen_regions:
-                continue
-            seen_regions.add(region)
             if not _face_connected(torus, region, _shared_edges(torus, region)):
                 continue
             found.extend(_region_criticals(hole, region, e))
@@ -494,10 +485,12 @@ def _substitute(hole: TorusWithHole, cycle: SeparatingCycle,
     walks = [d.boundary_walk for d in hole.discs]
 
     def glue(h_faces):
+        # region face k sits at len(h_faces) + k in the glued torus
+        position = {i: len(h_faces) + k for k, i in enumerate(cycle.disc.faces)}
         torus2 = TorusComplex(h_faces + region_faces)
         discs2 = []
         for d in hole.discs:
-            faces2 = [torus2.face_index(torus.faces[i]) for i in d.faces]
+            faces2 = [position[i] for i in d.faces]
             discs2.append(DiscMap(torus2, faces2, keep_edges=d.keep_edges))
         return TorusWithHole(torus2, discs2)
 
@@ -658,8 +651,7 @@ def reduction_tree(hole: TorusWithHole, validate: bool = True) -> ReductionTree:
             cycle = _reducing_fission(current)
             children = fission(current, cycle)
             cls = catalog.walk_class(children[0].detachment_walk())
-            move = Fission(cycle.walk.vertices,
-                           catalog.catalog_graph_for_class(cls)[0])
+            move = Fission(cycle.walk.vertices, catalog.PATTERNS[cls.pattern][0])
         for child in children:
             nodes.append(TreeNode(child, i, move))
             nodes[i].children.append(len(nodes) - 1)

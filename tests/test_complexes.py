@@ -5,38 +5,37 @@ import pytest
 
 from torusrig import errors
 from torusrig.complexes import (MAX_KEEP, DiscMap, SurfaceComplex,
-                                TorusComplex, TorusWithHole, boundary_graph,
-                                build_complex, cut_hole, cut_holes,
-                                disc_structures, identify_face_graph,
-                                infer_disc, rectangular_torus,
-                                retriangulate_holes)
+                                TorusComplex, TorusWithHole, cut_hole,
+                                cut_holes, disc_structures, grid_faces,
+                                identify_face_graph, infer_disc,
+                                rectangular_torus, retriangulate_holes)
 from torusrig.graphs import freedom
 
 
 def test_single_triangle():
-    sc = build_complex([(0, 1, 2)])
+    sc = SurfaceComplex([(0, 1, 2)])
     assert len(sc.vertices) == 3 and len(sc.edges) == 3 and len(sc.faces) == 1
 
 
 def test_tetrahedron_closed():
-    sc = build_complex([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    sc = SurfaceComplex([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
     assert all(len(fs) == 2 for fs in sc.edge_faces.values())
-    assert not sc.boundary_graph() if hasattr(sc, 'boundary_graph') else True
+    assert not sc.boundary_edges()
     assert sc.euler_characteristic() == 2
 
 
 def test_build_complex_errors():
     with pytest.raises(errors.EdgeInThreeFaces):
-        build_complex([(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+        SurfaceComplex([(0, 1, 2), (0, 1, 3), (0, 1, 4)])
     with pytest.raises(errors.LoopEdge):
-        build_complex([(0, 0, 1)])
+        SurfaceComplex([(0, 0, 1)])
     with pytest.raises(errors.DuplicateFace):
-        build_complex([(0, 1, 2), (2, 0, 1)])
+        SurfaceComplex([(0, 1, 2), (2, 0, 1)])
 
 
 def test_round_trip_rebuild():
-    sc = build_complex([(0, 1, 2), (1, 2, 3), (2, 3, 4)])
-    again = build_complex(sc.faces)
+    sc = SurfaceComplex([(0, 1, 2), (1, 2, 3), (2, 3, 4)])
+    again = SurfaceComplex(sc.faces)
     assert again.faces == sc.faces and again.edges == sc.edges
 
 
@@ -67,7 +66,7 @@ def _planar_grid_disc(n):
         for j in range(n):
             faces.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
             faces.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
-    return build_complex(faces)
+    return SurfaceComplex(faces)
 
 
 def test_identify_rectangular_face_graph():
@@ -93,7 +92,7 @@ def test_identify_annular_face_graph():
         b, b1 = 9 + i, 9 + (i + 1) % 9
         faces.append((a, a1, b))
         faces.append((a1, b, b1))
-    ann = build_complex(faces)
+    ann = SurfaceComplex(faces)
     matching = {9 + i: (i + 3) % 9 for i in range(9)}
     t = identify_face_graph(ann, matching)
     assert len(t.vertices) == 9 and freedom(t) == 0
@@ -106,9 +105,30 @@ def test_identify_bad_matching_raises():
         b, b1 = 9 + i, 9 + (i + 1) % 9
         faces.append((a, a1, b))
         faces.append((a1, b, b1))
-    ann = build_complex(faces)
+    ann = SurfaceComplex(faces)
     with pytest.raises(errors.NonSimpleQuotient):
         identify_face_graph(ann, {9 + i: i for i in range(9)})  # creates loops
+
+
+def test_torus_keeps_face_positions():
+    # faces are addressed by position: reorienting rotates or reverses a
+    # face's corners but never moves the face
+    faces = grid_faces(4, 5)
+    rng = random.Random(11)
+    given = []
+    for a, b, c in faces:
+        given.append(rng.choice([(a, b, c), (b, c, a), (a, c, b), (c, b, a)]))
+    torus = TorusComplex(given)
+    assert [frozenset(f) for f in torus.faces] == [frozenset(f) for f in given]
+    assert torus.faces != tuple(given)
+
+
+def test_face_index_out_of_range_is_not_a_disc():
+    t = rectangular_torus(3, 3)
+    with pytest.raises(errors.NotADisc):
+        cut_hole(t, [999])
+    with pytest.raises(errors.NotADisc):
+        next(disc_structures(t, [0, 18]))
 
 
 def test_cut_single_face_hole():
@@ -117,7 +137,7 @@ def test_cut_single_face_hole():
     assert hole.graph.edges == t.edges
     assert freedom(hole.graph) == 0
     assert len(hole.detachment_walk()) == 3
-    assert boundary_graph(hole) == frozenset(
+    assert hole.boundary_edges == frozenset(
         e for e, fs in t.edge_faces.items() if 0 in fs)
 
 
@@ -217,6 +237,10 @@ def test_retriangulate_holes_roundtrip():
     hole = cut_hole(t, [0, 1, 2, 3, 7, 12, 17])
     rebuilt = retriangulate_holes(hole.faces, [hole.detachment_walk()])
     assert rebuilt.graph == hole.graph
+    # the fresh disc is the run of faces appended after the retained ones
+    n = len(hole.detachment_walk())
+    assert rebuilt.single_disc.faces == tuple(range(len(hole.faces),
+                                                    len(hole.faces) + 3 * n))
     assert len(rebuilt.detachment_walk()) == len(hole.detachment_walk())
 
 

@@ -1,14 +1,17 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
+
 from torusrig.catalog import build_H
-from torusrig.complexes import cut_hole, rectangular_torus
+from torusrig.complexes import (GridProvenance, cut_hole, grid_faces,
+                                rectangular_torus)
 from torusrig.corpus import CorpusSpec, corpus_records
-from torusrig.fileio import (dumps_record, hole_to_record, record_to_hole,
-                             to_dot)
+from torusrig.fileio import (_detect_grid, dumps_record, hole_to_record,
+                             record_to_hole, to_dot)
 
 
 def run_cli(args, stdin=None):
@@ -39,6 +42,63 @@ def test_grid_provenance_detected():
     again = record_to_hole(rec)
     assert again.torus.provenance is not None
     assert (again.torus.provenance.r, again.torus.provenance.s) == (3, 4)
+
+
+@pytest.mark.parametrize("r", range(3, 7))
+@pytest.mark.parametrize("s", range(3, 7))
+def test_grid_detected_in_any_face_order(r, s):
+    faces = grid_faces(r, s)
+    random.Random(r * 10 + s).shuffle(faces)
+    faces = [(b, c, a) for a, b, c in faces[:5]] + faces[5:]
+    assert _detect_grid(r * s, faces) == GridProvenance(r, s)
+    hole = record_to_hole({"vertices": r * s, "faces": faces, "holes": [[0]]})
+    assert hole.torus.provenance == GridProvenance(r, s)
+
+
+def test_non_grid_torus_has_no_provenance():
+    k7 = [f for i in range(7) for f in ((i, (i + 1) % 7, (i + 3) % 7),
+                                        (i, (i + 2) % 7, (i + 3) % 7))]
+    assert _detect_grid(7, k7) is None
+    assert record_to_hole({"vertices": 7, "faces": k7,
+                           "holes": [[0]]}).torus.provenance is None
+    # a grid face list under a vertex relabelling that is not a grid symmetry
+    swap = {0: 1, 1: 0}
+    relabelled = [tuple(swap.get(v, v) for v in f) for f in grid_faces(3, 4)]
+    assert _detect_grid(12, relabelled) is None
+
+
+def _base_record():
+    return hole_to_record(cut_hole(rectangular_torus(3, 3), [0]))
+
+
+def _with(**changes):
+    rec = _base_record()
+    rec.update(changes)
+    return json.dumps({k: v for k, v in rec.items() if v is not None})
+
+
+def _two_corner_face():
+    rec = _base_record()
+    rec["faces"][3] = rec["faces"][3][:2]
+    return json.dumps(rec)
+
+
+@pytest.mark.parametrize("stdin, field", [
+    (_with(holes=[[0, 18]]), "holes[0][1]"),
+    (_with(holes=[[-1]]), "holes[0][0]"),
+    (_with(holes=[{"faces": [0, 18], "keep": []}]), "holes[0].faces[1]"),
+    (_with(faces=None), "faces"),
+    (_two_corner_face(), "faces[3]"),
+    (_with(holes=[{"faces": [0, 1], "keep": [[0]]}]), "holes[0].keep[0]"),
+    ("{", "Expecting"),
+], ids=["index-past-end", "index-negative", "dict-index-past-end",
+        "no-faces", "two-corner-face", "one-vertex-keep", "not-json"])
+def test_cli_malformed_record_is_typed_error(stdin, field):
+    r = run_cli(["classify", "-"], stdin=stdin)
+    assert r.returncode == 1
+    assert r.stderr.startswith("error:")
+    assert field in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_dot_export_styles_boundary():

@@ -2,10 +2,9 @@ import pytest
 
 from torusrig import errors
 from torusrig.catalog import build_H
-from torusrig.complexes import ClosedWalk, cut_hole, identify_face_graph, \
-    rectangular_torus, build_complex
+from torusrig.complexes import ClosedWalk, cut_hole, rectangular_torus
 from torusrig.homology import (canonical_class, crossover_class,
-                               standard_cochain, walk_class)
+                               standard_cochain, walk_homology)
 
 
 def test_face_sums_vanish():
@@ -21,22 +20,22 @@ def test_generating_cycles():
     co = standard_cochain(t)
     longitude = ClosedWalk([0, 4, 8])          # i-direction, ids i*s
     meridian = ClosedWalk([0, 1, 2, 3])        # j-direction
-    assert walk_class(co, longitude) == (1, 0)
-    assert walk_class(co, meridian) == (0, 1)
+    assert walk_homology(co, longitude) == (1, 0)
+    assert walk_homology(co, meridian) == (0, 1)
 
 
 def test_walk_class_reversal_negates():
     t = rectangular_torus(3, 4)
     co = standard_cochain(t)
     w = ClosedWalk([0, 4, 8])
-    assert walk_class(co, ClosedWalk(w.vertices[::-1])) == (-1, 0)
+    assert walk_homology(co, ClosedWalk(w.vertices[::-1])) == (-1, 0)
 
 
 def test_detachment_walk_null_homologous():
     t = rectangular_torus(4, 4)
     hole = cut_hole(t, [0, 1, 2])
     co = standard_cochain(t)
-    assert walk_class(co, hole.detachment_walk()) == (0, 0)
+    assert walk_homology(co, hole.detachment_walk()) == (0, 0)
 
 
 def test_face_boundary_invariance():
@@ -44,7 +43,7 @@ def test_face_boundary_invariance():
     t = rectangular_torus(3, 4)
     co = standard_cochain(t)
     f = t.faces[0]
-    tri = walk_class(co, ClosedWalk(f))
+    tri = walk_homology(co, ClosedWalk(f))
     assert tri == (0, 0)
 
 
