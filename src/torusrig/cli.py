@@ -184,7 +184,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (errors.TorusRigError, json.JSONDecodeError) as exc:
+    except (errors.TorusRigError, json.JSONDecodeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

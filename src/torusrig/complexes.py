@@ -17,8 +17,8 @@ hole; the reduction takes enlargements of a hole from it.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
 
 from . import errors
 from .graphs import Graph, edge_key, freedom  # noqa: F401  (freedom re-exported)
@@ -126,13 +126,6 @@ def _orient_coherently(faces, edge_faces):
     return [canon_face(f) for f in faces]
 
 
-@dataclass(frozen=True)
-class GridProvenance:
-    """Construction record of a rectangular torus: vertex (i, j) has id i*s + j."""
-    r: int
-    s: int
-
-
 class TorusComplex(SurfaceComplex):
     """A closed, connected, orientable surface complex of genus one.
 
@@ -142,8 +135,10 @@ class TorusComplex(SurfaceComplex):
     of the i-th input face, and callers address faces by that position.
     """
 
-    def __init__(self, faces, provenance: GridProvenance | None = None):
+    def __init__(self, faces):
         super().__init__(faces)
+        if not self.faces:
+            raise errors.NotClosedSurface("torus has no faces")
         for e, fs in self.edge_faces.items():
             if len(fs) != 2:
                 raise errors.NotClosedSurface(f"edge {e} lies in {len(fs)} faces")
@@ -156,7 +151,12 @@ class TorusComplex(SurfaceComplex):
         self.faces = tuple(reoriented)
         if freedom(self) != 0:
             raise errors.NotClosedSurface("torus complex must have freedom number 0")
-        self.provenance = provenance
+
+    @functools.cached_property
+    def cochain(self):
+        """The homology cochain of ``homology.EdgeCochain``, built once."""
+        from .homology import EdgeCochain
+        return EdgeCochain(self)
 
     def face_index(self, face) -> int:
         """Index of a face given by any corner ordering."""
@@ -182,12 +182,13 @@ def grid_faces(r: int, s: int) -> list[tuple[int, int, int]]:
 def rectangular_torus(r: int, s: int) -> TorusComplex:
     """The r x s grid torus: one diagonal per cell, opposite sides identified.
 
-    Vertex (i, j) gets id i*s + j.  Needs r, s >= 3; smaller grids produce
-    loops or parallel edges under the identification.
+    Vertex (i, j) gets id i*s + j; the faces are ``grid_faces(r, s)`` in
+    order.  Needs r, s >= 3; smaller grids produce loops or parallel edges
+    under the identification.
     """
     if r < 3 or s < 3:
         raise errors.TooSmall(f"grid {r}x{s}: both dimensions must be >= 3")
-    return TorusComplex(grid_faces(r, s), provenance=GridProvenance(r, s))
+    return TorusComplex(grid_faces(r, s))
 
 
 def identify_face_graph(disc: SurfaceComplex, boundary_matching) -> TorusComplex:

@@ -131,10 +131,6 @@ class WalkNot9(TorusRigError):
 
 # -- homology ---------------------------------------------------------------
 
-class NoProvenance(TorusRigError):
-    """Torus was not built from a rectangular grid, so no seam cochain."""
-
-
 class NotACrossover(TorusRigError):
     pass
 

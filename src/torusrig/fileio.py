@@ -8,9 +8,8 @@ where HOLE is either a list of face indices (disc structure inferred) or
 ``{"faces": [...], "keep": [[u,v], ...]}`` pinning the exposed edges of a
 wrap-around disc.  A hole's face indices are positions in the record's
 ``faces`` list, which the loaded torus keeps.  A record of any other shape
-raises MalformedRecord naming the bad field.  Grid provenance is not stored:
-on load the face list is compared against the rectangular grid faces and
-recognised automatically.
+raises MalformedRecord naming the bad field.  A record may also carry a
+``"meta"`` object, which loading ignores.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from __future__ import annotations
 import json
 
 from . import errors
-from .complexes import (DiscMap, GridProvenance, TorusComplex, TorusWithHole,
-                        grid_faces, infer_disc)
+from .complexes import DiscMap, TorusComplex, TorusWithHole, infer_disc
 
 
 def hole_to_record(hole: TorusWithHole) -> dict:
@@ -37,16 +35,6 @@ def hole_to_record(hole: TorusWithHole) -> dict:
     }
 
 
-def _detect_grid(n_vertices: int, faces) -> GridProvenance | None:
-    face_sets = {frozenset(f) for f in faces}
-    for r in range(3, n_vertices // 3 + 1):  # r <= |V|/3 keeps s >= 3
-        s = n_vertices // r
-        if n_vertices % r == 0 and \
-                {frozenset(f) for f in grid_faces(r, s)} == face_sets:
-            return GridProvenance(r, s)
-    return None
-
-
 def _items(value, field: str, length: int | None = None, ints=False) -> list:
     """``value`` if it is a list (of ``length`` entries, of integers), else
     MalformedRecord naming ``field``."""
@@ -62,6 +50,8 @@ def _check_record(record) -> None:
     every hole face index is a position in its face list."""
     if not isinstance(record, dict) or type(record.get("vertices")) is not int:
         raise errors.MalformedRecord("record must be an object with integer vertices")
+    if not isinstance(record.get("meta", {}), dict):
+        raise errors.MalformedRecord("meta must be an object")
     faces = _items(record.get("faces"), "faces")
     for i, f in enumerate(faces):
         _items(f, f"faces[{i}]", 3, ints=True)
@@ -83,7 +73,6 @@ def record_to_hole(record: dict) -> TorusWithHole:
         raise errors.NotClosedSurface(
             f"face list spans {len(torus.vertices)} vertices, "
             f"record says {record['vertices']}")
-    torus.provenance = _detect_grid(record["vertices"], record["faces"])
     discs = []
     for h in record.get("holes", []):
         if isinstance(h, dict):
@@ -92,12 +81,6 @@ def record_to_hole(record: dict) -> TorusWithHole:
         else:
             discs.append(infer_disc(torus, h))
     return TorusWithHole(torus, discs)
-
-
-def save_hole(hole: TorusWithHole, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(hole_to_record(hole), fh, sort_keys=True)
-        fh.write("\n")
 
 
 def load_hole(path) -> TorusWithHole:

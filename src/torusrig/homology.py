@@ -1,12 +1,16 @@
-"""First-homology bookkeeping for walks and crossover edges on a grid torus.
+"""First-homology bookkeeping for walks and crossover edges on a torus.
 
-The two identification seams of a rectangular torus define an integer
-cochain: an edge picks up (1,0) when it crosses the vertical seam in the
-positive direction and (0,1) across the horizontal seam.  Summing along a
-closed walk gives its class in H_1 = Z^2; face boundaries sum to zero.
-Crossover edges (FF edges with both endpoints on the hole boundary) are
-classed by the cycles they form with arcs of the detachment walk, recorded
-up to sign.
+Any triangulated torus carries an integer cochain, built by the
+tree–cotree decomposition (Eppstein, "Dynamic generators of topologically
+embedded graphs", SODA 2003): a BFS spanning tree of the graph, a spanning
+tree of the dual over the remaining edges, and the two edges left over,
+which get (1,0) and (0,1).  Tree edges get zero, and each cotree edge is
+solved so that its face's boundary sums to zero.  Summing along a closed
+walk gives its class in H_1 = Z^2.  A class vector is defined only up to a
+change of basis of Z^2; the basis is fixed per torus and is the same for
+every load of a given record.  Crossover edges (FF edges with both
+endpoints on the hole boundary) are classed by the cycles they form with
+arcs of the detachment walk, recorded up to sign.
 """
 
 from __future__ import annotations
@@ -17,54 +21,68 @@ from .graphs import edge_key
 
 
 class EdgeCochain:
-    """Seam-crossing vector of each directed edge of a rectangular torus."""
+    """Tree–cotree class vector of each directed edge of a torus.
+
+    Holds only the edge values, not the torus, so a torus may cache its
+    cochain without keeping itself alive.
+    """
 
     def __init__(self, torus: TorusComplex):
-        if torus.provenance is None:
-            raise errors.NoProvenance(
-                "homology cochain needs rectangular-grid provenance")
-        self.torus = torus
-        self.r = torus.provenance.r
-        self.s = torus.provenance.s
+        graph = torus.graph
+        root = min(torus.vertices)
+        tree, seen = set(), {root}
+        queue = [root]
+        for u in queue:
+            for w in sorted(graph.neighbors(u)):
+                if w not in seen:
+                    seen.add(w)
+                    tree.add(edge_key(u, w))
+                    queue.append(w)
+        # dual BFS tree over the non-tree edges: face -> edge to its parent
+        parent_edge = {0: None}
+        order = [0]
+        for f in order:
+            a, b, c = torus.faces[f]
+            for e in (edge_key(a, b), edge_key(b, c), edge_key(c, a)):
+                if e not in tree:
+                    for g in torus.edge_faces[e]:
+                        if g not in parent_edge:
+                            parent_edge[g] = e
+                            order.append(g)
+        values = dict.fromkeys(tree, (0, 0))
+        # Euler characteristic 0 leaves exactly two edges in neither tree
+        leftover = sorted(torus.edges - tree - set(parent_edge.values()))
+        values.update(zip(leftover, ((1, 0), (0, 1))))
+        for f in reversed(order[1:]):
+            # every other edge of f is known: tree, leftover or a child's
+            a, b, c = torus.faces[f]
+            sa = sb = 0
+            for x, y in ((a, b), (b, c), (c, a)):
+                e = edge_key(x, y)
+                sign = 1 if x < y else -1
+                if e == parent_edge[f]:
+                    own = sign
+                else:
+                    sa += sign * values[e][0]
+                    sb += sign * values[e][1]
+            values[parent_edge[f]] = (-own * sa, -own * sb)
+        self._values = {}
+        for (u, v), (a, b) in values.items():
+            self._values[(u, v)] = (a, b)
+            self._values[(v, u)] = (-a, -b)
 
     def value(self, tail: int, head: int) -> tuple[int, int]:
         """Class contribution of traversing the edge tail -> head."""
-        r, s = self.r, self.s
-        i1, j1 = divmod(tail, s)
-        i2, j2 = divmod(head, s)
-        di = (i2 - i1) % r
-        dj = (j2 - j1) % s
-        # grid steps move one unit in each coordinate at most (r, s >= 3
-        # makes the direction unambiguous)
-        if di == r - 1:
-            a = -1 if i2 == r - 1 else 0
-        elif di == 1:
-            a = 1 if i1 == r - 1 else 0
-        elif di == 0:
-            a = 0
-        else:
-            raise errors.UnknownEdge(f"({tail},{head}) is not a grid edge")
-        if dj == s - 1:
-            b = -1 if j2 == s - 1 else 0
-        elif dj == 1:
-            b = 1 if j1 == s - 1 else 0
-        elif dj == 0:
-            b = 0
-        else:
-            raise errors.UnknownEdge(f"({tail},{head}) is not a grid edge")
-        if di == 0 and dj == 0:
-            raise errors.UnknownEdge("degenerate edge")
-        return (a, b)
-
-    def face_sum(self, face) -> tuple[int, int]:
-        a, b, c = face
-        vals = [self.value(a, b), self.value(b, c), self.value(c, a)]
-        return (sum(v[0] for v in vals), sum(v[1] for v in vals))
+        try:
+            return self._values[(tail, head)]
+        except KeyError:
+            raise errors.UnknownEdge(f"({tail},{head}) is not a torus edge") from None
 
 
 def standard_cochain(torus: TorusComplex) -> EdgeCochain:
-    """The seam cochain of a rectangular torus; closed on every face."""
-    return EdgeCochain(torus)
+    """The tree–cotree cochain of a torus, built once and cached on it;
+    closed on every face."""
+    return torus.cochain
 
 
 def walk_homology(cochain: EdgeCochain, walk: ClosedWalk) -> tuple[int, int]:

@@ -578,9 +578,6 @@ class ReductionTree:
     def leaves(self) -> list[TreeNode]:
         return [n for n in self.nodes if not n.children]
 
-    def fission_count(self) -> int:
-        return sum(1 for n in self.nodes if isinstance(n.move, Fission))
-
     def to_json(self) -> dict:
         out = []
         for i, n in enumerate(self.nodes):

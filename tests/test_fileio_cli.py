@@ -1,5 +1,4 @@
 import json
-import random
 import subprocess
 import sys
 
@@ -7,11 +6,10 @@ import pytest
 
 
 from torusrig.catalog import build_H
-from torusrig.complexes import (GridProvenance, cut_hole, grid_faces,
-                                rectangular_torus)
+from torusrig.complexes import cut_hole, rectangular_torus
 from torusrig.corpus import CorpusSpec, corpus_records
-from torusrig.fileio import (_detect_grid, dumps_record, hole_to_record,
-                             record_to_hole, to_dot)
+from torusrig.fileio import (dumps_record, hole_to_record, record_to_hole,
+                             to_dot)
 
 
 def run_cli(args, stdin=None):
@@ -34,37 +32,6 @@ def test_record_round_trip_with_keep_edges():
     assert any(isinstance(h, dict) for h in rec["holes"])
     again = record_to_hole(rec)
     assert again.graph == h4.graph
-
-
-def test_grid_provenance_detected():
-    hole = cut_hole(rectangular_torus(3, 4), [0])
-    rec = hole_to_record(hole)
-    again = record_to_hole(rec)
-    assert again.torus.provenance is not None
-    assert (again.torus.provenance.r, again.torus.provenance.s) == (3, 4)
-
-
-@pytest.mark.parametrize("r", range(3, 7))
-@pytest.mark.parametrize("s", range(3, 7))
-def test_grid_detected_in_any_face_order(r, s):
-    faces = grid_faces(r, s)
-    random.Random(r * 10 + s).shuffle(faces)
-    faces = [(b, c, a) for a, b, c in faces[:5]] + faces[5:]
-    assert _detect_grid(r * s, faces) == GridProvenance(r, s)
-    hole = record_to_hole({"vertices": r * s, "faces": faces, "holes": [[0]]})
-    assert hole.torus.provenance == GridProvenance(r, s)
-
-
-def test_non_grid_torus_has_no_provenance():
-    k7 = [f for i in range(7) for f in ((i, (i + 1) % 7, (i + 3) % 7),
-                                        (i, (i + 2) % 7, (i + 3) % 7))]
-    assert _detect_grid(7, k7) is None
-    assert record_to_hole({"vertices": 7, "faces": k7,
-                           "holes": [[0]]}).torus.provenance is None
-    # a grid face list under a vertex relabelling that is not a grid symmetry
-    swap = {0: 1, 1: 0}
-    relabelled = [tuple(swap.get(v, v) for v in f) for f in grid_faces(3, 4)]
-    assert _detect_grid(12, relabelled) is None
 
 
 def _base_record():
@@ -91,14 +58,41 @@ def _two_corner_face():
     (_two_corner_face(), "faces[3]"),
     (_with(holes=[{"faces": [0, 1], "keep": [[0]]}]), "holes[0].keep[0]"),
     ("{", "Expecting"),
+    ('{"vertices": 0, "faces": []}', "no faces"),
+    (_with(meta=5), "meta"),
 ], ids=["index-past-end", "index-negative", "dict-index-past-end",
-        "no-faces", "two-corner-face", "one-vertex-keep", "not-json"])
+        "no-faces", "two-corner-face", "one-vertex-keep", "not-json",
+        "empty-torus", "meta-not-object"])
 def test_cli_malformed_record_is_typed_error(stdin, field):
     r = run_cli(["classify", "-"], stdin=stdin)
     assert r.returncode == 1
     assert r.stderr.startswith("error:")
     assert field in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_cli_batch_check_meta_not_object():
+    rec = json.loads(_with(meta=5))
+    r = run_cli(["batch-check"], stdin=json.dumps(rec) + "\n")
+    assert r.returncode == 1
+    assert r.stderr == "error: meta must be an object\n"
+
+
+def test_cli_missing_file_is_error(tmp_path):
+    r = run_cli(["check", str(tmp_path / "missing.json")])
+    assert r.returncode == 1
+    assert r.stderr.startswith("error:") and "missing.json" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_cli_homology_on_h5():
+    # H5 is not a grid torus
+    r = run_cli(["homology", "-"], stdin=json.dumps(hole_to_record(build_H(5))))
+    assert r.returncode == 0
+    edges = json.loads(r.stdout)["crossover_edges"]
+    assert len(edges) == 6
+    for item in edges:
+        assert item["classes"] and [0, 0] not in item["classes"]
 
 
 def test_dot_export_styles_boundary():

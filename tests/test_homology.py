@@ -1,34 +1,157 @@
+import gc
+import random
+import weakref
+
 import pytest
 
 from torusrig import errors
 from torusrig.catalog import build_H
-from torusrig.complexes import ClosedWalk, cut_hole, rectangular_torus
+from torusrig.complexes import (ClosedWalk, TorusComplex, cut_hole, grid_faces,
+                                rectangular_torus)
 from torusrig.homology import (canonical_class, crossover_class,
                                standard_cochain, walk_homology)
+from torusrig.reduction import reduce_greedy
+
+K7_FACES = [f for i in range(7) for f in ((i, (i + 1) % 7, (i + 3) % 7),
+                                          (i, (i + 2) % 7, (i + 3) % 7))]
+
+
+class SeamCochain:
+    """Test oracle: the seam cochain of the r x s grid torus.
+
+    Vertex (i, j) has id i*s + j.  An edge picks up (1,0) when it crosses
+    the seam between rows r-1 and 0 in the positive direction and (0,1)
+    across the seam between columns s-1 and 0.
+    """
+
+    def __init__(self, r: int, s: int):
+        self.r, self.s = r, s
+
+    def value(self, tail: int, head: int) -> tuple[int, int]:
+        r, s = self.r, self.s
+        i1, j1 = divmod(tail, s)
+        i2, j2 = divmod(head, s)
+        di = (i2 - i1) % r
+        dj = (j2 - j1) % s
+        # grid steps move one unit in each coordinate at most (r, s >= 3
+        # makes the direction unambiguous)
+        assert di in (0, 1, r - 1) and dj in (0, 1, s - 1) and (di, dj) != (0, 0)
+        a = -1 if di == r - 1 and i2 == r - 1 else 1 if di == 1 and i1 == r - 1 else 0
+        b = -1 if dj == s - 1 and j2 == s - 1 else 1 if dj == 1 and j1 == s - 1 else 0
+        return (a, b)
+
+
+def face_sum(cochain, face) -> tuple[int, int]:
+    return walk_homology(cochain, ClosedWalk(face))
+
+
+def seam_matrix(torus, r, s):
+    """The integer matrix M with seam class = M @ cochain class on the
+    r x s grid torus, read off the longitude and the meridian through 0."""
+    co = standard_cochain(torus)
+    (a, c) = walk_homology(co, ClosedWalk([i * s for i in range(r)]))
+    (b, d) = walk_homology(co, ClosedWalk(range(s)))
+    det = a * d - b * c
+    assert abs(det) == 1   # the two classes form a basis of Z^2
+    # the longitude's seam class is (1,0) and the meridian's (0,1)
+    return ((d * det, -b * det), (-c * det, a * det))
+
+
+def apply(m, vec):
+    return (m[0][0] * vec[0] + m[0][1] * vec[1],
+            m[1][0] * vec[0] + m[1][1] * vec[1])
+
+
+def random_closed_walk(graph, rng, steps):
+    """A random walk of ``steps`` edges, closed by a shortest path home."""
+    start = rng.choice(sorted(graph.vertices))
+    walk = [start]
+    for _ in range(steps):
+        walk.append(rng.choice(sorted(graph.neighbors(walk[-1]))))
+    back = {walk[-1]: None}
+    queue = [walk[-1]]
+    for u in queue:
+        for w in sorted(graph.neighbors(u)):
+            if w not in back:
+                back[w] = u
+                queue.append(w)
+    path = [start]
+    while path[-1] != walk[-1]:
+        path.append(back[path[-1]])
+    walk.extend(reversed(path[1:-1]))
+    if len(walk) > 1 and walk[-1] == walk[0]:
+        walk.pop()
+    return walk
+
+
+def _closed_on_every_face(torus):
+    co = standard_cochain(torus)
+    return all(face_sum(co, f) == (0, 0) for f in torus.faces)
 
 
 def test_face_sums_vanish():
-    for r, s in ((3, 3), (3, 4), (4, 5)):
+    for r, s in ((3, 3), (3, 4), (4, 5), (6, 6)):
         t = rectangular_torus(r, s)
-        co = standard_cochain(t)
-        for f in t.faces:
-            assert co.face_sum(f) == (0, 0)
+        assert _closed_on_every_face(t)
+        assert all(face_sum(SeamCochain(r, s), f) == (0, 0) for f in t.faces)
+    for i in range(1, 18):
+        assert _closed_on_every_face(build_H(i).torus), i
+    assert _closed_on_every_face(TorusComplex(K7_FACES))
+    leaf, moves = reduce_greedy(build_H(1))
+    assert moves and _closed_on_every_face(leaf.torus)
+
+
+@pytest.mark.parametrize("r", range(3, 7))
+@pytest.mark.parametrize("s", range(3, 7))
+def test_cochain_maps_to_seam_class_in_any_face_order(r, s):
+    # one unimodular matrix takes the cochain's class of every closed walk
+    # to its seam class, whatever the order and rotation of the grid faces
+    faces = grid_faces(r, s)
+    random.Random(r * 10 + s).shuffle(faces)
+    faces = [(b, c, a) for a, b, c in faces[:5]] + faces[5:]
+    torus = TorusComplex(faces)
+    assert _closed_on_every_face(torus)
+    m = seam_matrix(torus, r, s)
+    co, seam = standard_cochain(torus), SeamCochain(r, s)
+    rng = random.Random(r * 100 + s)
+    for _ in range(300):
+        walk = ClosedWalk(random_closed_walk(torus.graph, rng, rng.randint(1, 40)))
+        assert apply(m, walk_homology(co, walk)) == walk_homology(seam, walk)
+
+
+def test_cochain_is_cached_and_does_not_pin_the_torus():
+    t = rectangular_torus(3, 4)
+    co = standard_cochain(t)
+    assert standard_cochain(t) is co
+    ref = weakref.ref(t)
+    del t
+    gc.collect()
+    assert ref() is None
+    assert co.value(0, 1) == tuple(-x for x in co.value(1, 0))
+    with pytest.raises(errors.UnknownEdge):
+        co.value(0, 6)
 
 
 def test_generating_cycles():
     t = rectangular_torus(3, 4)
-    co = standard_cochain(t)
     longitude = ClosedWalk([0, 4, 8])          # i-direction, ids i*s
     meridian = ClosedWalk([0, 1, 2, 3])        # j-direction
-    assert walk_homology(co, longitude) == (1, 0)
-    assert walk_homology(co, meridian) == (0, 1)
+    assert walk_homology(SeamCochain(3, 4), longitude) == (1, 0)
+    assert walk_homology(SeamCochain(3, 4), meridian) == (0, 1)
+    co = standard_cochain(t)
+    (a, c), (b, d) = walk_homology(co, longitude), walk_homology(co, meridian)
+    assert abs(a * d - b * c) == 1
 
 
 def test_walk_class_reversal_negates():
     t = rectangular_torus(3, 4)
+    m = seam_matrix(t, 3, 4)
     co = standard_cochain(t)
     w = ClosedWalk([0, 4, 8])
-    assert walk_homology(co, ClosedWalk(w.vertices[::-1])) == (-1, 0)
+    back = walk_homology(co, ClosedWalk(w.vertices[::-1]))
+    assert back == tuple(-x for x in walk_homology(co, w))
+    assert apply(m, back) == (-1, 0)
+    assert walk_homology(SeamCochain(3, 4), ClosedWalk(w.vertices[::-1])) == (-1, 0)
 
 
 def test_detachment_walk_null_homologous():
@@ -45,17 +168,6 @@ def test_face_boundary_invariance():
     f = t.faces[0]
     tri = walk_homology(co, ClosedWalk(f))
     assert tri == (0, 0)
-
-
-def test_no_provenance():
-    faces = []
-    for i in range(7):
-        faces.append((i, (i + 1) % 7, (i + 3) % 7))
-        faces.append((i, (i + 2) % 7, (i + 3) % 7))
-    from torusrig.complexes import TorusComplex
-    k7 = TorusComplex(faces)
-    with pytest.raises(errors.NoProvenance):
-        standard_cochain(k7)
 
 
 def test_canonical_class_sign():
@@ -96,10 +208,12 @@ def test_pinched_crossover_closes_along_detachment_walk():
     # crossover edge it bounds the two retained faces (3,7,4) and (4,7,8)
     hole = cut_hole(rectangular_torus(3, 3), [0, 1, 2, 3, 9, 14, 15])
     assert hole.detachment_walk().vertices == (0, 1, 7, 8, 2, 5, 8, 4, 3)
-    assert crossover_class(hole, (3, 7)) == {(1, 0)}
+    m = seam_matrix(hole.torus, 3, 3)
+    assert {canonical_class(apply(m, c))
+            for c in crossover_class(hole, (3, 7))} == {(1, 0)}
 
 
-@pytest.mark.parametrize("index", (2, 3, 4, 8, 10))
+@pytest.mark.parametrize("index", range(1, 17))   # H17 has no crossover edge
 def test_pinched_catalog_crossovers_nontrivial(index):
     h = build_H(index)
     edges = _crossover_edges(h)
