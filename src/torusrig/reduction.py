@@ -732,20 +732,29 @@ def certify(hole: TorusWithHole, validate: bool = True) -> Certificate:
 
 def verify_certificate(cert: Certificate, target: Graph,
                        check_rank: bool = True, seed: int = 0) -> bool:
-    """Replay with per-step tightness (and rank-increment) checks."""
+    """Replay the certificate from K3 and check every intermediate graph.
+
+    With ``check_rank`` every step G must reach generic_rank(G) = |E| =
+    3|V| - 6, and that alone proves G tight.  The rank found at any
+    placement is at most the generic rank, which is at most |E|; so rank =
+    |E| shows G generically independent.  An independent graph is
+    (3,6)-sparse, since each subgraph on S has rank at most 3|S| - 6
+    (Maxwell's count), and with 3|V| - 6 edges it is tight.  Each split adds
+    one vertex and three edges, so the ranks step by +3; that a vertex split
+    keeps independence is Whiteley's lemma ("Vertex splitting in isostatic
+    frameworks", 1990).  Without ``check_rank`` each step runs a (3,6)
+    tightness check instead.
+    """
     graphs = cert.replay()
     if graphs[-1] != target and not is_isomorphic(graphs[-1], target):
         raise errors.ReplayMismatch("certificate does not reproduce the target")
-    prev_rank = None
     for g in graphs:
-        if not check_3_6(g).is_tight:
-            raise errors.ReplayMismatch("intermediate graph is not tight")
         if check_rank:
-            r = generic_rank(g, seed=seed)
-            if prev_rank is not None and r != prev_rank + 3:
+            rank = generic_rank(g, seed=seed)
+            if not rank == len(g.edges) == 3 * len(g.vertices) - 6:
                 raise errors.ReplayMismatch(
-                    f"rank stepped {prev_rank} -> {r}, expected +3")
-            prev_rank = r
-    if check_rank and prev_rank != 3 * len(target.vertices) - 6:
-        raise errors.ReplayMismatch("final rank is not 3|V| - 6")
+                    f"intermediate graph on {len(g.vertices)} vertices and "
+                    f"{len(g.edges)} edges has rank {rank}, not 3|V| - 6")
+        elif not check_3_6(g).is_tight:
+            raise errors.ReplayMismatch("intermediate graph is not tight")
     return True

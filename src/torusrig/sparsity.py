@@ -1,11 +1,21 @@
 """(3,6)-sparsity and tightness decisions with violation certificates.
 
 A graph is (3,6)-sparse when every subgraph on at least three vertices has
-freedom number >= 6, and (3,6)-tight when additionally f(G) = 6.  The fast
-path runs one min-cut per edge: over vertex sets S containing that edge's
-endpoints it maximises |E(G[S])| - 3|S|, and any set of three or more vertices
-pushing the maximum above -6 is a violation witness.  A subset-enumeration
-oracle cross-validates the flow path on small graphs.
+freedom number >= 6, and (3,6)-tight when additionally f(G) = 6.
+
+(3,6) is not matroidal, but (3,5) is.  A simple graph violates (3,6) exactly
+when some set S of three or more vertices spans at least 3|S| - 5 edges.  The
+(3,5) pebble game places the edges one at a time and, with component
+detection, finds the largest (3,5)-tight set containing each edge it places.
+At the first placement that makes some S violating, S spans exactly 3|S| - 5
+edges, the new one among them, so S is (3,5)-tight and the new edge's
+component has three or more vertices.  So one pebble game decides sparsity and
+tightness.  Only a violating graph pays for a witness: one min-cut per edge,
+in sorted edge order, over vertex sets S containing that edge's endpoints,
+maximising |E(G[S])| - 3|S|; the first set of three or more vertices pushing
+the maximum above -6 is the witness.  The ``through_vertex`` argument of
+``check_3_6`` only limits that witness search to the edges at one vertex.  A
+subset-enumeration oracle cross-validates both paths on small graphs.
 """
 
 from __future__ import annotations
@@ -49,6 +59,89 @@ def _sparse_verdict(g: Graph) -> SparsityVerdict:
     return SparsityVerdict(status)
 
 
+def _pebble_sparse(g: Graph) -> bool:
+    """True iff ``g`` is (3,6)-sparse: the (3,5) pebble game with component
+    detection (Lee & Streinu 2008; Jacobs & Hendrickson 1997).
+
+    Every vertex starts with three pebbles, and a pebble on a vertex either
+    lies free or covers one of its out-edges, so every vertex set S has
+    3|S| = free(S) + |E(S)| + out(S).  Edge uv is accepted once u and v
+    hold six pebbles; one of u's then covers it as u -> v.  With the five
+    left on u and v, a set S containing both is (3,5)-tight exactly when it
+    is closed under out-edges and holds no other free pebble.  The largest
+    such set, the component of uv, is every vertex that cannot reach a free
+    pebble off u and v.  A component of three or more vertices, or a
+    rejected edge, is a (3,6) violation; on a simple graph the component is
+    always found first.
+    """
+    pebbles = dict.fromkeys(g.vertices, 3)
+    out = {v: set() for v in g.vertices}
+    into = {v: set() for v in g.vertices}
+
+    def fetch(root, pinned) -> bool:
+        """Move a free pebble off ``pinned`` to ``root`` by reversing the
+        out-path that reaches it."""
+        parent = {root: None}
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y in out[x]:
+                if y in parent:
+                    continue
+                parent[y] = x
+                if pebbles[y] and y not in pinned:
+                    pebbles[y] -= 1
+                    pebbles[root] += 1
+                    while y != root:
+                        x = parent[y]
+                        out[x].remove(y)
+                        into[y].remove(x)
+                        out[y].add(x)
+                        into[x].add(y)
+                        y = x
+                    return True
+                stack.append(y)
+        return False
+
+    def big_component(u, v) -> bool:
+        """Whether the (3,5)-tight component of the placed edge uv has three
+        or more vertices; it is empty when u and v reach a free pebble."""
+        reach = {u, v}
+        stack = [u, v]
+        while stack:
+            for y in out[stack.pop()]:
+                if y not in reach:
+                    if pebbles[y]:
+                        return False
+                    reach.add(y)
+                    stack.append(y)
+        if len(reach) >= 3:
+            return True
+        # u and v reach no free pebble, so this backward search from the
+        # free pebbles never enters them
+        escapes = {w for w, p in pebbles.items() if p and w not in reach}
+        stack = list(escapes)
+        while stack:
+            for x in into[stack.pop()]:
+                if x not in escapes:
+                    escapes.add(x)
+                    stack.append(x)
+        return len(pebbles) - len(escapes) >= 3
+
+    for u, v in g.sorted_edges():
+        pinned = (u, v)
+        for x in pinned:
+            while pebbles[x] < 3:
+                if not fetch(x, pinned):
+                    return False
+        pebbles[u] -= 1
+        out[u].add(v)
+        into[v].add(u)
+        if big_component(u, v):
+            return False
+    return True
+
+
 def _violation_through(g: Graph, u: int, v: int) -> frozenset | None:
     """A violating vertex set containing edge uv, or None.
 
@@ -67,17 +160,9 @@ def _violation_through(g: Graph, u: int, v: int) -> frozenset | None:
     return None
 
 
-def check_3_6(graph, through_vertex: int | None = None) -> SparsityVerdict:
-    """Decide (3,6)-sparsity/tightness, with a violating-set certificate.
-
-    ``through_vertex`` restricts the search to violations containing that
-    vertex; this is exact after an edge contraction, since any new violating
-    set must contain the merged vertex (all other induced subgraphs are
-    unchanged).
-    """
-    g = as_graph(graph)
-    if len(g.vertices) < 3:
-        raise errors.TooFewVertices("(3,6)-sparsity needs at least 3 vertices")
+def _flow_scan(g: Graph, through_vertex: int | None = None) -> SparsityVerdict:
+    """The verdict of one min-cut per edge (at ``through_vertex``, if given),
+    in sorted order, with the first violating set found as the witness."""
     if through_vertex is None:
         edge_iter = g.sorted_edges()
     else:
@@ -87,6 +172,29 @@ def check_3_6(graph, through_vertex: int | None = None) -> SparsityVerdict:
         if witness is not None:
             return SparsityVerdict(Status.VIOLATION, witness)
     return _sparse_verdict(g)
+
+
+def check_3_6(graph, through_vertex: int | None = None) -> SparsityVerdict:
+    """Decide (3,6)-sparsity/tightness, with a violating-set certificate.
+
+    The (3,5) pebble game decides: a simple graph is (3,6)-sparse iff the
+    game rejects no edge and finds no (3,5)-tight component of three or more
+    vertices, since such a component spans 3|S| - 5 edges.  A sparse graph
+    is answered at once.  Otherwise one min-cut per edge, in sorted order,
+    names the first violating set found, so verdicts and witnesses are those
+    of the per-edge flow scan alone.
+
+    ``through_vertex`` only limits that witness search to the edges at the
+    vertex, so only violations containing it are reported; this is exact
+    after an edge contraction, since any new violating set must contain the
+    merged vertex (all other induced subgraphs are unchanged).
+    """
+    g = as_graph(graph)
+    if len(g.vertices) < 3:
+        raise errors.TooFewVertices("(3,6)-sparsity needs at least 3 vertices")
+    if _pebble_sparse(g):
+        return _sparse_verdict(g)
+    return _flow_scan(g, through_vertex)
 
 
 def brute_force_3_6(graph) -> SparsityVerdict:

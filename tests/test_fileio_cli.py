@@ -180,3 +180,15 @@ def test_cli_error_exit_code(tmp_path):
     r = run_cli(["check", str(bad)])
     assert r.returncode == 1
     assert "error" in r.stderr
+
+
+def test_cli_check_pins_violation_witness():
+    # the fourth seed-7 record on the 4x4 torus violates (3,6); its witness
+    # is the first violating set of the per-edge flow scan in sorted order
+    gen = run_cli(["gen", "--seed", "7", "--count", "4", "--grids", "4x4"])
+    record = gen.stdout.splitlines()[3]
+    out = run_cli(["check", "-"], stdin=record)
+    assert out.returncode == 2
+    assert out.stdout == (
+        '{"freedom": 6, "status": "Violation", "witness": '
+        '[0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]}\n')

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from torusrig import errors
+from torusrig import errors, reduction
 from torusrig.catalog import build_H, classify
 from torusrig.complexes import cut_hole, rectangular_torus
 from torusrig.graphs import (Graph, complete_graph, edge_key, freedom,
@@ -297,6 +299,52 @@ def test_certificate_replay_mismatch_detected():
     wrong = complete_graph(5)
     with pytest.raises(errors.ReplayMismatch):
         verify_certificate(cert, wrong, check_rank=False)
+
+
+def _corrupt_last_split(cert: Certificate, **changes) -> Certificate:
+    last = dataclasses.replace(cert.splits[-1], **changes)
+    return dataclasses.replace(cert, splits=cert.splits[:-1] + (last,))
+
+
+@pytest.mark.parametrize("check_rank", [True, False])
+def test_corrupted_splits_raise_replay_mismatch(check_rank):
+    hole = build_H(3)
+    cert = certify(hole)
+    s = cert.splits[-1]
+    # a neighbour of the split vertex that the split neither anchors nor moves
+    t = min(cert.replay()[-2].neighbors(s.vertex) - set(s.anchors) - s.moved)
+    extra_moved = _corrupt_last_split(cert, moved=s.moved | {t})
+    wrong_anchors = _corrupt_last_split(cert, anchors=(s.anchors[0], t))
+    for bad in (extra_moved, wrong_anchors):
+        assert bad.replay()[-1] != hole.graph
+        with pytest.raises(errors.ReplayMismatch):
+            verify_certificate(bad, hole.graph, check_rank=check_rank)
+
+
+def test_rank_is_checked_at_every_step(monkeypatch):
+    # a rank shortfall on one intermediate graph alone must be caught
+    cert = certify(build_H(5))
+    short = len(cert.replay()[2].vertices)
+    real_rank = reduction.generic_rank
+
+    def rank_short_at_one_step(g, **kw):
+        return real_rank(g, **kw) - (len(g.vertices) == short)
+
+    monkeypatch.setattr(reduction, "generic_rank", rank_short_at_one_step)
+    with pytest.raises(errors.ReplayMismatch):
+        verify_certificate(cert, build_H(5).graph)
+
+
+def test_rank_replay_agrees_with_tightness_replay():
+    for i in (1, 5, 9, 16):
+        hole = build_H(i)
+        cert = certify(hole)
+        assert verify_certificate(cert, hole.graph, check_rank=True)
+        assert verify_certificate(cert, hole.graph, check_rank=False)
+        for g in cert.replay():
+            rank = generic_rank(g)
+            assert check_3_6(g).is_tight
+            assert rank == len(g.edges) == 3 * len(g.vertices) - 6
 
 
 def test_fission_over_pinched_hole():

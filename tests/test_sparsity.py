@@ -7,8 +7,18 @@ from torusrig import errors
 from torusrig.catalog import build_H
 from torusrig.complexes import cut_hole, rectangular_torus
 from torusrig.graphs import Graph, complete_graph, double_banana, freedom
-from torusrig.sparsity import (Status, brute_force_3_6, check_3_6, is_in_T,
+from torusrig.reduction import contract, contractible_edges
+from torusrig.sparsity import (Status, _flow_scan, _pebble_sparse,
+                               brute_force_3_6, check_3_6, is_in_T,
                                maximal_tight_subgraph)
+
+
+def random_graph(data, max_n=11):
+    """A simple graph on 4..max_n vertices, from empty up to 3n - 3 edges."""
+    n = data.draw(st.integers(min_value=4, max_value=max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    m = data.draw(st.integers(min_value=0, max_value=3 * n - 3))
+    return Graph(range(n), data.draw(st.permutations(pairs))[:m])
 
 
 def test_k4_tight_both_paths():
@@ -103,3 +113,39 @@ def test_maximal_tight_subgraph():
     assert s == frozenset(range(5))
     s2 = maximal_tight_subgraph(g, {0, 1, 2}, exclude={4})
     assert s2 == frozenset(range(4))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_pebble_game_matches_brute_force(data):
+    g = random_graph(data)
+    assert _pebble_sparse(g) is brute_force_3_6(g).is_sparse
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_through_vertex_matches_flow_scan(data):
+    g = random_graph(data)
+    x = data.draw(st.sampled_from(sorted(g.vertices)))
+    assert check_3_6(g, through_vertex=x) == _flow_scan(g, through_vertex=x)
+
+
+def test_verdicts_match_flow_scan_on_corpus(corpus9, tight_corpus):
+    tight = 0
+    for hole in corpus9:
+        want = _flow_scan(hole.graph)
+        assert check_3_6(hole.graph).to_json() == want.to_json()
+        tight += want.is_tight
+    assert tight == len(tight_corpus) > 50
+
+
+def test_contraction_verdicts_match_flow_scan():
+    violations = 0
+    for i in range(1, 7):
+        hole = build_H(i)
+        for e in contractible_edges(hole):
+            g = contract(hole, e).graph
+            got = check_3_6(g, through_vertex=e[0]).to_json()
+            assert got == _flow_scan(g, through_vertex=e[0]).to_json()
+            violations += got["status"] == Status.VIOLATION.value
+    assert violations > 0
