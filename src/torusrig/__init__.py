@@ -8,17 +8,15 @@ construction certificates rooted at K3.
 """
 
 from .complexes import (ClosedWalk, DiscMap, SurfaceComplex, TorusComplex,
-                        TorusWithHole, cut_hole, cut_holes,
-                        identify_face_graph, rectangular_torus)
+                        TorusWithHole, cut_hole, cut_holes, rectangular_torus)
 from .graphs import Graph, double_banana, freedom, is_isomorphic
 from .catalog import (Classification, DetachmentWord, build_H, classify,
                       parse_word, the_17)
-from .homology import crossover_class, standard_cochain, walk_homology
+from .homology import crossover_class, walk_homology
 from .reduction import (Certificate, EdgeClass, ReductionTree, SeparatingCycle,
                         certify, classify_edge, contract, divide, fission,
                         find_critical_cycle_through, is_uncontractible,
-                        reduce_greedy, reduction_tree, verify_certificate,
-                        vertex_split)
+                        reduce_greedy, reduction_tree, verify_certificate)
 from .rigidity import (RigidityReport, generic_rank, is_min_3_rigid,
                        rigidity_matrix, rigidity_report, random_placement)
 from .sparsity import (SparsityVerdict, Status, brute_force_3_6, check_3_6,
@@ -28,15 +26,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClosedWalk", "DiscMap", "SurfaceComplex", "TorusComplex", "TorusWithHole",
-    "cut_hole", "cut_holes", "identify_face_graph", "rectangular_torus",
+    "cut_hole", "cut_holes", "rectangular_torus",
     "Graph", "double_banana", "freedom", "is_isomorphic",
     "Classification", "DetachmentWord", "build_H", "classify", "parse_word",
     "the_17",
-    "crossover_class", "standard_cochain", "walk_homology",
+    "crossover_class", "walk_homology",
     "Certificate", "EdgeClass", "ReductionTree", "SeparatingCycle", "certify",
     "classify_edge", "contract", "divide", "fission",
     "find_critical_cycle_through", "is_uncontractible", "reduce_greedy",
-    "reduction_tree", "verify_certificate", "vertex_split",
+    "reduction_tree", "verify_certificate",
     "RigidityReport", "generic_rank", "is_min_3_rigid", "rigidity_matrix",
     "rigidity_report", "random_placement",
     "SparsityVerdict", "Status", "brute_force_3_6", "check_3_6", "is_in_T",

@@ -163,16 +163,6 @@ def canonical_pattern(seq) -> tuple:
 class CanonicalWalkClass:
     pattern: tuple
 
-    @property
-    def num_vertices(self) -> int:
-        return len(set(self.pattern))
-
-    @property
-    def num_edges(self) -> int:
-        n = len(self.pattern)
-        return len({frozenset((self.pattern[i], self.pattern[(i + 1) % n]))
-                    for i in range(n)})
-
     def __len__(self):
         return len(self.pattern)
 

@@ -25,11 +25,19 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
+def _grid(text: str) -> tuple[int, int]:
+    r, x, s = text.partition("x")
+    if not (x and r.isdecimal() and s.isdecimal()):
+        raise errors.BadArgument(f"--grids: {text!r} is not of the form RxS")
+    return int(r), int(s)
+
+
 def cmd_gen(args) -> int:
     kwargs = {}
     if args.grids:
-        kwargs["grids"] = tuple(
-            tuple(int(x) for x in g.split("x")) for g in args.grids)
+        kwargs["grids"] = tuple(_grid(g) for g in args.grids)
+    if not args.boundary_lengths:
+        raise errors.BadArgument("--boundary-lengths needs at least one value")
     spec = CorpusSpec(seed=args.seed, count=args.count,
                       boundary_lengths=tuple(args.boundary_lengths), **kwargs)
     for rec in corpus_records(spec):

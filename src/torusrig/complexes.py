@@ -21,7 +21,7 @@ import functools
 import itertools
 
 from . import errors
-from .graphs import Graph, edge_key, freedom  # noqa: F401  (freedom re-exported)
+from .graphs import Graph, edge_key, freedom
 
 
 def _face_edges(face):
@@ -158,14 +158,6 @@ class TorusComplex(SurfaceComplex):
         from .homology import EdgeCochain
         return EdgeCochain(self)
 
-    def face_index(self, face) -> int:
-        """Index of a face given by any corner ordering."""
-        target = frozenset(face)
-        for i, f in enumerate(self.faces):
-            if frozenset(f) == target:
-                return i
-        raise KeyError(face)
-
 
 def grid_faces(r: int, s: int) -> list[tuple[int, int, int]]:
     """Faces of the r x s grid torus, two per cell; vertex (i, j) is i*s + j."""
@@ -189,30 +181,6 @@ def rectangular_torus(r: int, s: int) -> TorusComplex:
     if r < 3 or s < 3:
         raise errors.TooSmall(f"grid {r}x{s}: both dimensions must be >= 3")
     return TorusComplex(grid_faces(r, s))
-
-
-def identify_face_graph(disc: SurfaceComplex, boundary_matching) -> TorusComplex:
-    """Quotient a planar face graph into a torus by identifying boundary vertices.
-
-    ``boundary_matching`` maps merged vertex ids to their targets (dict or
-    pair list); chains are resolved.  Covers both the rectangular form
-    (side paths identified order-reversingly) and the annular form (inner and
-    outer boundary cycles identified); the caller supplies the bijections.
-    """
-    mapping = dict(boundary_matching)
-    def resolve(v):
-        seen = set()
-        while v in mapping:
-            if v in seen:
-                raise errors.NonSimpleQuotient(f"cyclic identification at {v}")
-            seen.add(v)
-            v = mapping[v]
-        return v
-    try:
-        faces = [tuple(resolve(v) for v in f) for f in disc.faces]
-        return TorusComplex(faces)
-    except (errors.LoopEdge, errors.DuplicateFace, errors.EdgeInThreeFaces) as exc:
-        raise errors.NonSimpleQuotient(str(exc)) from exc
 
 
 class ClosedWalk:
@@ -591,9 +559,6 @@ class TorusWithHole:
     def detachment_walk(self) -> ClosedWalk:
         """The closed walk i(bd D) around the (single) hole."""
         return self.single_disc.boundary_walk
-
-    def freedom(self) -> int:
-        return freedom(self.graph)
 
     def is_ff_edge(self, e) -> bool:
         e = edge_key(*e)

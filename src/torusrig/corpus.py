@@ -8,13 +8,20 @@ all randomness flows from the seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import errors
-from .complexes import DiscMap, TorusWithHole, cut_hole, rectangular_torus
+from .complexes import DiscMap, TorusWithHole, rectangular_torus
 from .fileio import hole_to_record
 from .graphs import freedom
 from .sparsity import check_3_6
+
+
+#: faces in the largest region a hole attempt tries before it gives up
+MAX_REGION = 24
+
+#: hole attempts per graph before generation gives up
+ATTEMPTS_PER_GRAPH = 400
 
 
 @dataclass(frozen=True)
@@ -23,18 +30,16 @@ class CorpusSpec:
     count: int
     grids: tuple = ((3, 3), (3, 4), (4, 4))
     boundary_lengths: tuple = (9,)
-    max_region: int = 24
-    attempts_per_graph: int = 400
 
 
-def _grow_hole(torus, rng, target_len: int, max_region: int) -> DiscMap | None:
+def _grow_hole(torus, rng, target_len: int) -> DiscMap | None:
     """Randomly grow a face-connected region until its disc boundary has the
     target length; fully glued discs only."""
     adj = torus.face_adjacency()
     start = rng.randrange(len(torus.faces))
     region = [start]
     region_set = {start}
-    while len(region) <= max_region:
+    while len(region) <= MAX_REGION:
         try:
             disc = DiscMap(torus, region)
             if disc.boundary_length() == target_len:
@@ -59,8 +64,8 @@ def gen_corpus(spec: CorpusSpec) -> list[TorusWithHole]:
         target = spec.boundary_lengths[len(out) % len(spec.boundary_lengths)]
         torus = rectangular_torus(r, s)
         disc = None
-        for _ in range(spec.attempts_per_graph):
-            disc = _grow_hole(torus, rng, target, spec.max_region)
+        for _ in range(ATTEMPTS_PER_GRAPH):
+            disc = _grow_hole(torus, rng, target)
             if disc is not None:
                 break
         if disc is None:

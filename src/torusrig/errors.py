@@ -11,6 +11,10 @@ class TorusRigError(Exception):
     """Base class for all torusrig errors."""
 
 
+class BadArgument(TorusRigError):
+    """A parameter such as a trial count or a CLI option is out of range."""
+
+
 # -- records and complex construction ---------------------------------------
 
 class MalformedRecord(TorusRigError):
@@ -35,10 +39,6 @@ class NonSimple(TorusRigError):
 
 class NotClosedSurface(TorusRigError):
     """Complex is not a closed connected surface of the expected type."""
-
-
-class NonSimpleQuotient(TorusRigError):
-    """Identification produced loops or parallel edges."""
 
 
 class TooSmall(TorusRigError):
@@ -78,6 +78,10 @@ class MissingCoordinate(TorusRigError):
 
 
 # -- reduction --------------------------------------------------------------
+
+class NotTight(TorusRigError):
+    """A move or certificate that needs a (3,6)-tight graph got another."""
+
 
 class UnknownEdge(TorusRigError):
     pass

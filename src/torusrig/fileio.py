@@ -88,13 +88,10 @@ def load_hole(path) -> TorusWithHole:
         return record_to_hole(json.load(fh))
 
 
-def dumps_record(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def to_dot(hole: TorusWithHole, name: str = "G") -> str:
-    """DOT serialisation of the underlying graph, boundary edges styled bold."""
-    lines = [f"graph {name} {{"]
+def to_dot(hole: TorusWithHole) -> str:
+    """DOT serialisation of the underlying graph ``G``, boundary edges
+    styled bold."""
+    lines = ["graph G {"]
     for v in sorted(hole.graph.vertices):
         lines.append(f"  {v};")
     for u, v in hole.graph.sorted_edges():

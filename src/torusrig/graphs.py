@@ -84,19 +84,6 @@ class Graph:
 
     # -- moves on abstract graphs --------------------------------------
 
-    def contract_edge(self, u: int, v: int) -> "Graph":
-        """Merge v into u (simple-graph contraction, parallel edges coalesce)."""
-        if edge_key(u, v) not in self.edges:
-            raise errors.NotAnEdge(f"({u},{v})")
-        vertices = self.vertices - {v}
-        edges = set()
-        for a, b in self.edges:
-            a = u if a == v else a
-            b = u if b == v else b
-            if a != b:
-                edges.add(edge_key(a, b))
-        return Graph(vertices, edges)
-
     def split_vertex(self, v1: int, v2: int, v3: int, moved_edges,
                      new_vertex: int | None = None) -> tuple["Graph", int]:
         """Vertex split at v1 with anchor neighbours v2, v3.

@@ -79,12 +79,6 @@ class EdgeCochain:
             raise errors.UnknownEdge(f"({tail},{head}) is not a torus edge") from None
 
 
-def standard_cochain(torus: TorusComplex) -> EdgeCochain:
-    """The tree–cotree cochain of a torus, built once and cached on it;
-    closed on every face."""
-    return torus.cochain
-
-
 def walk_homology(cochain: EdgeCochain, walk: ClosedWalk) -> tuple[int, int]:
     """Sum of cochain values along the walk's traversal directions."""
     a = b = 0
@@ -139,22 +133,16 @@ def crossover_class(hole: TorusWithHole, e) -> frozenset:
     walk, and the disc it bounds with the edge then need not contain the
     hole, so its class may be trivial on a tight graph.
     """
-    cochain = standard_cochain(hole.torus)
+    cochain = hole.torus.cochain
     u, v = edge_key(*e)
     if not hole.is_ff_edge((u, v)):
         raise errors.NotACrossover(f"({u},{v}) is not an FF edge")
     on_boundary = {w for be in hole.boundary_edges for w in be}
     if u not in on_boundary or v not in on_boundary:
         raise errors.NotACrossover(f"({u},{v}) endpoints are not on the boundary graph")
-    classes = set()
-    base = cochain.value(u, v)
-    for path in _walk_arcs(hole.detachment_walk(), v, u):
-        a, b = base
-        for x, y in zip(path, path[1:]):
-            da, db = cochain.value(x, y)
-            a += da
-            b += db
-        classes.add(canonical_class((a, b)))
+    # an arc from v to u, closed by the edge u -> v, is the cycle itself
+    classes = {canonical_class(walk_homology(cochain, ClosedWalk(arc)))
+               for arc in _walk_arcs(hole.detachment_walk(), v, u)}
     if (0, 0) in classes:
         raise errors.TrivialClassFound(
             f"crossover edge ({u},{v}) has a null-homologous cycle")

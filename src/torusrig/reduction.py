@@ -112,110 +112,6 @@ def contract(hole: TorusWithHole, e) -> TorusWithHole:
             f"contracting {e} breaks the hole structure: {exc}") from exc
 
 
-def vertex_split(g, v1: int, v2: int, v3: int, moved_edges,
-                 new_vertex: int | None = None):
-    """Split v1 with anchor neighbours v2, v3, moving ``moved_edges`` to the
-    new vertex.
-
-    On a plain Graph this is the abstract move.  On a TorusWithHole the split
-    is performed on the containing torus when v2, v3 cut the facial star of v1
-    into arcs and the moved edges are exactly the graph edges of one open arc;
-    otherwise the abstract graph of the split is returned.
-    """
-    if isinstance(g, Graph):
-        out, _ = g.split_vertex(v1, v2, v3, moved_edges, new_vertex=new_vertex)
-        return out
-    if not isinstance(g, TorusWithHole):
-        raise TypeError(f"cannot split a {type(g).__name__}")
-    try:
-        return _facial_split(g, v1, v2, v3, moved_edges, new_vertex)
-    except errors.TorusRigError:
-        out, _ = g.graph.split_vertex(v1, v2, v3, moved_edges, new_vertex=new_vertex)
-        return out
-
-
-def _link_cycle(torus: TorusComplex, z: int) -> list[int]:
-    """Neighbours of z in cyclic facial order around z."""
-    nbrs: dict[int, set[int]] = {}
-    for f in torus.faces:
-        if z in f:
-            a, b = (x for x in f if x != z)
-            nbrs.setdefault(a, set()).add(b)
-            nbrs.setdefault(b, set()).add(a)
-    start = min(nbrs)
-    cyc = [start]
-    prev = None
-    while True:
-        step = sorted(nbrs[cyc[-1]] - ({prev} if prev is not None else set()))
-        if not step:
-            raise errors.NotClosedSurface(f"star of {z} does not close up")
-        prev = cyc[-1]
-        cyc.append(step[0])
-        if cyc[-1] == start:
-            return cyc[:-1]
-        if len(cyc) > len(nbrs) + 1:
-            raise errors.NotClosedSurface(f"star of {z} does not close up")
-
-
-def _facial_split(hole: TorusWithHole, v1, v2, v3, moved_edges, new_vertex):
-    torus = hole.torus
-    if v1 not in torus.vertices:
-        raise errors.InvalidAnchors(f"{v1} is not a torus vertex")
-    cyc = _link_cycle(torus, v1)
-    if v2 not in cyc or v3 not in cyc or v2 == v3:
-        raise errors.InvalidAnchors(f"{v2}, {v3} must be facial neighbours of {v1}")
-    i, j = cyc.index(v2), cyc.index(v3)
-    if i > j:
-        i, j = j, i
-    arcs = (set(cyc[i + 1:j]), set(cyc[j + 1:] + cyc[:i]))
-    moved_targets = set()
-    for m in moved_edges:
-        m = edge_key(*m)
-        if v1 not in m:
-            raise errors.NotAnEdge(f"{m} is not an edge at {v1}")
-        moved_targets.add(m[0] if m[1] == v1 else m[1])
-    k = len(cyc)
-    graph_arc0 = {t for t in arcs[0] if edge_key(v1, t) in hole.graph.edges}
-    graph_arc1 = {t for t in arcs[1] if edge_key(v1, t) in hole.graph.edges}
-    # faces correspond to consecutive link pairs; the moved arc's faces follow
-    # the new vertex
-    if moved_targets == graph_arc0:
-        lo, hi = i, j
-    elif moved_targets == graph_arc1:
-        lo, hi = j, i + k
-    else:
-        raise errors.InvalidAnchors("moved edges are not an anchor-to-anchor arc")
-    moved_pairs = {frozenset((cyc[t % k], cyc[(t + 1) % k]))
-                   for t in range(lo, hi)}
-    v0 = new_vertex if new_vertex is not None else max(torus.vertices) + 1
-    if v0 in torus.vertices:
-        raise errors.NonSimple(f"vertex id {v0} already in use")
-
-    def rename(f):
-        return tuple(v0 if x == v1 else x for x in f)
-
-    new_faces = []
-    for f in torus.faces:
-        if v1 in f and frozenset(x for x in f if x != v1) in moved_pairs:
-            new_faces.append(rename(f))
-        else:
-            new_faces.append(f)
-    new_faces.append((v1, v0, cyc[i % k]))
-    new_faces.append((v1, v0, cyc[j % k]))
-    torus2 = TorusComplex(new_faces)
-    discs2 = []
-    # every old face keeps its index; the two new faces come last
-    for d in hole.discs:
-        keep2 = []
-        for a, b in d.keep_edges:
-            if edge_key(a, b) in torus2.edges:
-                keep2.append((a, b))
-            else:
-                keep2.append(edge_key(v0 if a == v1 else a, v0 if b == v1 else b))
-        discs2.append(DiscMap(torus2, d.faces, keep_edges=keep2))
-    return TorusWithHole(torus2, discs2)
-
-
 # -- separating cycles and division ----------------------------------------
 
 
@@ -227,32 +123,6 @@ class SeparatingCycle:
 
     def region(self) -> frozenset:
         return frozenset(self.disc.faces)
-
-
-def separating_cycle(hole: TorusWithHole, region_faces, keep_edges=None) -> SeparatingCycle:
-    """Validate an enlarged-disc region into a separating cycle.
-
-    The region must contain every hole face and its disc structure must keep
-    deleting everything the hole deletes.  Without ``keep_edges`` the disc
-    structure is the first that ``disc_structures`` finds with no hole-deleted
-    edge kept unglued, of any boundary length and up to ``MAX_KEEP`` exposed
-    edges.
-    """
-    disc_of_hole = hole.single_disc
-    region = frozenset(region_faces)
-    if not set(disc_of_hole.faces) <= region:
-        raise errors.InvalidCycle("region does not contain the hole disc")
-    torus = hole.torus
-    if keep_edges is not None:
-        d1 = DiscMap(torus, region, keep_edges=keep_edges)
-    else:
-        d1 = next(disc_structures(torus, region, forbid_keep=hole.deleted_edges),
-                  None)
-        if d1 is None:
-            raise errors.InvalidCycle("region carries no enlargement disc structure")
-    if not hole.deleted_edges <= d1.interior_edges:
-        raise errors.InvalidCycle("enlargement stops deleting a hole-interior edge")
-    return SeparatingCycle(d1.boundary_walk, d1)
 
 
 def divide(hole: TorusWithHole, cycle: SeparatingCycle) -> tuple[TorusWithHole, Graph]:
@@ -542,10 +412,11 @@ def reduce_greedy(hole: TorusWithHole, validate: bool = True
 
     Terminates at an uncontractible graph; a contractible graph admitting no
     tight contraction contradicts the greedy-contraction lemma and raises
-    StuckButContractible.
+    StuckButContractible.  With ``validate`` a graph that is not tight
+    raises NotTight.
     """
     if validate and not check_3_6(hole.graph).is_tight:
-        raise ValueError("reduce_greedy needs a tight single-hole graph")
+        raise errors.NotTight("reduce_greedy needs a tight single-hole graph")
     current = hole
     moves: list[Contraction] = []
     while (step := _first_tight_contraction(current)) is not None:
@@ -570,13 +441,6 @@ class TreeNode:
 @dataclass
 class ReductionTree:
     nodes: list
-
-    @property
-    def root(self) -> TreeNode:
-        return self.nodes[0]
-
-    def leaves(self) -> list[TreeNode]:
-        return [n for n in self.nodes if not n.children]
 
     def to_json(self) -> dict:
         out = []
@@ -630,9 +494,10 @@ def _reducing_fission(hole: TorusWithHole):
 
 def reduction_tree(hole: TorusWithHole, validate: bool = True) -> ReductionTree:
     """Contraction when possible, fission at a reducing critical cycle
-    otherwise; leaves are uncontractible."""
+    otherwise; leaves are uncontractible.  With ``validate`` a graph that is
+    not tight raises NotTight."""
     if validate and not check_3_6(hole.graph).is_tight:
-        raise ValueError("reduction_tree needs a tight single-hole graph")
+        raise errors.NotTight("reduction_tree needs a tight single-hole graph")
     nodes = [TreeNode(hole, None, None)]
     stack = [0]
     while stack:

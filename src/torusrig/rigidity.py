@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import errors
-from .graphs import Graph, as_graph
+from .graphs import as_graph
 
 # largest prime below 2**62
 FIELD_PRIME = 4611686018427387847
@@ -97,39 +96,23 @@ def rank_mod_p(rows, p: int = FIELD_PRIME) -> int:
     return rank
 
 
-def rank_rational(rows) -> int:
-    """Rank over the rationals; cross-check companion for small matrices."""
-    rows = [[Fraction(x) for x in row] for row in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][c] / pr[c]
-            if f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def rank_at_placement(graph, placement: Placement) -> int:
     return rank_mod_p(rigidity_matrix(graph, placement), placement.modulus)
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise errors.BadArgument(f"trials must be at least 1, got {trials}")
 
 
 def generic_rank(graph, trials: int = 3, seed: int = 0) -> int:
     """Max exact rank over ``trials`` random prime-field placements.
 
     One-sided: never exceeds the true generic rank, and falls short only if
-    every trial's placement is degenerate.
+    every trial's placement is degenerate.  Raises BadArgument for fewer
+    than one trial.
     """
+    _check_trials(trials)
     g = as_graph(graph)
     if not g.vertices:
         return 0
@@ -175,6 +158,7 @@ def rigidity_report(graph, trials: int = 3, seed: int = 0) -> RigidityReport:
 
 def is_min_3_rigid(graph, trials: int = 3, seed: int = 0) -> bool:
     """True iff |E| = 3|V| - 6 and the generic rank attains it."""
+    _check_trials(trials)
     g = as_graph(graph)
     if len(g.vertices) < 3:
         raise errors.TooFewVertices("minimal 3-rigidity needs at least 3 vertices")

@@ -1,0 +1,232 @@
+"""Oracles and builders that only the tests use.
+
+The package keeps the decide, classify, reduce and certify path; these are
+the slow cross-checks (rational rank, plain edge contraction) and the
+builders (face-graph quotients, separating cycles from a region, vertex
+splits on a torus) that tests compare that path against.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from torusrig import errors
+from torusrig.complexes import (DiscMap, SurfaceComplex, TorusComplex,
+                                TorusWithHole, disc_structures)
+from torusrig.graphs import Graph, edge_key
+from torusrig.reduction import SeparatingCycle
+
+
+def rank_rational(rows) -> int:
+    """Rank over the rationals; cross-check for ``rigidity.rank_mod_p`` on
+    small integer matrices."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pr = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / pr[c]
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def contract_edge(g: Graph, u: int, v: int) -> Graph:
+    """Merge v into u (simple-graph contraction, parallel edges coalesce)."""
+    if edge_key(u, v) not in g.edges:
+        raise errors.NotAnEdge(f"({u},{v})")
+    edges = set()
+    for a, b in g.edges:
+        a = u if a == v else a
+        b = u if b == v else b
+        if a != b:
+            edges.add(edge_key(a, b))
+    return Graph(g.vertices - {v}, edges)
+
+
+# -- patterns of the detachment forms ----------------------------------------
+
+
+def num_vertices(pattern) -> int:
+    """Distinct vertices of a walk pattern."""
+    return len(set(pattern))
+
+
+def num_edges(pattern) -> int:
+    """Distinct edges of a cyclic walk pattern."""
+    n = len(pattern)
+    return len({frozenset((pattern[i], pattern[(i + 1) % n]))
+                for i in range(n)})
+
+
+# -- tori -------------------------------------------------------------------
+
+
+class NonSimpleQuotient(errors.TorusRigError):
+    """Identification produced loops or parallel edges."""
+
+
+def identify_face_graph(disc: SurfaceComplex, boundary_matching) -> TorusComplex:
+    """Quotient a planar face graph into a torus by identifying boundary vertices.
+
+    ``boundary_matching`` maps merged vertex ids to their targets (dict or
+    pair list); chains are resolved.  Covers both the rectangular form
+    (side paths identified order-reversingly) and the annular form (inner and
+    outer boundary cycles identified); the caller supplies the bijections.
+    """
+    mapping = dict(boundary_matching)
+
+    def resolve(v):
+        seen = set()
+        while v in mapping:
+            if v in seen:
+                raise NonSimpleQuotient(f"cyclic identification at {v}")
+            seen.add(v)
+            v = mapping[v]
+        return v
+
+    try:
+        return TorusComplex([tuple(resolve(v) for v in f) for f in disc.faces])
+    except (errors.LoopEdge, errors.DuplicateFace, errors.EdgeInThreeFaces) as exc:
+        raise NonSimpleQuotient(str(exc)) from exc
+
+
+def face_index(torus: TorusComplex, face) -> int:
+    """Position of a face given by any corner ordering."""
+    target = frozenset(face)
+    for i, f in enumerate(torus.faces):
+        if frozenset(f) == target:
+            return i
+    raise KeyError(face)
+
+
+# -- separating cycles and vertex splits -------------------------------------
+
+
+def separating_cycle(hole: TorusWithHole, region_faces) -> SeparatingCycle:
+    """Validate an enlarged-disc region into a separating cycle.
+
+    The region must contain every hole face and its disc structure must keep
+    deleting everything the hole deletes.  The disc structure is the first
+    that ``disc_structures`` finds with no hole-deleted edge kept unglued, of
+    any boundary length and up to ``MAX_KEEP`` exposed edges.
+    """
+    region = frozenset(region_faces)
+    if not set(hole.single_disc.faces) <= region:
+        raise errors.InvalidCycle("region does not contain the hole disc")
+    d1 = next(disc_structures(hole.torus, region, forbid_keep=hole.deleted_edges),
+              None)
+    if d1 is None:
+        raise errors.InvalidCycle("region carries no enlargement disc structure")
+    if not hole.deleted_edges <= d1.interior_edges:
+        raise errors.InvalidCycle("enlargement stops deleting a hole-interior edge")
+    return SeparatingCycle(d1.boundary_walk, d1)
+
+
+def vertex_split(g, v1: int, v2: int, v3: int, moved_edges):
+    """Split v1 with anchor neighbours v2, v3, moving ``moved_edges`` to the
+    new vertex ``max + 1``.
+
+    On a plain Graph this is the abstract move.  On a TorusWithHole the split
+    is performed on the containing torus when v2, v3 cut the facial star of v1
+    into arcs and the moved edges are exactly the graph edges of one open arc
+    (``facial_split``); otherwise the abstract graph of the split is returned.
+    """
+    if isinstance(g, Graph):
+        return g.split_vertex(v1, v2, v3, moved_edges)[0]
+    try:
+        return facial_split(g, v1, v2, v3, moved_edges)
+    except errors.TorusRigError:
+        return g.graph.split_vertex(v1, v2, v3, moved_edges)[0]
+
+
+def link_cycle(torus: TorusComplex, z: int) -> list[int]:
+    """Neighbours of z in cyclic facial order around z."""
+    nbrs: dict[int, set[int]] = {}
+    for f in torus.faces:
+        if z in f:
+            a, b = (x for x in f if x != z)
+            nbrs.setdefault(a, set()).add(b)
+            nbrs.setdefault(b, set()).add(a)
+    start = min(nbrs)
+    cyc = [start]
+    prev = None
+    while True:
+        step = sorted(nbrs[cyc[-1]] - ({prev} if prev is not None else set()))
+        if not step:
+            raise errors.NotClosedSurface(f"star of {z} does not close up")
+        prev = cyc[-1]
+        cyc.append(step[0])
+        if cyc[-1] == start:
+            return cyc[:-1]
+        if len(cyc) > len(nbrs) + 1:
+            raise errors.NotClosedSurface(f"star of {z} does not close up")
+
+
+def facial_split(hole: TorusWithHole, v1, v2, v3, moved_edges) -> TorusWithHole:
+    """The vertex split of ``vertex_split`` performed on the torus, so the
+    hole discs and their exposed edges carry over."""
+    torus = hole.torus
+    if v1 not in torus.vertices:
+        raise errors.InvalidAnchors(f"{v1} is not a torus vertex")
+    cyc = link_cycle(torus, v1)
+    if v2 not in cyc or v3 not in cyc or v2 == v3:
+        raise errors.InvalidAnchors(f"{v2}, {v3} must be facial neighbours of {v1}")
+    i, j = cyc.index(v2), cyc.index(v3)
+    if i > j:
+        i, j = j, i
+    arcs = (set(cyc[i + 1:j]), set(cyc[j + 1:] + cyc[:i]))
+    moved_targets = set()
+    for m in moved_edges:
+        m = edge_key(*m)
+        if v1 not in m:
+            raise errors.NotAnEdge(f"{m} is not an edge at {v1}")
+        moved_targets.add(m[0] if m[1] == v1 else m[1])
+    k = len(cyc)
+    graph_arc0 = {t for t in arcs[0] if edge_key(v1, t) in hole.graph.edges}
+    graph_arc1 = {t for t in arcs[1] if edge_key(v1, t) in hole.graph.edges}
+    # faces correspond to consecutive link pairs; the moved arc's faces follow
+    # the new vertex
+    if moved_targets == graph_arc0:
+        lo, hi = i, j
+    elif moved_targets == graph_arc1:
+        lo, hi = j, i + k
+    else:
+        raise errors.InvalidAnchors("moved edges are not an anchor-to-anchor arc")
+    moved_pairs = {frozenset((cyc[t % k], cyc[(t + 1) % k]))
+                   for t in range(lo, hi)}
+    v0 = max(torus.vertices) + 1
+
+    def rename(f):
+        return tuple(v0 if x == v1 else x for x in f)
+
+    new_faces = []
+    for f in torus.faces:
+        if v1 in f and frozenset(x for x in f if x != v1) in moved_pairs:
+            new_faces.append(rename(f))
+        else:
+            new_faces.append(f)
+    new_faces.append((v1, v0, cyc[i % k]))
+    new_faces.append((v1, v0, cyc[j % k]))
+    torus2 = TorusComplex(new_faces)
+    discs2 = []
+    # every old face keeps its index; the two new faces come last
+    for d in hole.discs:
+        keep2 = []
+        for a, b in d.keep_edges:
+            if edge_key(a, b) in torus2.edges:
+                keep2.append((a, b))
+            else:
+                keep2.append(edge_key(v0 if a == v1 else a, v0 if b == v1 else b))
+        discs2.append(DiscMap(torus2, d.faces, keep_edges=keep2))
+    return TorusWithHole(torus2, discs2)

@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,10 +8,12 @@ from torusrig.catalog import (THE_17_WORDS, CanonicalWalkClass, build_H,
                               canonical_pattern, classify, expand_word,
                               parse_word, the_17, walk_class)
 from torusrig.complexes import ClosedWalk
-from torusrig.fileio import record_to_hole
+from torusrig.fileio import load_hole
 from torusrig.sparsity import check_3_6
-from importlib import resources
-import json
+
+from helpers import face_index, num_edges, num_vertices
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def test_parse_word_examples():
@@ -53,7 +57,8 @@ FORM_COUNTS = {
 
 def test_expansion_counts_match_forms():
     for text, cls in the_17():
-        assert (cls.num_vertices, cls.num_edges) == FORM_COUNTS[text], text
+        assert (num_vertices(cls.pattern), num_edges(cls.pattern)) == \
+            FORM_COUNTS[text], text
 
 
 @given(st.lists(st.integers(min_value=0, max_value=4), min_size=3, max_size=12),
@@ -82,9 +87,7 @@ def test_classify_requires_length_9():
 
 
 def test_excluded_control_graph():
-    with resources.files("torusrig.data").joinpath(
-            "excluded_v3v2w3w1.json").open() as fh:
-        hole = record_to_hole(json.load(fh))
+    hole = load_hole(DATA / "excluded_v3v2w3w1.json")
     result = classify(hole)
     assert result.excluded
     assert result.excluded_family == "nonalternating-pinch"
@@ -144,7 +147,7 @@ def test_triple_visit_on_k7(word, disc, exposed):
     from torusrig.complexes import cut_hole
     from torusrig.rigidity import generic_rank
     k7 = _k7()
-    hole = cut_hole(k7, [k7.face_index(f) for f in disc])
+    hole = cut_hole(k7, [face_index(k7, f) for f in disc])
     walk = hole.detachment_walk()
     assert len(walk) == 9
     assert max(walk.vertices.count(v) for v in walk.vertices) == 3

@@ -8,8 +8,7 @@ import pytest
 from torusrig.catalog import build_H
 from torusrig.complexes import cut_hole, rectangular_torus
 from torusrig.corpus import CorpusSpec, corpus_records
-from torusrig.fileio import (dumps_record, hole_to_record, record_to_hole,
-                             to_dot)
+from torusrig.fileio import hole_to_record, record_to_hole, to_dot
 
 
 def run_cli(args, stdin=None):
@@ -104,8 +103,10 @@ def test_dot_export_styles_boundary():
 
 def test_corpus_determinism():
     spec = CorpusSpec(seed=5, count=6)
-    a = "\n".join(dumps_record(r) for r in corpus_records(spec))
-    b = "\n".join(dumps_record(r) for r in corpus_records(spec))
+    a = "\n".join(json.dumps(r, sort_keys=True, separators=(",", ":"))
+                  for r in corpus_records(spec))
+    b = "\n".join(json.dumps(r, sort_keys=True, separators=(",", ":"))
+                  for r in corpus_records(spec))
     assert a == b
 
 
@@ -192,3 +193,40 @@ def test_cli_check_pins_violation_witness():
     assert out.stdout == (
         '{"freedom": 6, "status": "Violation", "witness": '
         '[0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]}\n')
+
+
+@pytest.fixture(scope="module")
+def gen7_4x4():
+    """The four seed-7 records on the 4x4 torus; the fourth is a Violation."""
+    gen = run_cli(["gen", "--seed", "7", "--count", "4", "--grids", "4x4"])
+    return gen.stdout.splitlines()
+
+
+@pytest.mark.parametrize("command", ["reduce", "tree", "certify"])
+def test_cli_reduction_of_violation_is_typed_error(gen7_4x4, command):
+    r = run_cli([command, "-"], stdin=gen7_4x4[3])
+    assert r.returncode == 1
+    assert r.stderr.startswith("error:") and "tight" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_cli_rank_rejects_fewer_than_one_trial(gen7_4x4, trials):
+    r = run_cli(["rank", "-", "--trials", trials], stdin=gen7_4x4[0])
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("error:") and "trials" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("args, name", [
+    (["--grids", "3"], "--grids"),
+    (["--grids", "3x4x5"], "--grids"),
+    (["--grids", "3xa"], "--grids"),
+    (["--boundary-lengths"], "--boundary-lengths"),
+], ids=["no-x", "three-parts", "not-a-number", "no-lengths"])
+def test_cli_gen_rejects_bad_arguments(args, name):
+    r = run_cli(["gen", "--count", "1", *args])
+    assert r.returncode == 1
+    assert r.stderr.startswith("error:") and name in r.stderr
+    assert "Traceback" not in r.stderr

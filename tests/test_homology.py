@@ -8,8 +8,7 @@ from torusrig import errors
 from torusrig.catalog import build_H
 from torusrig.complexes import (ClosedWalk, TorusComplex, cut_hole, grid_faces,
                                 rectangular_torus)
-from torusrig.homology import (canonical_class, crossover_class,
-                               standard_cochain, walk_homology)
+from torusrig.homology import canonical_class, crossover_class, walk_homology
 from torusrig.reduction import reduce_greedy
 
 K7_FACES = [f for i in range(7) for f in ((i, (i + 1) % 7, (i + 3) % 7),
@@ -48,7 +47,7 @@ def face_sum(cochain, face) -> tuple[int, int]:
 def seam_matrix(torus, r, s):
     """The integer matrix M with seam class = M @ cochain class on the
     r x s grid torus, read off the longitude and the meridian through 0."""
-    co = standard_cochain(torus)
+    co = torus.cochain
     (a, c) = walk_homology(co, ClosedWalk([i * s for i in range(r)]))
     (b, d) = walk_homology(co, ClosedWalk(range(s)))
     det = a * d - b * c
@@ -85,7 +84,7 @@ def random_closed_walk(graph, rng, steps):
 
 
 def _closed_on_every_face(torus):
-    co = standard_cochain(torus)
+    co = torus.cochain
     return all(face_sum(co, f) == (0, 0) for f in torus.faces)
 
 
@@ -112,7 +111,7 @@ def test_cochain_maps_to_seam_class_in_any_face_order(r, s):
     torus = TorusComplex(faces)
     assert _closed_on_every_face(torus)
     m = seam_matrix(torus, r, s)
-    co, seam = standard_cochain(torus), SeamCochain(r, s)
+    co, seam = torus.cochain, SeamCochain(r, s)
     rng = random.Random(r * 100 + s)
     for _ in range(300):
         walk = ClosedWalk(random_closed_walk(torus.graph, rng, rng.randint(1, 40)))
@@ -121,8 +120,8 @@ def test_cochain_maps_to_seam_class_in_any_face_order(r, s):
 
 def test_cochain_is_cached_and_does_not_pin_the_torus():
     t = rectangular_torus(3, 4)
-    co = standard_cochain(t)
-    assert standard_cochain(t) is co
+    co = t.cochain
+    assert t.cochain is co
     ref = weakref.ref(t)
     del t
     gc.collect()
@@ -138,7 +137,7 @@ def test_generating_cycles():
     meridian = ClosedWalk([0, 1, 2, 3])        # j-direction
     assert walk_homology(SeamCochain(3, 4), longitude) == (1, 0)
     assert walk_homology(SeamCochain(3, 4), meridian) == (0, 1)
-    co = standard_cochain(t)
+    co = t.cochain
     (a, c), (b, d) = walk_homology(co, longitude), walk_homology(co, meridian)
     assert abs(a * d - b * c) == 1
 
@@ -146,7 +145,7 @@ def test_generating_cycles():
 def test_walk_class_reversal_negates():
     t = rectangular_torus(3, 4)
     m = seam_matrix(t, 3, 4)
-    co = standard_cochain(t)
+    co = t.cochain
     w = ClosedWalk([0, 4, 8])
     back = walk_homology(co, ClosedWalk(w.vertices[::-1]))
     assert back == tuple(-x for x in walk_homology(co, w))
@@ -157,14 +156,14 @@ def test_walk_class_reversal_negates():
 def test_detachment_walk_null_homologous():
     t = rectangular_torus(4, 4)
     hole = cut_hole(t, [0, 1, 2])
-    co = standard_cochain(t)
+    co = t.cochain
     assert walk_homology(co, hole.detachment_walk()) == (0, 0)
 
 
 def test_face_boundary_invariance():
     # two walks differing by a face boundary have the same class
     t = rectangular_torus(3, 4)
-    co = standard_cochain(t)
+    co = t.cochain
     f = t.faces[0]
     tri = walk_homology(co, ClosedWalk(f))
     assert tri == (0, 0)

@@ -4,7 +4,7 @@ import pytest
 
 from torusrig import errors, reduction
 from torusrig.catalog import build_H, classify
-from torusrig.complexes import cut_hole, rectangular_torus
+from torusrig.complexes import ClosedWalk, cut_hole, rectangular_torus
 from torusrig.graphs import (Graph, complete_graph, edge_key, freedom,
                              is_isomorphic)
 from torusrig.reduction import (Certificate, EdgeClass, certify, classify_edge,
@@ -12,10 +12,11 @@ from torusrig.reduction import (Certificate, EdgeClass, certify, classify_edge,
                                 exhaustive_critical_cycles_through,
                                 find_critical_cycle_through, fission,
                                 is_critical, is_uncontractible, reduce_greedy,
-                                reduction_tree, separating_cycle,
-                                verify_certificate, vertex_split)
+                                reduction_tree, verify_certificate)
 from torusrig.rigidity import generic_rank
 from torusrig.sparsity import check_3_6
+
+from helpers import contract_edge, link_cycle, separating_cycle, vertex_split
 
 
 K5_MINUS_EDGE = Graph(range(5), complete_graph(5).edges - {(0, 1)})
@@ -65,6 +66,23 @@ def test_contract_counts_and_freedom():
     assert check_3_6(g2.graph).is_tight
 
 
+def test_contraction_is_graph_contraction_and_renames_walk(tight_corpus):
+    # the contracted graph is the plain edge contraction, and the hole's
+    # detachment walk is the old walk with the merged vertex renamed; the
+    # hole form itself may change (greedy reduction ends at H16/H17)
+    holes = list(tight_corpus) + [build_H(i) for i in range(1, 18)]
+    checked = 0
+    for hole in holes:
+        walk = hole.detachment_walk().vertices
+        for keep, gone in contractible_edges(hole):
+            out = contract(hole, (keep, gone))
+            assert out.graph == contract_edge(hole.graph, keep, gone)
+            renamed = ClosedWalk(keep if x == gone else x for x in walk)
+            assert out.detachment_walk() == renamed, (keep, gone)
+            checked += 1
+    assert checked > 1000
+
+
 def test_contract_blocked_edge_raises():
     h16 = build_H(16)
     ff_blocked = [e for e in h16.graph.sorted_edges()
@@ -86,8 +104,7 @@ def test_vertex_split_facial():
     torus = hole.torus
     star = sorted(v for f in torus.faces for v in f if 0 in f and v != 0)
     # anchors: two facial neighbours of 0; move the graph edges of one arc
-    from torusrig.reduction import _link_cycle
-    cyc = _link_cycle(torus, 0)
+    cyc = link_cycle(torus, 0)
     v2, v3 = cyc[0], cyc[2]
     moved = [(0, cyc[1])]
     out = vertex_split(hole, 0, v2, v3, moved)
@@ -99,8 +116,7 @@ def test_vertex_split_facial():
 
 def test_vertex_split_falls_back_to_abstract():
     hole = cut_hole(rectangular_torus(3, 3), [0])
-    from torusrig.reduction import _link_cycle
-    cyc = _link_cycle(hole.torus, 0)
+    cyc = link_cycle(hole.torus, 0)
     # moved set that is not an arc between the anchors
     out = vertex_split(hole, 0, cyc[0], cyc[1], [(0, cyc[3])])
     assert isinstance(out, Graph)
@@ -108,11 +124,10 @@ def test_vertex_split_falls_back_to_abstract():
 
 
 def test_tightness_preserved_by_splits_on_corpus(tight_corpus):
-    from torusrig.reduction import _link_cycle
     for hole in tight_corpus[:10]:
         torus = hole.torus
         v1 = min(hole.graph.vertices)
-        cyc = _link_cycle(torus, v1)
+        cyc = link_cycle(torus, v1)
         graph_nbrs = [t for t in cyc if (min(v1, t), max(v1, t)) in hole.graph.edges]
         if len(graph_nbrs) < 2:
             continue
@@ -253,7 +268,7 @@ def test_degree3_boundary_rule(tight_corpus):
 def test_reduction_tree_h17_single_node():
     tree = reduction_tree(build_H(17))
     assert len(tree.nodes) == 1
-    assert tree.root.hole.graph == build_H(17).graph
+    assert tree.nodes[0].hole.graph == build_H(17).graph
 
 
 def test_reduction_tree_h1():
@@ -261,7 +276,7 @@ def test_reduction_tree_h1():
     for node in tree.nodes:
         assert freedom(node.hole.graph) == 6
         assert check_3_6(node.hole.graph).is_tight
-    for leaf in tree.leaves():
+    for leaf in [n for n in tree.nodes if not n.children]:
         assert is_uncontractible(leaf.hole)
         assert _is_h16_or_h17(leaf.hole.graph)
 

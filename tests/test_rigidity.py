@@ -5,8 +5,10 @@ from torusrig.catalog import build_H
 from torusrig.graphs import Graph, complete_graph, double_banana
 from torusrig.rigidity import (DIM, FIELD_PRIME, Placement, generic_rank,
                                is_min_3_rigid, random_placement,
-                               rank_at_placement, rank_mod_p, rank_rational,
-                               rigidity_matrix, rigidity_report)
+                               rank_at_placement, rank_mod_p, rigidity_matrix,
+                               rigidity_report)
+
+from helpers import rank_rational
 
 
 def test_k2_rank_one():
@@ -122,3 +124,15 @@ def test_rank_monotone_over_trials():
         r = generic_rank(db, trials=t, seed=9)
         assert r >= best
         best = r
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_fewer_than_one_trial_is_typed_error(trials):
+    # K5 fails the edge count, so is_min_3_rigid must check before it returns
+    for g in (double_banana(), complete_graph(5)):
+        with pytest.raises(errors.BadArgument):
+            generic_rank(g, trials=trials)
+        with pytest.raises(errors.BadArgument):
+            rigidity_report(g, trials=trials)
+        with pytest.raises(errors.BadArgument):
+            is_min_3_rigid(g, trials=trials)
