@@ -2,9 +2,10 @@
 
 The toolkit constructs torus graphs with a single hole, decides
 (3,6)-tightness and generic minimal 3-rigidity, classifies hole boundaries
-into the seventeen detachment forms, and runs the contraction/fission
-reduction down to the two uncontractible graphs, emitting vertex-splitting
-construction certificates rooted at K3.
+into the seventeen detachment forms, reduces by greedy contraction down to
+the two uncontractible graphs, and emits vertex-splitting construction
+certificates rooted at K3.  Fission, the key lemma's move at a critical
+cycle, is available on its own.
 """
 
 from .complexes import (ClosedWalk, DiscMap, SurfaceComplex, TorusComplex,

@@ -36,6 +36,8 @@ def cmd_gen(args) -> int:
     kwargs = {}
     if args.grids:
         kwargs["grids"] = tuple(_grid(g) for g in args.grids)
+    if args.count < 0:
+        raise errors.BadArgument(f"--count must be at least 0, got {args.count}")
     if not args.boundary_lengths:
         raise errors.BadArgument("--boundary-lengths needs at least one value")
     spec = CorpusSpec(seed=args.seed, count=args.count,
@@ -74,6 +76,8 @@ def cmd_classify(args) -> int:
 
 def cmd_homology(args) -> int:
     hole = _load(args.graph)
+    if not sparsity.check_3_6(hole.graph).is_tight:
+        raise errors.NotTight("homology needs a tight single-hole graph")
     out = []
     boundary_vertices = {v for e in hole.boundary_edges for v in e}
     for e in hole.graph.sorted_edges():
@@ -91,9 +95,6 @@ def cmd_reduce(args) -> int:
     hole = _load(args.graph)
     leaf, moves = reduction.reduce_greedy(hole)
     if args.validate:
-        if not reduction.is_uncontractible(leaf):
-            raise errors.StuckButContractible(
-                "greedy reduction stopped at a contractible leaf")
         for m in moves:
             hole = reduction.contract(hole, m.edge)
             if not sparsity.check_3_6(hole.graph).is_tight:

@@ -583,18 +583,6 @@ def cut_hole(torus: TorusComplex, disc_faces, keep_edges=None) -> TorusWithHole:
 
 
 def cut_holes(torus: TorusComplex, hole_specs) -> TorusWithHole:
-    """Cut several pairwise non-adjacent holes.
-
-    Each spec is either a face-index iterable or a (faces, keep_edges) pair.
-    """
-    discs = []
-    for spec in hole_specs:
-        if isinstance(spec, DiscMap):
-            discs.append(spec)
-            continue
-        if isinstance(spec, tuple) and len(spec) == 2 and not isinstance(spec[0], int):
-            faces, keep = spec
-            discs.append(DiscMap(torus, faces, keep_edges=keep))
-        else:
-            discs.append(infer_disc(torus, spec))
+    """Cut several pairwise non-adjacent holes, each given by face indices."""
+    discs = [infer_disc(torus, faces) for faces in hole_specs]
     return TorusWithHole(torus, discs)

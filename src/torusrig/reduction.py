@@ -1,19 +1,27 @@
 """The move calculus on tight single-hole torus graphs.
 
-Contraction of a contractible FF edge either stays tight or the edge lies on
-a critical separating cycle (the boundary of an enlargement of the hole disc
-whose complementary graph is tight).  A critical cycle supports a fission
-move substituting the matching catalog graph for the complement.  Greedy
-contraction always terminates at one of the two uncontractible graphs, and
-reversing the contraction sequence yields a vertex-splitting construction
-certificate rooted at K3.
+Contraction of a contractible FF edge either keeps the graph tight or the
+edge lies on a critical separating cycle (the boundary of an enlargement of
+the hole disc whose complementary graph is tight).  A critical cycle supports
+a fission move, which substitutes the matching catalog graph for the
+complement.
+
+The greedy-contraction ruling: a tight graph with a contractible FF edge
+always has one whose contraction stays tight, so greedy contraction alone
+reduces every tight graph to one of the two uncontractible graphs.  That
+loop is the only reduction driver here: ``reduce_greedy`` returns its leaf
+and moves, ``reduction_tree`` lays its steps out as a chain, and ``certify``
+reverses them into a vertex-splitting construction rooted at K3 (Whiteley
+1990).  A graph that breaks the ruling raises StuckButContractible.  Fission
+is a key-lemma move inside the proof, not a reduction step: its catalog
+child is not a subgraph of the input, so it yields no vertex split.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import catalog, errors
 from .complexes import (ClosedWalk, DiscMap, TorusComplex, TorusWithHole,
@@ -280,30 +288,6 @@ def exhaustive_critical_cycles_through(hole: TorusWithHole, e) -> list[Separatin
 # -- fission ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Contraction:
-    """Record of one edge contraction: the higher endpoint merged into the
-    lower; apexes are the collapsed faces' third corners, moved the neighbours
-    the merged vertex keeps from the vanished endpoint."""
-    edge: tuple[int, int]
-    apexes: tuple[int, int]
-    moved: frozenset
-
-    def to_json(self) -> dict:
-        return {"move": "contract", "edge": list(self.edge),
-                "apexes": list(self.apexes), "moved": sorted(self.moved)}
-
-
-@dataclass(frozen=True)
-class Fission:
-    cycle_vertices: tuple
-    catalog_index: int
-
-    def to_json(self) -> dict:
-        return {"move": "fission", "cycle": list(self.cycle_vertices),
-                "catalog_index": self.catalog_index}
-
-
 def fission(hole: TorusWithHole, cycle: SeparatingCycle
             ) -> tuple[TorusWithHole, TorusWithHole]:
     """Fission move at a critical cycle: (G1, G2) with the catalog graph
@@ -381,7 +365,21 @@ def _substitute(hole: TorusWithHole, cycle: SeparatingCycle,
         + ("; ".join(errors_seen) or "none"))
 
 
-# -- greedy reduction, trees, certificates ----------------------------------
+# -- greedy reduction --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Contraction:
+    """Record of one edge contraction: the higher endpoint merged into the
+    lower; apexes are the collapsed faces' third corners, moved the neighbours
+    the merged vertex keeps from the vanished endpoint."""
+    edge: tuple[int, int]
+    apexes: tuple[int, int]
+    moved: frozenset
+
+    def to_json(self) -> dict:
+        return {"move": "contract", "edge": list(self.edge),
+                "apexes": list(self.apexes), "moved": sorted(self.moved)}
 
 
 def _contraction_record(hole: TorusWithHole, e) -> Contraction:
@@ -392,50 +390,52 @@ def _contraction_record(hole: TorusWithHole, e) -> Contraction:
     return Contraction(e, apexes, moved)
 
 
-def _first_tight_contraction(hole: TorusWithHole
-                             ) -> tuple[Contraction, TorusWithHole] | None:
-    """The first contractible FF edge whose contraction keeps the graph
-    tight, as (record, contracted graph); None when there is none."""
-    for e in contractible_edges(hole):
-        try:
-            result = contract(hole, e)
-        except errors.NotContractible:
-            continue
-        if check_3_6(result.graph, through_vertex=e[0]).is_tight:
-            return _contraction_record(hole, e), result
-    return None
+def _greedy_steps(hole: TorusWithHole, validate: bool = True):
+    """Yield (record, contracted graph) for each greedy step, which contracts
+    the first contractible FF edge whose contraction stays tight, until the
+    graph is uncontractible.  Raises StuckButContractible at a contractible
+    graph with no tight contraction and, with ``validate``, NotTight when the
+    input is not tight.
+    """
+    if validate and not check_3_6(hole.graph).is_tight:
+        raise errors.NotTight("greedy reduction needs a tight single-hole graph")
+    current = hole
+    while cand := contractible_edges(current):
+        for e in cand:
+            try:
+                result = contract(current, e)
+            except errors.NotContractible:
+                continue
+            if check_3_6(result.graph, through_vertex=e[0]).is_tight:
+                yield _contraction_record(current, e), result
+                current = result
+                break
+        else:
+            raise errors.StuckButContractible(
+                f"no tightness-preserving contraction among {len(cand)} "
+                "contractible edges")
 
 
 def reduce_greedy(hole: TorusWithHole, validate: bool = True
                   ) -> tuple[TorusWithHole, list[Contraction]]:
-    """Repeatedly contract the first tightness-preserving FF edge.
+    """The uncontractible leaf of the greedy contraction sequence, and the
+    contractions that reach it, in order.
 
-    Terminates at an uncontractible graph; a contractible graph admitting no
-    tight contraction contradicts the greedy-contraction lemma and raises
-    StuckButContractible.  With ``validate`` a graph that is not tight
-    raises NotTight.
+    Raises StuckButContractible and, with ``validate``, NotTight as the
+    greedy step does.
     """
-    if validate and not check_3_6(hole.graph).is_tight:
-        raise errors.NotTight("reduce_greedy needs a tight single-hole graph")
-    current = hole
+    leaf = hole
     moves: list[Contraction] = []
-    while (step := _first_tight_contraction(current)) is not None:
-        move, current = step
+    for move, leaf in _greedy_steps(hole, validate):
         moves.append(move)
-    cand = contractible_edges(current)
-    if cand:
-        raise errors.StuckButContractible(
-            f"no tightness-preserving contraction among {len(cand)} "
-            "contractible edges")
-    return current, moves
+    return leaf, moves
 
 
 @dataclass
 class TreeNode:
     hole: TorusWithHole
     parent: int | None
-    move: Contraction | Fission | None
-    children: list = field(default_factory=list)
+    move: Contraction | None
 
 
 @dataclass
@@ -454,70 +454,13 @@ class ReductionTree:
         return {"nodes": out}
 
 
-def _reducing_fission(hole: TorusWithHole):
-    """A fission at a reducing critical cycle, iterating nested cycles.
-
-    Only reachable when no contraction preserves tightness, which the
-    greedy-contraction lemma rules out for tight inputs; kept as the
-    tree-construction fallback with loud failure.
-    """
-    cand = contractible_edges(hole)
-    cycle = None
-    for e in cand:
-        cycle = find_critical_cycle_through(hole, e)
-        if cycle is not None:
-            break
-    if cycle is None:
-        raise errors.NoCriticalCycle("no critical cycle through any edge")
-    n_v = len(hole.graph.vertices)
-    for _ in range(len(hole.torus.faces)):
-        g1, ann = divide(hole, cycle)
-        if len(g1.graph.vertices) < n_v and len(ann.vertices) < n_v:
-            return cycle
-        region = set(cycle.region())
-        inner = [e for e in hole.graph.sorted_edges()
-                 if len(hole.edge_retained_faces[e]) == 2
-                 and set(hole.edge_retained_faces[e]) <= region
-                 and e not in cycle.walk.edge_set()
-                 and classify_edge(hole, e) is EdgeClass.FF_CONTRACTIBLE]
-        nxt = None
-        for e in inner:
-            c2 = find_critical_cycle_through(hole, e)
-            if c2 is not None and len(c2.region()) < len(region):
-                nxt = c2
-                break
-        if nxt is None:
-            raise errors.NoCriticalCycle("nested-cycle iteration stalled")
-        cycle = nxt
-    raise errors.NoCriticalCycle("nested-cycle iteration exceeded face bound")
-
-
-def reduction_tree(hole: TorusWithHole, validate: bool = True) -> ReductionTree:
-    """Contraction when possible, fission at a reducing critical cycle
-    otherwise; leaves are uncontractible.  With ``validate`` a graph that is
-    not tight raises NotTight."""
-    if validate and not check_3_6(hole.graph).is_tight:
-        raise errors.NotTight("reduction_tree needs a tight single-hole graph")
+def reduction_tree(hole: TorusWithHole) -> ReductionTree:
+    """The greedy contraction sequence as a chain of nodes: the input at the
+    root, one node per contraction, and the uncontractible leaf last.  A graph
+    that is not tight raises NotTight."""
     nodes = [TreeNode(hole, None, None)]
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        current = nodes[i].hole
-        step = _first_tight_contraction(current)
-        if step is not None:
-            move, nxt = step
-            children = (nxt,)
-        elif is_uncontractible(current):
-            continue
-        else:
-            cycle = _reducing_fission(current)
-            children = fission(current, cycle)
-            cls = catalog.walk_class(children[0].detachment_walk())
-            move = Fission(cycle.walk.vertices, catalog.PATTERNS[cls.pattern][0])
-        for child in children:
-            nodes.append(TreeNode(child, i, move))
-            nodes[i].children.append(len(nodes) - 1)
-            stack.append(len(nodes) - 1)
+    for move, child in _greedy_steps(hole):
+        nodes.append(TreeNode(child, len(nodes) - 1, move))
     return ReductionTree(nodes)
 
 

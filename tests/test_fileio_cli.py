@@ -1,19 +1,29 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-
+import torusrig
 from torusrig.catalog import build_H
 from torusrig.complexes import cut_hole, rectangular_torus
 from torusrig.corpus import CorpusSpec, corpus_records
 from torusrig.fileio import hole_to_record, record_to_hole, to_dot
 
 
+# the CLI subprocess imports the same package as the tests, with or
+# without PYTHONPATH set by the caller
+SRC = str(pathlib.Path(torusrig.__file__).resolve().parent.parent)
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(args, stdin=None):
     return subprocess.run([sys.executable, "-m", "torusrig.cli", *args],
-                          capture_output=True, text=True, input=stdin)
+                          capture_output=True, text=True, input=stdin,
+                          env=CLI_ENV)
 
 
 def test_record_round_trip():
@@ -202,7 +212,7 @@ def gen7_4x4():
     return gen.stdout.splitlines()
 
 
-@pytest.mark.parametrize("command", ["reduce", "tree", "certify"])
+@pytest.mark.parametrize("command", ["reduce", "tree", "certify", "homology"])
 def test_cli_reduction_of_violation_is_typed_error(gen7_4x4, command):
     r = run_cli([command, "-"], stdin=gen7_4x4[3])
     assert r.returncode == 1
@@ -224,7 +234,8 @@ def test_cli_rank_rejects_fewer_than_one_trial(gen7_4x4, trials):
     (["--grids", "3x4x5"], "--grids"),
     (["--grids", "3xa"], "--grids"),
     (["--boundary-lengths"], "--boundary-lengths"),
-], ids=["no-x", "three-parts", "not-a-number", "no-lengths"])
+    (["--count", "-1"], "--count"),
+], ids=["no-x", "three-parts", "not-a-number", "no-lengths", "negative-count"])
 def test_cli_gen_rejects_bad_arguments(args, name):
     r = run_cli(["gen", "--count", "1", *args])
     assert r.returncode == 1

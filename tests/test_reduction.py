@@ -271,14 +271,32 @@ def test_reduction_tree_h17_single_node():
     assert tree.nodes[0].hole.graph == build_H(17).graph
 
 
-def test_reduction_tree_h1():
-    tree = reduction_tree(build_H(1))
-    for node in tree.nodes:
-        assert freedom(node.hole.graph) == 6
-        assert check_3_6(node.hole.graph).is_tight
-    for leaf in [n for n in tree.nodes if not n.children]:
-        assert is_uncontractible(leaf.hole)
-        assert _is_h16_or_h17(leaf.hole.graph)
+def test_reduction_tree_is_the_greedy_chain(tight_corpus):
+    # one node per greedy contraction, each the child of the one before, the
+    # uncontractible leaf last; the moves are exactly reduce_greedy's
+    for hole in list(tight_corpus) + [build_H(i) for i in range(1, 18)]:
+        tree = reduction_tree(hole)
+        leaf, moves = reduce_greedy(hole)
+        assert [n.parent for n in tree.nodes] == [None, *range(len(moves))]
+        assert [n.move for n in tree.nodes[1:]] == moves
+        assert tree.nodes[0].hole is hole
+        assert tree.nodes[-1].hole.graph == leaf.graph
+        for node in tree.nodes:
+            assert freedom(node.hole.graph) == 6
+        assert is_uncontractible(leaf)
+        assert _is_h16_or_h17(leaf.graph)
+
+
+def test_no_tight_contraction_raises_stuck(monkeypatch):
+    # a contractible graph whose contractions all fail breaks the
+    # greedy-contraction ruling; both drivers say so with the same signal
+    def refuse(hole, e):
+        raise errors.NotContractible(f"{e} refused")
+
+    monkeypatch.setattr(reduction, "contract", refuse)
+    for driver in (reduce_greedy, reduction_tree):
+        with pytest.raises(errors.StuckButContractible):
+            driver(build_H(1))
 
 
 def test_certify_h17_chain_length_one():
