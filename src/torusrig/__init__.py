@@ -2,10 +2,10 @@
 
 The toolkit constructs torus graphs with a single hole, decides
 (3,6)-tightness and generic minimal 3-rigidity, classifies hole boundaries
-into the seventeen detachment forms, reduces by greedy contraction down to
-the two uncontractible graphs, and emits vertex-splitting construction
-certificates rooted at K3.  Fission, the key lemma's move at a critical
-cycle, is available on its own.
+into the seventeen detachment forms, reduces by one greedy contraction
+sequence down to the two uncontractible graphs, and reverses that sequence
+into a vertex-splitting construction certificate rooted at K3.  Fission, the
+key lemma's move at a critical cycle, is available on its own.
 """
 
 from .complexes import (ClosedWalk, DiscMap, SurfaceComplex, TorusComplex,
@@ -14,10 +14,10 @@ from .graphs import Graph, double_banana, freedom, is_isomorphic
 from .catalog import (Classification, DetachmentWord, build_H, classify,
                       parse_word, the_17)
 from .homology import crossover_class, walk_homology
-from .reduction import (Certificate, EdgeClass, ReductionTree, SeparatingCycle,
-                        certify, classify_edge, contract, divide, fission,
+from .reduction import (Certificate, EdgeClass, SeparatingCycle, certify,
+                        classify_edge, contract, divide, fission,
                         find_critical_cycle_through, is_uncontractible,
-                        reduce_greedy, reduction_tree, verify_certificate)
+                        reduce_greedy, verify_certificate)
 from .rigidity import (RigidityReport, generic_rank, is_min_3_rigid,
                        rigidity_matrix, rigidity_report, random_placement)
 from .sparsity import (SparsityVerdict, Status, brute_force_3_6, check_3_6,
@@ -32,10 +32,10 @@ __all__ = [
     "Classification", "DetachmentWord", "build_H", "classify", "parse_word",
     "the_17",
     "crossover_class", "walk_homology",
-    "Certificate", "EdgeClass", "ReductionTree", "SeparatingCycle", "certify",
+    "Certificate", "EdgeClass", "SeparatingCycle", "certify",
     "classify_edge", "contract", "divide", "fission",
     "find_critical_cycle_through", "is_uncontractible", "reduce_greedy",
-    "reduction_tree", "verify_certificate",
+    "verify_certificate",
     "RigidityReport", "generic_rank", "is_min_3_rigid", "rigidity_matrix",
     "rigidity_report", "random_placement",
     "SparsityVerdict", "Status", "brute_force_3_6", "check_3_6", "is_in_T",

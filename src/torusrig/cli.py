@@ -94,20 +94,23 @@ def cmd_homology(args) -> int:
 def cmd_reduce(args) -> int:
     hole = _load(args.graph)
     leaf, moves = reduction.reduce_greedy(hole)
-    if args.validate:
-        for m in moves:
-            hole = reduction.contract(hole, m.edge)
-            if not sparsity.check_3_6(hole.graph).is_tight:
-                raise errors.StuckButContractible("replayed move leaves tightness")
     _emit({"moves": [m.to_json() for m in moves],
            "leaf": fileio.hole_to_record(leaf)})
     return 0
 
 
 def cmd_tree(args) -> int:
+    """The greedy contraction sequence as a chain: node i is the graph after
+    i contractions, the child of node i - 1.  Each contraction removes one
+    vertex and three edges."""
     hole = _load(args.graph)
-    tree = reduction.reduction_tree(hole)
-    _emit(tree.to_json())
+    _, moves = reduction.reduce_greedy(hole)
+    n_vertices, n_edges = len(hole.graph.vertices), len(hole.graph.edges)
+    _emit({"nodes": [
+        {"id": i, "parent": i - 1 if i else None,
+         "move": moves[i - 1].to_json() if i else None,
+         "vertices": n_vertices - i, "edges": n_edges - 3 * i}
+        for i in range(len(moves) + 1)]})
     return 0
 
 
@@ -165,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("rank", cmd_rank, ("seed", "trials")),
             ("classify", cmd_classify, ()),
             ("homology", cmd_homology, ()),
-            ("reduce", cmd_reduce, ("validate",)),
+            ("reduce", cmd_reduce, ()),
             ("tree", cmd_tree, ()),
             ("certify", cmd_certify, ("validate", "seed")),
             ("export", cmd_export, ("format",))):

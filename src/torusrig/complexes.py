@@ -568,18 +568,14 @@ class TorusWithHole:
         return len(fs) == 2
 
 
-def cut_hole(torus: TorusComplex, disc_faces, keep_edges=None) -> TorusWithHole:
+def cut_hole(torus: TorusComplex, disc_faces) -> TorusWithHole:
     """Cut a single hole given by a face-connected disc region.
 
-    With ``keep_edges=None`` the disc structure is inferred (exposed edges
-    are searched for when the fully glued region is not a disc); passing an
-    explicit iterable pins the exposed edges.
+    The disc structure is inferred: exposed edges are searched for when the
+    fully glued region is not a disc.  ``DiscMap(torus, faces, keep_edges=)``
+    pins them instead.
     """
-    if keep_edges is None:
-        disc = infer_disc(torus, disc_faces)
-    else:
-        disc = DiscMap(torus, disc_faces, keep_edges=keep_edges)
-    return TorusWithHole(torus, [disc])
+    return TorusWithHole(torus, [infer_disc(torus, disc_faces)])
 
 
 def cut_holes(torus: TorusComplex, hole_specs) -> TorusWithHole:

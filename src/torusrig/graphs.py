@@ -85,11 +85,11 @@ class Graph:
     # -- moves on abstract graphs --------------------------------------
 
     def split_vertex(self, v1: int, v2: int, v3: int, moved_edges,
-                     new_vertex: int | None = None) -> tuple["Graph", int]:
+                     new_vertex: int) -> "Graph":
         """Vertex split at v1 with anchor neighbours v2, v3.
 
-        A new vertex v0 is joined to v1, v2, v3, and each edge v1--t in
-        ``moved_edges`` is replaced by v0--t.  Returns (graph, v0).
+        The vertex ``new_vertex`` is added and joined to v1, v2, v3, and each
+        edge v1--t in ``moved_edges`` is replaced by new_vertex--t.
         """
         if v2 not in self._adj[v1] or v3 not in self._adj[v1] or v2 == v3:
             raise errors.InvalidAnchors(f"{v2}, {v3} must be distinct neighbours of {v1}")
@@ -102,15 +102,14 @@ class Graph:
             if t in (v2, v3):
                 raise errors.InvalidAnchors("anchor edges cannot be moved")
             moved.add(t)
-        v0 = new_vertex if new_vertex is not None else max(self.vertices) + 1
-        if v0 in self.vertices:
-            raise errors.NonSimple(f"vertex id {v0} already in use")
+        if new_vertex in self.vertices:
+            raise errors.NonSimple(f"vertex id {new_vertex} already in use")
         edges = set(self.edges)
         for t in moved:
             edges.remove(edge_key(v1, t))
-            edges.add(edge_key(v0, t))
-        edges.update({edge_key(v0, v1), edge_key(v0, v2), edge_key(v0, v3)})
-        return Graph(self.vertices | {v0}, edges), v0
+            edges.add(edge_key(new_vertex, t))
+        edges.update(edge_key(new_vertex, x) for x in (v1, v2, v3))
+        return Graph(self.vertices | {new_vertex}, edges)
 
 
 def freedom(obj) -> int:

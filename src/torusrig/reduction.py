@@ -9,10 +9,12 @@ complement.
 The greedy-contraction ruling: a tight graph with a contractible FF edge
 always has one whose contraction stays tight, so greedy contraction alone
 reduces every tight graph to one of the two uncontractible graphs.  That
-loop is the only reduction driver here: ``reduce_greedy`` returns its leaf
-and moves, ``reduction_tree`` lays its steps out as a chain, and ``certify``
+loop, ``reduce_greedy``, is the only reduction driver here: it returns the
+uncontractible leaf and the contractions that reach it, and ``certify``
 reverses them into a vertex-splitting construction rooted at K3 (Whiteley
-1990).  A graph that breaks the ruling raises StuckButContractible.  Fission
+1990).  Each contraction removes one vertex and three edges, since a
+contractible edge has only its two apexes as common neighbours.  A graph
+that breaks the ruling raises StuckButContractible.  Fission
 is a key-lemma move inside the proof, not a reduction step: its catalog
 child is not a subgraph of the input, so it yields no vertex split.
 """
@@ -129,9 +131,6 @@ class SeparatingCycle:
     walk: ClosedWalk
     disc: DiscMap
 
-    def region(self) -> frozenset:
-        return frozenset(self.disc.faces)
-
 
 def divide(hole: TorusWithHole, cycle: SeparatingCycle) -> tuple[TorusWithHole, Graph]:
     """Division move: the outer part (a torus with the enlarged hole) and the
@@ -243,9 +242,13 @@ def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | Non
             # symmetric relabel: grow from the face missing from the violator
             apex_c, apex_d = apex_d, apex_c
             face_c, face_d = face_d, face_c
-        k_set = maximal_tight_subgraph(hole.graph, lifted | {apex_c}, {apex_d})
+        # the lifted set L holds one apex, so f(L) = f(W) + 2 - 1 <= 6 for
+        # the violator W; a tight graph forces f(L) = 6 and a tight extension
+        k_set = maximal_tight_subgraph(hole.graph, lifted, {apex_d})
         if k_set is None:
-            k_set = lifted | {apex_c}
+            raise errors.NoCriticalCycle(
+                "lifted violating set is not tight; the input graph cannot "
+                "have been tight")
         region = _grow_region(torus, face_d, _blocked_faces(hole, k_set))
         candidates.extend(_region_criticals(hole, region, e))
     else:
@@ -390,16 +393,18 @@ def _contraction_record(hole: TorusWithHole, e) -> Contraction:
     return Contraction(e, apexes, moved)
 
 
-def _greedy_steps(hole: TorusWithHole, validate: bool = True):
-    """Yield (record, contracted graph) for each greedy step, which contracts
-    the first contractible FF edge whose contraction stays tight, until the
-    graph is uncontractible.  Raises StuckButContractible at a contractible
-    graph with no tight contraction and, with ``validate``, NotTight when the
-    input is not tight.
+def reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contraction]]:
+    """The uncontractible leaf of the greedy contraction sequence, and the
+    contractions that reach it, in order.
+
+    Each step contracts the first contractible FF edge whose contraction
+    stays tight.  Raises NotTight when the input is not tight, and
+    StuckButContractible at a contractible graph with no tight contraction.
     """
-    if validate and not check_3_6(hole.graph).is_tight:
+    if not check_3_6(hole.graph).is_tight:
         raise errors.NotTight("greedy reduction needs a tight single-hole graph")
     current = hole
+    moves: list[Contraction] = []
     while cand := contractible_edges(current):
         for e in cand:
             try:
@@ -407,61 +412,14 @@ def _greedy_steps(hole: TorusWithHole, validate: bool = True):
             except errors.NotContractible:
                 continue
             if check_3_6(result.graph, through_vertex=e[0]).is_tight:
-                yield _contraction_record(current, e), result
+                moves.append(_contraction_record(current, e))
                 current = result
                 break
         else:
             raise errors.StuckButContractible(
                 f"no tightness-preserving contraction among {len(cand)} "
                 "contractible edges")
-
-
-def reduce_greedy(hole: TorusWithHole, validate: bool = True
-                  ) -> tuple[TorusWithHole, list[Contraction]]:
-    """The uncontractible leaf of the greedy contraction sequence, and the
-    contractions that reach it, in order.
-
-    Raises StuckButContractible and, with ``validate``, NotTight as the
-    greedy step does.
-    """
-    leaf = hole
-    moves: list[Contraction] = []
-    for move, leaf in _greedy_steps(hole, validate):
-        moves.append(move)
-    return leaf, moves
-
-
-@dataclass
-class TreeNode:
-    hole: TorusWithHole
-    parent: int | None
-    move: Contraction | None
-
-
-@dataclass
-class ReductionTree:
-    nodes: list
-
-    def to_json(self) -> dict:
-        out = []
-        for i, n in enumerate(self.nodes):
-            out.append({
-                "id": i, "parent": n.parent,
-                "move": n.move.to_json() if n.move else None,
-                "vertices": len(n.hole.graph.vertices),
-                "edges": len(n.hole.graph.edges),
-            })
-        return {"nodes": out}
-
-
-def reduction_tree(hole: TorusWithHole) -> ReductionTree:
-    """The greedy contraction sequence as a chain of nodes: the input at the
-    root, one node per contraction, and the uncontractible leaf last.  A graph
-    that is not tight raises NotTight."""
-    nodes = [TreeNode(hole, None, None)]
-    for move, child in _greedy_steps(hole):
-        nodes.append(TreeNode(child, len(nodes) - 1, move))
-    return ReductionTree(nodes)
+    return current, moves
 
 
 # -- certificates ------------------------------------------------------------
@@ -496,9 +454,9 @@ class Certificate:
         g = Graph([a, b, c], [(a, b), (a, c), (b, c)])
         out = [g]
         for s in self.splits:
-            g, _ = g.split_vertex(s.vertex, *s.anchors,
-                                  [(s.vertex, t) for t in s.moved],
-                                  new_vertex=s.new_vertex)
+            g = g.split_vertex(s.vertex, *s.anchors,
+                               [(s.vertex, t) for t in s.moved],
+                               new_vertex=s.new_vertex)
             out.append(g)
         return out
 
@@ -522,11 +480,11 @@ def _leaf_chain(leaf_graph: Graph) -> tuple[tuple[int, int, int], list[SplitMove
         "leaf is not isomorphic to K4 or K5 minus an edge")
 
 
-def certify(hole: TorusWithHole, validate: bool = True) -> Certificate:
+def certify(hole: TorusWithHole) -> Certificate:
     """Construction certificate: greedy-contract to an uncontractible leaf,
     seed with the stored K3 chain for that leaf, append the reversed
     contraction sequence as splits, and replay-check the result."""
-    leaf, moves = reduce_greedy(hole, validate=validate)
+    leaf, moves = reduce_greedy(hole)
     base, splits = _leaf_chain(leaf.graph)
     for m in reversed(moves):
         keep, gone = m.edge

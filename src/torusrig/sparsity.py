@@ -14,8 +14,9 @@ tightness.  Only a violating graph pays for a witness: one min-cut per edge,
 in sorted edge order, over vertex sets S containing that edge's endpoints,
 maximising |E(G[S])| - 3|S|; the first set of three or more vertices pushing
 the maximum above -6 is the witness.  The ``through_vertex`` argument of
-``check_3_6`` only limits that witness search to the edges at one vertex.  A
-subset-enumeration oracle cross-validates both paths on small graphs.
+``check_3_6`` only moves the edges at one vertex to the front of that scan,
+so the verdict is always that of the whole graph.  A subset-enumeration
+oracle cross-validates both paths on small graphs.
 """
 
 from __future__ import annotations
@@ -161,13 +162,10 @@ def _violation_through(g: Graph, u: int, v: int) -> frozenset | None:
 
 
 def _flow_scan(g: Graph, through_vertex: int | None = None) -> SparsityVerdict:
-    """The verdict of one min-cut per edge (at ``through_vertex``, if given),
-    in sorted order, with the first violating set found as the witness."""
-    if through_vertex is None:
-        edge_iter = g.sorted_edges()
-    else:
-        edge_iter = sorted(e for e in g.edges if through_vertex in e)
-    for u, v in edge_iter:
+    """The verdict of one min-cut per edge in sorted order, the edges at
+    ``through_vertex`` first, with the first violating set found as the
+    witness."""
+    for u, v in sorted(g.edges, key=lambda e: (through_vertex not in e, e)):
         witness = _violation_through(g, u, v)
         if witness is not None:
             return SparsityVerdict(Status.VIOLATION, witness)
@@ -184,10 +182,12 @@ def check_3_6(graph, through_vertex: int | None = None) -> SparsityVerdict:
     names the first violating set found, so verdicts and witnesses are those
     of the per-edge flow scan alone.
 
-    ``through_vertex`` only limits that witness search to the edges at the
-    vertex, so only violations containing it are reported; this is exact
-    after an edge contraction, since any new violating set must contain the
-    merged vertex (all other induced subgraphs are unchanged).
+    ``through_vertex`` only orders that witness search: the edges at the
+    vertex are scanned first, so a violation through it is named before any
+    other.  The verdict is always that of the whole graph.  After a
+    contraction of a tight graph every violating set contains the merged
+    vertex (all other induced subgraphs are unchanged), so the witness is
+    found among the edges at it.
     """
     g = as_graph(graph)
     if len(g.vertices) < 3:

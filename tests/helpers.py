@@ -1,20 +1,34 @@
 """Oracles and builders that only the tests use.
 
 The package keeps the decide, classify, reduce and certify path; these are
-the slow cross-checks (rational rank, plain edge contraction) and the
-builders (face-graph quotients, separating cycles from a region, vertex
-splits on a torus) that tests compare that path against.
+the slow cross-checks (rational rank, plain edge contraction), the builders
+(face-graph quotients, separating cycles from a region, vertex splits on a
+torus) that tests compare that path against, and an in-process CLI runner.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 from fractions import Fraction
+from unittest import mock
 
-from torusrig import errors
+from torusrig import cli, errors
 from torusrig.complexes import (DiscMap, SurfaceComplex, TorusComplex,
                                 TorusWithHole, disc_structures)
 from torusrig.graphs import Graph, edge_key
 from torusrig.reduction import SeparatingCycle
+
+
+def run_main(args, record) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``cli.main(args)`` run in-process with
+    the JSON record on stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(record))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    return code, out.getvalue(), err.getvalue()
 
 
 def rank_rational(rows) -> int:
@@ -143,11 +157,13 @@ def vertex_split(g, v1: int, v2: int, v3: int, moved_edges):
     (``facial_split``); otherwise the abstract graph of the split is returned.
     """
     if isinstance(g, Graph):
-        return g.split_vertex(v1, v2, v3, moved_edges)[0]
+        return g.split_vertex(v1, v2, v3, moved_edges,
+                              new_vertex=max(g.vertices) + 1)
     try:
         return facial_split(g, v1, v2, v3, moved_edges)
     except errors.TorusRigError:
-        return g.graph.split_vertex(v1, v2, v3, moved_edges)[0]
+        return g.graph.split_vertex(v1, v2, v3, moved_edges,
+                                    new_vertex=max(g.graph.vertices) + 1)
 
 
 def link_cycle(torus: TorusComplex, z: int) -> list[int]:

@@ -1,0 +1,25 @@
+"""Byte-for-byte CLI outputs of the reduction commands.
+
+``tests/data/cli_golden.json`` holds the records H1-H17 and the tight records
+of ``torusrig gen --seed 3 --count 4 --grids 3x4``, and, for each record, the
+stdout and exit code of ``torusrig tree -``, ``torusrig reduce -`` and
+``torusrig certify - --validate`` as recorded before the reduction code was
+simplified.  Any refactor of the reduction must reproduce them exactly.
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from helpers import run_main
+
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("run", GOLDEN["runs"],
+                         ids=lambda r: f"{r['record']}-{r['args'][0]}")
+def test_cli_output_is_golden(run):
+    code, out, _ = run_main(run["args"], GOLDEN["records"][run["record"]])
+    assert (code, out) == (run["exit"], run["stdout"])

@@ -164,10 +164,22 @@ def test_cli_pipeline_gen_check_reduce():
         rec, chk = json.loads(gen_line), json.loads(chk_line)
         assert rec["meta"]["status"] == chk["status"]
         if chk["status"] == "Tight":
-            reduced = run_cli(["reduce", "-", "--validate"], stdin=gen_line)
+            reduced = run_cli(["reduce", "-"], stdin=gen_line)
             assert reduced.returncode == 0
             body = json.loads(reduced.stdout)
             assert body["leaf"]["vertices"] >= 4
+            certified = run_cli(["certify", "-", "--validate"], stdin=gen_line)
+            assert certified.returncode == 0
+            splits = json.loads(certified.stdout)["splits"]
+            assert len(splits) >= len(body["moves"]) + 1
+
+
+def test_cli_reduce_has_no_validate_option():
+    # the contraction replay it ran could not fail; certify --validate
+    # checks the reduction by rank instead
+    r = run_cli(["reduce", "-", "--validate"], stdin="")
+    assert r.returncode == 2
+    assert "unrecognized arguments: --validate" in r.stderr
 
 
 def test_cli_certify_h17(tmp_path):

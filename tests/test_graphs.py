@@ -26,30 +26,33 @@ def test_contract_edge_counts():
 
 def test_split_vertex_k3_to_k4():
     k3 = complete_graph(3)
-    g, v0 = k3.split_vertex(0, 1, 2, [])
+    g = k3.split_vertex(0, 1, 2, [], new_vertex=3)
     assert len(g.vertices) == 4 and len(g.edges) == 6
+    assert g.neighbors(3) == {0, 1, 2}
     assert is_isomorphic(g, complete_graph(4))
 
 
 def test_split_vertex_k4_to_k5_minus_edge():
     # move one non-anchor edge across: 5 vertices, 9 edges, one missing pair
     k4 = complete_graph(4)
-    g, v0 = k4.split_vertex(0, 1, 2, [(0, 3)])
+    g = k4.split_vertex(0, 1, 2, [(0, 3)], new_vertex=4)
     assert len(g.vertices) == 5 and len(g.edges) == 9
     k5 = complete_graph(5)
     k5e = Graph(k5.vertices, k5.edges - {(0, 1)})
     assert is_isomorphic(g, k5e)
-    assert (0, 3) not in g
+    assert (0, 3) not in g and (4, 3) in g
 
 
 def test_split_vertex_anchor_validation():
     k4 = complete_graph(4)
     with pytest.raises(errors.InvalidAnchors):
-        k4.split_vertex(0, 1, 1, [])
+        k4.split_vertex(0, 1, 1, [], new_vertex=4)
     with pytest.raises(errors.InvalidAnchors):
-        k4.split_vertex(0, 1, 2, [(0, 2)])
+        k4.split_vertex(0, 1, 2, [(0, 2)], new_vertex=4)
     with pytest.raises(errors.NotAnEdge):
-        k4.split_vertex(0, 1, 2, [(1, 2)])
+        k4.split_vertex(0, 1, 2, [(1, 2)], new_vertex=4)
+    with pytest.raises(errors.NonSimple):
+        k4.split_vertex(0, 1, 2, [], new_vertex=3)
 
 
 def test_is_isomorphic_basics():

@@ -1,10 +1,12 @@
 import dataclasses
+import json
 
 import pytest
 
 from torusrig import errors, reduction
 from torusrig.catalog import build_H, classify
 from torusrig.complexes import ClosedWalk, cut_hole, rectangular_torus
+from torusrig.fileio import hole_to_record
 from torusrig.graphs import (Graph, complete_graph, edge_key, freedom,
                              is_isomorphic)
 from torusrig.reduction import (Certificate, EdgeClass, certify, classify_edge,
@@ -12,11 +14,12 @@ from torusrig.reduction import (Certificate, EdgeClass, certify, classify_edge,
                                 exhaustive_critical_cycles_through,
                                 find_critical_cycle_through, fission,
                                 is_critical, is_uncontractible, reduce_greedy,
-                                reduction_tree, verify_certificate)
+                                verify_certificate)
 from torusrig.rigidity import generic_rank
 from torusrig.sparsity import check_3_6
 
-from helpers import contract_edge, link_cycle, separating_cycle, vertex_split
+from helpers import (contract_edge, link_cycle, run_main, separating_cycle,
+                     vertex_split)
 
 
 K5_MINUS_EDGE = Graph(range(5), complete_graph(5).edges - {(0, 1)})
@@ -265,38 +268,54 @@ def test_degree3_boundary_rule(tight_corpus):
     assert checked >= 3
 
 
+def _tree_nodes(hole):
+    """The nodes ``torusrig tree -`` prints for a hole."""
+    code, out, _ = run_main(["tree", "-"], hole_to_record(hole))
+    assert code == 0
+    return json.loads(out)["nodes"]
+
+
 def test_reduction_tree_h17_single_node():
-    tree = reduction_tree(build_H(17))
-    assert len(tree.nodes) == 1
-    assert tree.nodes[0].hole.graph == build_H(17).graph
+    h17 = build_H(17)
+    assert _tree_nodes(h17) == [
+        {"id": 0, "parent": None, "move": None,
+         "vertices": len(h17.graph.vertices), "edges": len(h17.graph.edges)}]
 
 
 def test_reduction_tree_is_the_greedy_chain(tight_corpus):
-    # one node per greedy contraction, each the child of the one before, the
-    # uncontractible leaf last; the moves are exactly reduce_greedy's
+    # one node per greedy contraction, each the child of the one before;
+    # node i counts the graph after replaying the first i moves
     for hole in list(tight_corpus) + [build_H(i) for i in range(1, 18)]:
-        tree = reduction_tree(hole)
-        leaf, moves = reduce_greedy(hole)
-        assert [n.parent for n in tree.nodes] == [None, *range(len(moves))]
-        assert [n.move for n in tree.nodes[1:]] == moves
-        assert tree.nodes[0].hole is hole
-        assert tree.nodes[-1].hole.graph == leaf.graph
-        for node in tree.nodes:
-            assert freedom(node.hole.graph) == 6
-        assert is_uncontractible(leaf)
-        assert _is_h16_or_h17(leaf.graph)
+        nodes = _tree_nodes(hole)
+        _, moves = reduce_greedy(hole)
+        assert [n["id"] for n in nodes] == list(range(len(moves) + 1))
+        assert [n["parent"] for n in nodes] == [None, *range(len(moves))]
+        assert [n["move"] for n in nodes] == [None, *(m.to_json() for m in moves)]
+        current = hole
+        for i, node in enumerate(nodes):
+            if i:
+                current = contract(current, moves[i - 1].edge)
+            assert (node["vertices"], node["edges"]) == \
+                (len(current.graph.vertices), len(current.graph.edges))
+            assert freedom(current.graph) == 6
+        assert is_uncontractible(current)
+        assert _is_h16_or_h17(current.graph)
 
 
 def test_no_tight_contraction_raises_stuck(monkeypatch):
     # a contractible graph whose contractions all fail breaks the
-    # greedy-contraction ruling; both drivers say so with the same signal
+    # greedy-contraction ruling; reduce_greedy and the tree command say so
+    # with the same signal
     def refuse(hole, e):
         raise errors.NotContractible(f"{e} refused")
 
     monkeypatch.setattr(reduction, "contract", refuse)
-    for driver in (reduce_greedy, reduction_tree):
-        with pytest.raises(errors.StuckButContractible):
-            driver(build_H(1))
+    with pytest.raises(errors.StuckButContractible) as stuck:
+        reduce_greedy(build_H(1))
+    code, out, err = run_main(["tree", "-"], hole_to_record(build_H(1)))
+    assert (code, out) == (1, "")
+    assert err == f"error: {stuck.value}\n"
+    assert "no tightness-preserving contraction" in err
 
 
 def test_certify_h17_chain_length_one():

@@ -27,21 +27,24 @@ def test_no_assert_statements(path):
 
 def _definitions(tree):
     """Module-level functions and classes, and the methods of those classes,
-    as AST nodes; dunder methods are called by the language, not by name."""
+    as (AST node, owning class or None) pairs; dunder methods are called by
+    the language, not by name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node, None
         if isinstance(node, ast.ClassDef):
-            yield from (m for m in node.body
+            yield from ((m, node) for m in node.body
                         if isinstance(m, ast.FunctionDef)
                         and not (m.name.startswith("__") and m.name.endswith("__")))
 
 
-def _names_used(tree) -> collections.Counter:
-    """How often each identifier occurs as a name or an attribute."""
+def _names_used(tree, attributes_only=False) -> collections.Counter:
+    """How often each identifier occurs as an attribute and, unless
+    ``attributes_only``, as a bare name."""
+    kinds = (ast.Attribute,) if attributes_only else (ast.Name, ast.Attribute)
     return collections.Counter(
         node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+        for node in ast.walk(tree) if isinstance(node, kinds))
 
 
 def _acceptance_imports():
@@ -54,13 +57,18 @@ def _acceptance_imports():
 
 def test_every_definition_has_a_user():
     # a definition is used when src/ names it outside its own body, exports
-    # it, or the acceptance criteria import it; cli.main is the entry point
+    # it, or the acceptance criteria import it; cli.main is the entry point.
+    # A method counts as named only where src/ reads it as an attribute, so
+    # a local variable of the same name does not hide an unused method.
     trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
-    used = sum((_names_used(t) for t in trees.values()), collections.Counter())
+    named = sum((_names_used(t) for t in trees.values()), collections.Counter())
+    read = sum((_names_used(t, attributes_only=True) for t in trees.values()),
+               collections.Counter())
     allowed = set(torusrig.__all__) | _acceptance_imports() | {"main"}
-    unused = [f"{name}:{node.lineno} {node.name}"
+    unused = [f"{name}:{node.lineno} {owner.name + '.' if owner else ''}{node.name}"
               for name, tree in trees.items() if name != "__init__.py"
-              for node in _definitions(tree)
+              for node, owner in _definitions(tree)
               if node.name not in allowed
-              and used[node.name] == _names_used(node)[node.name]]
+              and (read if owner else named)[node.name]
+              == _names_used(node, attributes_only=bool(owner))[node.name]]
     assert not unused, f"defined in src/ but used only by tests: {unused}"

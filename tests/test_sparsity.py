@@ -8,9 +8,9 @@ from torusrig.catalog import build_H
 from torusrig.complexes import cut_hole, rectangular_torus
 from torusrig.graphs import Graph, complete_graph, double_banana, freedom
 from torusrig.reduction import contract, contractible_edges
-from torusrig.sparsity import (Status, _flow_scan, _pebble_sparse,
-                               brute_force_3_6, check_3_6, is_in_T,
-                               maximal_tight_subgraph)
+from torusrig.sparsity import (SparsityVerdict, Status, _flow_scan,
+                               _pebble_sparse, brute_force_3_6, check_3_6,
+                               is_in_T, maximal_tight_subgraph)
 
 
 def random_graph(data, max_n=11):
@@ -95,12 +95,17 @@ def test_is_in_T():
 
 
 def test_through_vertex_restriction():
-    # K5 plus a far-away tight blob: a violation not through vertex 7
+    # K5 plus a far-away tight blob, and K5 plus a pendant edge: every
+    # violation avoids the last vertex, and is still reported through it;
+    # through_vertex only orders the witness scan
+    k5 = SparsityVerdict(Status.VIOLATION, frozenset(range(5)))
     g = Graph(range(8), list(complete_graph(5).edges) +
               [(5, 6), (5, 7), (6, 7)])
     assert check_3_6(g).status is Status.VIOLATION
     assert check_3_6(g, through_vertex=0).status is Status.VIOLATION
-    assert check_3_6(g, through_vertex=7).status is not Status.VIOLATION
+    assert check_3_6(g, through_vertex=7) == k5
+    pendant = Graph(range(6), list(complete_graph(5).edges) + [(0, 5)])
+    assert check_3_6(pendant) == check_3_6(pendant, through_vertex=5) == k5
 
 
 def test_maximal_tight_subgraph():
@@ -128,6 +133,7 @@ def test_through_vertex_matches_flow_scan(data):
     g = random_graph(data)
     x = data.draw(st.sampled_from(sorted(g.vertices)))
     assert check_3_6(g, through_vertex=x) == _flow_scan(g, through_vertex=x)
+    assert check_3_6(g, through_vertex=x).status is check_3_6(g).status
 
 
 def test_verdicts_match_flow_scan_on_corpus(corpus9, tight_corpus):
