@@ -6,6 +6,11 @@ into the seventeen detachment forms, reduces by one greedy contraction
 sequence down to the two uncontractible graphs, and reverses that sequence
 into a vertex-splitting construction certificate rooted at K3.  Fission, the
 key lemma's move at a critical cycle, is available on its own.
+
+``check`` decides (3,6)-tightness for any number of holes, but minimal
+rigidity follows from tightness only for one hole: two octahedra glued at an
+antipodal pair form a tight two-hole torus graph of rank 3|V| - 7.  So the
+reduction and certificate commands refuse more than one hole.
 """
 
 from .complexes import (ClosedWalk, DiscMap, SurfaceComplex, TorusComplex,

@@ -65,10 +65,6 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def induced(self, vertex_set) -> "Graph":
-        s = frozenset(vertex_set)
-        return Graph(s, (e for e in self.edges if e[0] in s and e[1] in s))
-
     def is_connected(self) -> bool:
         if not self.vertices:
             return True

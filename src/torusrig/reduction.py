@@ -6,6 +6,16 @@ the hole disc whose complementary graph is tight).  A critical cycle supports
 a fission move, which substitutes the matching catalog graph for the
 complement.
 
+The key-lemma search rests on a freedom count.  Let W be the violator of
+G/e and L its lift to G, and let a be the number of apexes of e in L.  Then
+f(L) = f(W) + 2 - a with f(W) <= 5.  So a = 2 is impossible on tight input,
+a = 1 forces f(L) = 6, and a = 0 allows f(L) in {6, 7}; that is why
+``find_critical_cycle_through`` tries the tight cores through L with either
+apex and through L alone.  Some tight inputs with a = 0 carry no critical
+cycle through e (a 14-vertex v9 record grown from H17 with a collar); the
+search raises NoCriticalCycle there, and whether the lemma needs a further
+hypothesis or critical cycles a wider definition is open.
+
 The greedy-contraction ruling: a tight graph with a contractible FF edge
 always has one whose contraction stays tight, so greedy contraction alone
 reduces every tight graph to one of the two uncontractible graphs.  That
@@ -23,13 +33,14 @@ from __future__ import annotations
 
 import enum
 import itertools
+import json
 from dataclasses import dataclass
 
-from . import catalog, errors
+from . import catalog, errors, fileio
 from .complexes import (ClosedWalk, DiscMap, TorusComplex, TorusWithHole,
                         _face_edges, _shared_edges, _face_connected,
                         disc_structures, retriangulate_holes)
-from .graphs import Graph, complete_graph, edge_key, freedom, is_isomorphic
+from .graphs import Graph, complete_graph, edge_key, is_isomorphic
 from .maxflow import densest_extension
 from .rigidity import generic_rank
 from .sparsity import check_3_6, maximal_tight_subgraph
@@ -193,29 +204,25 @@ def _region_criticals(hole, region, e):
     return out
 
 
-def _grow_f7_extension(g: Graph, core: frozenset, exclude: frozenset) -> frozenset:
-    """Greedy passes extending a vertex set while f stays at most 7."""
-    s = set(core)
-    changed = True
-    while changed:
-        changed = False
-        for u in sorted(g.vertices - s - exclude):
-            ind = g.induced(s | {u})
-            if freedom(ind) <= 7:
-                s.add(u)
-                changed = True
-    return frozenset(s)
+def _key_lemma_violation(hole: TorusWithHole, why: str) -> errors.NoCriticalCycle:
+    """NoCriticalCycle whose message ends with the input's JSON record, so
+    the failing search can be rerun from the message alone."""
+    record = json.dumps(fileio.hole_to_record(hole), sort_keys=True)
+    return errors.NoCriticalCycle(f"{why}; record: {record}")
 
 
 def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | None:
     """A critical separating cycle through a contractible edge whose
     contraction breaks tightness; None when the contraction stays tight.
 
-    Follows the constructive route: lift a violating set of the contracted
-    graph, extend it maximally, grow the complementary face region from the
-    face of the edge that the violator misses, and read the cycle off the
-    region's disc boundary.  When the violator misses both faces the two
-    candidate regions are both tried and the lowest critical cycle wins.
+    Follows the constructive route: lift the violator W of G/e to L, extend
+    each tight core through L maximally, grow the complementary face region
+    from the face of e whose apex the extension misses, and read the cycles
+    off the region's disc boundaries; the least critical cycle wins.  With a
+    apexes in L, f(L) = f(W) + 2 - a and f(W) <= 5: a = 2 cannot occur on
+    tight input, and a = 1 forces f(L) = 6, so L is the only core.  With
+    a = 0, f(L) is 6 or 7, so the cores are L with either apex, and L alone
+    with e exposed (the region then holds both faces of e).
     """
     e = edge_key(*e)
     if classify_edge(hole, e) is not EdgeClass.FF_CONTRACTIBLE:
@@ -226,45 +233,26 @@ def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | Non
     if verdict.is_sparse:
         return None
     lifted = frozenset(verdict.witness - {z}) | set(e)
-    apex_c, apex_d = _apexes(hole, e)
-    in_c, in_d = apex_c in lifted, apex_d in lifted
-    if in_c and in_d:
-        raise errors.NoCriticalCycle(
-            "violating set contains both faces of the edge; the input graph "
-            "cannot have been tight")
-    torus = hole.torus
-    face_c, face_d = hole.edge_retained_faces[e]
-    if apex_c not in torus.faces[face_c]:
-        face_c, face_d = face_d, face_c
+    apex_face = dict(zip(_apexes(hole, e), hole.edge_retained_faces[e]))
+    apexes = set(apex_face)
+    if apexes <= lifted:
+        raise _key_lemma_violation(
+            hole, f"violating set contains both faces of {e}; the input "
+            "graph cannot have been tight")
+    cores = [lifted] if apexes & lifted else \
+        [lifted | {a} for a in apex_face] + [lifted]
     candidates: list[SeparatingCycle] = []
-    if in_c or in_d:
-        if in_d:
-            # symmetric relabel: grow from the face missing from the violator
-            apex_c, apex_d = apex_d, apex_c
-            face_c, face_d = face_d, face_c
-        # the lifted set L holds one apex, so f(L) = f(W) + 2 - 1 <= 6 for
-        # the violator W; a tight graph forces f(L) = 6 and a tight extension
-        k_set = maximal_tight_subgraph(hole.graph, lifted, {apex_d})
+    for core in cores:
+        k_set = maximal_tight_subgraph(hole.graph, core, apexes - core)
         if k_set is None:
-            raise errors.NoCriticalCycle(
-                "lifted violating set is not tight; the input graph cannot "
-                "have been tight")
-        region = _grow_region(torus, face_d, _blocked_faces(hole, k_set))
+            continue
+        start = next(f for a, f in apex_face.items() if a not in k_set)
+        region = _grow_region(hole.torus, start, _blocked_faces(hole, k_set))
         candidates.extend(_region_criticals(hole, region, e))
-    else:
-        k_set = maximal_tight_subgraph(hole.graph, lifted, {apex_c, apex_d})
-        if k_set is None:
-            k_set = _grow_f7_extension(hole.graph, lifted,
-                                       frozenset({apex_c, apex_d}))
-        blocked = _blocked_faces(hole, k_set)
-        region_d = _grow_region(torus, face_d, blocked | {face_c})
-        region_c = _grow_region(torus, face_c, blocked | {face_d})
-        for region in (region_d, region_c):
-            candidates.extend(_region_criticals(hole, region, e))
     if not candidates:
-        raise errors.NoCriticalCycle(
-            f"no critical separating cycle through {e}; this violates the "
-            "key lemma on tight inputs")
+        raise _key_lemma_violation(
+            hole, f"no critical separating cycle through {e}; this violates "
+            "the key lemma on tight inputs")
     return min(candidates, key=lambda c: c.walk.canonical())
 
 
@@ -400,7 +388,10 @@ def reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contraction]
     Each step contracts the first contractible FF edge whose contraction
     stays tight.  Raises NotTight when the input is not tight, and
     StuckButContractible at a contractible graph with no tight contraction.
+    A graph with more than one hole raises SingleHoleRequired first: it can
+    be tight without being rigid.
     """
+    hole.single_disc  # raises SingleHoleRequired unless there is one hole
     if not check_3_6(hole.graph).is_tight:
         raise errors.NotTight("greedy reduction needs a tight single-hole graph")
     current = hole

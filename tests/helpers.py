@@ -18,7 +18,8 @@ from torusrig import cli, errors
 from torusrig.complexes import (DiscMap, SurfaceComplex, TorusComplex,
                                 TorusWithHole, disc_structures)
 from torusrig.graphs import Graph, edge_key
-from torusrig.reduction import SeparatingCycle
+from torusrig.reduction import (SeparatingCycle, _blocked_faces, _grow_region,
+                                _region_criticals)
 
 
 def run_main(args, record) -> tuple[int, str, str]:
@@ -53,6 +54,12 @@ def rank_rational(rows) -> int:
         if rank == len(rows):
             break
     return rank
+
+
+def induced(g: Graph, vertex_set) -> Graph:
+    """The subgraph of g induced on ``vertex_set``."""
+    s = frozenset(vertex_set)
+    return Graph(s, (e for e in g.edges if e[0] in s and e[1] in s))
 
 
 def contract_edge(g: Graph, u: int, v: int) -> Graph:
@@ -145,6 +152,32 @@ def separating_cycle(hole: TorusWithHole, region_faces) -> SeparatingCycle:
     if not hole.deleted_edges <= d1.interior_edges:
         raise errors.InvalidCycle("enlargement stops deleting a hole-interior edge")
     return SeparatingCycle(d1.boundary_walk, d1)
+
+
+def tight_set_critical_cycles(hole: TorusWithHole, e) -> list[SeparatingCycle]:
+    """Critical cycles through e, read off every tight vertex set through e.
+
+    A critical cycle's outer part G1 is the graph induced on its vertex set
+    K (an edge of G between two vertices of G1 outside G1 would make G
+    violate), so K holds both ends of e and f(G[K]) = 6.  The region of such
+    a K is the component, holding the hole, of the faces K does not span.
+    Exponential in the number of vertices other than the ends of e; the
+    slow oracle beside ``exhaustive_critical_cycles_through``.
+    """
+    e = edge_key(*e)
+    g = hole.graph
+    rest = sorted(g.vertices - set(e))
+    hole_faces = hole.single_disc.faces
+    regions = set()
+    for mask in range(1 << len(rest)):
+        k_set = frozenset(e) | {v for i, v in enumerate(rest) if mask >> i & 1}
+        n_edges = sum(1 for a, b in g.edges if a in k_set and b in k_set)
+        if 3 * len(k_set) - n_edges != 6:
+            continue
+        blocked = _blocked_faces(hole, k_set) - set(hole_faces)
+        regions.add(_grow_region(hole.torus, hole_faces[0], blocked))
+    return [c for region in sorted(regions, key=sorted)
+            for c in _region_criticals(hole, region, e)]
 
 
 def vertex_split(g, v1: int, v2: int, v3: int, moved_edges):

@@ -13,6 +13,8 @@ from torusrig.corpus import CorpusSpec, corpus_records
 from torusrig.fileio import hole_to_record, record_to_hole, to_dot
 
 
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+
 # the CLI subprocess imports the same package as the tests, with or
 # without PYTHONPATH set by the caller
 SRC = str(pathlib.Path(torusrig.__file__).resolve().parent.parent)
@@ -230,6 +232,16 @@ def test_cli_reduction_of_violation_is_typed_error(gen7_4x4, command):
     assert r.returncode == 1
     assert r.stderr.startswith("error:") and "tight" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("command", ["reduce", "tree", "certify"])
+def test_cli_reduction_of_two_holes_is_typed_error(command):
+    # a tight two-hole graph is not the greedy reduction's input: it can be
+    # flexible, so the single-hole check comes before the contraction loop
+    r = run_cli([command, str(DATA / "two_octahedra.json")])
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == "error: graph has 2 holes\n"
 
 
 @pytest.mark.parametrize("trials", ["0", "-2"])

@@ -4,7 +4,7 @@ from torusrig import errors
 from torusrig.graphs import (Graph, complete_graph, double_banana, edge_key,
                              freedom, is_isomorphic)
 
-from helpers import contract_edge
+from helpers import contract_edge, induced
 
 
 def test_freedom_small_graphs():
@@ -69,5 +69,5 @@ def test_double_banana_shape():
     assert len(db.vertices) == 8 and len(db.edges) == 18
     # hinge pair is nonadjacent and separates
     assert (3, 4) not in db
-    rest = db.induced(db.vertices - {3, 4})
+    rest = induced(db, db.vertices - {3, 4})
     assert not rest.is_connected()

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import pathlib
 
 import pytest
 
 from torusrig import errors, reduction
 from torusrig.catalog import build_H, classify
 from torusrig.complexes import ClosedWalk, cut_hole, rectangular_torus
-from torusrig.fileio import hole_to_record
+from torusrig.fileio import hole_to_record, load_hole, record_to_hole
 from torusrig.graphs import (Graph, complete_graph, edge_key, freedom,
                              is_isomorphic)
 from torusrig.reduction import (Certificate, EdgeClass, certify, classify_edge,
@@ -18,9 +19,10 @@ from torusrig.reduction import (Certificate, EdgeClass, certify, classify_edge,
 from torusrig.rigidity import generic_rank
 from torusrig.sparsity import check_3_6
 
-from helpers import (contract_edge, link_cycle, run_main, separating_cycle,
-                     vertex_split)
+from helpers import (contract_edge, induced, link_cycle, run_main,
+                     separating_cycle, tight_set_critical_cycles, vertex_split)
 
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 K5_MINUS_EDGE = Graph(range(5), complete_graph(5).edges - {(0, 1)})
 
@@ -208,6 +210,54 @@ def test_critical_cycle_constructive_matches_oracle():
     assert seen >= 1
 
 
+# The keylemma repro records are tight, and their lifted violators hold
+# neither apex of the edge (a = 0 in the count of the reduction module
+# docstring).  Repro A has three critical cycles through (0, 6), one from
+# each tight core; H2's breaking edge has a = 1.
+
+
+def _canonical_walks(cycles):
+    return {c.walk.canonical() for c in cycles}
+
+
+@pytest.mark.parametrize("hole, e", [
+    (load_hole(DATA / "keylemma_repro_a.json"), (0, 6)),
+    (build_H(2), (0, 8)),
+], ids=["repro_a", "H2"])
+def test_tight_set_oracle_matches_exhaustive_oracle(hole, e):
+    oracle = _canonical_walks(tight_set_critical_cycles(hole, e))
+    assert oracle == _canonical_walks(exhaustive_critical_cycles_through(hole, e))
+    cycle = find_critical_cycle_through(hole, e)
+    assert cycle.walk.canonical() in oracle
+    assert is_critical(hole, cycle)
+
+
+def test_repro_b_is_tight_with_no_critical_cycle():
+    # a v9 record grown from H17 with a collar: tight and minimally rigid,
+    # and no tight vertex set through (3, 17) carries a critical cycle, so
+    # the key lemma's dichotomy fails on it as critical cycles are defined
+    hole = load_hole(DATA / "keylemma_repro_b.json")
+    g = hole.graph
+    assert check_3_6(g).is_tight
+    assert generic_rank(g) == len(g.edges) == 3 * len(g.vertices) - 6
+    assert not check_3_6(contract(hole, (3, 17)).graph).is_tight
+    assert tight_set_critical_cycles(hole, (3, 17)) == []
+
+
+def test_no_critical_cycle_carries_its_record():
+    hole = load_hole(DATA / "keylemma_repro_b.json")
+    with pytest.raises(errors.NoCriticalCycle) as info:
+        find_critical_cycle_through(hole, (3, 17))
+    message = str(info.value)
+    assert "(3, 17)" in message
+    _, _, record = message.partition("; record: ")
+    again = record_to_hole(json.loads(record))
+    assert again.graph == hole.graph
+    with pytest.raises(errors.NoCriticalCycle) as info_again:
+        find_critical_cycle_through(again, (3, 17))
+    assert str(info_again.value) == message
+
+
 def test_fission_at_detachment_walk_reproduces_catalog():
     h5 = build_H(5)
     sep = separating_cycle(h5, h5.single_disc.faces)
@@ -273,6 +323,19 @@ def _tree_nodes(hole):
     code, out, _ = run_main(["tree", "-"], hole_to_record(hole))
     assert code == 0
     return json.loads(out)["nodes"]
+
+
+def test_two_octahedra_tight_but_flexible():
+    # the single-hole hypothesis is needed: two octahedra glued at the
+    # antipodal pair {0, 1} form a tight two-hole torus graph that is not rigid
+    hole = load_hole(DATA / "two_octahedra.json")
+    g = hole.graph
+    assert len(hole.discs) == 2
+    assert check_3_6(g).is_tight
+    assert generic_rank(g) == 23 < 3 * len(g.vertices) - 6 == 24
+    assert not induced(g, g.vertices - {0, 1}).is_connected()
+    with pytest.raises(errors.SingleHoleRequired, match="2 holes"):
+        reduce_greedy(hole)
 
 
 def test_reduction_tree_h17_single_node():

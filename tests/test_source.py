@@ -2,18 +2,22 @@
 
 Invariants raise typed ``TorusRigError``s rather than ``assert``, which
 ``python -O`` strips.  Every definition in the package has a user: code
-that only tests call lives in ``tests/helpers.py``.
+that only tests call lives in ``tests/helpers.py``.  Every name a module
+imports is used there, except the bindings the benchmark tracer wraps.
 """
 
 import ast
 import collections
+import importlib.util
 import pathlib
+import sys
 
 import pytest
 
 import torusrig
 
 TESTS = pathlib.Path(__file__).resolve().parent
+TRACER = TESTS.parent / "perfbench" / "tracer.py"
 SOURCES = sorted((TESTS.parent / "src" / "torusrig").glob("*.py"))
 
 
@@ -72,3 +76,38 @@ def test_every_definition_has_a_user():
               and (read if owner else named)[node.name]
               == _names_used(node, attributes_only=bool(owner))[node.name]]
     assert not unused, f"defined in src/ but used only by tests: {unused}"
+
+
+def _traced_bindings(monkeypatch) -> dict:
+    """{module: names} of the bindings ``perfbench/tracer.py`` wraps, which
+    a module keeps so that the tracer finds them even if it never calls
+    them.  The tracer is loaded read-only, as in test_tracer.py."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    bindings = collections.defaultdict(set)
+    for _name, _home, attr, modules in tracer.LAYERS:
+        for module in modules or ():
+            bindings[module].add(attr)
+    return bindings
+
+
+def test_every_import_is_used(monkeypatch):
+    exempt = _traced_bindings(monkeypatch)
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        named = _names_used(tree)
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in names
+                       if name not in exempt[path.stem] and not named[name]]
+    assert not unused, f"imported in src/ but never used: {unused}"

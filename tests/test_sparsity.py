@@ -12,6 +12,8 @@ from torusrig.sparsity import (SparsityVerdict, Status, _flow_scan,
                                _pebble_sparse, brute_force_3_6, check_3_6,
                                is_in_T, maximal_tight_subgraph)
 
+from helpers import induced
+
 
 def random_graph(data, max_n=11):
     """A simple graph on 4..max_n vertices, from empty up to 3n - 3 edges."""
@@ -64,7 +66,7 @@ def test_witness_certificate_contract():
         v = check_3_6(g)
         if v.witness is not None:
             w = v.witness
-            ind = g.induced(w)
+            ind = induced(g, w)
             assert len(w) >= 3
             assert len(ind.edges) > 3 * len(w) - 6
 
