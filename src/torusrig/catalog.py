@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import errors
-from .complexes import ClosedWalk, TorusWithHole, _union_find
+from .complexes import ClosedWalk, TorusWithHole, _classes
 
 VERTEX_LETTERS = "vwx"
 EDGE_LETTERS = "efg"
@@ -127,8 +127,8 @@ def expand_word(word: DetachmentWord) -> tuple:
             pos += 1
     if pos != n:
         raise errors.BadToken(f"word {word} does not advance exactly {n} edges")
-    find = _union_find(glued)
-    return canonical_pattern([find(i) for i in range(n)])
+    cls = _classes(range(n), glued)
+    return canonical_pattern([cls[i] for i in range(n)])
 
 
 def canonical_pattern(seq) -> tuple:

@@ -25,8 +25,10 @@ from .graphs import Graph, edge_key, freedom
 
 
 def _face_edges(face):
+    """Sorted edges ab, bc, ca of a face whose corners are distinct."""
     a, b, c = face
-    return (edge_key(a, b), edge_key(b, c), edge_key(c, a))
+    return ((a, b) if a < b else (b, a), (b, c) if b < c else (c, b),
+            (c, a) if c < a else (a, c))
 
 
 def _directed_edges(face):
@@ -40,10 +42,9 @@ def canon_face(face):
     Cyclic order (orientation) is preserved; only the starting point changes.
     """
     a, b, c = face
-    m = min(face)
-    while face[0] != m:
-        face = (face[1], face[2], face[0])
-    return face
+    if a <= b and a <= c:
+        return face
+    return (b, c, a) if b <= c else (c, a, b)
 
 
 class SurfaceComplex:
@@ -59,13 +60,17 @@ class SurfaceComplex:
             if cs in seen_corner_sets:
                 raise errors.DuplicateFace(f"face {f} occurs twice")
             seen_corner_sets.add(cs)
+        self._set_faces(faces)
+        for e, fs in self.edge_faces.items():
+            if len(fs) > 2:
+                raise errors.EdgeInThreeFaces(f"edge {e} lies in {len(fs)} faces")
+
+    def _set_faces(self, faces):
+        """Store canonical faces and derive the incidences; checks nothing."""
         edge_faces: dict[tuple[int, int], list[int]] = {}
         for idx, f in enumerate(faces):
             for e in _face_edges(f):
                 edge_faces.setdefault(e, []).append(idx)
-        for e, fs in edge_faces.items():
-            if len(fs) > 2:
-                raise errors.EdgeInThreeFaces(f"edge {e} lies in {len(fs)} faces")
         self.faces = faces
         self.edge_faces = {e: tuple(fs) for e, fs in edge_faces.items()}
         self.edges = frozenset(edge_faces)
@@ -107,21 +112,18 @@ def _orient_coherently(faces, edge_faces):
         stack = [seed]
         while stack:
             i = stack.pop()
-            dirs_i = set(_directed_edges(faces[i]))
-            for e in _face_edges(faces[i]):
-                f1, f2 = edge_faces[e]
+            for u, v in _directed_edges(faces[i]):
+                f1, f2 = edge_faces[(u, v) if u < v else (v, u)]
                 j = f2 if f1 == i else f1
-                u, v = e
-                # i traverses e one way; j must traverse it the other way
-                need = (v, u) if (u, v) in dirs_i else (u, v)
-                j_dirs = _directed_edges(faces[j])
+                # i traverses the edge u -> v; j must traverse it v -> u
+                a, b, c = faces[j]
+                agrees = (v, u) in ((a, b), (b, c), (c, a))
                 if not oriented[j]:
-                    if need not in j_dirs:
-                        a, b, c = faces[j]
+                    if not agrees:
                         faces[j] = (a, c, b)
                     oriented[j] = True
                     stack.append(j)
-                elif need not in j_dirs:
+                elif not agrees:
                     raise errors.NotClosedSurface("complex is not orientable")
     return [canon_face(f) for f in faces]
 
@@ -157,6 +159,22 @@ class TorusComplex(SurfaceComplex):
         """The homology cochain of ``homology.EdgeCochain``, built once."""
         from .homology import EdgeCochain
         return EdgeCochain(self)
+
+
+def _contracted_torus(torus: TorusComplex, keep: int, gone: int,
+                      collapsed) -> TorusComplex:
+    """The torus with gone renamed to keep and the two ``collapsed`` faces
+    at the edge (keep, gone) dropped, built without revalidation.
+
+    Only for an edge whose ends have exactly its two apexes as common
+    neighbours (the link condition), so the result is a torus again.
+    Renaming keeps each face's cyclic order, so the faces stay coherently
+    oriented.
+    """
+    out = TorusComplex.__new__(TorusComplex)
+    out._set_faces(tuple(canon_face(tuple(keep if x == gone else x for x in f))
+                         for i, f in enumerate(torus.faces) if i not in collapsed))
+    return out
 
 
 def grid_faces(r: int, s: int) -> list[tuple[int, int, int]]:
@@ -260,11 +278,11 @@ class DiscMap:
         if bad:
             raise errors.NotADisc(f"keep edges {sorted(bad)} are not interior to the region")
         glued = set(shared) - self.keep_edges
-        if not _face_connected(torus, region, shared):
-            raise errors.NotFaceConnected("hole face set is not adjacency-connected")
         if not _face_connected(torus, region, glued):
+            if not _face_connected(torus, region, shared):
+                raise errors.NotFaceConnected("hole face set is not adjacency-connected")
             raise errors.NotADisc("unfolded complex is disconnected")
-        find, chi = _unfolding(torus, self.faces, glued)
+        corner_class, chi = _unfolding(torus, self.faces, glued)
         if chi != 1:
             raise errors.NotADisc(f"unfolded Euler characteristic {chi} != 1")
 
@@ -278,7 +296,7 @@ class DiscMap:
         slot_at: dict = {}
         for f, e in boundary_slots:
             for v in e:
-                slot_at.setdefault(find((f, v)), []).append((f, e))
+                slot_at.setdefault(corner_class[f, v], []).append((f, e))
         for cls, slots in slot_at.items():
             if len(slots) != 2:
                 raise errors.NotADisc("boundary is not a single cycle")
@@ -286,12 +304,13 @@ class DiscMap:
         self.interior_edges = frozenset(glued)
         # only a corner of the region can lose all its edges
         corners = {v for f in self.faces for v in torus.faces[f]}
-        exposed = {v for e in torus.edges - self.interior_edges for v in e}
-        self.interior_vertices = frozenset(corners - exposed)
-        self.boundary_walk = self._trace_boundary(find, boundary_slots, slot_at)
+        self.interior_vertices = frozenset(
+            v for v in corners
+            if all(edge_key(v, w) in glued for w in torus.graph.neighbors(v)))
+        self.boundary_walk = self._trace_boundary(corner_class, boundary_slots,
+                                                  slot_at)
 
-    def _trace_boundary(self, find, boundary_slots, slot_at) -> ClosedWalk:
-        torus = self.torus
+    def _trace_boundary(self, corner_class, boundary_slots, slot_at) -> ClosedWalk:
         if not boundary_slots:
             raise errors.NotADisc("disc has no boundary")
         # abstract boundary vertices, labelled by (image vertex, class repr)
@@ -301,15 +320,14 @@ class DiscMap:
         first = min(slot_at[start], key=lambda fe: fe[1])
         walk = []
         cls, slot = start, first
-        visited = set()
         while True:
             walk.append(image(cls))
-            visited.add((cls, slot))
-            f, e = slot
-            u, v = e
+            f, (u, v) = slot
             # classes never merge corners over distinct torus vertices, so the
             # two endpoint classes of a slot are always distinct
-            other = find((f, u)) if find((f, v)) == cls else find((f, v))
+            other = corner_class[f, v]
+            if other == cls:
+                other = corner_class[f, u]
             nxt_slots = [s for s in slot_at[other] if s != slot]
             nxt = nxt_slots[0] if nxt_slots else slot
             cls, slot = other, nxt
@@ -332,32 +350,49 @@ class DiscMap:
         return len(self.boundary_walk)
 
 
+def _carried_disc(torus: TorusComplex, faces, keep_edges, interior_edges,
+                  interior_vertices, boundary_walk: ClosedWalk) -> DiscMap:
+    """A DiscMap from fields already known to describe a disc on the torus,
+    built without unfolding."""
+    disc = DiscMap.__new__(DiscMap)
+    disc.torus = torus
+    disc.faces = tuple(faces)
+    disc.keep_edges = frozenset(keep_edges)
+    disc.interior_edges = frozenset(interior_edges)
+    disc.interior_vertices = frozenset(interior_vertices)
+    disc.boundary_walk = boundary_walk
+    return disc
+
+
 #: most exposed edges a disc structure keeps unglued; the wrap-around
 #: detachment forms need one to three
 MAX_KEEP = 3
 
 
-def _union_find(pairs):
-    """Class lookup for the equivalence that gluing each pair generates.
+def _classes(elements, pairs) -> dict:
+    """Map from each of ``elements`` to the least element of its class under
+    the equivalence that gluing each pair generates.
 
-    The root of a class is its least element, so roots do not depend on the
-    order of the pairs.
+    Every element of a pair must be among ``elements``.  The least element
+    represents its class, so representatives do not depend on the order of
+    the pairs.
     """
-    parent: dict = {}
-
-    def find(x):
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
+    glued_to: dict = {}
     for x, y in pairs:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-    return find
+        glued_to.setdefault(x, []).append(y)
+        glued_to.setdefault(y, []).append(x)
+    cls: dict = {}
+    for least in sorted(elements):
+        if least in cls:
+            continue
+        cls[least] = least
+        stack = [least]
+        while stack:
+            for y in glued_to.get(stack.pop(), ()):
+                if y not in cls:
+                    cls[y] = least
+                    stack.append(y)
+    return cls
 
 
 def _check_face_indices(torus: TorusComplex, face_indices) -> None:
@@ -394,15 +429,17 @@ def _unfolding(torus: TorusComplex, faces, glued):
 
     A corner is a (face, vertex) pair; gluing an edge merges the corners of
     its two faces at each endpoint, and a class representative is the least
-    corner of its class.
+    corner of its class.  The classes come as a map from every corner to
+    its representative.
     """
     pairs = []
     for e in glued:
         f1, f2 = torus.edge_faces[e]
         pairs.extend(((f1, v), (f2, v)) for v in e)
-    find = _union_find(pairs)
-    classes = {find((f, v)) for f in faces for v in torus.faces[f]}
-    return find, len(classes) - (3 * len(faces) - len(glued)) + len(faces)
+    corner_class = _classes(((f, v) for f in faces for v in torus.faces[f]),
+                            pairs)
+    n_classes = len(set(corner_class.values()))
+    return corner_class, n_classes - (3 * len(faces) - len(glued)) + len(faces)
 
 
 def disc_structures(torus: TorusComplex, face_indices, forbid_keep=(),

@@ -27,17 +27,17 @@ class Graph:
     __slots__ = ("vertices", "edges", "_adj")
 
     def __init__(self, vertices, edges):
-        edges = frozenset(edge_key(u, v) for u, v in edges)
+        # edge_key only for pairs not already in key order, and for loops
+        edges = frozenset((u, v) if u < v else edge_key(v, u) for u, v in edges)
         vertices = frozenset(vertices)
-        for u, v in edges:
-            if u not in vertices or v not in vertices:
-                raise errors.NonSimple(f"edge ({u},{v}) leaves the vertex set")
-        self.vertices = vertices
-        self.edges = edges
         adj: dict[int, set[int]] = {v: set() for v in vertices}
         for u, v in edges:
+            if u not in adj or v not in adj:
+                raise errors.NonSimple(f"edge ({u},{v}) leaves the vertex set")
             adj[u].add(v)
             adj[v].add(u)
+        self.vertices = vertices
+        self.edges = edges
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
 
     # -- basic queries ------------------------------------------------
@@ -106,6 +106,19 @@ class Graph:
             edges.add(edge_key(new_vertex, t))
         edges.update(edge_key(new_vertex, x) for x in (v1, v2, v3))
         return Graph(self.vertices | {new_vertex}, edges)
+
+
+def contract_edge(g: Graph, u: int, v: int) -> Graph:
+    """Merge v into u (simple-graph contraction, parallel edges coalesce)."""
+    if edge_key(u, v) not in g.edges:
+        raise errors.NotAnEdge(f"({u},{v})")
+    edges = set()
+    for a, b in g.edges:
+        a = u if a == v else a
+        b = u if b == v else b
+        if a != b:
+            edges.add(edge_key(a, b))
+    return Graph(g.vertices - {v}, edges)
 
 
 def freedom(obj) -> int:

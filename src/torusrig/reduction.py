@@ -22,8 +22,12 @@ reduces every tight graph to one of the two uncontractible graphs.  That
 loop, ``reduce_greedy``, is the only reduction driver here: it returns the
 uncontractible leaf and the contractions that reach it, and ``certify``
 reverses them into a vertex-splitting construction rooted at K3 (Whiteley
-1990).  Each contraction removes one vertex and three edges, since a
-contractible edge has only its two apexes as common neighbours.  A graph
+1990).  Each contraction removes one vertex and three edges from the graph,
+since there a contractible edge has only its two apexes as common
+neighbours.  The torus around the graph also holds the hole's deleted
+edges, and through them the ends of the edge can have further common
+neighbours; contracting the torus would then fold an edge into four faces,
+so ``contract`` refills the hole with a fresh collar disc instead.  A graph
 that breaks the ruling raises StuckButContractible.  Fission
 is a key-lemma move inside the proof, not a reduction step: its catalog
 child is not a subgraph of the input, so it yields no vertex split.
@@ -38,9 +42,11 @@ from dataclasses import dataclass
 
 from . import catalog, errors, fileio
 from .complexes import (ClosedWalk, DiscMap, TorusComplex, TorusWithHole,
-                        _face_edges, _shared_edges, _face_connected,
-                        disc_structures, retriangulate_holes)
-from .graphs import Graph, complete_graph, edge_key, is_isomorphic
+                        _carried_disc, _contracted_torus, _face_edges,
+                        _shared_edges, _face_connected, disc_structures,
+                        retriangulate_holes)
+from .graphs import (Graph, complete_graph, contract_edge, edge_key,
+                     is_isomorphic)
 from .maxflow import densest_extension
 from .rigidity import generic_rank
 from .sparsity import check_3_6, maximal_tight_subgraph
@@ -52,14 +58,20 @@ class EdgeClass(enum.Enum):
     FF_BLOCKED = "FFBlocked"
 
 
+def _with_record(error: type[errors.TorusRigError], hole: TorusWithHole,
+                 why: str) -> errors.TorusRigError:
+    """``error`` whose message ends with the hole's sorted-key JSON record,
+    so that piping the record into ``torusrig <cmd> -`` reruns the failure."""
+    record = json.dumps(fileio.hole_to_record(hole), sort_keys=True)
+    return error(f"{why}; record: {record}")
+
+
 def _apexes(hole: TorusWithHole, e) -> tuple[int, int]:
     """Third corners of the two retained faces containing an FF edge."""
     u, v = e
-    fs = hole.edge_retained_faces[e]
-    out = []
-    for i in fs:
-        out.append(next(x for x in hole.torus.faces[i] if x not in (u, v)))
-    return tuple(out)
+    faces = hole.torus.faces
+    # a face's corners are distinct, so the third is its sum less u and v
+    return tuple(sum(faces[i]) - u - v for i in hole.edge_retained_faces[e])
 
 
 def classify_edge(hole: TorusWithHole, e) -> EdgeClass:
@@ -92,10 +104,33 @@ def contract(hole: TorusWithHole, e) -> TorusWithHole:
     """Contract a contractible FF edge; the higher id merges into the lower.
 
     The two faces at the edge collapse and the torus is contracted alongside.
-    When the old torus degenerates (a nonfacial torus 3-cycle through deleted
-    edges turns into a parallel edge) the hole discs are replaced by fresh
-    triangulations over the same boundary walks, which leaves the graph and
-    its facial structure untouched.
+    In the graph, e's ends have only its apexes as common neighbours, but the
+    torus also holds the hole's deleted edges.  When its ends have no other
+    common torus neighbour either, the link condition (Dey, Edelsbrunner,
+    Guha & Nekhayev, "Topology preserving edge contraction", 1999) holds:
+    the contracted complex is a torus again, with one vertex, three edges and
+    two faces fewer, and renaming keeps every face coherently oriented.  The
+    torus is then carried over without revalidation, and each hole disc in
+    one of three ways:
+
+    - gone is not on the disc's walk, so not a corner of its region: the
+      disc is unchanged but for its face indices;
+    - some (keep, apex) gets both its faces in the region, which would glue
+      a graph edge.  Such a region unfolds to a disc only around an apex of
+      degree two, which a tight graph lacks, and even then that disc would
+      delete the apex, so this case goes to the collar refill below;
+    - otherwise gone is renamed in the walk and the interior edges.  The
+      unfolding is the old one renamed, but its boundary trace may start
+      elsewhere (the least walk vertex becomes keep, or gone is next to an
+      occurrence of it), and then ``DiscMap`` rebuilds the disc so the walk
+      keeps the trace's rotation.
+
+    When the link condition fails (a common neighbour through deleted edges
+    would lie in four faces) or some disc is no disc, the hole discs are
+    replaced by fresh triangulations over the renamed boundary walks, which
+    leaves the graph and its facial structure untouched; NotContractible
+    when that fails too.  On tight input the result is the one that
+    revalidating the renamed faces and discs from scratch gives.
     """
     e = edge_key(*e)
     if classify_edge(hole, e) is not EdgeClass.FF_CONTRACTIBLE:
@@ -103,24 +138,40 @@ def contract(hole: TorusWithHole, e) -> TorusWithHole:
     keep, gone = e
     torus = hole.torus
     collapsed = set(hole.edge_retained_faces[e])
+    apexes = _apexes(hole, e)
 
     def rename(x):
         return keep if x == gone else x
 
-    new_faces = [tuple(rename(x) for x in f)
-                 for i, f in enumerate(torus.faces) if i not in collapsed]
-    try:
-        torus2 = TorusComplex(new_faces)
-        discs2 = []
-        for d in hole.discs:
-            # the collapsed faces are retained ones; a hole face moves down
-            # past those before it
-            faces2 = [i - sum(c < i for c in collapsed) for i in d.faces]
-            keep2 = [edge_key(rename(a), rename(b)) for a, b in d.keep_edges]
-            discs2.append(DiscMap(torus2, faces2, keep_edges=keep2))
-        return TorusWithHole(torus2, discs2)
-    except errors.TorusRigError:
-        pass
+    def carry(d: DiscMap, torus2: TorusComplex) -> DiscMap:
+        # the collapsed faces are retained ones; a hole face moves down past
+        # those before it
+        faces2 = [i - sum(c < i for c in collapsed) for i in d.faces]
+        walk = d.boundary_walk.vertices
+        if gone not in walk:
+            return _carried_disc(torus2, faces2, d.keep_edges, d.interior_edges,
+                                 d.interior_vertices, d.boundary_walk)
+        region2 = set(faces2)
+        if any(set(torus2.edge_faces[edge_key(keep, a)]) <= region2
+               for a in apexes):
+            raise errors.NotADisc(f"contracting {e} glues an apex edge")
+        keep2 = [edge_key(rename(a), rename(b)) for a, b in d.keep_edges]
+        low, n = min(walk), len(walk)
+        if keep <= low or any(
+                walk[i] == low and gone in (walk[i - 1], walk[(i + 1) % n])
+                for i in range(n)):
+            return DiscMap(torus2, faces2, keep_edges=keep2)
+        return _carried_disc(
+            torus2, faces2, keep2,
+            (edge_key(rename(a), rename(b)) for a, b in d.interior_edges),
+            d.interior_vertices, ClosedWalk(rename(x) for x in walk))
+
+    if torus.graph.neighbors(keep) & torus.graph.neighbors(gone) == set(apexes):
+        torus2 = _contracted_torus(torus, keep, gone, collapsed)
+        try:
+            return TorusWithHole(torus2, [carry(d, torus2) for d in hole.discs])
+        except errors.TorusRigError:
+            pass
     retained2 = [tuple(rename(x) for x in torus.faces[i])
                  for i in hole.face_indices if i not in collapsed]
     walks2 = []
@@ -129,7 +180,8 @@ def contract(hole: TorusWithHole, e) -> TorusWithHole:
     try:
         return retriangulate_holes(retained2, walks2)
     except errors.TorusRigError as exc:
-        raise errors.NotContractible(
+        raise _with_record(
+            errors.NotContractible, hole,
             f"contracting {e} breaks the hole structure: {exc}") from exc
 
 
@@ -204,11 +256,6 @@ def _region_criticals(hole, region, e):
     return out
 
 
-def _key_lemma_violation(hole: TorusWithHole, why: str) -> errors.NoCriticalCycle:
-    """NoCriticalCycle whose message ends with the input's JSON record, so
-    the failing search can be rerun from the message alone."""
-    record = json.dumps(fileio.hole_to_record(hole), sort_keys=True)
-    return errors.NoCriticalCycle(f"{why}; record: {record}")
 
 
 def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | None:
@@ -236,8 +283,8 @@ def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | Non
     apex_face = dict(zip(_apexes(hole, e), hole.edge_retained_faces[e]))
     apexes = set(apex_face)
     if apexes <= lifted:
-        raise _key_lemma_violation(
-            hole, f"violating set contains both faces of {e}; the input "
+        raise _with_record(
+            errors.NoCriticalCycle, hole, f"violating set contains both faces of {e}; the input "
             "graph cannot have been tight")
     cores = [lifted] if apexes & lifted else \
         [lifted | {a} for a in apex_face] + [lifted]
@@ -250,8 +297,8 @@ def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | Non
         region = _grow_region(hole.torus, start, _blocked_faces(hole, k_set))
         candidates.extend(_region_criticals(hole, region, e))
     if not candidates:
-        raise _key_lemma_violation(
-            hole, f"no critical separating cycle through {e}; this violates "
+        raise _with_record(
+            errors.NoCriticalCycle, hole, f"no critical separating cycle through {e}; this violates "
             "the key lemma on tight inputs")
     return min(candidates, key=lambda c: c.walk.canonical())
 
@@ -386,8 +433,10 @@ def reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contraction]
     contractions that reach it, in order.
 
     Each step contracts the first contractible FF edge whose contraction
-    stays tight.  Raises NotTight when the input is not tight, and
-    StuckButContractible at a contractible graph with no tight contraction.
+    stays tight, judged on the plain graph contraction before the hole is
+    contracted.  Raises NotTight when the input is not tight, and
+    StuckButContractible, carrying the record of the graph it is stuck at,
+    at a contractible graph with no tight contraction.
     A graph with more than one hole raises SingleHoleRequired first: it can
     be tight without being rigid.
     """
@@ -398,16 +447,21 @@ def reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contraction]
     moves: list[Contraction] = []
     while cand := contractible_edges(current):
         for e in cand:
+            # decide on the plain graph contraction, which the contracted hole
+            # carries; build the hole only for the edge taken
+            if not check_3_6(contract_edge(current.graph, *e),
+                             through_vertex=e[0]).is_tight:
+                continue
             try:
                 result = contract(current, e)
             except errors.NotContractible:
                 continue
-            if check_3_6(result.graph, through_vertex=e[0]).is_tight:
-                moves.append(_contraction_record(current, e))
-                current = result
-                break
+            moves.append(_contraction_record(current, e))
+            current = result
+            break
         else:
-            raise errors.StuckButContractible(
+            raise _with_record(
+                errors.StuckButContractible, current,
                 f"no tightness-preserving contraction among {len(cand)} "
                 "contractible edges")
     return current, moves

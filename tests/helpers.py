@@ -1,7 +1,7 @@
 """Oracles and builders that only the tests use.
 
 The package keeps the decide, classify, reduce and certify path; these are
-the slow cross-checks (rational rank, plain edge contraction), the builders
+the slow cross-checks (rational rank, contraction by full rebuild), the builders
 (face-graph quotients, separating cycles from a region, vertex splits on a
 torus) that tests compare that path against, and an in-process CLI runner.
 """
@@ -15,11 +15,12 @@ from fractions import Fraction
 from unittest import mock
 
 from torusrig import cli, errors
-from torusrig.complexes import (DiscMap, SurfaceComplex, TorusComplex,
-                                TorusWithHole, disc_structures)
+from torusrig.complexes import (ClosedWalk, DiscMap, SurfaceComplex,
+                                TorusComplex, TorusWithHole, disc_structures,
+                                retriangulate_holes)
 from torusrig.graphs import Graph, edge_key
-from torusrig.reduction import (SeparatingCycle, _blocked_faces, _grow_region,
-                                _region_criticals)
+from torusrig.reduction import (EdgeClass, SeparatingCycle, _blocked_faces,
+                                _grow_region, _region_criticals, classify_edge)
 
 
 def run_main(args, record) -> tuple[int, str, str]:
@@ -62,17 +63,42 @@ def induced(g: Graph, vertex_set) -> Graph:
     return Graph(s, (e for e in g.edges if e[0] in s and e[1] in s))
 
 
-def contract_edge(g: Graph, u: int, v: int) -> Graph:
-    """Merge v into u (simple-graph contraction, parallel edges coalesce)."""
-    if edge_key(u, v) not in g.edges:
-        raise errors.NotAnEdge(f"({u},{v})")
-    edges = set()
-    for a, b in g.edges:
-        a = u if a == v else a
-        b = u if b == v else b
-        if a != b:
-            edges.add(edge_key(a, b))
-    return Graph(g.vertices - {v}, edges)
+def rebuild_contract(hole: TorusWithHole, e) -> TorusWithHole:
+    """``reduction.contract`` by revalidating everything: a TorusComplex on
+    the renamed faces and a DiscMap per hole, with the collar refill of
+    ``retriangulate_holes`` when either build fails.  The exact oracle for
+    the carried torus and discs of ``contract``."""
+    e = edge_key(*e)
+    if classify_edge(hole, e) is not EdgeClass.FF_CONTRACTIBLE:
+        raise errors.NotContractible(f"{e} is not a contractible FF edge")
+    keep, gone = e
+    torus = hole.torus
+    collapsed = set(hole.edge_retained_faces[e])
+
+    def rename(x):
+        return keep if x == gone else x
+
+    new_faces = [tuple(rename(x) for x in f)
+                 for i, f in enumerate(torus.faces) if i not in collapsed]
+    try:
+        torus2 = TorusComplex(new_faces)
+        discs2 = []
+        for d in hole.discs:
+            faces2 = [i - sum(c < i for c in collapsed) for i in d.faces]
+            keep2 = [edge_key(rename(a), rename(b)) for a, b in d.keep_edges]
+            discs2.append(DiscMap(torus2, faces2, keep_edges=keep2))
+        return TorusWithHole(torus2, discs2)
+    except errors.TorusRigError:
+        pass
+    retained2 = [tuple(rename(x) for x in torus.faces[i])
+                 for i in hole.face_indices if i not in collapsed]
+    walks2 = [ClosedWalk(rename(x) for x in d.boundary_walk.vertices)
+              for d in hole.discs]
+    try:
+        return retriangulate_holes(retained2, walks2)
+    except errors.TorusRigError as exc:
+        raise errors.NotContractible(
+            f"contracting {e} breaks the hole structure: {exc}") from exc
 
 
 # -- patterns of the detachment forms ----------------------------------------

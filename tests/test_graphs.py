@@ -1,10 +1,10 @@
 import pytest
 
 from torusrig import errors
-from torusrig.graphs import (Graph, complete_graph, double_banana, edge_key,
-                             freedom, is_isomorphic)
+from torusrig.graphs import (Graph, complete_graph, contract_edge, double_banana,
+                             edge_key, freedom, is_isomorphic)
 
-from helpers import contract_edge, induced
+from helpers import induced
 
 
 def test_freedom_small_graphs():

@@ -1,15 +1,17 @@
 import dataclasses
 import json
 import pathlib
+from collections import Counter
 
 import pytest
 
 from torusrig import errors, reduction
 from torusrig.catalog import build_H, classify
-from torusrig.complexes import ClosedWalk, cut_hole, rectangular_torus
+from torusrig.complexes import (ClosedWalk, DiscMap, TorusComplex, cut_hole,
+                                rectangular_torus)
 from torusrig.fileio import hole_to_record, load_hole, record_to_hole
-from torusrig.graphs import (Graph, complete_graph, edge_key, freedom,
-                             is_isomorphic)
+from torusrig.graphs import (Graph, complete_graph, contract_edge, edge_key,
+                             freedom, is_isomorphic)
 from torusrig.reduction import (Certificate, EdgeClass, certify, classify_edge,
                                 contract, contractible_edges, divide,
                                 exhaustive_critical_cycles_through,
@@ -19,7 +21,7 @@ from torusrig.reduction import (Certificate, EdgeClass, certify, classify_edge,
 from torusrig.rigidity import generic_rank
 from torusrig.sparsity import check_3_6
 
-from helpers import (contract_edge, induced, link_cycle, run_main,
+from helpers import (induced, link_cycle, rebuild_contract, run_main,
                      separating_cycle, tight_set_critical_cycles, vertex_split)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -86,6 +88,106 @@ def test_contraction_is_graph_contraction_and_renames_walk(tight_corpus):
             assert out.detachment_walk() == renamed, (keep, gone)
             checked += 1
     assert checked > 1000
+
+
+def _greedy_chain(hole):
+    """The hole and every hole its greedy reduction passes through."""
+    _, moves = reduce_greedy(hole)
+    chain = [hole]
+    for m in moves:
+        chain.append(contract(chain[-1], m.edge))
+    return chain
+
+
+def _carry_case(hole, e, out):
+    """How contract carries the hole across e, judged on the input: the
+    link condition fails, gone is not on the walk, an apex edge would be
+    glued, or gone is renamed in a walk that keeps or changes rotation."""
+    keep, gone = e
+    apexes = {x for i in hole.edge_retained_faces[e]
+              for x in hole.torus.faces[i]} - {keep, gone}
+    nbrs = hole.torus.graph.neighbors
+    if nbrs(keep) & nbrs(gone) != apexes:
+        return "link fails"
+    walk = hole.detachment_walk().vertices
+    if gone not in walk:
+        return "unchanged"
+    collapsed = set(hole.edge_retained_faces[e])
+    outside = set(hole.face_indices) - collapsed
+    for a in apexes:
+        sides = [set(hole.torus.edge_faces[edge_key(v, a)]) - collapsed
+                 for v in e]
+        if not (sides[0] | sides[1]) & outside:
+            return "glued apex edge"
+    renamed = tuple(keep if x == gone else x for x in walk)
+    return "renamed" if out.detachment_walk().vertices == renamed else "rotated"
+
+
+def test_contract_carries_exactly_what_a_rebuild_gives(tight_corpus):
+    # contract carries the torus and the hole disc over instead of
+    # revalidating them; the full rebuild must give the same faces, face
+    # order and orientation, disc fields and the exact walk tuple, whose
+    # rotation numbers retriangulate_holes' collar vertices
+    def outcome(contract_fn, hole, e):
+        try:
+            out = contract_fn(hole, e)
+        except errors.TorusRigError as exc:
+            return type(exc), None
+        return (hole_to_record(out), out.torus.faces, out.torus.edge_faces,
+                [(d.boundary_walk.vertices, d.keep_edges, d.interior_edges,
+                  d.interior_vertices) for d in out.discs]), out
+
+    cases = Counter()
+    for start in list(tight_corpus) + [build_H(i) for i in range(1, 18)]:
+        for hole in _greedy_chain(start):
+            for e in contractible_edges(hole):
+                got, out = outcome(contract, hole, e)
+                assert got == outcome(rebuild_contract, hole, e)[0], e
+                cases[_carry_case(hole, e, out)] += 1
+    assert set(cases) == {"link fails", "unchanged", "glued apex edge",
+                          "renamed", "rotated"}, cases
+
+
+def test_carried_contraction_skips_validation(monkeypatch, tight_corpus):
+    # where the link condition holds, contract builds no TorusComplex, and
+    # unfolds no disc unless the walk's rotation may change; the carried
+    # torus is coherently oriented: each directed edge is traversed once.
+    # (Every contractible edge of H1 fails the link condition.)
+    calls = Counter()
+
+    def counting(cls, name):
+        original = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+
+    counting(TorusComplex, "__init__")
+    counting(DiscMap, "_unfold")
+    cases = Counter()
+    for hole in tight_corpus[:2]:
+        for e in contractible_edges(hole):
+            calls.clear()
+            out = contract(hole, e)
+            case = _carry_case(hole, e, out)
+            cases[case] += 1
+            if case == "unchanged":
+                assert not calls, (e, calls)
+            elif case in ("renamed", "rotated"):
+                # the disc is unfolded again only where the trace's start
+                # may move, which includes every rotated walk
+                assert calls["__init__"] == 0 and calls["_unfold"] <= 1
+                cases["unfolded"] += calls["_unfold"]
+            else:
+                continue
+            directed = Counter(d for f in out.torus.faces
+                               for d in zip(f, f[1:] + f[:1]))
+            assert set(directed.values()) == {1}
+            assert {(v, u) for u, v in directed} == set(directed)
+            assert len(directed) == 2 * len(out.torus.edges)
+    assert cases["unchanged"], cases
+    assert cases["renamed"] + cases["rotated"] > cases["unfolded"], cases
 
 
 def test_contract_blocked_edge_raises():
@@ -379,6 +481,35 @@ def test_no_tight_contraction_raises_stuck(monkeypatch):
     assert (code, out) == (1, "")
     assert err == f"error: {stuck.value}\n"
     assert "no tightness-preserving contraction" in err
+
+
+def test_stuck_and_failed_contraction_carry_their_record(monkeypatch):
+    # the record at the end of the message reproduces the failure when it
+    # is piped into the CLI
+    def refuse(hole, e):
+        raise errors.NotContractible(f"{e} refused")
+
+    monkeypatch.setattr(reduction, "contract", refuse)
+    with pytest.raises(errors.StuckButContractible) as stuck:
+        reduce_greedy(build_H(1))
+    message = str(stuck.value)
+    _, _, record = message.partition("; record: ")
+    code, out, err = run_main(["tree", "-"], json.loads(record))
+    assert (code, out) == (1, "")
+    assert err.splitlines()[0] == f"error: {message}"
+    monkeypatch.undo()
+
+    def fail(retained, walks):
+        raise errors.NotADisc("refill refused")
+
+    monkeypatch.setattr(reduction, "retriangulate_holes", fail)
+    hole, e = next((h, e) for h in map(build_H, range(1, 18))
+                   for e in contractible_edges(h)
+                   if _carry_case(h, e, None) == "link fails")
+    with pytest.raises(errors.NotContractible) as failed:
+        contract(hole, e)
+    _, _, record = str(failed.value).partition("; record: ")
+    assert record_to_hole(json.loads(record)).graph == hole.graph
 
 
 def test_certify_h17_chain_length_one():
