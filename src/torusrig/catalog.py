@@ -11,6 +11,7 @@ values plus the edge-letter occurrences always sum to 9.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -268,12 +269,16 @@ def _load_graph_record(name: str) -> dict:
         return json.load(fh)
 
 
+@functools.lru_cache(maxsize=None)
 def build_H(i: int) -> TorusWithHole:
     """The stored vertex-minimal representative H_i, 1 <= i <= 17.
 
     Representatives are data files (rectangular or annular torus face lists
     plus a hole region); the test suite revalidates tightness, the boundary
-    word, and V(H_i) = V(boundary) rather than trusting the data.
+    word, and V(H_i) = V(boundary) rather than trusting the data.  The data
+    is constant and belongs to the package, and a ``TorusWithHole`` is never
+    mutated, so each record is parsed and validated once per process and the
+    same object is returned after that (at most 17 are held).
     """
     if not 1 <= i <= 17:
         raise errors.NoMatchingCatalogGraph(f"index {i} out of range 1..17")

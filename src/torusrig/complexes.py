@@ -100,14 +100,17 @@ class SurfaceComplex:
 def _orient_coherently(faces, edge_faces):
     """Flip faces so adjacent faces traverse shared edges oppositely.
 
-    Returns the reoriented face list; raises NotClosedSurface if the complex
-    is not orientable.  Assumes every edge lies in exactly two faces.
+    Returns the reoriented face list and the number of components of the
+    faces under shared-edge adjacency; raises NotClosedSurface if the
+    complex is not orientable.  Assumes every edge lies in exactly two faces.
     """
     faces = list(faces)
     oriented = [False] * len(faces)
+    components = 0
     for seed in range(len(faces)):
         if oriented[seed]:
             continue
+        components += 1
         oriented[seed] = True
         stack = [seed]
         while stack:
@@ -125,7 +128,7 @@ def _orient_coherently(faces, edge_faces):
                     stack.append(j)
                 elif not agrees:
                     raise errors.NotClosedSurface("complex is not orientable")
-    return [canon_face(f) for f in faces]
+    return [canon_face(f) for f in faces], components
 
 
 class TorusComplex(SurfaceComplex):
@@ -144,21 +147,53 @@ class TorusComplex(SurfaceComplex):
         for e, fs in self.edge_faces.items():
             if len(fs) != 2:
                 raise errors.NotClosedSurface(f"edge {e} lies in {len(fs)} faces")
-        if not self.graph.is_connected():
-            raise errors.NotClosedSurface("complex is not connected")
         if self.euler_characteristic() != 0:
             raise errors.NotClosedSurface(
                 f"Euler characteristic {self.euler_characteristic()} != 0")
-        reoriented = _orient_coherently(self.faces, self.edge_faces)
+        reoriented, components = _orient_coherently(self.faces, self.edge_faces)
         self.faces = tuple(reoriented)
         if freedom(self) != 0:
             raise errors.NotClosedSurface("torus complex must have freedom number 0")
+        _check_vertex_links(self)
+        # with every link one cycle, the faces around a vertex are connected,
+        # so the faces are connected iff the graph is
+        if components != 1:
+            raise errors.NotClosedSurface("complex is not connected")
 
     @functools.cached_property
     def cochain(self):
         """The homology cochain of ``homology.EdgeCochain``, built once."""
         from .homology import EdgeCochain
         return EdgeCochain(self)
+
+
+def _check_vertex_links(torus: TorusComplex) -> None:
+    """NotClosedSurface unless every vertex link is a single cycle.
+
+    With the faces coherently oriented, face (a, b, c) steps the link of a
+    from b to c, so one pass over the faces builds every link as a
+    permutation of the vertex's neighbours, and a link is one cycle iff the
+    walk from one neighbour visits them all.  Without this check a sphere
+    and two tori wedged at one vertex pass as a torus: every edge lies in
+    two faces, the graph is connected and chi = 0.
+    """
+    step: dict[int, dict[int, int]] = {v: {} for v in torus.vertices}
+    for a, b, c in torus.faces:
+        step[a][b] = c
+        step[b][c] = a
+        step[c][a] = b
+    for v, link in step.items():
+        start = x = next(iter(link))
+        length = 0
+        while True:
+            x = link[x]
+            length += 1
+            if x == start:
+                break
+        if length != len(link):
+            raise errors.NotClosedSurface(
+                f"the link of vertex {v} is not one cycle: the surface is "
+                "pinched there")
 
 
 def _contracted_torus(torus: TorusComplex, keep: int, gone: int,

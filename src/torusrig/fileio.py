@@ -35,6 +35,14 @@ def hole_to_record(hole: TorusWithHole) -> dict:
     }
 
 
+def with_record(error: type[errors.TorusRigError], hole: TorusWithHole,
+                why: str) -> errors.TorusRigError:
+    """``error`` whose message ends with the hole's sorted-key JSON record,
+    so that piping the record into ``torusrig <cmd> -`` reruns the failure."""
+    record = json.dumps(hole_to_record(hole), sort_keys=True)
+    return error(f"{why}; record: {record}")
+
+
 def _items(value, field: str, length: int | None = None, ints=False) -> list:
     """``value`` if it is a list (of ``length`` entries, of integers), else
     MalformedRecord naming ``field``."""

@@ -65,19 +65,6 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = set()
-        stack = [next(iter(self.vertices))]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(self._adj[v] - seen)
-        return len(seen) == len(self.vertices)
-
     # -- moves on abstract graphs --------------------------------------
 
     def split_vertex(self, v1: int, v2: int, v3: int, moved_edges,

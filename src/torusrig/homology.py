@@ -15,7 +15,7 @@ arcs of the detachment walk, recorded up to sign.
 
 from __future__ import annotations
 
-from . import errors
+from . import errors, fileio
 from .complexes import ClosedWalk, TorusComplex, TorusWithHole
 from .graphs import edge_key
 
@@ -144,6 +144,7 @@ def crossover_class(hole: TorusWithHole, e) -> frozenset:
     classes = {canonical_class(walk_homology(cochain, ClosedWalk(arc)))
                for arc in _walk_arcs(hole.detachment_walk(), v, u)}
     if (0, 0) in classes:
-        raise errors.TrivialClassFound(
+        raise fileio.with_record(
+            errors.TrivialClassFound, hole,
             f"crossover edge ({u},{v}) has a null-homologous cycle")
     return frozenset(classes)

@@ -4,7 +4,9 @@ Contraction of a contractible FF edge either keeps the graph tight or the
 edge lies on a critical separating cycle (the boundary of an enlargement of
 the hole disc whose complementary graph is tight).  A critical cycle supports
 a fission move, which substitutes the matching catalog graph for the
-complement.
+complement.  Criticality is decided once per cycle: a ``SeparatingCycle``
+builds its outer part and checks its tightness on first use, and the search,
+``is_critical`` and ``fission`` share that verdict.
 
 The key-lemma search rests on a freedom count.  Let W be the violator of
 G/e and L its lift to G, and let a be the number of apexes of e in L.  Then
@@ -36,8 +38,8 @@ child is not a subgraph of the input, so it yields no vertex split.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
-import json
 from dataclasses import dataclass
 
 from . import catalog, errors, fileio
@@ -56,14 +58,6 @@ class EdgeClass(enum.Enum):
     BOUNDARY_INCIDENT_FACE = "BoundaryIncidentFace"
     FF_CONTRACTIBLE = "FFContractible"
     FF_BLOCKED = "FFBlocked"
-
-
-def _with_record(error: type[errors.TorusRigError], hole: TorusWithHole,
-                 why: str) -> errors.TorusRigError:
-    """``error`` whose message ends with the hole's sorted-key JSON record,
-    so that piping the record into ``torusrig <cmd> -`` reruns the failure."""
-    record = json.dumps(fileio.hole_to_record(hole), sort_keys=True)
-    return error(f"{why}; record: {record}")
 
 
 def _apexes(hole: TorusWithHole, e) -> tuple[int, int]:
@@ -180,7 +174,7 @@ def contract(hole: TorusWithHole, e) -> TorusWithHole:
     try:
         return retriangulate_holes(retained2, walks2)
     except errors.TorusRigError as exc:
-        raise _with_record(
+        raise fileio.with_record(
             errors.NotContractible, hole,
             f"contracting {e} breaks the hole structure: {exc}") from exc
 
@@ -190,16 +184,30 @@ def contract(hole: TorusWithHole, e) -> TorusWithHole:
 
 @dataclass(frozen=True)
 class SeparatingCycle:
-    """Boundary of an enlargement D1 of the hole disc, as walk plus disc."""
+    """Boundary of an enlargement D1 of the hole disc, as walk plus disc.
+
+    The outer part and whether it is tight are worked out once per cycle,
+    on first use, and shared by ``divide``, ``is_critical`` and ``fission``.
+    """
     walk: ClosedWalk
     disc: DiscMap
+
+    @functools.cached_property
+    def outer(self) -> TorusWithHole:
+        """G1: the torus with the enlarged disc as its hole."""
+        return TorusWithHole(self.disc.torus, [self.disc])
+
+    @functools.cached_property
+    def critical(self) -> bool:
+        """Whether the outer part G1 is (3,6)-tight."""
+        return check_3_6(self.outer.graph).is_tight
 
 
 def divide(hole: TorusWithHole, cycle: SeparatingCycle) -> tuple[TorusWithHole, Graph]:
     """Division move: the outer part (a torus with the enlarged hole) and the
     annulus of graph edges inside the region."""
     torus = hole.torus
-    g1 = TorusWithHole(torus, [cycle.disc])
+    g1 = cycle.outer
     region_edges = {e for f in cycle.disc.faces
                     for e in _face_edges(torus.faces[f])}
     ann_edges = (region_edges & hole.graph.edges) - hole.deleted_edges
@@ -208,8 +216,8 @@ def divide(hole: TorusWithHole, cycle: SeparatingCycle) -> tuple[TorusWithHole, 
 
 
 def is_critical(hole: TorusWithHole, cycle: SeparatingCycle) -> bool:
-    g1, _ = divide(hole, cycle)
-    return check_3_6(g1.graph).is_tight
+    """Whether the cycle's outer part is tight; decided once per cycle."""
+    return cycle.critical
 
 
 # -- key lemma: constructive critical-cycle search --------------------------
@@ -270,20 +278,22 @@ def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | Non
     tight input, and a = 1 forces f(L) = 6, so L is the only core.  With
     a = 0, f(L) is 6 or 7, so the cores are L with either apex, and L alone
     with e exposed (the region then holds both faces of e).
+
+    The lemma is about the graph G/e, so the search decides on the plain
+    graph contraction and never builds the contracted hole.
     """
     e = edge_key(*e)
     if classify_edge(hole, e) is not EdgeClass.FF_CONTRACTIBLE:
         raise errors.NotContractible(f"{e} is not a contractible FF edge")
-    contracted = contract(hole, e)
     z = e[0]
-    verdict = check_3_6(contracted.graph, through_vertex=z)
+    verdict = check_3_6(contract_edge(hole.graph, *e), through_vertex=z)
     if verdict.is_sparse:
         return None
     lifted = frozenset(verdict.witness - {z}) | set(e)
     apex_face = dict(zip(_apexes(hole, e), hole.edge_retained_faces[e]))
     apexes = set(apex_face)
     if apexes <= lifted:
-        raise _with_record(
+        raise fileio.with_record(
             errors.NoCriticalCycle, hole, f"violating set contains both faces of {e}; the input "
             "graph cannot have been tight")
     cores = [lifted] if apexes & lifted else \
@@ -297,7 +307,7 @@ def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | Non
         region = _grow_region(hole.torus, start, _blocked_faces(hole, k_set))
         candidates.extend(_region_criticals(hole, region, e))
     if not candidates:
-        raise _with_record(
+        raise fileio.with_record(
             errors.NoCriticalCycle, hole, f"no critical separating cycle through {e}; this violates "
             "the key lemma on tight inputs")
     return min(candidates, key=lambda c: c.walk.canonical())
@@ -329,16 +339,28 @@ def exhaustive_critical_cycles_through(hole: TorusWithHole, e) -> list[Separatin
 def fission(hole: TorusWithHole, cycle: SeparatingCycle
             ) -> tuple[TorusWithHole, TorusWithHole]:
     """Fission move at a critical cycle: (G1, G2) with the catalog graph
-    substituted for G1; both children must come out simple and tight."""
-    g1, ann = divide(hole, cycle)
-    if not check_3_6(g1.graph).is_tight:
+    substituted for G1; both children must come out simple and tight.
+
+    Criticality is decided once per cycle (``SeparatingCycle.critical``), so
+    a cycle the search has already found critical is not checked again; a
+    hand-built cycle is checked here.  InvalidCycle when G1 is not tight.
+    """
+    if not cycle.critical:
         raise errors.InvalidCycle("cycle is not critical: outer part not tight")
+    g1 = cycle.outer
     cls = catalog.walk_class(g1.detachment_walk())
-    idx, h_rep = catalog.catalog_graph_for_class(cls)
+    try:
+        _idx, h_rep = catalog.catalog_graph_for_class(cls)
+    except errors.NoMatchingCatalogGraph as exc:
+        raise fileio.with_record(
+            errors.NoMatchingCatalogGraph, hole,
+            f"at the cycle {list(cycle.walk.vertices)}: {exc}") from exc
     g2 = _substitute(hole, cycle, h_rep)
     if not check_3_6(g2.graph).is_tight:
-        raise errors.NoMatchingCatalogGraph(
-            "substitution produced a non-tight graph; fission lemma violated")
+        raise fileio.with_record(
+            errors.NoMatchingCatalogGraph, hole,
+            "substitution produced a non-tight graph at the cycle "
+            f"{list(cycle.walk.vertices)}; fission lemma violated")
     return g1, g2
 
 
@@ -397,7 +419,8 @@ def _substitute(hole: TorusWithHole, cycle: SeparatingCycle,
                 return attempt(h_faces)
             except errors.TorusRigError as exc:
                 errors_seen.append(f"{attempt.__name__} #{k}: {exc}")
-    raise errors.NoMatchingCatalogGraph(
+    raise fileio.with_record(
+        errors.NoMatchingCatalogGraph, hole,
         f"no walk alignment glues the catalog graph onto the cycle "
         f"{list(w_c)} ({len(alignments)} consistent alignments): "
         + ("; ".join(errors_seen) or "none"))
@@ -460,7 +483,7 @@ def reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contraction]
             current = result
             break
         else:
-            raise _with_record(
+            raise fileio.with_record(
                 errors.StuckButContractible, current,
                 f"no tightness-preserving contraction among {len(cand)} "
                 "contractible edges")

@@ -71,9 +71,10 @@ def _pebble_sparse(g: Graph) -> bool:
     left on u and v, a set S containing both is (3,5)-tight exactly when it
     is closed under out-edges and holds no other free pebble.  The largest
     such set, the component of uv, is every vertex that cannot reach a free
-    pebble off u and v.  A component of three or more vertices, or a
-    rejected edge, is a (3,6) violation; on a simple graph the component is
-    always found first.
+    pebble off u and v; forward searches from the in-neighbours of u and v
+    alone decide whether it has three or more vertices.  A component that
+    big, or a rejected edge, is a (3,6) violation; on a simple graph the
+    component is always found first.
     """
     pebbles = dict.fromkeys(g.vertices, 3)
     out = {v: set() for v in g.vertices}
@@ -106,28 +107,38 @@ def _pebble_sparse(g: Graph) -> bool:
 
     def big_component(u, v) -> bool:
         """Whether the (3,5)-tight component of the placed edge uv has three
-        or more vertices; it is empty when u and v reach a free pebble."""
-        reach = {u, v}
-        stack = [u, v]
-        while stack:
-            for y in out[stack.pop()]:
-                if y not in reach:
-                    if pebbles[y]:
-                        return False
-                    reach.add(y)
-                    stack.append(y)
-        if len(reach) >= 3:
-            return True
-        # u and v reach no free pebble, so this backward search from the
-        # free pebbles never enters them
-        escapes = {w for w, p in pebbles.items() if p and w not in reach}
-        stack = list(escapes)
-        while stack:
-            for x in into[stack.pop()]:
-                if x not in escapes:
-                    escapes.add(x)
-                    stack.append(x)
-        return len(pebbles) - len(escapes) >= 3
+        or more vertices.
+
+        Before the placement u and v hold all their six pebbles, so no other
+        out-edge leaves them: u -> v is the only one, and the component is
+        {u, v} with every vertex that reaches no free pebble off u and v.  A
+        (3,5)-tight set S on three or more vertices spans a connected graph:
+        a part of a vertices spans at most 3a - 3 edges, so two parts with
+        no edge between them span at most 3|S| - 6.  So a component that big
+        holds a vertex w other than u and v adjacent to one of them, the
+        edge points w -> u or w -> v, and only these in-neighbours need a
+        forward search.  A vertex on the parent chain to a free pebble
+        reaches one too and is marked; the other vertices that search
+        visited may be dead ends inside the component, so they are not.
+        """
+        escapes: set = set()
+        for w in (into[u] | into[v]) - {u, v}:
+            parent = {w: None}
+            stack = [w]
+            while stack:
+                x = stack.pop()
+                if x in escapes or pebbles[x]:
+                    while x is not None:
+                        escapes.add(x)
+                        x = parent[x]
+                    break
+                for y in out[x]:
+                    if y not in parent and y != u and y != v:
+                        parent[y] = x
+                        stack.append(y)
+            else:
+                return True
+        return False
 
     for u, v in g.sorted_edges():
         pinned = (u, v)

@@ -57,6 +57,20 @@ def rank_rational(rows) -> int:
     return rank
 
 
+def is_connected(g: Graph) -> bool:
+    if not g.vertices:
+        return True
+    seen = set()
+    stack = [next(iter(g.vertices))]
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        stack.extend(g.neighbors(v) - seen)
+    return len(seen) == len(g.vertices)
+
+
 def induced(g: Graph, vertex_set) -> Graph:
     """The subgraph of g induced on ``vertex_set``."""
     s = frozenset(vertex_set)

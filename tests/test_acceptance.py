@@ -24,7 +24,7 @@ from torusrig.rigidity import generic_rank, is_min_3_rigid, rigidity_report
 from torusrig.sparsity import brute_force_3_6, check_3_6, is_in_T
 from torusrig.corpus import CorpusSpec, gen_corpus
 
-from helpers import induced
+from helpers import induced, is_connected
 
 K5_MINUS_EDGE = Graph(range(5), complete_graph(5).edges - {(0, 1)})
 
@@ -227,7 +227,7 @@ def _has_separating_pair(g: Graph):
     verts = sorted(g.vertices)
     for x, y in itertools.combinations(verts, 2):
         rest = induced(g, g.vertices - {x, y})
-        if len(rest.vertices) > 1 and not rest.is_connected():
+        if len(rest.vertices) > 1 and not is_connected(rest):
             return (x, y)
     return None
 

@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
@@ -11,7 +13,9 @@ from torusrig.complexes import (MAX_KEEP, DiscMap, SurfaceComplex,
                                 retriangulate_holes)
 from torusrig.graphs import freedom
 
-from helpers import NonSimpleQuotient, identify_face_graph
+from helpers import NonSimpleQuotient, identify_face_graph, is_connected
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def test_single_triangle():
@@ -33,6 +37,24 @@ def test_build_complex_errors():
         SurfaceComplex([(0, 0, 1)])
     with pytest.raises(errors.DuplicateFace):
         SurfaceComplex([(0, 1, 2), (2, 0, 1)])
+
+
+def test_pinched_wedge_is_not_a_torus():
+    # a tetrahedron and two 3x3 grid tori wedged at vertex 3: every edge
+    # lies in two faces, the graph is connected, it is orientable and
+    # chi = 2 + 0 + 0 - 2 = 0, but the link of vertex 3 is three cycles
+    faces = json.loads((DATA / "pinched_wedge.json").read_text())["faces"]
+    sc = SurfaceComplex(faces)
+    assert not sc.boundary_edges() and sc.euler_characteristic() == 0
+    assert is_connected(sc.graph)
+    with pytest.raises(errors.NotClosedSurface, match="link of vertex 3"):
+        TorusComplex(faces)
+
+
+def test_disjoint_tori_are_not_connected():
+    faces = grid_faces(3, 3) + [tuple(9 + x for x in f) for f in grid_faces(3, 3)]
+    with pytest.raises(errors.NotClosedSurface, match="not connected"):
+        TorusComplex(faces)
 
 
 def test_round_trip_rebuild():

@@ -207,6 +207,15 @@ def test_cli_error_exit_code(tmp_path):
     assert "error" in r.stderr
 
 
+def test_cli_check_rejects_pinched_surface():
+    # chi = 0 and every edge in two faces, but three surfaces meet at vertex 3
+    r = run_cli(["check", "-"], stdin=(DATA / "pinched_wedge.json").read_text())
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("error:") and "link of vertex 3" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_cli_check_pins_violation_witness():
     # the fourth seed-7 record on the 4x4 torus violates (3,6); its witness
     # is the first violating set of the per-edge flow scan in sorted order

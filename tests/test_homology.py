@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import weakref
 
@@ -8,6 +9,8 @@ from torusrig import errors
 from torusrig.catalog import build_H
 from torusrig.complexes import (ClosedWalk, TorusComplex, cut_hole, grid_faces,
                                 rectangular_torus)
+from torusrig.corpus import CorpusSpec, corpus_records
+from torusrig.fileio import hole_to_record, record_to_hole
 from torusrig.homology import canonical_class, crossover_class, walk_homology
 from torusrig.reduction import reduce_greedy
 
@@ -220,3 +223,16 @@ def test_pinched_catalog_crossovers_nontrivial(index):
     for e in edges:
         classes = crossover_class(h, e)
         assert classes and (0, 0) not in classes, e
+
+
+def test_trivial_class_error_carries_its_record():
+    # the fourth record of ``torusrig gen --seed 7 --count 8`` violates
+    # (3,6), and its crossover edge (0, 6) closes a null-homologous cycle
+    rec = corpus_records(CorpusSpec(seed=7, count=8))[3]
+    assert rec["meta"]["status"] == "Violation"
+    hole = record_to_hole(rec)
+    with pytest.raises(errors.TrivialClassFound) as info:
+        crossover_class(hole, (0, 6))
+    record = json.loads(str(info.value).split("; record: ", 1)[1])
+    assert record == hole_to_record(hole)
+    assert record_to_hole(record).graph == hole.graph

@@ -21,8 +21,9 @@ from torusrig.reduction import (Certificate, EdgeClass, certify, classify_edge,
 from torusrig.rigidity import generic_rank
 from torusrig.sparsity import check_3_6
 
-from helpers import (induced, link_cycle, rebuild_contract, run_main,
-                     separating_cycle, tight_set_critical_cycles, vertex_split)
+from helpers import (induced, is_connected, link_cycle, rebuild_contract,
+                     run_main, separating_cycle, tight_set_critical_cycles,
+                     vertex_split)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -334,6 +335,79 @@ def test_tight_set_oracle_matches_exhaustive_oracle(hole, e):
     assert is_critical(hole, cycle)
 
 
+# the cycles the search finds through contractible edges of H1-H17 and
+# repro A; every other contractible edge gives None
+SEARCH_WALKS = {
+    ("H2", (0, 8)): (0, 3, 4, 5, 3, 0, 8, 7, 6),
+    ("repro_a", (0, 1)): (0, 4, 3, 2, 6, 0, 1, 2, 5),
+    ("repro_a", (0, 6)): (0, 4, 3, 2, 6, 0, 1, 2, 5),
+}
+
+
+def test_search_decides_without_contracting_the_hole(monkeypatch):
+    holes = [(f"H{i}", build_H(i)) for i in range(1, 18)]
+    holes.append(("repro_a", load_hole(DATA / "keylemma_repro_a.json")))
+    expected = {}
+    for name, hole in holes:
+        for e in contractible_edges(hole):
+            tight = check_3_6(contract(hole, e).graph).is_tight
+            expected[name, e] = None if tight else SEARCH_WALKS[name, e]
+    assert len(expected) == 54
+
+    def no_contract(*args):
+        raise AssertionError("the search built a contracted hole")
+
+    monkeypatch.setattr(reduction, "contract", no_contract)
+    for name, hole in holes:
+        for e in contractible_edges(hole):
+            cycle = find_critical_cycle_through(hole, e)
+            got = None if cycle is None else cycle.walk.vertices
+            assert got == expected[name, e], (name, e)
+
+
+def test_fission_rejects_a_cycle_that_is_not_critical():
+    # one face added to H1's hole: the enlarged disc deletes the edge the
+    # face shares with the hole, so the outer part has freedom 7
+    h1 = build_H(1)
+    region = set(h1.single_disc.faces)
+    extra = min(set().union(*(h1.torus.face_adjacency()[f] for f in region))
+                - region)
+    cycle = separating_cycle(h1, region | {extra})
+    assert freedom(cycle.outer.graph) == 7
+    assert not is_critical(h1, cycle)
+    with pytest.raises(errors.InvalidCycle, match="not critical"):
+        fission(h1, cycle)
+
+
+@pytest.mark.parametrize("hole, e", [
+    (load_hole(DATA / "keylemma_repro_a.json"), (0, 6)),
+    (build_H(2), (0, 8)),
+    (cut_hole(rectangular_torus(3, 3), [0, 1, 2, 3, 9, 14, 15]), (3, 7)),
+], ids=["repro_a", "H2", "pinched_v3v6"])
+def test_outer_part_checked_once_per_candidate_cycle(monkeypatch, hole, e):
+    # the search checks G/e, then each candidate's outer part G1 once in
+    # is_critical; fission reuses that verdict and checks only G2
+    checked, candidates = [], []
+    real_check, real_is_critical = reduction.check_3_6, reduction.is_critical
+
+    def counting_check(g, **kwargs):
+        checked.append(g)
+        return real_check(g, **kwargs)
+
+    def counting_is_critical(hole, cycle):
+        candidates.append(cycle)
+        return real_is_critical(hole, cycle)
+
+    monkeypatch.setattr(reduction, "check_3_6", counting_check)
+    monkeypatch.setattr(reduction, "is_critical", counting_is_critical)
+    cycle = find_critical_cycle_through(hole, e)
+    g1, g2 = fission(hole, cycle)
+    assert any(c is cycle for c in candidates)
+    assert g1 is cycle.outer
+    assert checked == [contract_edge(hole.graph, *e)] + \
+        [c.outer.graph for c in candidates] + [g2.graph]
+
+
 def test_repro_b_is_tight_with_no_critical_cycle():
     # a v9 record grown from H17 with a collar: tight and minimally rigid,
     # and no tight vertex set through (3, 17) carries a critical cycle, so
@@ -435,7 +509,7 @@ def test_two_octahedra_tight_but_flexible():
     assert len(hole.discs) == 2
     assert check_3_6(g).is_tight
     assert generic_rank(g) == 23 < 3 * len(g.vertices) - 6 == 24
-    assert not induced(g, g.vertices - {0, 1}).is_connected()
+    assert not is_connected(induced(g, g.vertices - {0, 1}))
     with pytest.raises(errors.SingleHoleRequired, match="2 holes"):
         reduce_greedy(hole)
 
@@ -629,3 +703,7 @@ def test_substitute_error_names_cycle_and_every_alignment(monkeypatch):
     assert "edge (1, 5) lies in 4 faces" in message
     assert "face (1, 5, 2) occurs twice" in message
     assert message.count("refill disabled") == 2
+    # the message ends with the hole's record, which reloads to the hole
+    record = json.loads(message.split("; record: ", 1)[1])
+    assert record == hole_to_record(hole)
+    assert record_to_hole(record).graph == hole.graph

@@ -157,3 +157,36 @@ def test_contraction_verdicts_match_flow_scan():
             assert got == _flow_scan(g, through_vertex=e[0]).to_json()
             violations += got["status"] == Status.VIOLATION.value
     assert violations > 0
+
+
+def _tight_plus_one_edge(rng, n_core, n_outer):
+    """A tight graph grown by 0-extensions (a new vertex joined to three old
+    ones) from a triangle: the first ``n_core`` vertices span a tight subset
+    S, and one more edge between two non-adjacent vertices of S makes S
+    violate.  Vertex ids are shuffled, so the edge that closes the violation
+    comes anywhere in the sorted placement order."""
+    edges = {(0, 1), (0, 2), (1, 2)}
+    for z in range(3, n_core + n_outer):
+        edges |= {(a, z) for a in rng.sample(range(z), 3)}
+    missing = [(a, b) for a in range(n_core) for b in range(a + 1, n_core)
+               if (a, b) not in edges]
+    edges.add(rng.choice(missing))
+    label = list(range(n_core + n_outer))
+    rng.shuffle(label)
+    return Graph(label, [(label[a], label[b]) for a, b in edges])
+
+
+def test_pebble_component_check_on_tight_plus_one_edge():
+    # each graph violates inside S; the ends of a placed edge hold no other
+    # out-edge, so the rest of its component is reached only through
+    # in-edges.  With one edge deleted a graph may or may not violate; there
+    # a search that marks every visited vertex as escaping goes wrong.
+    rng = random.Random(13)
+    for _ in range(400):
+        n_core = rng.randint(5, 8)
+        g = _tight_plus_one_edge(rng, n_core, rng.randint(0, 5))
+        assert not brute_force_3_6(g).is_sparse
+        assert _pebble_sparse(g) is False
+        for e in rng.sample(sorted(g.edges), 3):
+            h = Graph(g.vertices, g.edges - {e})
+            assert _pebble_sparse(h) is brute_force_3_6(h).is_sparse
