@@ -37,8 +37,17 @@ def hole_to_record(hole: TorusWithHole) -> dict:
 
 def with_record(error: type[errors.TorusRigError], hole: TorusWithHole,
                 why: str) -> errors.TorusRigError:
-    """``error`` whose message ends with the hole's sorted-key JSON record,
-    so that piping the record into ``torusrig <cmd> -`` reruns the failure."""
+    """``error`` whose message ends with the hole's sorted-key JSON record.
+
+    The record reruns the failure.  For ``reduce_greedy`` and ``contract``
+    (``StuckButContractible``, ``NotContractible``) pipe it into
+    ``torusrig reduce -``, ``tree -`` or ``certify -``.  No subcommand runs
+    the key-lemma search or ``fission``, and ``torusrig homology -`` refuses
+    a non-tight record before ``crossover_class`` runs; so a record from
+    ``NoCriticalCycle``, from ``fission`` or from ``TrivialClassFound``
+    reruns through the API: ``record_to_hole``, then
+    ``find_critical_cycle_through``, ``fission`` or ``crossover_class`` on
+    the edge or cycle that the message names."""
     record = json.dumps(hole_to_record(hole), sort_keys=True)
     return error(f"{why}; record: {record}")
 

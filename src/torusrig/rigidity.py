@@ -7,12 +7,20 @@ the maximum over independent trials converges one-sidedly to the generic
 rank.  Each r x r minor of the rigidity matrix has degree at most r <= 3|V|
 as a polynomial in the coordinates, so the per-trial failure probability is
 at most 3|V| / 2^62 -- far below 2^-40 at desk scale.
+
+The elimination (``rank_mod_p``) runs on sparse rows and reduces an entry
+mod p only where it reads it, and ``rank_at_placement`` orders the column
+blocks by greedy minimum-degree elimination of the vertices, which keeps the
+fill small.  Neither changes a rank: the field, the placements, the trials
+and so the one-sided bound above are those of the plain dense elimination,
+which the tests keep as the reference.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 
 from . import errors
 from .graphs import as_graph
@@ -42,11 +50,12 @@ def random_placement(graph, seed: int, modulus: int = FIELD_PRIME) -> Placement:
     return Placement(coords, modulus, seed)
 
 
-def rigidity_matrix(graph, placement: Placement) -> list[list[int]]:
+def rigidity_matrix(graph, placement: Placement, order=None) -> list[list[int]]:
     """The |E| x 3|V| matrix: row uv carries p(u)-p(v) in u's block and the
-    negative in v's block."""
+    negative in v's block.  The blocks come in sorted vertex order, or in
+    ``order``, a list of the vertices."""
     g = as_graph(graph)
-    verts = sorted(g.vertices)
+    verts = sorted(g.vertices) if order is None else order
     col = {v: DIM * i for i, v in enumerate(verts)}
     p = placement.coords
     mod = placement.modulus
@@ -66,38 +75,79 @@ def rigidity_matrix(graph, placement: Placement) -> list[list[int]]:
 
 
 def rank_mod_p(rows, p: int = FIELD_PRIME) -> int:
-    """Exact rank of an integer matrix over GF(p), by Gaussian elimination."""
+    """Exact rank over GF(p) of a matrix of any integers, by Gaussian
+    elimination with lazy reduction.
+
+    Rows are held sparse (column -> entry) and columns are eliminated left
+    to right.  An entry is reduced mod p only when its column comes up: that
+    one read is both the pivot test and the row's multiplier f, and the
+    column is then dropped from the row.  The pivot row is reduced once and
+    scaled to -1/pivot, so clearing the column from another row is the plain
+    update a + f*b over the pivot row's entries, with no division by p; an
+    entry grows by less than p^2 per update, and at most once per pivot.
+    Entries may be negative, at least p, or nonzero multiples of p (which
+    count as zero).
+    """
     if not rows:
         return 0
-    rows = [[x % p for x in row] for row in rows]
     ncols = len(rows[0])
+    rows = [dict(compress(enumerate(r), r)) for r in rows]
+    holders = [[] for _ in range(ncols)]  # column -> rows with an entry there
+    for i, r in enumerate(rows):
+        for c in r:
+            holders[c].append(i)
     rank = 0
     for c in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
+        live = []  # (index, row, multiplier) of the rows nonzero at c
+        for i in holders[c]:
+            r = rows[i]
+            if r is not None:
+                f = r.pop(c) % p
+                if f:
+                    live.append((i, r, f))
+        if not live:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        inv = pow(pr[c], -1, p)
-        if inv != 1:
-            rows[rank] = pr = [(x * inv) % p for x in pr]
-        for i in range(rank + 1, len(rows)):
-            ri = rows[i]
-            f = ri[c]
-            if f:
-                rows[i] = [(a - f * b) % p for a, b in zip(ri, pr)]
+        (i, pivot, x), *live = live
+        rows[i] = None
         rank += 1
-        if rank == len(rows):
-            break
+        if not live:
+            continue
+        s = -pow(x, -1, p)
+        scaled = [(k, b * s % p) for k, b in pivot.items()]
+        for i, r, f in live:
+            for k, b in scaled:
+                a = r.get(k)
+                if a is None:
+                    r[k] = f * b
+                    holders[k].append(i)
+                else:
+                    r[k] = a + f * b
     return rank
 
 
+def _min_degree_order(g) -> list:
+    """The vertices in greedy minimum-degree elimination order: repeatedly
+    take a vertex of least degree (least label on ties), delete it and join
+    its neighbours pairwise.  The joins are the fill that eliminating its
+    column block brings to the rows of those neighbours."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    order = []
+    while adj:
+        v = min(adj, key=lambda u: (len(adj[u]), u))
+        nbrs = adj.pop(v)
+        for u in nbrs:
+            adj[u] |= nbrs
+            adj[u] -= {u, v}
+        order.append(v)
+    return order
+
+
 def rank_at_placement(graph, placement: Placement) -> int:
-    return rank_mod_p(rigidity_matrix(graph, placement), placement.modulus)
+    """Exact rank of the rigidity matrix at ``placement``, its column blocks
+    in minimum-degree order; rank does not depend on the column order."""
+    g = as_graph(graph)
+    return rank_mod_p(rigidity_matrix(g, placement, _min_degree_order(g)),
+                      placement.modulus)
 
 
 def _check_trials(trials: int) -> None:

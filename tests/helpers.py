@@ -1,9 +1,10 @@
 """Oracles and builders that only the tests use.
 
 The package keeps the decide, classify, reduce and certify path; these are
-the slow cross-checks (rational rank, contraction by full rebuild), the builders
-(face-graph quotients, separating cycles from a region, vertex splits on a
-torus) that tests compare that path against, and an in-process CLI runner.
+the slow cross-checks (dense modular and rational rank, contraction by full
+rebuild), the builders (face-graph quotients, separating cycles from a
+region, vertex splits on a torus) that tests compare that path against, and
+an in-process CLI runner.
 """
 
 from __future__ import annotations
@@ -31,6 +32,39 @@ def run_main(args, record) -> tuple[int, str, str]:
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(args)
     return code, out.getvalue(), err.getvalue()
+
+
+def dense_rank_mod_p(rows, p: int) -> int:
+    """Rank over GF(p) by dense Gaussian elimination, every entry reduced
+    after every update, columns in the given order; the reference for
+    ``rigidity.rank_mod_p``."""
+    if not rows:
+        return 0
+    rows = [[x % p for x in row] for row in rows]
+    ncols = len(rows[0])
+    rank = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(rank, len(rows)):
+            if rows[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pr = rows[rank]
+        inv = pow(pr[c], -1, p)
+        if inv != 1:
+            rows[rank] = pr = [(x * inv) % p for x in pr]
+        for i in range(rank + 1, len(rows)):
+            ri = rows[i]
+            f = ri[c]
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(ri, pr)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
 
 
 def rank_rational(rows) -> int:

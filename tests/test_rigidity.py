@@ -1,14 +1,16 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusrig import errors
 from torusrig.catalog import build_H
 from torusrig.graphs import Graph, complete_graph, double_banana
+from torusrig.reduction import certify
 from torusrig.rigidity import (DIM, FIELD_PRIME, Placement, generic_rank,
                                is_min_3_rigid, random_placement,
                                rank_at_placement, rank_mod_p, rigidity_matrix,
                                rigidity_report)
 
-from helpers import rank_rational
+from helpers import dense_rank_mod_p, rank_rational
 
 
 def test_k2_rank_one():
@@ -115,6 +117,72 @@ def test_field_rank_matches_rational_rank_small():
                                    (0, 2), (1, 3)])):
             rows = _signed_integer_matrix(g, seed)
             assert rank_mod_p(rows) == rank_rational(rows)
+
+
+@st.composite
+def signed_matrices(draw):
+    """(p, rows): a random integer matrix for GF(p), p the field prime or 7.
+
+    Entries are small, beyond +-p, near +-p, or nonzero multiples of p.
+    Rows are added that duplicate or combine earlier ones, zero rows are
+    inserted, some columns are zeroed, and the rows are shuffled; shapes run
+    from empty through wide to tall.
+    """
+    p = draw(st.sampled_from([FIELD_PRIME, 7]))
+    entry = st.one_of(st.integers(-9, 9),
+                      st.integers(-3, 3).map(lambda k: k * p),
+                      st.integers(-3 * p * p, 3 * p * p),
+                      st.sampled_from([p - 1, p + 1, 1 - p, -p - 1]))
+    ncols = draw(st.integers(0, 9))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         max_size=7))
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        picks = draw(st.lists(st.sampled_from(range(len(rows))),
+                              min_size=1, max_size=3))
+        coefs = [draw(entry) for _ in picks]
+        rows.append([sum(a * rows[i][j] for a, i in zip(coefs, picks))
+                     for j in range(ncols)])
+        rows.append(list(rows[draw(st.sampled_from(range(len(rows))))]))
+    rows += [[0] * ncols for _ in range(draw(st.integers(0, 2)))]
+    zeroed = draw(st.sets(st.integers(0, ncols - 1))) if ncols else set()
+    rows = [[0 if j in zeroed else x for j, x in enumerate(r)] for r in rows]
+    return p, draw(st.permutations(rows))
+
+
+@given(signed_matrices())
+@settings(max_examples=400, deadline=None)
+def test_rank_mod_p_matches_dense_reference(case):
+    p, rows = case
+    assert rank_mod_p(rows, p) == dense_rank_mod_p(rows, p)
+
+
+@pytest.mark.parametrize("rows, p, rank", [
+    ([], FIELD_PRIME, 0),
+    ([[], []], FIELD_PRIME, 0),
+    ([[0, 0, 0], [0, 0, 0]], FIELD_PRIME, 0),
+    ([[1, -2, 3, 0, 5, -6, 7]], FIELD_PRIME, 1),
+    ([[1], [-2], [3], [0]], FIELD_PRIME, 1),
+    ([[FIELD_PRIME, 2 * FIELD_PRIME], [-FIELD_PRIME, 0]], FIELD_PRIME, 0),
+    ([[7, 14], [21, -7]], 7, 0),
+    ([[7, 1], [0, 7]], 7, 1),
+    ([[1, 2], [8, 9]], 7, 1),
+    ([[1, 2], [8, 9]], FIELD_PRIME, 2),
+    ([[-1, FIELD_PRIME + 1, 0], [1, -1, 0], [0, 0, 3 - FIELD_PRIME]],
+     FIELD_PRIME, 2),
+])
+def test_rank_mod_p_on_named_shapes(rows, p, rank):
+    assert rank_mod_p(rows, p) == dense_rank_mod_p(rows, p) == rank
+
+
+def test_rank_at_placement_matches_dense_reference_on_replays():
+    # every graph that verify_certificate replays for H1-H17, ranked in
+    # minimum-degree column order and by the dense sorted-order reference
+    for i in range(1, 18):
+        for g in certify(build_H(i)).replay():
+            placement = random_placement(g, seed=0)
+            dense = dense_rank_mod_p(rigidity_matrix(g, placement), FIELD_PRIME)
+            assert rank_at_placement(g, placement) == dense \
+                == 3 * len(g.vertices) - 6
 
 
 def test_rank_monotone_over_trials():

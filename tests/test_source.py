@@ -4,6 +4,9 @@ Invariants raise typed ``TorusRigError``s rather than ``assert``, which
 ``python -O`` strips.  Every definition in the package has a user: code
 that only tests call lives in ``tests/helpers.py``.  Every name a module
 imports is used there, except the bindings the benchmark tracer wraps.
+Every import is from the standard library or relative, as the empty
+``dependencies`` of ``pyproject.toml`` promise (numpy, say, would also add
+about 14 MB to a process's resident memory).
 """
 
 import ast
@@ -111,3 +114,17 @@ def test_every_import_is_used(monkeypatch):
             unused += [f"{path.name}:{node.lineno} {name}" for name in names
                        if name not in exempt[path.stem] and not named[name]]
     assert not unused, f"imported in src/ but never used: {unused}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_stdlib_or_relative(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules.append((node.lineno, node.module))
+    outside = [f"{path.name}:{line} {name}" for line, name in modules
+               if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert not outside, f"imports from outside the standard library: {outside}"
