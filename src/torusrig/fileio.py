@@ -40,8 +40,10 @@ def with_record(error: type[errors.TorusRigError], hole: TorusWithHole,
     """``error`` whose message ends with the hole's sorted-key JSON record.
 
     The record reruns the failure.  For ``reduce_greedy`` and ``contract``
-    (``StuckButContractible``, ``NotContractible``) pipe it into
-    ``torusrig reduce -``, ``tree -`` or ``certify -``.  No subcommand runs
+    (``NotTight``, ``StuckButContractible``, ``NotContractible``) pipe it
+    into ``torusrig reduce -``, ``tree -`` or ``certify -``; the
+    ``NotTight`` of ``find_critical_cycle_through`` reruns there too, since
+    ``reduce_greedy`` refuses the same non-tight graph.  No subcommand runs
     the key-lemma search or ``fission``, and ``torusrig homology -`` refuses
     a non-tight record before ``crossover_class`` runs; so a record from
     ``NoCriticalCycle``, from ``fission`` or from ``TrivialClassFound``

@@ -21,10 +21,14 @@ class Graph:
     """An immutable simple graph on integer vertex ids.
 
     Vertices need not be consecutive; isolated vertices are allowed (they
-    matter for freedom-number bookkeeping).
+    matter for freedom-number bookkeeping).  Two more slots belong to
+    :func:`torusrig.sparsity.check_3_6` and take no part in equality or
+    hashing: ``_orientation`` holds the pebble game's final orientation once
+    the graph is decided (False when it violates), and ``_origin`` holds
+    ``(g, u, v)`` for ``contract_edge(g, u, v)`` until then.
     """
 
-    __slots__ = ("vertices", "edges", "_adj")
+    __slots__ = ("vertices", "edges", "_adj", "_orientation", "_origin")
 
     def __init__(self, vertices, edges):
         # edge_key only for pairs not already in key order, and for loops
@@ -39,6 +43,8 @@ class Graph:
         self.vertices = vertices
         self.edges = edges
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
+        self._orientation = None
+        self._origin = None
 
     # -- basic queries ------------------------------------------------
 
@@ -96,7 +102,10 @@ class Graph:
 
 
 def contract_edge(g: Graph, u: int, v: int) -> Graph:
-    """Merge v into u (simple-graph contraction, parallel edges coalesce)."""
+    """Merge v into u (simple-graph contraction, parallel edges coalesce).
+
+    The result remembers ``(g, u, v)``, so that ``check_3_6`` can decide it
+    from g's pebble game."""
     if edge_key(u, v) not in g.edges:
         raise errors.NotAnEdge(f"({u},{v})")
     edges = set()
@@ -105,7 +114,9 @@ def contract_edge(g: Graph, u: int, v: int) -> Graph:
         b = u if b == v else b
         if a != b:
             edges.add(edge_key(a, b))
-    return Graph(g.vertices - {v}, edges)
+    h = Graph(g.vertices - {v}, edges)
+    h._origin = (g, u, v)
+    return h
 
 
 def freedom(obj) -> int:

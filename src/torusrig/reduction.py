@@ -280,11 +280,18 @@ def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | Non
     with e exposed (the region then holds both faces of e).
 
     The lemma is about the graph G/e, so the search decides on the plain
-    graph contraction and never builds the contracted hole.
+    graph contraction and never builds the contracted hole.  G is checked
+    first (NotTight carrying the record when it is not tight); that verdict
+    stays on the graph, so G/e is decided from G's pebble game, and every
+    later search on the same hole finds G decided.
     """
     e = edge_key(*e)
     if classify_edge(hole, e) is not EdgeClass.FF_CONTRACTIBLE:
         raise errors.NotContractible(f"{e} is not a contractible FF edge")
+    if not check_3_6(hole.graph).is_tight:
+        raise fileio.with_record(
+            errors.NotTight, hole, "the key-lemma search needs a tight "
+            "single-hole graph")
     z = e[0]
     verdict = check_3_6(contract_edge(hole.graph, *e), through_vertex=z)
     if verdict.is_sparse:
@@ -457,30 +464,34 @@ def reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contraction]
 
     Each step contracts the first contractible FF edge whose contraction
     stays tight, judged on the plain graph contraction before the hole is
-    contracted.  Raises NotTight when the input is not tight, and
-    StuckButContractible, carrying the record of the graph it is stuck at,
-    at a contractible graph with no tight contraction.
+    contracted.  That graph equals the contracted hole's and is kept as the
+    graph of the next step, so each step's contractions are decided from
+    its pebble game.  Raises NotTight, carrying the record, when the input
+    is not tight, and StuckButContractible, carrying the record of the graph
+    it is stuck at, at a contractible graph with no tight contraction.
     A graph with more than one hole raises SingleHoleRequired first: it can
     be tight without being rigid.
     """
     hole.single_disc  # raises SingleHoleRequired unless there is one hole
     if not check_3_6(hole.graph).is_tight:
-        raise errors.NotTight("greedy reduction needs a tight single-hole graph")
-    current = hole
+        raise fileio.with_record(
+            errors.NotTight, hole, "greedy reduction needs a tight "
+            "single-hole graph")
+    current, graph = hole, hole.graph
     moves: list[Contraction] = []
     while cand := contractible_edges(current):
         for e in cand:
             # decide on the plain graph contraction, which the contracted hole
             # carries; build the hole only for the edge taken
-            if not check_3_6(contract_edge(current.graph, *e),
-                             through_vertex=e[0]).is_tight:
+            h = contract_edge(graph, *e)
+            if not check_3_6(h, through_vertex=e[0]).is_tight:
                 continue
             try:
                 result = contract(current, e)
             except errors.NotContractible:
                 continue
             moves.append(_contraction_record(current, e))
-            current = result
+            current, graph = result, h
             break
         else:
             raise fileio.with_record(

@@ -17,6 +17,17 @@ the maximum above -6 is the witness.  The ``through_vertex`` argument of
 ``check_3_6`` only moves the edges at one vertex to the front of that scan,
 so the verdict is always that of the whole graph.  A subset-enumeration
 oracle cross-validates both paths on small graphs.
+
+The key lemma and the greedy reduction ask again and again whether G/e is
+still tight, for a G already decided.  So the game's final orientation stays
+on each graph it decides, and ``contract_edge`` links G/e to G.  The game on
+G/e, with w the merged vertex, starts from G's orientation with both ends of
+e dropped, each tail taking its pebble back, and places only the edges at w.
+That is sound: G/e - w = G - u - v is a subgraph of G, so it is sparse, and
+whether pebbles can be gathered and which component the search detects
+depend only on the placed graph and on a valid configuration, not on the
+order of placement.  So the verdict is the one the whole game gives, and a
+violating G/e still gets its witness from the unchanged flow scan.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ import enum
 from dataclasses import dataclass
 
 from . import errors
-from .graphs import Graph, as_graph, freedom
+from .graphs import Graph, as_graph, edge_key, freedom
 from .maxflow import densest_extension
 
 BRUTE_FORCE_CAP = 16
@@ -60,9 +71,10 @@ def _sparse_verdict(g: Graph) -> SparsityVerdict:
     return SparsityVerdict(status)
 
 
-def _pebble_sparse(g: Graph) -> bool:
-    """True iff ``g`` is (3,6)-sparse: the (3,5) pebble game with component
-    detection (Lee & Streinu 2008; Jacobs & Hendrickson 1997).
+class _PebbleGame:
+    """The (3,5) pebble game with component detection (Lee & Streinu 2008;
+    Jacobs & Hendrickson 1997): three pebbles per vertex, the out-sets of
+    the placed edges' orientation and their in-sets.
 
     Every vertex starts with three pebbles, and a pebble on a vertex either
     lies free or covers one of its out-edges, so every vertex set S has
@@ -75,14 +87,56 @@ def _pebble_sparse(g: Graph) -> bool:
     alone decide whether it has three or more vertices.  A component that
     big, or a rejected edge, is a (3,6) violation; on a simple graph the
     component is always found first.
-    """
-    pebbles = dict.fromkeys(g.vertices, 3)
-    out = {v: set() for v in g.vertices}
-    into = {v: set() for v in g.vertices}
 
-    def fetch(root, pinned) -> bool:
+    The game may start from any orientation of a (3,6)-sparse graph with
+    out-degree at most three: the identity above holds for it, and that is
+    all gathering pebbles and finding components rely on.
+    """
+
+    __slots__ = ("pebbles", "out", "into")
+
+    def __init__(self, vertices, orientation=()):
+        self.pebbles = dict.fromkeys(vertices, 3)
+        self.out = {v: set() for v in vertices}
+        self.into = {v: set() for v in vertices}
+        for t, h in orientation:
+            self.pebbles[t] -= 1
+            self.out[t].add(h)
+            self.into[h].add(t)
+
+    def orientation(self) -> tuple:
+        """The placed edges as (tail, head) pairs."""
+        return tuple((t, h) for t, heads in self.out.items() for h in heads)
+
+    def drop(self, x) -> None:
+        """Take every edge at x off the board; each tail gets its pebble
+        back, so x holds three free pebbles again."""
+        for h in self.out[x]:
+            self.into[h].remove(x)
+        for t in self.into[x]:
+            self.out[t].remove(x)
+            self.pebbles[t] += 1
+        self.out[x] = set()
+        self.into[x] = set()
+        self.pebbles[x] = 3
+
+    def place(self, u, v) -> bool:
+        """Place edge uv; False when the placed graph stops being
+        (3,6)-sparse."""
+        pinned = (u, v)
+        for x in pinned:
+            while self.pebbles[x] < 3:
+                if not self._fetch(x, pinned):
+                    return False
+        self.pebbles[u] -= 1
+        self.out[u].add(v)
+        self.into[v].add(u)
+        return not self._big_component(u, v)
+
+    def _fetch(self, root, pinned) -> bool:
         """Move a free pebble off ``pinned`` to ``root`` by reversing the
         out-path that reaches it."""
+        pebbles, out, into = self.pebbles, self.out, self.into
         parent = {root: None}
         stack = [root]
         while stack:
@@ -105,7 +159,7 @@ def _pebble_sparse(g: Graph) -> bool:
                 stack.append(y)
         return False
 
-    def big_component(u, v) -> bool:
+    def _big_component(self, u, v) -> bool:
         """Whether the (3,5)-tight component of the placed edge uv has three
         or more vertices.
 
@@ -121,8 +175,9 @@ def _pebble_sparse(g: Graph) -> bool:
         reaches one too and is marked; the other vertices that search
         visited may be dead ends inside the component, so they are not.
         """
+        pebbles, out = self.pebbles, self.out
         escapes: set = set()
-        for w in (into[u] | into[v]) - {u, v}:
+        for w in (self.into[u] | self.into[v]) - {u, v}:
             parent = {w: None}
             stack = [w]
             while stack:
@@ -140,18 +195,40 @@ def _pebble_sparse(g: Graph) -> bool:
                 return True
         return False
 
-    for u, v in g.sorted_edges():
-        pinned = (u, v)
-        for x in pinned:
-            while pebbles[x] < 3:
-                if not fetch(x, pinned):
-                    return False
-        pebbles[u] -= 1
-        out[u].add(v)
-        into[v].add(u)
-        if big_component(u, v):
+
+def _final_orientation(g: Graph) -> tuple | bool:
+    """The pebble game's final orientation of ``g``, or False when ``g`` is
+    not (3,6)-sparse.
+
+    When ``g`` is the contraction G/uv of a graph G already decided sparse,
+    the game starts from G's orientation with u and v dropped and places
+    only the edges at the merged vertex u; otherwise it places every edge,
+    in sorted order.
+    """
+    origin = g._origin
+    if origin is not None and origin[0]._orientation not in (None, False):
+        parent, u, v = origin
+        game = _PebbleGame(parent.vertices, parent._orientation)
+        game.drop(u)
+        game.drop(v)
+        edges = sorted(edge_key(u, w) for w in g.neighbors(u))
+    else:
+        game = _PebbleGame(g.vertices)
+        edges = g.sorted_edges()
+    for a, b in edges:
+        if not game.place(a, b):
             return False
-    return True
+    return game.orientation()
+
+
+def _pebble_sparse(g: Graph) -> bool:
+    """True iff ``g`` is (3,6)-sparse, decided by the pebble game once per
+    graph: the final orientation, or False, stays on ``g``, and the link to
+    the graph ``g`` was contracted from is cleared."""
+    if g._orientation is None:
+        g._orientation = _final_orientation(g)
+        g._origin = None
+    return g._orientation is not False
 
 
 def _violation_through(g: Graph, u: int, v: int) -> frozenset | None:
@@ -199,6 +276,12 @@ def check_3_6(graph, through_vertex: int | None = None) -> SparsityVerdict:
     contraction of a tight graph every violating set contains the merged
     vertex (all other induced subgraphs are unchanged), so the witness is
     found among the edges at it.
+
+    The game runs once per graph: its final orientation, or False for a
+    violating graph, is remembered on the ``Graph``, and a later call on it
+    plays no game.  A graph from ``contract_edge(G, u, v)`` of a G decided
+    sparse is decided from G's orientation by placing only the edges at u;
+    once decided it drops its link to G.
     """
     g = as_graph(graph)
     if len(g.vertices) < 3:

@@ -7,10 +7,13 @@ import sys
 import pytest
 
 import torusrig
+from torusrig import errors
 from torusrig.catalog import build_H
 from torusrig.complexes import cut_hole, rectangular_torus
 from torusrig.corpus import CorpusSpec, corpus_records
 from torusrig.fileio import hole_to_record, record_to_hole, to_dot
+from torusrig.reduction import (contractible_edges,
+                                find_critical_cycle_through, reduce_greedy)
 
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -241,6 +244,34 @@ def test_cli_reduction_of_violation_is_typed_error(gen7_4x4, command):
     assert r.returncode == 1
     assert r.stderr.startswith("error:") and "tight" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("status, gen_args", [
+    ("Violation", ["--seed", "7", "--count", "4"]),
+    ("SparseNotTight", ["--seed", "7", "--count", "1",
+                        "--boundary-lengths", "10"]),
+])
+def test_not_tight_carries_its_record(status, gen_args):
+    # the key-lemma search and the greedy reduction refuse a non-tight graph
+    # with NotTight, whose message ends with the record; the record rebuilds
+    # the graph, and piping it into torusrig reduce - fails the same way
+    line = run_cli(["gen", "--grids", "4x4", *gen_args]).stdout.splitlines()[-1]
+    record = json.loads(line)
+    assert record["meta"]["status"] == status
+    hole = record_to_hole(record)
+    e = contractible_edges(hole)[0]
+    for search in (lambda: find_critical_cycle_through(hole, e),
+                   lambda: reduce_greedy(hole)):
+        with pytest.raises(errors.NotTight) as info:
+            search()
+        _, _, carried = str(info.value).partition("; record: ")
+        again = record_to_hole(json.loads(carried))
+        assert again.graph == hole.graph
+        assert hole_to_record(again) == json.loads(carried)
+    r = run_cli(["reduce", "-"], stdin=carried)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == f"error: {info.value}\n"
 
 
 @pytest.mark.parametrize("command", ["reduce", "tree", "certify"])

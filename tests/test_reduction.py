@@ -385,8 +385,9 @@ def test_fission_rejects_a_cycle_that_is_not_critical():
     (cut_hole(rectangular_torus(3, 3), [0, 1, 2, 3, 9, 14, 15]), (3, 7)),
 ], ids=["repro_a", "H2", "pinched_v3v6"])
 def test_outer_part_checked_once_per_candidate_cycle(monkeypatch, hole, e):
-    # the search checks G/e, then each candidate's outer part G1 once in
-    # is_critical; fission reuses that verdict and checks only G2
+    # the search checks G (whose pebble game G/e is then decided from),
+    # then G/e, then each candidate's outer part G1 once in is_critical;
+    # fission reuses that verdict and checks only G2
     checked, candidates = [], []
     real_check, real_is_critical = reduction.check_3_6, reduction.is_critical
 
@@ -404,7 +405,7 @@ def test_outer_part_checked_once_per_candidate_cycle(monkeypatch, hole, e):
     g1, g2 = fission(hole, cycle)
     assert any(c is cycle for c in candidates)
     assert g1 is cycle.outer
-    assert checked == [contract_edge(hole.graph, *e)] + \
+    assert checked == [hole.graph, contract_edge(hole.graph, *e)] + \
         [c.outer.graph for c in candidates] + [g2.graph]
 
 

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -6,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 from torusrig import errors
 from torusrig.catalog import build_H
 from torusrig.complexes import cut_hole, rectangular_torus
-from torusrig.graphs import Graph, complete_graph, double_banana, freedom
+from torusrig.graphs import (Graph, complete_graph, contract_edge,
+                             double_banana, freedom)
 from torusrig.reduction import contract, contractible_edges
 from torusrig.sparsity import (SparsityVerdict, Status, _flow_scan,
-                               _pebble_sparse, brute_force_3_6, check_3_6,
-                               is_in_T, maximal_tight_subgraph)
+                               _PebbleGame, _pebble_sparse, brute_force_3_6,
+                               check_3_6, is_in_T, maximal_tight_subgraph)
 
 from helpers import induced
 
@@ -190,3 +192,141 @@ def test_pebble_component_check_on_tight_plus_one_edge():
         for e in rng.sample(sorted(g.edges), 3):
             h = Graph(g.vertices, g.edges - {e})
             assert _pebble_sparse(h) is brute_force_3_6(h).is_sparse
+
+
+# -- contractions decided from the parent's pebble game ---------------------
+
+
+def _random_parent(rng, kind, n):
+    """A graph on n vertices of the given kind: tight (0-extensions from a
+    triangle), sparse but not tight (a tight graph less one to three edges)
+    or violating (a tight graph plus one edge inside a tight subset)."""
+    if kind == "violating":
+        n_core = rng.randint(5, n)
+        return _tight_plus_one_edge(rng, n_core, n - n_core)
+    edges = {(0, 1), (0, 2), (1, 2)}
+    for z in range(3, n):
+        edges |= {(a, z) for a in rng.sample(range(z), 3)}
+    if kind == "sparse":
+        edges -= set(rng.sample(sorted(edges), rng.randint(1, 3)))
+    return Graph(range(n), edges)
+
+
+def _assert_orientation_of(g: Graph):
+    """A sparse graph's memo orients each of its edges once, out-degree at
+    most three."""
+    pairs = g._orientation
+    assert sorted(tuple(sorted(p)) for p in pairs) == g.sorted_edges()
+    tails = [t for t, _h in pairs]
+    assert all(tails.count(t) <= 3 for t in tails)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_contraction_chain_verdicts_match_fresh_graphs(data):
+    # each graph of the chain is decided from its parent's orientation when
+    # the parent is sparse; verdict and witness must be those of a graph
+    # built from scratch, and the status that of the exhaustive oracle
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["tight", "sparse", "violating"]))
+    g = _random_parent(rng, kind, data.draw(st.integers(6, 14)))
+    assert check_3_6(g).is_sparse is (kind != "violating")
+    for _ in range(data.draw(st.integers(1, 3))):
+        u, v = data.draw(st.sampled_from(g.sorted_edges()))
+        if data.draw(st.booleans()):
+            u, v = v, u
+        memo = g._orientation
+        h = contract_edge(g, u, v)
+        got = check_3_6(h, through_vertex=u)
+        assert got == check_3_6(Graph(h.vertices, h.edges), through_vertex=u)
+        assert got.status is brute_force_3_6(h).status
+        assert g._orientation is memo
+        if got.is_sparse:
+            _assert_orientation_of(h)
+        g = h
+
+
+def test_contraction_verdicts_match_fresh_graphs_on_corpus(tight_corpus):
+    # every contractible edge of the tight corpus and of H1-H17, decided
+    # from the parent's orientation; the parent's memo never changes
+    holes = list(tight_corpus) + [build_H(i) for i in range(1, 18)]
+    checked = violations = 0
+    for hole in holes:
+        g = hole.graph
+        assert check_3_6(g).is_tight
+        memo = g._orientation
+        for e in contractible_edges(hole):
+            h = contract_edge(g, *e)
+            got = check_3_6(h, through_vertex=e[0])
+            fresh = Graph(h.vertices, h.edges)
+            assert got == check_3_6(fresh, through_vertex=e[0]), e
+            assert g._orientation is memo
+            checked += 1
+            violations += not got.is_sparse
+    assert checked > 3000 and violations > 100
+
+
+def test_contraction_places_only_the_edges_at_the_merged_vertex(monkeypatch):
+    placed = []
+    real_place = _PebbleGame.place
+
+    def counting_place(self, u, v):
+        placed.append((u, v))
+        return real_place(self, u, v)
+
+    hole = build_H(1)
+    g = hole.graph
+    assert check_3_6(g).is_tight
+    monkeypatch.setattr(_PebbleGame, "place", counting_place)
+    for u, v in contractible_edges(hole):
+        placed.clear()
+        h = contract_edge(g, u, v)
+        assert check_3_6(h).is_tight
+        assert sorted(placed) == sorted(e for e in h.edges if u in e)
+    # an undecided parent leaves its contraction to the whole game
+    fresh = Graph(g.vertices, g.edges)
+    placed.clear()
+    check_3_6(contract_edge(fresh, u, v))
+    assert len(placed) == len(g.edges) - 3
+
+
+def test_memo_takes_no_part_in_equality_or_hashing():
+    g = build_H(1).graph
+    h = contract_edge(g, *contractible_edges(build_H(1))[0])
+    twin = Graph(h.vertices, h.edges)
+    assert h._origin is not None and twin._origin is None
+    assert h == twin and hash(h) == hash(twin)
+    check_3_6(h)
+    assert h._orientation is not None and twin._orientation is None
+    assert h == twin and hash(h) == hash(twin)
+    assert {h: 1}[twin] == 1
+
+
+def _holds(obj, target) -> bool:
+    """Whether ``target`` is reachable from ``obj`` through graphs and
+    containers."""
+    seen, stack = set(), [obj]
+    while stack:
+        x = stack.pop()
+        if x is target:
+            return True
+        if id(x) not in seen and isinstance(
+                x, (Graph, tuple, list, dict, set, frozenset)):
+            seen.add(id(x))
+            stack.extend(gc.get_referents(x))
+    return False
+
+
+def test_decided_graph_holds_no_ancestor():
+    # the link to the parent goes once the graph is decided, so a chain of
+    # contractions keeps only its last graph alive
+    g = build_H(1).graph
+    assert check_3_6(g).is_tight and g._origin is None
+    chain = [g]
+    for _ in range(3):
+        u, v = chain[-1].sorted_edges()[0]
+        h = contract_edge(chain[-1], u, v)
+        assert h._origin[0] is chain[-1] and _holds(h, chain[-1])
+        check_3_6(h)
+        assert h._origin is None and not _holds(h, chain[-1])
+        chain.append(h)
