@@ -104,7 +104,7 @@ def cmd_tree(args) -> int:
     i contractions, the child of node i - 1.  Each contraction removes one
     vertex and three edges."""
     hole = _load(args.graph)
-    _, moves = reduction.reduce_greedy(hole)
+    _, moves = reduction._reduce(hole)
     n_vertices, n_edges = len(hole.graph.vertices), len(hole.graph.edges)
     _emit({"nodes": [
         {"id": i, "parent": i - 1 if i else None,

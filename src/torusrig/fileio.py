@@ -39,15 +39,18 @@ def with_record(error: type[errors.TorusRigError], hole: TorusWithHole,
                 why: str) -> errors.TorusRigError:
     """``error`` whose message ends with the hole's sorted-key JSON record.
 
-    The record reruns the failure.  For ``reduce_greedy`` and ``contract``
-    (``NotTight``, ``StuckButContractible``, ``NotContractible``) pipe it
-    into ``torusrig reduce -``, ``tree -`` or ``certify -``; the
-    ``NotTight`` of ``find_critical_cycle_through`` reruns there too, since
-    ``reduce_greedy`` refuses the same non-tight graph.  No subcommand runs
-    the key-lemma search or ``fission``, and ``torusrig homology -`` refuses
-    a non-tight record before ``crossover_class`` runs; so a record from
-    ``NoCriticalCycle``, from ``fission`` or from ``TrivialClassFound``
-    reruns through the API: ``record_to_hole``, then
+    The record reruns the failure.  Greedy reduction's ``NotTight`` and
+    ``StuckButContractible`` rerun through ``torusrig reduce -``, ``tree -``
+    or ``certify -``; so does the ``NotTight`` of
+    ``find_critical_cycle_through``, since reduction refuses the same
+    non-tight graph.  A ``NotContractible`` from ``contract`` reruns through
+    ``torusrig reduce -`` alone, the one subcommand that contracts holes (it
+    replays ``contract`` to build its leaf), or through the API:
+    ``record_to_hole``, then ``contract`` on the edge the message names.  No
+    subcommand runs the key-lemma search or ``fission``, and ``torusrig
+    homology -`` refuses a non-tight record before ``crossover_class`` runs;
+    so a record from ``NoCriticalCycle``, from ``fission`` or from
+    ``TrivialClassFound`` reruns through the API: ``record_to_hole``, then
     ``find_critical_cycle_through``, ``fission`` or ``crossover_class`` on
     the edge or cycle that the message names."""
     record = json.dumps(hole_to_record(hole), sort_keys=True)

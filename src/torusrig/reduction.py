@@ -21,18 +21,28 @@ hypothesis or critical cycles a wider definition is open.
 The greedy-contraction ruling: a tight graph with a contractible FF edge
 always has one whose contraction stays tight, so greedy contraction alone
 reduces every tight graph to one of the two uncontractible graphs.  That
-loop, ``reduce_greedy``, is the only reduction driver here: it returns the
-uncontractible leaf and the contractions that reach it, and ``certify``
-reverses them into a vertex-splitting construction rooted at K3 (Whiteley
-1990).  Each contraction removes one vertex and three edges from the graph,
-since there a contractible edge has only its two apexes as common
-neighbours.  The torus around the graph also holds the hole's deleted
-edges, and through them the ends of the edge can have further common
-neighbours; contracting the torus would then fold an edge into four faces,
-so ``contract`` refills the hole with a fresh collar disc instead.  A graph
-that breaks the ruling raises StuckButContractible.  Fission
-is a key-lemma move inside the proof, not a reduction step: its catalog
-child is not a subgraph of the input, so it yields no vertex split.
+loop is the only reduction driver here.  It runs on the graph and its
+ordered retained faces, which is all a step reads: which edges lie in two
+retained faces, their apexes, their ends' common neighbours and whether
+G/e is tight.  It returns the uncontractible leaf graph and the
+contractions that reach it, and ``certify`` reverses them into a
+vertex-splitting construction rooted at K3 (Whiteley 1990).  Each
+contraction removes one vertex and three edges from the graph, since there
+a contractible edge has only its two apexes as common neighbours.  A graph
+that breaks the ruling raises StuckButContractible.
+
+Only ``contract`` builds a contracted hole, for ``reduce_greedy``'s leaf
+(which ``torusrig reduce`` prints) and for the API.  The torus around the
+graph also holds the hole's deleted edges, and through them the ends of
+the edge can have further common neighbours; contracting the torus would
+then fold an edge into four faces, so ``contract`` refills the hole with a
+fresh collar disc instead.  Both ways keep the retained faces in order,
+with gone renamed to keep and e's two faces dropped, as the loop contracts
+them; so replaying ``contract`` along the loop's moves meets every step's
+faces and apex order.
+
+Fission is a key-lemma move inside the proof, not a reduction step: its
+catalog child is not a subgraph of the input, so it yields no vertex split.
 """
 
 from __future__ import annotations
@@ -450,55 +460,75 @@ class Contraction:
                 "apexes": list(self.apexes), "moved": sorted(self.moved)}
 
 
-def _contraction_record(hole: TorusWithHole, e) -> Contraction:
-    e = edge_key(*e)
-    keep, gone = e
-    apexes = _apexes(hole, e)
-    moved = frozenset(hole.graph.neighbors(gone) - {keep} - set(apexes))
-    return Contraction(e, apexes, moved)
+def _reduce(hole: TorusWithHole) -> tuple[Graph, list[Contraction]]:
+    """The greedy reduction on the graph and its ordered retained faces:
+    the uncontractible leaf graph and the contractions that reach it.
 
-
-def reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contraction]]:
-    """The uncontractible leaf of the greedy contraction sequence, and the
-    contractions that reach it, in order.
-
-    Each step contracts the first contractible FF edge whose contraction
-    stays tight, judged on the plain graph contraction before the hole is
-    contracted.  That graph equals the contracted hole's and is kept as the
-    graph of the next step, so each step's contractions are decided from
-    its pebble game.  Raises NotTight, carrying the record, when the input
-    is not tight, and StuckButContractible, carrying the record of the graph
-    it is stuck at, at a contractible graph with no tight contraction.
-    A graph with more than one hole raises SingleHoleRequired first: it can
-    be tight without being rigid.
+    Contracting e drops its two faces and renames gone to keep in the
+    others, in order, as ``contract`` does; the next graph is the decided
+    ``contract_edge`` one.  Raises what ``reduce_greedy`` raises; the hole
+    a StuckButContractible record needs is built only then, by replaying
+    ``contract`` from the input.
     """
     hole.single_disc  # raises SingleHoleRequired unless there is one hole
-    if not check_3_6(hole.graph).is_tight:
+    graph = hole.graph
+    if not check_3_6(graph).is_tight:
         raise fileio.with_record(
             errors.NotTight, hole, "greedy reduction needs a tight "
             "single-hole graph")
-    current, graph = hole, hole.graph
+    faces = hole.faces
     moves: list[Contraction] = []
-    while cand := contractible_edges(current):
+    while True:
+        apexes: dict = {}
+        for f in faces:
+            for u, v in _face_edges(f):
+                apexes.setdefault((u, v), []).append(sum(f) - u - v)
+        # FF edges whose ends have no common neighbour but their apexes
+        nbrs = graph.neighbors
+        cand = sorted(e for e, xs in apexes.items()
+                      if len(xs) == 2 and nbrs(e[0]) & nbrs(e[1]) <= set(xs))
+        if not cand:
+            return graph, moves
         for e in cand:
-            # decide on the plain graph contraction, which the contracted hole
-            # carries; build the hole only for the edge taken
             h = contract_edge(graph, *e)
-            if not check_3_6(h, through_vertex=e[0]).is_tight:
-                continue
-            try:
-                result = contract(current, e)
-            except errors.NotContractible:
-                continue
-            moves.append(_contraction_record(current, e))
-            current, graph = result, h
-            break
+            if check_3_6(h, through_vertex=e[0]).is_tight:
+                break
         else:
             raise fileio.with_record(
-                errors.StuckButContractible, current,
+                errors.StuckButContractible, _replay(hole, moves),
                 f"no tightness-preserving contraction among {len(cand)} "
                 "contractible edges")
-    return current, moves
+        keep, gone = e
+        moved = nbrs(gone) - {keep} - set(apexes[e])
+        moves.append(Contraction(e, tuple(apexes[e]), frozenset(moved)))
+        faces = [tuple(keep if x == gone else x for x in f) for f in faces
+                 if keep not in f or gone not in f]
+        graph = h
+
+
+def _replay(hole: TorusWithHole, moves) -> TorusWithHole:
+    """The hole that contracting the moves' edges in turn gives."""
+    for m in moves:
+        hole = contract(hole, m.edge)
+    return hole
+
+
+def reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contraction]]:
+    """The uncontractible leaf hole of the greedy contraction sequence, and
+    the contractions that reach it, in order.
+
+    Each step contracts the first contractible FF edge whose contraction
+    stays tight, decided on the graph and its retained faces (``_reduce``);
+    the leaf hole is then built by replaying ``contract`` along the
+    contractions.  ``certify`` and ``torusrig tree`` need only the
+    contractions and build no hole.  Raises NotTight, carrying the record,
+    when the input is not tight, and StuckButContractible, carrying the
+    record of the graph it is stuck at, at a contractible graph with no
+    tight contraction.  A graph with more than one hole raises
+    SingleHoleRequired first: it can be tight without being rigid.
+    """
+    _, moves = _reduce(hole)
+    return _replay(hole, moves), moves
 
 
 # -- certificates ------------------------------------------------------------
@@ -563,8 +593,8 @@ def certify(hole: TorusWithHole) -> Certificate:
     """Construction certificate: greedy-contract to an uncontractible leaf,
     seed with the stored K3 chain for that leaf, append the reversed
     contraction sequence as splits, and replay-check the result."""
-    leaf, moves = reduce_greedy(hole)
-    base, splits = _leaf_chain(leaf.graph)
+    leaf, moves = _reduce(hole)
+    base, splits = _leaf_chain(leaf)
     for m in reversed(moves):
         keep, gone = m.edge
         splits.append(SplitMove(keep, m.apexes, m.moved, gone))

@@ -19,9 +19,12 @@ from torusrig import cli, errors
 from torusrig.complexes import (ClosedWalk, DiscMap, SurfaceComplex,
                                 TorusComplex, TorusWithHole, disc_structures,
                                 retriangulate_holes)
-from torusrig.graphs import Graph, edge_key
-from torusrig.reduction import (EdgeClass, SeparatingCycle, _blocked_faces,
-                                _grow_region, _region_criticals, classify_edge)
+from torusrig.graphs import Graph, contract_edge, edge_key
+from torusrig.reduction import (Contraction, EdgeClass, SeparatingCycle,
+                                _apexes, _blocked_faces, _grow_region,
+                                _region_criticals, classify_edge, contract,
+                                contractible_edges)
+from torusrig.sparsity import check_3_6
 
 
 def run_main(args, record) -> tuple[int, str, str]:
@@ -147,6 +150,38 @@ def rebuild_contract(hole: TorusWithHole, e) -> TorusWithHole:
     except errors.TorusRigError as exc:
         raise errors.NotContractible(
             f"contracting {e} breaks the hole structure: {exc}") from exc
+
+
+def hole_reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contraction]]:
+    """Greedy reduction that carries the hole through every step: each
+    step takes the first contractible edge, in sorted order, whose graph
+    contraction is tight and whose ``contract`` succeeds.  The oracle for
+    ``reduction._reduce``, which reads only the graph and its retained
+    faces; its moves and leaf graph are the same."""
+    if not check_3_6(hole.graph).is_tight:
+        raise errors.NotTight("greedy reduction needs a tight single-hole graph")
+    current = hole
+    moves: list[Contraction] = []
+    while cand := contractible_edges(current):
+        for e in cand:
+            if not check_3_6(contract_edge(current.graph, *e),
+                             through_vertex=e[0]).is_tight:
+                continue
+            try:
+                result = contract(current, e)
+            except errors.NotContractible:
+                continue
+            keep, gone = e
+            apexes = _apexes(current, e)
+            moved = current.graph.neighbors(gone) - {keep} - set(apexes)
+            moves.append(Contraction(e, apexes, frozenset(moved)))
+            current = result
+            break
+        else:
+            raise errors.StuckButContractible(
+                f"no tightness-preserving contraction among {len(cand)} "
+                "contractible edges")
+    return current, moves
 
 
 # -- patterns of the detachment forms ----------------------------------------

@@ -4,11 +4,13 @@ import pathlib
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusrig import errors, reduction
 from torusrig.catalog import build_H, classify
 from torusrig.complexes import (ClosedWalk, DiscMap, TorusComplex, cut_hole,
                                 rectangular_torus)
+from torusrig.corpus import CorpusSpec, corpus_records
 from torusrig.fileio import hole_to_record, load_hole, record_to_hole
 from torusrig.graphs import (Graph, complete_graph, contract_edge, edge_key,
                              freedom, is_isomorphic)
@@ -19,11 +21,11 @@ from torusrig.reduction import (Certificate, EdgeClass, certify, classify_edge,
                                 is_critical, is_uncontractible, reduce_greedy,
                                 verify_certificate)
 from torusrig.rigidity import generic_rank
-from torusrig.sparsity import check_3_6
+from torusrig.sparsity import SparsityVerdict, Status, check_3_6
 
-from helpers import (induced, is_connected, link_cycle, rebuild_contract,
-                     run_main, separating_cycle, tight_set_critical_cycles,
-                     vertex_split)
+from helpers import (facial_split, hole_reduce_greedy, induced, is_connected,
+                     link_cycle, rebuild_contract, run_main, separating_cycle,
+                     tight_set_critical_cycles, vertex_split)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -470,6 +472,92 @@ def test_reduce_greedy_h1():
     assert len(moves) == len(build_H(1).graph.vertices) - len(leaf.graph.vertices)
 
 
+def _reduction_inputs(tight_corpus):
+    """tight_corpus, H1-H17, and the tight records of a fixed-seed gen
+    sample on the 3x3 to 4x4 grids."""
+    spec = CorpusSpec(seed=16, count=60, grids=((3, 3), (3, 4), (4, 4)))
+    sample = [record_to_hole(r) for r in corpus_records(spec)
+              if r["meta"]["status"] == Status.TIGHT.value]
+    assert len(sample) > 20
+    return list(tight_corpus) + [build_H(i) for i in range(1, 18)] + sample
+
+
+def _oracle_reduce(hole):
+    leaf, moves = hole_reduce_greedy(hole)
+    return leaf.graph, moves
+
+
+def test_reduction_on_retained_faces_matches_the_hole_carrying_oracle(
+        monkeypatch, tight_corpus):
+    # the loop over the graph and its ordered retained faces takes the
+    # moves that carrying the hole through every contraction takes, to the
+    # same leaf; reduce_greedy's replayed leaf is the oracle's leaf hole,
+    # and certify gives the certificate the oracle's moves give
+    holes = _reduction_inputs(tight_corpus)
+    oracle, certificates = {}, []
+    for hole in holes:
+        leaf, moves = hole_reduce_greedy(hole)
+        oracle[id(hole)] = leaf.graph, moves
+        assert reduction._reduce(hole) == (leaf.graph, moves)
+        replayed, replay_moves = reduce_greedy(hole)
+        assert replay_moves == moves
+        assert hole_to_record(replayed) == hole_to_record(leaf)
+        certificates.append(certify(hole).to_json())
+    monkeypatch.setattr(reduction, "_reduce", lambda hole: oracle[id(hole)])
+    assert [certify(hole).to_json() for hole in holes] == certificates
+
+
+_SPLIT_STEPS = st.lists(
+    st.tuples(st.integers(0, 999), st.integers(0, 999), st.integers(0, 999),
+              st.booleans()), min_size=1, max_size=3)
+
+
+def _grow_by_split(hole, vertex, anchor, other, side):
+    """The split vertex and the facial split of it at two of its graph
+    neighbours that moves the graph edges of one arc of its link between
+    them; None where ``facial_split`` refuses."""
+    v1 = sorted(hole.graph.vertices)[vertex % len(hole.graph.vertices)]
+    cyc = link_cycle(hole.torus, v1)
+    nbrs = [t for t in cyc if edge_key(v1, t) in hole.graph.edges]
+    v2 = nbrs[anchor % len(nbrs)]
+    v3 = nbrs[(anchor + 1 + other % (len(nbrs) - 1)) % len(nbrs)]
+    i, j = sorted((cyc.index(v2), cyc.index(v3)))
+    arc = cyc[i + 1:j] if side else cyc[j + 1:] + cyc[:i]
+    try:
+        return v1, facial_split(hole, v1, v2, v3,
+                                [(v1, t) for t in arc if t in nbrs])
+    except errors.TorusRigError:
+        return None
+
+
+@given(st.integers(1, 17), _SPLIT_STEPS)
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_split_grown_catalog_graphs_reduce_as_the_oracle(index, steps):
+    # vertex splits grow H1-H17 into graphs of hole forms that gen graphs
+    # never reach.  A split keeps the freedom number, and keeps the form
+    # unless the walk then visits both halves of the split vertex (two of
+    # its visits separated).  On the tight ones with a named form, greedy
+    # reduction takes the oracle's moves and its certificate verifies
+    hole = build_H(index)
+    for vertex, anchor, other, side in steps:
+        grown = _grow_by_split(hole, vertex, anchor, other, side)
+        if grown is None:
+            return
+        v1, child = grown
+        assert freedom(child.graph) == freedom(hole.graph)
+        if not check_3_6(child.graph).is_tight:
+            return
+        form = classify(child).word
+        if form is None:
+            return
+        v0, = child.graph.vertices - hole.graph.vertices
+        separated = {v0, v1} <= set(child.detachment_walk().vertices)
+        assert (form == classify(hole).word) is not separated
+        assert reduction._reduce(child) == _oracle_reduce(child)
+        assert verify_certificate(certify(child), child.graph)
+        hole = child
+
+
 def test_degree3_boundary_rule(tight_corpus):
     # a degree-3 boundary vertex incident to an FF edge: contracting that FF
     # edge stays tight
@@ -542,33 +630,46 @@ def test_reduction_tree_is_the_greedy_chain(tight_corpus):
         assert _is_h16_or_h17(current.graph)
 
 
+def _loosen_contractions_below(monkeypatch, n_vertices):
+    """Judge every contraction to fewer than ``n_vertices`` vertices not
+    tight at the greedy loop's tightness decision (the one check it makes
+    through the merged vertex), so greedy reduction sticks at that size."""
+    real = reduction.check_3_6
+
+    def check(graph, through_vertex=None):
+        if through_vertex is not None and len(graph.vertices) < n_vertices:
+            return SparsityVerdict(Status.SPARSE_NOT_TIGHT)
+        return real(graph, through_vertex)
+    monkeypatch.setattr(reduction, "check_3_6", check)
+
+
 def test_no_tight_contraction_raises_stuck(monkeypatch):
     # a contractible graph whose contractions all fail breaks the
     # greedy-contraction ruling; reduce_greedy and the tree command say so
     # with the same signal
-    def refuse(hole, e):
-        raise errors.NotContractible(f"{e} refused")
-
-    monkeypatch.setattr(reduction, "contract", refuse)
+    h1 = build_H(1)
+    _loosen_contractions_below(monkeypatch, len(h1.graph.vertices) - 2)
     with pytest.raises(errors.StuckButContractible) as stuck:
-        reduce_greedy(build_H(1))
-    code, out, err = run_main(["tree", "-"], hole_to_record(build_H(1)))
+        reduce_greedy(h1)
+    code, out, err = run_main(["tree", "-"], hole_to_record(h1))
     assert (code, out) == (1, "")
     assert err == f"error: {stuck.value}\n"
     assert "no tightness-preserving contraction" in err
 
 
 def test_stuck_and_failed_contraction_carry_their_record(monkeypatch):
-    # the record at the end of the message reproduces the failure when it
-    # is piped into the CLI
-    def refuse(hole, e):
-        raise errors.NotContractible(f"{e} refused")
-
-    monkeypatch.setattr(reduction, "contract", refuse)
+    # the record at the end of the message is the hole greedy reduction is
+    # stuck at, two contractions in, and reproduces the failure when it is
+    # piped into the CLI
+    h1 = build_H(1)
+    _, moves = reduce_greedy(h1)
+    stuck_at = contract(contract(h1, moves[0].edge), moves[1].edge)
+    _loosen_contractions_below(monkeypatch, len(h1.graph.vertices) - 2)
     with pytest.raises(errors.StuckButContractible) as stuck:
-        reduce_greedy(build_H(1))
+        reduce_greedy(h1)
     message = str(stuck.value)
     _, _, record = message.partition("; record: ")
+    assert json.loads(record) == hole_to_record(stuck_at)
     code, out, err = run_main(["tree", "-"], json.loads(record))
     assert (code, out) == (1, "")
     assert err.splitlines()[0] == f"error: {message}"
