@@ -77,7 +77,8 @@ def cmd_classify(args) -> int:
 def cmd_homology(args) -> int:
     hole = _load(args.graph)
     if not sparsity.check_3_6(hole.graph).is_tight:
-        raise errors.NotTight("homology needs a tight single-hole graph")
+        raise fileio.with_record(errors.NotTight, hole,
+                                 "homology needs a tight single-hole graph")
     out = []
     boundary_vertices = {v for e in hole.boundary_edges for v in e}
     for e in hole.graph.sorted_edges():

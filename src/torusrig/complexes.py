@@ -60,17 +60,13 @@ class SurfaceComplex:
             if cs in seen_corner_sets:
                 raise errors.DuplicateFace(f"face {f} occurs twice")
             seen_corner_sets.add(cs)
-        self._set_faces(faces)
-        for e, fs in self.edge_faces.items():
-            if len(fs) > 2:
-                raise errors.EdgeInThreeFaces(f"edge {e} lies in {len(fs)} faces")
-
-    def _set_faces(self, faces):
-        """Store canonical faces and derive the incidences; checks nothing."""
         edge_faces: dict[tuple[int, int], list[int]] = {}
         for idx, f in enumerate(faces):
             for e in _face_edges(f):
                 edge_faces.setdefault(e, []).append(idx)
+        for e, fs in edge_faces.items():
+            if len(fs) > 2:
+                raise errors.EdgeInThreeFaces(f"edge {e} lies in {len(fs)} faces")
         self.faces = faces
         self.edge_faces = {e: tuple(fs) for e, fs in edge_faces.items()}
         self.edges = frozenset(edge_faces)
@@ -194,22 +190,6 @@ def _check_vertex_links(torus: TorusComplex) -> None:
             raise errors.NotClosedSurface(
                 f"the link of vertex {v} is not one cycle: the surface is "
                 "pinched there")
-
-
-def _contracted_torus(torus: TorusComplex, keep: int, gone: int,
-                      collapsed) -> TorusComplex:
-    """The torus with gone renamed to keep and the two ``collapsed`` faces
-    at the edge (keep, gone) dropped, built without revalidation.
-
-    Only for an edge whose ends have exactly its two apexes as common
-    neighbours (the link condition), so the result is a torus again.
-    Renaming keeps each face's cyclic order, so the faces stay coherently
-    oriented.
-    """
-    out = TorusComplex.__new__(TorusComplex)
-    out._set_faces(tuple(canon_face(tuple(keep if x == gone else x for x in f))
-                         for i, f in enumerate(torus.faces) if i not in collapsed))
-    return out
 
 
 def grid_faces(r: int, s: int) -> list[tuple[int, int, int]]:
@@ -385,20 +365,6 @@ class DiscMap:
         return len(self.boundary_walk)
 
 
-def _carried_disc(torus: TorusComplex, faces, keep_edges, interior_edges,
-                  interior_vertices, boundary_walk: ClosedWalk) -> DiscMap:
-    """A DiscMap from fields already known to describe a disc on the torus,
-    built without unfolding."""
-    disc = DiscMap.__new__(DiscMap)
-    disc.torus = torus
-    disc.faces = tuple(faces)
-    disc.keep_edges = frozenset(keep_edges)
-    disc.interior_edges = frozenset(interior_edges)
-    disc.interior_vertices = frozenset(interior_vertices)
-    disc.boundary_walk = boundary_walk
-    return disc
-
-
 #: most exposed edges a disc structure keeps unglued; the wrap-around
 #: detachment forms need one to three
 MAX_KEEP = 3
@@ -540,9 +506,10 @@ def retriangulate_holes(retained_faces, walks) -> "TorusWithHole":
     centre, so every interior edge of the new disc has a fresh endpoint and
     cannot collide with a retained edge.  Used when the graph is sound but
     the old hole triangulation no longer fits: an edge contraction whose
-    containing torus degenerates (a nonfacial torus 3-cycle through deleted
-    edges), and a fission whose catalog faces collide with the hole's
-    interior faces.
+    renamed faces are no torus (e's ends have a further common neighbour
+    through deleted edges) or whose renamed disc would delete an apex edge,
+    and a fission whose catalog faces collide with the hole's interior
+    faces.
     """
     faces = [tuple(f) for f in retained_faces]
     next_id = max(v for f in faces for v in f) + 1

@@ -43,9 +43,10 @@ def with_record(error: type[errors.TorusRigError], hole: TorusWithHole,
     ``StuckButContractible`` rerun through ``torusrig reduce -``, ``tree -``
     or ``certify -``; so does the ``NotTight`` of
     ``find_critical_cycle_through``, since reduction refuses the same
-    non-tight graph.  A ``NotContractible`` from ``contract`` reruns through
-    ``torusrig reduce -`` alone, the one subcommand that contracts holes (it
-    replays ``contract`` to build its leaf), or through the API:
+    non-tight graph.  The ``NotTight`` of ``torusrig homology -`` reruns
+    through ``homology -``.  A ``NotContractible`` from ``contract`` reruns
+    through ``torusrig reduce -`` alone, the one subcommand that contracts
+    holes (it replays ``contract`` to build its leaf), or through the API:
     ``record_to_hole``, then ``contract`` on the edge the message names.  No
     subcommand runs the key-lemma search or ``fission``, and ``torusrig
     homology -`` refuses a non-tight record before ``crossover_class`` runs;

@@ -32,14 +32,15 @@ a contractible edge has only its two apexes as common neighbours.  A graph
 that breaks the ruling raises StuckButContractible.
 
 Only ``contract`` builds a contracted hole, for ``reduce_greedy``'s leaf
-(which ``torusrig reduce`` prints) and for the API.  The torus around the
-graph also holds the hole's deleted edges, and through them the ends of
-the edge can have further common neighbours; contracting the torus would
-then fold an edge into four faces, so ``contract`` refills the hole with a
-fresh collar disc instead.  Both ways keep the retained faces in order,
-with gone renamed to keep and e's two faces dropped, as the loop contracts
-them; so replaying ``contract`` along the loop's moves meets every step's
-faces and apex order.
+(which ``torusrig reduce`` prints) and for the API.  It renames the faces,
+drops e's two and revalidates the torus and each hole disc on the rest.
+The torus around the graph also holds the hole's deleted edges, and
+through them the ends of the edge can have further common neighbours; the
+renamed faces then fold an edge into four faces and are no torus, so
+``contract`` refills the hole with a fresh collar disc instead.  Both ways
+keep the retained faces in order, with gone renamed to keep and e's two
+faces dropped, as the loop contracts them; so replaying ``contract`` along
+the loop's moves meets every step's faces and apex order.
 
 Fission is a key-lemma move inside the proof, not a reduction step: its
 catalog child is not a subgraph of the input, so it yields no vertex split.
@@ -54,9 +55,8 @@ from dataclasses import dataclass
 
 from . import catalog, errors, fileio
 from .complexes import (ClosedWalk, DiscMap, TorusComplex, TorusWithHole,
-                        _carried_disc, _contracted_torus, _face_edges,
-                        _shared_edges, _face_connected, disc_structures,
-                        retriangulate_holes)
+                        _face_edges, _shared_edges, _face_connected,
+                        disc_structures, retriangulate_holes)
 from .graphs import (Graph, complete_graph, contract_edge, edge_key,
                      is_isomorphic)
 from .maxflow import densest_extension
@@ -107,34 +107,19 @@ def is_uncontractible(hole: TorusWithHole) -> bool:
 def contract(hole: TorusWithHole, e) -> TorusWithHole:
     """Contract a contractible FF edge; the higher id merges into the lower.
 
-    The two faces at the edge collapse and the torus is contracted alongside.
-    In the graph, e's ends have only its apexes as common neighbours, but the
-    torus also holds the hole's deleted edges.  When its ends have no other
-    common torus neighbour either, the link condition (Dey, Edelsbrunner,
-    Guha & Nekhayev, "Topology preserving edge contraction", 1999) holds:
-    the contracted complex is a torus again, with one vertex, three edges and
-    two faces fewer, and renaming keeps every face coherently oriented.  The
-    torus is then carried over without revalidation, and each hole disc in
-    one of three ways:
-
-    - gone is not on the disc's walk, so not a corner of its region: the
-      disc is unchanged but for its face indices;
-    - some (keep, apex) gets both its faces in the region, which would glue
-      a graph edge.  Such a region unfolds to a disc only around an apex of
-      degree two, which a tight graph lacks, and even then that disc would
-      delete the apex, so this case goes to the collar refill below;
-    - otherwise gone is renamed in the walk and the interior edges.  The
-      unfolding is the old one renamed, but its boundary trace may start
-      elsewhere (the least walk vertex becomes keep, or gone is next to an
-      occurrence of it), and then ``DiscMap`` rebuilds the disc so the walk
-      keeps the trace's rotation.
-
-    When the link condition fails (a common neighbour through deleted edges
-    would lie in four faces) or some disc is no disc, the hole discs are
-    replaced by fresh triangulations over the renamed boundary walks, which
-    leaves the graph and its facial structure untouched; NotContractible
-    when that fails too.  On tight input the result is the one that
-    revalidating the renamed faces and discs from scratch gives.
+    The torus is rebuilt and revalidated: gone is renamed to keep in every
+    face, e's two faces are dropped, a ``TorusComplex`` is built on the
+    rest, and on it one ``DiscMap`` per hole over the hole's faces, with
+    gone renamed in the exposed edges.  The hole is refilled instead when
+    that rebuild fails, as when the hole's deleted edges give e's ends a
+    further common torus neighbour (whose edge to keep would lie in four
+    faces), or when a disc swallows an apex edge (keep, a) and so would
+    delete a graph edge; the latter happens only around an apex of degree
+    two, which a tight graph lacks.  The refill replaces the hole discs by
+    fresh triangulations over the renamed boundary walks
+    (``retriangulate_holes``), which leaves the graph and its retained
+    faces untouched; NotContractible, carrying the record, when that fails
+    too.
     """
     e = edge_key(*e)
     if classify_edge(hole, e) is not EdgeClass.FF_CONTRACTIBLE:
@@ -142,45 +127,29 @@ def contract(hole: TorusWithHole, e) -> TorusWithHole:
     keep, gone = e
     torus = hole.torus
     collapsed = set(hole.edge_retained_faces[e])
-    apexes = _apexes(hole, e)
+    apex_edges = {edge_key(keep, a) for a in _apexes(hole, e)}
 
     def rename(x):
         return keep if x == gone else x
 
-    def carry(d: DiscMap, torus2: TorusComplex) -> DiscMap:
+    try:
+        torus2 = TorusComplex([tuple(rename(x) for x in f)
+                               for i, f in enumerate(torus.faces)
+                               if i not in collapsed])
         # the collapsed faces are retained ones; a hole face moves down past
         # those before it
-        faces2 = [i - sum(c < i for c in collapsed) for i in d.faces]
-        walk = d.boundary_walk.vertices
-        if gone not in walk:
-            return _carried_disc(torus2, faces2, d.keep_edges, d.interior_edges,
-                                 d.interior_vertices, d.boundary_walk)
-        region2 = set(faces2)
-        if any(set(torus2.edge_faces[edge_key(keep, a)]) <= region2
-               for a in apexes):
-            raise errors.NotADisc(f"contracting {e} glues an apex edge")
-        keep2 = [edge_key(rename(a), rename(b)) for a, b in d.keep_edges]
-        low, n = min(walk), len(walk)
-        if keep <= low or any(
-                walk[i] == low and gone in (walk[i - 1], walk[(i + 1) % n])
-                for i in range(n)):
-            return DiscMap(torus2, faces2, keep_edges=keep2)
-        return _carried_disc(
-            torus2, faces2, keep2,
-            (edge_key(rename(a), rename(b)) for a, b in d.interior_edges),
-            d.interior_vertices, ClosedWalk(rename(x) for x in walk))
-
-    if torus.graph.neighbors(keep) & torus.graph.neighbors(gone) == set(apexes):
-        torus2 = _contracted_torus(torus, keep, gone, collapsed)
-        try:
-            return TorusWithHole(torus2, [carry(d, torus2) for d in hole.discs])
-        except errors.TorusRigError:
-            pass
+        out = TorusWithHole(torus2, [
+            DiscMap(torus2, [i - sum(c < i for c in collapsed) for i in d.faces],
+                    keep_edges=[(rename(a), rename(b)) for a, b in d.keep_edges])
+            for d in hole.discs])
+        if not out.deleted_edges & apex_edges:
+            return out
+    except errors.TorusRigError:
+        pass
     retained2 = [tuple(rename(x) for x in torus.faces[i])
                  for i in hole.face_indices if i not in collapsed]
-    walks2 = []
-    for d in hole.discs:
-        walks2.append(ClosedWalk(tuple(rename(x) for x in d.boundary_walk.vertices)))
+    walks2 = [ClosedWalk(rename(x) for x in d.boundary_walk.vertices)
+              for d in hole.discs]
     try:
         return retriangulate_holes(retained2, walks2)
     except errors.TorusRigError as exc:
@@ -272,8 +241,6 @@ def _region_criticals(hole, region, e):
         if is_critical(hole, cycle):
             out.append(cycle)
     return out
-
-
 
 
 def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | None:

@@ -1,10 +1,10 @@
 """Oracles and builders that only the tests use.
 
 The package keeps the decide, classify, reduce and certify path; these are
-the slow cross-checks (dense modular and rational rank, contraction by full
-rebuild), the builders (face-graph quotients, separating cycles from a
-region, vertex splits on a torus) that tests compare that path against, and
-an in-process CLI runner.
+the slow cross-checks (dense modular and rational rank, greedy reduction
+that carries the hole through every step), the builders (face-graph
+quotients, separating cycles from a region, vertex splits on a torus) that
+tests compare that path against, and an in-process CLI runner.
 """
 
 from __future__ import annotations
@@ -16,13 +16,12 @@ from fractions import Fraction
 from unittest import mock
 
 from torusrig import cli, errors
-from torusrig.complexes import (ClosedWalk, DiscMap, SurfaceComplex,
-                                TorusComplex, TorusWithHole, disc_structures,
-                                retriangulate_holes)
+from torusrig.complexes import (DiscMap, SurfaceComplex, TorusComplex,
+                                TorusWithHole, disc_structures)
 from torusrig.graphs import Graph, contract_edge, edge_key
-from torusrig.reduction import (Contraction, EdgeClass, SeparatingCycle,
-                                _apexes, _blocked_faces, _grow_region,
-                                _region_criticals, classify_edge, contract,
+from torusrig.reduction import (Contraction, SeparatingCycle, _apexes,
+                                _blocked_faces, _grow_region,
+                                _region_criticals, contract,
                                 contractible_edges)
 from torusrig.sparsity import check_3_6
 
@@ -112,44 +111,6 @@ def induced(g: Graph, vertex_set) -> Graph:
     """The subgraph of g induced on ``vertex_set``."""
     s = frozenset(vertex_set)
     return Graph(s, (e for e in g.edges if e[0] in s and e[1] in s))
-
-
-def rebuild_contract(hole: TorusWithHole, e) -> TorusWithHole:
-    """``reduction.contract`` by revalidating everything: a TorusComplex on
-    the renamed faces and a DiscMap per hole, with the collar refill of
-    ``retriangulate_holes`` when either build fails.  The exact oracle for
-    the carried torus and discs of ``contract``."""
-    e = edge_key(*e)
-    if classify_edge(hole, e) is not EdgeClass.FF_CONTRACTIBLE:
-        raise errors.NotContractible(f"{e} is not a contractible FF edge")
-    keep, gone = e
-    torus = hole.torus
-    collapsed = set(hole.edge_retained_faces[e])
-
-    def rename(x):
-        return keep if x == gone else x
-
-    new_faces = [tuple(rename(x) for x in f)
-                 for i, f in enumerate(torus.faces) if i not in collapsed]
-    try:
-        torus2 = TorusComplex(new_faces)
-        discs2 = []
-        for d in hole.discs:
-            faces2 = [i - sum(c < i for c in collapsed) for i in d.faces]
-            keep2 = [edge_key(rename(a), rename(b)) for a, b in d.keep_edges]
-            discs2.append(DiscMap(torus2, faces2, keep_edges=keep2))
-        return TorusWithHole(torus2, discs2)
-    except errors.TorusRigError:
-        pass
-    retained2 = [tuple(rename(x) for x in torus.faces[i])
-                 for i in hole.face_indices if i not in collapsed]
-    walks2 = [ClosedWalk(rename(x) for x in d.boundary_walk.vertices)
-              for d in hole.discs]
-    try:
-        return retriangulate_holes(retained2, walks2)
-    except errors.TorusRigError as exc:
-        raise errors.NotContractible(
-            f"contracting {e} breaks the hole structure: {exc}") from exc
 
 
 def hole_reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contraction]]:

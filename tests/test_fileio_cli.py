@@ -272,6 +272,11 @@ def test_not_tight_carries_its_record(status, gen_args):
     assert r.returncode == 1
     assert r.stdout == ""
     assert r.stderr == f"error: {info.value}\n"
+    # torusrig homology - refuses it too, carrying the same record
+    r = run_cli(["homology", "-"], stdin=carried)
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == ("error: homology needs a tight single-hole graph; "
+                        f"record: {carried}\n")
 
 
 @pytest.mark.parametrize("command", ["reduce", "tree", "certify"])

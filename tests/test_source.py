@@ -1,12 +1,14 @@
 """Source-level rules for the package.
 
 Invariants raise typed ``TorusRigError``s rather than ``assert``, which
-``python -O`` strips.  Every definition in the package has a user: code
-that only tests call lives in ``tests/helpers.py``.  Every name a module
-imports is used there, except the bindings the benchmark tracer wraps.
-Every import is from the standard library or relative, as the empty
-``dependencies`` of ``pyproject.toml`` promise (numpy, say, would also add
-about 14 MB to a process's resident memory).
+``python -O`` strips.  No object is built through ``__new__``, so every
+``TorusComplex`` and ``DiscMap`` passes its constructor's checks.  Every
+definition in the package has a user: code that only tests call lives in
+``tests/helpers.py``.  Every name a module imports is used there, except
+the bindings the benchmark tracer wraps.  Every import is from the standard
+library or relative, as the empty ``dependencies`` of ``pyproject.toml``
+promise (numpy, say, would also add about 14 MB to a process's resident
+memory).
 """
 
 import ast
@@ -30,6 +32,14 @@ def test_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_object_built_through_new(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "__new__"]
+    assert not lines, f"{path.name}: __new__ at lines {lines}"
 
 
 def _definitions(tree):
