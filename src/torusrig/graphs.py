@@ -24,8 +24,9 @@ class Graph:
     matter for freedom-number bookkeeping).  Two more slots belong to
     :func:`torusrig.sparsity.check_3_6` and take no part in equality or
     hashing: ``_orientation`` holds the pebble game's final orientation once
-    the graph is decided (False when it violates), and ``_origin`` holds
-    ``(g, u, v)`` for ``contract_edge(g, u, v)`` until then.
+    the graph is decided (False when it violates), and ``_origin`` holds,
+    until then, a graph sharing most of its edges whose decided orientation
+    the game starts from (G for ``contract_edge(G, u, v)``).
     """
 
     __slots__ = ("vertices", "edges", "_adj", "_orientation", "_origin")
@@ -104,8 +105,8 @@ class Graph:
 def contract_edge(g: Graph, u: int, v: int) -> Graph:
     """Merge v into u (simple-graph contraction, parallel edges coalesce).
 
-    The result remembers ``(g, u, v)``, so that ``check_3_6`` can decide it
-    from g's pebble game."""
+    The result remembers g as its origin, so that ``check_3_6`` can decide
+    it from g's pebble game."""
     if edge_key(u, v) not in g.edges:
         raise errors.NotAnEdge(f"({u},{v})")
     edges = set()
@@ -115,7 +116,7 @@ def contract_edge(g: Graph, u: int, v: int) -> Graph:
         if a != b:
             edges.add(edge_key(a, b))
     h = Graph(g.vertices - {v}, edges)
-    h._origin = (g, u, v)
+    h._origin = g
     return h
 
 

@@ -1,99 +1,67 @@
-"""Small dense-core extraction via max-flow (project selection).
+"""Densest extensions, solved on the pebble game's board.
 
-The selection problem: choose a vertex set S (containing ``force_in``,
-avoiding ``force_out``) maximising  |E(G[S])| - 3|S \\ force_in|.  Each edge is
-a unit-profit project requiring both endpoints; each optional vertex costs 3.
-Solved by a min cut on the standard bipartite network; the minimal and maximal
-optimal S are read off the residual graph.
+The selection problem: choose a vertex set S containing ``force_in`` and
+avoiding ``force_out`` that maximises |E(G[S])| - 3|S|.  It is a bounded
+out-degree orientation question (Hakimi 1965), the one the pebble game
+answers (Lee & Streinu 2008).  Every vertex off ``force_out`` holds three
+pebbles, those of ``force_in`` none, and each edge with both ends off
+``force_out`` is covered by a pebble of one end, fetched along a reversed
+out-path when neither end holds one.  An edge whose ends reach no free
+pebble stays loose for good: what they reach is closed under out-edges and
+no later fetch enters it.  Each S has |E(G[S])| - 3|S \\ force_in| <= #loose,
+as an edge of G[S] is loose or covered from S, with equality exactly when S
+holds the loose edges' ends, is closed under out-edges and holds no free
+pebble.  So the value is #loose - 3|force_in|, the least optimiser is
+``force_in`` with all the loose edges' ends reach, and the greatest is every
+vertex that reaches no free pebble: the residual reach sets of the
+project-selection min cut.  They are the selection problem's own, whichever
+largest cover the search finds.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
-INF = 1 << 30
+from . import errors
 
 
-class _Dinic:
-    def __init__(self, n):
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.head: list[list[int]] = [[] for _ in range(n)]
+def fetch_pebble(pebbles, out, into, root, pinned=()) -> bool:
+    """Move a free pebble off ``pinned`` to ``root`` by reversing the
+    out-path that reaches it; False when no out-path from ``root`` does.
 
-    def add(self, u, v, c):
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
+    ``pebbles`` holds each vertex's free pebbles and ``out`` and ``into``
+    the out- and in-sets of the covered edges' orientation."""
+    parent = {root: None}
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        for y in out[x]:
+            if y in parent:
+                continue
+            parent[y] = x
+            if pebbles[y] and y not in pinned:
+                pebbles[y] -= 1
+                pebbles[root] += 1
+                while y != root:
+                    x = parent[y]
+                    out[x].remove(y)
+                    into[y].remove(x)
+                    out[y].add(x)
+                    into[x].add(y)
+                    y = x
+                return True
+            stack.append(y)
+    return False
 
-    def maxflow(self, s, t):
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            q = deque([s])
-            while q:
-                u = q.popleft()
-                for i in self.head[u]:
-                    v = self.to[i]
-                    if self.cap[i] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        q.append(v)
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
 
-            def dfs(u, pushed):
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    i = self.head[u][it[u]]
-                    v = self.to[i]
-                    if self.cap[i] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[i]))
-                        if got:
-                            self.cap[i] -= got
-                            self.cap[i ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, INF)
-                if not pushed:
-                    break
-                flow += pushed
-
-    def reachable_from(self, s):
-        seen = [False] * self.n
-        seen[s] = True
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for i in self.head[u]:
-                v = self.to[i]
-                if self.cap[i] > 0 and not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        return seen
-
-    def coreachable_to(self, t):
-        # nodes with a residual path to t
-        seen = [False] * self.n
-        seen[t] = True
-        stack = [t]
-        while stack:
-            u = stack.pop()
-            for i in self.head[u]:
-                # reverse arc u<-v has capacity cap[i^1]
-                v = self.to[i]
-                if self.cap[i ^ 1] > 0 and not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        return seen
+def _reach(step, start) -> frozenset:
+    """Every vertex reached from ``start`` along ``step``."""
+    seen = set(start)
+    stack = list(seen)
+    while stack:
+        for y in step[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return frozenset(seen)
 
 
 def densest_extension(graph, force_in, force_out=()):
@@ -101,30 +69,32 @@ def densest_extension(graph, force_in, force_out=()):
 
     Returns (best value, minimal optimal S, maximal optimal S).  The optimal
     sets form a lattice, so the minimal and maximal optimisers are unique.
+    BadArgument when the two sets overlap or name a vertex not in the graph.
     """
     force_in = frozenset(force_in)
     force_out = frozenset(force_out)
     if force_in & force_out:
-        raise ValueError("force_in and force_out overlap")
-    cand_edges = [e for e in graph.sorted_edges()
-                  if not (e[0] in force_out or e[1] in force_out)]
-    verts = sorted(graph.vertices - force_out)
-    vid = {v: i for i, v in enumerate(verts)}
-    n = 2 + len(cand_edges) + len(verts)
-    s, t = 0, 1
-    net = _Dinic(n)
-    e_node = lambda i: 2 + i
-    v_node = lambda v: 2 + len(cand_edges) + vid[v]
-    for i, (u, v) in enumerate(cand_edges):
-        net.add(s, e_node(i), 1)
-        net.add(e_node(i), v_node(u), INF)
-        net.add(e_node(i), v_node(v), INF)
-    for v in verts:
-        net.add(v_node(v), t, 0 if v in force_in else 3)
-    flow = net.maxflow(s, t)
-    value = (len(cand_edges) - flow) - 3 * len(force_in)
-    reach = net.reachable_from(s)
-    coreach = net.coreachable_to(t)
-    s_min = frozenset(v for v in verts if reach[v_node(v)]) | force_in
-    s_max = frozenset(v for v in verts if not coreach[v_node(v)]) | force_in
-    return value, s_min, s_max
+        raise errors.BadArgument("force_in and force_out overlap")
+    unknown = (force_in | force_out) - graph.vertices
+    if unknown:
+        raise errors.BadArgument(f"vertices {sorted(unknown)} are not in the graph")
+    pebbles = {v: 0 if v in force_in else 3 for v in graph.vertices - force_out}
+    out = {v: set() for v in pebbles}
+    into = {v: set() for v in pebbles}
+    loose = []
+    for u, v in graph.edges:
+        if u in force_out or v in force_out:
+            continue
+        if pebbles[u] or not pebbles[v] and fetch_pebble(pebbles, out, into, u):
+            tail, head = u, v
+        elif pebbles[v] or fetch_pebble(pebbles, out, into, v):
+            tail, head = v, u
+        else:
+            loose.append((u, v))
+            continue
+        pebbles[tail] -= 1
+        out[tail].add(head)
+        into[head].add(tail)
+    s_min = _reach(out, {x for e in loose for x in e}) | force_in
+    s_max = pebbles.keys() - _reach(into, [v for v, p in pebbles.items() if p])
+    return len(loose) - 3 * len(force_in), s_min, frozenset(s_max)

@@ -6,7 +6,11 @@ the hole disc whose complementary graph is tight).  A critical cycle supports
 a fission move, which substitutes the matching catalog graph for the
 complement.  Criticality is decided once per cycle: a ``SeparatingCycle``
 builds its outer part and checks its tightness on first use, and the search,
-``is_critical`` and ``fission`` share that verdict.
+``is_critical`` and ``fission`` share that verdict.  The outer part is a
+subgraph of the hole's graph G, and the fission child keeps G's edges off
+the catalog graph, so both are linked to G as their origin: their pebble
+games start from G's decided orientation, and the outer part's places no
+edge at all.
 
 The key-lemma search rests on a freedom count.  Let W be the violator of
 G/e and L its lift to G, and let a be the number of apexes of e in L.  Then
@@ -238,6 +242,7 @@ def _region_criticals(hole, region, e):
         if edge_key(*e) not in d1.boundary_walk.edge_set():
             continue
         cycle = SeparatingCycle(d1.boundary_walk, d1)
+        cycle.outer.graph._origin = hole.graph
         if is_critical(hole, cycle):
             out.append(cycle)
     return out
@@ -340,6 +345,7 @@ def fission(hole: TorusWithHole, cycle: SeparatingCycle
             errors.NoMatchingCatalogGraph, hole,
             f"at the cycle {list(cycle.walk.vertices)}: {exc}") from exc
     g2 = _substitute(hole, cycle, h_rep)
+    g2.graph._origin = hole.graph
     if not check_3_6(g2.graph).is_tight:
         raise fileio.with_record(
             errors.NoMatchingCatalogGraph, hole,

@@ -10,34 +10,37 @@ detection, finds the largest (3,5)-tight set containing each edge it places.
 At the first placement that makes some S violating, S spans exactly 3|S| - 5
 edges, the new one among them, so S is (3,5)-tight and the new edge's
 component has three or more vertices.  So one pebble game decides sparsity and
-tightness.  Only a violating graph pays for a witness: one min-cut per edge,
-in sorted edge order, over vertex sets S containing that edge's endpoints,
+tightness.  Only a violating graph has a witness: one min-cut per edge, in
+sorted edge order, over vertex sets S containing that edge's endpoints,
 maximising |E(G[S])| - 3|S|; the first set of three or more vertices pushing
-the maximum above -6 is the witness.  The ``through_vertex`` argument of
-``check_3_6`` only moves the edges at one vertex to the front of that scan,
-so the verdict is always that of the whole graph.  A subset-enumeration
-oracle cross-validates both paths on small graphs.
+the maximum above -6 is the witness.  That scan runs when the witness is
+first read, so a caller that reads only the status never pays for it.  The
+``through_vertex`` argument of ``check_3_6`` only moves the edges at one
+vertex to the front of that scan, so the verdict is always that of the whole
+graph.  A subset-enumeration oracle cross-validates both paths on small
+graphs.
 
-The key lemma and the greedy reduction ask again and again whether G/e is
-still tight, for a G already decided.  So the game's final orientation stays
-on each graph it decides, and ``contract_edge`` links G/e to G.  The game on
-G/e, with w the merged vertex, starts from G's orientation with both ends of
-e dropped, each tail taking its pebble back, and places only the edges at w.
-That is sound: G/e - w = G - u - v is a subgraph of G, so it is sparse, and
-whether pebbles can be gathered and which component the search detects
-depend only on the placed graph and on a valid configuration, not on the
-order of placement.  So the verdict is the one the whole game gives, and a
-violating G/e still gets its witness from the unchanged flow scan.
+The key lemma and the greedy reduction ask again and again about graphs that
+share most edges with the hole's graph G, decided already: G/e, a candidate
+cycle's outer part and the fission child.  So the game's final orientation
+stays on each graph it decides, and a graph may name such a graph as its
+origin.  When the origin is decided sparse, the game starts from its
+orientation of the edges the two graphs share and places only the graph's
+other edges, in sorted order.  That is sound for any two graphs: the shared
+edges span a subgraph of a sparse graph, so they are sparse, and the
+restricted orientation has out-degree at most three, a valid start.  Whether
+pebbles can be gathered and which component the search detects depend only
+on the placed graph, not on the order of placement or the valid start.  A
+violating graph still gets its witness from the unchanged flow scan.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from . import errors
-from .graphs import Graph, as_graph, edge_key, freedom
-from .maxflow import densest_extension
+from .graphs import Graph, as_graph, freedom
+from .maxflow import densest_extension, fetch_pebble
 
 BRUTE_FORCE_CAP = 16
 
@@ -48,10 +51,34 @@ class Status(enum.Enum):
     VIOLATION = "Violation"
 
 
-@dataclass(frozen=True)
 class SparsityVerdict:
-    status: Status
-    witness: frozenset | None = None
+    """A sparsity status and, for a violation, a violating vertex set.
+
+    The witness may be given as a function of no arguments; it is then
+    called on the first read of ``witness``.  Verdicts are equal when their
+    status and witness are."""
+
+    __slots__ = ("status", "_witness")
+
+    def __init__(self, status: Status, witness=None):
+        self.status = status
+        self._witness = witness
+
+    @property
+    def witness(self) -> frozenset | None:
+        if callable(self._witness):
+            self._witness = self._witness()
+        return self._witness
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, SparsityVerdict) and self.status is other.status
+                and self.witness == other.witness)
+
+    def __hash__(self):
+        return hash((self.status, self.witness))
+
+    def __repr__(self):
+        return f"SparsityVerdict(status={self.status!r}, witness={self.witness!r})"
 
     @property
     def is_tight(self) -> bool:
@@ -108,56 +135,18 @@ class _PebbleGame:
         """The placed edges as (tail, head) pairs."""
         return tuple((t, h) for t, heads in self.out.items() for h in heads)
 
-    def drop(self, x) -> None:
-        """Take every edge at x off the board; each tail gets its pebble
-        back, so x holds three free pebbles again."""
-        for h in self.out[x]:
-            self.into[h].remove(x)
-        for t in self.into[x]:
-            self.out[t].remove(x)
-            self.pebbles[t] += 1
-        self.out[x] = set()
-        self.into[x] = set()
-        self.pebbles[x] = 3
-
     def place(self, u, v) -> bool:
         """Place edge uv; False when the placed graph stops being
         (3,6)-sparse."""
         pinned = (u, v)
         for x in pinned:
             while self.pebbles[x] < 3:
-                if not self._fetch(x, pinned):
+                if not fetch_pebble(self.pebbles, self.out, self.into, x, pinned):
                     return False
         self.pebbles[u] -= 1
         self.out[u].add(v)
         self.into[v].add(u)
         return not self._big_component(u, v)
-
-    def _fetch(self, root, pinned) -> bool:
-        """Move a free pebble off ``pinned`` to ``root`` by reversing the
-        out-path that reaches it."""
-        pebbles, out, into = self.pebbles, self.out, self.into
-        parent = {root: None}
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in out[x]:
-                if y in parent:
-                    continue
-                parent[y] = x
-                if pebbles[y] and y not in pinned:
-                    pebbles[y] -= 1
-                    pebbles[root] += 1
-                    while y != root:
-                        x = parent[y]
-                        out[x].remove(y)
-                        into[y].remove(x)
-                        out[y].add(x)
-                        into[x].add(y)
-                        y = x
-                    return True
-                stack.append(y)
-        return False
 
     def _big_component(self, u, v) -> bool:
         """Whether the (3,5)-tight component of the placed edge uv has three
@@ -200,22 +189,22 @@ def _final_orientation(g: Graph) -> tuple | bool:
     """The pebble game's final orientation of ``g``, or False when ``g`` is
     not (3,6)-sparse.
 
-    When ``g`` is the contraction G/uv of a graph G already decided sparse,
-    the game starts from G's orientation with u and v dropped and places
-    only the edges at the merged vertex u; otherwise it places every edge,
-    in sorted order.
+    When ``g``'s origin is decided sparse, the game starts from the origin's
+    orientation of the edges the two graphs share and places only the other
+    edges of ``g``; otherwise it places every edge.  Either way in sorted
+    order.
     """
     origin = g._origin
-    if origin is not None and origin[0]._orientation not in (None, False):
-        parent, u, v = origin
-        game = _PebbleGame(parent.vertices, parent._orientation)
-        game.drop(u)
-        game.drop(v)
-        edges = sorted(edge_key(u, w) for w in g.neighbors(u))
+    if origin is not None and origin._orientation not in (None, False):
+        edges = g.edges
+        game = _PebbleGame(g.vertices, [
+            p for p in origin._orientation
+            if (p if p[0] < p[1] else (p[1], p[0])) in edges])
+        todo = sorted(edges - origin.edges)
     else:
         game = _PebbleGame(g.vertices)
-        edges = g.sorted_edges()
-    for a, b in edges:
+        todo = g.sorted_edges()
+    for a, b in todo:
         if not game.place(a, b):
             return False
     return game.orientation()
@@ -224,39 +213,27 @@ def _final_orientation(g: Graph) -> tuple | bool:
 def _pebble_sparse(g: Graph) -> bool:
     """True iff ``g`` is (3,6)-sparse, decided by the pebble game once per
     graph: the final orientation, or False, stays on ``g``, and the link to
-    the graph ``g`` was contracted from is cleared."""
+    its origin is cleared."""
     if g._orientation is None:
         g._orientation = _final_orientation(g)
         g._origin = None
     return g._orientation is not False
 
 
-def _violation_through(g: Graph, u: int, v: int) -> frozenset | None:
-    """A violating vertex set containing edge uv, or None.
-
-    The trivial optimum S = {u, v} scores -5, so a score of -4 or better
-    proves a violation outright; at exactly -5 the maximal optimiser decides
-    whether a three-or-more-vertex optimiser exists.
-    """
-    value, s_min, s_max = densest_extension(g, (u, v))
-    if value >= -4:
-        return s_min
-    if value == -5:
-        if len(s_min) >= 3:
-            return s_min
-        if len(s_max) >= 3:
-            return s_max
-    return None
-
-
 def _flow_scan(g: Graph, through_vertex: int | None = None) -> SparsityVerdict:
     """The verdict of one min-cut per edge in sorted order, the edges at
     ``through_vertex`` first, with the first violating set found as the
-    witness."""
+    witness.
+
+    The trivial optimum S = {u, v} of edge uv scores -5, so a score of -4 or
+    better proves the least optimiser violating outright; at exactly -5 an
+    optimiser violates when it has three or more vertices.
+    """
     for u, v in sorted(g.edges, key=lambda e: (through_vertex not in e, e)):
-        witness = _violation_through(g, u, v)
-        if witness is not None:
-            return SparsityVerdict(Status.VIOLATION, witness)
+        value, s_min, s_max = densest_extension(g, (u, v))
+        for s in (s_min, s_max):
+            if value > -5 or value == -5 and len(s) >= 3:
+                return SparsityVerdict(Status.VIOLATION, s)
     return _sparse_verdict(g)
 
 
@@ -268,7 +245,8 @@ def check_3_6(graph, through_vertex: int | None = None) -> SparsityVerdict:
     vertices, since such a component spans 3|S| - 5 edges.  A sparse graph
     is answered at once.  Otherwise one min-cut per edge, in sorted order,
     names the first violating set found, so verdicts and witnesses are those
-    of the per-edge flow scan alone.
+    of the per-edge flow scan alone.  That scan runs on the first read of
+    the verdict's ``witness``, never for a caller that reads only the status.
 
     ``through_vertex`` only orders that witness search: the edges at the
     vertex are scanned first, so a violation through it is named before any
@@ -279,16 +257,19 @@ def check_3_6(graph, through_vertex: int | None = None) -> SparsityVerdict:
 
     The game runs once per graph: its final orientation, or False for a
     violating graph, is remembered on the ``Graph``, and a later call on it
-    plays no game.  A graph from ``contract_edge(G, u, v)`` of a G decided
-    sparse is decided from G's orientation by placing only the edges at u;
-    once decided it drops its link to G.
+    plays no game.  A graph whose origin G (``Graph._origin``) is decided
+    sparse starts from G's orientation of the shared edges, a valid start as
+    they span a subgraph of a sparse graph, and places only its other edges;
+    once decided it drops its link to G.  ``contract_edge`` links G/e to G,
+    and the key-lemma search and ``fission`` link the graphs they check.
     """
     g = as_graph(graph)
     if len(g.vertices) < 3:
         raise errors.TooFewVertices("(3,6)-sparsity needs at least 3 vertices")
     if _pebble_sparse(g):
         return _sparse_verdict(g)
-    return _flow_scan(g, through_vertex)
+    return SparsityVerdict(Status.VIOLATION,
+                           lambda: _flow_scan(g, through_vertex).witness)
 
 
 def brute_force_3_6(graph) -> SparsityVerdict:

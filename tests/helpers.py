@@ -113,6 +113,24 @@ def induced(g: Graph, vertex_set) -> Graph:
     return Graph(s, (e for e in g.edges if e[0] in s and e[1] in s))
 
 
+def brute_force_densest_extension(g: Graph, force_in, force_out=()):
+    """``(value, s_min, s_max)`` of ``maxflow.densest_extension`` by
+    enumerating every S with force_in <= S and S disjoint from force_out:
+    the best |E(G[S])| - 3|S|, and the intersection and the union of the
+    sets that reach it."""
+    force_in = frozenset(force_in)
+    optional = sorted(g.vertices - force_in - frozenset(force_out))
+    best, optimal = None, []
+    for mask in range(1 << len(optional)):
+        s = force_in | {v for i, v in enumerate(optional) if mask >> i & 1}
+        value = len(induced(g, s).edges) - 3 * len(s)
+        if best is None or value > best:
+            best, optimal = value, []
+        if value == best:
+            optimal.append(s)
+    return best, frozenset.intersection(*optimal), frozenset.union(*optimal)
+
+
 def hole_reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contraction]]:
     """Greedy reduction that carries the hole through every step: each
     step takes the first contractible edge, in sorted order, whose graph

@@ -4,12 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusrig import errors
+from torusrig import errors, sparsity
 from torusrig.catalog import build_H
 from torusrig.complexes import cut_hole, rectangular_torus
 from torusrig.graphs import (Graph, complete_graph, contract_edge,
                              double_banana, freedom)
-from torusrig.reduction import contract, contractible_edges
+from torusrig.reduction import certify, contract, contractible_edges
 from torusrig.sparsity import (SparsityVerdict, Status, _flow_scan,
                                _PebbleGame, _pebble_sparse, brute_force_3_6,
                                check_3_6, is_in_T, maximal_tight_subgraph)
@@ -82,6 +82,29 @@ def test_flow_path_matches_brute_force(data):
     edges = data.draw(st.permutations(pairs))[:m]
     g = Graph(range(n), edges)
     assert check_3_6(g).status is brute_force_3_6(g).status
+
+
+def test_witness_is_searched_only_when_read(monkeypatch, tight_corpus):
+    # the flow scan behind a violation's witness runs on the first read of
+    # the witness, once; greedy reduction reads only tightness, so certify
+    # runs none, though it meets violating contractions
+    calls = []
+    real = sparsity.densest_extension
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sparsity, "densest_extension", counting)
+    v = check_3_6(complete_graph(5))
+    assert v.status is Status.VIOLATION and not v.is_sparse and not calls
+    assert v.witness == frozenset(range(5)) and calls
+    scans = len(calls)
+    assert v.witness == frozenset(range(5)) and len(calls) == scans
+    calls.clear()
+    for hole in tight_corpus[:20]:
+        certify(hole)
+    assert not calls
 
 
 def test_violation_monotone_under_supergraph():
@@ -266,7 +289,8 @@ def test_contraction_verdicts_match_fresh_graphs_on_corpus(tight_corpus):
     assert checked > 3000 and violations > 100
 
 
-def test_contraction_places_only_the_edges_at_the_merged_vertex(monkeypatch):
+def _count_placements(monkeypatch) -> list:
+    """The edges every pebble game places from now on, in order."""
     placed = []
     real_place = _PebbleGame.place
 
@@ -274,20 +298,61 @@ def test_contraction_places_only_the_edges_at_the_merged_vertex(monkeypatch):
         placed.append((u, v))
         return real_place(self, u, v)
 
+    monkeypatch.setattr(_PebbleGame, "place", counting_place)
+    return placed
+
+
+def test_contraction_places_only_the_edges_at_the_merged_vertex(monkeypatch):
+    # a contraction's game starts from the parent's orientation of the
+    # shared edges and places exactly the edges the parent lacks, all of
+    # them at the merged vertex
     hole = build_H(1)
     g = hole.graph
     assert check_3_6(g).is_tight
-    monkeypatch.setattr(_PebbleGame, "place", counting_place)
+    placed = _count_placements(monkeypatch)
     for u, v in contractible_edges(hole):
         placed.clear()
         h = contract_edge(g, u, v)
         assert check_3_6(h).is_tight
-        assert sorted(placed) == sorted(e for e in h.edges if u in e)
+        assert placed == sorted(h.edges - g.edges)
+        assert all(u in e for e in placed)
     # an undecided parent leaves its contraction to the whole game
     fresh = Graph(g.vertices, g.edges)
     placed.clear()
     check_3_6(contract_edge(fresh, u, v))
     assert len(placed) == len(g.edges) - 3
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_warm_start_from_any_decided_origin_matches_fresh_graphs(data):
+    # a child that keeps some of the origin's vertices and edges, drops
+    # others and adds new vertices and edges is decided from the origin's
+    # orientation of the shared edges when the origin is sparse; verdict
+    # and witness must be those of a graph built from scratch, and the
+    # status that of the exhaustive oracle
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["tight", "sparse", "violating"]))
+    g = _random_parent(rng, kind, data.draw(st.integers(6, 12)))
+    assert check_3_6(g).is_sparse is (kind != "violating")
+    memo = g._orientation
+    kept = set(rng.sample(sorted(g.vertices), rng.randint(3, len(g.vertices))))
+    new = set(range(len(g.vertices), len(g.vertices) + rng.randint(0, 3)))
+    vertices = sorted(kept | new)
+    dropped = rng.random() / 3
+    edges = {e for e in g.edges if set(e) <= kept and rng.random() >= dropped}
+    pairs = [(a, b) for a in vertices for b in vertices
+             if a < b and (a, b) not in g.edges]
+    edges |= set(rng.sample(pairs, min(len(pairs), rng.randint(0, 5))))
+    h = Graph(vertices, edges)
+    h._origin = g
+    x = rng.choice(vertices)
+    got = check_3_6(h, through_vertex=x)
+    assert got == check_3_6(Graph(h.vertices, h.edges), through_vertex=x)
+    assert got.status is brute_force_3_6(h).status
+    assert g._orientation is memo and h._origin is None
+    if got.is_sparse:
+        _assert_orientation_of(h)
 
 
 def test_memo_takes_no_part_in_equality_or_hashing():
@@ -326,7 +391,7 @@ def test_decided_graph_holds_no_ancestor():
     for _ in range(3):
         u, v = chain[-1].sorted_edges()[0]
         h = contract_edge(chain[-1], u, v)
-        assert h._origin[0] is chain[-1] and _holds(h, chain[-1])
+        assert h._origin is chain[-1] and _holds(h, chain[-1])
         check_3_6(h)
         assert h._origin is None and not _holds(h, chain[-1])
         chain.append(h)
