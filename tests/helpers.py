@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 from unittest import mock
 
-from torusrig import cli, errors
+from torusrig import cli, errors, sparsity
 from torusrig.complexes import (DiscMap, SurfaceComplex, TorusComplex,
                                 TorusWithHole, disc_structures)
 from torusrig.graphs import Graph, contract_edge, edge_key
@@ -23,7 +23,7 @@ from torusrig.reduction import (Contraction, SeparatingCycle, _apexes,
                                 _blocked_faces, _grow_region,
                                 _region_criticals, contract,
                                 contractible_edges)
-from torusrig.sparsity import check_3_6
+from torusrig.sparsity import _PebbleGame, check_3_6
 
 
 def run_main(args, record) -> tuple[int, str, str]:
@@ -129,6 +129,27 @@ def brute_force_densest_extension(g: Graph, force_in, force_out=()):
         if value == best:
             optimal.append(s)
     return best, frozenset.intersection(*optimal), frozenset.union(*optimal)
+
+
+def record_pebble_games(monkeypatch) -> dict:
+    """From now on, ``{id(g): (g, edges placed)}`` for every graph g whose
+    pebble game is played; g is kept so that no other graph takes its id."""
+    games, placed = {}, []
+    real_place, real_final = _PebbleGame.place, sparsity._final_orientation
+
+    def counting_place(self, u, v):
+        placed.append((u, v))
+        return real_place(self, u, v)
+
+    def recording_final(g):
+        start = len(placed)
+        result = real_final(g)
+        games[id(g)] = (g, placed[start:])
+        return result
+
+    monkeypatch.setattr(_PebbleGame, "place", counting_place)
+    monkeypatch.setattr(sparsity, "_final_orientation", recording_final)
+    return games
 
 
 def hole_reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contraction]]:

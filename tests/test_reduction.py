@@ -5,7 +5,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusrig import errors, reduction, sparsity
+from torusrig import errors, reduction
 from torusrig.catalog import build_H, classify
 from torusrig.complexes import ClosedWalk, cut_hole, rectangular_torus
 from torusrig.corpus import CorpusSpec, corpus_records
@@ -19,11 +19,11 @@ from torusrig.reduction import (Certificate, EdgeClass, certify, classify_edge,
                                 is_critical, is_uncontractible, reduce_greedy,
                                 verify_certificate)
 from torusrig.rigidity import generic_rank
-from torusrig.sparsity import SparsityVerdict, Status, _PebbleGame, check_3_6
+from torusrig.sparsity import SparsityVerdict, Status, check_3_6
 
 from helpers import (facial_split, hole_reduce_greedy, induced, is_connected,
-                     link_cycle, run_main, separating_cycle,
-                     tight_set_critical_cycles, vertex_split)
+                     link_cycle, record_pebble_games, run_main,
+                     separating_cycle, tight_set_critical_cycles, vertex_split)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -330,24 +330,10 @@ def test_outer_part_checked_once_per_candidate_cycle(monkeypatch, hole, e):
 
 def test_outer_parts_and_fission_children_start_from_the_hole_graph(
         monkeypatch, tight_corpus):
-    # each candidate's outer part is a subgraph of G, so its pebble game
-    # starts from G's orientation and places no edge; the fission child's
-    # places exactly its edges that G lacks
-    placed, games = [], {}
-    real_place, real_final = _PebbleGame.place, sparsity._final_orientation
-
-    def counting_place(self, u, v):
-        placed.append((u, v))
-        return real_place(self, u, v)
-
-    def recording_final(g):
-        start = len(placed)
-        result = real_final(g)
-        games[id(g)] = (g, placed[start:])
-        return result
-
-    monkeypatch.setattr(_PebbleGame, "place", counting_place)
-    monkeypatch.setattr(sparsity, "_final_orientation", recording_final)
+    # the outer part of each cycle found is a subgraph of G, so its pebble
+    # game starts from G's orientation and places no edge; the fission
+    # child's places exactly its edges that G lacks
+    games = record_pebble_games(monkeypatch)
     cycles = 0
     for hole in list(tight_corpus) + [build_H(i) for i in range(1, 18)]:
         g = hole.graph

@@ -11,10 +11,10 @@ from torusrig.graphs import (Graph, complete_graph, contract_edge,
                              double_banana, freedom)
 from torusrig.reduction import certify, contract, contractible_edges
 from torusrig.sparsity import (SparsityVerdict, Status, _flow_scan,
-                               _PebbleGame, _pebble_sparse, brute_force_3_6,
-                               check_3_6, is_in_T, maximal_tight_subgraph)
+                               _pebble_sparse, brute_force_3_6, check_3_6,
+                               is_in_T, maximal_tight_subgraph)
 
-from helpers import induced
+from helpers import induced, record_pebble_games
 
 
 def random_graph(data, max_n=11):
@@ -289,19 +289,6 @@ def test_contraction_verdicts_match_fresh_graphs_on_corpus(tight_corpus):
     assert checked > 3000 and violations > 100
 
 
-def _count_placements(monkeypatch) -> list:
-    """The edges every pebble game places from now on, in order."""
-    placed = []
-    real_place = _PebbleGame.place
-
-    def counting_place(self, u, v):
-        placed.append((u, v))
-        return real_place(self, u, v)
-
-    monkeypatch.setattr(_PebbleGame, "place", counting_place)
-    return placed
-
-
 def test_contraction_places_only_the_edges_at_the_merged_vertex(monkeypatch):
     # a contraction's game starts from the parent's orientation of the
     # shared edges and places exactly the edges the parent lacks, all of
@@ -309,18 +296,16 @@ def test_contraction_places_only_the_edges_at_the_merged_vertex(monkeypatch):
     hole = build_H(1)
     g = hole.graph
     assert check_3_6(g).is_tight
-    placed = _count_placements(monkeypatch)
+    games = record_pebble_games(monkeypatch)
     for u, v in contractible_edges(hole):
-        placed.clear()
         h = contract_edge(g, u, v)
         assert check_3_6(h).is_tight
-        assert placed == sorted(h.edges - g.edges)
-        assert all(u in e for e in placed)
+        assert games[id(h)][1] == sorted(h.edges - g.edges)
+        assert all(u in e for e in games[id(h)][1])
     # an undecided parent leaves its contraction to the whole game
-    fresh = Graph(g.vertices, g.edges)
-    placed.clear()
-    check_3_6(contract_edge(fresh, u, v))
-    assert len(placed) == len(g.edges) - 3
+    h = contract_edge(Graph(g.vertices, g.edges), u, v)
+    check_3_6(h)
+    assert len(games[id(h)][1]) == len(g.edges) - 3
 
 
 @given(st.data())
