@@ -12,7 +12,8 @@ The hole and every critical separating cycle are the same kind of object,
 the boundary of such a disc.  One search, ``disc_structures``, finds them
 all: it unfolds a region with up to ``MAX_KEEP`` shared edges kept unglued
 (exposed), in a fixed order.  ``infer_disc`` takes its first result for a
-hole; the reduction takes enlargements of a hole from it.
+hole; the reduction takes enlargements of a hole from it.  An unfolding is
+a disc iff it is connected with Euler characteristic one (see ``DiscMap``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import functools
 import itertools
 
 from . import errors
-from .graphs import Graph, edge_key, freedom
+from .graphs import Graph, edge_key
 
 
 def _face_edges(face):
@@ -146,10 +147,9 @@ class TorusComplex(SurfaceComplex):
         if self.euler_characteristic() != 0:
             raise errors.NotClosedSurface(
                 f"Euler characteristic {self.euler_characteristic()} != 0")
+        # each edge lies in two faces, so 3F = 2E and freedom 3V - E = 3 chi = 0
         reoriented, components = _orient_coherently(self.faces, self.edge_faces)
         self.faces = tuple(reoriented)
-        if freedom(self) != 0:
-            raise errors.NotClosedSurface("torus complex must have freedom number 0")
         _check_vertex_links(self)
         # with every link one cycle, the faces around a vertex are connected,
         # so the faces are connected iff the graph is
@@ -272,8 +272,20 @@ class DiscMap:
 
     The disc is recovered by unfolding the face region: faces sharing an edge
     are glued along it unless the edge is listed in ``keep_edges`` (such edges
-    stay in the graph and are covered twice by the boundary walk).  Validation
-    checks that the unfolded complex is a single disc.
+    stay in the graph and are covered twice by the boundary walk).
+
+    Connectivity across the glued edges and Euler characteristic one decide
+    that the unfolding is a disc.  A corner is a (face, vertex) pair with two
+    edges at its vertex; gluing an edge pairs a corner with at most one other
+    corner (two faces sharing two edges at v would be one face), so each
+    corner class is a path or a cycle of corners around its vertex and the
+    unfolding is a surface with boundary.  Its faces keep the torus's
+    coherent orientation, so the surface is oriented, and a connected
+    oriented surface with chi = 2 - 2g - b = 1 has g = 0 and b = 1: a disc
+    with one boundary cycle.  Each boundary class then has one unglued edge
+    leaving it and one entering it along the face orientation.  The walk
+    starts at the boundary class least by (image vertex, representative)
+    and follows whichever of those two edges is least by (edge, face).
     """
 
     def __init__(self, torus: TorusComplex, face_indices, keep_edges=()):
@@ -301,58 +313,30 @@ class DiscMap:
         if chi != 1:
             raise errors.NotADisc(f"unfolded Euler characteristic {chi} != 1")
 
-        # Abstract boundary edges: (face, edge) incidences not matched by a gluing.
-        boundary_slots = []
+        # the unglued half-edges around the one boundary cycle, both ways;
+        # a class representative is a (face, vertex) corner
+        step, back = {}, {}
         for f in self.faces:
-            for e in _face_edges(torus.faces[f]):
-                if e not in glued:
-                    boundary_slots.append((f, e))
-        # each boundary abstract vertex meets exactly two boundary slots
-        slot_at: dict = {}
-        for f, e in boundary_slots:
-            for v in e:
-                slot_at.setdefault(corner_class[f, v], []).append((f, e))
-        for cls, slots in slot_at.items():
-            if len(slots) != 2:
-                raise errors.NotADisc("boundary is not a single cycle")
+            for a, b in _directed_edges(torus.faces[f]):
+                if ((a, b) if a < b else (b, a)) not in glued:
+                    ca, cb = corner_class[f, a], corner_class[f, b]
+                    step[ca] = (cb, f)
+                    back[cb] = (ca, f)
+        start = min(step, key=lambda cls: (cls[1], cls))
+        (nxt, f_out), (prev, f_in) = step[start], back[start]
+        v = start[1]
+        if (edge_key(v, nxt[1]), f_out) > (edge_key(prev[1], v), f_in):
+            step = back
+        walk, cls = [v], step[start][0]
+        while cls != start:
+            walk.append(cls[1])
+            cls = step[cls][0]
 
         self.interior_edges = frozenset(glued)
-        # only a corner of the region can lose all its edges
-        corners = {v for f in self.faces for v in torus.faces[f]}
         self.interior_vertices = frozenset(
-            v for v in corners
-            if all(edge_key(v, w) in glued for w in torus.graph.neighbors(v)))
-        self.boundary_walk = self._trace_boundary(corner_class, boundary_slots,
-                                                  slot_at)
-
-    def _trace_boundary(self, corner_class, boundary_slots, slot_at) -> ClosedWalk:
-        if not boundary_slots:
-            raise errors.NotADisc("disc has no boundary")
-        # abstract boundary vertices, labelled by (image vertex, class repr)
-        def image(cls):
-            return cls[1]  # class representative is a (face, vertex) corner
-        start = min(slot_at, key=lambda cls: (image(cls), cls))
-        first = min(slot_at[start], key=lambda fe: fe[1])
-        walk = []
-        cls, slot = start, first
-        while True:
-            walk.append(image(cls))
-            f, (u, v) = slot
-            # classes never merge corners over distinct torus vertices, so the
-            # two endpoint classes of a slot are always distinct
-            other = corner_class[f, v]
-            if other == cls:
-                other = corner_class[f, u]
-            nxt_slots = [s for s in slot_at[other] if s != slot]
-            nxt = nxt_slots[0] if nxt_slots else slot
-            cls, slot = other, nxt
-            if (cls, slot) == (start, first):
-                break
-            if len(walk) > len(boundary_slots):
-                raise errors.NotADisc("boundary traversal does not close up")
-        if len(walk) != len(boundary_slots):
-            raise errors.NotADisc("boundary is not a single cycle")
-        return ClosedWalk(walk)
+            {x for f in self.faces for x in torus.faces[f]}
+            - {cls[1] for cls in step})
+        self.boundary_walk = ClosedWalk(walk)
 
     def __len__(self):
         return len(self.faces)
@@ -409,20 +393,10 @@ def _shared_edges(torus: TorusComplex, region) -> list:
 
 
 def _face_connected(torus: TorusComplex, region, edges) -> bool:
-    """Whether the region's faces are connected across the given edges."""
-    adj = {f: set() for f in region}
-    for e in edges:
-        f1, f2 = torus.edge_faces[e]
-        adj[f1].add(f2)
-        adj[f2].add(f1)
-    seen = set()
-    stack = list(region)[:1]
-    while stack:
-        f = stack.pop()
-        if f not in seen:
-            seen.add(f)
-            stack.extend(adj[f] - seen)
-    return len(seen) == len(adj)
+    """Whether the region's faces are connected across the given edges; an
+    empty region counts as connected, and ``DiscMap`` rejects it as no disc."""
+    cls = _classes(region, (torus.edge_faces[e] for e in edges))
+    return len(set(cls.values())) <= 1
 
 
 def _unfolding(torus: TorusComplex, faces, glued):

@@ -109,12 +109,8 @@ def contract_edge(g: Graph, u: int, v: int) -> Graph:
     it from g's pebble game."""
     if edge_key(u, v) not in g.edges:
         raise errors.NotAnEdge(f"({u},{v})")
-    edges = set()
-    for a, b in g.edges:
-        a = u if a == v else a
-        b = u if b == v else b
-        if a != b:
-            edges.add(edge_key(a, b))
+    edges = [e for e in g.edges if v not in e]
+    edges.extend((u, w) for w in g._adj[v] if w != u)
     h = Graph(g.vertices - {v}, edges)
     h._origin = g
     return h

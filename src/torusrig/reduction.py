@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 from . import catalog, errors, fileio
 from .complexes import (ClosedWalk, DiscMap, TorusComplex, TorusWithHole,
-                        _face_edges, _shared_edges, _face_connected,
+                        _classes, _face_connected, _face_edges, _shared_edges,
                         disc_structures, retriangulate_holes)
 from .graphs import (Graph, complete_graph, contract_edge, edge_key,
                      is_isomorphic)
@@ -219,16 +219,11 @@ def _blocked_faces(hole: TorusWithHole, k_set: frozenset) -> set[int]:
 
 
 def _grow_region(torus: TorusComplex, start: int, blocked) -> frozenset:
-    adj = torus.face_adjacency()
-    seen = {start}
-    stack = [start]
-    while stack:
-        f = stack.pop()
-        for n in adj[f]:
-            if n not in seen and n not in blocked:
-                seen.add(n)
-                stack.append(n)
-    return frozenset(seen)
+    """The class of ``start`` among the unblocked faces, across their edges."""
+    faces = {f for f in range(len(torus.faces)) if f not in blocked} | {start}
+    cls = _classes(faces, (fs for fs in torus.edge_faces.values()
+                           if fs[0] in faces and fs[1] in faces))
+    return frozenset(f for f, rep in cls.items() if rep == cls[start])
 
 
 def _region_criticals(hole, region, e):

@@ -2,9 +2,10 @@
 
 The package keeps the decide, classify, reduce and certify path; these are
 the slow cross-checks (dense modular and rational rank, greedy reduction
-that carries the hole through every step), the builders (face-graph
-quotients, separating cycles from a region, vertex splits on a torus) that
-tests compare that path against, and an in-process CLI runner.
+that carries the hole through every step, the slot-based disc unfolding),
+the builders (face-graph quotients, separating cycles from a region, vertex
+splits on a torus) that tests compare that path against, and an in-process
+CLI runner.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from unittest import mock
 
 from torusrig import cli, errors, sparsity
 from torusrig.complexes import (DiscMap, SurfaceComplex, TorusComplex,
-                                TorusWithHole, disc_structures)
+                                TorusWithHole, _check_face_indices,
+                                _face_edges, _shared_edges, _unfolding,
+                                disc_structures)
 from torusrig.graphs import Graph, contract_edge, edge_key
 from torusrig.reduction import (Contraction, SeparatingCycle, _apexes,
                                 _blocked_faces, _grow_region,
@@ -238,6 +241,80 @@ def face_index(torus: TorusComplex, face) -> int:
         if frozenset(f) == target:
             return i
     raise KeyError(face)
+
+
+def slot_disc(torus: TorusComplex, face_indices, keep_edges=()):
+    """``(walk, interior edges, interior vertices)`` of a face region by the
+    slot-based unfolding that ``DiscMap`` replaced; the reference for its
+    boundary walk.
+
+    A boundary slot is a (face, edge) incidence left unglued.  Every boundary
+    corner class must meet exactly two slots; the walk starts at the class
+    least by (image vertex, representative), leaves by its slot least by
+    edge (the lower face first), and steps from slot to slot until it is
+    back.  Faces are connected by their own depth-first search, and a vertex
+    is interior when every torus edge at it is glued.  Raises the errors
+    ``DiscMap`` raises, and NotADisc where the walk is not one cycle.
+    """
+    faces = sorted(set(face_indices))
+    if not faces:
+        raise errors.NotADisc("empty face set")
+    _check_face_indices(torus, faces)
+    region = set(faces)
+    shared = _shared_edges(torus, region)
+    keep = {edge_key(*e) for e in keep_edges}
+    if not keep <= set(shared):
+        raise errors.NotADisc("keep edges are not interior to the region")
+    glued = set(shared) - keep
+
+    def connected(edges):
+        adj = {f: set() for f in faces}
+        for e in edges:
+            f1, f2 = torus.edge_faces[e]
+            adj[f1].add(f2)
+            adj[f2].add(f1)
+        seen, stack = set(), faces[:1]
+        while stack:
+            f = stack.pop()
+            if f not in seen:
+                seen.add(f)
+                stack.extend(adj[f] - seen)
+        return len(seen) == len(faces)
+
+    if not connected(glued):
+        if not connected(shared):
+            raise errors.NotFaceConnected("face set is not adjacency-connected")
+        raise errors.NotADisc("unfolded complex is disconnected")
+    corner_class, chi = _unfolding(torus, faces, glued)
+    if chi != 1:
+        raise errors.NotADisc(f"unfolded Euler characteristic {chi} != 1")
+    slots = [(f, e) for f in faces for e in _face_edges(torus.faces[f])
+             if e not in glued]
+    slot_at: dict = {}
+    for f, e in slots:
+        for v in e:
+            slot_at.setdefault(corner_class[f, v], []).append((f, e))
+    if not slots or any(len(s) != 2 for s in slot_at.values()):
+        raise errors.NotADisc("boundary is not a single cycle")
+    start = min(slot_at, key=lambda c: (c[1], c))
+    first = min(slot_at[start], key=lambda fe: fe[1])
+    walk = []
+    cls, slot = start, first
+    while True:
+        walk.append(cls[1])
+        f, (u, v) = slot
+        other = corner_class[f, v]
+        if other == cls:
+            other = corner_class[f, u]
+        cls, slot = other, next(s for s in slot_at[other] if s != slot)
+        if (cls, slot) == (start, first) or len(walk) > len(slots):
+            break
+    if len(walk) != len(slots):
+        raise errors.NotADisc("boundary is not a single cycle")
+    corners = {v for f in faces for v in torus.faces[f]}
+    interior = frozenset(v for v in corners if all(
+        edge_key(v, w) in glued for w in torus.graph.neighbors(v)))
+    return tuple(walk), frozenset(glued), interior
 
 
 # -- separating cycles and vertex splits -------------------------------------

@@ -13,7 +13,8 @@ from torusrig.complexes import (MAX_KEEP, DiscMap, SurfaceComplex,
                                 retriangulate_holes)
 from torusrig.graphs import freedom
 
-from helpers import NonSimpleQuotient, identify_face_graph, is_connected
+from helpers import (NonSimpleQuotient, identify_face_graph, is_connected,
+                     slot_disc)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -341,3 +342,47 @@ def test_enlargement_disc_structures_match_brute_force():
         assert _summary(got) == _summary(want), (sorted(hole_faces), sorted(region))
         found += sum(1 for d in want if d.keep_edges)
     assert found > 10
+
+
+def _outcome(unfold, *args):
+    try:
+        return unfold(*args)
+    except errors.TorusRigError as exc:
+        return type(exc)
+
+
+def _disc_parts(torus, faces, keep):
+    d = DiscMap(torus, faces, keep_edges=keep)
+    return d.boundary_walk.vertices, d.interior_edges, d.interior_vertices
+
+
+def test_boundary_walk_matches_slot_oracle():
+    # every face set of K7, fully glued and with one random keep set of one
+    # to three shared edges, and grown 3x3 grid regions with every keep set
+    # of at most one edge: same walk, interior edges, interior vertices and
+    # error type as the slot-based unfolding
+    k7 = TorusComplex([f for i in range(7) for f in (
+        (i, (i + 1) % 7, (i + 3) % 7), (i, (i + 2) % 7, (i + 3) % 7))])
+    grid = rectangular_torus(3, 3)
+    rng = random.Random(20261020)
+    cases = []
+    for mask in range(1, 1 << 14):
+        faces = [i for i in range(14) if mask >> i & 1]
+        shared = sorted(e for e, (f1, f2) in k7.edge_faces.items()
+                        if mask >> f1 & 1 and mask >> f2 & 1)
+        cases.append((k7, faces, ()))
+        if shared:
+            k = min(len(shared), rng.randint(1, MAX_KEEP))
+            cases.append((k7, faces, rng.sample(shared, k)))
+    for _ in range(200):
+        region = _grow(grid, rng, [rng.randrange(18)], rng.randrange(18))
+        shared = sorted(e for e, (f1, f2) in grid.edge_faces.items()
+                        if f1 in region and f2 in region)
+        cases.extend((grid, region, keep) for keep in [(), *zip(shared)])
+    discs = 0
+    for torus, faces, keep in cases:
+        want = _outcome(slot_disc, torus, faces, keep)
+        assert _outcome(_disc_parts, torus, faces, keep) == want, (faces, keep)
+        discs += isinstance(want, tuple)
+    assert discs > 2000
+
