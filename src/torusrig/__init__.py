@@ -25,8 +25,7 @@ from .reduction import (Certificate, EdgeClass, SeparatingCycle, certify,
                         reduce_greedy, verify_certificate)
 from .rigidity import (RigidityReport, generic_rank, is_min_3_rigid,
                        rigidity_matrix, rigidity_report, random_placement)
-from .sparsity import (SparsityVerdict, Status, brute_force_3_6, check_3_6,
-                       is_in_T)
+from .sparsity import SparsityVerdict, Status, check_3_6, is_in_T
 
 __version__ = "0.1.0"
 
@@ -43,5 +42,5 @@ __all__ = [
     "verify_certificate",
     "RigidityReport", "generic_rank", "is_min_3_rigid", "rigidity_matrix",
     "rigidity_report", "random_placement",
-    "SparsityVerdict", "Status", "brute_force_3_6", "check_3_6", "is_in_T",
+    "SparsityVerdict", "Status", "check_3_6", "is_in_T",
 ]

@@ -69,10 +69,6 @@ class TooFewVertices(TorusRigError):
     pass
 
 
-class TooLarge(TorusRigError):
-    """Graph exceeds the brute-force subset-enumeration cap."""
-
-
 class MissingCoordinate(TorusRigError):
     """Placement does not cover every vertex."""
 

@@ -54,13 +54,12 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from dataclasses import dataclass
 
 from . import catalog, errors, fileio
 from .complexes import (ClosedWalk, DiscMap, TorusComplex, TorusWithHole,
-                        _classes, _face_connected, _face_edges, _shared_edges,
-                        disc_structures, retriangulate_holes)
+                        _classes, _face_edges, disc_structures,
+                        retriangulate_holes)
 from .graphs import (Graph, complete_graph, contract_edge, edge_key,
                      is_isomorphic)
 from .maxflow import densest_extension
@@ -295,26 +294,6 @@ def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | Non
             errors.NoCriticalCycle, hole, f"no critical separating cycle through {e}; this violates "
             "the key lemma on tight inputs")
     return min(candidates, key=lambda c: c.walk.canonical())
-
-
-def exhaustive_critical_cycles_through(hole: TorusWithHole, e) -> list[SeparatingCycle]:
-    """All critical cycles through e, by enumerating every enlarged disc.
-
-    Exponential in the number of non-hole faces; the slow oracle for
-    validating the constructive search on small graphs.
-    """
-    e = edge_key(*e)
-    torus = hole.torus
-    hole_faces = tuple(hole.single_disc.faces)
-    retained = [i for i in range(len(torus.faces)) if i not in hole_faces]
-    found = []
-    for size in range(len(retained) + 1):
-        for extra in itertools.combinations(retained, size):
-            region = frozenset(hole_faces) | frozenset(extra)
-            if not _face_connected(torus, region, _shared_edges(torus, region)):
-                continue
-            found.extend(_region_criticals(hole, region, e))
-    return found
 
 
 # -- fission ----------------------------------------------------------------
@@ -577,16 +556,16 @@ def verify_certificate(cert: Certificate, target: Graph,
                        check_rank: bool = True, seed: int = 0) -> bool:
     """Replay the certificate from K3 and check every intermediate graph.
 
-    With ``check_rank`` every step G must reach generic_rank(G) = |E| =
-    3|V| - 6, and that alone proves G tight.  The rank found at any
-    placement is at most the generic rank, which is at most |E|; so rank =
-    |E| shows G generically independent.  An independent graph is
-    (3,6)-sparse, since each subgraph on S has rank at most 3|S| - 6
-    (Maxwell's count), and with 3|V| - 6 edges it is tight.  Each split adds
-    one vertex and three edges, so the ranks step by +3; that a vertex split
-    keeps independence is Whiteley's lemma ("Vertex splitting in isostatic
-    frameworks", 1990).  Without ``check_rank`` each step runs a (3,6)
-    tightness check instead.
+    The claim is the same whichever exact elimination ranks a step: with
+    ``check_rank`` every step G must reach generic_rank(G) = |E| = 3|V| - 6,
+    and that alone proves G tight.  The rank found at any placement is at
+    most the generic rank, which is at most |E|; so rank = |E| shows G
+    generically independent.  An independent graph is (3,6)-sparse, since
+    each subgraph on S has rank at most 3|S| - 6 (Maxwell's count), and with
+    3|V| - 6 edges it is tight.  Each split adds one vertex and three edges,
+    so the ranks step by +3; that a vertex split keeps independence is
+    Whiteley's lemma ("Vertex splitting in isostatic frameworks", 1990).
+    Without ``check_rank`` each step runs a (3,6) tightness check instead.
     """
     graphs = cert.replay()
     if graphs[-1] != target and not is_isomorphic(graphs[-1], target):

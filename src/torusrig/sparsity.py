@@ -17,8 +17,8 @@ the maximum above -6 is the witness.  That scan runs when the witness is
 first read, so a caller that reads only the status never pays for it.  The
 ``through_vertex`` argument of ``check_3_6`` only moves the edges at one
 vertex to the front of that scan, so the verdict is always that of the whole
-graph.  A subset-enumeration oracle cross-validates both paths on small
-graphs.
+graph.  A subset-enumeration oracle in the tests cross-validates both
+paths on small graphs.
 
 The key lemma and the greedy reduction ask again and again about graphs that
 share most edges with the hole's graph G, decided already: G/e, a candidate
@@ -41,8 +41,6 @@ import enum
 from . import errors
 from .graphs import Graph, as_graph, freedom
 from .maxflow import densest_extension, fetch_pebble
-
-BRUTE_FORCE_CAP = 16
 
 
 class Status(enum.Enum):
@@ -270,41 +268,6 @@ def check_3_6(graph, through_vertex: int | None = None) -> SparsityVerdict:
         return _sparse_verdict(g)
     return SparsityVerdict(Status.VIOLATION,
                            lambda: _flow_scan(g, through_vertex).witness)
-
-
-def brute_force_3_6(graph) -> SparsityVerdict:
-    """Exhaustive reference oracle over all vertex subsets of size >= 3."""
-    g = as_graph(graph)
-    n = len(g.vertices)
-    if n < 3:
-        raise errors.TooFewVertices("(3,6)-sparsity needs at least 3 vertices")
-    if n > BRUTE_FORCE_CAP:
-        raise errors.TooLarge(f"{n} vertices exceeds the cap of {BRUTE_FORCE_CAP}")
-    verts = sorted(g.vertices)
-    pos = {v: i for i, v in enumerate(verts)}
-    masks = [0] * n
-    for u, v in g.edges:
-        masks[pos[u]] |= 1 << pos[v]
-        masks[pos[v]] |= 1 << pos[u]
-    best: tuple[int, frozenset] | None = None
-    for subset in range(1, 1 << n):
-        size = subset.bit_count()
-        if size < 3:
-            continue
-        m = 0
-        rest = subset
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            m += (masks[i] & subset).bit_count()
-            rest ^= low
-        m //= 2
-        excess = m - (3 * size - 6)
-        if excess > 0 and (best is None or excess > best[0]):
-            best = (excess, frozenset(verts[i] for i in range(n) if subset >> i & 1))
-    if best is not None:
-        return SparsityVerdict(Status.VIOLATION, best[1])
-    return _sparse_verdict(g)
 
 
 def maximal_tight_subgraph(graph, core, exclude=()) -> frozenset | None:

@@ -1,8 +1,9 @@
 """Oracles and builders that only the tests use.
 
 The package keeps the decide, classify, reduce and certify path; these are
-the slow cross-checks (dense modular and rational rank, greedy reduction
-that carries the hole through every step, the slot-based disc unfolding),
+the slow cross-checks (dense modular and rational rank, subset-enumeration
+sparsity, exhaustive critical-cycle search, greedy reduction that carries
+the hole through every step, the slot-based disc unfolding),
 the builders (face-graph quotients, separating cycles from a region, vertex
 splits on a torus) that tests compare that path against, and an in-process
 CLI runner.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 from fractions import Fraction
 from unittest import mock
@@ -19,14 +21,17 @@ from unittest import mock
 from torusrig import cli, errors, sparsity
 from torusrig.complexes import (DiscMap, SurfaceComplex, TorusComplex,
                                 TorusWithHole, _check_face_indices,
-                                _face_edges, _shared_edges, _unfolding,
-                                disc_structures)
-from torusrig.graphs import Graph, contract_edge, edge_key
+                                _face_connected, _face_edges, _shared_edges,
+                                _unfolding, disc_structures)
+from torusrig.graphs import Graph, as_graph, contract_edge, edge_key
 from torusrig.reduction import (Contraction, SeparatingCycle, _apexes,
                                 _blocked_faces, _grow_region,
                                 _region_criticals, contract,
                                 contractible_edges)
-from torusrig.sparsity import _PebbleGame, check_3_6
+from torusrig.sparsity import (SparsityVerdict, Status, _PebbleGame,
+                               _sparse_verdict, check_3_6)
+
+BRUTE_FORCE_CAP = 16
 
 
 def run_main(args, record) -> tuple[int, str, str]:
@@ -42,7 +47,7 @@ def run_main(args, record) -> tuple[int, str, str]:
 def dense_rank_mod_p(rows, p: int) -> int:
     """Rank over GF(p) by dense Gaussian elimination, every entry reduced
     after every update, columns in the given order; the reference for
-    ``rigidity.rank_mod_p``."""
+    ``rigidity.rank_at_placement`` on ``rigidity_matrix``."""
     if not rows:
         return 0
     rows = [[x % p for x in row] for row in rows]
@@ -73,8 +78,8 @@ def dense_rank_mod_p(rows, p: int) -> int:
 
 
 def rank_rational(rows) -> int:
-    """Rank over the rationals; cross-check for ``rigidity.rank_mod_p`` on
-    small integer matrices."""
+    """Rank over the rationals; cross-check for ``rigidity.rank_at_placement``
+    on small integer placements."""
     rows = [[Fraction(x) for x in row] for row in rows]
     if not rows:
         return 0
@@ -94,6 +99,42 @@ def rank_rational(rows) -> int:
         if rank == len(rows):
             break
     return rank
+
+
+def brute_force_3_6(graph) -> SparsityVerdict:
+    """Exhaustive reference oracle over all vertex subsets of size >= 3;
+    BadArgument above ``BRUTE_FORCE_CAP`` vertices."""
+    g = as_graph(graph)
+    n = len(g.vertices)
+    if n < 3:
+        raise errors.TooFewVertices("(3,6)-sparsity needs at least 3 vertices")
+    if n > BRUTE_FORCE_CAP:
+        raise errors.BadArgument(f"{n} vertices exceeds the cap of {BRUTE_FORCE_CAP}")
+    verts = sorted(g.vertices)
+    pos = {v: i for i, v in enumerate(verts)}
+    masks = [0] * n
+    for u, v in g.edges:
+        masks[pos[u]] |= 1 << pos[v]
+        masks[pos[v]] |= 1 << pos[u]
+    best: tuple[int, frozenset] | None = None
+    for subset in range(1, 1 << n):
+        size = subset.bit_count()
+        if size < 3:
+            continue
+        m = 0
+        rest = subset
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            m += (masks[i] & subset).bit_count()
+            rest ^= low
+        m //= 2
+        excess = m - (3 * size - 6)
+        if excess > 0 and (best is None or excess > best[0]):
+            best = (excess, frozenset(verts[i] for i in range(n) if subset >> i & 1))
+    if best is not None:
+        return SparsityVerdict(Status.VIOLATION, best[1])
+    return _sparse_verdict(g)
 
 
 def is_connected(g: Graph) -> bool:
@@ -338,6 +379,26 @@ def separating_cycle(hole: TorusWithHole, region_faces) -> SeparatingCycle:
     if not hole.deleted_edges <= d1.interior_edges:
         raise errors.InvalidCycle("enlargement stops deleting a hole-interior edge")
     return SeparatingCycle(d1.boundary_walk, d1)
+
+
+def exhaustive_critical_cycles_through(hole: TorusWithHole, e) -> list[SeparatingCycle]:
+    """All critical cycles through e, by enumerating every enlarged disc.
+
+    Exponential in the number of non-hole faces; the slow oracle for
+    validating the constructive search on small graphs.
+    """
+    e = edge_key(*e)
+    torus = hole.torus
+    hole_faces = tuple(hole.single_disc.faces)
+    retained = [i for i in range(len(torus.faces)) if i not in hole_faces]
+    found = []
+    for size in range(len(retained) + 1):
+        for extra in itertools.combinations(retained, size):
+            region = frozenset(hole_faces) | frozenset(extra)
+            if not _face_connected(torus, region, _shared_edges(torus, region)):
+                continue
+            found.extend(_region_criticals(hole, region, e))
+    return found
 
 
 def tight_set_critical_cycles(hole: TorusWithHole, e) -> list[SeparatingCycle]:

@@ -11,22 +11,22 @@ import time
 import pytest
 
 from torusrig.catalog import THE_17_WORDS, build_H, classify, the_17
-from torusrig.complexes import cut_holes, rectangular_torus
+from torusrig.complexes import rectangular_torus
 from torusrig.graphs import Graph, complete_graph, double_banana, freedom, \
     is_isomorphic
 from torusrig.homology import crossover_class
 from torusrig.reduction import (EdgeClass, certify, classify_edge, contract,
                                 contractible_edges,
-                                exhaustive_critical_cycles_through,
                                 find_critical_cycle_through, fission,
                                 is_critical, is_uncontractible, reduce_greedy,
                                 verify_certificate)
 from torusrig.rigidity import generic_rank, is_min_3_rigid, rigidity_report
-from torusrig.sparsity import brute_force_3_6, check_3_6, is_in_T
+from torusrig.sparsity import check_3_6, is_in_T
 from torusrig.corpus import CorpusSpec, gen_corpus
 from torusrig.fileio import load_hole
 
-from helpers import induced, is_connected
+from helpers import (brute_force_3_6, exhaustive_critical_cycles_through,
+                     induced, is_connected)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 K5_MINUS_EDGE = Graph(range(5), complete_graph(5).edges - {(0, 1)})
@@ -249,56 +249,15 @@ def _flexible_two_hole(hole):
     return (pair, rank, target) if rank < target else None
 
 
-def _grid_two_hole_search(t0):
-    """The first flexible two-hole graph on the 4x4, 4x5 and 5x5 grid tori
-    with two face-star holes, as (source, pair, rank, target); None when
-    there is none or after two minutes."""
-    found = None
-    for r, s in ((4, 4), (4, 5), (5, 5)):
-        torus = rectangular_torus(r, s)
-        adj = torus.face_adjacency()
-        tri = []
-        for f in range(len(torus.faces)):
-            region = frozenset({f} | adj[f])
-            if len(region) == 4:
-                tri.append(region)
-        edges_of = {}
-        for region in tri:
-            es = set()
-            for i in region:
-                a, b, c = torus.faces[i]
-                es |= {tuple(sorted(p)) for p in ((a, b), (b, c), (a, c))}
-            edges_of[region] = es
-        for r1, r2 in itertools.combinations(tri, 2):
-            if r1 & r2 or (edges_of[r1] & edges_of[r2]):
-                continue
-            try:
-                hole = cut_holes(torus, [sorted(r1), sorted(r2)])
-            except Exception:
-                continue
-            witness = _flexible_two_hole(hole)
-            if witness:
-                found = (f"{r}x{s} two-hole graph", *witness)
-                break
-        if found or time.time() - t0 > 120:
-            break
-    return found
-
-
 def test_criterion_12_two_hole_negative_control():
-    # stretch goal, reported but never failing: a tight two-hole torus graph
-    # with a separating pair and deficient rank; the committed record first,
-    # then the grid search
+    # a tight two-hole torus graph with a separating pair and deficient
+    # rank: the committed record two_octahedra.json
     t0 = time.time()
     witness = _flexible_two_hole(load_hole(DATA / "two_octahedra.json"))
-    found = (("record two_octahedra.json", *witness) if witness
-             else _grid_two_hole_search(t0))
-    if found:
-        source, pair, rank, target = found
-        print(f"[criterion 12] PASS (stretch) - {source}: tight,"
-              f" separating pair {pair}, rank {rank} < {target},"
-              f" {time.time()-t0:.1f}s")
+    if witness:
+        pair, rank, target = witness
+        detail = f"tight, separating pair {pair}, rank {rank} < {target}"
     else:
-        print(f"[criterion 12] NOT FOUND (stretch, non-blocking) - no tight "
-              f"flexible two-hole example in the searched family,"
-              f" {time.time()-t0:.1f}s")
+        detail = "not tight, or no separating pair, or full rank"
+    report(12, witness is not None,
+           f"record two_octahedra.json: {detail}, {time.time()-t0:.1f}s")

@@ -5,8 +5,8 @@ of ``torusrig gen --seed 3 --count 4 --grids 3x4``, and, for each record, the
 stdout and exit code of ``torusrig tree -``, ``torusrig reduce -`` and
 ``torusrig certify - --validate`` as recorded before the reduction code was
 simplified, and of ``torusrig rank -`` as recorded with the dense modular
-elimination, before ``rigidity.rank_mod_p`` went sparse and lazy.  Any
-refactor of the reduction or of the rank must reproduce them exactly.
+elimination, before the rank went sparse and lazy.  Any refactor of the
+reduction or of the rank must reproduce them exactly.
 """
 
 import json

@@ -14,16 +14,16 @@ from torusrig.graphs import (Graph, complete_graph, contract_edge, edge_key,
                              freedom, is_isomorphic)
 from torusrig.reduction import (Certificate, EdgeClass, certify, classify_edge,
                                 contract, contractible_edges, divide,
-                                exhaustive_critical_cycles_through,
                                 find_critical_cycle_through, fission,
                                 is_critical, is_uncontractible, reduce_greedy,
                                 verify_certificate)
 from torusrig.rigidity import generic_rank
 from torusrig.sparsity import SparsityVerdict, Status, check_3_6
 
-from helpers import (facial_split, hole_reduce_greedy, induced, is_connected,
-                     link_cycle, record_pebble_games, run_main,
-                     separating_cycle, tight_set_critical_cycles, vertex_split)
+from helpers import (exhaustive_critical_cycles_through, facial_split,
+                     hole_reduce_greedy, induced, is_connected, link_cycle,
+                     record_pebble_games, run_main, separating_cycle,
+                     tight_set_critical_cycles, vertex_split)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 

@@ -1,16 +1,22 @@
+import pathlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusrig import errors
 from torusrig.catalog import build_H
+from torusrig.fileio import load_hole
 from torusrig.graphs import Graph, complete_graph, double_banana
 from torusrig.reduction import certify
 from torusrig.rigidity import (DIM, FIELD_PRIME, Placement, generic_rank,
                                is_min_3_rigid, random_placement,
-                               rank_at_placement, rank_mod_p, rigidity_matrix,
+                               rank_at_placement, rigidity_matrix,
                                rigidity_report)
 
 from helpers import dense_rank_mod_p, rank_rational
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+OCTAHEDRON = Graph(range(6), complete_graph(6).edges - {(0, 1), (2, 3), (4, 5)})
 
 
 def test_k2_rank_one():
@@ -91,7 +97,9 @@ def test_trivial_motions_annihilate_matrix():
             assert sum(r * v for r, v in zip(row, m)) % mod == 0
 
 
-def _signed_integer_matrix(g, seed):
+def _signed_integer_placement(g, seed):
+    """Integer coordinates below 10^6 and the signed integer rigidity matrix
+    they give, blocks in sorted vertex order and no entry reduced."""
     import random
     rng = random.Random(seed)
     coords = {v: tuple(rng.randrange(10 ** 6) for _ in range(DIM))
@@ -106,54 +114,75 @@ def _signed_integer_matrix(g, seed):
             row[col[u] + d] = diff
             row[col[v] + d] = -diff
         rows.append(row)
-    return rows
+    return Placement(coords, FIELD_PRIME, seed), rows
 
 
 def test_field_rank_matches_rational_rank_small():
-    # same signed integer matrix, ranks over GF(p) and over Q agree
+    # same integer placement: the kernel's rank over GF(p) and the rank of
+    # the signed integer matrix over Q agree
     for seed in (1, 2):
         for g in (complete_graph(4), double_banana(),
                   Graph(range(5), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                                    (0, 2), (1, 3)])):
-            rows = _signed_integer_matrix(g, seed)
-            assert rank_mod_p(rows) == rank_rational(rows)
+            placement, rows = _signed_integer_placement(g, seed)
+            assert rank_at_placement(g, placement) == rank_rational(rows)
+
+
+# every graph that certificates of H1, H5, H9 and H17 replay
+REPLAYED = [g for i in (1, 5, 9, 17) for g in certify(build_H(i)).replay()]
 
 
 @st.composite
-def signed_matrices(draw):
-    """(p, rows): a random integer matrix for GF(p), p the field prime or 7.
+def graphs(draw):
+    """A random simple graph with isolated vertices, K4, an octahedron, the
+    two octahedra of the two-hole record, or a replayed certificate step."""
+    kind = draw(st.sampled_from(["random", "random", "K4", "octahedron",
+                                 "two octahedra", "replayed"]))
+    if kind == "K4":
+        return complete_graph(4)
+    if kind == "octahedron":
+        return OCTAHEDRON
+    if kind == "two octahedra":
+        return load_hole(DATA / "two_octahedra.json").graph
+    if kind == "replayed":
+        return draw(st.sampled_from(REPLAYED))
+    n = draw(st.integers(0, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph(range(n + draw(st.integers(0, 2))), edges)
 
-    Entries are small, beyond +-p, near +-p, or nonzero multiples of p.
-    Rows are added that duplicate or combine earlier ones, zero rows are
-    inserted, some columns are zeroed, and the rows are shuffled; shapes run
-    from empty through wide to tall.
-    """
-    p = draw(st.sampled_from([FIELD_PRIME, 7]))
-    entry = st.one_of(st.integers(-9, 9),
+
+@st.composite
+def placements(draw):
+    """(graph, placement) over GF(p), p small or the field prime.
+
+    Coordinates are small, negative, at least p or multiples of p, and some
+    vertices are moved onto another or onto the line through two others, so
+    that small fields give singular pivot blocks and rank-deficient vertex
+    blocks."""
+    g = draw(graphs())
+    p = draw(st.sampled_from([5, 7, 11, 13, FIELD_PRIME]))
+    coord = st.one_of(st.integers(-9, 9),
                       st.integers(-3, 3).map(lambda k: k * p),
-                      st.integers(-3 * p * p, 3 * p * p),
+                      st.integers(-3 * p, 3 * p),
                       st.sampled_from([p - 1, p + 1, 1 - p, -p - 1]))
-    ncols = draw(st.integers(0, 9))
-    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
-                         max_size=7))
-    for _ in range(draw(st.integers(0, 4)) if rows else 0):
-        picks = draw(st.lists(st.sampled_from(range(len(rows))),
-                              min_size=1, max_size=3))
-        coefs = [draw(entry) for _ in picks]
-        rows.append([sum(a * rows[i][j] for a, i in zip(coefs, picks))
-                     for j in range(ncols)])
-        rows.append(list(rows[draw(st.sampled_from(range(len(rows))))]))
-    rows += [[0] * ncols for _ in range(draw(st.integers(0, 2)))]
-    zeroed = draw(st.sets(st.integers(0, ncols - 1))) if ncols else set()
-    rows = [[0 if j in zeroed else x for j, x in enumerate(r)] for r in rows]
-    return p, draw(st.permutations(rows))
+    verts = sorted(g.vertices)
+    coords = {v: draw(st.tuples(coord, coord, coord)) for v in verts}
+    for _ in range(draw(st.integers(0, 3)) if len(verts) >= 3 else 0):
+        u, v, w = draw(st.permutations(verts))[:3]
+        k = draw(st.integers(-2, 2))
+        coords[w] = tuple(b + k * (b - a) for a, b in zip(coords[u], coords[v]))
+    return g, Placement(coords, p, seed=0)
 
 
-@given(signed_matrices())
+@given(placements())
 @settings(max_examples=400, deadline=None)
 def test_rank_mod_p_matches_dense_reference(case):
-    p, rows = case
-    assert rank_mod_p(rows, p) == dense_rank_mod_p(rows, p)
+    # the kernel's rank over GF(p) is the dense reference's rank of the
+    # rigidity matrix, on degenerate placements over small fields too
+    g, placement = case
+    assert rank_at_placement(g, placement) == dense_rank_mod_p(
+        rigidity_matrix(g, placement), placement.modulus)
 
 
 @pytest.mark.parametrize("rows, p, rank", [
@@ -171,12 +200,42 @@ def test_rank_mod_p_matches_dense_reference(case):
      FIELD_PRIME, 2),
 ])
 def test_rank_mod_p_on_named_shapes(rows, p, rank):
-    assert rank_mod_p(rows, p) == dense_rank_mod_p(rows, p) == rank
+    # the dense reference on signed entries, entries at least p and nonzero
+    # multiples of p, as the rational cross-check hands it
+    assert dense_rank_mod_p(rows, p) == rank
+
+
+# K5 with vertex 0 eliminated first: its first three blocks p(0) - p(k),
+# k = 1, 2, 3, lie in the plane z = 0, and the fourth, k = 4, leaves it
+DEPENDENT_FIRST_THREE = {0: (0, 0, 0), 1: (1, 0, 0), 2: (0, 1, 0),
+                         3: (1, 1, 0), 4: (0, 0, 1)}
+
+
+@pytest.mark.parametrize("g, coords, p, rank", [
+    (Graph([], []), {}, FIELD_PRIME, 0),
+    (Graph(range(3), []), {v: (v, 0, 0) for v in range(3)}, FIELD_PRIME, 0),
+    (Graph([0, 1], [(0, 1)]), {0: (1, 2, 3), 1: (1, 2, 3)}, FIELD_PRIME, 0),
+    (Graph([0, 1], [(0, 1)]), {0: (0, 0, 0), 1: (7, -14, 21)}, 7, 0),
+    (Graph([0, 1], [(0, 1)]), {0: (0, 0, 0), 1: (7, -14, 22)}, 7, 1),
+    (Graph(range(3), [(0, 1), (1, 2)]), {0: (0, 0, 5), 1: (1, 1, 1),
+                                         2: (1, 1, 1)}, FIELD_PRIME, 1),
+    (complete_graph(4), {0: (-1, FIELD_PRIME + 1, 0), 1: (1, -1, 0),
+                         2: (0, 0, 3 - FIELD_PRIME), 3: (5, 7, -11)},
+     FIELD_PRIME, 6),
+    (complete_graph(5), DEPENDENT_FIRST_THREE, FIELD_PRIME, 9),
+    (complete_graph(5), DEPENDENT_FIRST_THREE, 7, 9),
+], ids=["empty", "isolated", "coincident", "multiple of p", "small field",
+        "coincident path", "entries past p", "dependent first three",
+        "dependent first three mod 7"])
+def test_rank_at_placement_on_named_cases(g, coords, p, rank):
+    placement = Placement(coords, p, seed=0)
+    assert rank_at_placement(g, placement) == dense_rank_mod_p(
+        rigidity_matrix(g, placement), p) == rank
 
 
 def test_rank_at_placement_matches_dense_reference_on_replays():
-    # every graph that verify_certificate replays for H1-H17, ranked in
-    # minimum-degree column order and by the dense sorted-order reference
+    # every graph that verify_certificate replays for H1-H17, ranked by the
+    # kernel and by the dense sorted-order reference
     for i in range(1, 18):
         for g in certify(build_H(i)).replay():
             placement = random_placement(g, seed=0)

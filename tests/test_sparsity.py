@@ -11,10 +11,10 @@ from torusrig.graphs import (Graph, complete_graph, contract_edge,
                              double_banana, freedom)
 from torusrig.reduction import certify, contract, contractible_edges
 from torusrig.sparsity import (SparsityVerdict, Status, _flow_scan,
-                               _pebble_sparse, brute_force_3_6, check_3_6,
-                               is_in_T, maximal_tight_subgraph)
+                               _pebble_sparse, check_3_6, is_in_T,
+                               maximal_tight_subgraph)
 
-from helpers import induced, record_pebble_games
+from helpers import brute_force_3_6, induced, record_pebble_games
 
 
 def random_graph(data, max_n=11):
@@ -54,7 +54,7 @@ def test_h1_tight():
 def test_too_few_vertices():
     with pytest.raises(errors.TooFewVertices):
         check_3_6(Graph([0, 1], [(0, 1)]))
-    with pytest.raises(errors.TooLarge):
+    with pytest.raises(errors.BadArgument):
         brute_force_3_6(complete_graph(17))
 
 
