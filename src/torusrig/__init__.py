@@ -11,6 +11,13 @@ key lemma's move at a critical cycle, is available on its own.
 rigidity follows from tightness only for one hole: two octahedra glued at an
 antipodal pair form a tight two-hole torus graph of rank 3|V| - 7.  So the
 reduction and certificate commands refuse more than one hole.
+
+Five public names have no caller in the package, only in the tests; each
+stays public for a reason.  ``divide`` and ``cut_holes`` are the paper's
+division move and its torus with several holes, and ``double_banana`` is
+its flexible graph that meets the Maxwell count.  ``is_in_T`` is the
+main theorem's class 𝒯 and ``is_uncontractible`` the test that ends the
+reduction; the acceptance criteria import both.
 """
 
 from .complexes import (ClosedWalk, DiscMap, SurfaceComplex, TorusComplex,

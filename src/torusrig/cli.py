@@ -62,7 +62,7 @@ def cmd_check(args) -> int:
 
 def cmd_rank(args) -> int:
     hole = _load(args.graph)
-    report = rigidity.rigidity_report(hole.graph, trials=args.trials, seed=args.seed)
+    report = rigidity.rigidity_report(hole.graph, seed=args.seed)
     _emit(report.to_json())
     return 0 if report.minimally_rigid else 2
 
@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn, extra in (
             ("check", cmd_check, ()),
-            ("rank", cmd_rank, ("seed", "trials")),
+            ("rank", cmd_rank, ("seed",)),
             ("classify", cmd_classify, ()),
             ("homology", cmd_homology, ()),
             ("reduce", cmd_reduce, ()),
@@ -177,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("graph", help="JSON graph file, or - for stdin")
         if "seed" in extra:
             p.add_argument("--seed", type=int, default=0)
-        if "trials" in extra:
-            p.add_argument("--trials", type=int, default=3)
         if "validate" in extra:
             p.add_argument("--validate", action="store_true")
         if "format" in extra:

@@ -12,7 +12,7 @@ class TorusRigError(Exception):
 
 
 class BadArgument(TorusRigError):
-    """A parameter such as a trial count or a CLI option is out of range."""
+    """A parameter such as a CLI option is out of range."""
 
 
 # -- records and complex construction ---------------------------------------

@@ -166,13 +166,17 @@ def contract(hole: TorusWithHole, e) -> TorusWithHole:
 
 @dataclass(frozen=True)
 class SeparatingCycle:
-    """Boundary of an enlargement D1 of the hole disc, as walk plus disc.
+    """Boundary of an enlargement D1 of the hole disc, held as the disc.
 
     The outer part and whether it is tight are worked out once per cycle,
     on first use, and shared by ``divide``, ``is_critical`` and ``fission``.
     """
-    walk: ClosedWalk
     disc: DiscMap
+
+    @property
+    def walk(self) -> ClosedWalk:
+        """The cycle: the boundary walk of D1."""
+        return self.disc.boundary_walk
 
     @functools.cached_property
     def outer(self) -> TorusWithHole:
@@ -235,7 +239,7 @@ def _region_criticals(hole, region, e):
                               boundary_length=catalog.WALK_LENGTH):
         if edge_key(*e) not in d1.boundary_walk.edge_set():
             continue
-        cycle = SeparatingCycle(d1.boundary_walk, d1)
+        cycle = SeparatingCycle(d1)
         cycle.outer.graph._origin = hole.graph
         if is_critical(hole, cycle):
             out.append(cycle)
@@ -438,7 +442,7 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list[Contraction]]:
             return graph, moves
         for e in cand:
             h = contract_edge(graph, *e)
-            if check_3_6(h, through_vertex=e[0]).is_tight:
+            if check_3_6(h).is_tight:
                 break
         else:
             raise fileio.with_record(

@@ -1,12 +1,12 @@
 """Generic infinitesimal 3-rigidity by exact rigidity-matrix rank.
 
-Placements are drawn uniformly from the prime field of order 2^62 - 57 and
-ranks are computed by exact modular elimination.  Rank can only be
-under-reported (a random placement may be unlucky), never over-reported, so
-the maximum over independent trials converges one-sidedly to the generic
-rank.  Each r x r minor of the rigidity matrix has degree at most r <= 3|V|
-as a polynomial in the coordinates, so the per-trial failure probability is
-at most 3|V| / 2^62 -- far below 2^-40 at desk scale.
+The generic rank is the rank at one placement drawn uniformly from the
+prime field of order 2^62 - 57, computed by exact modular elimination.  That
+rank can only be under-reported (the placement may be unlucky), never
+over-reported.  An r x r minor of the rigidity matrix that is nonzero as a
+polynomial has degree at most r <= 3|V| in the coordinates, so it vanishes
+at a random placement with probability at most r / p <= 3|V| / 2^62
+(Schwartz 1980; Zippel 1979) -- far below 2^-40 at desk scale.
 
 ``rank_at_placement`` holds row uv as the blocks p(u) - p(v) at u and its
 negative at v, and clears one vertex block at a time in (degree, label)
@@ -40,21 +40,20 @@ DIM = 3
 
 @dataclass(frozen=True)
 class Placement:
-    """Vertex coordinates in the prime field, reproducible from a seed."""
+    """Vertex coordinates in the prime field of order ``modulus``."""
     coords: dict
     modulus: int
-    seed: int
 
     def __getitem__(self, v):
         return self.coords[v]
 
 
-def random_placement(graph, seed: int, modulus: int = FIELD_PRIME) -> Placement:
+def random_placement(graph, seed: int) -> Placement:
     g = as_graph(graph)
     rng = random.Random(seed)
-    coords = {v: tuple(rng.randrange(modulus) for _ in range(DIM))
+    coords = {v: tuple(rng.randrange(FIELD_PRIME) for _ in range(DIM))
               for v in sorted(g.vertices)}
-    return Placement(coords, modulus, seed)
+    return Placement(coords, FIELD_PRIME)
 
 
 def _block_rows(g, placement: Placement) -> list[dict]:
@@ -168,31 +167,14 @@ def rank_at_placement(graph, placement: Placement) -> int:
     return rank
 
 
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise errors.BadArgument(f"trials must be at least 1, got {trials}")
-
-
-def generic_rank(graph, trials: int = 3, seed: int = 0) -> int:
-    """Max exact rank over ``trials`` random prime-field placements.
+def generic_rank(graph, seed: int = 0) -> int:
+    """Exact rank at the random prime-field placement drawn from ``seed``.
 
     One-sided: never exceeds the true generic rank, and falls short only if
-    every trial's placement is degenerate.  Raises BadArgument for fewer
-    than one trial.
+    the placement is degenerate.
     """
-    _check_trials(trials)
     g = as_graph(graph)
-    if not g.edges:
-        return 0
-    best = 0
-    cap = min(len(g.edges), max(0, DIM * len(g.vertices) - 6)) \
-        if len(g.vertices) >= DIM else len(g.edges)
-    for t in range(trials):
-        placement = random_placement(g, seed + t)
-        best = max(best, rank_at_placement(g, placement))
-        if best == cap:
-            break
-    return best
+    return rank_at_placement(g, random_placement(g, seed))
 
 
 @dataclass(frozen=True)
@@ -208,11 +190,11 @@ class RigidityReport:
                 "minimally_rigid": self.minimally_rigid}
 
 
-def rigidity_report(graph, trials: int = 3, seed: int = 0) -> RigidityReport:
+def rigidity_report(graph, seed: int = 0) -> RigidityReport:
     g = as_graph(graph)
     if len(g.vertices) < 3:
         raise errors.TooFewVertices("rigidity report needs at least 3 vertices")
-    rank = generic_rank(g, trials=trials, seed=seed)
+    rank = generic_rank(g, seed=seed)
     target = DIM * len(g.vertices) - 6
     return RigidityReport(
         rank=rank,
@@ -222,11 +204,10 @@ def rigidity_report(graph, trials: int = 3, seed: int = 0) -> RigidityReport:
     )
 
 
-def is_min_3_rigid(graph, trials: int = 3, seed: int = 0) -> bool:
+def is_min_3_rigid(graph, seed: int = 0) -> bool:
     """True iff |E| = 3|V| - 6 and the generic rank attains it."""
-    _check_trials(trials)
     g = as_graph(graph)
     if len(g.vertices) < 3:
         raise errors.TooFewVertices("minimal 3-rigidity needs at least 3 vertices")
     target = DIM * len(g.vertices) - 6
-    return len(g.edges) == target and generic_rank(g, trials=trials, seed=seed) == target
+    return len(g.edges) == target and generic_rank(g, seed=seed) == target

@@ -208,8 +208,7 @@ def hole_reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contrac
     moves: list[Contraction] = []
     while cand := contractible_edges(current):
         for e in cand:
-            if not check_3_6(contract_edge(current.graph, *e),
-                             through_vertex=e[0]).is_tight:
+            if not check_3_6(contract_edge(current.graph, *e)).is_tight:
                 continue
             try:
                 result = contract(current, e)
@@ -378,7 +377,7 @@ def separating_cycle(hole: TorusWithHole, region_faces) -> SeparatingCycle:
         raise errors.InvalidCycle("region carries no enlargement disc structure")
     if not hole.deleted_edges <= d1.interior_edges:
         raise errors.InvalidCycle("enlargement stops deleting a hole-interior edge")
-    return SeparatingCycle(d1.boundary_walk, d1)
+    return SeparatingCycle(d1)
 
 
 def exhaustive_critical_cycles_through(hole: TorusWithHole, e) -> list[SeparatingCycle]:

@@ -71,7 +71,7 @@ def test_criterion_03_main_theorem_equivalence(corpus9):
     for hole in corpus9:
         assert len(hole.detachment_walk()) == 9
         tight = is_in_T(hole)
-        rigid = is_min_3_rigid(hole.graph, trials=3, seed=101)
+        rigid = is_min_3_rigid(hole.graph, seed=101)
         assert tight == rigid, hole
         n_tight += tight
     dt = time.time() - t0
