@@ -27,11 +27,23 @@ class Graph:
     the graph is decided (False when it violates), and ``_origin`` holds,
     until then, a graph sharing most of its edges whose decided orientation
     the game starts from (G for ``contract_edge(G, u, v)``).
+
+    The two moves, ``contract_edge`` and ``split_vertex``, build the child
+    from the parent's vertex set, edge set and adjacency, changed at the
+    merged or split vertex and its neighbours only; they hand the result to
+    the constructor through the private ``_adj`` argument, which skips the
+    normalisation of every edge and the rebuild of every neighbour set.
     """
 
     __slots__ = ("vertices", "edges", "_adj", "_orientation", "_origin")
 
-    def __init__(self, vertices, edges):
+    def __init__(self, vertices, edges, *, _adj=None):
+        self._orientation = None
+        self._origin = None
+        if _adj is not None:
+            # a move's child: frozensets of vertices and key-ordered edges
+            self.vertices, self.edges, self._adj = vertices, edges, _adj
+            return
         # edge_key only for pairs not already in key order, and for loops
         edges = frozenset((u, v) if u < v else edge_key(v, u) for u, v in edges)
         vertices = frozenset(vertices)
@@ -44,8 +56,6 @@ class Graph:
         self.vertices = vertices
         self.edges = edges
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
-        self._orientation = None
-        self._origin = None
 
     # -- basic queries ------------------------------------------------
 
@@ -94,12 +104,16 @@ class Graph:
             moved.add(t)
         if new_vertex in self.vertices:
             raise errors.NonSimple(f"vertex id {new_vertex} already in use")
-        edges = set(self.edges)
+        adj = dict(self._adj)
+        adj[new_vertex] = frozenset(moved | {v1, v2, v3})
+        adj[v1] = adj[v1] - moved | {new_vertex}
         for t in moved:
-            edges.remove(edge_key(v1, t))
-            edges.add(edge_key(new_vertex, t))
-        edges.update(edge_key(new_vertex, x) for x in (v1, v2, v3))
-        return Graph(self.vertices | {new_vertex}, edges)
+            adj[t] = adj[t] - {v1} | {new_vertex}
+        for x in (v2, v3):
+            adj[x] = adj[x] | {new_vertex}
+        edges = (self.edges - {edge_key(v1, t) for t in moved}
+                 | {edge_key(new_vertex, t) for t in adj[new_vertex]})
+        return Graph(self.vertices | {new_vertex}, edges, _adj=adj)
 
 
 def contract_edge(g: Graph, u: int, v: int) -> Graph:
@@ -109,9 +123,15 @@ def contract_edge(g: Graph, u: int, v: int) -> Graph:
     it from g's pebble game."""
     if edge_key(u, v) not in g.edges:
         raise errors.NotAnEdge(f"({u},{v})")
-    edges = [e for e in g.edges if v not in e]
-    edges.extend((u, w) for w in g._adj[v] if w != u)
-    h = Graph(g.vertices - {v}, edges)
+    adj = dict(g._adj)
+    at_v = adj.pop(v)
+    gained = at_v - adj[u] - {u}  # v's neighbours that u did not have
+    for w in at_v - {u}:
+        adj[w] = adj[w] - {v} | {u} if w in gained else adj[w] - {v}
+    adj[u] = adj[u] - {v} | gained
+    edges = (g.edges - {edge_key(v, w) for w in at_v}
+             | {edge_key(u, w) for w in gained})
+    h = Graph(g.vertices - {v}, edges, _adj=adj)
     h._origin = g
     return h
 

@@ -508,8 +508,8 @@ class Certificate:
         return {"base": list(self.base_vertices),
                 "splits": [s.to_json() for s in self.splits]}
 
-    def replay(self) -> list[Graph]:
-        """All intermediate graphs, K3 first."""
+    @functools.cached_property
+    def _replayed(self) -> tuple[Graph, ...]:
         a, b, c = self.base_vertices
         g = Graph([a, b, c], [(a, b), (a, c), (b, c)])
         out = [g]
@@ -518,7 +518,13 @@ class Certificate:
                                [(s.vertex, t) for t in s.moved],
                                new_vertex=s.new_vertex)
             out.append(g)
-        return out
+        return tuple(out)
+
+    def replay(self) -> list[Graph]:
+        """All intermediate graphs, K3 first.  The certificate is frozen, so
+        they are built once, on the first call, and shared by later ones
+        (``certify``'s check and ``verify_certificate``)."""
+        return list(self._replayed)
 
 
 def _leaf_chain(leaf_graph: Graph) -> tuple[tuple[int, int, int], list[SplitMove]]:
@@ -570,9 +576,18 @@ def verify_certificate(cert: Certificate, target: Graph,
     so the ranks step by +3; that a vertex split keeps independence is
     Whiteley's lemma ("Vertex splitting in isostatic frameworks", 1990).
     Without ``check_rank`` each step runs a (3,6) tightness check instead.
+
+    Every step is ranked at one placement: ``generic_rank`` draws each
+    vertex's coordinates from (seed, vertex), so a step's placement is the
+    final graph's restricted to the step's vertices, and the chance that
+    any step is under-reported is at most 3|V|^2 / p (see ``rigidity``).
+    The replay must reproduce the target exactly, vertex ids included, as
+    the certificate promises; any other graph, a relabelled copy too,
+    raises ReplayMismatch.  A certificate replays once, so one from
+    ``certify`` brings the replay that ``certify`` checked.
     """
     graphs = cert.replay()
-    if graphs[-1] != target and not is_isomorphic(graphs[-1], target):
+    if graphs[-1] != target:
         raise errors.ReplayMismatch("certificate does not reproduce the target")
     for g in graphs:
         if check_rank:

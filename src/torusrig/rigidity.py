@@ -8,6 +8,13 @@ polynomial has degree at most r <= 3|V| in the coordinates, so it vanishes
 at a random placement with probability at most r / p <= 3|V| / 2^62
 (Schwartz 1980; Zippel 1979) -- far below 2^-40 at desk scale.
 
+A placement is drawn per (seed, vertex): p(v) depends on nothing else, so
+the placement of a subgraph is the restriction of the graph's.  Ranking
+every step G_k of a certificate replay at the same seed therefore ranks
+them all at one placement of the final graph G, and the chance that some
+step is under-reported is at most the union over the steps,
+sum 3|V_k| / p <= 3|V|^2 / p, which needs no independence between steps.
+
 ``rank_at_placement`` holds row uv as the blocks p(u) - p(v) at u and its
 negative at v, and clears one vertex block at a time in (degree, label)
 order (faster than greedy minimum-degree order on 8 x 8 and 12 x 12 grids).
@@ -26,6 +33,7 @@ The rank is that of the dense elimination of ``rigidity_matrix``.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -48,12 +56,20 @@ class Placement:
         return self.coords[v]
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _coordinates(seed: int, v: int) -> tuple:
+    """p(v) at ``seed``.  ``random`` seeds from the string "seed:v" through
+    SHA-512, so the draw is the same in every process, whatever its
+    PYTHONHASHSEED."""
+    rng = random.Random(f"{seed}:{v}")
+    return tuple(rng.randrange(FIELD_PRIME) for _ in range(DIM))
+
+
 def random_placement(graph, seed: int) -> Placement:
+    """The placement of the graph's vertices at ``seed``, each vertex's
+    coordinates drawn from (seed, vertex) alone."""
     g = as_graph(graph)
-    rng = random.Random(seed)
-    coords = {v: tuple(rng.randrange(FIELD_PRIME) for _ in range(DIM))
-              for v in sorted(g.vertices)}
-    return Placement(coords, FIELD_PRIME)
+    return Placement({v: _coordinates(seed, v) for v in g.vertices}, FIELD_PRIME)
 
 
 def _block_rows(g, placement: Placement) -> list[dict]:

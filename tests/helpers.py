@@ -157,6 +157,38 @@ def induced(g: Graph, vertex_set) -> Graph:
     return Graph(s, (e for e in g.edges if e[0] in s and e[1] in s))
 
 
+def tight_plus_one_edge(rng, n_core, n_outer):
+    """A tight graph grown by 0-extensions (a new vertex joined to three old
+    ones) from a triangle: the first ``n_core`` vertices span a tight subset
+    S, and one more edge between two non-adjacent vertices of S makes S
+    violate.  Vertex ids are shuffled, so the edge that closes the violation
+    comes anywhere in the sorted placement order."""
+    edges = {(0, 1), (0, 2), (1, 2)}
+    for z in range(3, n_core + n_outer):
+        edges |= {(a, z) for a in rng.sample(range(z), 3)}
+    missing = [(a, b) for a in range(n_core) for b in range(a + 1, n_core)
+               if (a, b) not in edges]
+    edges.add(rng.choice(missing))
+    label = list(range(n_core + n_outer))
+    rng.shuffle(label)
+    return Graph(label, [(label[a], label[b]) for a, b in edges])
+
+
+def random_parent(rng, kind, n):
+    """A graph on n vertices of the given kind: tight (0-extensions from a
+    triangle), sparse but not tight (a tight graph less one to three edges)
+    or violating (a tight graph plus one edge inside a tight subset)."""
+    if kind == "violating":
+        n_core = rng.randint(5, n)
+        return tight_plus_one_edge(rng, n_core, n - n_core)
+    edges = {(0, 1), (0, 2), (1, 2)}
+    for z in range(3, n):
+        edges |= {(a, z) for a in rng.sample(range(z), 3)}
+    if kind == "sparse":
+        edges -= set(rng.sample(sorted(edges), rng.randint(1, 3)))
+    return Graph(range(n), edges)
+
+
 def brute_force_densest_extension(g: Graph, force_in, force_out=()):
     """``(value, s_min, s_max)`` of ``maxflow.densest_extension`` by
     enumerating every S with force_in <= S and S disjoint from force_out:

@@ -1,10 +1,14 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusrig import errors
 from torusrig.graphs import (Graph, complete_graph, contract_edge, double_banana,
                              edge_key, freedom, is_isomorphic)
+from torusrig.reduction import certify
 
-from helpers import induced, is_connected
+from helpers import induced, is_connected, random_parent
 
 
 def test_freedom_small_graphs():
@@ -71,3 +75,118 @@ def test_double_banana_shape():
     assert (3, 4) not in db
     rest = induced(db, db.vertices - {3, 4})
     assert not is_connected(rest)
+
+
+# -- the two moves against graphs built from scratch ------------------------
+
+
+def _assert_built_from_scratch(h: Graph):
+    """h has the vertices, edges and neighbour sets of the graph that the
+    constructor builds from its vertex and edge sets."""
+    fresh = Graph(h.vertices, h.edges)
+    assert (h.vertices, h.edges) == (fresh.vertices, fresh.edges)
+    assert isinstance(h.vertices, frozenset) and isinstance(h.edges, frozenset)
+    assert all(u < v for u, v in h.edges)
+    assert h._adj.keys() == fresh._adj.keys()
+    for v in fresh.vertices:
+        assert h.neighbors(v) == fresh.neighbors(v)
+        assert isinstance(h.neighbors(v), frozenset)
+
+
+def _assert_moves_refused(data, g: Graph):
+    """Invalid moves raise what they raise, and leave g as it was."""
+    before = Graph(g.vertices, g.edges)
+    vs = sorted(g.vertices)
+    non_edges = [(a, b) for a in vs for b in vs if a < b and (a, b) not in g.edges]
+    if non_edges:
+        with pytest.raises(errors.NotAnEdge):
+            contract_edge(g, *data.draw(st.sampled_from(non_edges)))
+    with pytest.raises(errors.LoopEdge):
+        contract_edge(g, vs[0], vs[0])
+    hubs = [v for v in vs if g.degree(v) >= 2]
+    if hubs:
+        v1 = data.draw(st.sampled_from(hubs))
+        v2, v3 = sorted(g.neighbors(v1))[:2]
+        new = max(vs) + 1
+        with pytest.raises(errors.InvalidAnchors):
+            g.split_vertex(v1, v2, v2, [], new_vertex=new)
+        strangers = sorted(g.vertices - g.neighbors(v1) - {v1})
+        if strangers:
+            with pytest.raises(errors.InvalidAnchors):
+                g.split_vertex(v1, v2, strangers[0], [], new_vertex=new)
+        with pytest.raises(errors.InvalidAnchors):
+            g.split_vertex(v1, v2, v3, [(v3, v1)], new_vertex=new)
+        away = [e for e in g.sorted_edges() if v1 not in e]
+        if away:
+            with pytest.raises(errors.NotAnEdge):
+                g.split_vertex(v1, v2, v3, [away[0]], new_vertex=new)
+        with pytest.raises(errors.NonSimple):
+            g.split_vertex(v1, v2, v3, [], new_vertex=v1)
+    assert g == before
+    assert all(g.neighbors(v) == before.neighbors(v) for v in vs)
+
+
+def _draw_move(data, g: Graph) -> Graph | None:
+    """A contraction or a vertex split of g, drawn at random; None when g
+    has no edge left to move."""
+    if not g.edges:
+        return None
+    if data.draw(st.booleans()):
+        u, v = data.draw(st.sampled_from(g.sorted_edges()))
+        if data.draw(st.booleans()):
+            u, v = v, u
+        h = contract_edge(g, u, v)
+        assert h._origin is g
+        return h
+    hubs = sorted(v for v in g.vertices if g.degree(v) >= 2)
+    if not hubs:
+        return None
+    v1 = data.draw(st.sampled_from(hubs))
+    v2, v3 = data.draw(st.permutations(sorted(g.neighbors(v1))))[:2]
+    rest = sorted(g.neighbors(v1) - {v2, v3})
+    moved = data.draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    edges = [(v1, t) if data.draw(st.booleans()) else (t, v1) for t in moved]
+    h = g.split_vertex(v1, v2, v3, edges, new_vertex=max(g.vertices) + 1)
+    assert h.neighbors(max(h.vertices)) == {v1, v2, v3, *moved}
+    return h
+
+
+@pytest.fixture(scope="module")
+def certified(tight_corpus):
+    """Each graph of the tight corpus with its certificate."""
+    return [(hole.graph, certify(hole)) for hole in tight_corpus]
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_moves_match_graphs_built_from_scratch(certified, data):
+    # chains of contractions and vertex splits from a random tight, sparse or
+    # violating graph, or from a certificate step; each child is the graph
+    # that the constructor builds from its vertex and edge sets
+    if data.draw(st.booleans()):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        kind = data.draw(st.sampled_from(["tight", "sparse", "violating"]))
+        g = random_parent(rng, kind, data.draw(st.integers(6, 14)))
+    else:
+        _target, cert = data.draw(st.sampled_from(certified))
+        g = data.draw(st.sampled_from(cert.replay()))
+    for _ in range(data.draw(st.integers(1, 4))):
+        _assert_moves_refused(data, g)
+        h = _draw_move(data, g)
+        if h is None:
+            break
+        _assert_built_from_scratch(h)
+        g = h
+
+
+def test_certify_replays_are_built_from_scratch_and_contract_back(certified):
+    # every split of every certificate of the tight corpus gives the graph
+    # built from scratch, and contracting the split edge gives its parent
+    for target, cert in certified:
+        graphs = cert.replay()
+        assert graphs[-1] == target
+        for g, s, h in zip(graphs, cert.splits, graphs[1:]):
+            _assert_built_from_scratch(h)
+            back = contract_edge(h, s.vertex, s.new_vertex)
+            assert back == g and back._origin is h
+            assert all(back.neighbors(v) == g.neighbors(v) for v in g.vertices)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pathlib
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -663,6 +664,57 @@ def test_certificate_replay_mismatch_detected():
     wrong = complete_graph(5)
     with pytest.raises(errors.ReplayMismatch):
         verify_certificate(cert, wrong, check_rank=False)
+
+
+def _two_switch(g: Graph) -> Graph:
+    """g with edges ab, cd swapped for ac, bd: the same degrees, another
+    edge set."""
+    for a, b in g.sorted_edges():
+        for c, d in g.sorted_edges():
+            if len({a, b, c, d}) == 4 and (a, c) not in g and (b, d) not in g:
+                return Graph(g.vertices, g.edges - {(a, b), (c, d)}
+                             | {edge_key(a, c), edge_key(b, d)})
+    raise AssertionError("no 2-switch")
+
+
+def test_verify_refuses_any_other_target_at_once():
+    # the replay must reproduce the target exactly: a relabelled copy or a
+    # degree-preserving 2-switch of a tight 8x8 graph is refused without an
+    # isomorphism search, which takes tens of seconds on either
+    rec = next(r for r in corpus_records(CorpusSpec(seed=1, count=2, grids=((8, 8),)))
+               if r["meta"]["status"] == "Tight")
+    hole = record_to_hole(rec)
+    cert = certify(hole)
+    g = hole.graph
+    label = dict(zip(sorted(g.vertices), sorted(g.vertices)[1:] + [min(g.vertices)]))
+    relabelled = Graph(label.values(), [(label[u], label[v]) for u, v in g.edges])
+    for target in (relabelled, _two_switch(g)):
+        assert target != g
+        t0 = time.perf_counter()
+        with pytest.raises(errors.ReplayMismatch):
+            verify_certificate(cert, target)
+        assert time.perf_counter() - t0 < 1.0
+    assert verify_certificate(cert, g, check_rank=False)
+
+
+def test_verify_ranks_each_replayed_step_once(monkeypatch):
+    # one exact rank per step, at the caller's seed, on the very graphs that
+    # certify replayed and checked
+    hole = build_H(5)
+    cert = certify(hole)
+    replayed = cert.replay()
+    real_rank = reduction.generic_rank
+    calls = []
+
+    def counted(g, **kw):
+        calls.append((g, kw))
+        return real_rank(g, **kw)
+
+    monkeypatch.setattr(reduction, "generic_rank", counted)
+    assert verify_certificate(cert, hole.graph, check_rank=True, seed=7)
+    assert len(calls) == len(cert.splits) + 1
+    assert all(g is r for (g, _kw), r in zip(calls, replayed))
+    assert all(kw == {"seed": 7} for _g, kw in calls)
 
 
 def _corrupt_last_split(cert: Certificate, **changes) -> Certificate:

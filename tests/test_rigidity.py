@@ -1,4 +1,8 @@
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +18,7 @@ from torusrig.rigidity import (DIM, FIELD_PRIME, Placement, generic_rank,
                                rigidity_report)
 from torusrig.sparsity import check_3_6
 
-from helpers import dense_rank_mod_p, rank_rational
+from helpers import dense_rank_mod_p, induced, rank_rational
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 OCTAHEDRON = Graph(range(6), complete_graph(6).edges - {(0, 1), (2, 3), (4, 5)})
@@ -256,3 +260,41 @@ def test_one_placement_is_seed_stable_on_deficient_graphs(corpus9):
                                   FIELD_PRIME) for seed in range(5)]
         assert ranks == dense == ranks[:1] * 5, g
         assert ranks[0] < len(g.edges)
+
+
+# -- one placement per (seed, vertex) ----------------------------------------
+
+# p(0) at seed 0, the first vertex every certificate's K3 and most graphs hold
+SEED_0_VERTEX_0 = (3113947112831643202, 4061443514191644238, 3627766875224000675)
+
+
+def test_placement_of_a_subgraph_is_the_restriction():
+    # every replay step and an induced subgraph see the coordinates that
+    # their vertices have in the whole graph
+    g = build_H(9).graph
+    subs = certify(build_H(9)).replay() + [induced(g, sorted(g.vertices)[::2])]
+    for seed in (0, 1, 17):
+        whole = random_placement(g, seed)
+        for sub in subs:
+            part = random_placement(sub, seed)
+            assert part.coords.keys() == sub.vertices
+            assert all(part[v] == whole[v] for v in sub.vertices)
+    assert random_placement(g, 0)[0] != random_placement(g, 1)[0]
+
+
+def test_placement_is_pinned_and_independent_of_the_hash_seed():
+    g = complete_graph(4)
+    assert random_placement(g, 0)[0] == SEED_0_VERTEX_0
+    assert all(0 <= x < FIELD_PRIME for v in g.vertices
+               for x in random_placement(g, 0)[v])
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    script = ("import json; from torusrig.graphs import complete_graph; "
+              "from torusrig.rigidity import random_placement; "
+              "p = random_placement(complete_graph(4), 0); "
+              "print(json.dumps([p[v] for v in range(4)]))")
+    for hash_seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert json.loads(out) == [list(random_placement(g, 0)[v])
+                                   for v in range(4)]

@@ -14,7 +14,8 @@ from torusrig.sparsity import (SparsityVerdict, Status, _flow_scan,
                                _pebble_sparse, check_3_6, is_in_T,
                                maximal_tight_subgraph)
 
-from helpers import brute_force_3_6, induced, record_pebble_games
+from helpers import (brute_force_3_6, induced, random_parent,
+                     record_pebble_games, tight_plus_one_edge)
 
 
 def random_graph(data, max_n=11):
@@ -184,23 +185,6 @@ def test_contraction_verdicts_match_flow_scan():
     assert violations > 0
 
 
-def _tight_plus_one_edge(rng, n_core, n_outer):
-    """A tight graph grown by 0-extensions (a new vertex joined to three old
-    ones) from a triangle: the first ``n_core`` vertices span a tight subset
-    S, and one more edge between two non-adjacent vertices of S makes S
-    violate.  Vertex ids are shuffled, so the edge that closes the violation
-    comes anywhere in the sorted placement order."""
-    edges = {(0, 1), (0, 2), (1, 2)}
-    for z in range(3, n_core + n_outer):
-        edges |= {(a, z) for a in rng.sample(range(z), 3)}
-    missing = [(a, b) for a in range(n_core) for b in range(a + 1, n_core)
-               if (a, b) not in edges]
-    edges.add(rng.choice(missing))
-    label = list(range(n_core + n_outer))
-    rng.shuffle(label)
-    return Graph(label, [(label[a], label[b]) for a, b in edges])
-
-
 def test_pebble_component_check_on_tight_plus_one_edge():
     # each graph violates inside S; the ends of a placed edge hold no other
     # out-edge, so the rest of its component is reached only through
@@ -209,7 +193,7 @@ def test_pebble_component_check_on_tight_plus_one_edge():
     rng = random.Random(13)
     for _ in range(400):
         n_core = rng.randint(5, 8)
-        g = _tight_plus_one_edge(rng, n_core, rng.randint(0, 5))
+        g = tight_plus_one_edge(rng, n_core, rng.randint(0, 5))
         assert not brute_force_3_6(g).is_sparse
         assert _pebble_sparse(g) is False
         for e in rng.sample(sorted(g.edges), 3):
@@ -218,21 +202,6 @@ def test_pebble_component_check_on_tight_plus_one_edge():
 
 
 # -- contractions decided from the parent's pebble game ---------------------
-
-
-def _random_parent(rng, kind, n):
-    """A graph on n vertices of the given kind: tight (0-extensions from a
-    triangle), sparse but not tight (a tight graph less one to three edges)
-    or violating (a tight graph plus one edge inside a tight subset)."""
-    if kind == "violating":
-        n_core = rng.randint(5, n)
-        return _tight_plus_one_edge(rng, n_core, n - n_core)
-    edges = {(0, 1), (0, 2), (1, 2)}
-    for z in range(3, n):
-        edges |= {(a, z) for a in rng.sample(range(z), 3)}
-    if kind == "sparse":
-        edges -= set(rng.sample(sorted(edges), rng.randint(1, 3)))
-    return Graph(range(n), edges)
 
 
 def _assert_orientation_of(g: Graph):
@@ -252,7 +221,7 @@ def test_contraction_chain_verdicts_match_fresh_graphs(data):
     # built from scratch, and the status that of the exhaustive oracle
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     kind = data.draw(st.sampled_from(["tight", "sparse", "violating"]))
-    g = _random_parent(rng, kind, data.draw(st.integers(6, 14)))
+    g = random_parent(rng, kind, data.draw(st.integers(6, 14)))
     assert check_3_6(g).is_sparse is (kind != "violating")
     for _ in range(data.draw(st.integers(1, 3))):
         u, v = data.draw(st.sampled_from(g.sorted_edges()))
@@ -318,7 +287,7 @@ def test_warm_start_from_any_decided_origin_matches_fresh_graphs(data):
     # status that of the exhaustive oracle
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     kind = data.draw(st.sampled_from(["tight", "sparse", "violating"]))
-    g = _random_parent(rng, kind, data.draw(st.integers(6, 12)))
+    g = random_parent(rng, kind, data.draw(st.integers(6, 12)))
     assert check_3_6(g).is_sparse is (kind != "violating")
     memo = g._orientation
     kept = set(rng.sample(sorted(g.vertices), rng.randint(3, len(g.vertices))))
