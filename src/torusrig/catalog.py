@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import errors
-from .complexes import ClosedWalk, TorusWithHole, _classes
+from .complexes import TorusWithHole, _classes
 
 VERTEX_LETTERS = "vwx"
 EDGE_LETTERS = "efg"
@@ -160,31 +160,15 @@ def canonical_pattern(seq) -> tuple:
     return best
 
 
-@dataclass(frozen=True)
-class CanonicalWalkClass:
-    pattern: tuple
-
-    def __len__(self):
-        return len(self.pattern)
-
-
-def walk_class(walk: ClosedWalk) -> CanonicalWalkClass:
-    return CanonicalWalkClass(canonical_pattern(walk.vertices))
-
-
-def the_17() -> list[tuple[str, CanonicalWalkClass]]:
-    """The 17 cyclic words with their expanded canonical classes."""
-    out = []
-    for text in THE_17_WORDS:
-        word = parse_word(text)
-        out.append((text, CanonicalWalkClass(expand_word(word))))
-    return out
+def the_17() -> list[tuple[str, tuple]]:
+    """The 17 cyclic words with their expanded canonical patterns."""
+    return [(text, expand_word(parse_word(text))) for text in THE_17_WORDS]
 
 
 #: canonical pattern -> (catalog index, word) for the 17 words, and
 #: (None, word) for the triple-visit words, which have no catalog graph
-PATTERNS = {cls.pattern: (idx, text)
-            for idx, (text, cls) in enumerate(the_17(), start=1)}
+PATTERNS = {pattern: (idx, text)
+            for idx, (text, pattern) in enumerate(the_17(), start=1)}
 PATTERNS.update((expand_word(parse_word(text)), (None, text))
                 for text in TRIPLE_VISIT_WORDS)
 
@@ -214,7 +198,7 @@ def _nonalternating_pinch(pattern) -> bool:
 
 @dataclass(frozen=True)
 class Classification:
-    walk_class: CanonicalWalkClass
+    pattern: tuple
     word: str | None
     excluded_family: str | None = None
 
@@ -225,7 +209,7 @@ class Classification:
     def to_json(self) -> dict:
         return {"word": self.word, "excluded": self.excluded,
                 "excluded_family": self.excluded_family,
-                "pattern": list(self.walk_class.pattern)}
+                "pattern": list(self.pattern)}
 
 
 def classify(hole: TorusWithHole) -> Classification:
@@ -254,11 +238,11 @@ def classify(hole: TorusWithHole) -> Classification:
     walk = hole.detachment_walk()
     if len(walk) != WALK_LENGTH:
         raise errors.WalkNot9(f"detachment walk has length {len(walk)}, not 9")
-    cls = walk_class(walk)
-    if cls.pattern in PATTERNS:
-        return Classification(cls, PATTERNS[cls.pattern][1])
-    family = "nonalternating-pinch" if _nonalternating_pinch(cls.pattern) else None
-    return Classification(cls, None, excluded_family=family)
+    pattern = canonical_pattern(walk.vertices)
+    if pattern in PATTERNS:
+        return Classification(pattern, PATTERNS[pattern][1])
+    family = "nonalternating-pinch" if _nonalternating_pinch(pattern) else None
+    return Classification(pattern, None, excluded_family=family)
 
 
 # -- stored representatives -------------------------------------------------
@@ -287,9 +271,9 @@ def build_H(i: int) -> TorusWithHole:
     return record_to_hole(record)
 
 
-def catalog_graph_for_class(cls: CanonicalWalkClass) -> tuple[int, TorusWithHole]:
-    """Find (index, H_i) whose stored word matches the given class."""
-    idx = PATTERNS.get(cls.pattern, (None, None))[0]
+def catalog_graph_for_class(pattern: tuple) -> tuple[int, TorusWithHole]:
+    """Find (index, H_i) whose stored word has the given canonical pattern."""
+    idx = PATTERNS.get(pattern, (None, None))[0]
     if idx is None:
-        raise errors.NoMatchingCatalogGraph(f"no catalog word matches {cls.pattern}")
+        raise errors.NoMatchingCatalogGraph(f"no catalog word matches {pattern}")
     return idx, build_H(idx)

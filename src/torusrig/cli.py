@@ -125,9 +125,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    for i, (word, cls) in enumerate(catalog.the_17(), start=1):
+    for i, (word, pattern) in enumerate(catalog.the_17(), start=1):
         rec = fileio.hole_to_record(catalog.build_H(i))
-        _emit({"index": i, "word": word, "pattern": list(cls.pattern),
+        _emit({"index": i, "word": word, "pattern": list(pattern),
                "graph": rec})
     return 0
 

@@ -338,9 +338,6 @@ class DiscMap:
             - {cls[1] for cls in step})
         self.boundary_walk = ClosedWalk(walk)
 
-    def __len__(self):
-        return len(self.faces)
-
     def __repr__(self):
         return (f"DiscMap(faces={len(self.faces)}, "
                 f"boundary={len(self.boundary_walk)}, keep={sorted(self.keep_edges)})")

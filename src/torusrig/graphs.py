@@ -137,19 +137,8 @@ def contract_edge(g: Graph, u: int, v: int) -> Graph:
 
 
 def freedom(obj) -> int:
-    """Freedom number 3|V| - |E| of a graph-like object."""
-    g = as_graph(obj)
-    return 3 * len(g.vertices) - len(g.edges)
-
-
-def as_graph(obj) -> Graph:
-    """Coerce a Graph, surface complex, or torus-with-hole to a Graph."""
-    if isinstance(obj, Graph):
-        return obj
-    g = getattr(obj, "graph", None)
-    if isinstance(g, Graph):
-        return g
-    raise TypeError(f"cannot interpret {type(obj).__name__} as a graph")
+    """Freedom number 3|V| - |E| of a graph or surface complex."""
+    return 3 * len(obj.vertices) - len(obj.edges)
 
 
 def complete_graph(n: int) -> Graph:

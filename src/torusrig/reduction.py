@@ -64,7 +64,7 @@ from .graphs import (Graph, complete_graph, contract_edge, edge_key,
                      is_isomorphic)
 from .maxflow import densest_extension
 from .rigidity import generic_rank
-from .sparsity import check_3_6, maximal_tight_subgraph
+from .sparsity import _flow_scan, check_3_6, maximal_tight_subgraph
 
 
 class EdgeClass(enum.Enum):
@@ -264,6 +264,12 @@ def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | Non
     first (NotTight carrying the record when it is not tight); that verdict
     stays on the graph, so G/e is decided from G's pebble game, and every
     later search on the same hole finds G decided.
+
+    W is read off a flow scan of the edges at the merged vertex z alone, in
+    order of their other end.  Contraction changes only the subgraphs that
+    hold z, so every violating set of G/e holds z (G is tight), and an edge
+    at z, or dropping z would leave a denser set.  So that scan finds the
+    violator that a scan of every edge, z's first, would find first.
     """
     e = edge_key(*e)
     if classify_edge(hole, e) is not EdgeClass.FF_CONTRACTIBLE:
@@ -273,10 +279,11 @@ def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | Non
             errors.NotTight, hole, "the key-lemma search needs a tight "
             "single-hole graph")
     z = e[0]
-    verdict = check_3_6(contract_edge(hole.graph, *e), through_vertex=z)
-    if verdict.is_sparse:
+    h = contract_edge(hole.graph, *e)
+    if check_3_6(h).is_sparse:
         return None
-    lifted = frozenset(verdict.witness - {z}) | set(e)
+    witness = _flow_scan(h, [edge_key(z, w) for w in sorted(h.neighbors(z))]).witness
+    lifted = frozenset(witness - {z}) | set(e)
     apex_face = dict(zip(_apexes(hole, e), hole.edge_retained_faces[e]))
     apexes = set(apex_face)
     if apexes <= lifted:
@@ -315,9 +322,9 @@ def fission(hole: TorusWithHole, cycle: SeparatingCycle
     if not cycle.critical:
         raise errors.InvalidCycle("cycle is not critical: outer part not tight")
     g1 = cycle.outer
-    cls = catalog.walk_class(g1.detachment_walk())
+    pattern = catalog.canonical_pattern(g1.detachment_walk().vertices)
     try:
-        _idx, h_rep = catalog.catalog_graph_for_class(cls)
+        _idx, h_rep = catalog.catalog_graph_for_class(pattern)
     except errors.NoMatchingCatalogGraph as exc:
         raise fileio.with_record(
             errors.NoMatchingCatalogGraph, hole,

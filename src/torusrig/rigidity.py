@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass
 
 from . import errors
-from .graphs import as_graph
+from .graphs import Graph
 
 # largest prime below 2**62
 FIELD_PRIME = 4611686018427387847
@@ -65,11 +65,10 @@ def _coordinates(seed: int, v: int) -> tuple:
     return tuple(rng.randrange(FIELD_PRIME) for _ in range(DIM))
 
 
-def random_placement(graph, seed: int) -> Placement:
+def random_placement(graph: Graph, seed: int) -> Placement:
     """The placement of the graph's vertices at ``seed``, each vertex's
     coordinates drawn from (seed, vertex) alone."""
-    g = as_graph(graph)
-    return Placement({v: _coordinates(seed, v) for v in g.vertices}, FIELD_PRIME)
+    return Placement({v: _coordinates(seed, v) for v in graph.vertices}, FIELD_PRIME)
 
 
 def _block_rows(g, placement: Placement) -> list[dict]:
@@ -87,13 +86,12 @@ def _block_rows(g, placement: Placement) -> list[dict]:
     return rows
 
 
-def rigidity_matrix(graph, placement: Placement) -> list[list[int]]:
+def rigidity_matrix(graph: Graph, placement: Placement) -> list[list[int]]:
     """The |E| x 3|V| matrix: row uv carries p(u)-p(v) in u's block and the
     negative in v's block, the blocks in sorted vertex order."""
-    g = as_graph(graph)
-    col = {v: DIM * i for i, v in enumerate(sorted(g.vertices))}
+    col = {v: DIM * i for i, v in enumerate(sorted(graph.vertices))}
     rows = []
-    for blocks in _block_rows(g, placement):
+    for blocks in _block_rows(graph, placement):
         row = [0] * (DIM * len(col))
         for v, d in blocks.items():
             row[col[v]:col[v] + DIM] = d
@@ -142,17 +140,16 @@ def _clear_columns(live, rows, holders, p: int) -> int:
     return rank
 
 
-def rank_at_placement(graph, placement: Placement) -> int:
+def rank_at_placement(graph: Graph, placement: Placement) -> int:
     """Exact rank over GF(p) of the rigidity matrix at ``placement``."""
-    g = as_graph(graph)
     p = placement.modulus
-    rows = _block_rows(g, placement)  # None once a row is a pivot
-    holders = {v: [] for v in g.vertices}  # vertex -> rows with a block there
+    rows = _block_rows(graph, placement)  # None once a row is a pivot
+    holders = {v: [] for v in graph.vertices}  # vertex -> rows with a block there
     for i, r in enumerate(rows):
         for v in r:
             holders[v].append(i)
     rank = 0
-    for v in sorted(g.vertices, key=lambda v: (g.degree(v), v)):
+    for v in sorted(graph.vertices, key=lambda v: (graph.degree(v), v)):
         live = []
         for i in holders[v]:
             if rows[i] is not None:
@@ -183,14 +180,13 @@ def rank_at_placement(graph, placement: Placement) -> int:
     return rank
 
 
-def generic_rank(graph, seed: int = 0) -> int:
+def generic_rank(graph: Graph, seed: int = 0) -> int:
     """Exact rank at the random prime-field placement drawn from ``seed``.
 
     One-sided: never exceeds the true generic rank, and falls short only if
     the placement is degenerate.
     """
-    g = as_graph(graph)
-    return rank_at_placement(g, random_placement(g, seed))
+    return rank_at_placement(graph, random_placement(graph, seed))
 
 
 @dataclass(frozen=True)
@@ -206,24 +202,22 @@ class RigidityReport:
                 "minimally_rigid": self.minimally_rigid}
 
 
-def rigidity_report(graph, seed: int = 0) -> RigidityReport:
-    g = as_graph(graph)
-    if len(g.vertices) < 3:
+def rigidity_report(graph: Graph, seed: int = 0) -> RigidityReport:
+    if len(graph.vertices) < 3:
         raise errors.TooFewVertices("rigidity report needs at least 3 vertices")
-    rank = generic_rank(g, seed=seed)
-    target = DIM * len(g.vertices) - 6
+    rank = generic_rank(graph, seed=seed)
+    target = DIM * len(graph.vertices) - 6
     return RigidityReport(
         rank=rank,
         dof=target - rank,
-        independent=(rank == len(g.edges)),
-        minimally_rigid=(rank == len(g.edges) == target),
+        independent=(rank == len(graph.edges)),
+        minimally_rigid=(rank == len(graph.edges) == target),
     )
 
 
-def is_min_3_rigid(graph, seed: int = 0) -> bool:
+def is_min_3_rigid(graph: Graph, seed: int = 0) -> bool:
     """True iff |E| = 3|V| - 6 and the generic rank attains it."""
-    g = as_graph(graph)
-    if len(g.vertices) < 3:
+    if len(graph.vertices) < 3:
         raise errors.TooFewVertices("minimal 3-rigidity needs at least 3 vertices")
-    target = DIM * len(g.vertices) - 6
-    return len(g.edges) == target and generic_rank(g, seed=seed) == target
+    target = DIM * len(graph.vertices) - 6
+    return len(graph.edges) == target and generic_rank(graph, seed=seed) == target

@@ -14,11 +14,9 @@ tightness.  Only a violating graph has a witness: one min-cut per edge, in
 sorted edge order, over vertex sets S containing that edge's endpoints,
 maximising |E(G[S])| - 3|S|; the first set of three or more vertices pushing
 the maximum above -6 is the witness.  That scan runs when the witness is
-first read, so a caller that reads only the status never pays for it.  The
-``through_vertex`` argument of ``check_3_6`` only moves the edges at one
-vertex to the front of that scan, so the verdict is always that of the whole
-graph.  A subset-enumeration oracle in the tests cross-validates both
-paths on small graphs.
+first read, so a caller that reads only the status never pays for it.  A
+subset-enumeration oracle in the tests cross-validates both paths on small
+graphs.
 
 The key lemma and the greedy reduction ask again and again about graphs that
 share most edges with the hole's graph G, decided already: G/e, a candidate
@@ -39,7 +37,7 @@ from __future__ import annotations
 import enum
 
 from . import errors
-from .graphs import Graph, as_graph, freedom
+from .graphs import Graph, freedom
 from .maxflow import densest_extension, fetch_pebble
 
 
@@ -218,16 +216,17 @@ def _pebble_sparse(g: Graph) -> bool:
     return g._orientation is not False
 
 
-def _flow_scan(g: Graph, through_vertex: int | None = None) -> SparsityVerdict:
-    """The verdict of one min-cut per edge in sorted order, the edges at
-    ``through_vertex`` first, with the first violating set found as the
-    witness.
+def _flow_scan(g: Graph, edges) -> SparsityVerdict:
+    """The verdict of one min-cut per edge of ``edges``, in their order, with
+    the first violating set found as the witness.  When none is found the
+    verdict is ``g``'s sparse one, which is right when every violating set
+    of ``g`` spans one of ``edges``.
 
     The trivial optimum S = {u, v} of edge uv scores -5, so a score of -4 or
     better proves the least optimiser violating outright; at exactly -5 an
     optimiser violates when it has three or more vertices.
     """
-    for u, v in sorted(g.edges, key=lambda e: (through_vertex not in e, e)):
+    for u, v in edges:
         value, s_min, s_max = densest_extension(g, (u, v))
         for s in (s_min, s_max):
             if value > -5 or value == -5 and len(s) >= 3:
@@ -235,7 +234,7 @@ def _flow_scan(g: Graph, through_vertex: int | None = None) -> SparsityVerdict:
     return _sparse_verdict(g)
 
 
-def check_3_6(graph, through_vertex: int | None = None) -> SparsityVerdict:
+def check_3_6(graph: Graph) -> SparsityVerdict:
     """Decide (3,6)-sparsity/tightness, with a violating-set certificate.
 
     The (3,5) pebble game decides: a simple graph is (3,6)-sparse iff the
@@ -246,13 +245,6 @@ def check_3_6(graph, through_vertex: int | None = None) -> SparsityVerdict:
     of the per-edge flow scan alone.  That scan runs on the first read of
     the verdict's ``witness``, never for a caller that reads only the status.
 
-    ``through_vertex`` only orders that witness search: the edges at the
-    vertex are scanned first, so a violation through it is named before any
-    other.  The verdict is always that of the whole graph.  After a
-    contraction of a tight graph every violating set contains the merged
-    vertex (all other induced subgraphs are unchanged), so the witness is
-    found among the edges at it.
-
     The game runs once per graph: its final orientation, or False for a
     violating graph, is remembered on the ``Graph``, and a later call on it
     plays no game.  A graph whose origin G (``Graph._origin``) is decided
@@ -261,16 +253,15 @@ def check_3_6(graph, through_vertex: int | None = None) -> SparsityVerdict:
     once decided it drops its link to G.  ``contract_edge`` links G/e to G,
     and the key-lemma search and ``fission`` link the graphs they check.
     """
-    g = as_graph(graph)
-    if len(g.vertices) < 3:
+    if len(graph.vertices) < 3:
         raise errors.TooFewVertices("(3,6)-sparsity needs at least 3 vertices")
-    if _pebble_sparse(g):
-        return _sparse_verdict(g)
-    return SparsityVerdict(Status.VIOLATION,
-                           lambda: _flow_scan(g, through_vertex).witness)
+    if _pebble_sparse(graph):
+        return _sparse_verdict(graph)
+    return SparsityVerdict(
+        Status.VIOLATION, lambda: _flow_scan(graph, graph.sorted_edges()).witness)
 
 
-def maximal_tight_subgraph(graph, core, exclude=()) -> frozenset | None:
+def maximal_tight_subgraph(graph: Graph, core, exclude=()) -> frozenset | None:
     """The unique maximal S with f(G[S]) = 6 containing ``core``, avoiding
     ``exclude``; None when every such extension is denser than tight allows
     or the core cannot reach freedom 6.
@@ -278,8 +269,7 @@ def maximal_tight_subgraph(graph, core, exclude=()) -> frozenset | None:
     Only meaningful on sparse graphs, where tight vertex sets through a common
     tight core are closed under union.
     """
-    g = as_graph(graph)
-    value, _s_min, s_max = densest_extension(g, core, exclude)
+    value, _s_min, s_max = densest_extension(graph, core, exclude)
     if value != -6:
         return None
     return s_max

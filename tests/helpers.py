@@ -23,7 +23,7 @@ from torusrig.complexes import (DiscMap, SurfaceComplex, TorusComplex,
                                 TorusWithHole, _check_face_indices,
                                 _face_connected, _face_edges, _shared_edges,
                                 _unfolding, disc_structures)
-from torusrig.graphs import Graph, as_graph, contract_edge, edge_key
+from torusrig.graphs import Graph, contract_edge, edge_key
 from torusrig.reduction import (Contraction, SeparatingCycle, _apexes,
                                 _blocked_faces, _grow_region,
                                 _region_criticals, contract,
@@ -101,10 +101,9 @@ def rank_rational(rows) -> int:
     return rank
 
 
-def brute_force_3_6(graph) -> SparsityVerdict:
+def brute_force_3_6(g: Graph) -> SparsityVerdict:
     """Exhaustive reference oracle over all vertex subsets of size >= 3;
     BadArgument above ``BRUTE_FORCE_CAP`` vertices."""
-    g = as_graph(graph)
     n = len(g.vertices)
     if n < 3:
         raise errors.TooFewVertices("(3,6)-sparsity needs at least 3 vertices")

@@ -82,7 +82,7 @@ def test_criterion_03_main_theorem_equivalence(corpus9):
 def test_criterion_04_catalog():
     t0 = time.time()
     table = the_17()
-    assert len({cls.pattern for _, cls in table}) == 17
+    assert len({pattern for _, pattern in table}) == 17
     for i, word in enumerate(THE_17_WORDS, start=1):
         h = build_H(i)
         assert check_3_6(h.graph).is_tight
@@ -134,7 +134,7 @@ def test_criterion_07_key_lemma_dichotomy(tight_corpus):
         for e in contractible_edges(hole):
             n_edges += 1
             contracted = contract(hole, e)
-            if check_3_6(contracted.graph, through_vertex=e[0]).is_tight:
+            if check_3_6(contracted.graph).is_tight:
                 n_tight += 1
                 continue
             cycle = find_critical_cycle_through(hole, e)
@@ -162,7 +162,7 @@ def test_criterion_08_fission_soundness(tight_corpus):
     for hole in tight_corpus:
         for e in contractible_edges(hole):
             contracted = contract(hole, e)
-            if check_3_6(contracted.graph, through_vertex=e[0]).is_tight:
+            if check_3_6(contracted.graph).is_tight:
                 continue
             cycle = find_critical_cycle_through(hole, e)
             g1, g2 = fission(hole, cycle)

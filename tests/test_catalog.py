@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusrig import errors
-from torusrig.catalog import (THE_17_WORDS, CanonicalWalkClass, build_H,
-                              canonical_pattern, classify, expand_word,
-                              parse_word, the_17, walk_class)
+from torusrig.catalog import (THE_17_WORDS, build_H, canonical_pattern,
+                              classify, expand_word, parse_word, the_17)
 from torusrig.complexes import ClosedWalk
 from torusrig.fileio import load_hole
 from torusrig.sparsity import check_3_6
@@ -40,7 +39,7 @@ def test_the_17_count_and_sum_rule():
 
 
 def test_the_17_pairwise_distinct():
-    patterns = [cls.pattern for _, cls in the_17()]
+    patterns = [pattern for _, pattern in the_17()]
     assert len(set(patterns)) == 17
 
 
@@ -56,8 +55,8 @@ FORM_COUNTS = {
 
 
 def test_expansion_counts_match_forms():
-    for text, cls in the_17():
-        assert (num_vertices(cls.pattern), num_edges(cls.pattern)) == \
+    for text, pattern in the_17():
+        assert (num_vertices(pattern), num_edges(pattern)) == \
             FORM_COUNTS[text], text
 
 
@@ -105,9 +104,8 @@ def test_representatives_all_vertices_on_boundary():
 
 def test_walk_class_of_manual_walk():
     w = ClosedWalk((0, 1, 2, 0, 3, 4, 5, 6, 7))
-    cls = walk_class(w)
-    table = dict((c.pattern, t) for t, c in the_17())
-    assert table[cls.pattern] == "v3v6"
+    table = {pattern: text for text, pattern in the_17()}
+    assert table[canonical_pattern(w.vertices)] == "v3v6"
 
 
 def test_triple_pinch_is_tight_and_named():

@@ -11,6 +11,7 @@ from torusrig.complexes import (MAX_KEEP, DiscMap, SurfaceComplex,
                                 cut_holes, disc_structures, grid_faces,
                                 infer_disc, rectangular_torus,
                                 retriangulate_holes)
+from torusrig.fileio import record_to_hole
 from torusrig.graphs import freedom
 
 from helpers import (NonSimpleQuotient, identify_face_graph, is_connected,
@@ -56,6 +57,37 @@ def test_disjoint_tori_are_not_connected():
     faces = grid_faces(3, 3) + [tuple(9 + x for x in f) for f in grid_faces(3, 3)]
     with pytest.raises(errors.NotClosedSurface, match="not connected"):
         TorusComplex(faces)
+
+
+# a sphere: two poles 0 and 5 over the equator 1, 2, 3, 4
+OCTAHEDRON = [(pole, 1 + k, 1 + (k + 1) % 4) for pole in (0, 5) for k in range(4)]
+
+
+def _klein_bottle_faces(r, s):
+    """``grid_faces(r, s)`` with the side i = r glued back reversed, j -> -j."""
+    def vid(i, j):
+        if i == r:
+            i, j = 0, -j
+        return i * s + j % s
+    return [f for i in range(r) for j in range(s)
+            for f in ((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)),
+                      (vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))]
+
+
+@pytest.mark.parametrize("faces, message", [
+    (OCTAHEDRON, "Euler characteristic 2 != 0"),
+    (_klein_bottle_faces(3, 3), "complex is not orientable"),
+], ids=["sphere", "klein-bottle"])
+def test_other_closed_surfaces_are_not_tori(faces, message):
+    # both are closed surfaces; the sphere fails the Euler count and the
+    # Klein bottle, with chi = 0, the orientation
+    sc = SurfaceComplex(faces)
+    assert not sc.boundary_edges()
+    with pytest.raises(errors.NotClosedSurface, match=message):
+        TorusComplex(faces)
+    record = {"vertices": len(sc.vertices), "faces": [list(f) for f in faces]}
+    with pytest.raises(errors.NotClosedSurface, match=message):
+        record_to_hole(record)
 
 
 def test_round_trip_rebuild():

@@ -66,6 +66,13 @@ def test_is_isomorphic_basics():
     assert not is_isomorphic(p4, star)
     relabeled = Graph([5, 7, 9, 11], [(5, 7), (7, 9), (9, 11)])
     assert is_isomorphic(p4, relabeled)
+    # equal degree sequences: the search rejects and undoes partial maps to
+    # refute C6 against two triangles and to find a relabelled C6
+    c6 = Graph(range(6), [(i, (i + 1) % 6) for i in range(6)])
+    triangles = Graph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert not is_isomorphic(c6, triangles)
+    relabelled = Graph(range(6), [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0)])
+    assert is_isomorphic(c6, relabelled)
 
 
 def test_double_banana_shape():

@@ -201,7 +201,7 @@ def test_divide_freedom_additivity(tight_corpus):
 def test_critical_cycle_none_when_contraction_tight():
     h1 = build_H(1)
     for e in contractible_edges(h1):
-        if check_3_6(contract(h1, e).graph, through_vertex=e[0]).is_tight:
+        if check_3_6(contract(h1, e).graph).is_tight:
             assert find_critical_cycle_through(h1, e) is None
             return
     pytest.skip("no tight contraction on H1")
@@ -209,7 +209,7 @@ def test_critical_cycle_none_when_contraction_tight():
 
 def _breaking_edges(hole):
     for e in contractible_edges(hole):
-        if not check_3_6(contract(hole, e).graph, through_vertex=e[0]).is_tight:
+        if not check_3_6(contract(hole, e).graph).is_tight:
             yield e
 
 
@@ -513,8 +513,7 @@ def test_degree3_boundary_rule(tight_corpus):
             e = ff[0]
             if classify_edge(hole, e) is not EdgeClass.FF_CONTRACTIBLE:
                 continue
-            assert check_3_6(contract(hole, e).graph,
-                             through_vertex=e[0]).is_tight
+            assert check_3_6(contract(hole, e).graph).is_tight
             checked += 1
         if checked >= 12:
             break
@@ -574,10 +573,10 @@ def _loosen_contractions_below(monkeypatch, n_vertices):
     input and the contractions it tries, so it sticks at that size."""
     real = reduction.check_3_6
 
-    def check(graph, through_vertex=None):
+    def check(graph):
         if len(graph.vertices) < n_vertices:
             return SparsityVerdict(Status.SPARSE_NOT_TIGHT)
-        return real(graph, through_vertex)
+        return real(graph)
     monkeypatch.setattr(reduction, "check_3_6", check)
 
 

@@ -4,11 +4,12 @@ Invariants raise typed ``TorusRigError``s rather than ``assert``, which
 ``python -O`` strips.  No object is built through ``__new__``, so every
 ``TorusComplex`` and ``DiscMap`` passes its constructor's checks.  Every
 definition in the package has a user: code that only tests call lives in
-``tests/helpers.py``.  Every name a module imports is used there, except
-the bindings the benchmark tracer wraps.  Every import is from the standard
-library or relative, as the empty ``dependencies`` of ``pyproject.toml``
-promise (numpy, say, would also add about 14 MB to a process's resident
-memory).
+``tests/helpers.py``, and the public names that nothing in the package
+calls are the ones the package docstring lists.  Every name a module
+imports is used there, except the bindings the benchmark tracer wraps.
+Every import is from the standard library or relative, as the empty
+``dependencies`` of ``pyproject.toml`` promise (numpy, say, would also add
+about 14 MB to a process's resident memory).
 """
 
 import ast
@@ -89,6 +90,23 @@ def test_every_definition_has_a_user():
               and (read if owner else named)[node.name]
               == _names_used(node, attributes_only=bool(owner))[node.name]]
     assert not unused, f"defined in src/ but used only by tests: {unused}"
+
+
+# public names with no caller in src/, each kept for the reason the package
+# docstring gives
+TEST_ONLY_PUBLIC = {
+    "cut_hole", "cut_holes", "divide", "double_banana",
+    "find_critical_cycle_through", "fission", "is_in_T", "is_min_3_rigid",
+    "is_uncontractible", "rigidity_matrix",
+}
+
+
+def test_public_names_without_a_caller_are_listed():
+    named = sum((_names_used(ast.parse(p.read_text(), filename=str(p)))
+                 for p in SOURCES if p.name != "__init__.py"),
+                collections.Counter())
+    assert {n for n in torusrig.__all__ if not named[n]} == TEST_ONLY_PUBLIC
+    assert all(f"``{n}``" in torusrig.__doc__ for n in TEST_ONLY_PUBLIC)
 
 
 def _traced_bindings(monkeypatch) -> dict:

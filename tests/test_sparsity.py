@@ -8,7 +8,7 @@ from torusrig import errors, sparsity
 from torusrig.catalog import build_H
 from torusrig.complexes import cut_hole, rectangular_torus
 from torusrig.graphs import (Graph, complete_graph, contract_edge,
-                             double_banana, freedom)
+                             double_banana, edge_key, freedom)
 from torusrig.reduction import certify, contract, contractible_edges
 from torusrig.sparsity import (SparsityVerdict, Status, _flow_scan,
                                _pebble_sparse, check_3_6, is_in_T,
@@ -123,17 +123,18 @@ def test_is_in_T():
 
 
 def test_through_vertex_restriction():
-    # K5 plus a far-away tight blob, and K5 plus a pendant edge: every
-    # violation avoids the last vertex, and is still reported through it;
-    # through_vertex only orders the witness scan
+    # K5 plus a far-away triangle, and K5 plus a pendant edge: every
+    # violation avoids the last vertex, so a scan of the edges at it finds
+    # none, while the scan of every edge names K5
     k5 = SparsityVerdict(Status.VIOLATION, frozenset(range(5)))
     g = Graph(range(8), list(complete_graph(5).edges) +
               [(5, 6), (5, 7), (6, 7)])
-    assert check_3_6(g).status is Status.VIOLATION
-    assert check_3_6(g, through_vertex=0).status is Status.VIOLATION
-    assert check_3_6(g, through_vertex=7) == k5
+    assert check_3_6(g) == _flow_scan(g, g.sorted_edges()) == k5
+    assert _flow_scan(g, [(5, 7), (0, 4)]) == k5
+    assert _flow_scan(g, [(5, 7), (6, 7)]).is_sparse
     pendant = Graph(range(6), list(complete_graph(5).edges) + [(0, 5)])
-    assert check_3_6(pendant) == check_3_6(pendant, through_vertex=5) == k5
+    assert check_3_6(pendant) == _flow_scan(pendant, pendant.sorted_edges()) == k5
+    assert _flow_scan(pendant, [(0, 5)]).is_sparse
 
 
 def test_maximal_tight_subgraph():
@@ -158,16 +159,23 @@ def test_pebble_game_matches_brute_force(data):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_through_vertex_matches_flow_scan(data):
+    # check_3_6's witness is the sorted scan's; a scan with the edges at x
+    # first has the same status, and a violation that the edges at x alone
+    # find is the one that scan names
     g = random_graph(data)
     x = data.draw(st.sampled_from(sorted(g.vertices)))
-    assert check_3_6(g, through_vertex=x) == _flow_scan(g, through_vertex=x)
-    assert check_3_6(g, through_vertex=x).status is check_3_6(g).status
+    assert check_3_6(g) == _flow_scan(g, g.sorted_edges())
+    x_first = sorted(g.edges, key=lambda e: (x not in e, e))
+    assert _flow_scan(g, x_first).status is check_3_6(g).status
+    at_x = _flow_scan(g, [e for e in x_first if x in e])
+    if not at_x.is_sparse:
+        assert at_x == _flow_scan(g, x_first)
 
 
 def test_verdicts_match_flow_scan_on_corpus(corpus9, tight_corpus):
     tight = 0
     for hole in corpus9:
-        want = _flow_scan(hole.graph)
+        want = _flow_scan(hole.graph, hole.graph.sorted_edges())
         assert check_3_6(hole.graph).to_json() == want.to_json()
         tight += want.is_tight
     assert tight == len(tight_corpus) > 50
@@ -179,8 +187,8 @@ def test_contraction_verdicts_match_flow_scan():
         hole = build_H(i)
         for e in contractible_edges(hole):
             g = contract(hole, e).graph
-            got = check_3_6(g, through_vertex=e[0]).to_json()
-            assert got == _flow_scan(g, through_vertex=e[0]).to_json()
+            got = check_3_6(g).to_json()
+            assert got == _flow_scan(g, g.sorted_edges()).to_json()
             violations += got["status"] == Status.VIOLATION.value
     assert violations > 0
 
@@ -229,8 +237,8 @@ def test_contraction_chain_verdicts_match_fresh_graphs(data):
             u, v = v, u
         memo = g._orientation
         h = contract_edge(g, u, v)
-        got = check_3_6(h, through_vertex=u)
-        assert got == check_3_6(Graph(h.vertices, h.edges), through_vertex=u)
+        got = check_3_6(h)
+        assert got == check_3_6(Graph(h.vertices, h.edges))
         assert got.status is brute_force_3_6(h).status
         assert g._orientation is memo
         if got.is_sparse:
@@ -240,7 +248,10 @@ def test_contraction_chain_verdicts_match_fresh_graphs(data):
 
 def test_contraction_verdicts_match_fresh_graphs_on_corpus(tight_corpus):
     # every contractible edge of the tight corpus and of H1-H17, decided
-    # from the parent's orientation; the parent's memo never changes
+    # from the parent's orientation; the parent's memo never changes.  The
+    # key-lemma search reads a violating G/e's witness off the edges at the
+    # merged vertex z alone, in order of their other end; on tight input
+    # that is the verdict of a scan of every edge with z's first
     holes = list(tight_corpus) + [build_H(i) for i in range(1, 18)]
     checked = violations = 0
     for hole in holes:
@@ -249,12 +260,17 @@ def test_contraction_verdicts_match_fresh_graphs_on_corpus(tight_corpus):
         memo = g._orientation
         for e in contractible_edges(hole):
             h = contract_edge(g, *e)
-            got = check_3_6(h, through_vertex=e[0])
+            got = check_3_6(h)
             fresh = Graph(h.vertices, h.edges)
-            assert got == check_3_6(fresh, through_vertex=e[0]), e
+            assert got == check_3_6(fresh), e
             assert g._orientation is memo
             checked += 1
-            violations += not got.is_sparse
+            if not got.is_sparse:
+                z = e[0]
+                at_z = _flow_scan(h, [edge_key(z, w) for w in sorted(h.neighbors(z))])
+                z_first = sorted(h.edges, key=lambda f: (z not in f, f))
+                assert at_z == _flow_scan(h, z_first), e
+                violations += 1
     assert checked > 3000 and violations > 100
 
 
@@ -300,9 +316,8 @@ def test_warm_start_from_any_decided_origin_matches_fresh_graphs(data):
     edges |= set(rng.sample(pairs, min(len(pairs), rng.randint(0, 5))))
     h = Graph(vertices, edges)
     h._origin = g
-    x = rng.choice(vertices)
-    got = check_3_6(h, through_vertex=x)
-    assert got == check_3_6(Graph(h.vertices, h.edges), through_vertex=x)
+    got = check_3_6(h)
+    assert got == check_3_6(Graph(h.vertices, h.edges))
     assert got.status is brute_force_3_6(h).status
     assert g._orientation is memo and h._origin is None
     if got.is_sparse:
