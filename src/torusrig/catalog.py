@@ -137,24 +137,24 @@ def canonical_pattern(seq) -> tuple:
 
     The pattern records which slots are equal: each slot is relabelled by the
     first occurrence of its vertex, and the least relabelling over all 2n
-    symmetries is returned.
+    symmetries is returned.  That depends only on the sequence relabelled
+    once, so the search over symmetries is memoised on it.
     """
-    seq = list(seq)
-    n = len(seq)
+    return _least_relabelling(_relabel(seq))
 
-    def relabel(s):
-        ids: dict = {}
-        out = []
-        for x in s:
-            if x not in ids:
-                ids[x] = len(ids)
-            out.append(ids[x])
-        return tuple(out)
 
+def _relabel(seq) -> tuple:
+    """Each entry replaced by the rank of its first occurrence."""
+    ids: dict = {}
+    return tuple([ids.setdefault(x, len(ids)) for x in seq])
+
+
+@functools.lru_cache(maxsize=4096)
+def _least_relabelling(labels: tuple) -> tuple:
     best = None
-    for base in (seq, seq[::-1]):
-        for k in range(n):
-            cand = relabel(base[k:] + base[:k])
+    for base in (labels, labels[::-1]):
+        for k in range(len(labels)):
+            cand = _relabel(base[k:] + base[:k])
             if best is None or cand < best:
                 best = cand
     return best

@@ -14,6 +14,15 @@ all: it unfolds a region with up to ``MAX_KEEP`` shared edges kept unglued
 (exposed), in a fixed order.  ``infer_disc`` takes its first result for a
 hole; the reduction takes enlargements of a hole from it.  An unfolding is
 a disc iff it is connected with Euler characteristic one (see ``DiscMap``).
+
+Loading a hole builds each object once, from one pass over its faces: the
+surface checks and the edge -> faces map in one loop, orientation and
+vertex links in one walk across shared edges, and the retained faces of
+each graph edge read off the torus's map.  A disc search makes one pass
+over its region (``_Region``) for the shared edges, the face connectivity
+and the fully glued chi; each keep set then reads its chi off the ends of
+its kept edges, and only a disc builds the corner classes, re-glued at
+those ends alone, and traces a walk.  ``DiscMap`` takes the same pass.
 """
 
 from __future__ import annotations
@@ -32,11 +41,6 @@ def _face_edges(face):
             (c, a) if c < a else (a, c))
 
 
-def _directed_edges(face):
-    a, b, c = face
-    return ((a, b), (b, c), (c, a))
-
-
 def canon_face(face):
     """Rotate a corner triple so the smallest corner comes first.
 
@@ -49,30 +53,55 @@ def canon_face(face):
 
 
 class SurfaceComplex:
-    """A finite simplicial surface complex given by its triangular faces."""
+    """A finite simplicial surface complex given by its triangular faces.
+
+    One pass over the faces rotates each to its least corner, checks it and
+    files it under its three edges.  The first face that is not three
+    comparable corners, repeats a corner or repeats an earlier face's corner
+    set decides the error; an edge in three or more faces is reported after
+    that pass, naming the first such edge to appear, and a corner that is
+    not an integer after that.  ``graph``, the 1-skeleton, is built on first
+    read.
+    """
 
     def __init__(self, faces):
-        faces = tuple(canon_face(tuple(f)) for f in faces)
-        seen_corner_sets = set()
-        for f in faces:
-            if len(set(f)) != 3:
+        canon = []
+        corner_sets = set()
+        edge_faces: dict[tuple[int, int], tuple[int, ...]] = {}
+        crowded = False
+        for i, face in enumerate(faces):
+            try:
+                a, b, c = f = canon_face(tuple(face))
+            except (TypeError, ValueError):
+                raise errors.BadArgument(
+                    f"face {face!r} is not three comparable corners") from None
+            if a == b or a == c or b == c:
                 raise errors.LoopEdge(f"face {f} repeats a corner")
-            cs = frozenset(f)
-            if cs in seen_corner_sets:
+            # a is the least corner, so (a, b) and (a, c) are in key order
+            key = f if b < c else (a, c, b)
+            if key in corner_sets:
                 raise errors.DuplicateFace(f"face {f} occurs twice")
-            seen_corner_sets.add(cs)
-        edge_faces: dict[tuple[int, int], list[int]] = {}
-        for idx, f in enumerate(faces):
-            for e in _face_edges(f):
-                edge_faces.setdefault(e, []).append(idx)
-        for e, fs in edge_faces.items():
-            if len(fs) > 2:
-                raise errors.EdgeInThreeFaces(f"edge {e} lies in {len(fs)} faces")
-        self.faces = faces
-        self.edge_faces = {e: tuple(fs) for e, fs in edge_faces.items()}
+            corner_sets.add(key)
+            canon.append(f)
+            for e in ((a, b), (b, c) if b < c else (c, b), (a, c)):
+                fs = edge_faces.get(e, ())
+                crowded = crowded or len(fs) == 2
+                edge_faces[e] = (*fs, i)
+        if crowded:
+            e, fs = next((e, fs) for e, fs in edge_faces.items() if len(fs) > 2)
+            raise errors.EdgeInThreeFaces(f"edge {e} lies in {len(fs)} faces")
+        self.faces = tuple(canon)
+        self.edge_faces = edge_faces
         self.edges = frozenset(edge_faces)
-        self.vertices = frozenset(v for f in faces for v in f)
-        self.graph = Graph(self.vertices, self.edges)
+        self.vertices = frozenset().union(*canon)
+        if not all(type(v) is int for v in self.vertices):
+            f = next(f for f in canon if any(type(v) is not int for v in f))
+            raise errors.BadArgument(f"face {f} has a corner that is not an integer")
+
+    @functools.cached_property
+    def graph(self) -> Graph:
+        """The 1-skeleton, built on first read."""
+        return Graph(self.vertices, self.edges)
 
     def __repr__(self):
         return (f"{type(self).__name__}(|V|={len(self.vertices)}, "
@@ -94,38 +123,50 @@ class SurfaceComplex:
         return adj
 
 
-def _orient_coherently(faces, edge_faces):
+def _orient_coherently(faces, edge_faces, vertices):
     """Flip faces so adjacent faces traverse shared edges oppositely.
 
-    Returns the reoriented face list and the number of components of the
-    faces under shared-edge adjacency; raises NotClosedSurface if the
-    complex is not orientable.  Assumes every edge lies in exactly two faces.
+    One walk over the faces, across shared edges, fixes each face's
+    orientation (the first face of each component keeps its own) and enters
+    the face in the links: face (a, b, c) steps the link of a from b to c.
+    Returns the reoriented face list, every vertex's link as a map from
+    neighbour to next neighbour, and the number of components of the faces
+    under shared-edge adjacency; raises NotClosedSurface if the complex is
+    not orientable.  Assumes every edge lies in exactly two faces and every
+    face starts at its least corner, as it still does when reversed.
     """
-    faces = list(faces)
-    oriented = [False] * len(faces)
+    oriented = list(faces)
+    flipped: list = [None] * len(faces)
+    link: dict[int, dict[int, int]] = {v: {} for v in vertices}
     components = 0
     for seed in range(len(faces)):
-        if oriented[seed]:
+        if flipped[seed] is not None:
             continue
         components += 1
-        oriented[seed] = True
+        flipped[seed] = False
         stack = [seed]
         while stack:
             i = stack.pop()
-            for u, v in _directed_edges(faces[i]):
+            a, b, c = faces[i]
+            if flipped[i]:
+                b, c = c, b
+                oriented[i] = (a, b, c)
+            link[a][b] = c
+            link[b][c] = a
+            link[c][a] = b
+            for u, v in ((a, b), (b, c), (c, a)):
                 f1, f2 = edge_faces[(u, v) if u < v else (v, u)]
                 j = f2 if f1 == i else f1
-                # i traverses the edge u -> v; j must traverse it v -> u
-                a, b, c = faces[j]
-                agrees = (v, u) in ((a, b), (b, c), (c, a))
-                if not oriented[j]:
-                    if not agrees:
-                        faces[j] = (a, c, b)
-                    oriented[j] = True
+                # i now traverses u -> v; j must be flipped iff it does too
+                x, y, z = faces[j]
+                same = (x == u and y == v) or (y == u and z == v) \
+                    or (z == u and x == v)
+                if flipped[j] is None:
+                    flipped[j] = same
                     stack.append(j)
-                elif not agrees:
+                elif flipped[j] != same:
                     raise errors.NotClosedSurface("complex is not orientable")
-    return [canon_face(f) for f in faces], components
+    return oriented, link, components
 
 
 class TorusComplex(SurfaceComplex):
@@ -141,16 +182,19 @@ class TorusComplex(SurfaceComplex):
         super().__init__(faces)
         if not self.faces:
             raise errors.NotClosedSurface("torus has no faces")
-        for e, fs in self.edge_faces.items():
-            if len(fs) != 2:
-                raise errors.NotClosedSurface(f"edge {e} lies in {len(fs)} faces")
+        # every edge lies in one or two faces, and in two iff 2E = 3F
+        if 2 * len(self.edges) != 3 * len(self.faces):
+            e, fs = next((e, fs) for e, fs in self.edge_faces.items()
+                         if len(fs) != 2)
+            raise errors.NotClosedSurface(f"edge {e} lies in {len(fs)} faces")
         if self.euler_characteristic() != 0:
             raise errors.NotClosedSurface(
                 f"Euler characteristic {self.euler_characteristic()} != 0")
         # each edge lies in two faces, so 3F = 2E and freedom 3V - E = 3 chi = 0
-        reoriented, components = _orient_coherently(self.faces, self.edge_faces)
+        reoriented, link, components = _orient_coherently(
+            self.faces, self.edge_faces, self.vertices)
         self.faces = tuple(reoriented)
-        _check_vertex_links(self)
+        _check_vertex_links(link)
         # with every link one cycle, the faces around a vertex are connected,
         # so the faces are connected iff the graph is
         if components != 1:
@@ -163,30 +207,24 @@ class TorusComplex(SurfaceComplex):
         return EdgeCochain(self)
 
 
-def _check_vertex_links(torus: TorusComplex) -> None:
+def _check_vertex_links(link) -> None:
     """NotClosedSurface unless every vertex link is a single cycle.
 
-    With the faces coherently oriented, face (a, b, c) steps the link of a
-    from b to c, so one pass over the faces builds every link as a
-    permutation of the vertex's neighbours, and a link is one cycle iff the
-    walk from one neighbour visits them all.  Without this check a sphere
-    and two tori wedged at one vertex pass as a torus: every edge lies in
-    two faces, the graph is connected and chi = 0.
+    With the faces coherently oriented, each link is a permutation of the
+    vertex's neighbours (see ``_orient_coherently``), and it is one cycle
+    iff the walk from one neighbour visits them all.  Without this check a
+    sphere and two tori wedged at one vertex pass as a torus: every edge
+    lies in two faces, the graph is connected and chi = 0.
     """
-    step: dict[int, dict[int, int]] = {v: {} for v in torus.vertices}
-    for a, b, c in torus.faces:
-        step[a][b] = c
-        step[b][c] = a
-        step[c][a] = b
-    for v, link in step.items():
-        start = x = next(iter(link))
+    for v, step in link.items():
+        start = x = next(iter(step))
         length = 0
         while True:
-            x = link[x]
+            x = step[x]
             length += 1
             if x == start:
                 break
-        if length != len(link):
+        if length != len(step):
             raise errors.NotClosedSurface(
                 f"the link of vertex {v} is not one cycle: the surface is "
                 "pinched there")
@@ -286,42 +324,44 @@ class DiscMap:
     leaving it and one entering it along the face orientation.  The walk
     starts at the boundary class least by (image vertex, representative)
     and follows whichever of those two edges is least by (edge, face).
+
+    What does not depend on the keep set comes from one pass over the
+    region (``_Region``): its shared edges, its connectivity across them,
+    the fully glued chi and, once a disc needs them, the fully glued corner
+    classes.  The keep set then reads chi off the ends of its edges, checks
+    connectivity without its edges, re-glues only the corners at those ends
+    and traces the walk.  ``disc_structures`` makes that pass once for every
+    keep set it tries and hands it in through the private ``_region``.
     """
 
-    def __init__(self, torus: TorusComplex, face_indices, keep_edges=()):
-        self.torus = torus
-        self.faces = tuple(sorted(set(face_indices)))
-        if not self.faces:
+    def __init__(self, torus: TorusComplex, face_indices, keep_edges=(),
+                 _region=None):
+        region = _Region(torus, face_indices) if _region is None else _region
+        if not region.faces:
             raise errors.NotADisc("empty face set")
-        _check_face_indices(torus, self.faces)
-        self.keep_edges = frozenset(edge_key(*e) for e in keep_edges)
-        self._unfold()
-
-    def _unfold(self):
-        torus = self.torus
-        region = set(self.faces)
-        shared = _shared_edges(torus, region)
-        bad = self.keep_edges.difference(shared)
+        self.torus = torus
+        self.faces = region.faces
+        self.keep_edges = keep = frozenset(_keep_key(e) for e in keep_edges)
+        bad = keep - region.shared
         if bad:
             raise errors.NotADisc(f"keep edges {sorted(bad)} are not interior to the region")
-        glued = set(shared) - self.keep_edges
-        if not _face_connected(torus, region, glued):
-            if not _face_connected(torus, region, shared):
-                raise errors.NotFaceConnected("hole face set is not adjacency-connected")
+        if not region.connected:
+            raise errors.NotFaceConnected("hole face set is not adjacency-connected")
+        if keep and not region.connected_without(keep):
             raise errors.NotADisc("unfolded complex is disconnected")
-        corner_class, chi = _unfolding(torus, self.faces, glued)
+        chi = region.chi_without(keep)
         if chi != 1:
             raise errors.NotADisc(f"unfolded Euler characteristic {chi} != 1")
 
         # the unglued half-edges around the one boundary cycle, both ways;
         # a class representative is a (face, vertex) corner
+        at = region.classes_without(keep)
         step, back = {}, {}
-        for f in self.faces:
-            for a, b in _directed_edges(torus.faces[f]):
-                if ((a, b) if a < b else (b, a)) not in glued:
-                    ca, cb = corner_class[f, a], corner_class[f, b]
-                    step[ca] = (cb, f)
-                    back[cb] = (ca, f)
+        for f, a, b in itertools.chain(region.open_halves,
+                                       *(region.halves[e] for e in keep)):
+            ca, cb = (at[a][f], a), (at[b][f], b)
+            step[ca] = (cb, f)
+            back[cb] = (ca, f)
         start = min(step, key=lambda cls: (cls[1], cls))
         (nxt, f_out), (prev, f_in) = step[start], back[start]
         v = start[1]
@@ -332,10 +372,8 @@ class DiscMap:
             walk.append(cls[1])
             cls = step[cls][0]
 
-        self.interior_edges = frozenset(glued)
-        self.interior_vertices = frozenset(
-            {x for f in self.faces for x in torus.faces[f]}
-            - {cls[1] for cls in step})
+        self.interior_edges = region.shared - keep
+        self.interior_vertices = frozenset(at) - {cls[1] for cls in step}
         self.boundary_walk = ClosedWalk(walk)
 
     def __repr__(self):
@@ -377,41 +415,130 @@ def _classes(elements, pairs) -> dict:
     return cls
 
 
-def _check_face_indices(torus: TorusComplex, face_indices) -> None:
-    for i in face_indices:
+def _face_tuple(torus: TorusComplex, face_indices) -> tuple:
+    """The distinct face indices, ascending; BadArgument unless each is an
+    integer, NotADisc unless each is a position in the torus's face list."""
+    try:
+        faces = set(face_indices)
+    except TypeError:
+        raise errors.BadArgument(
+            f"face indices {face_indices!r} are not integers") from None
+    bad = [repr(i) for i in faces if type(i) is not int]
+    if bad:
+        raise errors.BadArgument(f"face index {min(bad)} is not an integer")
+    faces = tuple(sorted(faces))
+    for i in faces:
         if not 0 <= i < len(torus.faces):
             raise errors.NotADisc(f"face index {i} out of range")
+    return faces
 
 
-def _shared_edges(torus: TorusComplex, region) -> list:
-    """Sorted torus edges whose two faces both lie in the region."""
-    return sorted(e for e, (f1, f2) in torus.edge_faces.items()
-                  if f1 in region and f2 in region)
+def _keep_key(e) -> tuple[int, int]:
+    """``edge_key`` of a kept edge; BadArgument unless it is two integers."""
+    if not (isinstance(e, (list, tuple)) and len(e) == 2
+            and type(e[0]) is int and type(e[1]) is int):
+        raise errors.BadArgument(f"keep edge {e!r} is not a pair of integer vertices")
+    return edge_key(*e)
 
 
-def _face_connected(torus: TorusComplex, region, edges) -> bool:
-    """Whether the region's faces are connected across the given edges; an
-    empty region counts as connected, and ``DiscMap`` rejects it as no disc."""
-    cls = _classes(region, (torus.edge_faces[e] for e in edges))
-    return len(set(cls.values())) <= 1
+class _Region:
+    """What every disc structure on one face region shares, from one pass
+    over the region's faces.
 
+    - ``faces``: the face indices, ascending;
+    - ``shared``: the edges whose two faces both lie in the region, read off
+      the region's own faces;
+    - ``halves``: each shared edge's two half-edges (face, tail, head) along
+      the face orientations, and ``open_halves``: every other half-edge of
+      the region's faces;
+    - ``connected``: whether the faces are connected across shared edges;
+    - ``chi0``: the Euler characteristic of the fully glued unfolding.
 
-def _unfolding(torus: TorusComplex, faces, glued):
-    """Corner classes and Euler characteristic of the faces glued along ``glued``.
-
-    A corner is a (face, vertex) pair; gluing an edge merges the corners of
-    its two faces at each endpoint, and a class representative is the least
-    corner of its class.  The classes come as a map from every corner to
-    its representative.
+    A corner is a (face, vertex) pair.  Around a vertex v, the corners glued
+    across shared edges form paths, or one cycle when the region holds the
+    whole star of v, whose link is one cycle: v is then *closed*.  So v
+    carries (corners - shared edges at v) classes, plus one if closed, and
+    chi0 = V - E + F = (3F - 2|shared| + closed) - (3F - |shared|) + F
+    = F - |shared| + closed.  Ungluing an edge changes the classes at its
+    two ends only (``chi_without``); the classes themselves are built only
+    for a disc (``classes_without``).
     """
-    pairs = []
-    for e in glued:
-        f1, f2 = torus.edge_faces[e]
-        pairs.extend(((f1, v), (f2, v)) for v in e)
-    corner_class = _classes(((f, v) for f in faces for v in torus.faces[f]),
-                            pairs)
-    n_classes = len(set(corner_class.values()))
-    return corner_class, n_classes - (3 * len(faces) - len(glued)) + len(faces)
+
+    def __init__(self, torus: TorusComplex, face_indices):
+        self.faces = faces = _face_tuple(torus, face_indices)
+        region = set(faces)
+        edge_faces = torus.edge_faces
+        halves: dict = {}
+        self.open_halves = []
+        corners: dict = {}  # vertex -> the faces of its corners, ascending
+        for f in faces:
+            a, b, c = torus.faces[f]
+            for u, v in ((a, b), (b, c), (c, a)):
+                e = (u, v) if u < v else (v, u)
+                f1, f2 = edge_faces[e]
+                if f1 in region and f2 in region:
+                    halves.setdefault(e, []).append((f, u, v))
+                else:
+                    self.open_halves.append((f, u, v))
+                corners.setdefault(u, []).append(f)
+        self.halves = halves
+        self.shared = frozenset(halves)
+        self._corners = corners
+        self._across: dict = {f: [] for f in faces}
+        self._glued_at: dict = {v: [] for v in corners}
+        for e, ((f1, _, _), (f2, _, _)) in halves.items():
+            self._across[f1].append((e, f2))
+            self._across[f2].append((e, f1))
+            for x in e:
+                self._glued_at[x].append((e, f1, f2))
+        self._closed = frozenset(v for v, fs in corners.items()
+                                 if len(self._glued_at[v]) == len(fs))
+        self.chi0 = len(faces) - len(halves) + len(self._closed)
+        self.connected = self.connected_without(())
+
+    def connected_without(self, keep) -> bool:
+        """Whether the faces are connected across the shared edges not in
+        ``keep``; an empty region counts as connected."""
+        if not self.faces:
+            return True
+        seen = {self.faces[0]}
+        stack = [self.faces[0]]
+        while stack:
+            for e, g in self._across[stack.pop()]:
+                if g not in seen and e not in keep:
+                    seen.add(g)
+                    stack.append(g)
+        return len(seen) == len(self.faces)
+
+    def chi_without(self, keep) -> int:
+        """Euler characteristic of the unfolding that glues every shared
+        edge but the kept ones, which must be shared and distinct.
+
+        Ungluing an edge cuts the classes at its two ends: a path falls in
+        two, while a closed vertex's cycle opens into a path the first time
+        it is cut and falls in two after that.  A kept edge glues one edge
+        fewer and adds two classes, so chi = chi0 + |keep| - (the closed
+        vertices at the ends of the kept edges).
+        """
+        return self.chi0 + len(keep) - len(self._closed.intersection(
+            x for e in keep for x in e))
+
+    @functools.cached_property
+    def _glued_classes(self) -> dict:
+        return {v: self._classes_at(v, ()) for v in self._corners}
+
+    def _classes_at(self, v, keep) -> dict:
+        return _classes(self._corners[v], ((f1, f2) for e, f1, f2 in self._glued_at[v]
+                                           if e not in keep))
+
+    def classes_without(self, keep) -> dict:
+        """The corner classes with every shared edge but the kept ones glued:
+        for each vertex v of the region, a map from each face f at v to the
+        least face of the class of the corner (f, v).  The fully glued
+        classes are built once, and only the ends of the kept edges are
+        built again."""
+        return self._glued_classes | {v: self._classes_at(v, keep)
+                                      for v in {x for e in keep for x in e}}
 
 
 def disc_structures(torus: TorusComplex, face_indices, forbid_keep=(),
@@ -425,30 +552,34 @@ def disc_structures(torus: TorusComplex, face_indices, forbid_keep=(),
     kept edge raises the fully glued characteristic chi0 by at most one, so
     a size k needs chi0 + k >= 1; and a boundary of length L has
     3|F| - 2|shared| + 2k edges, so a given ``boundary_length`` fixes k.
-    When the generator is first advanced, raises NotADisc for a face index
-    out of range and NotFaceConnected if the region is not connected across
-    shared edges.
+
+    The region pass (``_Region``) runs once, for every keep set.  A keep set
+    reads its chi off the ends of its edges, at most six vertices; only one
+    with chi = 1 builds a ``DiscMap``, which checks connectivity, re-glues
+    the corners at those ends and traces the walk.  When the generator is
+    first advanced, raises BadArgument for a face index that is not an
+    integer, NotADisc for one out of range and NotFaceConnected if the
+    region is not connected across shared edges.
     """
-    region = set(face_indices)
-    _check_face_indices(torus, region)
-    shared = _shared_edges(torus, region)
-    if not _face_connected(torus, region, shared):
+    region = _Region(torus, face_indices)
+    if not region.connected:
         raise errors.NotFaceConnected("face set is not adjacency-connected")
-    _, chi0 = _unfolding(torus, region, shared)
     if boundary_length is None:
         sizes = range(MAX_KEEP + 1)
     else:
-        twice_k = boundary_length - 3 * len(region) + 2 * len(shared)
+        twice_k = boundary_length - 3 * len(region.faces) + 2 * len(region.shared)
         fits = twice_k % 2 == 0 and 0 <= twice_k <= 2 * MAX_KEEP
         sizes = [twice_k // 2] if fits else []
     forbid = {edge_key(*e) for e in forbid_keep}
-    allowed = [e for e in shared if e not in forbid]
+    allowed = sorted(e for e in region.shared if e not in forbid)
     for k in sizes:
-        if chi0 + k < 1:
+        if region.chi0 + k < 1:
             continue
         for keep in itertools.combinations(allowed, k):
+            if region.chi_without(keep) != 1:
+                continue
             try:
-                disc = DiscMap(torus, region, keep_edges=keep)
+                disc = DiscMap(torus, region.faces, keep, _region=region)
             except errors.NotADisc:
                 continue
             yield disc
@@ -544,13 +675,16 @@ class TorusWithHole:
         self.faces = tuple(torus.faces[i] for i in self.face_indices)
         self.graph = Graph(torus.vertices - self.deleted_vertices,
                            torus.edges - self.deleted_edges)
-        edge_retained: dict = {e: [] for e in self.graph.edges}
-        for i in self.face_indices:
-            for e in _face_edges(torus.faces[i]):
-                edge_retained[e].append(i)
-        self.edge_retained_faces = {e: tuple(fs) for e, fs in edge_retained.items()}
-        self.boundary_edges = frozenset(
-            e for e, fs in self.edge_retained_faces.items() if len(fs) < 2)
+        # only the edges of hole faces lose faces: the deleted ones lose
+        # both, the rest (the boundary edges) one or two
+        self.edge_retained_faces = dict(torus.edge_faces)
+        for e in region_edges:
+            if e in self.deleted_edges:
+                del self.edge_retained_faces[e]
+            else:
+                self.edge_retained_faces[e] = tuple(
+                    f for f in torus.edge_faces[e] if f not in used_faces)
+        self.boundary_edges = frozenset(region_edges - self.deleted_edges)
         walk_edges = frozenset(e for d in self.discs for e in d.boundary_walk.edge_set())
         if walk_edges != self.boundary_edges:
             raise errors.NotADisc("boundary graph != detachment image")

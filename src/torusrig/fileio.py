@@ -76,8 +76,11 @@ def _check_record(record) -> None:
     if not isinstance(record.get("meta", {}), dict):
         raise errors.MalformedRecord("meta must be an object")
     faces = _items(record.get("faces"), "faces")
-    for i, f in enumerate(faces):
-        _items(f, f"faces[{i}]", 3, ints=True)
+    if not all(isinstance(f, (list, tuple)) and len(f) == 3 and type(f[0]) is int
+               and type(f[1]) is int and type(f[2]) is int for f in faces):
+        # walk the faces again, only to name the first bad one
+        for i, f in enumerate(faces):
+            _items(f, f"faces[{i}]", 3, ints=True)
     for i, h in enumerate(_items(record.get("holes", []), "holes")):
         field = f"holes[{i}]"
         if isinstance(h, dict):

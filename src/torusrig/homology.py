@@ -28,12 +28,15 @@ class EdgeCochain:
     """
 
     def __init__(self, torus: TorusComplex):
-        graph = torus.graph
+        neighbors: dict = {v: [] for v in torus.vertices}
+        for u, v in torus.edges:
+            neighbors[u].append(v)
+            neighbors[v].append(u)
         root = min(torus.vertices)
         tree, seen = set(), {root}
         queue = [root]
         for u in queue:
-            for w in sorted(graph.neighbors(u)):
+            for w in sorted(neighbors[u]):
                 if w not in seen:
                     seen.add(w)
                     tree.add(edge_key(u, w))

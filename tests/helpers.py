@@ -2,8 +2,9 @@
 
 The package keeps the decide, classify, reduce and certify path; these are
 the slow cross-checks (dense modular and rational rank, subset-enumeration
-sparsity, exhaustive critical-cycle search, greedy reduction that carries
-the hole through every step, the slot-based disc unfolding),
+sparsity, exhaustive critical-cycle search over connected regions, greedy
+reduction that carries the hole through every step, the slot-based disc
+unfolding, the record and face-list checks one field at a time),
 the builders (face-graph quotients, separating cycles from a region, vertex
 splits on a torus) that tests compare that path against, and an in-process
 CLI runner.
@@ -13,16 +14,17 @@ from __future__ import annotations
 
 import contextlib
 import io
-import itertools
 import json
 from fractions import Fraction
 from unittest import mock
 
+from hypothesis import strategies as st
+
 from torusrig import cli, errors, sparsity
 from torusrig.complexes import (DiscMap, SurfaceComplex, TorusComplex,
-                                TorusWithHole, _check_face_indices,
-                                _face_connected, _face_edges, _shared_edges,
-                                _unfolding, disc_structures)
+                                TorusWithHole, _classes, _face_edges,
+                                canon_face, disc_structures)
+from torusrig.fileio import _items
 from torusrig.graphs import Graph, contract_edge, edge_key
 from torusrig.reduction import (Contraction, SeparatingCycle, _apexes,
                                 _blocked_faces, _grow_region,
@@ -273,6 +275,111 @@ def num_edges(pattern) -> int:
                 for i in range(n)})
 
 
+# -- record and face-list checks ---------------------------------------------
+
+
+def check_record_oracle(record) -> None:
+    """``fileio._check_record`` as one ``_items`` check per field, in field
+    order: MalformedRecord naming the first bad field.  The reference for
+    the error that the one-comprehension face check falls back to."""
+    if not isinstance(record, dict) or type(record.get("vertices")) is not int:
+        raise errors.MalformedRecord("record must be an object with integer vertices")
+    if not isinstance(record.get("meta", {}), dict):
+        raise errors.MalformedRecord("meta must be an object")
+    faces = _items(record.get("faces"), "faces")
+    for i, f in enumerate(faces):
+        _items(f, f"faces[{i}]", 3, ints=True)
+    for i, h in enumerate(_items(record.get("holes", []), "holes")):
+        field = f"holes[{i}]"
+        if isinstance(h, dict):
+            for k, e in enumerate(_items(h.get("keep", []), f"{field}.keep")):
+                _items(e, f"{field}.keep[{k}]", 2, ints=True)
+            h, field = h.get("faces"), f"{field}.faces"
+        for k, x in enumerate(_items(h, field, ints=True)):
+            if not 0 <= x < len(faces):
+                raise errors.MalformedRecord(f"{field}[{k}]: {x} is not a face index")
+
+
+def surface_complex_oracle(faces) -> None:
+    """The checks of ``SurfaceComplex(faces)`` one at a time: the first
+    face that is not three comparable corners, repeats a corner or repeats a
+    corner set; then, from a separate edge -> faces map, the first edge in
+    three or more faces; then the first face with a corner that is not an
+    integer.  The reference for the order of its errors."""
+    canon, corner_sets = [], set()
+    for face in faces:
+        try:
+            f = canon_face(tuple(face))
+        except (TypeError, ValueError):
+            raise errors.BadArgument(
+                f"face {face!r} is not three comparable corners") from None
+        if len(set(f)) != 3:
+            raise errors.LoopEdge(f"face {f} repeats a corner")
+        if frozenset(f) in corner_sets:
+            raise errors.DuplicateFace(f"face {f} occurs twice")
+        corner_sets.add(frozenset(f))
+        canon.append(f)
+    edge_faces: dict = {}
+    for idx, f in enumerate(canon):
+        for e in _face_edges(f):
+            edge_faces.setdefault(e, []).append(idx)
+    for e, fs in edge_faces.items():
+        if len(fs) > 2:
+            raise errors.EdgeInThreeFaces(f"edge {e} lies in {len(fs)} faces")
+    for f in canon:
+        if any(type(v) is not int for v in f):
+            raise errors.BadArgument(f"face {f} has a corner that is not an integer")
+
+
+def raised(fn, *args):
+    """``(type, message)`` of the TorusRigError that ``fn(*args)`` raises,
+    or None."""
+    try:
+        fn(*args)
+    except errors.TorusRigError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+NOT_INTEGERS = (1.5, "2", True, None, [0])
+
+
+def corrupt(data, record):
+    """A copy of the record with one to three corruptions drawn from
+    ``data``: a face that drops or repeats a corner or has a corner that is
+    not an integer, a duplicate face or a third face on an edge inserted
+    anywhere, or a hole entry that is no face index."""
+    out = json.loads(json.dumps(record))
+    faces = out["faces"]
+    for _ in range(data.draw(st.integers(1, 3), label="corruptions")):
+        kind = data.draw(st.sampled_from(
+            ["drop", "repeat", "not-int", "duplicate", "third", "hole"]), label="kind")
+        src = list(record["faces"][data.draw(
+            st.integers(0, len(record["faces"]) - 1), label="face")])
+        k, m = data.draw(st.permutations(range(3)), label="corners")[:2]
+        at = data.draw(st.integers(0, len(faces)), label="position")
+        if kind == "drop":
+            faces[min(at, len(faces) - 1)] = src[:k] + src[k + 1:]
+        elif kind == "repeat":
+            src[k] = src[m]
+            faces[min(at, len(faces) - 1)] = src
+        elif kind == "not-int":
+            src[k] = data.draw(st.sampled_from(NOT_INTEGERS), label="corner")
+            faces[min(at, len(faces) - 1)] = src
+        elif kind == "duplicate":
+            faces.insert(at, src[k:] + src[:k] if m > k else src[::-1])
+        elif kind == "third":
+            x = data.draw(st.integers(0, record["vertices"] - 1).filter(
+                lambda x: x not in src[:2]), label="apex")
+            faces.insert(at, [src[0], src[1], x])
+        else:
+            hole = out["holes"][0]
+            idxs = hole["faces"] if isinstance(hole, dict) else hole
+            idxs[min(at, len(idxs) - 1)] = data.draw(st.sampled_from(
+                [-1, 10 ** 6, *NOT_INTEGERS]), label="index")
+    return out
+
+
 # -- tori -------------------------------------------------------------------
 
 
@@ -314,6 +421,32 @@ def face_index(torus: TorusComplex, face) -> int:
     raise KeyError(face)
 
 
+def _shared_edges(torus: TorusComplex, region) -> list:
+    """Sorted torus edges whose two faces both lie in the region, by a scan
+    of every torus edge."""
+    return sorted(e for e, (f1, f2) in torus.edge_faces.items()
+                  if f1 in region and f2 in region)
+
+
+def _unfolding(torus: TorusComplex, faces, glued):
+    """Corner classes and Euler characteristic of the faces glued along
+    ``glued``, from one class computation over every corner.
+
+    A corner is a (face, vertex) pair; gluing an edge merges the corners of
+    its two faces at each endpoint, and a class representative is the least
+    corner of its class.  The classes come as a map from every corner to
+    its representative.
+    """
+    pairs = []
+    for e in glued:
+        f1, f2 = torus.edge_faces[e]
+        pairs.extend(((f1, v), (f2, v)) for v in e)
+    corner_class = _classes(((f, v) for f in faces for v in torus.faces[f]),
+                            pairs)
+    n_classes = len(set(corner_class.values()))
+    return corner_class, n_classes - (3 * len(faces) - len(glued)) + len(faces)
+
+
 def slot_disc(torus: TorusComplex, face_indices, keep_edges=()):
     """``(walk, interior edges, interior vertices)`` of a face region by the
     slot-based unfolding that ``DiscMap`` replaced; the reference for its
@@ -330,7 +463,8 @@ def slot_disc(torus: TorusComplex, face_indices, keep_edges=()):
     faces = sorted(set(face_indices))
     if not faces:
         raise errors.NotADisc("empty face set")
-    _check_face_indices(torus, faces)
+    if not all(0 <= i < len(torus.faces) for i in faces):
+        raise errors.NotADisc("face index out of range")
     region = set(faces)
     shared = _shared_edges(torus, region)
     keep = {edge_key(*e) for e in keep_edges}
@@ -411,24 +545,44 @@ def separating_cycle(hole: TorusWithHole, region_faces) -> SeparatingCycle:
     return SeparatingCycle(d1)
 
 
+def connected_regions(torus: TorusComplex, seed_faces) -> list[frozenset]:
+    """Every face set that holds the connected ``seed_faces`` and is
+    connected across the edges its faces share, each once, by size and
+    then by its sorted faces.
+
+    Extension with an exclusion set, as in ESU (Wernicke, "Efficient
+    detection of network motifs", 2006): the frontier holds the faces next
+    to the region that are neither in it nor excluded; the branch that adds
+    the i-th frontier face excludes the ones before it, so the regions of
+    the branches are disjoint and together are every connected superset.
+    """
+    adj = torus.face_adjacency()
+    out = []
+
+    def grow(region, frontier, excluded):
+        out.append(region)
+        excluded = set(excluded)
+        for i, f in enumerate(frontier):
+            new = [g for g in sorted(adj[f]) if g not in region
+                   and g not in excluded and g not in frontier]
+            grow(region | {f}, frontier[i + 1:] + new, excluded)
+            excluded.add(f)
+
+    seed = frozenset(seed_faces)
+    grow(seed, sorted({g for f in seed for g in adj[f]} - seed), ())
+    return sorted(out, key=lambda r: (len(r), sorted(r)))
+
+
 def exhaustive_critical_cycles_through(hole: TorusWithHole, e) -> list[SeparatingCycle]:
-    """All critical cycles through e, by enumerating every enlarged disc.
+    """All critical cycles through e, by enumerating every enlarged disc:
+    every face-connected region that holds the hole (``connected_regions``).
 
     Exponential in the number of non-hole faces; the slow oracle for
     validating the constructive search on small graphs.
     """
     e = edge_key(*e)
-    torus = hole.torus
-    hole_faces = tuple(hole.single_disc.faces)
-    retained = [i for i in range(len(torus.faces)) if i not in hole_faces]
-    found = []
-    for size in range(len(retained) + 1):
-        for extra in itertools.combinations(retained, size):
-            region = frozenset(hole_faces) | frozenset(extra)
-            if not _face_connected(torus, region, _shared_edges(torus, region)):
-                continue
-            found.extend(_region_criticals(hole, region, e))
-    return found
+    return [c for region in connected_regions(hole.torus, hole.single_disc.faces)
+            for c in _region_criticals(hole, region, e)]
 
 
 def tight_set_critical_cycles(hole: TorusWithHole, e) -> list[SeparatingCycle]:

@@ -4,18 +4,21 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusrig import errors
+from torusrig.catalog import build_H
 from torusrig.complexes import (MAX_KEEP, DiscMap, SurfaceComplex,
                                 TorusComplex, TorusWithHole, cut_hole,
                                 cut_holes, disc_structures, grid_faces,
                                 infer_disc, rectangular_torus,
                                 retriangulate_holes)
-from torusrig.fileio import record_to_hole
+from torusrig.fileio import hole_to_record, record_to_hole
 from torusrig.graphs import freedom
 
-from helpers import (NonSimpleQuotient, identify_face_graph, is_connected,
-                     slot_disc)
+from helpers import (NonSimpleQuotient, connected_regions, corrupt,
+                     identify_face_graph, is_connected, raised, slot_disc,
+                     surface_complex_oracle)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -39,6 +42,36 @@ def test_build_complex_errors():
         SurfaceComplex([(0, 0, 1)])
     with pytest.raises(errors.DuplicateFace):
         SurfaceComplex([(0, 1, 2), (2, 0, 1)])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda t: SurfaceComplex([(0, 1)]), "not three comparable corners"),
+    (lambda t: SurfaceComplex([(0, 1, "a")]), "not three comparable corners"),
+    (lambda t: SurfaceComplex([(0, 1, 2.5)]), "not an integer"),
+    (lambda t: DiscMap(t, [0.5]), "face index 0.5 is not an integer"),
+    (lambda t: DiscMap(t, [True]), "face index True is not an integer"),
+    (lambda t: next(disc_structures(t, [0, "1"])), "face index '1' is not an integer"),
+    (lambda t: DiscMap(t, [0], keep_edges=[(0, 1, 2)]), "not a pair of integer"),
+    (lambda t: DiscMap(t, [0, 1], keep_edges=[(0, True)]), "not a pair of integer"),
+], ids=["two-corners", "string-corner", "float-corner", "float-face",
+        "bool-face", "string-face-in-search", "three-vertex-keep", "bool-keep"])
+def test_bad_arguments_raise_bad_argument(build, message):
+    with pytest.raises(errors.BadArgument, match=message):
+        build(rectangular_torus(3, 3))
+
+
+@pytest.fixture(scope="module")
+def face_lists():
+    return [hole_to_record(build_H(i)) for i in range(1, 18)]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_corrupt_face_lists_raise_the_oracle_error(face_lists, data):
+    # SurfaceComplex checks each face once, in one pass; the first bad face
+    # decides the error, as the face-by-face checks decide it
+    faces = corrupt(data, data.draw(st.sampled_from(face_lists)))["faces"]
+    assert raised(SurfaceComplex, faces) == raised(surface_complex_oracle, faces)
 
 
 def test_pinched_wedge_is_not_a_torus():
@@ -418,3 +451,73 @@ def test_boundary_walk_matches_slot_oracle():
         discs += isinstance(want, tuple)
     assert discs > 2000
 
+
+K7 = [f for i in range(7) for f in ((i, (i + 1) % 7, (i + 3) % 7),
+                                    (i, (i + 2) % 7, (i + 3) % 7))]
+
+
+def test_disc_search_matches_independent_unfolding():
+    # the search shares one region pass among its keep sets; each keep set of
+    # at most MAX_KEEP shared edges must come out as the slot-based unfolding
+    # built on its own says: a disc with the same walk, interior edges and
+    # interior vertices, or refused.  Every keep set of at most one edge is
+    # checked, and six drawn ones of two or three edges per region.
+    k7 = TorusComplex(K7)
+    grid = rectangular_torus(3, 3)
+    rng = random.Random(20261019)
+    regions = [(k7, frozenset(rng.sample(range(14), rng.randint(1, 14))))
+               for _ in range(40)]
+    regions += [(grid, _grow(grid, rng, [rng.randrange(18)], rng.randrange(18)))
+                for _ in range(40)]
+    discs = keeps = 0
+    for torus, region in regions:
+        try:
+            found = {d.keep_edges: d for d in disc_structures(torus, region)}
+        except errors.NotFaceConnected:
+            assert raised(slot_disc, torus, region)[0] is errors.NotFaceConnected
+            continue
+        shared = sorted(e for e, (f1, f2) in torus.edge_faces.items()
+                        if f1 in region and f2 in region)
+        small = [c for k in (0, 1) for c in itertools.combinations(shared, k)]
+        large = [c for k in (2, MAX_KEEP) for c in itertools.combinations(shared, k)]
+        tried = {frozenset(c) for c in small + rng.sample(large, min(6, len(large)))}
+        for keep in tried | set(found):
+            want = _outcome(slot_disc, torus, region, keep)
+            d = found.get(keep)
+            got = (d.boundary_walk.vertices, d.interior_edges,
+                   d.interior_vertices) if d else None
+            assert got == (want if isinstance(want, tuple) else None), \
+                (sorted(region), sorted(keep))
+            keeps += 1
+        discs += len(found)
+    assert discs > 1000 and keeps > 2000
+
+
+def test_connected_regions_match_the_subset_enumeration():
+    # on K7 around a two-face hole, the regions grown with an exclusion set
+    # are the face sets of the 2^12 supersets that are connected across
+    # their shared edges, each once
+    torus = TorusComplex(K7)
+    hole = cut_hole(torus, [0, 1])
+    regions = connected_regions(torus, hole.single_disc.faces)
+    rest = [f for f in range(14) if f not in (0, 1)]
+    want = set()
+    for mask in range(1 << len(rest)):
+        region = {0, 1} | {f for i, f in enumerate(rest) if mask >> i & 1}
+        pairs = [fs for fs in torus.edge_faces.values() if set(fs) <= region]
+        if len({min(c) for c in _components(region, pairs)}) == 1:
+            want.add(frozenset(region))
+    assert len(regions) == len(set(regions)) and set(regions) == want
+    assert regions == sorted(regions, key=lambda r: (len(r), sorted(r)))
+
+
+def _components(elements, pairs):
+    """The classes of ``elements`` under the pairs, by repeated merging."""
+    comps = [{x} for x in elements]
+    for a, b in pairs:
+        ca = next(c for c in comps if a in c)
+        cb = next(c for c in comps if b in c)
+        if ca is not cb:
+            comps.remove(cb)
+            ca |= cb
+    return comps

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import torusrig
 from torusrig import errors
@@ -14,6 +15,9 @@ from torusrig.corpus import CorpusSpec, corpus_records
 from torusrig.fileio import hole_to_record, record_to_hole, to_dot
 from torusrig.reduction import (contract, contractible_edges,
                                 find_critical_cycle_through, reduce_greedy)
+
+from helpers import (check_record_oracle, corrupt, raised,
+                     surface_complex_oracle)
 
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -102,6 +106,24 @@ def test_cli_malformed_record_is_typed_error(stdin, field):
     assert r.stderr.startswith("error:")
     assert field in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.fixture(scope="module")
+def clean_records(corpus_cuts):
+    return ([hole_to_record(build_H(i)) for i in range(1, 18)]
+            + [hole_to_record(h) for h in corpus_cuts[:40]])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_corrupt_records_raise_the_oracle_error(clean_records, data):
+    # every corruption is an error; the first bad field or face decides
+    # it, type and message, as the field-by-field record check and the
+    # face-by-face surface checks decide it
+    record = corrupt(data, data.draw(st.sampled_from(clean_records), label="record"))
+    want = raised(check_record_oracle, record) \
+        or raised(surface_complex_oracle, record["faces"])
+    assert want is not None and raised(record_to_hole, record) == want
 
 
 def test_cli_batch_check_meta_not_object():
