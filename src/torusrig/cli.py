@@ -82,7 +82,7 @@ def cmd_homology(args) -> int:
     out = []
     boundary_vertices = {v for e in hole.boundary_edges for v in e}
     for e in hole.graph.sorted_edges():
-        if e in hole.boundary_edges or not hole.is_ff_edge(e):
+        if not hole.is_ff_edge(e):
             continue
         if e[0] not in boundary_vertices or e[1] not in boundary_vertices:
             continue

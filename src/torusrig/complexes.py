@@ -16,13 +16,12 @@ hole; the reduction takes enlargements of a hole from it.  An unfolding is
 a disc iff it is connected with Euler characteristic one (see ``DiscMap``).
 
 Loading a hole builds each object once, from one pass over its faces: the
-surface checks and the edge -> faces map in one loop, orientation and
-vertex links in one walk across shared edges, and the retained faces of
-each graph edge read off the torus's map.  A disc search makes one pass
-over its region (``_Region``) for the shared edges, the face connectivity
-and the fully glued chi; each keep set then reads its chi off the ends of
-its kept edges, and only a disc builds the corner classes, re-glued at
-those ends alone, and traces a walk.  ``DiscMap`` takes the same pass.
+surface checks and the edge -> faces map in one loop, and orientation and
+vertex links in one walk across shared edges.  A disc search makes one
+pass over its region (``_Region``) for the shared edges, the face
+connectivity and the fully glued chi; each keep set then reads its chi off
+the ends of its kept edges, and only a disc builds the corner classes,
+re-glued at those ends alone, and traces a walk.  ``DiscMap`` takes the same pass.
 """
 
 from __future__ import annotations
@@ -109,10 +108,6 @@ class SurfaceComplex:
 
     def euler_characteristic(self) -> int:
         return len(self.vertices) - len(self.edges) + len(self.faces)
-
-    def boundary_edges(self) -> frozenset:
-        """Edges lying in fewer than two faces."""
-        return frozenset(e for e, fs in self.edge_faces.items() if len(fs) < 2)
 
     def face_adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {i: set() for i in range(len(self.faces))}
@@ -341,7 +336,7 @@ class DiscMap:
             raise errors.NotADisc("empty face set")
         self.torus = torus
         self.faces = region.faces
-        self.keep_edges = keep = frozenset(_keep_key(e) for e in keep_edges)
+        self.keep_edges = keep = frozenset(_edge_arg(e) for e in keep_edges)
         bad = keep - region.shared
         if bad:
             raise errors.NotADisc(f"keep edges {sorted(bad)} are not interior to the region")
@@ -433,11 +428,12 @@ def _face_tuple(torus: TorusComplex, face_indices) -> tuple:
     return faces
 
 
-def _keep_key(e) -> tuple[int, int]:
-    """``edge_key`` of a kept edge; BadArgument unless it is two integers."""
+def _edge_arg(e) -> tuple[int, int]:
+    """``edge_key`` of any edge the API takes: BadArgument unless it is two
+    integers, LoopEdge when they are equal."""
     if not (isinstance(e, (list, tuple)) and len(e) == 2
             and type(e[0]) is int and type(e[1]) is int):
-        raise errors.BadArgument(f"keep edge {e!r} is not a pair of integer vertices")
+        raise errors.BadArgument(f"edge {e!r} is not a pair of integer vertices")
     return edge_key(*e)
 
 
@@ -646,7 +642,8 @@ class TorusWithHole:
     The graph keeps every torus vertex that retains an edge; vertices interior
     to a hole disc lose all their edges and are dropped with them, so the
     freedom-number identity f(G) = |bd D| - 3 holds for every single cut.
-    Vertex ids are never renumbered.
+    Vertex ids are never renumbered.  The hole keeps no edge -> faces map:
+    the one FF test, ``is_ff_edge``, reads the torus's.
     """
 
     def __init__(self, torus: TorusComplex, discs):
@@ -675,15 +672,6 @@ class TorusWithHole:
         self.faces = tuple(torus.faces[i] for i in self.face_indices)
         self.graph = Graph(torus.vertices - self.deleted_vertices,
                            torus.edges - self.deleted_edges)
-        # only the edges of hole faces lose faces: the deleted ones lose
-        # both, the rest (the boundary edges) one or two
-        self.edge_retained_faces = dict(torus.edge_faces)
-        for e in region_edges:
-            if e in self.deleted_edges:
-                del self.edge_retained_faces[e]
-            else:
-                self.edge_retained_faces[e] = tuple(
-                    f for f in torus.edge_faces[e] if f not in used_faces)
         self.boundary_edges = frozenset(region_edges - self.deleted_edges)
         walk_edges = frozenset(e for d in self.discs for e in d.boundary_walk.edge_set())
         if walk_edges != self.boundary_edges:
@@ -705,11 +693,13 @@ class TorusWithHole:
         return self.single_disc.boundary_walk
 
     def is_ff_edge(self, e) -> bool:
-        e = edge_key(*e)
-        fs = self.edge_retained_faces.get(e)
-        if fs is None:
+        """Whether a graph edge lies in two retained faces: neither of its
+        torus faces is a hole face, so those two are its retained faces."""
+        e = _edge_arg(e)
+        if e not in self.graph.edges:
             raise errors.UnknownEdge(f"{e} is not an edge of the graph")
-        return len(fs) == 2
+        f1, f2 = self.torus.edge_faces[e]
+        return f1 not in self.hole_faces and f2 not in self.hole_faces
 
 
 def cut_hole(torus: TorusComplex, disc_faces) -> TorusWithHole:

@@ -16,7 +16,7 @@ arcs of the detachment walk, recorded up to sign.
 from __future__ import annotations
 
 from . import errors, fileio
-from .complexes import ClosedWalk, TorusComplex, TorusWithHole
+from .complexes import ClosedWalk, TorusComplex, TorusWithHole, _edge_arg
 from .graphs import edge_key
 
 
@@ -137,7 +137,7 @@ def crossover_class(hole: TorusWithHole, e) -> frozenset:
     hole, so its class may be trivial on a tight graph.
     """
     cochain = hole.torus.cochain
-    u, v = edge_key(*e)
+    u, v = _edge_arg(e)
     if not hole.is_ff_edge((u, v)):
         raise errors.NotACrossover(f"({u},{v}) is not an FF edge")
     on_boundary = {w for be in hole.boundary_edges for w in be}

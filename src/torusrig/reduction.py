@@ -33,7 +33,9 @@ contractions that reach it, and ``certify`` reverses them into a
 vertex-splitting construction rooted at K3 (Whiteley 1990).  Each
 contraction removes one vertex and three edges from the graph, since there
 a contractible edge has only its two apexes as common neighbours.  A graph
-that breaks the ruling raises StuckButContractible.
+that breaks the ruling raises StuckButContractible.  The rule has one copy,
+``_contractible``: the loop feeds it a per-step apex map, the hole's
+callers the faces at e after the one FF test (``TorusWithHole.is_ff_edge``).
 
 Only ``contract`` builds a contracted hole, for ``reduce_greedy``'s leaf
 (which ``torusrig reduce`` prints) and for the API.  It renames the faces,
@@ -58,8 +60,7 @@ from dataclasses import dataclass
 
 from . import catalog, errors, fileio
 from .complexes import (ClosedWalk, DiscMap, TorusComplex, TorusWithHole,
-                        _classes, _face_edges, disc_structures,
-                        retriangulate_holes)
+                        _face_edges, disc_structures, retriangulate_holes)
 from .graphs import (Graph, complete_graph, contract_edge, edge_key,
                      is_isomorphic)
 from .maxflow import densest_extension
@@ -73,28 +74,40 @@ class EdgeClass(enum.Enum):
     FF_BLOCKED = "FFBlocked"
 
 
-def _apexes(hole: TorusWithHole, e) -> tuple[int, int]:
-    """Third corners of the two retained faces containing an FF edge."""
+def _contractible(graph: Graph, e, apexes) -> bool:
+    """The contraction rule: e is FF (two apexes, the third corners of its
+    retained faces) and its ends have no other common neighbour."""
     u, v = e
-    faces = hole.torus.faces
+    return len(apexes) == 2 and \
+        graph.neighbors(u) & graph.neighbors(v) <= set(apexes)
+
+
+def _apex_faces(torus: TorusComplex, e) -> dict[int, int]:
+    """Each of the two torus faces at e, keyed by its third corner, in the
+    torus's order at e; for an FF edge, its retained faces and its apexes."""
+    u, v = e
+    faces = torus.faces
     # a face's corners are distinct, so the third is its sum less u and v
-    return tuple(sum(faces[i]) - u - v for i in hole.edge_retained_faces[e])
+    return {sum(faces[f]) - u - v: f for f in torus.edge_faces[e]}
 
 
 def classify_edge(hole: TorusWithHole, e) -> EdgeClass:
-    """FF iff the edge lies in two retained faces; blocked iff additionally
-    some common neighbour closes a nonfacial 3-cycle."""
-    e = edge_key(*e)
-    if e not in hole.graph.edges:
-        raise errors.UnknownEdge(f"{e} is not an edge of the graph")
-    fs = hole.edge_retained_faces[e]
-    if len(fs) < 2:
+    """BOUNDARY_INCIDENT_FACE unless e is FF (``TorusWithHole.is_ff_edge``),
+    else contractible or blocked by the rule (``_contractible``)."""
+    if not hole.is_ff_edge(e):
         return EdgeClass.BOUNDARY_INCIDENT_FACE
-    u, v = e
-    common = hole.graph.neighbors(u) & hole.graph.neighbors(v)
-    if common - set(_apexes(hole, e)):
-        return EdgeClass.FF_BLOCKED
-    return EdgeClass.FF_CONTRACTIBLE
+    e = edge_key(*e)
+    contractible = _contractible(hole.graph, e, _apex_faces(hole.torus, e))
+    return EdgeClass.FF_CONTRACTIBLE if contractible else EdgeClass.FF_BLOCKED
+
+
+def _contraction_apexes(hole: TorusWithHole, e) -> tuple[tuple[int, int], dict]:
+    """Key and ``_apex_faces`` of a contractible FF edge, the guard of
+    ``contract`` and the search; NotContractible for another graph edge."""
+    if classify_edge(hole, e) is not EdgeClass.FF_CONTRACTIBLE:
+        raise errors.NotContractible(f"{edge_key(*e)} is not a contractible FF edge")
+    e = edge_key(*e)
+    return e, _apex_faces(hole.torus, e)
 
 
 def contractible_edges(hole: TorusWithHole) -> list[tuple[int, int]]:
@@ -110,6 +123,7 @@ def is_uncontractible(hole: TorusWithHole) -> bool:
 def contract(hole: TorusWithHole, e) -> TorusWithHole:
     """Contract a contractible FF edge; the higher id merges into the lower.
 
+    The edge must pass greedy reduction's rule (``_contraction_apexes``).
     The torus is rebuilt and revalidated: gone is renamed to keep in every
     face, e's two faces are dropped, a ``TorusComplex`` is built on the
     rest, and on it one ``DiscMap`` per hole over the hole's faces, with
@@ -124,13 +138,11 @@ def contract(hole: TorusWithHole, e) -> TorusWithHole:
     faces untouched; NotContractible, carrying the record, when that fails
     too.
     """
-    e = edge_key(*e)
-    if classify_edge(hole, e) is not EdgeClass.FF_CONTRACTIBLE:
-        raise errors.NotContractible(f"{e} is not a contractible FF edge")
+    e, apex_faces = _contraction_apexes(hole, e)
     keep, gone = e
     torus = hole.torus
-    collapsed = set(hole.edge_retained_faces[e])
-    apex_edges = {edge_key(keep, a) for a in _apexes(hole, e)}
+    collapsed = set(apex_faces.values())
+    apex_edges = {edge_key(keep, a) for a in apex_faces}
 
     def rename(x):
         return keep if x == gone else x
@@ -209,24 +221,22 @@ def is_critical(hole: TorusWithHole, cycle: SeparatingCycle) -> bool:
 # -- key lemma: constructive critical-cycle search --------------------------
 
 
-def _blocked_faces(hole: TorusWithHole, k_set: frozenset) -> set[int]:
-    """Torus faces whose 3-cycles are subgraphs of the induced graph on k_set."""
-    torus = hole.torus
-    g = hole.graph
-    blocked = set()
-    for i, f in enumerate(torus.faces):
-        if all(v in k_set for v in f) and \
-                all(e in g.edges for e in _face_edges(f)):
-            blocked.add(i)
-    return blocked
-
-
-def _grow_region(torus: TorusComplex, start: int, blocked) -> frozenset:
-    """The class of ``start`` among the unblocked faces, across their edges."""
-    faces = {f for f in range(len(torus.faces)) if f not in blocked} | {start}
-    cls = _classes(faces, (fs for fs in torus.edge_faces.values()
-                           if fs[0] in faces and fs[1] in faces))
-    return frozenset(f for f, rep in cls.items() if rep == cls[start])
+def _unspanned_region(hole: TorusWithHole, start: int, k_set) -> frozenset:
+    """The faces reached from ``start`` across torus edges without entering
+    one that G[k_set] spans (corners in k_set, edges in the graph); only the
+    region and the spanned faces on its rim are looked at."""
+    faces, edge_faces = hole.torus.faces, hole.torus.edge_faces
+    edges = hole.graph.edges
+    region, stack = {start}, [start]
+    while stack:
+        i = stack.pop()
+        for e in _face_edges(faces[i]):
+            j = sum(edge_faces[e]) - i  # the other face at e
+            if j not in region and not (all(v in k_set for v in faces[j]) and all(
+                    x in edges for x in _face_edges(faces[j]))):
+                region.add(j)
+                stack.append(j)
+    return frozenset(region)
 
 
 def _region_criticals(hole, region, e):
@@ -251,9 +261,9 @@ def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | Non
     contraction breaks tightness; None when the contraction stays tight.
 
     Follows the constructive route: lift the violator W of G/e to L, extend
-    each tight core through L maximally, grow the complementary face region
-    from the face of e whose apex the extension misses, and read the cycles
-    off the region's disc boundaries; the least critical cycle wins.  With a
+    each tight core through L maximally, flood the complementary face region
+    from the face of e whose apex it misses (``_unspanned_region``), and
+    read the cycles off the region's disc boundaries; the least critical cycle wins.  With a
     apexes in L, f(L) = f(W) + 2 - a and f(W) <= 5: a = 2 cannot occur on
     tight input, and a = 1 forces f(L) = 6, so L is the only core.  With
     a = 0, f(L) is 6 or 7, so the cores are L with either apex, and L alone
@@ -271,9 +281,7 @@ def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | Non
     at z, or dropping z would leave a denser set.  So that scan finds the
     violator that a scan of every edge, z's first, would find first.
     """
-    e = edge_key(*e)
-    if classify_edge(hole, e) is not EdgeClass.FF_CONTRACTIBLE:
-        raise errors.NotContractible(f"{e} is not a contractible FF edge")
+    e, apex_face = _contraction_apexes(hole, e)
     if not check_3_6(hole.graph).is_tight:
         raise fileio.with_record(
             errors.NotTight, hole, "the key-lemma search needs a tight "
@@ -284,7 +292,6 @@ def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | Non
         return None
     witness = _flow_scan(h, [edge_key(z, w) for w in sorted(h.neighbors(z))]).witness
     lifted = frozenset(witness - {z}) | set(e)
-    apex_face = dict(zip(_apexes(hole, e), hole.edge_retained_faces[e]))
     apexes = set(apex_face)
     if apexes <= lifted:
         raise fileio.with_record(
@@ -298,7 +305,7 @@ def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | Non
         if k_set is None:
             continue
         start = next(f for a, f in apex_face.items() if a not in k_set)
-        region = _grow_region(hole.torus, start, _blocked_faces(hole, k_set))
+        region = _unspanned_region(hole, start, k_set)
         candidates.extend(_region_criticals(hole, region, e))
     if not candidates:
         raise fileio.with_record(
@@ -422,11 +429,12 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list[Contraction]]:
     """The greedy reduction on the graph and its ordered retained faces:
     the uncontractible leaf graph and the contractions that reach it.
 
-    Contracting e drops its two faces and renames gone to keep in the
-    others, in order, as ``contract`` does; the next graph is the decided
-    ``contract_edge`` one.  Raises what ``reduce_greedy`` raises; the hole
-    a StuckButContractible record needs is built only then, by replaying
-    ``contract`` from the input.
+    Each step hands every edge's apexes, in face order, to the one rule
+    (``_contractible``).  Contracting e drops its two faces and renames gone
+    to keep in the others, in order, as ``contract`` does; the next graph is
+    the decided ``contract_edge`` one.  Raises what ``reduce_greedy``
+    raises; the hole a StuckButContractible record needs is built only
+    then, by replaying ``contract`` from the input.
     """
     hole.single_disc  # raises SingleHoleRequired unless there is one hole
     graph = hole.graph
@@ -441,10 +449,8 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list[Contraction]]:
         for f in faces:
             for u, v in _face_edges(f):
                 apexes.setdefault((u, v), []).append(sum(f) - u - v)
-        # FF edges whose ends have no common neighbour but their apexes
-        nbrs = graph.neighbors
         cand = sorted(e for e, xs in apexes.items()
-                      if len(xs) == 2 and nbrs(e[0]) & nbrs(e[1]) <= set(xs))
+                      if _contractible(graph, e, xs))
         if not cand:
             return graph, moves
         for e in cand:
@@ -457,7 +463,7 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list[Contraction]]:
                 f"no tightness-preserving contraction among {len(cand)} "
                 "contractible edges")
         keep, gone = e
-        moved = nbrs(gone) - {keep} - set(apexes[e])
+        moved = graph.neighbors(gone) - {keep} - set(apexes[e])
         moves.append(Contraction(e, tuple(apexes[e]), frozenset(moved)))
         faces = [tuple(keep if x == gone else x for x in f) for f in faces
                  if keep not in f or gone not in f]

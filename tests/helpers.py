@@ -2,9 +2,11 @@
 
 The package keeps the decide, classify, reduce and certify path; these are
 the slow cross-checks (dense modular and rational rank, subset-enumeration
-sparsity, exhaustive critical-cycle search over connected regions, greedy
-reduction that carries the hole through every step, the slot-based disc
-unfolding, the record and face-list checks one field at a time),
+sparsity, exhaustive critical-cycle search over connected regions, the
+contraction rule from scans of the faces and edges, greedy reduction that
+carries the hole through every step, the complementary region by scans of
+every face and edge, the slot-based disc unfolding, the record and
+face-list checks one field at a time),
 the builders (face-graph quotients, separating cycles from a region, vertex
 splits on a torus) that tests compare that path against, and an in-process
 CLI runner.
@@ -26,10 +28,8 @@ from torusrig.complexes import (DiscMap, SurfaceComplex, TorusComplex,
                                 canon_face, disc_structures)
 from torusrig.fileio import _items
 from torusrig.graphs import Graph, contract_edge, edge_key
-from torusrig.reduction import (Contraction, SeparatingCycle, _apexes,
-                                _blocked_faces, _grow_region,
-                                _region_criticals, contract,
-                                contractible_edges)
+from torusrig.reduction import (Contraction, EdgeClass, SeparatingCycle,
+                                _region_criticals, contract)
 from torusrig.sparsity import (SparsityVerdict, Status, _PebbleGame,
                                _sparse_verdict, check_3_6)
 
@@ -229,17 +229,40 @@ def record_pebble_games(monkeypatch) -> dict:
     return games
 
 
+def edge_rule_oracle(hole: TorusWithHole, e) -> tuple[EdgeClass, tuple]:
+    """The class of a graph edge under the contraction rule, and the third
+    corners of its torus faces in face order, from scans of every torus
+    face and every graph vertex: BOUNDARY_INCIDENT_FACE unless both torus
+    faces at e are retained; then FF_CONTRACTIBLE when the ends' common
+    graph neighbours are exactly the two third corners, else FF_BLOCKED.
+    The reference for ``reduction.classify_edge`` that shares none of its
+    code."""
+    u, v = e
+    at_e = [i for i, f in enumerate(hole.torus.faces) if u in f and v in f]
+    apexes = tuple(next(x for x in hole.torus.faces[i] if x not in e) for i in at_e)
+    if any(i in hole.hole_faces for i in at_e):
+        return EdgeClass.BOUNDARY_INCIDENT_FACE, apexes
+    edges = hole.graph.edges
+    common = {w for w in hole.graph.vertices - set(e)
+              if edge_key(u, w) in edges and edge_key(v, w) in edges}
+    if common == set(apexes):
+        return EdgeClass.FF_CONTRACTIBLE, apexes
+    return EdgeClass.FF_BLOCKED, apexes
+
+
 def hole_reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contraction]]:
     """Greedy reduction that carries the hole through every step: each
-    step takes the first contractible edge, in sorted order, whose graph
-    contraction is tight and whose ``contract`` succeeds.  The oracle for
-    ``reduction._reduce``, which reads only the graph and its retained
-    faces; its moves and leaf graph are the same."""
+    step takes the first edge, in sorted order, that ``edge_rule_oracle``
+    finds contractible, whose graph contraction is tight and whose
+    ``contract`` succeeds.  The oracle for ``reduction._reduce``, which
+    reads only the graph and its retained faces; its moves and leaf graph
+    are the same."""
     if not check_3_6(hole.graph).is_tight:
         raise errors.NotTight("greedy reduction needs a tight single-hole graph")
     current = hole
     moves: list[Contraction] = []
-    while cand := contractible_edges(current):
+    while cand := [e for e in current.graph.sorted_edges()
+                   if edge_rule_oracle(current, e)[0] is EdgeClass.FF_CONTRACTIBLE]:
         for e in cand:
             if not check_3_6(contract_edge(current.graph, *e)).is_tight:
                 continue
@@ -248,7 +271,7 @@ def hole_reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contrac
             except errors.NotContractible:
                 continue
             keep, gone = e
-            apexes = _apexes(current, e)
+            apexes = edge_rule_oracle(current, e)[1]
             moved = current.graph.neighbors(gone) - {keep} - set(apexes)
             moves.append(Contraction(e, apexes, frozenset(moved)))
             current = result
@@ -410,6 +433,11 @@ def identify_face_graph(disc: SurfaceComplex, boundary_matching) -> TorusComplex
         return TorusComplex([tuple(resolve(v) for v in f) for f in disc.faces])
     except (errors.LoopEdge, errors.DuplicateFace, errors.EdgeInThreeFaces) as exc:
         raise NonSimpleQuotient(str(exc)) from exc
+
+
+def boundary_edges(sc: SurfaceComplex) -> frozenset:
+    """Edges of a surface complex lying in fewer than two faces."""
+    return frozenset(e for e, fs in sc.edge_faces.items() if len(fs) < 2)
 
 
 def face_index(torus: TorusComplex, face) -> int:
@@ -583,6 +611,26 @@ def exhaustive_critical_cycles_through(hole: TorusWithHole, e) -> list[Separatin
     e = edge_key(*e)
     return [c for region in connected_regions(hole.torus, hole.single_disc.faces)
             for c in _region_criticals(hole, region, e)]
+
+
+def _blocked_faces(hole: TorusWithHole, k_set: frozenset) -> set[int]:
+    """Torus faces whose 3-cycles are subgraphs of the induced graph on k_set."""
+    torus = hole.torus
+    g = hole.graph
+    blocked = set()
+    for i, f in enumerate(torus.faces):
+        if all(v in k_set for v in f) and \
+                all(e in g.edges for e in _face_edges(f)):
+            blocked.add(i)
+    return blocked
+
+
+def _grow_region(torus: TorusComplex, start: int, blocked) -> frozenset:
+    """The class of ``start`` among the unblocked faces, across their edges."""
+    faces = {f for f in range(len(torus.faces)) if f not in blocked} | {start}
+    cls = _classes(faces, (fs for fs in torus.edge_faces.values()
+                           if fs[0] in faces and fs[1] in faces))
+    return frozenset(f for f, rep in cls.items() if rep == cls[start])
 
 
 def tight_set_critical_cycles(hole: TorusWithHole, e) -> list[SeparatingCycle]:

@@ -16,9 +16,9 @@ from torusrig.complexes import (MAX_KEEP, DiscMap, SurfaceComplex,
 from torusrig.fileio import hole_to_record, record_to_hole
 from torusrig.graphs import freedom
 
-from helpers import (NonSimpleQuotient, connected_regions, corrupt,
-                     identify_face_graph, is_connected, raised, slot_disc,
-                     surface_complex_oracle)
+from helpers import (NonSimpleQuotient, boundary_edges, connected_regions,
+                     corrupt, identify_face_graph, is_connected, raised,
+                     slot_disc, surface_complex_oracle)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -31,7 +31,7 @@ def test_single_triangle():
 def test_tetrahedron_closed():
     sc = SurfaceComplex([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
     assert all(len(fs) == 2 for fs in sc.edge_faces.values())
-    assert not sc.boundary_edges()
+    assert not boundary_edges(sc)
     assert sc.euler_characteristic() == 2
 
 
@@ -80,7 +80,7 @@ def test_pinched_wedge_is_not_a_torus():
     # chi = 2 + 0 + 0 - 2 = 0, but the link of vertex 3 is three cycles
     faces = json.loads((DATA / "pinched_wedge.json").read_text())["faces"]
     sc = SurfaceComplex(faces)
-    assert not sc.boundary_edges() and sc.euler_characteristic() == 0
+    assert not boundary_edges(sc) and sc.euler_characteristic() == 0
     assert is_connected(sc.graph)
     with pytest.raises(errors.NotClosedSurface, match="link of vertex 3"):
         TorusComplex(faces)
@@ -115,7 +115,7 @@ def test_other_closed_surfaces_are_not_tori(faces, message):
     # both are closed surfaces; the sphere fails the Euler count and the
     # Klein bottle, with chi = 0, the orientation
     sc = SurfaceComplex(faces)
-    assert not sc.boundary_edges()
+    assert not boundary_edges(sc)
     with pytest.raises(errors.NotClosedSurface, match=message):
         TorusComplex(faces)
     record = {"vertices": len(sc.vertices), "faces": [list(f) for f in faces]}

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import pathlib
@@ -8,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from torusrig import errors, reduction
 from torusrig.catalog import build_H, classify
-from torusrig.complexes import ClosedWalk, cut_hole, rectangular_torus
+from torusrig.complexes import (ClosedWalk, TorusComplex, cut_hole,
+                                rectangular_torus)
 from torusrig.corpus import CorpusSpec, corpus_records
 from torusrig.fileio import hole_to_record, load_hole, record_to_hole
 from torusrig.graphs import (Graph, complete_graph, contract_edge, edge_key,
                              freedom, is_isomorphic)
+from torusrig.homology import crossover_class
 from torusrig.reduction import (Certificate, EdgeClass, certify, classify_edge,
                                 contract, contractible_edges, divide,
                                 find_critical_cycle_through, fission,
@@ -21,10 +24,12 @@ from torusrig.reduction import (Certificate, EdgeClass, certify, classify_edge,
 from torusrig.rigidity import generic_rank
 from torusrig.sparsity import SparsityVerdict, Status, check_3_6
 
-from helpers import (exhaustive_critical_cycles_through, facial_split,
-                     hole_reduce_greedy, induced, is_connected, link_cycle,
-                     record_pebble_games, run_main, separating_cycle,
-                     tight_set_critical_cycles, vertex_split)
+from helpers import (_blocked_faces, _grow_region, connected_regions,
+                     edge_rule_oracle, exhaustive_critical_cycles_through,
+                     facial_split, hole_reduce_greedy, induced, is_connected,
+                     link_cycle, record_pebble_games, run_main,
+                     separating_cycle, tight_set_critical_cycles,
+                     vertex_split)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -445,6 +450,107 @@ def test_reduction_on_retained_faces_matches_the_hole_carrying_oracle(
     assert [certify(hole).to_json() for hole in holes] == certificates
 
 
+K7_FACES = [f for i in range(7) for f in ((i, (i + 1) % 7, (i + 3) % 7),
+                                          (i, (i + 2) % 7, (i + 3) % 7))]
+
+
+def _exposed_edge_holes():
+    """Holes whose disc keeps edges exposed: on K7, every connected region
+    of up to nine faces through face 0 whose disc keeps one, and the
+    wrap-around strip of the 3x3 grid."""
+    k7 = TorusComplex(K7_FACES)
+    holes = []
+    for region in connected_regions(k7, [0]):
+        if len(region) > 9:
+            break
+        try:
+            hole = cut_hole(k7, region)
+        except errors.TorusRigError:
+            continue
+        if hole.single_disc.keep_edges:
+            holes.append(hole)
+    grid = rectangular_torus(3, 3)
+    holes.append(cut_hole(grid, [i for i, f in enumerate(grid.faces)
+                                 if all(v % 3 in (0, 1) for v in f)]))
+    return holes
+
+
+def test_classify_edge_matches_the_rule_oracle(tight_corpus):
+    # the one rule, fed from the hole, classifies every graph edge as the
+    # oracle's scans of the torus faces and the graph do; an FF edge's
+    # apexes come in the order of its retained faces, as _reduce lists them,
+    # and a kept edge, with no retained face, is BOUNDARY_INCIDENT_FACE
+    exposed = _exposed_edge_holes()
+    assert len(exposed) > 300
+    kinds = collections.Counter()
+    for hole in _reduction_inputs(tight_corpus) + exposed:
+        for e in hole.graph.sorted_edges():
+            kind, apexes = edge_rule_oracle(hole, e)
+            assert classify_edge(hole, e) is kind, (hole, e)
+            if kind is not EdgeClass.BOUNDARY_INCIDENT_FACE:
+                assert tuple(reduction._apex_faces(hole.torus, e)) == apexes
+            kinds[kind] += 1
+    assert all(kinds[kind] > 100 for kind in EdgeClass), kinds
+    for hole in exposed:
+        for e in hole.single_disc.keep_edges:
+            assert classify_edge(hole, e) is EdgeClass.BOUNDARY_INCIDENT_FACE
+
+
+def test_region_flood_matches_the_two_scans(monkeypatch, tight_corpus):
+    # every region the key-lemma search grows is the one that scanning all
+    # faces for the spanned ones, then every edge for the start's class,
+    # gives; repro B's search through (3, 17) fails after growing its regions
+    flooded = []
+    flood = reduction._unspanned_region
+
+    def recording(hole, start, k_set):
+        region = flood(hole, start, k_set)
+        flooded.append((hole, start, k_set, region))
+        return region
+
+    monkeypatch.setattr(reduction, "_unspanned_region", recording)
+    holes = list(tight_corpus) + [build_H(i) for i in range(1, 18)] + [
+        load_hole(DATA / "keylemma_repro_a.json"),
+        load_hole(DATA / "keylemma_repro_b.json")]
+    for hole in holes:
+        for e in contractible_edges(hole):
+            try:
+                find_critical_cycle_through(hole, e)
+            except errors.NoCriticalCycle:
+                assert hole is holes[-1] and e == (3, 17)
+    assert len(flooded) > 300
+    for hole, start, k_set, region in flooded:
+        assert region == _grow_region(hole.torus, start,
+                                      _blocked_faces(hole, k_set))
+
+
+_EDGE_CALLS = {
+    "classify_edge": classify_edge,
+    "contract": contract,
+    "find_critical_cycle_through": find_critical_cycle_through,
+    "crossover_class": crossover_class,
+    "is_ff_edge": lambda hole, e: hole.is_ff_edge(e),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_EDGE_CALLS))
+@pytest.mark.parametrize("e, error", [
+    ((0,), errors.BadArgument),
+    ((0, 1, 2), errors.BadArgument),
+    (None, errors.BadArgument),
+    ((0, 1.5), errors.BadArgument),
+    ((0, True), errors.BadArgument),
+    ((3, 3), errors.LoopEdge),
+    ((0, 99), errors.UnknownEdge),
+], ids=["one-vertex", "three-vertices", "none", "float", "bool", "loop",
+        "not-an-edge"])
+def test_malformed_edges_raise_typed_errors(call, e, error):
+    # every call that takes an edge of a hole's graph checks it with the one
+    # validator that DiscMap's keep edges use
+    with pytest.raises(error):
+        _EDGE_CALLS[call](build_H(1), e)
+
+
 _SPLIT_STEPS = st.lists(
     st.tuples(st.integers(0, 999), st.integers(0, 999), st.integers(0, 999),
               st.booleans()), min_size=1, max_size=3)
@@ -619,7 +725,7 @@ def test_stuck_and_failed_contraction_carry_their_record(monkeypatch):
         # e's ends have a common torus neighbour besides its apexes, so the
         # renamed faces are no torus and contract must refill the hole
         nbrs = h.torus.graph.neighbors
-        return nbrs(e[0]) & nbrs(e[1]) != set(reduction._apexes(h, e))
+        return nbrs(e[0]) & nbrs(e[1]) != set(edge_rule_oracle(h, e)[1])
 
     monkeypatch.setattr(reduction, "retriangulate_holes", fail)
     hole, e = next((h, e) for h in map(build_H, range(1, 18))

@@ -56,13 +56,27 @@ def _definitions(tree):
                         and not (m.name.startswith("__") and m.name.endswith("__")))
 
 
-def _names_used(tree, attributes_only=False) -> collections.Counter:
-    """How often each identifier occurs as an attribute and, unless
-    ``attributes_only``, as a bare name."""
-    kinds = (ast.Attribute,) if attributes_only else (ast.Name, ast.Attribute)
+def _names_used(tree) -> collections.Counter:
+    """How often each identifier occurs as a bare name or an attribute."""
     return collections.Counter(
         node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(tree) if isinstance(node, kinds))
+        for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def _reads(tree, attributes=frozenset()) -> collections.Counter:
+    """How often each identifier is read as an attribute, ``x.name``: at
+    every call ``x.name(...)``, and at every other load unless the name is
+    one of ``attributes``.  An assignment ``self.name = ...`` is no read."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return collections.Counter(
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and (id(node) in called or node.attr not in attributes))
+
+
+def _is_property(node) -> bool:
+    return any((d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", None))
+               in ("property", "cached_property") for d in node.decorator_list)
 
 
 def _acceptance_imports():
@@ -77,18 +91,30 @@ def test_every_definition_has_a_user():
     # a definition is used when src/ names it outside its own body, exports
     # it, or the acceptance criteria import it; cli.main is the entry point.
     # A method counts as named only where src/ reads it as an attribute, so
-    # a local variable of the same name does not hide an unused method.
+    # a local variable of the same name does not hide an unused method.  A
+    # plain method is read where it is called, or loaded under a name that
+    # no instance attribute of src/ (``self.name = ...``) has, so that an
+    # attribute such as TorusWithHole.boundary_edges hides no unused method
+    # of its name.  A property is read wherever it is loaded.
     trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    attributes = {node.attr for t in trees.values() for node in ast.walk(t)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
     named = sum((_names_used(t) for t in trees.values()), collections.Counter())
-    read = sum((_names_used(t, attributes_only=True) for t in trees.values()),
-               collections.Counter())
+    loaded = sum((_reads(t) for t in trees.values()), collections.Counter())
+    called = sum((_reads(t, attributes) for t in trees.values()), collections.Counter())
+
+    def unread(node, owner) -> bool:
+        if owner is None:
+            return named[node.name] == _names_used(node)[node.name]
+        if _is_property(node):
+            return loaded[node.name] == _reads(node)[node.name]
+        return called[node.name] == _reads(node, attributes)[node.name]
+
     allowed = set(torusrig.__all__) | _acceptance_imports() | {"main"}
     unused = [f"{name}:{node.lineno} {owner.name + '.' if owner else ''}{node.name}"
               for name, tree in trees.items() if name != "__init__.py"
               for node, owner in _definitions(tree)
-              if node.name not in allowed
-              and (read if owner else named)[node.name]
-              == _names_used(node, attributes_only=bool(owner))[node.name]]
+              if node.name not in allowed and unread(node, owner)]
     assert not unused, f"defined in src/ but used only by tests: {unused}"
 
 
