@@ -59,8 +59,7 @@ class SurfaceComplex:
     comparable corners, repeats a corner or repeats an earlier face's corner
     set decides the error; an edge in three or more faces is reported after
     that pass, naming the first such edge to appear, and a corner that is
-    not an integer after that.  ``graph``, the 1-skeleton, is built on first
-    read.
+    not an integer after that.
     """
 
     def __init__(self, faces):
@@ -96,11 +95,6 @@ class SurfaceComplex:
         if not all(type(v) is int for v in self.vertices):
             f = next(f for f in canon if any(type(v) is not int for v in f))
             raise errors.BadArgument(f"face {f} has a corner that is not an integer")
-
-    @functools.cached_property
-    def graph(self) -> Graph:
-        """The 1-skeleton, built on first read."""
-        return Graph(self.vertices, self.edges)
 
     def __repr__(self):
         return (f"{type(self).__name__}(|V|={len(self.vertices)}, "

@@ -534,9 +534,11 @@ class Certificate:
         return tuple(out)
 
     def replay(self) -> list[Graph]:
-        """All intermediate graphs, K3 first.  The certificate is frozen, so
+        """All intermediate graphs, K3 first; an invalid split raises as
+        ``Graph.split_vertex`` refuses it.  The certificate is frozen, so
         they are built once, on the first call, and shared by later ones
-        (``certify``'s check and ``verify_certificate``)."""
+        (``certify``'s check and ``verify_certificate``, which reads only
+        the last)."""
         return list(self._replayed)
 
 
@@ -577,38 +579,32 @@ def certify(hole: TorusWithHole) -> Certificate:
 
 def verify_certificate(cert: Certificate, target: Graph,
                        check_rank: bool = True, seed: int = 0) -> bool:
-    """Replay the certificate from K3 and check every intermediate graph.
+    """Check that the certificate is a valid vertex-split chain from K3 to
+    the target, and that the target has rank |E| = 3|V| - 6.
 
-    The claim is the same whichever exact elimination ranks a step: with
-    ``check_rank`` every step G must reach generic_rank(G) = |E| = 3|V| - 6,
-    and that alone proves G tight.  The rank found at any placement is at
-    most the generic rank, which is at most |E|; so rank = |E| shows G
-    generically independent.  An independent graph is (3,6)-sparse, since
-    each subgraph on S has rank at most 3|S| - 6 (Maxwell's count), and with
-    3|V| - 6 edges it is tight.  Each split adds one vertex and three edges,
-    so the ranks step by +3; that a vertex split keeps independence is
-    Whiteley's lemma ("Vertex splitting in isostatic frameworks", 1990).
-    Without ``check_rank`` each step runs a (3,6) tightness check instead.
+    The chain proves the target generically minimally rigid: K3 is, and
+    ``Graph.split_vertex`` admits only a 3D vertex split (one new vertex
+    joined to v and to two distinct neighbours of v), which keeps a graph
+    generically isostatic (Whiteley, "Vertex splitting in isostatic
+    frameworks", 1990).  The replay runs once (``Certificate.replay``); an
+    invalid split raises there, and a chain ending at any other graph than
+    the target, a relabelled copy too, raises ReplayMismatch.
 
-    Every step is ranked at one placement: ``generic_rank`` draws each
-    vertex's coordinates from (seed, vertex), so a step's placement is the
-    final graph's restricted to the step's vertices, and the chance that
-    any step is under-reported is at most 3|V|^2 / p (see ``rigidity``).
-    The replay must reproduce the target exactly, vertex ids included, as
-    the certificate promises; any other graph, a relabelled copy too,
-    raises ReplayMismatch.  A certificate replays once, so one from
-    ``certify`` brings the replay that ``certify`` checked.
+    The target then gets one check: with ``check_rank`` its exact rank at
+    the placement drawn from ``seed`` must be |E| = 3|V| - 6, and without it
+    one (3,6) tightness check, which a target already decided answers
+    without a pebble game; ReplayMismatch when it fails.  Given a valid
+    chain, a rank shortfall comes only from an unlucky placement, with
+    chance at most 3|V| / p (see ``rigidity``).
     """
-    graphs = cert.replay()
-    if graphs[-1] != target:
+    if cert.replay()[-1] != target:
         raise errors.ReplayMismatch("certificate does not reproduce the target")
-    for g in graphs:
-        if check_rank:
-            rank = generic_rank(g, seed=seed)
-            if not rank == len(g.edges) == 3 * len(g.vertices) - 6:
-                raise errors.ReplayMismatch(
-                    f"intermediate graph on {len(g.vertices)} vertices and "
-                    f"{len(g.edges)} edges has rank {rank}, not 3|V| - 6")
-        elif not check_3_6(g).is_tight:
-            raise errors.ReplayMismatch("intermediate graph is not tight")
+    if check_rank:
+        rank = generic_rank(target, seed=seed)
+        if not rank == len(target.edges) == 3 * len(target.vertices) - 6:
+            raise errors.ReplayMismatch(
+                f"target on {len(target.vertices)} vertices and "
+                f"{len(target.edges)} edges has rank {rank}, not 3|V| - 6")
+    elif not check_3_6(target).is_tight:
+        raise errors.ReplayMismatch("target is not tight")
     return True

@@ -9,11 +9,10 @@ at a random placement with probability at most r / p <= 3|V| / 2^62
 (Schwartz 1980; Zippel 1979) -- far below 2^-40 at desk scale.
 
 A placement is drawn per (seed, vertex): p(v) depends on nothing else, so
-the placement of a subgraph is the restriction of the graph's.  Ranking
-every step G_k of a certificate replay at the same seed therefore ranks
-them all at one placement of the final graph G, and the chance that some
-step is under-reported is at most the union over the steps,
-sum 3|V_k| / p <= 3|V|^2 / p, which needs no independence between steps.
+a rank is the same in every process at the same seed, and the placement of
+a subgraph is the restriction of the graph's.  A certificate needs one rank,
+of its target: its vertex splits keep generic rigidity by Whiteley's lemma,
+so the steps before it need none (``reduction.verify_certificate``).
 
 ``rank_at_placement`` holds row uv as the blocks p(u) - p(v) at u and its
 negative at v, and clears one vertex block at a time in (degree, label)

@@ -545,8 +545,9 @@ def slot_disc(torus: TorusComplex, face_indices, keep_edges=()):
     if len(walk) != len(slots):
         raise errors.NotADisc("boundary is not a single cycle")
     corners = {v for f in faces for v in torus.faces[f]}
+    skeleton = Graph(torus.vertices, torus.edges)
     interior = frozenset(v for v in corners if all(
-        edge_key(v, w) in glued for w in torus.graph.neighbors(v)))
+        edge_key(v, w) in glued for w in skeleton.neighbors(v)))
     return tuple(walk), frozenset(glued), interior
 
 

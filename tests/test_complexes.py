@@ -14,7 +14,7 @@ from torusrig.complexes import (MAX_KEEP, DiscMap, SurfaceComplex,
                                 infer_disc, rectangular_torus,
                                 retriangulate_holes)
 from torusrig.fileio import hole_to_record, record_to_hole
-from torusrig.graphs import freedom
+from torusrig.graphs import Graph, freedom
 
 from helpers import (NonSimpleQuotient, boundary_edges, connected_regions,
                      corrupt, identify_face_graph, is_connected, raised,
@@ -81,7 +81,7 @@ def test_pinched_wedge_is_not_a_torus():
     faces = json.loads((DATA / "pinched_wedge.json").read_text())["faces"]
     sc = SurfaceComplex(faces)
     assert not boundary_edges(sc) and sc.euler_characteristic() == 0
-    assert is_connected(sc.graph)
+    assert is_connected(Graph(sc.vertices, sc.edges))
     with pytest.raises(errors.NotClosedSurface, match="link of vertex 3"):
         TorusComplex(faces)
 

@@ -11,6 +11,7 @@ from torusrig.complexes import (ClosedWalk, TorusComplex, cut_hole, grid_faces,
                                 rectangular_torus)
 from torusrig.corpus import CorpusSpec, corpus_records
 from torusrig.fileio import hole_to_record, record_to_hole
+from torusrig.graphs import Graph
 from torusrig.homology import canonical_class, crossover_class, walk_homology
 from torusrig.reduction import reduce_greedy
 
@@ -116,8 +117,9 @@ def test_cochain_maps_to_seam_class_in_any_face_order(r, s):
     m = seam_matrix(torus, r, s)
     co, seam = torus.cochain, SeamCochain(r, s)
     rng = random.Random(r * 100 + s)
+    skeleton = Graph(torus.vertices, torus.edges)
     for _ in range(300):
-        walk = ClosedWalk(random_closed_walk(torus.graph, rng, rng.randint(1, 40)))
+        walk = ClosedWalk(random_closed_walk(skeleton, rng, rng.randint(1, 40)))
         assert apply(m, walk_homology(co, walk)) == walk_homology(seam, walk)
 
 

@@ -724,7 +724,7 @@ def test_stuck_and_failed_contraction_carry_their_record(monkeypatch):
     def link_fails(h, e):
         # e's ends have a common torus neighbour besides its apexes, so the
         # renamed faces are no torus and contract must refill the hole
-        nbrs = h.torus.graph.neighbors
+        nbrs = Graph(h.torus.vertices, h.torus.edges).neighbors
         return nbrs(e[0]) & nbrs(e[1]) != set(edge_rule_oracle(h, e)[1])
 
     monkeypatch.setattr(reduction, "retriangulate_holes", fail)
@@ -802,12 +802,11 @@ def test_verify_refuses_any_other_target_at_once():
     assert verify_certificate(cert, g, check_rank=False)
 
 
-def test_verify_ranks_each_replayed_step_once(monkeypatch):
-    # one exact rank per step, at the caller's seed, on the very graphs that
-    # certify replayed and checked
+def test_verify_ranks_the_target_once(monkeypatch):
+    # one exact rank per certificate, at the caller's seed, on the target
+    # itself; the valid split chain stands for the steps before it
     hole = build_H(5)
     cert = certify(hole)
-    replayed = cert.replay()
     real_rank = reduction.generic_rank
     calls = []
 
@@ -817,9 +816,25 @@ def test_verify_ranks_each_replayed_step_once(monkeypatch):
 
     monkeypatch.setattr(reduction, "generic_rank", counted)
     assert verify_certificate(cert, hole.graph, check_rank=True, seed=7)
-    assert len(calls) == len(cert.splits) + 1
-    assert all(g is r for (g, _kw), r in zip(calls, replayed))
-    assert all(kw == {"seed": 7} for _g, kw in calls)
+    assert len(calls) == 1
+    (g, kw), = calls
+    assert g is hole.graph and kw == {"seed": 7}
+
+
+def test_verify_without_rank_checks_tightness_once_per_call(monkeypatch):
+    hole = build_H(5)
+    cert = certify(hole)
+    real_check = reduction.check_3_6
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return real_check(g)
+
+    monkeypatch.setattr(reduction, "check_3_6", counted)
+    for n in (1, 2):
+        assert verify_certificate(cert, hole.graph, check_rank=False)
+        assert len(calls) == n and calls[-1] is hole.graph
 
 
 def _corrupt_last_split(cert: Certificate, **changes) -> Certificate:
@@ -842,23 +857,26 @@ def test_corrupted_splits_raise_replay_mismatch(check_rank):
             verify_certificate(bad, hole.graph, check_rank=check_rank)
 
 
-def test_rank_is_checked_at_every_step(monkeypatch):
-    # a rank shortfall on one intermediate graph alone must be caught
-    cert = certify(build_H(5))
-    short = len(cert.replay()[2].vertices)
+def test_rank_shortfall_on_the_target_raises(monkeypatch):
+    # a rank shortfall on the target alone must be caught
+    hole = build_H(5)
+    cert = certify(hole)
     real_rank = reduction.generic_rank
 
-    def rank_short_at_one_step(g, **kw):
-        return real_rank(g, **kw) - (len(g.vertices) == short)
+    def rank_short_on_the_target(g, **kw):
+        return real_rank(g, **kw) - (g == hole.graph)
 
-    monkeypatch.setattr(reduction, "generic_rank", rank_short_at_one_step)
-    with pytest.raises(errors.ReplayMismatch):
-        verify_certificate(cert, build_H(5).graph)
+    monkeypatch.setattr(reduction, "generic_rank", rank_short_on_the_target)
+    with pytest.raises(errors.ReplayMismatch, match="has rank"):
+        verify_certificate(cert, hole.graph)
 
 
-def test_rank_replay_agrees_with_tightness_replay():
-    for i in (1, 5, 9, 16):
-        hole = build_H(i)
+def test_rank_replay_agrees_with_tightness_replay(tight_corpus):
+    # the per-step claim that verify_certificate leaves to Whiteley's lemma,
+    # checked as an oracle: every replayed graph of a valid split chain is
+    # tight and has rank |E| = 3|V| - 6
+    holes = [build_H(i) for i in (1, 5, 9, 16)] + tight_corpus[:60]
+    for hole in holes:
         cert = certify(hole)
         assert verify_certificate(cert, hole.graph, check_rank=True)
         assert verify_certificate(cert, hole.graph, check_rank=False)

@@ -63,7 +63,7 @@ def _names_used(tree) -> collections.Counter:
         for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
 
 
-def _reads(tree, attributes=frozenset()) -> collections.Counter:
+def _reads(tree, attributes) -> collections.Counter:
     """How often each identifier is read as an attribute, ``x.name``: at
     every call ``x.name(...)``, and at every other load unless the name is
     one of ``attributes``.  An assignment ``self.name = ...`` is no read."""
@@ -72,11 +72,6 @@ def _reads(tree, attributes=frozenset()) -> collections.Counter:
         node.attr for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
         and (id(node) in called or node.attr not in attributes))
-
-
-def _is_property(node) -> bool:
-    return any((d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", None))
-               in ("property", "cached_property") for d in node.decorator_list)
 
 
 def _acceptance_imports():
@@ -92,22 +87,19 @@ def test_every_definition_has_a_user():
     # it, or the acceptance criteria import it; cli.main is the entry point.
     # A method counts as named only where src/ reads it as an attribute, so
     # a local variable of the same name does not hide an unused method.  A
-    # plain method is read where it is called, or loaded under a name that
-    # no instance attribute of src/ (``self.name = ...``) has, so that an
-    # attribute such as TorusWithHole.boundary_edges hides no unused method
-    # of its name.  A property is read wherever it is loaded.
+    # method or a property is read where it is called, or loaded under a
+    # name that no instance attribute of src/ (``self.name = ...``) has, so
+    # that an attribute such as TorusWithHole.boundary_edges or .graph hides
+    # no unused method or property of its name.
     trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
     attributes = {node.attr for t in trees.values() for node in ast.walk(t)
                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
     named = sum((_names_used(t) for t in trees.values()), collections.Counter())
-    loaded = sum((_reads(t) for t in trees.values()), collections.Counter())
     called = sum((_reads(t, attributes) for t in trees.values()), collections.Counter())
 
     def unread(node, owner) -> bool:
         if owner is None:
             return named[node.name] == _names_used(node)[node.name]
-        if _is_property(node):
-            return loaded[node.name] == _reads(node)[node.name]
         return called[node.name] == _reads(node, attributes)[node.name]
 
     allowed = set(torusrig.__all__) | _acceptance_imports() | {"main"}
