@@ -369,9 +369,6 @@ class DiscMap:
         return (f"DiscMap(faces={len(self.faces)}, "
                 f"boundary={len(self.boundary_walk)}, keep={sorted(self.keep_edges)})")
 
-    def boundary_length(self) -> int:
-        return len(self.boundary_walk)
-
 
 #: most exposed edges a disc structure keeps unglued; the wrap-around
 #: detachment forms need one to three

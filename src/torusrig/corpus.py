@@ -2,11 +2,14 @@
 
 A corpus entry is a grid torus plus a randomly grown face-connected disc
 region with a prescribed boundary-walk length.  Same spec, same corpus:
-all randomness flows from the seed.
+all randomness flows from the seed.  Each grid shape is built once per
+process, with its face adjacency, and the holes of one shape share that
+torus; a ``TorusComplex`` is never changed after it is built.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -32,40 +35,65 @@ class CorpusSpec:
     boundary_lengths: tuple = (9,)
 
 
-def _grow_hole(torus, rng, target_len: int) -> DiscMap | None:
+@functools.lru_cache(maxsize=None)
+def _grid(r: int, s: int) -> tuple:
+    """The r x s grid torus and its face adjacency, built once per shape."""
+    torus = rectangular_torus(r, s)
+    return torus, torus.face_adjacency()
+
+
+def _grow_hole(torus, adj, rng, target_len: int) -> DiscMap | None:
     """Randomly grow a face-connected region until its disc boundary has the
-    target length; fully glued discs only."""
-    adj = torus.face_adjacency()
+    target length; fully glued discs only.
+
+    A fully glued disc's walk takes one step per open half-edge, and the
+    region counts those as it grows: 3F - 2S for F faces and S region face
+    pairs that share an edge, which share only that edge on a simplicial
+    torus.  Only a count equal to the target builds a ``DiscMap``; any other
+    would be no disc (NotADisc, as the region stays face-connected) or one
+    of another length.  The draws never read the ``DiscMap``, so skipping
+    it changes no hole.
+    """
     start = rng.randrange(len(torus.faces))
     region = [start]
     region_set = {start}
+    open_halves = 3
     while len(region) <= MAX_REGION:
-        try:
-            disc = DiscMap(torus, region)
-            if disc.boundary_length() == target_len:
-                return disc
-        except errors.NotADisc:
-            pass
+        if open_halves == target_len:
+            try:
+                return DiscMap(torus, region)
+            except errors.NotADisc:
+                pass
         frontier = sorted({n for f in region for n in adj[f]} - region_set)
         if not frontier:
             return None
         nxt = rng.choice(frontier)
+        open_halves += 3 - 2 * len(adj[nxt] & region_set)
         region.append(nxt)
         region_set.add(nxt)
     return None
 
 
 def gen_corpus(spec: CorpusSpec) -> list[TorusWithHole]:
-    """Generate ``spec.count`` single-hole graphs; deterministic in the seed."""
+    """Generate ``spec.count`` single-hole graphs; deterministic in the seed.
+
+    Raises BadArgument, before any draw, for a boundary length below 3 (a
+    hole's walk has at least three edges), and NotADisc when
+    ``ATTEMPTS_PER_GRAPH`` attempts grow no hole of the wanted length.
+    """
+    for n in spec.boundary_lengths:
+        if n < 3:
+            raise errors.BadArgument(
+                f"boundary length {n} is below 3, the shortest hole boundary")
     rng = random.Random(spec.seed)
     out: list[TorusWithHole] = []
     while len(out) < spec.count:
         r, s = spec.grids[len(out) % len(spec.grids)]
         target = spec.boundary_lengths[len(out) % len(spec.boundary_lengths)]
-        torus = rectangular_torus(r, s)
+        torus, adj = _grid(r, s)
         disc = None
         for _ in range(ATTEMPTS_PER_GRAPH):
-            disc = _grow_hole(torus, rng, target)
+            disc = _grow_hole(torus, adj, rng, target)
             if disc is not None:
                 break
         if disc is None:

@@ -1,15 +1,15 @@
 import pytest
 
-from torusrig.corpus import CorpusSpec, gen_corpus
+from torusrig.corpus import gen_corpus
 from torusrig.sparsity import check_3_6
+
+from helpers import CORPUS9_SPEC, CORPUS_CUTS_SPEC
 
 
 @pytest.fixture(scope="session")
 def corpus9():
     """200 single-hole graphs with 9-edge boundary walks, grids up to 6x6."""
-    spec = CorpusSpec(seed=20260809, count=200,
-                      grids=((3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (6, 6)))
-    return gen_corpus(spec)
+    return gen_corpus(CORPUS9_SPEC)
 
 
 @pytest.fixture(scope="session")
@@ -20,7 +20,4 @@ def tight_corpus(corpus9):
 @pytest.fixture(scope="session")
 def corpus_cuts():
     """500 random hole cuts with boundary lengths cycling 3..12."""
-    spec = CorpusSpec(seed=987, count=500,
-                      grids=((4, 4), (4, 5), (5, 5)),
-                      boundary_lengths=tuple(range(3, 13)))
-    return gen_corpus(spec)
+    return gen_corpus(CORPUS_CUTS_SPEC)

@@ -5,8 +5,9 @@ the slow cross-checks (dense modular and rational rank, subset-enumeration
 sparsity, exhaustive critical-cycle search over connected regions, the
 contraction rule from scans of the faces and edges, greedy reduction that
 carries the hole through every step, the complementary region by scans of
-every face and edge, the slot-based disc unfolding, the record and
-face-list checks one field at a time),
+every face and edge, the slot-based disc unfolding, hole growth that
+builds a disc after every added face, the record and face-list checks one
+field at a time),
 the builders (face-graph quotients, separating cycles from a region, vertex
 splits on a torus) that tests compare that path against, and an in-process
 CLI runner.
@@ -26,6 +27,7 @@ from torusrig import cli, errors, sparsity
 from torusrig.complexes import (DiscMap, SurfaceComplex, TorusComplex,
                                 TorusWithHole, _classes, _face_edges,
                                 canon_face, disc_structures)
+from torusrig.corpus import MAX_REGION, CorpusSpec
 from torusrig.fileio import _items
 from torusrig.graphs import Graph, contract_edge, edge_key
 from torusrig.reduction import (Contraction, EdgeClass, SeparatingCycle,
@@ -34,6 +36,13 @@ from torusrig.sparsity import (SparsityVerdict, Status, _PebbleGame,
                                _sparse_verdict, check_3_6)
 
 BRUTE_FORCE_CAP = 16
+
+#: the specs of the ``corpus9`` and ``corpus_cuts`` fixtures
+CORPUS9_SPEC = CorpusSpec(seed=20260809, count=200,
+                          grids=((3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (6, 6)))
+CORPUS_CUTS_SPEC = CorpusSpec(seed=987, count=500,
+                              grids=((4, 4), (4, 5), (5, 5)),
+                              boundary_lengths=tuple(range(3, 13)))
 
 
 def run_main(args, record) -> tuple[int, str, str]:
@@ -572,6 +581,30 @@ def separating_cycle(hole: TorusWithHole, region_faces) -> SeparatingCycle:
     if not hole.deleted_edges <= d1.interior_edges:
         raise errors.InvalidCycle("enlargement stops deleting a hole-interior edge")
     return SeparatingCycle(d1)
+
+
+def grow_hole_oracle(torus: TorusComplex, rng, target_len: int) -> DiscMap | None:
+    """``corpus._grow_hole`` without the running count: the same draws, but a
+    ``DiscMap`` built after every added face, kept when it is a fully glued
+    disc of the target length."""
+    adj = torus.face_adjacency()
+    start = rng.randrange(len(torus.faces))
+    region = [start]
+    region_set = {start}
+    while len(region) <= MAX_REGION:
+        try:
+            disc = DiscMap(torus, region)
+            if len(disc.boundary_walk) == target_len:
+                return disc
+        except errors.NotADisc:
+            pass
+        frontier = sorted({n for f in region for n in adj[f]} - region_set)
+        if not frontier:
+            return None
+        nxt = rng.choice(frontier)
+        region.append(nxt)
+        region_set.add(nxt)
+    return None
 
 
 def connected_regions(torus: TorusComplex, seed_faces) -> list[frozenset]:

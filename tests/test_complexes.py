@@ -363,7 +363,7 @@ def _brute_force_discs(torus, region, keeps_deleted_of=None, boundary_length=Non
                 d = DiscMap(torus, region, keep_edges=keep)
             except errors.NotADisc:
                 continue
-            if boundary_length is not None and d.boundary_length() != boundary_length:
+            if boundary_length is not None and len(d.boundary_walk) != boundary_length:
                 continue
             if keeps_deleted_of is not None and \
                     not keeps_deleted_of.deleted_edges <= d.interior_edges:

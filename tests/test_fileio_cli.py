@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -164,6 +165,24 @@ def test_corpus_determinism():
     b = "\n".join(json.dumps(r, sort_keys=True, separators=(",", ":"))
                   for r in corpus_records(spec))
     assert a == b
+
+
+# sha256 of `torusrig gen` stdout, first computed at commit 0ad16d3; a change
+# to these is a change to every generated corpus
+GEN_DIGESTS = [
+    (["--seed", "3", "--count", "200"],
+     "cf1a60ab4d896d81941480bd2ef27cefa09f4c8052665dfcd26acfc0927e5d60"),
+    (["--seed", "11", "--count", "120", "--grids", "4x4", "5x5", "6x6",
+      "--boundary-lengths", *map(str, range(3, 13))],
+     "90b449845b200d047fb6254aa609a1e62bf58e9cdd5b7eb08c161a3c8eefae8d"),
+]
+
+
+@pytest.mark.parametrize("args, digest", GEN_DIGESTS, ids=["default", "lengths-3-12"])
+def test_gen_output_is_pinned(args, digest):
+    r = run_cli(["gen", *args])
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 
 def test_corpus_metadata_identity():
@@ -336,7 +355,10 @@ def test_cli_reduction_of_two_holes_is_typed_error(command):
     (["--grids", "3xa"], "--grids"),
     (["--boundary-lengths"], "--boundary-lengths"),
     (["--count", "-1"], "--count"),
-], ids=["no-x", "three-parts", "not-a-number", "no-lengths", "negative-count"])
+    (["--boundary-lengths", "2"], "boundary length 2 is below 3"),
+    (["--boundary-lengths", "0"], "boundary length 0 is below 3"),
+], ids=["no-x", "three-parts", "not-a-number", "no-lengths", "negative-count",
+        "length-2", "length-0"])
 def test_cli_gen_rejects_bad_arguments(args, name):
     r = run_cli(["gen", "--count", "1", *args])
     assert r.returncode == 1
