@@ -78,13 +78,19 @@ def gen_corpus(spec: CorpusSpec) -> list[TorusWithHole]:
     """Generate ``spec.count`` single-hole graphs; deterministic in the seed.
 
     Raises BadArgument, before any draw, for a boundary length below 3 (a
-    hole's walk has at least three edges), and NotADisc when
-    ``ATTEMPTS_PER_GRAPH`` attempts grow no hole of the wanted length.
+    hole's walk has at least three edges) or above ``MAX_REGION`` + 2 (a
+    face-connected region of F faces has F - 1 or more shared edges, so its
+    walk has at most F + 2), and NotADisc when ``ATTEMPTS_PER_GRAPH``
+    attempts grow no hole of the wanted length.
     """
     for n in spec.boundary_lengths:
         if n < 3:
             raise errors.BadArgument(
                 f"boundary length {n} is below 3, the shortest hole boundary")
+        if n > MAX_REGION + 2:
+            raise errors.BadArgument(
+                f"boundary length {n} is above {MAX_REGION + 2}, the longest "
+                f"boundary of a hole of at most {MAX_REGION} faces")
     rng = random.Random(spec.seed)
     out: list[TorusWithHole] = []
     while len(out) < spec.count:

@@ -24,9 +24,10 @@ class Graph:
     matter for freedom-number bookkeeping).  Two more slots belong to
     :func:`torusrig.sparsity.check_3_6` and take no part in equality or
     hashing: ``_orientation`` holds the pebble game's final orientation once
-    the graph is decided (False when it violates), and ``_origin`` holds,
-    until then, a graph sharing most of its edges whose decided orientation
-    the game starts from (G for ``contract_edge(G, u, v)``).
+    the graph is decided, as a dict of every vertex's out-set (False when it
+    violates), and ``_origin`` holds, until then, a graph sharing most of
+    its edges whose decided orientation the game starts from (G for
+    ``contract_edge(G, u, v)``).
 
     The two moves, ``contract_edge`` and ``split_vertex``, build the child
     from the parent's vertex set, edge set and adjacency, changed at the

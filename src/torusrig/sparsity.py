@@ -10,20 +10,24 @@ detection, finds the largest (3,5)-tight set containing each edge it places.
 At the first placement that makes some S violating, S spans exactly 3|S| - 5
 edges, the new one among them, so S is (3,5)-tight and the new edge's
 component has three or more vertices.  So one pebble game decides sparsity and
-tightness.  Only a violating graph has a witness: one min-cut per edge, in
-sorted edge order, over vertex sets S containing that edge's endpoints,
-maximising |E(G[S])| - 3|S|; the first set of three or more vertices pushing
-the maximum above -6 is the witness.  That scan runs when the witness is
-first read, so a caller that reads only the status never pays for it.  A
-subset-enumeration oracle in the tests cross-validates both paths on small
-graphs.
+tightness.  Such an S has five or more vertices, and S less either end of the
+new edge spans at most 3|S| - 9 edges, as it was sparse before; so both ends
+have four or more placed edges, and a placement with an end of lower degree
+needs no component search.  Only a violating graph has a witness: one min-cut
+per edge, in sorted edge order, over vertex sets S containing that edge's
+endpoints, maximising |E(G[S])| - 3|S|; the first set of three or more
+vertices pushing the maximum above -6 is the witness.  That scan runs when the
+witness is first read, so a caller that reads only the status never pays for
+it.  A subset-enumeration oracle in the tests cross-validates both paths on
+small graphs.
 
 The key lemma and the greedy reduction ask again and again about graphs that
 share most edges with the hole's graph G, decided already: G/e, a candidate
-cycle's outer part and the fission child.  So the game's final orientation
-stays on each graph it decides, and a graph may name such a graph as its
-origin.  When the origin is decided sparse, the game starts from its
-orientation of the edges the two graphs share and places only the graph's
+cycle's outer part and the fission child.  So the game's final orientation,
+every vertex's out-set, stays on each graph it decides, and a graph may name
+such a graph as its origin.  When the origin is decided sparse, the game
+starts from its orientation of the edges the two graphs share, each origin
+out-set cut down to the graph's neighbour set, and places only the graph's
 other edges, in sorted order.  That is sound for any two graphs: the shared
 edges span a subgraph of a sparse graph, so they are sparse, and the
 restricted orientation has out-degree at most three, a valid start.  Whether
@@ -107,29 +111,26 @@ class _PebbleGame:
     is closed under out-edges and holds no other free pebble.  The largest
     such set, the component of uv, is every vertex that cannot reach a free
     pebble off u and v; forward searches from the in-neighbours of u and v
-    alone decide whether it has three or more vertices.  A component that
-    big, or a rejected edge, is a (3,6) violation; on a simple graph the
-    component is always found first.
+    alone decide whether it has three or more vertices, and only when both
+    have placed degree four or more (the degree lemma of
+    ``_big_component``).  A component that big, or a rejected edge, is a
+    (3,6) violation; on a simple graph the component is always found first.
 
     The game may start from any orientation of a (3,6)-sparse graph with
-    out-degree at most three: the identity above holds for it, and that is
-    all gathering pebbles and finding components rely on.
+    out-degree at most three, given as every vertex's out-set: the identity
+    above holds for it, and that is all gathering pebbles and finding
+    components rely on.
     """
 
     __slots__ = ("pebbles", "out", "into")
 
-    def __init__(self, vertices, orientation=()):
-        self.pebbles = dict.fromkeys(vertices, 3)
-        self.out = {v: set() for v in vertices}
-        self.into = {v: set() for v in vertices}
-        for t, h in orientation:
-            self.pebbles[t] -= 1
-            self.out[t].add(h)
-            self.into[h].add(t)
-
-    def orientation(self) -> tuple:
-        """The placed edges as (tail, head) pairs."""
-        return tuple((t, h) for t, heads in self.out.items() for h in heads)
+    def __init__(self, out: dict):
+        self.out = out
+        self.pebbles = {t: 3 - len(heads) for t, heads in out.items()}
+        self.into = into = {t: set() for t in out}
+        for t, heads in out.items():
+            for h in heads:
+                into[h].add(t)
 
     def place(self, u, v) -> bool:
         """Place edge uv; False when the placed graph stops being
@@ -148,6 +149,13 @@ class _PebbleGame:
         """Whether the (3,5)-tight component of the placed edge uv has three
         or more vertices.
 
+        Degree lemma: such a component S has five or more vertices, as three
+        or four vertices cannot span 3|S| - 5 edges.  S - u has three or
+        more vertices, does not hold uv and was placed before it, so it is
+        (3,6)-sparse and spans at most 3|S| - 9 edges; so u has four or more
+        placed edges into S, and so has v.  A vertex of placed degree (out-
+        plus in-set) below four rules the component out with no search.
+
         Before the placement u and v hold all their six pebbles, so no other
         out-edge leaves them: u -> v is the only one, and the component is
         {u, v} with every vertex that reaches no free pebble off u and v.  A
@@ -156,54 +164,65 @@ class _PebbleGame:
         no edge between them span at most 3|S| - 6.  So a component that big
         holds a vertex w other than u and v adjacent to one of them, the
         edge points w -> u or w -> v, and only these in-neighbours need a
-        forward search.  A vertex on the parent chain to a free pebble
-        reaches one too and is marked; the other vertices that search
-        visited may be dead ends inside the component, so they are not.
+        forward search.  An in-neighbour holding a pebble is no start, nor
+        are u and v, which hold five.  A vertex on the parent chain to a
+        free pebble reaches one too and is marked; the other vertices that
+        search visited may be dead ends inside the component, so they are
+        not.  A search stops at the first pushed vertex that holds a pebble
+        or is marked.
         """
-        pebbles, out = self.pebbles, self.out
+        pebbles, out, into = self.pebbles, self.out, self.into
+        if (len(out[u]) + len(into[u]) < 4
+                or len(out[v]) + len(into[v]) < 4):
+            return False
         escapes: set = set()
-        for w in (self.into[u] | self.into[v]) - {u, v}:
+        for w in (*into[u], *into[v]):
+            if pebbles[w] or w in escapes:
+                continue
             parent = {w: None}
             stack = [w]
             while stack:
                 x = stack.pop()
-                if x in escapes or pebbles[x]:
-                    while x is not None:
-                        escapes.add(x)
-                        x = parent[x]
-                    break
                 for y in out[x]:
-                    if y not in parent and y != u and y != v:
-                        parent[y] = x
-                        stack.append(y)
+                    if y in parent or y == u or y == v:
+                        continue
+                    parent[y] = x
+                    if pebbles[y] or y in escapes:
+                        break
+                    stack.append(y)
+                else:
+                    continue
+                while y is not None:
+                    escapes.add(y)
+                    y = parent[y]
+                break
             else:
                 return True
         return False
 
 
-def _final_orientation(g: Graph) -> tuple | bool:
-    """The pebble game's final orientation of ``g``, or False when ``g`` is
-    not (3,6)-sparse.
+def _final_orientation(g: Graph) -> dict | bool:
+    """The pebble game's final orientation of ``g``, as every vertex's
+    out-set, or False when ``g`` is not (3,6)-sparse.
 
     When ``g``'s origin is decided sparse, the game starts from the origin's
-    orientation of the edges the two graphs share and places only the other
-    edges of ``g``; otherwise it places every edge.  Either way in sorted
-    order.
+    out-sets cut down to ``g``'s neighbour sets, its orientation of the
+    edges the two graphs share, and places only the other edges of ``g``;
+    otherwise it places every edge.  Either way in sorted order.
     """
     origin = g._origin
-    if origin is not None and origin._orientation not in (None, False):
-        edges = g.edges
-        game = _PebbleGame(g.vertices, [
-            p for p in origin._orientation
-            if (p if p[0] < p[1] else (p[1], p[0])) in edges])
-        todo = sorted(edges - origin.edges)
+    if origin is not None and origin._orientation:
+        board = origin._orientation
+        game = _PebbleGame({t: board[t] & g.neighbors(t) if t in board else set()
+                            for t in g.vertices})
+        todo = sorted(g.edges - origin.edges)
     else:
-        game = _PebbleGame(g.vertices)
+        game = _PebbleGame({t: set() for t in g.vertices})
         todo = g.sorted_edges()
     for a, b in todo:
         if not game.place(a, b):
             return False
-    return game.orientation()
+    return game.out
 
 
 def _pebble_sparse(g: Graph) -> bool:

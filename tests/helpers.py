@@ -2,7 +2,8 @@
 
 The package keeps the decide, classify, reduce and certify path; these are
 the slow cross-checks (dense modular and rational rank, subset-enumeration
-sparsity, exhaustive critical-cycle search over connected regions, the
+sparsity, the pebble game's component search without its shortcuts,
+exhaustive critical-cycle search over connected regions, the
 contraction rule from scans of the faces and edges, greedy reduction that
 carries the hole through every step, the complementary region by scans of
 every face and edge, the slot-based disc unfolding, hole growth that
@@ -18,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -236,6 +238,55 @@ def record_pebble_games(monkeypatch) -> dict:
     monkeypatch.setattr(_PebbleGame, "place", counting_place)
     monkeypatch.setattr(sparsity, "_final_orientation", recording_final)
     return games
+
+
+def big_component_oracle(game: _PebbleGame, u, v) -> bool:
+    """Whether the (3,5)-tight component of the edge uv just placed on
+    ``game`` has three or more vertices, by a forward search from every
+    in-neighbour of u and v other than u and v: no degree test, no start
+    skipped for its pebbles, and a vertex's pebbles tested when it is
+    popped.  The reference for ``_PebbleGame._big_component``."""
+    pebbles, out = game.pebbles, game.out
+    escapes: set = set()
+    for w in (game.into[u] | game.into[v]) - {u, v}:
+        parent = {w: None}
+        stack = [w]
+        while stack:
+            x = stack.pop()
+            if x in escapes or pebbles[x]:
+                while x is not None:
+                    escapes.add(x)
+                    x = parent[x]
+                break
+            for y in out[x]:
+                if y not in parent and y != u and y != v:
+                    parent[y] = x
+                    stack.append(y)
+        else:
+            return True
+    return False
+
+
+@contextlib.contextmanager
+def component_oracle_checked():
+    """Within the block, every pebble game checks its component verdict
+    against ``big_component_oracle`` at each placement.  Yields a counter
+    of ``(placed degree of u or v below four, verdict)`` over the
+    placements, to show which cases ran."""
+    real = _PebbleGame._big_component
+    seen = Counter()
+
+    def checked(game, u, v):
+        got = real(game, u, v)
+        want = big_component_oracle(game, u, v)
+        if got is not want:
+            raise AssertionError(f"component of {(u, v)}: {got}, oracle {want}")
+        low = min(len(game.out[x]) + len(game.into[x]) for x in (u, v)) < 4
+        seen[low, got] += 1
+        return got
+
+    with mock.patch.object(_PebbleGame, "_big_component", checked):
+        yield seen
 
 
 def edge_rule_oracle(hole: TorusWithHole, e) -> tuple[EdgeClass, tuple]:

@@ -185,6 +185,18 @@ def test_gen_output_is_pinned(args, digest):
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 
+#: sha256 of ``gen --seed 3 --count 200 | batch-check``, whose 116
+#: violations carry their witnesses
+BATCH_CHECK_DIGEST = "1f94820e927f1f22ac6d1b970498137781fd64d8e2122ca0fc28a5a36d7647b6"
+
+
+def test_batch_check_output_is_pinned():
+    records = run_cli(["gen", "--seed", "3", "--count", "200"]).stdout
+    r = run_cli(["batch-check"], stdin=records)
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == BATCH_CHECK_DIGEST
+
+
 def test_corpus_metadata_identity():
     spec = CorpusSpec(seed=5, count=6, boundary_lengths=(7, 9, 11))
     for rec in corpus_records(spec):
@@ -357,8 +369,11 @@ def test_cli_reduction_of_two_holes_is_typed_error(command):
     (["--count", "-1"], "--count"),
     (["--boundary-lengths", "2"], "boundary length 2 is below 3"),
     (["--boundary-lengths", "0"], "boundary length 0 is below 3"),
+    (["--grids", "8x8", "--boundary-lengths", "27"], "boundary length 27 is above 26"),
+    (["--grids", "8x8", "--boundary-lengths", "9", "30"],
+     "boundary length 30 is above 26"),
 ], ids=["no-x", "three-parts", "not-a-number", "no-lengths", "negative-count",
-        "length-2", "length-0"])
+        "length-2", "length-0", "length-27", "length-30"])
 def test_cli_gen_rejects_bad_arguments(args, name):
     r = run_cli(["gen", "--count", "1", *args])
     assert r.returncode == 1

@@ -1,5 +1,6 @@
 import gc
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,11 +12,11 @@ from torusrig.graphs import (Graph, complete_graph, contract_edge,
                              double_banana, edge_key, freedom)
 from torusrig.reduction import certify, contract, contractible_edges
 from torusrig.sparsity import (SparsityVerdict, Status, _flow_scan,
-                               _pebble_sparse, check_3_6, is_in_T,
-                               maximal_tight_subgraph)
+                               _pebble_sparse, _PebbleGame, check_3_6,
+                               is_in_T, maximal_tight_subgraph)
 
-from helpers import (brute_force_3_6, induced, random_parent,
-                     record_pebble_games, tight_plus_one_edge)
+from helpers import (brute_force_3_6, component_oracle_checked, induced,
+                     random_parent, record_pebble_games, tight_plus_one_edge)
 
 
 def random_graph(data, max_n=11):
@@ -209,16 +210,76 @@ def test_pebble_component_check_on_tight_plus_one_edge():
             assert _pebble_sparse(h) is brute_force_3_6(h).is_sparse
 
 
+# -- the component search's degree test against the unfiltered search -------
+
+
+def test_component_shortcut_matches_oracle_on_corpora(tight_corpus, corpus_cuts):
+    # every placement of every game gives the unfiltered search's verdict:
+    # from scratch on each graph of the corpora and H1-H17, and warm from
+    # the parent on each contraction of a tight one.  The oracle agrees that
+    # no placement with an end of placed degree below four closes a big
+    # component, and each kind of placement occurs
+    holes = list(tight_corpus) + [build_H(i) for i in range(1, 18)] + list(corpus_cuts)
+    with component_oracle_checked() as seen:
+        for hole in holes:
+            g = Graph(hole.graph.vertices, hole.graph.edges)
+            if check_3_6(g).is_tight:
+                for e in contractible_edges(hole):
+                    check_3_6(contract_edge(g, *e))
+    assert min(seen[True, False], seen[False, False], seen[False, True]) > 100
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_component_shortcut_matches_oracle_on_random_graphs(data):
+    # tight, sparse and violating parents (a tight graph plus one edge),
+    # each violating one also less one edge, and a contraction of each
+    # decided from its parent when that is sparse
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["tight", "sparse", "violating"]))
+    g = random_parent(rng, kind, data.draw(st.integers(6, 14)))
+    graphs = [g]
+    if kind == "violating":
+        graphs += [Graph(g.vertices, g.edges - {e}) for e in rng.sample(sorted(g.edges), 3)]
+    with component_oracle_checked():
+        for h in graphs:
+            check_3_6(h)
+            check_3_6(contract_edge(h, *rng.choice(h.sorted_edges())))
+
+
+def test_component_search_reads_each_out_set_once():
+    # uv just placed; four in-neighbours of u share one path c -> d -> e to
+    # a free pebble.  The first search marks that path, every later one
+    # stops on entering it, and c and d start none, so no out-set is read
+    # twice.  The marks only save work: without them the verdict stands and
+    # the path is walked again from each in-neighbour
+    u, v, c, d, e = 0, 1, 6, 7, 8
+    board = {u: {v}, v: set(), c: {d, u, v}, d: {e, u, v}, e: set(),
+             **{w: {u, v, c} for w in (2, 3, 4, 5)}}
+    g = Graph(board, [(t, h) for t, heads in board.items() for h in heads])
+    assert brute_force_3_6(g).is_sparse
+    reads = Counter()
+
+    class CountingOut(dict):
+        def __getitem__(self, t):
+            reads[t] += 1
+            return dict.__getitem__(self, t)
+
+    assert not _PebbleGame(CountingOut(board))._big_component(u, v)
+    assert reads[c] == reads[d] == 1 and max(reads.values()) == 1
+
+
 # -- contractions decided from the parent's pebble game ---------------------
 
 
 def _assert_orientation_of(g: Graph):
-    """A sparse graph's memo orients each of its edges once, out-degree at
-    most three."""
-    pairs = g._orientation
-    assert sorted(tuple(sorted(p)) for p in pairs) == g.sorted_edges()
-    tails = [t for t, _h in pairs]
-    assert all(tails.count(t) <= 3 for t in tails)
+    """A sparse graph's memo, every vertex's out-set, orients each of its
+    edges once, out-degree at most three."""
+    board = g._orientation
+    assert board.keys() == g.vertices
+    pairs = sorted(edge_key(t, h) for t, heads in board.items() for h in heads)
+    assert pairs == g.sorted_edges()
+    assert all(len(heads) <= 3 for heads in board.values())
 
 
 @given(st.data())
