@@ -58,8 +58,10 @@ class SurfaceComplex:
     files it under its three edges.  The first face that is not three
     comparable corners, repeats a corner or repeats an earlier face's corner
     set decides the error; an edge in three or more faces is reported after
-    that pass, naming the first such edge to appear, and a corner that is
-    not an integer after that.
+    that pass, naming the first such edge to appear, and the first face
+    with a corner that is not an integer after that.  Each face's corners are
+    type-checked in that pass, since a set or a dict would take True or 1.0
+    for the vertex 1.
     """
 
     def __init__(self, faces):
@@ -67,6 +69,7 @@ class SurfaceComplex:
         corner_sets = set()
         edge_faces: dict[tuple[int, int], tuple[int, ...]] = {}
         crowded = False
+        not_int = None  # the first face with a corner that is not an integer
         for i, face in enumerate(faces):
             try:
                 a, b, c = f = canon_face(tuple(face))
@@ -80,6 +83,8 @@ class SurfaceComplex:
             if key in corner_sets:
                 raise errors.DuplicateFace(f"face {f} occurs twice")
             corner_sets.add(key)
+            if not_int is None and not (type(a) is type(b) is type(c) is int):
+                not_int = f
             canon.append(f)
             for e in ((a, b), (b, c) if b < c else (c, b), (a, c)):
                 fs = edge_faces.get(e, ())
@@ -88,13 +93,12 @@ class SurfaceComplex:
         if crowded:
             e, fs = next((e, fs) for e, fs in edge_faces.items() if len(fs) > 2)
             raise errors.EdgeInThreeFaces(f"edge {e} lies in {len(fs)} faces")
+        if not_int is not None:
+            raise errors.BadArgument(f"face {not_int} has a corner that is not an integer")
         self.faces = tuple(canon)
         self.edge_faces = edge_faces
         self.edges = frozenset(edge_faces)
         self.vertices = frozenset().union(*canon)
-        if not all(type(v) is int for v in self.vertices):
-            f = next(f for f in canon if any(type(v) is not int for v in f))
-            raise errors.BadArgument(f"face {f} has a corner that is not an integer")
 
     def __repr__(self):
         return (f"{type(self).__name__}(|V|={len(self.vertices)}, "
@@ -403,16 +407,18 @@ def _classes(elements, pairs) -> dict:
 
 def _face_tuple(torus: TorusComplex, face_indices) -> tuple:
     """The distinct face indices, ascending; BadArgument unless each is an
-    integer, NotADisc unless each is a position in the torus's face list."""
+    integer, NotADisc unless each is a position in the torus's face list.
+    Each index is type-checked before a set sees it, which would take True
+    or 1.0 for the index 1."""
     try:
-        faces = set(face_indices)
+        faces = tuple(face_indices)
     except TypeError:
         raise errors.BadArgument(
             f"face indices {face_indices!r} are not integers") from None
     bad = [repr(i) for i in faces if type(i) is not int]
     if bad:
         raise errors.BadArgument(f"face index {min(bad)} is not an integer")
-    faces = tuple(sorted(faces))
+    faces = tuple(sorted(set(faces)))
     for i in faces:
         if not 0 <= i < len(torus.faces):
             raise errors.NotADisc(f"face index {i} out of range")

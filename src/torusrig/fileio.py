@@ -41,8 +41,8 @@ def with_record(error: type[errors.TorusRigError], hole: TorusWithHole,
 
     The record reruns the failure.  Greedy reduction's ``NotTight`` and
     ``StuckButContractible`` rerun through ``torusrig reduce -``, ``tree -``
-    or ``certify -``; so does the ``NotTight`` of
-    ``find_critical_cycle_through``, since reduction refuses the same
+    or ``certify -``; so do the ``NotTight`` of the key-lemma search,
+    ``is_critical`` and ``fission``, since reduction refuses the same
     non-tight graph.  The ``NotTight`` of ``torusrig homology -`` reruns
     through ``homology -``.  A ``NotContractible`` from ``contract`` reruns
     through ``torusrig reduce -`` alone, the one subcommand that contracts

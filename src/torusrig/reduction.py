@@ -4,13 +4,12 @@ Contraction of a contractible FF edge either keeps the graph tight or the
 edge lies on a critical separating cycle (the boundary of an enlargement of
 the hole disc whose complementary graph is tight).  A critical cycle supports
 a fission move, which substitutes the matching catalog graph for the
-complement.  Criticality is decided once per cycle: a ``SeparatingCycle``
-builds its outer part and checks its tightness on first use, and the search,
-``is_critical`` and ``fission`` share that verdict.  The outer part is a
-subgraph of the hole's graph G, and the fission child keeps G's edges off
-the catalog graph, so both are linked to G as their origin: their pebble
-games start from G's decided orientation, and the outer part's places no
-edge at all.
+complement.  On a tight G, criticality is a count (``is_critical``): an
+enlargement holds every hole face and exposes no deleted edge, so its outer
+part G1 is a subgraph of G; a subgraph of a sparse G is sparse; G1 is one cut,
+so f(G1) = |walk| - 3 and G1 is tight iff its walk has nine edges.  The
+fission child keeps G's edges off the catalog graph, so its pebble game
+starts from G's decided orientation (G is its origin).
 
 The key-lemma search rests on a freedom count.  Let W be the violator of
 G/e and L its lift to G, and let a be the number of apexes of e in L.  Then
@@ -178,11 +177,7 @@ def contract(hole: TorusWithHole, e) -> TorusWithHole:
 
 @dataclass(frozen=True)
 class SeparatingCycle:
-    """Boundary of an enlargement D1 of the hole disc, held as the disc.
-
-    The outer part and whether it is tight are worked out once per cycle,
-    on first use, and shared by ``divide``, ``is_critical`` and ``fission``.
-    """
+    """Boundary of an enlargement D1 of the hole disc, held as the disc."""
     disc: DiscMap
 
     @property
@@ -194,11 +189,6 @@ class SeparatingCycle:
     def outer(self) -> TorusWithHole:
         """G1: the torus with the enlarged disc as its hole."""
         return TorusWithHole(self.disc.torus, [self.disc])
-
-    @functools.cached_property
-    def critical(self) -> bool:
-        """Whether the outer part G1 is (3,6)-tight."""
-        return check_3_6(self.outer.graph).is_tight
 
 
 def divide(hole: TorusWithHole, cycle: SeparatingCycle) -> tuple[TorusWithHole, Graph]:
@@ -214,8 +204,17 @@ def divide(hole: TorusWithHole, cycle: SeparatingCycle) -> tuple[TorusWithHole, 
 
 
 def is_critical(hole: TorusWithHole, cycle: SeparatingCycle) -> bool:
-    """Whether the cycle's outer part is tight; decided once per cycle."""
-    return cycle.critical
+    """Whether the outer part is tight: whether the walk has nine edges (the
+    module docstring's count).  InvalidCycle unless the cycle's disc holds
+    the hole's faces and deleted edges, NotTight with the record unless G is."""
+    disc = cycle.disc
+    if disc.torus is not hole.torus or not hole.hole_faces.issubset(disc.faces) \
+            or not hole.deleted_edges <= disc.interior_edges:
+        raise errors.InvalidCycle(f"the cycle {list(cycle.walk.vertices)} "
+                                  "does not enclose the hole")
+    if not check_3_6(hole.graph).is_tight:
+        raise fileio.with_record(errors.NotTight, hole, "criticality needs a tight graph")
+    return len(cycle.walk) == catalog.WALK_LENGTH
 
 
 # -- key lemma: constructive critical-cycle search --------------------------
@@ -240,20 +239,15 @@ def _unspanned_region(hole: TorusWithHole, start: int, k_set) -> frozenset:
 
 
 def _region_criticals(hole, region, e):
-    """Critical cycles through e supported by the given region."""
-    out = []
-    hole_faces = set(hole.single_disc.faces)
-    if not hole_faces <= set(region):
-        return out
-    for d1 in disc_structures(hole.torus, region, forbid_keep=hole.deleted_edges,
-                              boundary_length=catalog.WALK_LENGTH):
-        if edge_key(*e) not in d1.boundary_walk.edge_set():
-            continue
-        cycle = SeparatingCycle(d1)
-        cycle.outer.graph._origin = hole.graph
-        if is_critical(hole, cycle):
-            out.append(cycle)
-    return out
+    """Critical cycles through e supported by the given region: its nine-walk
+    disc structures with e on the walk.  Each encloses the hole (no deleted
+    edge is kept), so each is critical on a tight G by ``is_critical``'s count."""
+    if not set(hole.single_disc.faces) <= set(region):
+        return []
+    e = edge_key(*e)
+    return [SeparatingCycle(d1) for d1 in disc_structures(
+        hole.torus, region, forbid_keep=hole.deleted_edges,
+        boundary_length=catalog.WALK_LENGTH) if e in d1.boundary_walk.edge_set()]
 
 
 def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | None:
@@ -263,17 +257,18 @@ def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | Non
     Follows the constructive route: lift the violator W of G/e to L, extend
     each tight core through L maximally, flood the complementary face region
     from the face of e whose apex it misses (``_unspanned_region``), and
-    read the cycles off the region's disc boundaries; the least critical cycle wins.  With a
-    apexes in L, f(L) = f(W) + 2 - a and f(W) <= 5: a = 2 cannot occur on
-    tight input, and a = 1 forces f(L) = 6, so L is the only core.  With
-    a = 0, f(L) is 6 or 7, so the cores are L with either apex, and L alone
-    with e exposed (the region then holds both faces of e).
+    read the nine-walk disc boundaries through e off the region
+    (``_region_criticals``), each critical by count; the least walk wins.
+    With a apexes in L, f(L) = f(W) + 2 - a and f(W) <= 5: a = 2 cannot
+    occur on tight input, and a = 1 forces f(L) = 6, so L is the only core.
+    With a = 0, f(L) is 6 or 7, so the cores are L with either apex, and L
+    alone with e exposed (the region then holds both faces of e).
 
     The lemma is about the graph G/e, so the search decides on the plain
-    graph contraction and never builds the contracted hole.  G is checked
-    first (NotTight carrying the record when it is not tight); that verdict
-    stays on the graph, so G/e is decided from G's pebble game, and every
-    later search on the same hole finds G decided.
+    graph contraction and never builds the contracted hole or an outer part.
+    G is checked first (NotTight carrying the record when it is not tight);
+    that verdict stays on the graph, so G/e is decided from G's pebble game,
+    and later searches and ``fission`` find G decided.
 
     W is read off a flow scan of the edges at the merged vertex z alone, in
     order of their other end.  Contraction changes only the subgraphs that
@@ -322,12 +317,12 @@ def fission(hole: TorusWithHole, cycle: SeparatingCycle
     """Fission move at a critical cycle: (G1, G2) with the catalog graph
     substituted for G1; both children must come out simple and tight.
 
-    Criticality is decided once per cycle (``SeparatingCycle.critical``), so
-    a cycle the search has already found critical is not checked again; a
-    hand-built cycle is checked here.  InvalidCycle when G1 is not tight.
+    Criticality is ``is_critical``'s count, so G1 plays no pebble game; it
+    raises what that raises, and InvalidCycle when G1 is not tight.
     """
-    if not cycle.critical:
-        raise errors.InvalidCycle("cycle is not critical: outer part not tight")
+    if not is_critical(hole, cycle):
+        raise errors.InvalidCycle(f"cycle is not critical: its walk has "
+                                  f"{len(cycle.walk)} edges, not {catalog.WALK_LENGTH}")
     g1 = cycle.outer
     pattern = catalog.canonical_pattern(g1.detachment_walk().vertices)
     try:

@@ -22,10 +22,10 @@ it.  A subset-enumeration oracle in the tests cross-validates both paths on
 small graphs.
 
 The key lemma and the greedy reduction ask again and again about graphs that
-share most edges with the hole's graph G, decided already: G/e, a candidate
-cycle's outer part and the fission child.  So the game's final orientation,
-every vertex's out-set, stays on each graph it decides, and a graph may name
-such a graph as its origin.  When the origin is decided sparse, the game
+share most edges with the hole's graph G, decided already: G/e and the
+fission child.  So the game's final orientation, every vertex's out-set,
+stays on each graph it decides, and a graph may name such a graph as its
+origin.  When the origin is decided sparse, the game
 starts from its orientation of the edges the two graphs share, each origin
 out-set cut down to the graph's neighbour set, and places only the graph's
 other edges, in sorted order.  That is sound for any two graphs: the shared
@@ -270,7 +270,7 @@ def check_3_6(graph: Graph) -> SparsityVerdict:
     sparse starts from G's orientation of the shared edges, a valid start as
     they span a subgraph of a sparse graph, and places only its other edges;
     once decided it drops its link to G.  ``contract_edge`` links G/e to G,
-    and the key-lemma search and ``fission`` link the graphs they check.
+    and ``fission`` links its child.
     """
     if len(graph.vertices) < 3:
         raise errors.TooFewVertices("(3,6)-sparsity needs at least 3 vertices")

@@ -44,6 +44,13 @@ def test_build_complex_errors():
         SurfaceComplex([(0, 1, 2), (2, 0, 1)])
 
 
+def _with_face_2(face):
+    """``grid_faces(3, 3)`` with face 2, which is (1, 4, 5), replaced."""
+    faces = grid_faces(3, 3)
+    faces[2] = face
+    return faces
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda t: SurfaceComplex([(0, 1)]), "not three comparable corners"),
     (lambda t: SurfaceComplex([(0, 1, "a")]), "not three comparable corners"),
@@ -53,8 +60,17 @@ def test_build_complex_errors():
     (lambda t: next(disc_structures(t, [0, "1"])), "face index '1' is not an integer"),
     (lambda t: DiscMap(t, [0], keep_edges=[(0, 1, 2)]), "not a pair of integer"),
     (lambda t: DiscMap(t, [0, 1], keep_edges=[(0, True)]), "not a pair of integer"),
+    # a corner or an index equal to one already in use: True == 1 == 1.0
+    (lambda t: TorusComplex(_with_face_2((True, 4, 5))),
+     r"face \(True, 4, 5\) has a corner that is not an integer"),
+    (lambda t: TorusComplex(_with_face_2((1.0, 4, 5))),
+     r"face \(1.0, 4, 5\) has a corner that is not an integer"),
+    (lambda t: DiscMap(t, [0, 1, True]), "face index True is not an integer"),
+    (lambda t: DiscMap(t, [0, 1, 1.0]), "face index 1.0 is not an integer"),
 ], ids=["two-corners", "string-corner", "float-corner", "float-face",
-        "bool-face", "string-face-in-search", "three-vertex-keep", "bool-keep"])
+        "bool-face", "string-face-in-search", "three-vertex-keep", "bool-keep",
+        "bool-corner-in-use", "float-corner-in-use", "bool-face-in-use",
+        "float-face-in-use"])
 def test_bad_arguments_raise_bad_argument(build, message):
     with pytest.raises(errors.BadArgument, match=message):
         build(rectangular_torus(3, 3))

@@ -9,14 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from torusrig import errors, reduction
 from torusrig.catalog import build_H, classify
-from torusrig.complexes import (ClosedWalk, TorusComplex, cut_hole,
-                                rectangular_torus)
+from torusrig.complexes import (ClosedWalk, DiscMap, TorusComplex, cut_hole,
+                                disc_structures, rectangular_torus)
 from torusrig.corpus import CorpusSpec, corpus_records
 from torusrig.fileio import hole_to_record, load_hole, record_to_hole
 from torusrig.graphs import (Graph, complete_graph, contract_edge, edge_key,
                              freedom, is_isomorphic)
 from torusrig.homology import crossover_class
-from torusrig.reduction import (Certificate, EdgeClass, certify, classify_edge,
+from torusrig.reduction import (Certificate, EdgeClass, SeparatingCycle,
+                                certify, classify_edge,
                                 contract, contractible_edges, divide,
                                 find_critical_cycle_through, fission,
                                 is_critical, is_uncontractible, reduce_greedy,
@@ -309,36 +310,43 @@ def test_fission_rejects_a_cycle_that_is_not_critical():
     (build_H(2), (0, 8)),
     (cut_hole(rectangular_torus(3, 3), [0, 1, 2, 3, 9, 14, 15]), (3, 7)),
 ], ids=["repro_a", "H2", "pinched_v3v6"])
-def test_outer_part_checked_once_per_candidate_cycle(monkeypatch, hole, e):
-    # the search checks G (whose pebble game G/e is then decided from),
-    # then G/e, then each candidate's outer part G1 once in is_critical;
-    # fission reuses that verdict and checks only G2
-    checked, candidates = [], []
+def test_search_builds_no_outer_part(monkeypatch, hole, e):
+    # the search checks G (whose pebble game G/e is then decided from) and
+    # G/e, and builds no outer part; fission checks G again through
+    # is_critical, which finds it decided, then G2
+    checked, built, counted = [], [], []
     real_check, real_is_critical = reduction.check_3_6, reduction.is_critical
+    real_hole = reduction.TorusWithHole
 
     def counting_check(g, **kwargs):
         checked.append(g)
         return real_check(g, **kwargs)
 
     def counting_is_critical(hole, cycle):
-        candidates.append(cycle)
+        counted.append(cycle)
         return real_is_critical(hole, cycle)
+
+    def counting_hole(*args):
+        built.append(args)
+        return real_hole(*args)
 
     monkeypatch.setattr(reduction, "check_3_6", counting_check)
     monkeypatch.setattr(reduction, "is_critical", counting_is_critical)
+    monkeypatch.setattr(reduction, "TorusWithHole", counting_hole)
     cycle = find_critical_cycle_through(hole, e)
+    assert checked == [hole.graph, contract_edge(hole.graph, *e)]
+    assert built == [] and counted == [] and "outer" not in vars(cycle)
     g1, g2 = fission(hole, cycle)
-    assert any(c is cycle for c in candidates)
+    assert counted == [cycle]
     assert g1 is cycle.outer
-    assert checked == [hole.graph, contract_edge(hole.graph, *e)] + \
-        [c.outer.graph for c in candidates] + [g2.graph]
+    assert checked[2] is hole.graph and checked[3] is g2.graph
 
 
 def test_outer_parts_and_fission_children_start_from_the_hole_graph(
         monkeypatch, tight_corpus):
-    # the outer part of each cycle found is a subgraph of G, so its pebble
-    # game starts from G's orientation and places no edge; the fission
-    # child's places exactly its edges that G lacks
+    # no outer part of a cycle found plays a pebble game, fission's G1
+    # included; the fission child's game starts from G's orientation and
+    # places exactly its edges that G lacks
     games = record_pebble_games(monkeypatch)
     cycles = 0
     for hole in list(tight_corpus) + [build_H(i) for i in range(1, 18)]:
@@ -347,11 +355,110 @@ def test_outer_parts_and_fission_children_start_from_the_hole_graph(
             cycle = find_critical_cycle_through(hole, e)
             if cycle is None:
                 continue
-            assert games[id(cycle.outer.graph)][1] == []
-            _g1, g2 = fission(hole, cycle)
+            g1, g2 = fission(hole, cycle)
+            assert id(g1.graph) not in games
             assert games[id(g2.graph)][1] == sorted(g2.graph.edges - g.edges)
             cycles += 1
     assert cycles > 300
+
+
+def _tight_outer_subgraph(hole, cycle):
+    """Whether the cycle's outer part G1 is a subgraph of G, in vertices and
+    in edges, and is tight by a pebble game on a fresh graph, with no
+    origin to start from."""
+    g1, g = cycle.outer.graph, hole.graph
+    return g1.vertices <= g.vertices and g1.edges <= g.edges and \
+        check_3_6(Graph(g1.vertices, g1.edges)).is_tight
+
+
+def test_exhaustive_critical_cycles_are_tight_subgraphs():
+    # the exhaustive oracle reaches criticality only through the count in
+    # _region_criticals; a fresh game confirms every cycle it returns
+    holes = [build_H(i) for i in range(1, 18)]
+    holes.append(load_hole(DATA / "keylemma_repro_a.json"))
+    cycles = 0
+    for hole in holes:
+        for e in _breaking_edges(hole):
+            for cycle in exhaustive_critical_cycles_through(hole, e):
+                assert _tight_outer_subgraph(hole, cycle), (e, cycle.walk)
+                cycles += 1
+    assert cycles >= 5
+
+
+def test_search_candidates_are_tight_subgraphs(monkeypatch, tight_corpus):
+    # every candidate the search collects, not only the least it returns
+    candidates = []
+    real_region_criticals = reduction._region_criticals
+
+    def collecting(hole, region, e):
+        found = real_region_criticals(hole, region, e)
+        candidates.extend((hole, c) for c in found)
+        return found
+
+    monkeypatch.setattr(reduction, "_region_criticals", collecting)
+    for hole in tight_corpus:
+        for e in contractible_edges(hole):
+            find_critical_cycle_through(hole, e)
+    assert len(candidates) > 300
+    for hole, cycle in candidates:
+        assert _tight_outer_subgraph(hole, cycle), cycle.walk
+
+
+def test_criticality_count_matches_the_outer_game():
+    # over every enclosing disc structure of walk length 9 to 12 on H1-H17
+    seen = collections.Counter()
+    for i in range(1, 18):
+        hole = build_H(i)
+        for region in connected_regions(hole.torus, hole.single_disc.faces):
+            for length in range(9, 13):
+                for disc in disc_structures(hole.torus, region,
+                                            forbid_keep=hole.deleted_edges,
+                                            boundary_length=length):
+                    cycle = SeparatingCycle(disc)
+                    tight = check_3_6(cycle.outer.graph).is_tight
+                    assert is_critical(hole, cycle) == tight, (i, disc)
+                    seen[length, tight] += 1
+    assert seen[9, True] > 0 and seen[9, False] == 0
+    assert all(seen[length, False] > 0 for length in range(10, 13))
+
+
+@pytest.mark.parametrize("hole, faces", [
+    # record 1 of `torusrig gen --seed 3 --count 40 --grids 3x4 4x4`
+    (record_to_hole(corpus_records(CorpusSpec(seed=3, count=2,
+                                              grids=((3, 4), (4, 4))))[1]),
+     [1, 16, 17, 23, 24, 25, 26]),
+    (build_H(1), [4, 5, 8, 9, 10, 11, 16]),
+], ids=["gen_seed3_record1", "H1"])
+def test_a_cycle_that_misses_the_hole_is_invalid(hole, faces):
+    # nine-walk discs on the hole's torus that do not hold the hole's faces
+    cycle = SeparatingCycle(DiscMap(hole.torus, faces))
+    assert check_3_6(hole.graph).is_tight and len(cycle.walk) == 9
+    assert not hole.hole_faces <= set(cycle.disc.faces)
+    for move in (is_critical, fission):
+        with pytest.raises(errors.InvalidCycle, match="does not enclose the hole"):
+            move(hole, cycle)
+
+
+def test_a_cycle_on_another_torus_is_invalid():
+    # H1's own hole disc, on a reloaded copy of its torus
+    hole = build_H(1)
+    cycle = SeparatingCycle(record_to_hole(hole_to_record(hole)).single_disc)
+    assert cycle.disc.faces == hole.single_disc.faces
+    for move in (is_critical, fission):
+        with pytest.raises(errors.InvalidCycle, match="does not enclose the hole"):
+            move(hole, cycle)
+
+
+def test_criticality_on_a_hole_that_is_not_tight_carries_its_record():
+    hole = cut_hole(rectangular_torus(3, 3), [0])
+    cycle = SeparatingCycle(hole.single_disc)
+    assert not check_3_6(hole.graph).is_tight
+    for move in (is_critical, fission):
+        with pytest.raises(errors.NotTight) as info:
+            move(hole, cycle)
+        _, _, record = str(info.value).partition("; record: ")
+        again = record_to_hole(json.loads(record))
+        assert again.graph == hole.graph and again.hole_faces == hole.hole_faces
 
 
 def test_repro_b_is_tight_with_no_critical_cycle():
