@@ -33,15 +33,15 @@ def _grid(text: str) -> tuple[int, int]:
 
 
 def cmd_gen(args) -> int:
-    kwargs = {}
-    if args.grids:
-        kwargs["grids"] = tuple(_grid(g) for g in args.grids)
+    for flag, values in (("--grids", args.grids),
+                         ("--boundary-lengths", args.boundary_lengths)):
+        if not values:
+            raise errors.BadArgument(f"{flag} needs at least one value")
     if args.count < 0:
         raise errors.BadArgument(f"--count must be at least 0, got {args.count}")
-    if not args.boundary_lengths:
-        raise errors.BadArgument("--boundary-lengths needs at least one value")
     spec = CorpusSpec(seed=args.seed, count=args.count,
-                      boundary_lengths=tuple(args.boundary_lengths), **kwargs)
+                      grids=tuple(_grid(g) for g in args.grids),
+                      boundary_lengths=tuple(args.boundary_lengths))
     for rec in corpus_records(spec):
         _emit(rec)
     return 0
@@ -105,7 +105,7 @@ def cmd_tree(args) -> int:
     i contractions, the child of node i - 1.  Each contraction removes one
     vertex and three edges."""
     hole = _load(args.graph)
-    _, moves = reduction._reduce(hole)
+    _, moves = reduction.reduce_greedy(hole)
     n_vertices, n_edges = len(hole.graph.vertices), len(hole.graph.edges)
     _emit({"nodes": [
         {"id": i, "parent": i - 1 if i else None,
@@ -160,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a random corpus as JSON lines")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=10)
-    p.add_argument("--grids", nargs="*", default=None, metavar="RxS")
+    p.add_argument("--grids", nargs="*", metavar="RxS",
+                   default=[f"{r}x{s}" for r, s in CorpusSpec.grids])
     p.add_argument("--boundary-lengths", nargs="*", type=int, default=[9])
     p.set_defaults(func=cmd_gen)
 

@@ -599,12 +599,10 @@ def retriangulate_holes(retained_faces, walks) -> "TorusWithHole":
 
     Each boundary walk is filled with a collar of fresh vertices plus a coned
     centre, so every interior edge of the new disc has a fresh endpoint and
-    cannot collide with a retained edge.  Used when the graph is sound but
-    the old hole triangulation no longer fits: an edge contraction whose
-    renamed faces are no torus (e's ends have a further common neighbour
-    through deleted edges) or whose renamed disc would delete an apex edge,
-    and a fission whose catalog faces collide with the hole's interior
-    faces.
+    cannot collide with a retained edge.  Every edge contraction refills
+    (``reduction.contract``), since the old hole faces may no longer fit
+    the renamed retained ones, and so does a fission whose catalog faces
+    collide with the hole's interior faces.
     """
     faces = [tuple(f) for f in retained_faces]
     next_id = max(v for f in faces for v in f) + 1

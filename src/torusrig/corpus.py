@@ -77,12 +77,14 @@ def _grow_hole(torus, adj, rng, target_len: int) -> DiscMap | None:
 def gen_corpus(spec: CorpusSpec) -> list[TorusWithHole]:
     """Generate ``spec.count`` single-hole graphs; deterministic in the seed.
 
-    Raises BadArgument, before any draw, for a boundary length below 3 (a
-    hole's walk has at least three edges) or above ``MAX_REGION`` + 2 (a
-    face-connected region of F faces has F - 1 or more shared edges, so its
-    walk has at most F + 2), and NotADisc when ``ATTEMPTS_PER_GRAPH``
-    attempts grow no hole of the wanted length.
+    Raises BadArgument, before any draw, for no grid or no boundary length,
+    or a boundary length below 3 (a hole's walk has at least three edges) or
+    above ``MAX_REGION`` + 2 (a face-connected region of F faces has F - 1
+    or more shared edges, so its walk has at most F + 2), and NotADisc when
+    ``ATTEMPTS_PER_GRAPH`` attempts grow no hole of the wanted length.
     """
+    if not (spec.grids and spec.boundary_lengths):
+        raise errors.BadArgument("a corpus spec needs a grid and a boundary length")
     for n in spec.boundary_lengths:
         if n < 3:
             raise errors.BadArgument(

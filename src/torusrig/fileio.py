@@ -44,16 +44,16 @@ def with_record(error: type[errors.TorusRigError], hole: TorusWithHole,
     or ``certify -``; so do the ``NotTight`` of the key-lemma search,
     ``is_critical`` and ``fission``, since reduction refuses the same
     non-tight graph.  The ``NotTight`` of ``torusrig homology -`` reruns
-    through ``homology -``.  A ``NotContractible`` from ``contract`` reruns
-    through ``torusrig reduce -`` alone, the one subcommand that contracts
-    holes (it replays ``contract`` to build its leaf), or through the API:
-    ``record_to_hole``, then ``contract`` on the edge the message names.  No
-    subcommand runs the key-lemma search or ``fission``, and ``torusrig
-    homology -`` refuses a non-tight record before ``crossover_class`` runs;
-    so a record from ``NoCriticalCycle``, from ``fission`` or from
-    ``TrivialClassFound`` reruns through the API: ``record_to_hole``, then
-    ``find_critical_cycle_through``, ``fission`` or ``crossover_class`` on
-    the edge or cycle that the message names."""
+    through ``homology -``.  A ``NotContractible`` is a refill that closes
+    no torus.  Greedy reduction's reruns through ``torusrig reduce -`` or
+    ``tree -``, which build the leaf with one refill; one from ``contract``
+    reruns through the API: ``record_to_hole``, then ``contract`` on the
+    edge the message names.  No subcommand runs the key-lemma search or
+    ``fission``, and ``torusrig homology -`` refuses a non-tight record
+    before ``crossover_class`` runs; so a record from ``NoCriticalCycle``,
+    from ``fission`` or from ``TrivialClassFound`` reruns through the API:
+    ``record_to_hole``, then ``find_critical_cycle_through``, ``fission`` or
+    ``crossover_class`` on the edge or cycle that the message names."""
     record = json.dumps(hole_to_record(hole), sort_keys=True)
     return error(f"{why}; record: {record}")
 

@@ -36,16 +36,14 @@ that breaks the ruling raises StuckButContractible.  The rule has one copy,
 ``_contractible``: the loop feeds it a per-step apex map, the hole's
 callers the faces at e after the one FF test (``TorusWithHole.is_ff_edge``).
 
-Only ``contract`` builds a contracted hole, for ``reduce_greedy``'s leaf
-(which ``torusrig reduce`` prints) and for the API.  It renames the faces,
-drops e's two and revalidates the torus and each hole disc on the rest.
-The torus around the graph also holds the hole's deleted edges, and
-through them the ends of the edge can have further common neighbours; the
-renamed faces then fold an edge into four faces and are no torus, so
-``contract`` refills the hole with a fresh collar disc instead.  Both ways
-keep the retained faces in order, with gone renamed to keep and e's two
-faces dropped, as the loop contracts them; so replaying ``contract`` along
-the loop's moves meets every step's faces and apex order.
+A contracted hole is built one way (``_contracted``): the retained faces
+as the loop contracts them, closed by a fresh collar disc over each renamed
+boundary walk.  Renamed hole faces are never reused: through the deleted
+edges e's ends can have further common neighbours, and those faces would
+fold an edge into four.  A refill reads only the retained faces and the
+walks, so one refill after the loop's last move is the hole that
+``contract`` gives one edge at a time; ``reduce_greedy`` builds its leaf
+(which ``torusrig reduce`` prints) that way, once.
 
 Fission is a key-lemma move inside the proof, not a reduction step: its
 catalog child is not a subgraph of the input, so it yields no vertex split.
@@ -123,53 +121,48 @@ def contract(hole: TorusWithHole, e) -> TorusWithHole:
     """Contract a contractible FF edge; the higher id merges into the lower.
 
     The edge must pass greedy reduction's rule (``_contraction_apexes``).
-    The torus is rebuilt and revalidated: gone is renamed to keep in every
-    face, e's two faces are dropped, a ``TorusComplex`` is built on the
-    rest, and on it one ``DiscMap`` per hole over the hole's faces, with
-    gone renamed in the exposed edges.  The hole is refilled instead when
-    that rebuild fails, as when the hole's deleted edges give e's ends a
-    further common torus neighbour (whose edge to keep would lie in four
-    faces), or when a disc swallows an apex edge (keep, a) and so would
-    delete a graph edge; the latter happens only around an apex of degree
-    two, which a tight graph lacks.  The refill replaces the hole discs by
-    fresh triangulations over the renamed boundary walks
-    (``retriangulate_holes``), which leaves the graph and its retained
-    faces untouched; NotContractible, carrying the record, when that fails
-    too.
+    Gone is renamed to keep in the retained faces, which stay in order
+    without e's two, and each hole is refilled (``_contracted``).
     """
     e, apex_faces = _contraction_apexes(hole, e)
     keep, gone = e
-    torus = hole.torus
+    faces = hole.torus.faces
     collapsed = set(apex_faces.values())
-    apex_edges = {edge_key(keep, a) for a in apex_faces}
+    return _contracted(hole, [tuple(keep if x == gone else x for x in faces[i])
+                              for i in hole.face_indices if i not in collapsed], [e])
 
-    def rename(x):
-        return keep if x == gone else x
 
+def _contracted(hole: TorusWithHole, faces, edges) -> TorusWithHole:
+    """The hole contracted along ``edges`` in turn, given its retained faces
+    so contracted, in order: the hole itself without edges, else those
+    faces closed by a fresh collar over each boundary walk, renamed edge by
+    edge (``retriangulate_holes``); NotContractible, carrying the hole's
+    record, when they close no torus.  Each renamed walk starts where a
+    collar's ``DiscMap`` reads it back (``_least_first``), so contracting
+    the edges one at a time renames the same walks."""
+    if not edges:
+        return hole
+    walks = [d.boundary_walk.vertices for d in hole.discs]
+    for keep, gone in edges:
+        walks = [_least_first(tuple(keep if x == gone else x for x in w))
+                 for w in walks]
     try:
-        torus2 = TorusComplex([tuple(rename(x) for x in f)
-                               for i, f in enumerate(torus.faces)
-                               if i not in collapsed])
-        # the collapsed faces are retained ones; a hole face moves down past
-        # those before it
-        out = TorusWithHole(torus2, [
-            DiscMap(torus2, [i - sum(c < i for c in collapsed) for i in d.faces],
-                    keep_edges=[(rename(a), rename(b)) for a, b in d.keep_edges])
-            for d in hole.discs])
-        if not out.deleted_edges & apex_edges:
-            return out
-    except errors.TorusRigError:
-        pass
-    retained2 = [tuple(rename(x) for x in torus.faces[i])
-                 for i in hole.face_indices if i not in collapsed]
-    walks2 = [ClosedWalk(rename(x) for x in d.boundary_walk.vertices)
-              for d in hole.discs]
-    try:
-        return retriangulate_holes(retained2, walks2)
+        return retriangulate_holes(faces, [ClosedWalk(w) for w in walks])
     except errors.TorusRigError as exc:
         raise fileio.with_record(
             errors.NotContractible, hole,
-            f"contracting {e} breaks the hole structure: {exc}") from exc
+            f"contracting {', '.join(map(str, edges))} breaks the hole "
+            f"structure: {exc}") from exc
+
+
+def _least_first(walk: tuple) -> tuple:
+    """The walk from the first visit of its least vertex toward its lesser
+    neighbour there: a ``DiscMap`` walk starts at the least vertex's least
+    corner class, on a collar the first visit, and takes the lesser edge,
+    on a tie the one in the collar's first face."""
+    k = walk.index(min(walk))
+    w = walk[k:] + walk[:k]
+    return w if w[1] <= w[-1] else (w[0], *w[:0:-1])
 
 
 # -- separating cycles and division ----------------------------------------
@@ -420,16 +413,17 @@ class Contraction:
                 "apexes": list(self.apexes), "moved": sorted(self.moved)}
 
 
-def _reduce(hole: TorusWithHole) -> tuple[Graph, list[Contraction]]:
+def _reduce(hole: TorusWithHole) -> tuple[Graph, list, list[Contraction]]:
     """The greedy reduction on the graph and its ordered retained faces:
-    the uncontractible leaf graph and the contractions that reach it.
+    the uncontractible leaf graph, its retained faces and the contractions
+    that reach it.
 
     Each step hands every edge's apexes, in face order, to the one rule
     (``_contractible``).  Contracting e drops its two faces and renames gone
     to keep in the others, in order, as ``contract`` does; the next graph is
     the decided ``contract_edge`` one.  Raises what ``reduce_greedy``
     raises; the hole a StuckButContractible record needs is built only
-    then, by replaying ``contract`` from the input.
+    then, from the faces where the loop is stuck (``_contracted``).
     """
     hole.single_disc  # raises SingleHoleRequired unless there is one hole
     graph = hole.graph
@@ -437,7 +431,7 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list[Contraction]]:
         raise fileio.with_record(
             errors.NotTight, hole, "greedy reduction needs a tight "
             "single-hole graph")
-    faces = hole.faces
+    faces = list(hole.faces)
     moves: list[Contraction] = []
     while True:
         apexes: dict = {}
@@ -447,14 +441,15 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list[Contraction]]:
         cand = sorted(e for e, xs in apexes.items()
                       if _contractible(graph, e, xs))
         if not cand:
-            return graph, moves
+            return graph, faces, moves
         for e in cand:
             h = contract_edge(graph, *e)
             if check_3_6(h).is_tight:
                 break
         else:
+            stuck = _contracted(hole, faces, [m.edge for m in moves])
             raise fileio.with_record(
-                errors.StuckButContractible, _replay(hole, moves),
+                errors.StuckButContractible, stuck,
                 f"no tightness-preserving contraction among {len(cand)} "
                 "contractible edges")
         keep, gone = e
@@ -465,29 +460,24 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list[Contraction]]:
         graph = h
 
 
-def _replay(hole: TorusWithHole, moves) -> TorusWithHole:
-    """The hole that contracting the moves' edges in turn gives."""
-    for m in moves:
-        hole = contract(hole, m.edge)
-    return hole
-
-
 def reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contraction]]:
     """The uncontractible leaf hole of the greedy contraction sequence, and
     the contractions that reach it, in order.
 
     Each step contracts the first contractible FF edge whose contraction
     stays tight, decided on the graph and its retained faces (``_reduce``);
-    the leaf hole is then built by replaying ``contract`` along the
-    contractions.  ``certify`` and ``torusrig tree`` need only the
-    contractions and build no hole.  Raises NotTight, carrying the record,
-    when the input is not tight, and StuckButContractible, carrying the
-    record of the graph it is stuck at, at a contractible graph with no
-    tight contraction.  A graph with more than one hole raises
-    SingleHoleRequired first: it can be tight without being rigid.
+    the leaf hole is then built once, from the loop's final retained faces
+    and the input's walk renamed move by move, with a fresh collar
+    (``_contracted``); without moves the input is its own leaf.
+    ``certify`` needs only the contractions and builds no hole.  Raises
+    NotTight, carrying the record, when the input is not tight, and
+    StuckButContractible, carrying the record of the graph it is stuck at,
+    at a contractible graph with no tight contraction.  A graph with more
+    than one hole raises SingleHoleRequired first: it can be tight without
+    being rigid.
     """
-    _, moves = _reduce(hole)
-    return _replay(hole, moves), moves
+    _, faces, moves = _reduce(hole)
+    return _contracted(hole, faces, [m.edge for m in moves]), moves
 
 
 # -- certificates ------------------------------------------------------------
@@ -560,7 +550,7 @@ def certify(hole: TorusWithHole) -> Certificate:
     """Construction certificate: greedy-contract to an uncontractible leaf,
     seed with the stored K3 chain for that leaf, append the reversed
     contraction sequence as splits, and replay-check the result."""
-    leaf, moves = _reduce(hole)
+    leaf, _, moves = _reduce(hole)
     base, splits = _leaf_chain(leaf)
     for m in reversed(moves):
         keep, gone = m.edge

@@ -315,8 +315,8 @@ def hole_reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contrac
     step takes the first edge, in sorted order, that ``edge_rule_oracle``
     finds contractible, whose graph contraction is tight and whose
     ``contract`` succeeds.  The oracle for ``reduction._reduce``, which
-    reads only the graph and its retained faces; its moves and leaf graph
-    are the same."""
+    reads only the graph and its retained faces; its moves, leaf graph and
+    retained faces are the same, and its leaf hole is ``reduce_greedy``'s."""
     if not check_3_6(hole.graph).is_tight:
         raise errors.NotTight("greedy reduction needs a tight single-hole graph")
     current = hole

@@ -103,3 +103,15 @@ def test_an_impossible_boundary_length_raises_before_any_draw(monkeypatch):
     monkeypatch.setattr(corpus, "_grow_hole", lambda *args: pytest.fail("drew"))
     with pytest.raises(errors.BadArgument, match="boundary length 2 is below 3"):
         gen_corpus(CorpusSpec(seed=0, count=1, boundary_lengths=(9, 2)))
+
+
+@pytest.mark.parametrize("spec", [
+    CorpusSpec(seed=0, count=1, grids=()),
+    CorpusSpec(seed=0, count=1, boundary_lengths=()),
+    CorpusSpec(seed=0, count=0, grids=(), boundary_lengths=()),
+], ids=["no-grids", "no-lengths", "neither-count-0"])
+def test_an_empty_spec_raises_before_any_draw(spec, monkeypatch):
+    # with no grid or no length to cycle through there is nothing to draw
+    monkeypatch.setattr(corpus, "_grow_hole", lambda *args: pytest.fail("drew"))
+    with pytest.raises(errors.BadArgument, match="needs a grid and a boundary length"):
+        gen_corpus(spec)

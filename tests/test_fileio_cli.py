@@ -366,14 +366,15 @@ def test_cli_reduction_of_two_holes_is_typed_error(command):
     (["--grids", "3x4x5"], "--grids"),
     (["--grids", "3xa"], "--grids"),
     (["--boundary-lengths"], "--boundary-lengths"),
+    (["--grids"], "--grids needs at least one value"),
     (["--count", "-1"], "--count"),
     (["--boundary-lengths", "2"], "boundary length 2 is below 3"),
     (["--boundary-lengths", "0"], "boundary length 0 is below 3"),
     (["--grids", "8x8", "--boundary-lengths", "27"], "boundary length 27 is above 26"),
     (["--grids", "8x8", "--boundary-lengths", "9", "30"],
      "boundary length 30 is above 26"),
-], ids=["no-x", "three-parts", "not-a-number", "no-lengths", "negative-count",
-        "length-2", "length-0", "length-27", "length-30"])
+], ids=["no-x", "three-parts", "not-a-number", "no-lengths", "no-grids",
+        "negative-count", "length-2", "length-0", "length-27", "length-30"])
 def test_cli_gen_rejects_bad_arguments(args, name):
     r = run_cli(["gen", "--count", "1", *args])
     assert r.returncode == 1

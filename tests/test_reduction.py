@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from torusrig import errors, reduction
 from torusrig.catalog import build_H, classify
-from torusrig.complexes import (ClosedWalk, DiscMap, TorusComplex, cut_hole,
-                                disc_structures, rectangular_torus)
+from torusrig.complexes import (ClosedWalk, DiscMap, TorusComplex, canon_face,
+                                cut_hole, disc_structures, rectangular_torus)
 from torusrig.corpus import CorpusSpec, corpus_records
 from torusrig.fileio import hole_to_record, load_hole, record_to_hole
 from torusrig.graphs import (Graph, complete_graph, contract_edge, edge_key,
@@ -86,7 +86,7 @@ def test_contraction_is_graph_contraction_and_renames_walk(tight_corpus):
     # detachment walk is the old walk with the merged vertex renamed; the
     # hole form itself may change (greedy reduction ends at H16/H17).  The
     # retained faces stay in order, renamed and without e's two faces, as
-    # the greedy loop and the replay of its moves rely on
+    # the greedy loop and its one-refill leaf rely on
     holes = list(tight_corpus) + [build_H(i) for i in range(1, 18)]
     checked = 0
     for hole in holes:
@@ -105,9 +105,10 @@ def test_contraction_is_graph_contraction_and_renames_walk(tight_corpus):
 
 def test_contract_refills_a_disc_that_would_swallow_an_apex_edge():
     # five of the six faces at vertex 0 of the 4x4 grid cut a non-tight
-    # hole in which 0 has degree two and is an apex of (4, 5).  Rebuilding
-    # the disc after contracting (4, 5) would glue (0, 4) inside the hole
-    # and delete 0, so contract refills the hole instead
+    # hole in which 0 has degree two and is an apex of (4, 5).  The renamed
+    # hole faces would glue (0, 4) inside the hole and delete 0; contract
+    # reads only the retained faces and the walk, so its fresh collar keeps
+    # (0, 4) on the walk and 0 in the graph
     torus = rectangular_torus(4, 4)
     hole = cut_hole(torus, [i for i, f in enumerate(torus.faces)
                             if 0 in f and set(f) != {0, 4, 5}])
@@ -461,29 +462,42 @@ def test_criticality_on_a_hole_that_is_not_tight_carries_its_record():
         assert again.graph == hole.graph and again.hole_faces == hole.hole_faces
 
 
-def test_repro_b_is_tight_with_no_critical_cycle():
-    # a v9 record grown from H17 with a collar: tight and minimally rigid,
-    # and no tight vertex set through (3, 17) carries a critical cycle, so
-    # the key lemma's dichotomy fails on it as critical cycles are defined
-    hole = load_hole(DATA / "keylemma_repro_b.json")
+# the a = 0 cases with no critical cycle: repro B, a 14-vertex v9 record
+# grown from H17 with a collar, and repro C, the first of the 40 such cases
+# on the 9-vertex tori, of form e3e4
+_REPROS = pytest.mark.parametrize("name, e, form", [
+    ("keylemma_repro_b", (3, 17), "v9"),
+    ("keylemma_repro_c", (1, 7), "e3e4"),
+], ids=["repro_b", "repro_c"])
+
+
+@_REPROS
+def test_repro_is_tight_with_no_critical_cycle(name, e, form):
+    # tight, minimally rigid and certified, and no tight vertex set through
+    # e carries a critical cycle, so the key lemma's dichotomy fails on it
+    # as critical cycles are defined
+    hole = load_hole(DATA / f"{name}.json")
     g = hole.graph
     assert check_3_6(g).is_tight
     assert generic_rank(g) == len(g.edges) == 3 * len(g.vertices) - 6
-    assert not check_3_6(contract(hole, (3, 17)).graph).is_tight
-    assert tight_set_critical_cycles(hole, (3, 17)) == []
+    assert classify(hole).word == form
+    assert verify_certificate(certify(hole), g)
+    assert not check_3_6(contract(hole, e).graph).is_tight
+    assert tight_set_critical_cycles(hole, e) == []
 
 
-def test_no_critical_cycle_carries_its_record():
-    hole = load_hole(DATA / "keylemma_repro_b.json")
+@_REPROS
+def test_no_critical_cycle_carries_its_record(name, e, form):
+    hole = load_hole(DATA / f"{name}.json")
     with pytest.raises(errors.NoCriticalCycle) as info:
-        find_critical_cycle_through(hole, (3, 17))
+        find_critical_cycle_through(hole, e)
     message = str(info.value)
-    assert "(3, 17)" in message
+    assert str(e) in message
     _, _, record = message.partition("; record: ")
     again = record_to_hole(json.loads(record))
     assert again.graph == hole.graph
     with pytest.raises(errors.NoCriticalCycle) as info_again:
-        find_critical_cycle_through(again, (3, 17))
+        find_critical_cycle_through(again, e)
     assert str(info_again.value) == message
 
 
@@ -532,29 +546,50 @@ def _reduction_inputs(tight_corpus):
     return list(tight_corpus) + [build_H(i) for i in range(1, 18)] + sample
 
 
-def _oracle_reduce(hole):
+def _reduces_as_the_oracle(hole) -> tuple:
+    """Assert that the loop over the graph and its ordered retained faces
+    takes the moves that carrying the hole through every ``contract`` takes,
+    to the same leaf graph and retained faces (the torus stores each face
+    from its least corner), and that reduce_greedy's one-refill leaf is the
+    oracle's leaf hole, record for record; return what ``_reduce`` returns."""
     leaf, moves = hole_reduce_greedy(hole)
-    return leaf.graph, moves
+    graph, faces, reduce_moves = reduction._reduce(hole)
+    assert (graph, [canon_face(f) for f in faces], reduce_moves) == \
+        (leaf.graph, list(leaf.faces), moves)
+    built, built_moves = reduce_greedy(hole)
+    assert built_moves == moves
+    assert hole_to_record(built) == hole_to_record(leaf)
+    return graph, faces, moves
 
 
 def test_reduction_on_retained_faces_matches_the_hole_carrying_oracle(
         monkeypatch, tight_corpus):
-    # the loop over the graph and its ordered retained faces takes the
-    # moves that carrying the hole through every contraction takes, to the
-    # same leaf; reduce_greedy's replayed leaf is the oracle's leaf hole,
-    # and certify gives the certificate the oracle's moves give
+    # the loop and reduce_greedy's leaf are the oracle's, and certify gives
+    # the certificate the oracle's moves give
     holes = _reduction_inputs(tight_corpus)
     oracle, certificates = {}, []
     for hole in holes:
-        leaf, moves = hole_reduce_greedy(hole)
-        oracle[id(hole)] = leaf.graph, moves
-        assert reduction._reduce(hole) == (leaf.graph, moves)
-        replayed, replay_moves = reduce_greedy(hole)
-        assert replay_moves == moves
-        assert hole_to_record(replayed) == hole_to_record(leaf)
+        oracle[id(hole)] = _reduces_as_the_oracle(hole)
         certificates.append(certify(hole).to_json())
     monkeypatch.setattr(reduction, "_reduce", lambda hole: oracle[id(hole)])
     assert [certify(hole).to_json() for hole in holes] == certificates
+
+
+def test_reduce_greedy_builds_one_torus(monkeypatch):
+    # the leaf, and the hole of a StuckButContractible record, are one
+    # refill after the loop, not a rebuilt torus per move
+    built = []
+    init = TorusComplex.__init__
+    monkeypatch.setattr(TorusComplex, "__init__",
+                        lambda self, faces: built.append(len(faces)) or init(self, faces))
+    h1 = build_H(1)
+    leaf, moves = reduce_greedy(h1)
+    assert len(moves) > 2 and built == [len(leaf.torus.faces)]
+    built.clear()
+    _loosen_contractions_below(monkeypatch, len(h1.graph.vertices) - 2)
+    with pytest.raises(errors.StuckButContractible):
+        reduce_greedy(h1)
+    assert len(built) == 1
 
 
 K7_FACES = [f for i in range(7) for f in ((i, (i + 1) % 7, (i + 3) % 7),
@@ -704,7 +739,7 @@ def test_split_grown_catalog_graphs_reduce_as_the_oracle(index, steps):
         v0, = child.graph.vertices - hole.graph.vertices
         separated = {v0, v1} <= set(child.detachment_walk().vertices)
         assert (form == classify(hole).word) is not separated
-        assert reduction._reduce(child) == _oracle_reduce(child)
+        _reduces_as_the_oracle(child)
         assert verify_certificate(certify(child), child.graph)
         hole = child
 
@@ -829,8 +864,9 @@ def test_stuck_and_failed_contraction_carry_their_record(monkeypatch):
         raise errors.NotADisc("refill refused")
 
     def link_fails(h, e):
-        # e's ends have a common torus neighbour besides its apexes, so the
-        # renamed faces are no torus and contract must refill the hole
+        # e's ends have a common torus neighbour besides its apexes, through
+        # the hole's deleted edges, so renamed hole faces would be no torus;
+        # contract refills every hole, so a refused refill fails it
         nbrs = Graph(h.torus.vertices, h.torus.edges).neighbors
         return nbrs(e[0]) & nbrs(e[1]) != set(edge_rule_oracle(h, e)[1])
 
