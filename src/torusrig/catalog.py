@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import errors
-from .complexes import TorusWithHole, _classes
+from .complexes import TorusWithHole, _symmetries
 
 VERTEX_LETTERS = "vwx"
 EDGE_LETTERS = "efg"
@@ -132,6 +132,32 @@ def expand_word(word: DetachmentWord) -> tuple:
     return canonical_pattern([cls[i] for i in range(n)])
 
 
+def _classes(elements, pairs) -> dict:
+    """Map from each of ``elements`` to the least element of its class under
+    the equivalence that gluing each pair generates.
+
+    Every element of a pair must be among ``elements``.  The least element
+    represents its class, so representatives do not depend on the order of
+    the pairs.
+    """
+    glued_to: dict = {}
+    for x, y in pairs:
+        glued_to.setdefault(x, []).append(y)
+        glued_to.setdefault(y, []).append(x)
+    cls: dict = {}
+    for least in sorted(elements):
+        if least in cls:
+            continue
+        cls[least] = least
+        stack = [least]
+        while stack:
+            for y in glued_to.get(stack.pop(), ()):
+                if y not in cls:
+                    cls[y] = least
+                    stack.append(y)
+    return cls
+
+
 def canonical_pattern(seq) -> tuple:
     """Canonical form of a cyclic vertex sequence under rotation/reversal.
 
@@ -151,13 +177,7 @@ def _relabel(seq) -> tuple:
 
 @functools.lru_cache(maxsize=4096)
 def _least_relabelling(labels: tuple) -> tuple:
-    best = None
-    for base in (labels, labels[::-1]):
-        for k in range(len(labels)):
-            cand = _relabel(base[k:] + base[:k])
-            if best is None or cand < best:
-                best = cand
-    return best
+    return min(_relabel(seq) for seq in _symmetries(labels))
 
 
 def the_17() -> list[tuple[str, tuple]]:

@@ -20,8 +20,8 @@ surface checks and the edge -> faces map in one loop, and orientation and
 vertex links in one walk across shared edges.  A disc search makes one
 pass over its region (``_Region``) for the shared edges, the face
 connectivity and the fully glued chi; each keep set then reads its chi off
-the ends of its kept edges, and only a disc builds the corner classes,
-re-glued at those ends alone, and traces a walk.  ``DiscMap`` takes the same pass.
+the ends of its kept edges, and only a disc traces its walk, turning around
+each boundary vertex across glued edges.  ``DiscMap`` takes the same pass.
 """
 
 from __future__ import annotations
@@ -247,16 +247,26 @@ def rectangular_torus(r: int, s: int) -> TorusComplex:
     return TorusComplex(grid_faces(r, s))
 
 
+def _symmetries(seq):
+    """The symmetries of a cyclic sequence: seq[k:] + seq[:k] for k = 0, 1,
+    ..., then the same rotations of its reversal."""
+    for s in (seq, seq[::-1]):
+        for k in range(len(s)):
+            yield s[k:] + s[:k]
+
+
 class ClosedWalk:
     """A closed walk given by its cyclic vertex sequence.
 
     ``vertices[i] -- vertices[i+1 mod n]`` are the traversed edges; the walk
-    has as many edges as vertex entries.
+    has as many edges as vertex entries, and at least one.
     """
 
     def __init__(self, vertices):
         vertices = tuple(vertices)
         n = len(vertices)
+        if not n:
+            raise errors.BadArgument("a closed walk needs at least one vertex")
         for i in range(n):
             if vertices[i] == vertices[(i + 1) % n]:
                 raise errors.LoopEdge("consecutive walk entries coincide")
@@ -288,14 +298,7 @@ class ClosedWalk:
 
     def canonical(self) -> tuple:
         """Least vertex tuple over all rotations and the reversal."""
-        n = len(self.vertices)
-        best = None
-        for seq in (self.vertices, self.vertices[::-1]):
-            for k in range(n):
-                cand = seq[k:] + seq[:k]
-                if best is None or cand < best:
-                    best = cand
-        return best
+        return min(_symmetries(self.vertices))
 
 
 class DiscMap:
@@ -306,24 +309,29 @@ class DiscMap:
     stay in the graph and are covered twice by the boundary walk).
 
     Connectivity across the glued edges and Euler characteristic one decide
-    that the unfolding is a disc.  A corner is a (face, vertex) pair with two
-    edges at its vertex; gluing an edge pairs a corner with at most one other
-    corner (two faces sharing two edges at v would be one face), so each
-    corner class is a path or a cycle of corners around its vertex and the
-    unfolding is a surface with boundary.  Its faces keep the torus's
-    coherent orientation, so the surface is oriented, and a connected
-    oriented surface with chi = 2 - 2g - b = 1 has g = 0 and b = 1: a disc
-    with one boundary cycle.  Each boundary class then has one unglued edge
-    leaving it and one entering it along the face orientation.  The walk
-    starts at the boundary class least by (image vertex, representative)
-    and follows whichever of those two edges is least by (edge, face).
+    that the unfolding is a disc.  Gluing an edge joins a face's corner at
+    each of its ends to at most one other corner (two faces sharing two
+    edges at v would be one face), so the faces at each vertex form fans,
+    paths or cycles around it, and the unfolding is a surface with
+    boundary.  Its faces keep the torus's coherent orientation, so the
+    surface is oriented, and a connected oriented surface with
+    chi = 2 - 2g - b = 1 has g = 0 and b = 1: a disc with one boundary cycle.
+
+    The walk is read by turning, as in a doubly connected edge list (Muller
+    and Preparata 1978).  After an unglued half-edge a -> b of a face, that
+    face's next half-edge leaves b; while it is glued, cross to the other
+    face, whose next half-edge again leaves b.  The first unglued one is the
+    walk's next half-edge.  A turn passes the faces of one boundary fan at b,
+    and the fan is labelled by the least of them.  The walk starts at the fan
+    least by (image vertex, label) and takes whichever of its two unglued
+    half-edges, leaving or entering, is least by (edge, face).  The region's
+    vertices off the walk are interior.
 
     What does not depend on the keep set comes from one pass over the
-    region (``_Region``): its shared edges, its connectivity across them,
-    the fully glued chi and, once a disc needs them, the fully glued corner
-    classes.  The keep set then reads chi off the ends of its edges, checks
-    connectivity without its edges, re-glues only the corners at those ends
-    and traces the walk.  ``disc_structures`` makes that pass once for every
+    region (``_Region``): its shared edges and half-edges, its connectivity
+    across them and the fully glued chi.  The keep set then reads chi off
+    the ends of its edges, checks connectivity without its edges and turns
+    along the walk.  ``disc_structures`` makes that pass once for every
     keep set it tries and hands it in through the private ``_region``.
     """
 
@@ -346,27 +354,34 @@ class DiscMap:
         if chi != 1:
             raise errors.NotADisc(f"unfolded Euler characteristic {chi} != 1")
 
-        # the unglued half-edges around the one boundary cycle, both ways;
-        # a class representative is a (face, vertex) corner
-        at = region.classes_without(keep)
-        step, back = {}, {}
-        for f, a, b in itertools.chain(region.open_halves,
-                                       *(region.halves[e] for e in keep)):
-            ca, cb = (at[a][f], a), (at[b][f], b)
-            step[ca] = (cb, f)
-            back[cb] = (ca, f)
-        start = min(step, key=lambda cls: (cls[1], cls))
-        (nxt, f_out), (prev, f_in) = step[start], back[start]
-        v = start[1]
-        if (edge_key(v, nxt[1]), f_out) > (edge_key(prev[1], v), f_in):
-            step = back
-        walk, cls = [v], step[start][0]
-        while cls != start:
-            walk.append(cls[1])
-            cls = step[cls][0]
+        # turn around the head of each unglued half-edge to the next one
+        glued = region.halves
+        step, label = {}, {}
+        for h in itertools.chain(region.open_halves, *(glued[e] for e in keep)):
+            f, a, b = h
+            least = f
+            while True:
+                c = sum(torus.faces[f]) - a - b
+                e = (b, c) if b < c else (c, b)
+                if e not in glued or e in keep:
+                    break
+                h1, h2 = glued[e]
+                f, a, _ = h2 if h1[0] == f else h1
+                least = min(least, f)
+            step[h] = nxt = (f, b, c)
+            label[nxt] = least
+        start = min(step, key=lambda h: (h[1], label[h]))
+        cycle, h = [start], step[start]
+        while h != start:
+            cycle.append(h)
+            h = step[h]
+        walk = [h[1] for h in cycle]
+        v, f_out, f_in = walk[0], start[0], cycle[-1][0]
+        if (edge_key(v, walk[1]), f_out) > (edge_key(walk[-1], v), f_in):
+            walk[1:] = walk[:0:-1]
 
         self.interior_edges = region.shared - keep
-        self.interior_vertices = frozenset(at) - {cls[1] for cls in step}
+        self.interior_vertices = frozenset(region.paths).difference(walk)
         self.boundary_walk = ClosedWalk(walk)
 
     def __repr__(self):
@@ -377,32 +392,6 @@ class DiscMap:
 #: most exposed edges a disc structure keeps unglued; the wrap-around
 #: detachment forms need one to three
 MAX_KEEP = 3
-
-
-def _classes(elements, pairs) -> dict:
-    """Map from each of ``elements`` to the least element of its class under
-    the equivalence that gluing each pair generates.
-
-    Every element of a pair must be among ``elements``.  The least element
-    represents its class, so representatives do not depend on the order of
-    the pairs.
-    """
-    glued_to: dict = {}
-    for x, y in pairs:
-        glued_to.setdefault(x, []).append(y)
-        glued_to.setdefault(y, []).append(x)
-    cls: dict = {}
-    for least in sorted(elements):
-        if least in cls:
-            continue
-        cls[least] = least
-        stack = [least]
-        while stack:
-            for y in glued_to.get(stack.pop(), ()):
-                if y not in cls:
-                    cls[y] = least
-                    stack.append(y)
-    return cls
 
 
 def _face_tuple(torus: TorusComplex, face_indices) -> tuple:
@@ -444,17 +433,18 @@ class _Region:
     - ``halves``: each shared edge's two half-edges (face, tail, head) along
       the face orientations, and ``open_halves``: every other half-edge of
       the region's faces;
+    - ``paths``: each vertex's corners (its faces in the region) less its
+      shared edges;
     - ``connected``: whether the faces are connected across shared edges;
     - ``chi0``: the Euler characteristic of the fully glued unfolding.
 
-    A corner is a (face, vertex) pair.  Around a vertex v, the corners glued
-    across shared edges form paths, or one cycle when the region holds the
-    whole star of v, whose link is one cycle: v is then *closed*.  So v
-    carries (corners - shared edges at v) classes, plus one if closed, and
-    chi0 = V - E + F = (3F - 2|shared| + closed) - (3F - |shared|) + F
-    = F - |shared| + closed.  Ungluing an edge changes the classes at its
-    two ends only (``chi_without``); the classes themselves are built only
-    for a disc (``classes_without``).
+    Around a vertex v, the faces glued across shared edges form fans, each
+    a copy of v in the unfolding: paths, or one cycle when the region holds
+    the whole star of v, whose link is one cycle.  v is then *closed*, which
+    is when ``paths[v]`` is 0.  So v has paths[v] copies, plus one if
+    closed, and chi0 = V - E + F
+    = (3F - 2|shared| + closed) - (3F - |shared|) + F = F - |shared| + closed.
+    Ungluing an edge changes the fans at its two ends only (``chi_without``).
     """
 
     def __init__(self, torus: TorusComplex, face_indices):
@@ -463,7 +453,7 @@ class _Region:
         edge_faces = torus.edge_faces
         halves: dict = {}
         self.open_halves = []
-        corners: dict = {}  # vertex -> the faces of its corners, ascending
+        paths: dict = {}  # vertex -> its corners less its shared edges
         for f in faces:
             a, b, c = torus.faces[f]
             for u, v in ((a, b), (b, c), (c, a)):
@@ -473,19 +463,17 @@ class _Region:
                     halves.setdefault(e, []).append((f, u, v))
                 else:
                     self.open_halves.append((f, u, v))
-                corners.setdefault(u, []).append(f)
+                paths[u] = paths.get(u, 0) + 1
         self.halves = halves
         self.shared = frozenset(halves)
-        self._corners = corners
         self._across: dict = {f: [] for f in faces}
-        self._glued_at: dict = {v: [] for v in corners}
         for e, ((f1, _, _), (f2, _, _)) in halves.items():
             self._across[f1].append((e, f2))
             self._across[f2].append((e, f1))
             for x in e:
-                self._glued_at[x].append((e, f1, f2))
-        self._closed = frozenset(v for v, fs in corners.items()
-                                 if len(self._glued_at[v]) == len(fs))
+                paths[x] -= 1
+        self.paths = paths
+        self._closed = frozenset(v for v, n in paths.items() if n == 0)
         self.chi0 = len(faces) - len(halves) + len(self._closed)
         self.connected = self.connected_without(())
 
@@ -507,31 +495,14 @@ class _Region:
         """Euler characteristic of the unfolding that glues every shared
         edge but the kept ones, which must be shared and distinct.
 
-        Ungluing an edge cuts the classes at its two ends: a path falls in
+        Ungluing an edge cuts the fans at its two ends: a path falls in
         two, while a closed vertex's cycle opens into a path the first time
         it is cut and falls in two after that.  A kept edge glues one edge
-        fewer and adds two classes, so chi = chi0 + |keep| - (the closed
-        vertices at the ends of the kept edges).
+        fewer and adds two vertex copies, so chi = chi0 + |keep| - (the
+        closed vertices at the ends of the kept edges).
         """
         return self.chi0 + len(keep) - len(self._closed.intersection(
             x for e in keep for x in e))
-
-    @functools.cached_property
-    def _glued_classes(self) -> dict:
-        return {v: self._classes_at(v, ()) for v in self._corners}
-
-    def _classes_at(self, v, keep) -> dict:
-        return _classes(self._corners[v], ((f1, f2) for e, f1, f2 in self._glued_at[v]
-                                           if e not in keep))
-
-    def classes_without(self, keep) -> dict:
-        """The corner classes with every shared edge but the kept ones glued:
-        for each vertex v of the region, a map from each face f at v to the
-        least face of the class of the corner (f, v).  The fully glued
-        classes are built once, and only the ends of the kept edges are
-        built again."""
-        return self._glued_classes | {v: self._classes_at(v, keep)
-                                      for v in {x for e in keep for x in e}}
 
 
 def disc_structures(torus: TorusComplex, face_indices, forbid_keep=(),
@@ -548,11 +519,11 @@ def disc_structures(torus: TorusComplex, face_indices, forbid_keep=(),
 
     The region pass (``_Region``) runs once, for every keep set.  A keep set
     reads its chi off the ends of its edges, at most six vertices; only one
-    with chi = 1 builds a ``DiscMap``, which checks connectivity, re-glues
-    the corners at those ends and traces the walk.  When the generator is
-    first advanced, raises BadArgument for a face index that is not an
-    integer, NotADisc for one out of range and NotFaceConnected if the
-    region is not connected across shared edges.
+    with chi = 1 builds a ``DiscMap``, which checks connectivity and turns
+    along the walk.  When the generator is first advanced, raises
+    BadArgument for a face index that is not an integer, NotADisc for one
+    out of range and NotFaceConnected if the region is not connected across
+    shared edges.
     """
     region = _Region(torus, face_indices)
     if not region.connected:

@@ -92,11 +92,16 @@ class Graph:
         The vertex ``new_vertex`` is added and joined to v1, v2, v3, and each
         edge v1--t in ``moved_edges`` is replaced by new_vertex--t.
         """
+        if v1 not in self._adj:
+            raise errors.InvalidAnchors(f"{v1} is not a vertex of the graph")
         if v2 not in self._adj[v1] or v3 not in self._adj[v1] or v2 == v3:
             raise errors.InvalidAnchors(f"{v2}, {v3} must be distinct neighbours of {v1}")
         moved = set()
         for e in moved_edges:
-            e = edge_key(*e)
+            try:
+                e = edge_key(*e)
+            except TypeError:
+                raise errors.NotAnEdge(f"{e!r} is not a vertex pair") from None
             if e not in self.edges or v1 not in e:
                 raise errors.NotAnEdge(f"{e} is not an edge at {v1}")
             t = e[0] if e[1] == v1 else e[1]

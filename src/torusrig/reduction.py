@@ -17,7 +17,9 @@ f(L) = f(W) + 2 - a with f(W) <= 5.  So a = 2 is impossible on tight input,
 a = 1 forces f(L) = 6, and a = 0 allows f(L) in {6, 7}; that is why
 ``find_critical_cycle_through`` tries the tight cores through L with either
 apex and through L alone.  Some tight inputs with a = 0 carry no critical
-cycle through e (a 14-vertex v9 record grown from H17 with a collar); the
+cycle through e: repro B, a 14-vertex v9 record grown from H17 with a
+collar, and repro C, the smallest case, with 9 vertices and form e3e4
+(``tests/data/keylemma_repro_b.json`` and ``keylemma_repro_c.json``).  The
 search raises NoCriticalCycle there, and whether the lemma needs a further
 hypothesis or critical cycles a wider definition is open.
 
@@ -57,7 +59,8 @@ from dataclasses import dataclass
 
 from . import catalog, errors, fileio
 from .complexes import (ClosedWalk, DiscMap, TorusComplex, TorusWithHole,
-                        _face_edges, disc_structures, retriangulate_holes)
+                        _face_edges, _symmetries, disc_structures,
+                        retriangulate_holes)
 from .graphs import (Graph, complete_graph, contract_edge, edge_key,
                      is_isomorphic)
 from .maxflow import densest_extension
@@ -269,6 +272,7 @@ def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | Non
     at z, or dropping z would leave a denser set.  So that scan finds the
     violator that a scan of every edge, z's first, would find first.
     """
+    hole.single_disc  # raises SingleHoleRequired unless there is one hole
     e, apex_face = _contraction_apexes(hole, e)
     if not check_3_6(hole.graph).is_tight:
         raise fileio.with_record(
@@ -337,14 +341,11 @@ def fission(hole: TorusWithHole, cycle: SeparatingCycle
 def _walk_alignments(w_h, w_c):
     """Vertex maps sending walk w_h onto walk w_c, over every rotation and
     the reversal of w_h, that are consistent and injective."""
-    n = len(w_c)
-    for seq in (w_h, w_h[::-1]):
-        for rot in range(n):
-            mapping: dict[int, int] = {}
-            if all(mapping.setdefault(seq[(rot + k) % n], w_c[k]) == w_c[k]
-                   for k in range(n)) and \
-                    len(set(mapping.values())) == len(mapping):
-                yield mapping
+    for seq in _symmetries(w_h):
+        mapping: dict[int, int] = {}
+        if all(mapping.setdefault(x, y) == y for x, y in zip(seq, w_c)) and \
+                len(set(mapping.values())) == len(mapping):
+            yield mapping
 
 
 def _substitute(hole: TorusWithHole, cycle: SeparatingCycle,

@@ -26,9 +26,10 @@ from unittest import mock
 from hypothesis import strategies as st
 
 from torusrig import cli, errors, sparsity
+from torusrig.catalog import _classes
 from torusrig.complexes import (DiscMap, SurfaceComplex, TorusComplex,
-                                TorusWithHole, _classes, _face_edges,
-                                canon_face, disc_structures)
+                                TorusWithHole, _face_edges, canon_face,
+                                disc_structures)
 from torusrig.corpus import MAX_REGION, CorpusSpec
 from torusrig.fileio import _items
 from torusrig.graphs import Graph, contract_edge, edge_key

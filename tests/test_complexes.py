@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from torusrig import errors
 from torusrig.catalog import build_H
-from torusrig.complexes import (MAX_KEEP, DiscMap, SurfaceComplex,
-                                TorusComplex, TorusWithHole, cut_hole,
-                                cut_holes, disc_structures, grid_faces,
-                                infer_disc, rectangular_torus,
+from torusrig.complexes import (MAX_KEEP, ClosedWalk, DiscMap,
+                                SurfaceComplex, TorusComplex, TorusWithHole,
+                                cut_hole, cut_holes, disc_structures,
+                                grid_faces, infer_disc, rectangular_torus,
                                 retriangulate_holes)
-from torusrig.fileio import hole_to_record, record_to_hole
+from torusrig.fileio import hole_to_record, load_hole, record_to_hole
 from torusrig.graphs import Graph, freedom
 
 from helpers import (NonSimpleQuotient, boundary_edges, connected_regions,
@@ -425,6 +425,13 @@ def test_enlargement_disc_structures_match_brute_force():
     assert found > 10
 
 
+def test_closed_walk_refuses_an_empty_sequence():
+    # an empty walk has no edges, and no canonical form to hash or compare
+    with pytest.raises(errors.BadArgument):
+        ClosedWalk([])
+    assert ClosedWalk([2, 0, 1]).canonical() == (0, 1, 2)
+
+
 def _outcome(unfold, *args):
     try:
         return unfold(*args)
@@ -439,8 +446,10 @@ def _disc_parts(torus, faces, keep):
 
 def test_boundary_walk_matches_slot_oracle():
     # every face set of K7, fully glued and with one random keep set of one
-    # to three shared edges, and grown 3x3 grid regions with every keep set
-    # of at most one edge: same walk, interior edges, interior vertices and
+    # to three shared edges, grown 3x3 grid regions with every keep set of
+    # at most one edge, and every stored hole (H1-H17 and the records, with
+    # wrap-around discs, exposed edges, pinched walks and repros A-C) with
+    # its own keep set: same walk, interior edges, interior vertices and
     # error type as the slot-based unfolding
     k7 = TorusComplex([f for i in range(7) for f in (
         (i, (i + 1) % 7, (i + 3) % 7), (i, (i + 2) % 7, (i + 3) % 7))])
@@ -460,6 +469,11 @@ def test_boundary_walk_matches_slot_oracle():
         shared = sorted(e for e, (f1, f2) in grid.edge_faces.items()
                         if f1 in region and f2 in region)
         cases.extend((grid, region, keep) for keep in [(), *zip(shared)])
+    stored = [build_H(i) for i in range(1, 18)] + [
+        load_hole(DATA / f"{name}.json") for name in (
+            "excluded_v3v2w3w1", "keylemma_repro_a", "keylemma_repro_b",
+            "keylemma_repro_c", "two_octahedra")]
+    cases.extend((h.torus, d.faces, d.keep_edges) for h in stored for d in h.discs)
     discs = 0
     for torus, faces, keep in cases:
         want = _outcome(slot_disc, torus, faces, keep)

@@ -59,6 +59,16 @@ def test_split_vertex_anchor_validation():
         k4.split_vertex(0, 1, 2, [], new_vertex=3)
 
 
+def test_split_vertex_refuses_a_missing_vertex_and_a_non_pair():
+    # typed errors, not the KeyError of a lookup or the TypeError of an unpack
+    with pytest.raises(errors.InvalidAnchors):
+        complete_graph(3).split_vertex(9, 1, 2, [], new_vertex=3)
+    k4 = complete_graph(4)
+    for bad in (3, (0, 3, 1), (0, "x")):
+        with pytest.raises(errors.NotAnEdge):
+            k4.split_vertex(0, 1, 2, [bad], new_vertex=4)
+
+
 def test_is_isomorphic_basics():
     assert is_isomorphic(complete_graph(4), complete_graph(4))
     p4 = Graph(range(4), [(0, 1), (1, 2), (2, 3)])

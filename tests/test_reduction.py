@@ -788,6 +788,18 @@ def test_two_octahedra_tight_but_flexible():
         reduce_greedy(hole)
 
 
+def test_key_lemma_search_refuses_two_holes():
+    # the lemma is about one hole: every contractible edge of the two-hole
+    # record is refused before the search, which would otherwise return None
+    # on some and raise the violation signal NoCriticalCycle on others
+    hole = load_hole(DATA / "two_octahedra.json")
+    edges = contractible_edges(hole)
+    assert len(edges) == 12
+    for e in edges:
+        with pytest.raises(errors.SingleHoleRequired, match="2 holes"):
+            find_critical_cycle_through(hole, e)
+
+
 def test_reduction_tree_h17_single_node():
     h17 = build_H(17)
     assert _tree_nodes(h17) == [
@@ -943,6 +955,16 @@ def test_verify_refuses_any_other_target_at_once():
             verify_certificate(cert, target)
         assert time.perf_counter() - t0 < 1.0
     assert verify_certificate(cert, g, check_rank=False)
+
+
+def test_verify_refuses_a_split_at_a_missing_vertex_or_of_a_non_vertex():
+    # a split at a vertex K3 lacks, and a moved neighbour that is not a
+    # vertex id, raise typed errors during the replay
+    for split, error in (
+            (reduction.SplitMove(9, (1, 2), frozenset(), 3), errors.InvalidAnchors),
+            (reduction.SplitMove(0, (1, 2), frozenset({(1, 2)}), 3), errors.NotAnEdge)):
+        with pytest.raises(error):
+            verify_certificate(Certificate((0, 1, 2), (split,)), complete_graph(3))
 
 
 def test_verify_ranks_the_target_once(monkeypatch):
