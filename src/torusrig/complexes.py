@@ -259,14 +259,14 @@ class ClosedWalk:
     """A closed walk given by its cyclic vertex sequence.
 
     ``vertices[i] -- vertices[i+1 mod n]`` are the traversed edges; the walk
-    has as many edges as vertex entries, and at least one.
+    has as many edges as integer vertex entries, and at least one.
     """
 
     def __init__(self, vertices):
         vertices = tuple(vertices)
         n = len(vertices)
-        if not n:
-            raise errors.BadArgument("a closed walk needs at least one vertex")
+        if not n or any(type(v) is not int for v in vertices):
+            raise errors.BadArgument(f"a closed walk needs one or more integer vertices, not {vertices!r}")
         for i in range(n):
             if vertices[i] == vertices[(i + 1) % n]:
                 raise errors.LoopEdge("consecutive walk entries coincide")
@@ -576,7 +576,7 @@ def retriangulate_holes(retained_faces, walks) -> "TorusWithHole":
     collide with the hole's interior faces.
     """
     faces = [tuple(f) for f in retained_faces]
-    next_id = max(v for f in faces for v in f) + 1
+    next_id = max((v for f in faces for v in f), default=0) + 1
     for w in walks:
         next_id = max(next_id, max(w.vertices) + 1)
     regions = []
@@ -633,9 +633,8 @@ class TorusWithHole:
         self.hole_faces = frozenset(used_faces)
         self.deleted_edges = frozenset(e for d in self.discs for e in d.interior_edges)
         self.deleted_vertices = frozenset(v for d in self.discs for v in d.interior_vertices)
-        self.face_indices = tuple(i for i in range(len(torus.faces))
-                                  if i not in self.hole_faces)
-        self.faces = tuple(torus.faces[i] for i in self.face_indices)
+        self.faces = tuple(f for i, f in enumerate(torus.faces)
+                           if i not in self.hole_faces)
         self.graph = Graph(torus.vertices - self.deleted_vertices,
                            torus.edges - self.deleted_edges)
         self.boundary_edges = frozenset(region_edges - self.deleted_edges)

@@ -23,12 +23,12 @@ from __future__ import annotations
 from . import errors
 
 
-def fetch_pebble(pebbles, out, into, root, pinned=()) -> bool:
+def fetch_pebble(pebbles, out, root, pinned=()) -> bool:
     """Move a free pebble off ``pinned`` to ``root`` by reversing the
     out-path that reaches it; False when no out-path from ``root`` does.
 
-    ``pebbles`` holds each vertex's free pebbles and ``out`` and ``into``
-    the out- and in-sets of the covered edges' orientation."""
+    ``pebbles`` holds each vertex's free pebbles and ``out`` the out-sets
+    of the covered edges' orientation."""
     parent = {root: None}
     stack = [root]
     while stack:
@@ -43,9 +43,7 @@ def fetch_pebble(pebbles, out, into, root, pinned=()) -> bool:
                 while y != root:
                     x = parent[y]
                     out[x].remove(y)
-                    into[y].remove(x)
                     out[y].add(x)
-                    into[x].add(y)
                     y = x
                 return True
             stack.append(y)
@@ -80,21 +78,23 @@ def densest_extension(graph, force_in, force_out=()):
         raise errors.BadArgument(f"vertices {sorted(unknown)} are not in the graph")
     pebbles = {v: 0 if v in force_in else 3 for v in graph.vertices - force_out}
     out = {v: set() for v in pebbles}
-    into = {v: set() for v in pebbles}
     loose = []
     for u, v in graph.edges:
         if u in force_out or v in force_out:
             continue
-        if pebbles[u] or not pebbles[v] and fetch_pebble(pebbles, out, into, u):
+        if pebbles[u] or not pebbles[v] and fetch_pebble(pebbles, out, u):
             tail, head = u, v
-        elif pebbles[v] or fetch_pebble(pebbles, out, into, v):
+        elif pebbles[v] or fetch_pebble(pebbles, out, v):
             tail, head = v, u
         else:
             loose.append((u, v))
             continue
         pebbles[tail] -= 1
         out[tail].add(head)
-        into[head].add(tail)
+    back = {v: [] for v in out}  # the final orientation reversed
+    for t, heads in out.items():
+        for h in heads:
+            back[h].append(t)
     s_min = _reach(out, {x for e in loose for x in e}) | force_in
-    s_max = pebbles.keys() - _reach(into, [v for v, p in pebbles.items() if p])
+    s_max = pebbles.keys() - _reach(back, [v for v, p in pebbles.items() if p])
     return len(loose) - 3 * len(force_in), s_min, frozenset(s_max)

@@ -33,14 +33,16 @@ G/e is tight.  It returns the uncontractible leaf graph and the
 contractions that reach it, and ``certify`` reverses them into a
 vertex-splitting construction rooted at K3 (Whiteley 1990).  Each
 contraction removes one vertex and three edges from the graph, since there
-a contractible edge has only its two apexes as common neighbours.  A graph
-that breaks the ruling raises StuckButContractible.  The rule has one copy,
-``_contractible``: the loop feeds it a per-step apex map, the hole's
-callers the faces at e after the one FF test (``TorusWithHole.is_ff_edge``).
+a contractible edge has only its two apexes as common neighbours; so a
+simple leaf is named by its counts, (4, 6) K4 and (5, 9) K5 minus an edge.
+A graph that breaks the ruling raises StuckButContractible.  The rule has
+one copy, ``_contractible``: ``_candidates`` feeds it the retained faces'
+apex map (the loop's, and ``contractible_edges``), ``classify_edge`` the
+faces at e after the one FF test (``TorusWithHole.is_ff_edge``).
 
 A contracted hole is built one way (``_contracted``): the retained faces
-as the loop contracts them, closed by a fresh collar disc over each renamed
-boundary walk.  Renamed hole faces are never reused: through the deleted
+renamed as in the loop (``_contract_faces``), closed by a fresh collar over
+each renamed boundary walk.  Renamed hole faces are never reused: through the deleted
 edges e's ends can have further common neighbours, and those faces would
 fold an edge into four.  A refill reads only the retained faces and the
 walks, so one refill after the loop's last move is the hole that
@@ -61,8 +63,7 @@ from . import catalog, errors, fileio
 from .complexes import (ClosedWalk, DiscMap, TorusComplex, TorusWithHole,
                         _face_edges, _symmetries, disc_structures,
                         retriangulate_holes)
-from .graphs import (Graph, complete_graph, contract_edge, edge_key,
-                     is_isomorphic)
+from .graphs import Graph, contract_edge, edge_key, is_isomorphic
 from .maxflow import densest_extension
 from .rigidity import generic_rank
 from .sparsity import _flow_scan, check_3_6, maximal_tight_subgraph
@@ -110,9 +111,18 @@ def _contraction_apexes(hole: TorusWithHole, e) -> tuple[tuple[int, int], dict]:
     return e, _apex_faces(hole.torus, e)
 
 
+def _candidates(graph: Graph, faces) -> tuple[dict, list]:
+    """The apexes of each edge of the retained ``faces``, in face order, and
+    the sorted edges that pass the rule."""
+    apexes: dict = {}
+    for f in faces:
+        for u, v in _face_edges(f):
+            apexes.setdefault((u, v), []).append(sum(f) - u - v)
+    return apexes, sorted(e for e, xs in apexes.items() if _contractible(graph, e, xs))
+
+
 def contractible_edges(hole: TorusWithHole) -> list[tuple[int, int]]:
-    return [e for e in hole.graph.sorted_edges()
-            if classify_edge(hole, e) is EdgeClass.FF_CONTRACTIBLE]
+    return _candidates(hole.graph, hole.faces)[1]
 
 
 def is_uncontractible(hole: TorusWithHole) -> bool:
@@ -124,15 +134,18 @@ def contract(hole: TorusWithHole, e) -> TorusWithHole:
     """Contract a contractible FF edge; the higher id merges into the lower.
 
     The edge must pass greedy reduction's rule (``_contraction_apexes``).
-    Gone is renamed to keep in the retained faces, which stay in order
-    without e's two, and each hole is refilled (``_contracted``).
+    The retained faces are renamed (``_contract_faces``) and each hole is
+    refilled (``_contracted``).
     """
-    e, apex_faces = _contraction_apexes(hole, e)
+    e, _ = _contraction_apexes(hole, e)
+    return _contracted(hole, _contract_faces(hole.faces, e), [e])
+
+
+def _contract_faces(faces, e) -> list:
+    """The retained faces, in order, less e's two, with gone renamed keep."""
     keep, gone = e
-    faces = hole.torus.faces
-    collapsed = set(apex_faces.values())
-    return _contracted(hole, [tuple(keep if x == gone else x for x in faces[i])
-                              for i in hole.face_indices if i not in collapsed], [e])
+    return [tuple(keep if x == gone else x for x in f) for f in faces
+            if keep not in f or gone not in f]
 
 
 def _contracted(hole: TorusWithHole, faces, edges) -> TorusWithHole:
@@ -420,11 +433,11 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list, list[Contraction]]:
     that reach it.
 
     Each step hands every edge's apexes, in face order, to the one rule
-    (``_contractible``).  Contracting e drops its two faces and renames gone
-    to keep in the others, in order, as ``contract`` does; the next graph is
-    the decided ``contract_edge`` one.  Raises what ``reduce_greedy``
-    raises; the hole a StuckButContractible record needs is built only
-    then, from the faces where the loop is stuck (``_contracted``).
+    (``_candidates``).  Contracting e renames the faces as ``contract`` does
+    (``_contract_faces``); the next graph is the decided ``contract_edge``
+    one.  Raises what ``reduce_greedy`` raises; the hole a
+    StuckButContractible record needs is built only then, from the faces
+    where the loop is stuck (``_contracted``).
     """
     hole.single_disc  # raises SingleHoleRequired unless there is one hole
     graph = hole.graph
@@ -432,15 +445,10 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list, list[Contraction]]:
         raise fileio.with_record(
             errors.NotTight, hole, "greedy reduction needs a tight "
             "single-hole graph")
-    faces = list(hole.faces)
+    faces = hole.faces
     moves: list[Contraction] = []
     while True:
-        apexes: dict = {}
-        for f in faces:
-            for u, v in _face_edges(f):
-                apexes.setdefault((u, v), []).append(sum(f) - u - v)
-        cand = sorted(e for e, xs in apexes.items()
-                      if _contractible(graph, e, xs))
+        apexes, cand = _candidates(graph, faces)
         if not cand:
             return graph, faces, moves
         for e in cand:
@@ -453,11 +461,9 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list, list[Contraction]]:
                 errors.StuckButContractible, stuck,
                 f"no tightness-preserving contraction among {len(cand)} "
                 "contractible edges")
-        keep, gone = e
-        moved = graph.neighbors(gone) - {keep} - set(apexes[e])
+        moved = graph.neighbors(e[1]) - {e[0], *apexes[e]}
         moves.append(Contraction(e, tuple(apexes[e]), frozenset(moved)))
-        faces = [tuple(keep if x == gone else x for x in f) for f in faces
-                 if keep not in f or gone not in f]
+        faces = _contract_faces(faces, e)
         graph = h
 
 
@@ -529,22 +535,16 @@ class Certificate:
 
 
 def _leaf_chain(leaf_graph: Graph) -> tuple[tuple[int, int, int], list[SplitMove]]:
-    """Split chain from K3 to an uncontractible leaf (K4 or K5 minus edge)."""
+    """Split chain from K3 to an uncontractible leaf, named by its vertex and
+    edge counts: K4 gets its last vertex, K5 minus an edge the missing
+    edge's ends, each split off the least other vertex."""
     vs = sorted(leaf_graph.vertices)
-    if is_isomorphic(leaf_graph, complete_graph(4)):
-        a, b, c, d = vs
-        return (a, b, c), [SplitMove(a, (b, c), frozenset(), d)]
-    k5 = complete_graph(5)
-    k5e = Graph(k5.vertices, k5.edges - {(0, 1)})
-    if is_isomorphic(leaf_graph, k5e):
-        nonadj = next((u, v) for u in vs for v in vs
-                      if u < v and v not in leaf_graph.neighbors(u))
-        p, q = nonadj
-        x, y, z = sorted(set(vs) - {p, q})
-        return (x, y, z), [SplitMove(x, (y, z), frozenset(), p),
-                           SplitMove(x, (y, z), frozenset(), q)]
-    raise errors.ReplayMismatch(
-        "leaf is not isomorphic to K4 or K5 minus an edge")
+    counts = len(vs), len(leaf_graph.edges)
+    if counts not in ((4, 6), (5, 9)):
+        raise errors.ReplayMismatch(f"a leaf with counts {counts} is not K4 or K5 minus an edge")
+    new = [v for v in vs if leaf_graph.degree(v) < len(vs) - 1] or vs[3:]
+    x, y, z = (v for v in vs if v not in new)
+    return (x, y, z), [SplitMove(x, (y, z), frozenset(), v) for v in new]
 
 
 def certify(hole: TorusWithHole) -> Certificate:

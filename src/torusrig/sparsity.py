@@ -13,22 +13,23 @@ component has three or more vertices.  So one pebble game decides sparsity and
 tightness.  Such an S has five or more vertices, and S less either end of the
 new edge spans at most 3|S| - 9 edges, as it was sparse before; so both ends
 have four or more placed edges, and a placement with an end of lower degree
-needs no component search.  Only a violating graph has a witness: one min-cut
-per edge, in sorted edge order, over vertex sets S containing that edge's
-endpoints, maximising |E(G[S])| - 3|S|; the first set of three or more
-vertices pushing the maximum above -6 is the witness.  That scan runs when the
-witness is first read, so a caller that reads only the status never pays for
-it.  A subset-enumeration oracle in the tests cross-validates both paths on
-small graphs.
+needs no component search.  The board is the out-sets of the orientation and
+a placed-degree count; in-neighbours are read off the graph's neighbour sets.
+Only a violating graph has a witness: one min-cut per edge, in sorted edge
+order, over vertex sets S containing that edge's endpoints, maximising
+|E(G[S])| - 3|S|; the first set of three or more vertices pushing the maximum
+above -6 is the witness.  That scan runs when the witness is first read, so a
+caller that reads only the status never pays for it.  A subset-enumeration
+oracle in the tests cross-validates both paths on small graphs.
 
 The key lemma and the greedy reduction ask again and again about graphs that
 share most edges with the hole's graph G, decided already: G/e and the
 fission child.  So the game's final orientation, every vertex's out-set,
 stays on each graph it decides, and a graph may name such a graph as its
-origin.  When the origin is decided sparse, the game
-starts from its orientation of the edges the two graphs share, each origin
-out-set cut down to the graph's neighbour set, and places only the graph's
-other edges, in sorted order.  That is sound for any two graphs: the shared
+origin.  The game starts from the origin's orientation of the edges the two
+graphs share, each out-set cut down to the graph's neighbour set (the empty
+board without an origin decided sparse), and places only the graph's other
+edges, in sorted order.  That is sound for any two graphs: the shared
 edges span a subgraph of a sparse graph, so they are sparse, and the
 restricted orientation has out-degree at most three, a valid start.  Whether
 pebbles can be gathered and which component the search detects depend only
@@ -100,8 +101,8 @@ def _sparse_verdict(g: Graph) -> SparsityVerdict:
 
 class _PebbleGame:
     """The (3,5) pebble game with component detection (Lee & Streinu 2008;
-    Jacobs & Hendrickson 1997): three pebbles per vertex, the out-sets of
-    the placed edges' orientation and their in-sets.
+    Jacobs & Hendrickson 1997) on a graph: three pebbles per vertex, the
+    out-sets of the placed edges' orientation and the placed degrees.
 
     Every vertex starts with three pebbles, and a pebble on a vertex either
     lies free or covers one of its out-edges, so every vertex set S has
@@ -116,21 +117,23 @@ class _PebbleGame:
     ``_big_component``).  A component that big, or a rejected edge, is a
     (3,6) violation; on a simple graph the component is always found first.
 
-    The game may start from any orientation of a (3,6)-sparse graph with
+    The game may start from any orientation of a (3,6)-sparse subgraph with
     out-degree at most three, given as every vertex's out-set: the identity
     above holds for it, and that is all gathering pebbles and finding
-    components rely on.
+    components rely on.  Degrees are counted at the start and bumped by
+    ``place``; a pebble move reverses an edge and keeps them.
     """
 
-    __slots__ = ("pebbles", "out", "into")
+    __slots__ = ("graph", "pebbles", "out", "degree")
 
-    def __init__(self, out: dict):
+    def __init__(self, graph: Graph, out: dict):
+        self.graph = graph
         self.out = out
         self.pebbles = {t: 3 - len(heads) for t, heads in out.items()}
-        self.into = into = {t: set() for t in out}
-        for t, heads in out.items():
+        self.degree = degree = {t: len(heads) for t, heads in out.items()}
+        for heads in out.values():
             for h in heads:
-                into[h].add(t)
+                degree[h] += 1
 
     def place(self, u, v) -> bool:
         """Place edge uv; False when the placed graph stops being
@@ -138,11 +141,12 @@ class _PebbleGame:
         pinned = (u, v)
         for x in pinned:
             while self.pebbles[x] < 3:
-                if not fetch_pebble(self.pebbles, self.out, self.into, x, pinned):
+                if not fetch_pebble(self.pebbles, self.out, x, pinned):
                     return False
         self.pebbles[u] -= 1
         self.out[u].add(v)
-        self.into[v].add(u)
+        self.degree[u] += 1
+        self.degree[v] += 1
         return not self._big_component(u, v)
 
     def _big_component(self, u, v) -> bool:
@@ -152,9 +156,9 @@ class _PebbleGame:
         Degree lemma: such a component S has five or more vertices, as three
         or four vertices cannot span 3|S| - 5 edges.  S - u has three or
         more vertices, does not hold uv and was placed before it, so it is
-        (3,6)-sparse and spans at most 3|S| - 9 edges; so u has four or more
-        placed edges into S, and so has v.  A vertex of placed degree (out-
-        plus in-set) below four rules the component out with no search.
+        (3,6)-sparse and spans at most 3|S| - 9 edges; so four or more placed
+        edges join u to S, and v too.  A vertex of placed degree below four
+        rules the component out with no search.
 
         Before the placement u and v hold all their six pebbles, so no other
         out-edge leaves them: u -> v is the only one, and the component is
@@ -163,21 +167,21 @@ class _PebbleGame:
         a part of a vertices spans at most 3a - 3 edges, so two parts with
         no edge between them span at most 3|S| - 6.  So a component that big
         holds a vertex w other than u and v adjacent to one of them, the
-        edge points w -> u or w -> v, and only these in-neighbours need a
-        forward search.  An in-neighbour holding a pebble is no start, nor
-        are u and v, which hold five.  A vertex on the parent chain to a
-        free pebble reaches one too and is marked; the other vertices that
-        search visited may be dead ends inside the component, so they are
-        not.  A search stops at the first pushed vertex that holds a pebble
-        or is marked.
+        edge points w -> u or w -> v (u or v is in w's out-set), and only
+        these in-neighbours need a forward search.  An in-neighbour holding a
+        pebble is no start, nor are u and v, which hold five.  A vertex on
+        the parent chain to a free pebble reaches one too and is marked; the
+        other vertices that search visited may be dead ends inside the
+        component, so they are not.  A search stops at the first pushed
+        vertex that holds a pebble or is marked.
         """
-        pebbles, out, into = self.pebbles, self.out, self.into
-        if (len(out[u]) + len(into[u]) < 4
-                or len(out[v]) + len(into[v]) < 4):
+        pebbles, out, degree = self.pebbles, self.out, self.degree
+        if degree[u] < 4 or degree[v] < 4:
             return False
+        adj = self.graph.neighbors
         escapes: set = set()
-        for w in (*into[u], *into[v]):
-            if pebbles[w] or w in escapes:
+        for w in (*adj(u), *adj(v)):
+            if pebbles[w] or w in escapes or u not in out[w] and v not in out[w]:
                 continue
             parent = {w: None}
             stack = [w]
@@ -205,21 +209,16 @@ def _final_orientation(g: Graph) -> dict | bool:
     """The pebble game's final orientation of ``g``, as every vertex's
     out-set, or False when ``g`` is not (3,6)-sparse.
 
-    When ``g``'s origin is decided sparse, the game starts from the origin's
-    out-sets cut down to ``g``'s neighbour sets, its orientation of the
-    edges the two graphs share, and places only the other edges of ``g``;
-    otherwise it places every edge.  Either way in sorted order.
+    The game starts from the origin's out-sets cut down to ``g``'s
+    neighbour sets, its orientation of the edges the two graphs share, and
+    places the other edges of ``g`` in sorted order; without an origin
+    decided sparse, from the empty board.
     """
     origin = g._origin
-    if origin is not None and origin._orientation:
-        board = origin._orientation
-        game = _PebbleGame({t: board[t] & g.neighbors(t) if t in board else set()
-                            for t in g.vertices})
-        todo = sorted(g.edges - origin.edges)
-    else:
-        game = _PebbleGame({t: set() for t in g.vertices})
-        todo = g.sorted_edges()
-    for a, b in todo:
+    board = origin is not None and origin._orientation or {}
+    game = _PebbleGame(g, {t: board[t] & g.neighbors(t) if t in board else set()
+                           for t in g.vertices})
+    for a, b in sorted(g.edges - origin.edges if board else g.edges):
         if not game.place(a, b):
             return False
     return game.out

@@ -10,8 +10,9 @@ every face and edge, the slot-based disc unfolding, hole growth that
 builds a disc after every added face, the record and face-list checks one
 field at a time),
 the builders (face-graph quotients, separating cycles from a region, vertex
-splits on a torus) that tests compare that path against, and an in-process
-CLI runner.
+splits on a torus) that tests compare that path against, every torus on
+seven to nine vertices by a search of the flip graph, and an in-process CLI
+runner.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from torusrig import cli, errors, sparsity
 from torusrig.catalog import _classes
 from torusrig.complexes import (DiscMap, SurfaceComplex, TorusComplex,
                                 TorusWithHole, _face_edges, canon_face,
-                                disc_structures)
+                                disc_structures, grid_faces)
 from torusrig.corpus import MAX_REGION, CorpusSpec
 from torusrig.fileio import _items
 from torusrig.graphs import Graph, contract_edge, edge_key
@@ -244,12 +245,13 @@ def record_pebble_games(monkeypatch) -> dict:
 def big_component_oracle(game: _PebbleGame, u, v) -> bool:
     """Whether the (3,5)-tight component of the edge uv just placed on
     ``game`` has three or more vertices, by a forward search from every
-    in-neighbour of u and v other than u and v: no degree test, no start
-    skipped for its pebbles, and a vertex's pebbles tested when it is
-    popped.  The reference for ``_PebbleGame._big_component``."""
+    in-neighbour of u and v other than u and v, found by scanning every
+    out-set: no degree test, no start skipped for its pebbles, and a
+    vertex's pebbles tested when it is popped.  The reference for
+    ``_PebbleGame._big_component``."""
     pebbles, out = game.pebbles, game.out
     escapes: set = set()
-    for w in (game.into[u] | game.into[v]) - {u, v}:
+    for w in {t for t, heads in out.items() if u in heads or v in heads} - {u, v}:
         parent = {w: None}
         stack = [w]
         while stack:
@@ -282,7 +284,8 @@ def component_oracle_checked():
         want = big_component_oracle(game, u, v)
         if got is not want:
             raise AssertionError(f"component of {(u, v)}: {got}, oracle {want}")
-        low = min(len(game.out[x]) + len(game.into[x]) for x in (u, v)) < 4
+        low = min(sum(x in heads for heads in game.out.values()) + len(game.out[x])
+                  for x in (u, v)) < 4
         seen[low, got] += 1
         return got
 
@@ -685,6 +688,93 @@ def connected_regions(torus: TorusComplex, seed_faces) -> list[frozenset]:
     seed = frozenset(seed_faces)
     grow(seed, sorted({g for f in seed for g in adj[f]} - seed), ())
     return sorted(out, key=lambda r: (len(r), sorted(r)))
+
+
+# -- every small torus: a flip-graph census ----------------------------------
+
+#: K7 on the torus: faces (i, i+1, i+3) and (i, i+2, i+3) mod 7
+K7_TORUS_FACES = [f for i in range(7) for f in
+                  (tuple((i + d) % 7 for d in (0, 1, 3)),
+                   tuple((i + d) % 7 for d in (0, 2, 3)))]
+
+
+def _rotation_code(faces) -> tuple:
+    """A key of a torus triangulation up to isomorphism, reflections too:
+    the least breadth-first rotation code.  From a dart (v, w) and a sense,
+    v gets label 0; each labelled vertex in turn lists its neighbours
+    around it in that sense, from the one it was reached from (w for v),
+    labelling new ones as met.  Only darts with the greatest degree key
+    start, a choice that isomorphisms keep."""
+    turn: dict = {}
+    for a, b, c in TorusComplex(faces).faces:  # coherently oriented
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            turn.setdefault(x, {})[y] = z
+    back = {x: {z: y for y, z in step.items()} for x, step in turn.items()}
+    key = {x: (len(step), sorted(len(turn[y]) for y in step))
+           for x, step in turn.items()}
+    best = max((key[v], key[w]) for v in turn for w in turn[v])
+    codes = []
+    for step in (turn, back):
+        for v in turn:
+            for w in turn[v]:
+                if (key[v], key[w]) != best:
+                    continue
+                label, order, came, code = {v: 0}, [v], {v: w}, []
+                for x in order:
+                    y = came[x]
+                    while True:
+                        if y not in label:
+                            label[y] = len(order)
+                            order.append(y)
+                            came[y] = x
+                        code.append(label[y])
+                        y = step[x][y]
+                        if y == came[x]:
+                            break
+                    code.append(-1)
+                codes.append(tuple(code))
+    return min(codes)
+
+
+def _flips(faces):
+    """Every triangulation one diagonal flip from ``faces``: edge uv, in
+    faces (u, v, x) and (v, u, y) coherently oriented, becomes xy when x
+    and y are not adjacent."""
+    faces = TorusComplex(faces).faces
+    at = {}
+    for i, (a, b, c) in enumerate(faces):
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            at[x, y] = (i, z)
+    adjacent = set(at)
+    for (u, v), (i, x) in at.items():
+        j, y = at[v, u]
+        if u < v and (x, y) not in adjacent:
+            rest = [f for k, f in enumerate(faces) if k != i and k != j]
+            yield rest + [(u, y, x), (y, v, x)]
+
+
+def torus_census(n: int) -> dict:
+    """{``_rotation_code``: faces} of every triangulated torus on ``n`` (7, 8
+    or 9) vertices, each once: flips connect the triangulations of a
+    surface with a given number of vertices (Dewdney 1973), so a search of
+    the flip graph from one of them reaches all.  It starts from K7, from
+    K7 with face (0, 1, 3) subdivided, or from the 3 x 3 grid."""
+    if n == 7:
+        start = K7_TORUS_FACES
+    elif n == 8:
+        start = [f for f in K7_TORUS_FACES if f != (0, 1, 3)] + \
+            [(0, 1, 7), (1, 3, 7), (3, 0, 7)]
+    else:
+        start = grid_faces(3, 3)
+    found = {_rotation_code(start): start}
+    todo = [start]
+    while todo:
+        for faces in _flips(todo.pop()):
+            code = _rotation_code(faces)
+            if code not in found:
+                found[code] = faces
+                todo.append(faces)
+    return found
 
 
 def exhaustive_critical_cycles_through(hole: TorusWithHole, e) -> list[SeparatingCycle]:

@@ -432,6 +432,26 @@ def test_closed_walk_refuses_an_empty_sequence():
     assert ClosedWalk([2, 0, 1]).canonical() == (0, 1, 2)
 
 
+@pytest.mark.parametrize("vertices", [["a", 1, 2], [True, 2, 3], [1.0, 2, 3],
+                                      [0, 1, None]])
+def test_closed_walk_refuses_a_vertex_that_is_not_an_integer(vertices):
+    # as SurfaceComplex and DiscMap refuse such corners: a set would take
+    # True or 1.0 for the vertex 1, and a string breaks hashing and refills
+    with pytest.raises(errors.BadArgument):
+        ClosedWalk(vertices)
+
+
+def test_refill_refuses_a_walk_with_a_vertex_that_is_not_an_integer():
+    with pytest.raises(errors.BadArgument):
+        retriangulate_holes([(0, 1, 2)], [ClosedWalk([0, 1, "x"])])
+
+
+def test_retriangulate_holes_refuses_no_retained_faces():
+    # a collar alone closes no torus; the error is typed, not max()'s
+    with pytest.raises(errors.NotClosedSurface):
+        retriangulate_holes([], [ClosedWalk([0, 1, 2])])
+
+
 def _outcome(unfold, *args):
     try:
         return unfold(*args)

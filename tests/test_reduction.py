@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 import json
 import pathlib
 import time
@@ -638,6 +639,22 @@ def test_classify_edge_matches_the_rule_oracle(tight_corpus):
             assert classify_edge(hole, e) is EdgeClass.BOUNDARY_INCIDENT_FACE
 
 
+def test_contractible_edges_match_classify_edge(tight_corpus):
+    # two ways to the contractible edges: the retained faces' apex map that
+    # greedy reduction starts from, and the FF test and the rule edge by edge
+    holes = list(tight_corpus) + [build_H(i) for i in range(1, 18)] + [
+        load_hole(DATA / f"{name}.json") for name in (
+            "excluded_v3v2w3w1", "keylemma_repro_a", "keylemma_repro_b",
+            "keylemma_repro_c", "two_octahedra")]
+    found = 0
+    for hole in holes:
+        want = [e for e in hole.graph.sorted_edges()
+                if classify_edge(hole, e) is EdgeClass.FF_CONTRACTIBLE]
+        assert contractible_edges(hole) == want, hole
+        found += len(want)
+    assert found > 1000
+
+
 def test_region_flood_matches_the_two_scans(monkeypatch, tight_corpus):
     # every region the key-lemma search grows is the one that scanning all
     # faces for the spanned ones, then every edge for the start's class,
@@ -917,6 +934,25 @@ def test_certificate_replay_rank_steps():
     ranks = [generic_rank(g, seed=3) for g in graphs]
     assert ranks[0] == 3
     assert all(b - a == 3 for a, b in zip(ranks, ranks[1:]))
+
+
+@pytest.mark.parametrize("missing", [None, *itertools.combinations((2, 5, 9, 14, 30), 2)])
+def test_leaf_chain_builds_a_relabelled_leaf(missing):
+    # the leaf is named by its counts alone: K4 on any four labels, and K5
+    # minus any one edge on any five
+    vs = (2, 5, 9, 14, 30) if missing else (3, 8, 11, 20)
+    leaf = Graph(vs, set(itertools.combinations(vs, 2)) - {missing})
+    base, splits = reduction._leaf_chain(leaf)
+    assert Certificate(base, tuple(splits)).replay()[-1] == leaf
+
+
+@pytest.mark.parametrize("leaf", [
+    complete_graph(3), Graph(range(4), complete_graph(4).edges - {(0, 1)}),
+    complete_graph(5), Graph(range(5), complete_graph(5).edges - {(0, 1), (2, 3)}),
+    Graph(range(6), complete_graph(6).edges - {(0, 1), (2, 3), (4, 5)})])
+def test_leaf_chain_refuses_any_other_size(leaf):
+    with pytest.raises(errors.ReplayMismatch):
+        reduction._leaf_chain(leaf)
 
 
 def test_certificate_replay_mismatch_detected():

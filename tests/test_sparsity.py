@@ -250,22 +250,30 @@ def test_component_shortcut_matches_oracle_on_random_graphs(data):
 def test_component_search_reads_each_out_set_once():
     # uv just placed; four in-neighbours of u share one path c -> d -> e to
     # a free pebble.  The first search marks that path, every later one
-    # stops on entering it, and c and d start none, so no out-set is read
+    # stops on entering it, and c and d start none, so no out-set is walked
     # twice.  The marks only save work: without them the verdict stands and
-    # the path is walked again from each in-neighbour
+    # the path is walked again from each in-neighbour.  Only walks of an
+    # out-set count, from the end of the game's set-up: telling an
+    # in-neighbour is a membership test
     u, v, c, d, e = 0, 1, 6, 7, 8
-    board = {u: {v}, v: set(), c: {d, u, v}, d: {e, u, v}, e: set(),
+    heads = {u: {v}, v: set(), c: {d, u, v}, d: {e, u, v}, e: set(),
              **{w: {u, v, c} for w in (2, 3, 4, 5)}}
-    g = Graph(board, [(t, h) for t, heads in board.items() for h in heads])
+    g = Graph(heads, [(t, h) for t, hs in heads.items() for h in hs])
     assert brute_force_3_6(g).is_sparse
     reads = Counter()
 
-    class CountingOut(dict):
-        def __getitem__(self, t):
-            reads[t] += 1
-            return dict.__getitem__(self, t)
+    class CountingSet(set):
+        def __init__(self, t, items):
+            super().__init__(items)
+            self.tail = t
 
-    assert not _PebbleGame(CountingOut(board))._big_component(u, v)
+        def __iter__(self):
+            reads[self.tail] += 1
+            return super().__iter__()
+
+    game = _PebbleGame(g, {t: CountingSet(t, hs) for t, hs in heads.items()})
+    reads.clear()
+    assert not game._big_component(u, v)
     assert reads[c] == reads[d] == 1 and max(reads.values()) == 1
 
 
