@@ -570,13 +570,14 @@ def retriangulate_holes(retained_faces, walks) -> "TorusWithHole":
 
     Each boundary walk is filled with a collar of fresh vertices plus a coned
     centre, so every interior edge of the new disc has a fresh endpoint and
-    cannot collide with a retained edge.  Every edge contraction refills
-    (``reduction.contract``), since the old hole faces may no longer fit
-    the renamed retained ones, and so does a fission whose catalog faces
-    collide with the hole's interior faces.
+    cannot collide with a retained edge.  Every child hole is built so: a
+    contraction's (``reduction.contract``), since the old hole faces may no
+    longer fit the renamed retained ones, and a fission's, whose catalog
+    faces may reuse a hole edge as a chord.  Fresh ids start above the
+    integer corners; ``TorusComplex`` refuses any other corner.
     """
     faces = [tuple(f) for f in retained_faces]
-    next_id = max((v for f in faces for v in f), default=0) + 1
+    next_id = max((v for f in faces for v in f if type(v) is int), default=0) + 1
     for w in walks:
         next_id = max(next_id, max(w.vertices) + 1)
     regions = []

@@ -40,17 +40,22 @@ one copy, ``_contractible``: ``_candidates`` feeds it the retained faces'
 apex map (the loop's, and ``contractible_edges``), ``classify_edge`` the
 faces at e after the one FF test (``TorusWithHole.is_ff_edge``).
 
-A contracted hole is built one way (``_contracted``): the retained faces
-renamed as in the loop (``_contract_faces``), closed by a fresh collar over
-each renamed boundary walk.  Renamed hole faces are never reused: through the deleted
-edges e's ends can have further common neighbours, and those faces would
-fold an edge into four.  A refill reads only the retained faces and the
+Every child hole, from a contraction, the leaf or a fission, is built one
+way (``retriangulate_holes``): its retained faces closed by a fresh collar
+over each boundary walk.  A contraction's retained faces are renamed as in
+the loop (``_contract_faces``) and so are its walks (``_contracted``).  Old
+hole faces are never reused.  After a contraction, e's ends can have
+further common neighbours through the deleted edges, and those faces would
+fold an edge into four; in a fission they can hold an edge that the catalog
+graph uses as a chord.  A refill reads only the retained faces and the
 walks, so one refill after the loop's last move is the hole that
 ``contract`` gives one edge at a time; ``reduce_greedy`` builds its leaf
 (which ``torusrig reduce`` prints) that way, once.
 
 Fission is a key-lemma move inside the proof, not a reduction step: its
 catalog child is not a subgraph of the input, so it yields no vertex split.
+Its child G2 is the catalog graph's faces, mapped onto the cycle, and the
+annulus faces, refilled over the hole's own walks (``_substitute``).
 """
 
 from __future__ import annotations
@@ -200,9 +205,21 @@ class SeparatingCycle:
         return TorusWithHole(self.disc.torus, [self.disc])
 
 
+def _check_encloses(hole: TorusWithHole, cycle: SeparatingCycle) -> None:
+    """InvalidCycle unless the cycle's disc, on the hole's torus, holds the
+    hole's faces and deleted edges: the guard of ``divide`` and ``is_critical``."""
+    disc = cycle.disc
+    if disc.torus is not hole.torus or not hole.hole_faces.issubset(disc.faces) \
+            or not hole.deleted_edges <= disc.interior_edges:
+        raise errors.InvalidCycle(f"the cycle {list(cycle.walk.vertices)} "
+                                  "does not enclose the hole")
+
+
 def divide(hole: TorusWithHole, cycle: SeparatingCycle) -> tuple[TorusWithHole, Graph]:
     """Division move: the outer part (a torus with the enlarged hole) and the
-    annulus of graph edges inside the region."""
+    annulus of graph edges inside the region; InvalidCycle unless the cycle
+    encloses the hole (``_check_encloses``)."""
+    _check_encloses(hole, cycle)
     torus = hole.torus
     g1 = cycle.outer
     region_edges = {e for f in cycle.disc.faces
@@ -214,13 +231,9 @@ def divide(hole: TorusWithHole, cycle: SeparatingCycle) -> tuple[TorusWithHole, 
 
 def is_critical(hole: TorusWithHole, cycle: SeparatingCycle) -> bool:
     """Whether the outer part is tight: whether the walk has nine edges (the
-    module docstring's count).  InvalidCycle unless the cycle's disc holds
-    the hole's faces and deleted edges, NotTight with the record unless G is."""
-    disc = cycle.disc
-    if disc.torus is not hole.torus or not hole.hole_faces.issubset(disc.faces) \
-            or not hole.deleted_edges <= disc.interior_edges:
-        raise errors.InvalidCycle(f"the cycle {list(cycle.walk.vertices)} "
-                                  "does not enclose the hole")
+    module docstring's count).  InvalidCycle unless the cycle encloses the
+    hole (``_check_encloses``), NotTight with the record unless G is tight."""
+    _check_encloses(hole, cycle)
     if not check_3_6(hole.graph).is_tight:
         raise fileio.with_record(errors.NotTight, hole, "criticality needs a tight graph")
     return len(cycle.walk) == catalog.WALK_LENGTH
@@ -328,7 +341,10 @@ def fission(hole: TorusWithHole, cycle: SeparatingCycle
     substituted for G1; both children must come out simple and tight.
 
     Criticality is ``is_critical``'s count, so G1 plays no pebble game; it
-    raises what that raises, and InvalidCycle when G1 is not tight.
+    raises what that raises, and InvalidCycle when G1 is not tight.  G2 is
+    built as a contracted hole is, by one refill over the hole's walks
+    (``_substitute``); a G2 that is not tight raises NoMatchingCatalogGraph
+    with the record, the theorem-violation signal.
     """
     if not is_critical(hole, cycle):
         raise errors.InvalidCycle(f"cycle is not critical: its walk has "
@@ -363,50 +379,29 @@ def _walk_alignments(w_h, w_c):
 
 def _substitute(hole: TorusWithHole, cycle: SeparatingCycle,
                 h_rep: TorusWithHole) -> TorusWithHole:
-    """Glue the catalog graph's retained faces onto the region of the cycle.
-
-    The region keeps the hole's own faces where that glues into a torus.
-    Their interior triangulation is not part of the graph, though, and may
-    collide with the catalog faces (a hole edge reused as a catalog chord);
-    the fallback then glues onto the annulus alone and refills the hole over
-    its unchanged boundary walk with a fresh disc.
-    """
-    torus = hole.torus
+    """G2: the catalog graph's retained faces, mapped onto the cycle at the
+    first walk alignment where they close a torus with the annulus faces
+    and a fresh collar over each of the hole's walks (``retriangulate_holes``,
+    as a contracted hole is built).  NoMatchingCatalogGraph, carrying the
+    record and each alignment's error, when none does."""
     w_c = cycle.walk.vertices
     w_h = h_rep.detachment_walk().vertices
     if len(w_h) != len(w_c):
         raise errors.NoMatchingCatalogGraph("boundary walks have different lengths")
-    alignments = list(_walk_alignments(w_h, w_c))
-    region_faces = [torus.faces[i] for i in cycle.disc.faces]
-    annulus_faces = [torus.faces[i] for i in cycle.disc.faces
-                     if i not in hole.hole_faces]
+    faces = hole.torus.faces
+    annulus_faces = [faces[i] for i in cycle.disc.faces if i not in hole.hole_faces]
     walks = [d.boundary_walk for d in hole.discs]
-
-    def glue(h_faces):
-        # region face k sits at len(h_faces) + k in the glued torus
-        position = {i: len(h_faces) + k for k, i in enumerate(cycle.disc.faces)}
-        torus2 = TorusComplex(h_faces + region_faces)
-        discs2 = []
-        for d in hole.discs:
-            faces2 = [position[i] for i in d.faces]
-            discs2.append(DiscMap(torus2, faces2, keep_edges=d.keep_edges))
-        return TorusWithHole(torus2, discs2)
-
-    def refill(h_faces):
-        return retriangulate_holes(h_faces + annulus_faces, walks)
-
     errors_seen = []
-    for attempt in (glue, refill):
-        for k, mapping in enumerate(alignments):
-            h_faces = [tuple(mapping[x] for x in f) for f in h_rep.faces]
-            try:
-                return attempt(h_faces)
-            except errors.TorusRigError as exc:
-                errors_seen.append(f"{attempt.__name__} #{k}: {exc}")
+    for k, mapping in enumerate(_walk_alignments(w_h, w_c)):
+        h_faces = [tuple(mapping[x] for x in f) for f in h_rep.faces]
+        try:
+            return retriangulate_holes(h_faces + annulus_faces, walks)
+        except errors.TorusRigError as exc:
+            errors_seen.append(f"alignment {k}: {exc}")
     raise fileio.with_record(
         errors.NoMatchingCatalogGraph, hole,
         f"no walk alignment glues the catalog graph onto the cycle "
-        f"{list(w_c)} ({len(alignments)} consistent alignments): "
+        f"{list(w_c)} ({len(errors_seen)} consistent alignments): "
         + ("; ".join(errors_seen) or "none"))
 
 

@@ -452,6 +452,16 @@ def test_retriangulate_holes_refuses_no_retained_faces():
         retriangulate_holes([], [ClosedWalk([0, 1, 2])])
 
 
+@pytest.mark.parametrize("corner", ["a", 2.5], ids=["str", "float"])
+def test_retriangulate_holes_refuses_a_corner_that_is_not_an_integer(corner):
+    # fresh ids start above the integer corners, so the face reaches
+    # TorusComplex, which refuses it as it refuses it on its own
+    with pytest.raises(errors.BadArgument):
+        TorusComplex([(0, 1, corner)])
+    with pytest.raises(errors.BadArgument):
+        retriangulate_holes([(0, 1, corner)], [ClosedWalk([0, 1, 2])])
+
+
 def _outcome(unfold, *args):
     try:
         return unfold(*args)

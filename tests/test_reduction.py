@@ -8,10 +8,11 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusrig import errors, reduction
+from torusrig import catalog, errors, reduction
 from torusrig.catalog import build_H, classify
 from torusrig.complexes import (ClosedWalk, DiscMap, TorusComplex, canon_face,
-                                cut_hole, disc_structures, rectangular_torus)
+                                cut_hole, disc_structures, rectangular_torus,
+                                retriangulate_holes)
 from torusrig.corpus import CorpusSpec, corpus_records
 from torusrig.fileio import hole_to_record, load_hole, record_to_hole
 from torusrig.graphs import (Graph, complete_graph, contract_edge, edge_key,
@@ -436,7 +437,7 @@ def test_a_cycle_that_misses_the_hole_is_invalid(hole, faces):
     cycle = SeparatingCycle(DiscMap(hole.torus, faces))
     assert check_3_6(hole.graph).is_tight and len(cycle.walk) == 9
     assert not hole.hole_faces <= set(cycle.disc.faces)
-    for move in (is_critical, fission):
+    for move in (divide, is_critical, fission):
         with pytest.raises(errors.InvalidCycle, match="does not enclose the hole"):
             move(hole, cycle)
 
@@ -446,7 +447,7 @@ def test_a_cycle_on_another_torus_is_invalid():
     hole = build_H(1)
     cycle = SeparatingCycle(record_to_hole(hole_to_record(hole)).single_disc)
     assert cycle.disc.faces == hole.single_disc.faces
-    for move in (is_critical, fission):
+    for move in (divide, is_critical, fission):
         with pytest.raises(errors.InvalidCycle, match="does not enclose the hole"):
             move(hole, cycle)
 
@@ -1088,8 +1089,9 @@ def test_rank_replay_agrees_with_tightness_replay(tight_corpus):
 
 
 def test_fission_over_pinched_hole():
-    # the critical cycle's e3e4 catalog graph H4 collides with the hole's own
-    # interior triangulation under both consistent walk alignments
+    # the critical cycle's e3e4 catalog graph H4 would collide with the
+    # hole's own interior triangulation under both consistent walk
+    # alignments; G2's hole is refilled, so the first alignment builds it
     hole = cut_hole(rectangular_torus(3, 3), [0, 1, 2, 3, 9, 14, 15])
     cycle = find_critical_cycle_through(hole, (3, 7))
     assert cycle.walk.vertices == (0, 1, 7, 8, 2, 5, 8, 7, 3)
@@ -1104,7 +1106,7 @@ def test_fission_over_pinched_hole():
     mapped = [{edge_key(m[a], m[b]) for a, b in h4.graph.edges} for m in
               _walk_alignments(h4.detachment_walk().vertices,
                                cycle.walk.vertices)]
-    assert any(g2.graph.edges == edges | ann.edges for edges in mapped)
+    assert g2.graph.edges == mapped[0] | ann.edges
 
 
 def test_substitute_error_names_cycle_and_every_alignment(monkeypatch):
@@ -1120,10 +1122,63 @@ def test_substitute_error_names_cycle_and_every_alignment(monkeypatch):
         fission(hole, cycle)
     message = str(info.value)
     assert "[0, 1, 7, 8, 2, 5, 8, 7, 3]" in message
-    assert "edge (1, 5) lies in 4 faces" in message
-    assert "face (1, 5, 2) occurs twice" in message
+    assert "(2 consistent alignments)" in message
+    assert message.count("alignment 0: refill disabled") == 1
+    assert message.count("alignment 1: refill disabled") == 1
     assert message.count("refill disabled") == 2
     # the message ends with the hole's record, which reloads to the hole
     record = json.loads(message.split("; record: ", 1)[1])
     assert record == hole_to_record(hole)
     assert record_to_hole(record).graph == hole.graph
+
+
+def _catalog_alignments(hole, cycle):
+    """The catalog graph fission substitutes at the cycle, and its walk
+    alignments onto the cycle, in ``_walk_alignments`` order."""
+    pattern = catalog.canonical_pattern(cycle.outer.detachment_walk().vertices)
+    _, h_rep = catalog.catalog_graph_for_class(pattern)
+    return h_rep, list(reduction._walk_alignments(
+        h_rep.detachment_walk().vertices, cycle.walk.vertices))
+
+
+@pytest.fixture(scope="module")
+def first_fissions(tight_corpus):
+    """H5 at its own walk, and the first critical cycle through a
+    contractible edge of each tight corpus hole that has one."""
+    h5 = build_H(5)
+    pairs = [(h5, separating_cycle(h5, h5.single_disc.faces))]
+    for hole in tight_corpus:
+        cycles = (find_critical_cycle_through(hole, e) for e in contractible_edges(hole))
+        cycle = next((c for c in cycles if c is not None), None)
+        if cycle is not None:
+            pairs.append((hole, cycle))
+    return pairs
+
+
+def test_fission_refills_the_hole_at_the_first_alignment(first_fissions):
+    # G2's hole is a fresh collar over the input hole's walk, and its graph
+    # is the catalog graph at the first consistent alignment plus the annulus
+    assert len(first_fissions) > 60
+    for hole, cycle in first_fissions:
+        _, g2 = fission(hole, cycle)
+        walk = hole.single_disc.boundary_walk
+        assert g2.single_disc.boundary_walk.vertices == walk.vertices
+        assert len(g2.single_disc.faces) == 3 * len(walk)
+        h_rep, alignments = _catalog_alignments(hole, cycle)
+        first = alignments[0]
+        _, ann = divide(hole, cycle)
+        assert g2.graph.edges == ann.edges | {
+            edge_key(first[a], first[b]) for a, b in h_rep.graph.edges}
+
+
+def test_every_consistent_alignment_refills_a_tight_child(first_fissions):
+    # fission keeps the first alignment; every other one would do as well
+    for hole, cycle in first_fissions:
+        h_rep, alignments = _catalog_alignments(hole, cycle)
+        annulus = [hole.torus.faces[i] for i in cycle.disc.faces
+                   if i not in hole.hole_faces]
+        walks = [d.boundary_walk for d in hole.discs]
+        for m in alignments:
+            mapped = [tuple(m[x] for x in f) for f in h_rep.faces]
+            g2 = retriangulate_holes(mapped + annulus, walks)
+            assert check_3_6(g2.graph).is_tight

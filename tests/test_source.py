@@ -2,10 +2,11 @@
 
 Invariants raise typed ``TorusRigError``s rather than ``assert``, which
 ``python -O`` strips.  No object is built through ``__new__``, so every
-``TorusComplex`` and ``DiscMap`` passes its constructor's checks.  Every
-definition in the package has a user: code that only tests call lives in
-``tests/helpers.py``, and the public names that nothing in the package
-calls are the ones the package docstring lists.  Every name a module
+``TorusComplex`` and ``DiscMap`` passes its constructor's checks, and
+``reduction`` calls neither constructor: every child hole is built by
+``retriangulate_holes``.  Every definition in the package has a user: code
+that only tests call lives in ``tests/helpers.py``, and the public names
+that nothing in the package calls are the ones the package docstring lists.  Every name a module
 imports is used there, except the bindings the benchmark tracer wraps.
 Every import is from the standard library or relative, as the empty
 ``dependencies`` of ``pyproject.toml`` promise (numpy, say, would also add
@@ -160,6 +161,17 @@ def test_every_import_is_used(monkeypatch):
             unused += [f"{path.name}:{node.lineno} {name}" for name in names
                        if name not in exempt[path.stem] and not named[name]]
     assert not unused, f"imported in src/ but never used: {unused}"
+
+
+def test_reduction_builds_no_torus_or_disc():
+    # every child hole, a contraction's, the leaf or a fission's, is built
+    # by complexes.retriangulate_holes, never assembled in reduction
+    path = TESTS.parent / "src" / "torusrig" / "reduction.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             in ("TorusComplex", "DiscMap")]
+    assert not lines, f"reduction.py builds a torus or a disc at lines {lines}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
