@@ -76,9 +76,9 @@ def parse_word(text: str) -> DetachmentWord:
         if ch in VERTEX_LETTERS or ch in EDGE_LETTERS:
             tokens.append(ch)
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(int(text[i:j]))
             i = j

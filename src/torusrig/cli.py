@@ -17,7 +17,8 @@ from .graphs import freedom
 
 def _load(path) -> "fileio.TorusWithHole":
     if path == "-":
-        return fileio.record_to_hole(json.load(sys.stdin))
+        text = "".join(fileio.text_lines(sys.stdin))
+        return fileio.record_to_hole(fileio.parse_record(text))
     return fileio.load_hole(path)
 
 
@@ -142,10 +143,10 @@ def cmd_export(args) -> int:
 
 
 def cmd_batch_check(args) -> int:
-    for line in sys.stdin:
+    for line in fileio.text_lines(sys.stdin):
         if not line.strip():
             continue
-        rec = json.loads(line)
+        rec = fileio.parse_record(line)
         _, out = _verdict(fileio.record_to_hole(rec))
         if "meta" in rec:
             out["index"] = rec["meta"].get("index")
@@ -196,7 +197,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (errors.TorusRigError, json.JSONDecodeError, OSError) as exc:
+    except (errors.TorusRigError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -321,11 +321,11 @@ class DiscMap:
     and Preparata 1978).  After an unglued half-edge a -> b of a face, that
     face's next half-edge leaves b; while it is glued, cross to the other
     face, whose next half-edge again leaves b.  The first unglued one is the
-    walk's next half-edge.  A turn passes the faces of one boundary fan at b,
-    and the fan is labelled by the least of them.  The walk starts at the fan
-    least by (image vertex, label) and takes whichever of its two unglued
-    half-edges, leaving or entering, is least by (edge, face).  The region's
-    vertices off the walk are interior.
+    walk's next half-edge.  The turns from any unglued half-edge go once
+    around the boundary, and the walk is kept in its least rotation or
+    reversal (``ClosedWalk.canonical``), so it depends on the disc alone,
+    not on the face numbering.  The region's vertices off the walk are
+    interior.
 
     What does not depend on the keep set comes from one pass over the
     region (``_Region``): its shared edges and half-edges, its connectivity
@@ -354,12 +354,13 @@ class DiscMap:
         if chi != 1:
             raise errors.NotADisc(f"unfolded Euler characteristic {chi} != 1")
 
-        # turn around the head of each unglued half-edge to the next one
+        # from any unglued half-edge, turn around its head to the next one
         glued = region.halves
-        step, label = {}, {}
-        for h in itertools.chain(region.open_halves, *(glued[e] for e in keep)):
+        start = h = next(itertools.chain(region.open_halves, *(glued[e] for e in keep)))
+        walk = []
+        while not walk or h != start:
             f, a, b = h
-            least = f
+            walk.append(a)
             while True:
                 c = sum(torus.faces[f]) - a - b
                 e = (b, c) if b < c else (c, b)
@@ -367,22 +368,11 @@ class DiscMap:
                     break
                 h1, h2 = glued[e]
                 f, a, _ = h2 if h1[0] == f else h1
-                least = min(least, f)
-            step[h] = nxt = (f, b, c)
-            label[nxt] = least
-        start = min(step, key=lambda h: (h[1], label[h]))
-        cycle, h = [start], step[start]
-        while h != start:
-            cycle.append(h)
-            h = step[h]
-        walk = [h[1] for h in cycle]
-        v, f_out, f_in = walk[0], start[0], cycle[-1][0]
-        if (edge_key(v, walk[1]), f_out) > (edge_key(walk[-1], v), f_in):
-            walk[1:] = walk[:0:-1]
+            h = (f, b, c)
 
         self.interior_edges = region.shared - keep
         self.interior_vertices = frozenset(region.paths).difference(walk)
-        self.boundary_walk = ClosedWalk(walk)
+        self.boundary_walk = ClosedWalk(min(_symmetries(tuple(walk))))
 
     def __repr__(self):
         return (f"DiscMap(faces={len(self.faces)}, "
@@ -432,7 +422,7 @@ class _Region:
       the region's own faces;
     - ``halves``: each shared edge's two half-edges (face, tail, head) along
       the face orientations, and ``open_halves``: every other half-edge of
-      the region's faces;
+      the region's faces, on the boundary whatever the keep set;
     - ``paths``: each vertex's corners (its faces in the region) less its
       shared edges;
     - ``connected``: whether the faces are connected across shared edges;
@@ -568,21 +558,22 @@ def infer_disc(torus: TorusComplex, face_indices) -> DiscMap:
 def retriangulate_holes(retained_faces, walks) -> "TorusWithHole":
     """Close a retained facial complex into a torus by fresh hole discs.
 
-    Each boundary walk is filled with a collar of fresh vertices plus a coned
-    centre, so every interior edge of the new disc has a fresh endpoint and
-    cannot collide with a retained edge.  Every child hole is built so: a
-    contraction's (``reduction.contract``), since the old hole faces may no
-    longer fit the renamed retained ones, and a fission's, whose catalog
-    faces may reuse a hole edge as a chord.  Fresh ids start above the
-    integer corners; ``TorusComplex`` refuses any other corner.
+    Each boundary walk is filled, from its canonical rotation, with a
+    collar of fresh vertices plus a coned centre, so every interior edge of
+    the new disc has a fresh endpoint and cannot collide with a retained
+    edge.  The collar's ``DiscMap`` reads that rotation back, so a walk in
+    any rotation or reversal fills the same collar.  Every child hole is
+    built so: a contraction's (``reduction.contract``), since the old hole
+    faces may no longer fit the renamed retained ones, and a fission's,
+    whose catalog faces may reuse a hole edge as a chord.  Fresh ids start
+    above the integer corners; ``TorusComplex`` refuses any other corner.
     """
     faces = [tuple(f) for f in retained_faces]
-    next_id = max((v for f in faces for v in f if type(v) is int), default=0) + 1
-    for w in walks:
-        next_id = max(next_id, max(w.vertices) + 1)
+    next_id = max(itertools.chain((v for f in faces for v in f if type(v) is int),
+                                  *(w.vertices for w in walks)), default=0) + 1
     regions = []
     for w in walks:
-        b = w.vertices
+        b = w.canonical()
         n = len(b)
         ring = list(range(next_id, next_id + n))
         centre = next_id + n
@@ -595,10 +586,8 @@ def retriangulate_holes(retained_faces, walks) -> "TorusWithHole":
     torus = TorusComplex(faces)
     discs = []
     for idxs, w in regions:
-        cover: dict = {}
-        for e in w.edges():
-            cover[e] = cover.get(e, 0) + 1
-        keeps = [e for e, k in cover.items() if k >= 2]
+        edges = w.edges()
+        keeps = {e for e in edges if edges.count(e) > 1}
         discs.append(DiscMap(torus, idxs, keep_edges=keeps))
     return TorusWithHole(torus, discs)
 

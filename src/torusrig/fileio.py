@@ -7,9 +7,9 @@ Record schema::
 where HOLE is either a list of face indices (disc structure inferred) or
 ``{"faces": [...], "keep": [[u,v], ...]}`` pinning the exposed edges of a
 wrap-around disc.  A hole's face indices are positions in the record's
-``faces`` list, which the loaded torus keeps.  A record of any other shape
-raises MalformedRecord naming the bad field.  A record may also carry a
-``"meta"`` object, which loading ignores.
+``faces`` list, which the loaded torus keeps.  Text that is not JSON, or a
+record of any other shape, raises MalformedRecord (naming the bad field).
+A record may also carry a ``"meta"`` object, which loading ignores.
 """
 
 from __future__ import annotations
@@ -109,9 +109,26 @@ def record_to_hole(record: dict) -> TorusWithHole:
     return TorusWithHole(torus, discs)
 
 
+def text_lines(stream):
+    """The lines of a text stream; MalformedRecord at one that does not decode."""
+    try:
+        yield from stream
+    except UnicodeDecodeError as exc:
+        raise errors.MalformedRecord(f"record is not text: {exc}") from None
+
+
+def parse_record(text: str):
+    """A record's JSON value; MalformedRecord when the text is not JSON, has
+    an integer too long to convert or nests deeper than the decoder recurses."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise errors.MalformedRecord(f"record is not JSON: {exc}") from None
+
+
 def load_hole(path) -> TorusWithHole:
-    with open(path) as fh:
-        return record_to_hole(json.load(fh))
+    with open(path, encoding="utf-8") as fh:
+        return record_to_hole(parse_record("".join(text_lines(fh))))
 
 
 def to_dot(hole: TorusWithHole) -> str:

@@ -42,15 +42,18 @@ faces at e after the one FF test (``TorusWithHole.is_ff_edge``).
 
 Every child hole, from a contraction, the leaf or a fission, is built one
 way (``retriangulate_holes``): its retained faces closed by a fresh collar
-over each boundary walk.  A contraction's retained faces are renamed as in
-the loop (``_contract_faces``) and so are its walks (``_contracted``).  Old
-hole faces are never reused.  After a contraction, e's ends can have
-further common neighbours through the deleted edges, and those faces would
-fold an edge into four; in a fission they can hold an edge that the catalog
-graph uses as a chord.  A refill reads only the retained faces and the
-walks, so one refill after the loop's last move is the hole that
-``contract`` gives one edge at a time; ``reduce_greedy`` builds its leaf
-(which ``torusrig reduce`` prints) that way, once.
+over each boundary walk, filled from the walk's canonical rotation, which
+the collar's ``DiscMap`` reads back.  A contraction's retained faces are
+renamed as in the loop (``_contract_faces``) and so are its walks
+(``_contracted``); renaming commutes with rotation and reversal, so no step
+needs to know where a walk starts.  Old hole faces are never reused.  After
+a contraction, e's ends can have further common neighbours through the
+deleted edges, and those faces would fold an edge into four; in a fission
+they can hold an edge that the catalog graph uses as a chord.  A refill
+reads only the retained faces and the walks, so one refill after the loop's
+last move is the hole that ``contract`` gives one edge at a time;
+``reduce_greedy`` builds its leaf (which ``torusrig reduce`` prints) that
+way, once.
 
 Fission is a key-lemma move inside the proof, not a reduction step: its
 catalog child is not a subgraph of the input, so it yields no vertex split.
@@ -140,7 +143,7 @@ def contract(hole: TorusWithHole, e) -> TorusWithHole:
 
     The edge must pass greedy reduction's rule (``_contraction_apexes``).
     The retained faces are renamed (``_contract_faces``) and each hole is
-    refilled (``_contracted``).
+    refilled over its renamed walk (``_contracted``).
     """
     e, _ = _contraction_apexes(hole, e)
     return _contracted(hole, _contract_faces(hole.faces, e), [e])
@@ -158,15 +161,14 @@ def _contracted(hole: TorusWithHole, faces, edges) -> TorusWithHole:
     so contracted, in order: the hole itself without edges, else those
     faces closed by a fresh collar over each boundary walk, renamed edge by
     edge (``retriangulate_holes``); NotContractible, carrying the hole's
-    record, when they close no torus.  Each renamed walk starts where a
-    collar's ``DiscMap`` reads it back (``_least_first``), so contracting
-    the edges one at a time renames the same walks."""
+    record, when they close no torus.  Renaming commutes with rotation and
+    reversal, and a collar is filled from its walk's canonical rotation,
+    so contracting the edges one at a time builds the same collars."""
     if not edges:
         return hole
     walks = [d.boundary_walk.vertices for d in hole.discs]
     for keep, gone in edges:
-        walks = [_least_first(tuple(keep if x == gone else x for x in w))
-                 for w in walks]
+        walks = [tuple(keep if x == gone else x for x in w) for w in walks]
     try:
         return retriangulate_holes(faces, [ClosedWalk(w) for w in walks])
     except errors.TorusRigError as exc:
@@ -174,16 +176,6 @@ def _contracted(hole: TorusWithHole, faces, edges) -> TorusWithHole:
             errors.NotContractible, hole,
             f"contracting {', '.join(map(str, edges))} breaks the hole "
             f"structure: {exc}") from exc
-
-
-def _least_first(walk: tuple) -> tuple:
-    """The walk from the first visit of its least vertex toward its lesser
-    neighbour there: a ``DiscMap`` walk starts at the least vertex's least
-    corner class, on a collar the first visit, and takes the lesser edge,
-    on a tie the one in the collar's first face."""
-    k = walk.index(min(walk))
-    w = walk[k:] + walk[:k]
-    return w if w[1] <= w[-1] else (w[0], *w[:0:-1])
 
 
 # -- separating cycles and division ----------------------------------------
@@ -329,7 +321,7 @@ def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | Non
         raise fileio.with_record(
             errors.NoCriticalCycle, hole, f"no critical separating cycle through {e}; this violates "
             "the key lemma on tight inputs")
-    return min(candidates, key=lambda c: c.walk.canonical())
+    return min(candidates, key=lambda c: c.walk.vertices)
 
 
 # -- fission ----------------------------------------------------------------

@@ -28,9 +28,9 @@ from hypothesis import strategies as st
 
 from torusrig import cli, errors, sparsity
 from torusrig.catalog import _classes
-from torusrig.complexes import (DiscMap, SurfaceComplex, TorusComplex,
-                                TorusWithHole, _face_edges, canon_face,
-                                disc_structures, grid_faces)
+from torusrig.complexes import (ClosedWalk, DiscMap, SurfaceComplex,
+                                TorusComplex, TorusWithHole, _face_edges,
+                                canon_face, disc_structures, grid_faces)
 from torusrig.corpus import MAX_REGION, CorpusSpec
 from torusrig.fileio import _items
 from torusrig.graphs import Graph, contract_edge, edge_key
@@ -545,12 +545,12 @@ def slot_disc(torus: TorusComplex, face_indices, keep_edges=()):
     boundary walk.
 
     A boundary slot is a (face, edge) incidence left unglued.  Every boundary
-    corner class must meet exactly two slots; the walk starts at the class
-    least by (image vertex, representative), leaves by its slot least by
-    edge (the lower face first), and steps from slot to slot until it is
-    back.  Faces are connected by their own depth-first search, and a vertex
-    is interior when every torus edge at it is glued.  Raises the errors
-    ``DiscMap`` raises, and NotADisc where the walk is not one cycle.
+    corner class must meet exactly two slots; the walk starts at any class,
+    steps from slot to slot until it is back, and is returned as its least
+    rotation or reversal.  Faces are connected by their own depth-first
+    search, and a vertex is interior when every torus edge at it is glued.
+    Raises the errors ``DiscMap`` raises, and NotADisc where the walk is not
+    one cycle.
     """
     faces = sorted(set(face_indices))
     if not faces:
@@ -593,8 +593,8 @@ def slot_disc(torus: TorusComplex, face_indices, keep_edges=()):
             slot_at.setdefault(corner_class[f, v], []).append((f, e))
     if not slots or any(len(s) != 2 for s in slot_at.values()):
         raise errors.NotADisc("boundary is not a single cycle")
-    start = min(slot_at, key=lambda c: (c[1], c))
-    first = min(slot_at[start], key=lambda fe: fe[1])
+    start = next(iter(slot_at))
+    first = slot_at[start][0]
     walk = []
     cls, slot = start, first
     while True:
@@ -612,7 +612,7 @@ def slot_disc(torus: TorusComplex, face_indices, keep_edges=()):
     skeleton = Graph(torus.vertices, torus.edges)
     interior = frozenset(v for v in corners if all(
         edge_key(v, w) in glued for w in skeleton.neighbors(v)))
-    return tuple(walk), frozenset(glued), interior
+    return ClosedWalk(walk).canonical(), frozenset(glued), interior
 
 
 # -- separating cycles and vertex splits -------------------------------------

@@ -24,6 +24,9 @@ def test_parse_word_examples():
         parse_word("q9")
     with pytest.raises(errors.BadToken):
         parse_word("e9")  # edge letter must occur twice
+    for text in ("v²v6", "v\u0663v6"):  # numerals are ASCII 0-9 only
+        with pytest.raises(errors.BadToken):
+            parse_word(text)
 
 
 def test_parse_round_trip():

@@ -7,6 +7,12 @@ stdout and exit code of ``torusrig tree -``, ``torusrig reduce -`` and
 simplified, and of ``torusrig rank -`` as recorded with the dense modular
 elimination, before the rank went sparse and lazy.  Any refactor of the
 reduction or of the rank must reproduce them exactly.
+
+The ``reduce`` runs of H1, H4, H5, H7, H8, H10, H13 and gen3-3 were
+re-recorded once a disc's walk was kept in its least rotation or reversal:
+the leaf's collar is filled from that rotation, so its fresh vertex ids
+moved.  Their moves, leaf graph and leaf walk (as a ``ClosedWalk``) are the
+ones recorded before; every other run is unchanged.
 """
 
 import json

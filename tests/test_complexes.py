@@ -347,7 +347,13 @@ def test_retriangulate_holes_roundtrip():
     n = len(hole.detachment_walk())
     assert rebuilt.single_disc.faces == tuple(range(len(hole.faces),
                                                     len(hole.faces) + 3 * n))
-    assert len(rebuilt.detachment_walk()) == len(hole.detachment_walk())
+    # the collar is filled from the walk's canonical rotation, which its
+    # disc reads back, so any rotation or reversal fills the same collar
+    w = hole.detachment_walk().vertices
+    assert rebuilt.detachment_walk().vertices == w
+    for v in (w[3:] + w[:3], w[::-1]):
+        again = retriangulate_holes(hole.faces, [ClosedWalk(v)])
+        assert again.torus.faces == rebuilt.torus.faces
 
 
 def test_swapped_boundary_walk_raises_typed_error():
@@ -469,6 +475,13 @@ def _outcome(unfold, *args):
         return type(exc)
 
 
+#: H1-H17 and the hole records, each with a loader
+STORED = [(f"H{i}", lambda i=i: build_H(i)) for i in range(1, 18)] + [
+    (name, lambda name=name: load_hole(DATA / f"{name}.json")) for name in (
+        "excluded_v3v2w3w1", "keylemma_repro_a", "keylemma_repro_b",
+        "keylemma_repro_c", "two_octahedra")]
+
+
 def _disc_parts(torus, faces, keep):
     d = DiscMap(torus, faces, keep_edges=keep)
     return d.boundary_walk.vertices, d.interior_edges, d.interior_vertices
@@ -499,10 +512,7 @@ def test_boundary_walk_matches_slot_oracle():
         shared = sorted(e for e, (f1, f2) in grid.edge_faces.items()
                         if f1 in region and f2 in region)
         cases.extend((grid, region, keep) for keep in [(), *zip(shared)])
-    stored = [build_H(i) for i in range(1, 18)] + [
-        load_hole(DATA / f"{name}.json") for name in (
-            "excluded_v3v2w3w1", "keylemma_repro_a", "keylemma_repro_b",
-            "keylemma_repro_c", "two_octahedra")]
+    stored = [load() for _, load in STORED]
     cases.extend((h.torus, d.faces, d.keep_edges) for h in stored for d in h.discs)
     discs = 0
     for torus, faces, keep in cases:
@@ -510,6 +520,32 @@ def test_boundary_walk_matches_slot_oracle():
         assert _outcome(_disc_parts, torus, faces, keep) == want, (faces, keep)
         discs += isinstance(want, tuple)
     assert discs > 2000
+
+
+@pytest.mark.parametrize("load", [load for _, load in STORED],
+                         ids=[name for name, _ in STORED])
+def test_boundary_walk_does_not_depend_on_face_numbering(load):
+    # the torus's faces listed in reverse and in one shuffled order, with the
+    # holes' face indices mapped to match: each disc reads the same walk, in
+    # its least rotation or reversal.  A walk started and directed by face
+    # index reads another rotation of H9, H11-H13, H15, H16 or two_octahedra.
+    hole = load()
+    record = hole_to_record(hole)
+    n = len(record["faces"])
+    shuffled = list(range(n))
+    random.Random(20261019).shuffle(shuffled)
+    for order in (list(range(n))[::-1], shuffled):
+        position = {old: new for new, old in enumerate(order)}
+        holes = []
+        for h in record["holes"]:
+            pinned = isinstance(h, dict)
+            mapped = sorted(position[i] for i in (h["faces"] if pinned else h))
+            holes.append({**h, "faces": mapped} if pinned else mapped)
+        faces = [record["faces"][i] for i in order]
+        rebuilt = record_to_hole({**record, "faces": faces, "holes": holes})
+        for d, r in zip(hole.discs, rebuilt.discs, strict=True):
+            assert r.boundary_walk.vertices == d.boundary_walk.vertices
+            assert r.boundary_walk.vertices == r.boundary_walk.canonical()
 
 
 K7 = [f for i in range(7) for f in ((i, (i + 1) % 7, (i + 3) % 7),

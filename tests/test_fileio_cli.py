@@ -141,6 +141,24 @@ def test_cli_missing_file_is_error(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}", b"[" * 200_000, b'{"vertices": 1' + b"0" * 5000 + b"}"],
+    ids=["not-utf8", "nested-too-deep", "integer-too-long"])
+@pytest.mark.parametrize("command", ["check-file", "check-stdin", "batch-check"])
+def test_cli_undecodable_record_is_typed_error(tmp_path, content, command):
+    # stdin decodes strictly, as on a UTF-8 locale
+    path = tmp_path / "record.json"
+    path.write_bytes(content)
+    args = {"check-file": ["check", str(path)], "check-stdin": ["check", "-"],
+            "batch-check": ["batch-check"]}[command]
+    r = subprocess.run([sys.executable, "-m", "torusrig.cli", *args],
+                       capture_output=True, input=content,
+                       env={**CLI_ENV, "PYTHONIOENCODING": "utf-8:strict"})
+    assert r.returncode == 1
+    assert r.stderr.startswith(b"error: record is not ")
+    assert b"Traceback" not in r.stderr
+
+
 def test_cli_homology_on_h5():
     # H5 is not a grid torus
     r = run_cli(["homology", "-"], stdin=json.dumps(hole_to_record(build_H(5))))
