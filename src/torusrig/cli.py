@@ -15,20 +15,13 @@ from .corpus import CorpusSpec, corpus_records
 from .graphs import freedom
 
 
-def _load(path) -> "fileio.TorusWithHole":
-    if path == "-":
-        text = "".join(fileio.text_lines(sys.stdin))
-        return fileio.record_to_hole(fileio.parse_record(text))
-    return fileio.load_hole(path)
-
-
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def _grid(text: str) -> tuple[int, int]:
     r, x, s = text.partition("x")
-    if not (x and r.isdecimal() and s.isdecimal()):
+    if not (x and text.isascii() and r.isdecimal() and s.isdecimal()):
         raise errors.BadArgument(f"--grids: {text!r} is not of the form RxS")
     return int(r), int(s)
 
@@ -56,27 +49,27 @@ def _verdict(hole) -> tuple[sparsity.SparsityVerdict, dict]:
 
 
 def cmd_check(args) -> int:
-    verdict, out = _verdict(_load(args.graph))
+    verdict, out = _verdict(fileio.load_hole(args.graph))
     _emit(out)
     return 0 if verdict.is_tight else 2
 
 
 def cmd_rank(args) -> int:
-    hole = _load(args.graph)
+    hole = fileio.load_hole(args.graph)
     report = rigidity.rigidity_report(hole.graph, seed=args.seed)
     _emit(report.to_json())
     return 0 if report.minimally_rigid else 2
 
 
 def cmd_classify(args) -> int:
-    hole = _load(args.graph)
+    hole = fileio.load_hole(args.graph)
     result = catalog.classify(hole)
     _emit(result.to_json())
     return 0 if not result.excluded else 2
 
 
 def cmd_homology(args) -> int:
-    hole = _load(args.graph)
+    hole = fileio.load_hole(args.graph)
     if not sparsity.check_3_6(hole.graph).is_tight:
         raise fileio.with_record(errors.NotTight, hole,
                                  "homology needs a tight single-hole graph")
@@ -94,7 +87,7 @@ def cmd_homology(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    hole = _load(args.graph)
+    hole = fileio.load_hole(args.graph)
     leaf, moves = reduction.reduce_greedy(hole)
     _emit({"moves": [m.to_json() for m in moves],
            "leaf": fileio.hole_to_record(leaf)})
@@ -105,7 +98,7 @@ def cmd_tree(args) -> int:
     """The greedy contraction sequence as a chain: node i is the graph after
     i contractions, the child of node i - 1.  Each contraction removes one
     vertex and three edges."""
-    hole = _load(args.graph)
+    hole = fileio.load_hole(args.graph)
     _, moves = reduction.reduce_greedy(hole)
     n_vertices, n_edges = len(hole.graph.vertices), len(hole.graph.edges)
     _emit({"nodes": [
@@ -117,7 +110,7 @@ def cmd_tree(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    hole = _load(args.graph)
+    hole = fileio.load_hole(args.graph)
     cert = reduction.certify(hole)
     if args.validate:
         reduction.verify_certificate(cert, hole.graph, seed=args.seed)
@@ -134,7 +127,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_export(args) -> int:
-    hole = _load(args.graph)
+    hole = fileio.load_hole(args.graph)
     if args.format == "dot":
         sys.stdout.write(fileio.to_dot(hole))
     else:
@@ -143,7 +136,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_batch_check(args) -> int:
-    for line in fileio.text_lines(sys.stdin):
+    for line in fileio.text_lines(sys.stdin.buffer):
         if not line.strip():
             continue
         rec = fileio.parse_record(line)

@@ -14,7 +14,10 @@ A record may also carry a ``"meta"`` object, which loading ignores.
 
 from __future__ import annotations
 
+import codecs
+import contextlib
 import json
+import sys
 
 from . import errors
 from .complexes import DiscMap, TorusComplex, TorusWithHole, infer_disc
@@ -51,9 +54,11 @@ def with_record(error: type[errors.TorusRigError], hole: TorusWithHole,
     edge the message names.  No subcommand runs the key-lemma search or
     ``fission``, and ``torusrig homology -`` refuses a non-tight record
     before ``crossover_class`` runs; so a record from ``NoCriticalCycle``,
-    from ``fission`` or from ``TrivialClassFound`` reruns through the API:
-    ``record_to_hole``, then ``find_critical_cycle_through``, ``fission`` or
-    ``crossover_class`` on the edge or cycle that the message names."""
+    from ``TrivialClassFound`` or from ``fission``'s
+    ``NoMatchingCatalogGraph`` (its one refill closes no torus, or its child
+    is not tight) reruns through the API: ``record_to_hole``, then
+    ``find_critical_cycle_through``, ``crossover_class`` or ``fission`` on
+    the edge or cycle that the message names."""
     record = json.dumps(hole_to_record(hole), sort_keys=True)
     return error(f"{why}; record: {record}")
 
@@ -110,9 +115,10 @@ def record_to_hole(record: dict) -> TorusWithHole:
 
 
 def text_lines(stream):
-    """The lines of a text stream; MalformedRecord at one that does not decode."""
+    """The lines of a binary stream, decoded as UTF-8 whatever the locale;
+    MalformedRecord at one that does not decode."""
     try:
-        yield from stream
+        yield from codecs.iterdecode(stream, "utf-8")
     except UnicodeDecodeError as exc:
         raise errors.MalformedRecord(f"record is not text: {exc}") from None
 
@@ -127,7 +133,9 @@ def parse_record(text: str):
 
 
 def load_hole(path) -> TorusWithHole:
-    with open(path, encoding="utf-8") as fh:
+    """The hole of the record in the file at ``path``, or on standard input
+    when ``path`` is "-"; either is read as bytes (``text_lines``)."""
+    with open(path, "rb") if path != "-" else contextlib.nullcontext(sys.stdin.buffer) as fh:
         return record_to_hole(parse_record("".join(text_lines(fh))))
 
 

@@ -57,8 +57,9 @@ way, once.
 
 Fission is a key-lemma move inside the proof, not a reduction step: its
 catalog child is not a subgraph of the input, so it yields no vertex split.
-Its child G2 is the catalog graph's faces, mapped onto the cycle, and the
-annulus faces, refilled over the hole's own walks (``_substitute``).
+Its child G2 is one refill: the catalog graph's faces, mapped onto the cycle
+at the one alignment its slot pattern fixes, and the annulus faces, closed
+over the hole's own walks (``_substitute``, which shows that it glues).
 """
 
 from __future__ import annotations
@@ -334,67 +335,58 @@ def fission(hole: TorusWithHole, cycle: SeparatingCycle
 
     Criticality is ``is_critical``'s count, so G1 plays no pebble game; it
     raises what that raises, and InvalidCycle when G1 is not tight.  G2 is
-    built as a contracted hole is, by one refill over the hole's walks
-    (``_substitute``); a G2 that is not tight raises NoMatchingCatalogGraph
-    with the record, the theorem-violation signal.
+    one refill (``_substitute``); a G2 that is not tight raises
+    NoMatchingCatalogGraph with the record, the theorem-violation signal.
     """
     if not is_critical(hole, cycle):
         raise errors.InvalidCycle(f"cycle is not critical: its walk has "
                                   f"{len(cycle.walk)} edges, not {catalog.WALK_LENGTH}")
-    g1 = cycle.outer
-    pattern = catalog.canonical_pattern(g1.detachment_walk().vertices)
-    try:
-        _idx, h_rep = catalog.catalog_graph_for_class(pattern)
-    except errors.NoMatchingCatalogGraph as exc:
-        raise fileio.with_record(
-            errors.NoMatchingCatalogGraph, hole,
-            f"at the cycle {list(cycle.walk.vertices)}: {exc}") from exc
-    g2 = _substitute(hole, cycle, h_rep)
+    g2 = _substitute(hole, cycle)
     g2.graph._origin = hole.graph
     if not check_3_6(g2.graph).is_tight:
         raise fileio.with_record(
             errors.NoMatchingCatalogGraph, hole,
             "substitution produced a non-tight graph at the cycle "
             f"{list(cycle.walk.vertices)}; fission lemma violated")
-    return g1, g2
+    return cycle.outer, g2
 
 
-def _walk_alignments(w_h, w_c):
-    """Vertex maps sending walk w_h onto walk w_c, over every rotation and
-    the reversal of w_h, that are consistent and injective."""
-    for seq in _symmetries(w_h):
-        mapping: dict[int, int] = {}
-        if all(mapping.setdefault(x, y) == y for x, y in zip(seq, w_c)) and \
-                len(set(mapping.values())) == len(mapping):
-            yield mapping
+def _substitute(hole: TorusWithHole, cycle: SeparatingCycle) -> TorusWithHole:
+    """G2: the retained faces of the catalog graph H with the cycle's
+    pattern, mapped onto the cycle, and the annulus faces, closed by a fresh
+    collar over each of the hole's walks (``retriangulate_holes``, as a
+    contracted hole is built).
 
-
-def _substitute(hole: TorusWithHole, cycle: SeparatingCycle,
-                h_rep: TorusWithHole) -> TorusWithHole:
-    """G2: the catalog graph's retained faces, mapped onto the cycle at the
-    first walk alignment where they close a torus with the annulus faces
-    and a fresh collar over each of the hole's walks (``retriangulate_holes``,
-    as a contracted hole is built).  NoMatchingCatalogGraph, carrying the
-    record and each alignment's error, when none does."""
+    The map sends H's walk onto the cycle slot by slot, at its first
+    rotation or reversal whose slots repeat as the cycle's do
+    (``catalog._relabel``); one exists, as the two walks have one canonical
+    pattern.  Every vertex of H lies on its walk, so the mapped faces meet
+    the disc of annulus and collar faces at cycle vertices only, as H's
+    faces meet its hole.  They close a torus unless an edge of that disc off
+    the cycle joins two cycle vertices.  A collar edge has a fresh end, so
+    that would be an annulus edge: a graph edge outside G1 between two
+    vertices of G1.  G1 is tight (the module docstring's count), so G1 with
+    that edge breaks G's sparsity.  So on tight G the one refill closes a
+    torus.  A pattern with no catalog graph, or a refill that closes no
+    torus, raises NoMatchingCatalogGraph, naming the cycle and carrying the
+    record.
+    """
     w_c = cycle.walk.vertices
-    w_h = h_rep.detachment_walk().vertices
-    if len(w_h) != len(w_c):
-        raise errors.NoMatchingCatalogGraph("boundary walks have different lengths")
-    faces = hole.torus.faces
-    annulus_faces = [faces[i] for i in cycle.disc.faces if i not in hole.hole_faces]
-    walks = [d.boundary_walk for d in hole.discs]
-    errors_seen = []
-    for k, mapping in enumerate(_walk_alignments(w_h, w_c)):
+    try:
+        _idx, h_rep = catalog.catalog_graph_for_class(catalog.canonical_pattern(w_c))
+        labels = catalog._relabel(w_c)
+        seq = next(s for s in _symmetries(h_rep.detachment_walk().vertices)
+                   if catalog._relabel(s) == labels)
+        mapping = dict(zip(seq, w_c))
         h_faces = [tuple(mapping[x] for x in f) for f in h_rep.faces]
-        try:
-            return retriangulate_holes(h_faces + annulus_faces, walks)
-        except errors.TorusRigError as exc:
-            errors_seen.append(f"alignment {k}: {exc}")
-    raise fileio.with_record(
-        errors.NoMatchingCatalogGraph, hole,
-        f"no walk alignment glues the catalog graph onto the cycle "
-        f"{list(w_c)} ({len(errors_seen)} consistent alignments): "
-        + ("; ".join(errors_seen) or "none"))
+        annulus_faces = [hole.torus.faces[i] for i in cycle.disc.faces
+                         if i not in hole.hole_faces]
+        return retriangulate_holes(h_faces + annulus_faces,
+                                   [d.boundary_walk for d in hole.discs])
+    except errors.TorusRigError as exc:
+        raise fileio.with_record(
+            errors.NoMatchingCatalogGraph, hole,
+            f"no catalog graph glues at the cycle {list(w_c)}: {exc}") from exc
 
 
 # -- greedy reduction --------------------------------------------------------

@@ -8,7 +8,7 @@ contraction rule from scans of the faces and edges, greedy reduction that
 carries the hole through every step, the complementary region by scans of
 every face and edge, the slot-based disc unfolding, hole growth that
 builds a disc after every added face, the record and face-list checks one
-field at a time),
+field at a time, walk alignments by consistency of the vertex map),
 the builders (face-graph quotients, separating cycles from a region, vertex
 splits on a torus) that tests compare that path against, every torus on
 seven to nine vertices by a search of the flip graph, and an in-process CLI
@@ -30,7 +30,8 @@ from torusrig import cli, errors, sparsity
 from torusrig.catalog import _classes
 from torusrig.complexes import (ClosedWalk, DiscMap, SurfaceComplex,
                                 TorusComplex, TorusWithHole, _face_edges,
-                                canon_face, disc_structures, grid_faces)
+                                _symmetries, canon_face, disc_structures,
+                                grid_faces)
 from torusrig.corpus import MAX_REGION, CorpusSpec
 from torusrig.fileio import _items
 from torusrig.graphs import Graph, contract_edge, edge_key
@@ -51,9 +52,10 @@ CORPUS_CUTS_SPEC = CorpusSpec(seed=987, count=500,
 
 def run_main(args, record) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of ``cli.main(args)`` run in-process with
-    the JSON record on stdin."""
+    the JSON record on stdin, which the CLI reads as bytes."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(json.dumps(record))), \
+    stdin = io.TextIOWrapper(io.BytesIO(json.dumps(record).encode()), encoding="utf-8")
+    with mock.patch("sys.stdin", stdin), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(args)
     return code, out.getvalue(), err.getvalue()
@@ -636,6 +638,19 @@ def separating_cycle(hole: TorusWithHole, region_faces) -> SeparatingCycle:
     if not hole.deleted_edges <= d1.interior_edges:
         raise errors.InvalidCycle("enlargement stops deleting a hole-interior edge")
     return SeparatingCycle(d1)
+
+
+def walk_alignments(w_h, w_c):
+    """Vertex maps sending walk w_h onto walk w_c slot by slot, over every
+    rotation and then the reversal of w_h (``_symmetries``), that are
+    consistent and injective: the alignments that fission chooses among by
+    slot pattern."""
+    for seq in _symmetries(w_h):
+        mapping: dict[int, int] = {}
+        if len(seq) == len(w_c) and \
+                all(mapping.setdefault(x, y) == y for x, y in zip(seq, w_c)) and \
+                len(set(mapping.values())) == len(mapping):
+            yield mapping
 
 
 def grow_hole_oracle(torus: TorusComplex, rng, target_len: int) -> DiscMap | None:

@@ -141,21 +141,27 @@ def test_cli_missing_file_is_error(tmp_path):
     assert "Traceback" not in r.stderr
 
 
-@pytest.mark.parametrize("content", [
-    b"\xff\xfe{}", b"[" * 200_000, b'{"vertices": 1' + b"0" * 5000 + b"}"],
-    ids=["not-utf8", "nested-too-deep", "integer-too-long"])
+@pytest.mark.parametrize("content, why", [
+    (b"\xff\xfe{}", b"text"),
+    (_with(meta={"note": "X"}).encode().replace(b"X", b"\xff"), b"text"),
+    (b"[" * 200_000, b"JSON"), (b'{"vertices": 1' + b"0" * 5000 + b"}", b"JSON")],
+    ids=["not-utf8", "not-utf8-in-meta", "nested-too-deep", "integer-too-long"])
 @pytest.mark.parametrize("command", ["check-file", "check-stdin", "batch-check"])
-def test_cli_undecodable_record_is_typed_error(tmp_path, content, command):
-    # stdin decodes strictly, as on a UTF-8 locale
+def test_cli_undecodable_record_is_typed_error(tmp_path, content, why, command):
+    # files and stdin are read as bytes and decoded as UTF-8 whatever the
+    # locale; under the C locale a text stdin would pass a stray byte in
+    # ``meta`` through as a surrogate
     path = tmp_path / "record.json"
     path.write_bytes(content)
     args = {"check-file": ["check", str(path)], "check-stdin": ["check", "-"],
             "batch-check": ["batch-check"]}[command]
+    env = {k: v for k, v in CLI_ENV.items()
+           if k not in ("PYTHONIOENCODING", "PYTHONUTF8") and not k.startswith("LC_")}
     r = subprocess.run([sys.executable, "-m", "torusrig.cli", *args],
                        capture_output=True, input=content,
-                       env={**CLI_ENV, "PYTHONIOENCODING": "utf-8:strict"})
-    assert r.returncode == 1
-    assert r.stderr.startswith(b"error: record is not ")
+                       env={**env, "LC_ALL": "C", "LANG": "C"})
+    assert (r.returncode, r.stdout) == (1, b"")
+    assert r.stderr.startswith(b"error: record is not " + why)
     assert b"Traceback" not in r.stderr
 
 
@@ -383,6 +389,7 @@ def test_cli_reduction_of_two_holes_is_typed_error(command):
     (["--grids", "3"], "--grids"),
     (["--grids", "3x4x5"], "--grids"),
     (["--grids", "3xa"], "--grids"),
+    (["--grids", "\uff13x\uff14"], "--grids"),
     (["--boundary-lengths"], "--boundary-lengths"),
     (["--grids"], "--grids needs at least one value"),
     (["--count", "-1"], "--count"),
@@ -391,7 +398,7 @@ def test_cli_reduction_of_two_holes_is_typed_error(command):
     (["--grids", "8x8", "--boundary-lengths", "27"], "boundary length 27 is above 26"),
     (["--grids", "8x8", "--boundary-lengths", "9", "30"],
      "boundary length 30 is above 26"),
-], ids=["no-x", "three-parts", "not-a-number", "no-lengths", "no-grids",
+], ids=["no-x", "three-parts", "not-a-number", "fullwidth-digits", "no-lengths", "no-grids",
         "negative-count", "length-2", "length-0", "length-27", "length-30"])
 def test_cli_gen_rejects_bad_arguments(args, name):
     r = run_cli(["gen", "--count", "1", *args])

@@ -32,7 +32,7 @@ from helpers import (_blocked_faces, _grow_region, connected_regions,
                      facial_split, hole_reduce_greedy, induced, is_connected,
                      link_cycle, record_pebble_games, run_main,
                      separating_cycle, tight_set_critical_cycles,
-                     vertex_split)
+                     vertex_split, walk_alignments)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -1101,18 +1101,18 @@ def test_fission_over_pinched_hole():
     assert check_3_6(g1.graph).is_tight
     assert check_3_6(g2.graph).is_tight
     assert len(g2.detachment_walk()) == 9
-    from torusrig.reduction import _walk_alignments
     _, ann = divide(hole, cycle)
     h4 = build_H(4)
     mapped = [{edge_key(m[a], m[b]) for a, b in h4.graph.edges} for m in
-              _walk_alignments(h4.detachment_walk().vertices,
-                               cycle.walk.vertices)]
+              walk_alignments(h4.detachment_walk().vertices,
+                              cycle.walk.vertices)]
+    assert len(mapped) == 2
     assert g2.graph.edges == mapped[0] | ann.edges
 
 
-def test_substitute_error_names_cycle_and_every_alignment(monkeypatch):
-    from torusrig import reduction
-
+def test_substitute_error_names_cycle_and_carries_record(monkeypatch):
+    # a refill that closes no torus fails the fission once, with no other
+    # alignment tried
     def no_refill(*args):
         raise errors.NotADisc("refill disabled")
 
@@ -1122,11 +1122,8 @@ def test_substitute_error_names_cycle_and_every_alignment(monkeypatch):
     with pytest.raises(errors.NoMatchingCatalogGraph) as info:
         fission(hole, cycle)
     message = str(info.value)
-    assert "[0, 1, 7, 8, 2, 5, 8, 7, 3]" in message
-    assert "(2 consistent alignments)" in message
-    assert message.count("alignment 0: refill disabled") == 1
-    assert message.count("alignment 1: refill disabled") == 1
-    assert message.count("refill disabled") == 2
+    assert "at the cycle [0, 1, 7, 8, 2, 5, 8, 7, 3]" in message
+    assert message.count("refill disabled") == 1
     # the message ends with the hole's record, which reloads to the hole
     record = json.loads(message.split("; record: ", 1)[1])
     assert record == hole_to_record(hole)
@@ -1135,19 +1132,19 @@ def test_substitute_error_names_cycle_and_every_alignment(monkeypatch):
 
 def _catalog_alignments(hole, cycle):
     """The catalog graph fission substitutes at the cycle, and its walk
-    alignments onto the cycle, in ``_walk_alignments`` order."""
+    alignments onto the cycle, in ``walk_alignments`` order."""
     pattern = catalog.canonical_pattern(cycle.outer.detachment_walk().vertices)
     _, h_rep = catalog.catalog_graph_for_class(pattern)
-    return h_rep, list(reduction._walk_alignments(
+    return h_rep, list(walk_alignments(
         h_rep.detachment_walk().vertices, cycle.walk.vertices))
 
 
 @pytest.fixture(scope="module")
 def first_fissions(tight_corpus):
-    """H5 at its own walk, and the first critical cycle through a
+    """H1-H17, each at its own walk, and the first critical cycle through a
     contractible edge of each tight corpus hole that has one."""
-    h5 = build_H(5)
-    pairs = [(h5, separating_cycle(h5, h5.single_disc.faces))]
+    pairs = [(h, separating_cycle(h, h.single_disc.faces))
+             for h in map(build_H, range(1, 18))]
     for hole in tight_corpus:
         cycles = (find_critical_cycle_through(hole, e) for e in contractible_edges(hole))
         cycle = next((c for c in cycles if c is not None), None)
@@ -1173,9 +1170,12 @@ def test_fission_refills_the_hole_at_the_first_alignment(first_fissions):
 
 
 def test_every_consistent_alignment_refills_a_tight_child(first_fissions):
-    # fission keeps the first alignment; every other one would do as well
+    # fission keeps the first alignment; every other one would do as well,
+    # on all 17 forms at their own walks and on the corpus
+    forms = set()
     for hole, cycle in first_fissions:
         h_rep, alignments = _catalog_alignments(hole, cycle)
+        forms.add(classify(cycle.outer).word)
         annulus = [hole.torus.faces[i] for i in cycle.disc.faces
                    if i not in hole.hole_faces]
         walks = [d.boundary_walk for d in hole.discs]
@@ -1183,3 +1183,30 @@ def test_every_consistent_alignment_refills_a_tight_child(first_fissions):
             mapped = [tuple(m[x] for x in f) for f in h_rep.faces]
             g2 = retriangulate_holes(mapped + annulus, walks)
             assert check_3_6(g2.graph).is_tight
+    assert forms == set(catalog.THE_17_WORDS)
+
+
+def test_fission_refills_once(first_fissions, monkeypatch):
+    # one substitution per fission: one refill, never a retry
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return retriangulate_holes(*args)
+
+    monkeypatch.setattr(reduction, "retriangulate_holes", counted)
+    for k, (hole, cycle) in enumerate(first_fissions, start=1):
+        fission(hole, cycle)
+        assert len(calls) == k
+
+
+def test_critical_outer_part_is_induced(first_fissions):
+    # the step of ``_substitute``'s argument that rules out a failed refill:
+    # no graph edge off a tight G1 joins two of its vertices, so no annulus
+    # edge off the cycle joins two cycle vertices
+    for hole, cycle in first_fissions:
+        g1 = cycle.outer.graph
+        assert induced(hole.graph, g1.vertices) == g1
+        _, ann = divide(hole, cycle)
+        on_cycle = set(cycle.walk.vertices)
+        assert {e for e in ann.edges if set(e) <= on_cycle} <= cycle.walk.edge_set()
