@@ -15,13 +15,16 @@ all: it unfolds a region with up to ``MAX_KEEP`` shared edges kept unglued
 hole; the reduction takes enlargements of a hole from it.  An unfolding is
 a disc iff it is connected with Euler characteristic one (see ``DiscMap``).
 
-Loading a hole builds each object once, from one pass over its faces: the
-surface checks and the edge -> faces map in one loop, and orientation and
-vertex links in one walk across shared edges.  A disc search makes one
-pass over its region (``_Region``) for the shared edges, the face
-connectivity and the fully glued chi; each keep set then reads its chi off
-the ends of its kept edges, and only a disc traces its walk, turning around
-each boundary vertex across glued edges.  ``DiscMap`` takes the same pass.
+Each object a hole is built from takes one pass over its faces, and no
+later step expands them again.  ``SurfaceComplex`` rotates, checks and
+files each face under its edges in one loop; ``TorusComplex`` orients the
+faces and enters the vertex links in one walk across shared edges.  A
+region (``_Region``) classifies each half-edge once, as shared or open, and
+files it in the same loop.  A disc search makes that pass once for all its
+keep sets; each reads its chi off the ends of its kept edges, and only a
+disc traces its walk, turning around each boundary vertex across glued
+edges.  ``DiscMap`` takes the same pass and keeps the region's edges, which
+its hole reads; the hole's graph takes the torus's key-ordered edges.
 """
 
 from __future__ import annotations
@@ -38,17 +41,6 @@ def _face_edges(face):
     a, b, c = face
     return ((a, b) if a < b else (b, a), (b, c) if b < c else (c, b),
             (c, a) if c < a else (a, c))
-
-
-def canon_face(face):
-    """Rotate a corner triple so the smallest corner comes first.
-
-    Cyclic order (orientation) is preserved; only the starting point changes.
-    """
-    a, b, c = face
-    if a <= b and a <= c:
-        return face
-    return (b, c, a) if b <= c else (c, a, b)
 
 
 class SurfaceComplex:
@@ -72,10 +64,13 @@ class SurfaceComplex:
         not_int = None  # the first face with a corner that is not an integer
         for i, face in enumerate(faces):
             try:
-                a, b, c = f = canon_face(tuple(face))
+                a, b, c = face
+                if not (a <= b and a <= c):  # rotate, keeping the cyclic order
+                    a, b, c = (b, c, a) if b <= c else (c, a, b)
             except (TypeError, ValueError):
                 raise errors.BadArgument(
                     f"face {face!r} is not three comparable corners") from None
+            f = (a, b, c)
             if a == b or a == c or b == c:
                 raise errors.LoopEdge(f"face {f} repeats a corner")
             # a is the least corner, so (a, b) and (a, c) are in key order
@@ -87,9 +82,12 @@ class SurfaceComplex:
                 not_int = f
             canon.append(f)
             for e in ((a, b), (b, c) if b < c else (c, b), (a, c)):
-                fs = edge_faces.get(e, ())
-                crowded = crowded or len(fs) == 2
-                edge_faces[e] = (*fs, i)
+                fs = edge_faces.get(e)
+                if fs is None:
+                    edge_faces[e] = (i,)
+                else:
+                    crowded = crowded or len(fs) == 2
+                    edge_faces[e] = fs + (i,)
         if crowded:
             e, fs = next((e, fs) for e, fs in edge_faces.items() if len(fs) > 2)
             raise errors.EdgeInThreeFaces(f"edge {e} lies in {len(fs)} faces")
@@ -132,14 +130,16 @@ def _orient_coherently(faces, edge_faces, vertices):
     flipped: list = [None] * len(faces)
     link: dict[int, dict[int, int]] = {v: {} for v in vertices}
     components = 0
+    stack: list = []
+    push, pop = stack.append, stack.pop
     for seed in range(len(faces)):
         if flipped[seed] is not None:
             continue
         components += 1
         flipped[seed] = False
-        stack = [seed]
+        push(seed)
         while stack:
-            i = stack.pop()
+            i = pop()
             a, b, c = faces[i]
             if flipped[i]:
                 b, c = c, b
@@ -150,14 +150,18 @@ def _orient_coherently(faces, edge_faces, vertices):
             for u, v in ((a, b), (b, c), (c, a)):
                 f1, f2 = edge_faces[(u, v) if u < v else (v, u)]
                 j = f2 if f1 == i else f1
-                # i now traverses u -> v; j must be flipped iff it does too
+                # i now traverses u -> v; j must be flipped iff it does too,
+                # that is iff v follows u in j
                 x, y, z = faces[j]
-                same = (x == u and y == v) or (y == u and z == v) \
-                    or (z == u and x == v)
-                if flipped[j] is None:
+                if x == u:
+                    same = y == v
+                else:
+                    same = z == v if y == u else x == v
+                was = flipped[j]
+                if was is None:
                     flipped[j] = same
-                    stack.append(j)
-                elif flipped[j] != same:
+                    push(j)
+                elif was != same:
                     raise errors.NotClosedSurface("complex is not orientable")
     return oriented, link, components
 
@@ -329,7 +333,8 @@ class DiscMap:
 
     What does not depend on the keep set comes from one pass over the
     region (``_Region``): its shared edges and half-edges, its connectivity
-    across them and the fully glued chi.  The keep set then reads chi off
+    across them, the fully glued chi and the edges of its faces, which the
+    disc keeps as ``region_edges``.  The keep set then reads chi off
     the ends of its edges, checks connectivity without its edges and turns
     along the walk.  ``disc_structures`` makes that pass once for every
     keep set it tries and hands it in through the private ``_region``.
@@ -342,6 +347,7 @@ class DiscMap:
             raise errors.NotADisc("empty face set")
         self.torus = torus
         self.faces = region.faces
+        self.region_edges = region.edges
         self.keep_edges = keep = frozenset(_edge_arg(e) for e in keep_edges)
         bad = keep - region.shared
         if bad:
@@ -420,13 +426,26 @@ class _Region:
     - ``faces``: the face indices, ascending;
     - ``shared``: the edges whose two faces both lie in the region, read off
       the region's own faces;
+    - ``edges``: every edge of the region's faces, the shared ones and those
+      of the open half-edges;
     - ``halves``: each shared edge's two half-edges (face, tail, head) along
-      the face orientations, and ``open_halves``: every other half-edge of
-      the region's faces, on the boundary whatever the keep set;
-    - ``paths``: each vertex's corners (its faces in the region) less its
-      shared edges;
+      the face orientations, the lesser face's first, and ``open_halves``:
+      every other half-edge of the region's faces, on the boundary whatever
+      the keep set;
+    - ``paths``: each vertex's open half-edges by tail, which is its
+      corners (its faces in the region) less its shared edges;
     - ``connected``: whether the faces are connected across shared edges;
     - ``chi0``: the Euler characteristic of the fully glued unfolding.
+
+    The pass classifies each half-edge once, by whether the face across it
+    lies in the region, and files it in the same loop: a shared one under
+    its edge (the faces ascend, so the lesser face meets the edge first) and
+    under its face with the face across (``_across``), an open one among
+    ``open_halves`` with its edge, counted at its tail.  Counting open
+    half-edges by tail gives ``paths``: each face has one half-edge leaving
+    each of its corners, and the torus's faces are coherently oriented, so
+    the two faces at a shared edge traverse it oppositely and each of its
+    ends is a tail exactly once.
 
     Around a vertex v, the faces glued across shared edges form fans, each
     a copy of v in the unfolding: paths, or one cycle when the region holds
@@ -440,29 +459,33 @@ class _Region:
     def __init__(self, torus: TorusComplex, face_indices):
         self.faces = faces = _face_tuple(torus, face_indices)
         region = set(faces)
-        edge_faces = torus.edge_faces
-        halves: dict = {}
-        self.open_halves = []
-        paths: dict = {}  # vertex -> its corners less its shared edges
+        edge_faces, torus_faces = torus.edge_faces, torus.faces
+        self.halves = halves = {}
+        self._across = across = {}
+        self.open_halves = open_halves = []
+        self.paths = paths = {}
+        open_edges = []
         for f in faces:
-            a, b, c = torus.faces[f]
+            a, b, c = torus_faces[f]
+            across[f] = here = []
             for u, v in ((a, b), (b, c), (c, a)):
                 e = (u, v) if u < v else (v, u)
                 f1, f2 = edge_faces[e]
-                if f1 in region and f2 in region:
-                    halves.setdefault(e, []).append((f, u, v))
+                g = f2 if f1 == f else f1
+                if g in region:
+                    if f < g:
+                        halves[e] = [(f, u, v)]
+                    else:
+                        halves[e].append((f, u, v))
+                    here.append((e, g))
+                    if u not in paths:
+                        paths[u] = 0
                 else:
-                    self.open_halves.append((f, u, v))
-                paths[u] = paths.get(u, 0) + 1
-        self.halves = halves
+                    open_halves.append((f, u, v))
+                    open_edges.append(e)
+                    paths[u] = paths.get(u, 0) + 1
         self.shared = frozenset(halves)
-        self._across: dict = {f: [] for f in faces}
-        for e, ((f1, _, _), (f2, _, _)) in halves.items():
-            self._across[f1].append((e, f2))
-            self._across[f2].append((e, f1))
-            for x in e:
-                paths[x] -= 1
-        self.paths = paths
+        self.edges = self.shared.union(open_edges)
         self._closed = frozenset(v for v, n in paths.items() if n == 0)
         self.chi0 = len(faces) - len(halves) + len(self._closed)
         self.connected = self.connected_without(())
@@ -599,7 +622,9 @@ class TorusWithHole:
     to a hole disc lose all their edges and are dropped with them, so the
     freedom-number identity f(G) = |bd D| - 3 holds for every single cut.
     Vertex ids are never renumbered.  The hole keeps no edge -> faces map:
-    the one FF test, ``is_ff_edge``, reads the torus's.
+    the one FF test, ``is_ff_edge``, reads the torus's.  Each disc hands in
+    its region's edges (``DiscMap.region_edges``), and the graph takes the
+    torus's edges, already in key order, less the deleted ones.
     """
 
     def __init__(self, torus: TorusComplex, discs):
@@ -612,21 +637,21 @@ class TorusWithHole:
         for d in self.discs:
             if d.torus is not torus:
                 raise errors.HoleInteraction("disc belongs to a different torus")
-            fset = set(d.faces)
-            if used_faces & fset:
+            if not used_faces.isdisjoint(d.faces):
                 raise errors.HoleInteraction("hole regions share a face")
-            this_edges = {e for f in fset for e in _face_edges(torus.faces[f])}
-            if region_edges & this_edges:
+            if not region_edges.isdisjoint(d.region_edges):
                 raise errors.HoleInteraction("hole regions share an edge")
-            used_faces |= fset
-            region_edges |= this_edges
+            used_faces.update(d.faces)
+            region_edges |= d.region_edges
         self.hole_faces = frozenset(used_faces)
-        self.deleted_edges = frozenset(e for d in self.discs for e in d.interior_edges)
-        self.deleted_vertices = frozenset(v for d in self.discs for v in d.interior_vertices)
-        self.faces = tuple(f for i, f in enumerate(torus.faces)
-                           if i not in self.hole_faces)
+        self.deleted_edges = frozenset().union(*(d.interior_edges for d in self.discs))
+        self.deleted_vertices = frozenset().union(
+            *(d.interior_vertices for d in self.discs))
+        self.faces = tuple([f for i, f in enumerate(torus.faces)
+                            if i not in self.hole_faces])
+        # the torus's edges are in key order, so only the adjacency is built
         self.graph = Graph(torus.vertices - self.deleted_vertices,
-                           torus.edges - self.deleted_edges)
+                           torus.edges - self.deleted_edges, _keyed=True)
         self.boundary_edges = frozenset(region_edges - self.deleted_edges)
         walk_edges = frozenset(e for d in self.discs for e in d.boundary_walk.edge_set())
         if walk_edges != self.boundary_edges:

@@ -53,12 +53,15 @@ def with_record(error: type[errors.TorusRigError], hole: TorusWithHole,
     reruns through the API: ``record_to_hole``, then ``contract`` on the
     edge the message names.  No subcommand runs the key-lemma search or
     ``fission``, and ``torusrig homology -`` refuses a non-tight record
-    before ``crossover_class`` runs; so a record from ``NoCriticalCycle``,
-    from ``TrivialClassFound`` or from ``fission``'s
+    before ``crossover_class`` runs; so a record from ``NoCriticalCycle``
+    or from ``TrivialClassFound`` reruns through the API: ``record_to_hole``,
+    then ``find_critical_cycle_through`` or ``crossover_class`` on the edge
+    that the message names.  So does ``fission``'s
     ``NoMatchingCatalogGraph`` (its one refill closes no torus, or its child
-    is not tight) reruns through the API: ``record_to_hole``, then
-    ``find_critical_cycle_through``, ``crossover_class`` or ``fission`` on
-    the edge or cycle that the message names."""
+    is not tight): the message names the cycle's disc faces and kept edges,
+    positions and edges of the record's torus, so ``SeparatingCycle(DiscMap(
+    record_to_hole(record).torus, faces, keep))`` rebuilds the cycle for
+    ``fission``."""
     record = json.dumps(hole_to_record(hole), sort_keys=True)
     return error(f"{why}; record: {record}")
 

@@ -34,19 +34,23 @@ class Graph:
     merged or split vertex and its neighbours only; they hand the result to
     the constructor through the private ``_adj`` argument, which skips the
     normalisation of every edge and the rebuild of every neighbour set.
+    A torus graph with holes passes the private ``_keyed`` instead: its
+    edges, a frozenset of key-ordered pairs, skip the normalisation alone,
+    and an edge that leaves the vertex set still raises NonSimple.
     """
 
     __slots__ = ("vertices", "edges", "_adj", "_orientation", "_origin")
 
-    def __init__(self, vertices, edges, *, _adj=None):
+    def __init__(self, vertices, edges, *, _adj=None, _keyed=False):
         self._orientation = None
         self._origin = None
         if _adj is not None:
             # a move's child: frozensets of vertices and key-ordered edges
             self.vertices, self.edges, self._adj = vertices, edges, _adj
             return
-        # edge_key only for pairs not already in key order, and for loops
-        edges = frozenset((u, v) if u < v else edge_key(v, u) for u, v in edges)
+        if not _keyed:
+            # edge_key only for pairs not already in key order, and for loops
+            edges = frozenset((u, v) if u < v else edge_key(v, u) for u, v in edges)
         vertices = frozenset(vertices)
         adj: dict[int, set[int]] = {v: set() for v in vertices}
         for u, v in edges:

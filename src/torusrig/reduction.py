@@ -213,11 +213,8 @@ def divide(hole: TorusWithHole, cycle: SeparatingCycle) -> tuple[TorusWithHole, 
     annulus of graph edges inside the region; InvalidCycle unless the cycle
     encloses the hole (``_check_encloses``)."""
     _check_encloses(hole, cycle)
-    torus = hole.torus
     g1 = cycle.outer
-    region_edges = {e for f in cycle.disc.faces
-                    for e in _face_edges(torus.faces[f])}
-    ann_edges = (region_edges & hole.graph.edges) - hole.deleted_edges
+    ann_edges = (cycle.disc.region_edges & hole.graph.edges) - hole.deleted_edges
     ann_vertices = {v for e in ann_edges for v in e}
     return g1, Graph(ann_vertices, ann_edges)
 
@@ -246,8 +243,8 @@ def _unspanned_region(hole: TorusWithHole, start: int, k_set) -> frozenset:
         i = stack.pop()
         for e in _face_edges(faces[i]):
             j = sum(edge_faces[e]) - i  # the other face at e
-            if j not in region and not (all(v in k_set for v in faces[j]) and all(
-                    x in edges for x in _face_edges(faces[j]))):
+            if j not in region and not (k_set.issuperset(faces[j])
+                                        and edges.issuperset(_face_edges(faces[j]))):
                 region.add(j)
                 stack.append(j)
     return frozenset(region)
@@ -346,9 +343,18 @@ def fission(hole: TorusWithHole, cycle: SeparatingCycle
     if not check_3_6(g2.graph).is_tight:
         raise fileio.with_record(
             errors.NoMatchingCatalogGraph, hole,
-            "substitution produced a non-tight graph at the cycle "
-            f"{list(cycle.walk.vertices)}; fission lemma violated")
+            f"substitution produced a non-tight graph at {_cycle_named(cycle)}; "
+            "fission lemma violated")
     return cycle.outer, g2
+
+
+def _cycle_named(cycle: SeparatingCycle) -> str:
+    """The cycle as fission's errors name it: its walk, and its disc's face
+    positions and kept edges, from which ``DiscMap`` on the record's torus
+    rebuilds it."""
+    disc = cycle.disc
+    return (f"the cycle {list(cycle.walk.vertices)} (disc faces "
+            f"{list(disc.faces)}, keep {sorted(map(list, disc.keep_edges))})")
 
 
 def _substitute(hole: TorusWithHole, cycle: SeparatingCycle) -> TorusWithHole:
@@ -368,8 +374,8 @@ def _substitute(hole: TorusWithHole, cycle: SeparatingCycle) -> TorusWithHole:
     vertices of G1.  G1 is tight (the module docstring's count), so G1 with
     that edge breaks G's sparsity.  So on tight G the one refill closes a
     torus.  A pattern with no catalog graph, or a refill that closes no
-    torus, raises NoMatchingCatalogGraph, naming the cycle and carrying the
-    record.
+    torus, raises NoMatchingCatalogGraph, naming the cycle by its walk and
+    its disc (``_cycle_named``) and carrying the record.
     """
     w_c = cycle.walk.vertices
     try:
@@ -386,7 +392,7 @@ def _substitute(hole: TorusWithHole, cycle: SeparatingCycle) -> TorusWithHole:
     except errors.TorusRigError as exc:
         raise fileio.with_record(
             errors.NoMatchingCatalogGraph, hole,
-            f"no catalog graph glues at the cycle {list(w_c)}: {exc}") from exc
+            f"no catalog graph glues at {_cycle_named(cycle)}: {exc}") from exc
 
 
 # -- greedy reduction --------------------------------------------------------

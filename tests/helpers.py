@@ -8,7 +8,8 @@ contraction rule from scans of the faces and edges, greedy reduction that
 carries the hole through every step, the complementary region by scans of
 every face and edge, the slot-based disc unfolding, hole growth that
 builds a disc after every added face, the record and face-list checks one
-field at a time, walk alignments by consistency of the vertex map),
+field at a time, walk alignments by consistency of the vertex map, the
+disc region in two passes and the hole graph by the generic build),
 the builders (face-graph quotients, separating cycles from a region, vertex
 splits on a torus) that tests compare that path against, every torus on
 seven to nine vertices by a search of the flip graph, and an in-process CLI
@@ -30,8 +31,8 @@ from torusrig import cli, errors, sparsity
 from torusrig.catalog import _classes
 from torusrig.complexes import (ClosedWalk, DiscMap, SurfaceComplex,
                                 TorusComplex, TorusWithHole, _face_edges,
-                                _symmetries, canon_face, disc_structures,
-                                grid_faces)
+                                _face_tuple, _Region, _symmetries,
+                                disc_structures, grid_faces)
 from torusrig.corpus import MAX_REGION, CorpusSpec
 from torusrig.fileio import _items
 from torusrig.graphs import Graph, contract_edge, edge_key
@@ -389,6 +390,17 @@ def check_record_oracle(record) -> None:
                 raise errors.MalformedRecord(f"{field}[{k}]: {x} is not a face index")
 
 
+def canon_face(face):
+    """Rotate a corner triple so the smallest corner comes first.
+
+    Cyclic order (orientation) is preserved; only the starting point changes.
+    """
+    a, b, c = face
+    if a <= b and a <= c:
+        return face
+    return (b, c, a) if b <= c else (c, a, b)
+
+
 def surface_complex_oracle(faces) -> None:
     """The checks of ``SurfaceComplex(faces)`` one at a time: the first
     face that is not three comparable corners, repeats a corner or repeats a
@@ -539,6 +551,85 @@ def _unfolding(torus: TorusComplex, faces, glued):
                             pairs)
     n_classes = len(set(corner_class.values()))
     return corner_class, n_classes - (3 * len(faces) - len(glued)) + len(faces)
+
+
+def two_pass_region(torus: TorusComplex, face_indices) -> dict:
+    """The fields of ``complexes._Region`` by two passes over the region.
+
+    The first sorts each half-edge into a shared edge's pair or the open
+    ones and counts every vertex's corners; the second files each shared
+    edge under its two faces and takes it off the counts at its two ends,
+    so ``paths`` is corners less shared edges.  The region's edges come from
+    every face's three, ``connected`` from a search of its own, and
+    ``open_halves`` as a set and ``across`` as each face's set of (edge,
+    other face).  The reference for the one-pass ``_Region``.
+    """
+    faces = _face_tuple(torus, face_indices)
+    region = set(faces)
+    halves, open_halves, paths = {}, set(), {}
+    for f in faces:
+        a, b, c = torus.faces[f]
+        for u, v in ((a, b), (b, c), (c, a)):
+            e = edge_key(u, v)
+            f1, f2 = torus.edge_faces[e]
+            if f1 in region and f2 in region:
+                halves.setdefault(e, []).append((f, u, v))
+            else:
+                open_halves.add((f, u, v))
+            paths[u] = paths.get(u, 0) + 1
+    across = {f: set() for f in faces}
+    for e, ((f1, _, _), (f2, _, _)) in halves.items():
+        across[f1].add((e, f2))
+        across[f2].add((e, f1))
+        for x in e:
+            paths[x] -= 1
+    seen, stack = set(faces[:1]), list(faces[:1])
+    while stack:
+        for _e, g in across[stack.pop()]:
+            if g not in seen:
+                seen.add(g)
+                stack.append(g)
+    closed = sum(n == 0 for n in paths.values())
+    return {"halves": halves, "open_halves": open_halves, "paths": paths,
+            "chi0": len(faces) - len(halves) + closed,
+            "connected": len(seen) == len(faces),
+            "edges": {e for f in faces for e in _face_edges(torus.faces[f])},
+            "across": across}
+
+
+def hole_graph_oracle(hole: TorusWithHole) -> Graph:
+    """The hole's graph by the generic build, which puts every torus edge in
+    key order again: the torus's vertices and edges less the deleted ones."""
+    return Graph(hole.torus.vertices - hole.deleted_vertices,
+                 hole.torus.edges - hole.deleted_edges)
+
+
+def region_mismatches(torus: TorusComplex, face_indices) -> list[str]:
+    """The fields of the one-pass ``_Region`` that differ from
+    ``two_pass_region``'s; an empty list when all agree."""
+    region = _Region(torus, face_indices)
+    got = {"halves": region.halves, "open_halves": set(region.open_halves),
+           "paths": region.paths, "chi0": region.chi0,
+           "connected": region.connected, "edges": region.edges,
+           "across": {f: set(xs) for f, xs in region._across.items()}}
+    want = two_pass_region(torus, face_indices)
+    return [name for name in want if got[name] != want[name]]
+
+
+def one_pass_mismatches(hole: TorusWithHole) -> list[str]:
+    """What the one-pass builds of a hole get wrong against the oracles:
+    each disc's region (``region_mismatches``) and the edges its
+    ``DiscMap`` keeps, and the graph, adjacency too, against
+    ``hole_graph_oracle``; an empty list when all agree."""
+    wrong = []
+    for k, d in enumerate(hole.discs):
+        wrong += [f"disc {k} {name}" for name in region_mismatches(hole.torus, d.faces)]
+        if d.region_edges != {e for f in d.faces for e in _face_edges(hole.torus.faces[f])}:
+            wrong.append(f"disc {k} region_edges")
+    graph = hole_graph_oracle(hole)
+    if hole.graph != graph or hole.graph._adj != graph._adj:
+        wrong.append("graph")
+    return wrong
 
 
 def slot_disc(torus: TorusComplex, face_indices, keep_edges=()):

@@ -17,8 +17,9 @@ from torusrig.fileio import hole_to_record, load_hole, record_to_hole
 from torusrig.graphs import Graph, freedom
 
 from helpers import (NonSimpleQuotient, boundary_edges, connected_regions,
-                     corrupt, identify_face_graph, is_connected, raised,
-                     slot_disc, surface_complex_oracle)
+                     corrupt, identify_face_graph, is_connected,
+                     one_pass_mismatches, raised, region_mismatches,
+                     slot_disc, surface_complex_oracle, torus_census)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -546,6 +547,50 @@ def test_boundary_walk_does_not_depend_on_face_numbering(load):
         for d, r in zip(hole.discs, rebuilt.discs, strict=True):
             assert r.boundary_walk.vertices == d.boundary_walk.vertices
             assert r.boundary_walk.vertices == r.boundary_walk.canonical()
+
+
+@pytest.mark.parametrize("load", [load for _, load in STORED],
+                         ids=[name for name, _ in STORED])
+def test_stored_holes_match_the_two_pass_oracles(load):
+    # each disc's one-pass region and face-derived edges, and the graph
+    # built from the torus's key-ordered edges, against the two-pass region
+    # and the generic graph build
+    assert one_pass_mismatches(load()) == []
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_census_discs_match_the_two_pass_oracles(n):
+    # on every torus with n vertices: grown regions and a random face set,
+    # which may be no disc or not connected, region for region; and the
+    # first disc structures of each grown region, cut as holes
+    rng = random.Random(20261019 + n)
+    census = torus_census(n)
+    holes = 0
+    for faces in census.values():
+        torus = TorusComplex(faces)
+        m = len(torus.faces)
+        regions = [_grow(torus, rng, [rng.randrange(m)], rng.randrange(m // 2))
+                   for _ in range(max(3, 60 // len(census)))]
+        scattered = rng.sample(range(m), rng.randint(1, m))
+        for region in [*regions, scattered]:
+            assert region_mismatches(torus, region) == [], (faces, region)
+        for region in regions:
+            for disc in itertools.islice(disc_structures(torus, region), 3):
+                hole = TorusWithHole(torus, [disc])
+                assert one_pass_mismatches(hole) == [], (faces, region)
+                holes += 1
+    assert holes > 50
+
+
+def test_hole_graph_edge_leaving_its_vertices_raises_nonsimple():
+    # the graph is built from the torus's edges without normalising them,
+    # and still refuses an edge that leaves its vertex set: here a disc
+    # claims a corner of its one face as interior, which keeps its edges
+    t = rectangular_torus(3, 3)
+    disc = DiscMap(t, [0])
+    disc.interior_vertices = frozenset({t.faces[0][0]})
+    with pytest.raises(errors.NonSimple, match="leaves the vertex set"):
+        TorusWithHole(t, [disc])
 
 
 K7 = [f for i in range(7) for f in ((i, (i + 1) % 7, (i + 3) % 7),

@@ -3,6 +3,8 @@ import dataclasses
 import itertools
 import json
 import pathlib
+import random
+import re
 import time
 
 import pytest
@@ -10,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from torusrig import catalog, errors, reduction
 from torusrig.catalog import build_H, classify
-from torusrig.complexes import (ClosedWalk, DiscMap, TorusComplex, canon_face,
-                                cut_hole, disc_structures, rectangular_torus,
+from torusrig.complexes import (ClosedWalk, DiscMap, TorusComplex, cut_hole,
+                                disc_structures, rectangular_torus,
                                 retriangulate_holes)
 from torusrig.corpus import CorpusSpec, corpus_records
 from torusrig.fileio import hole_to_record, load_hole, record_to_hole
@@ -27,10 +29,11 @@ from torusrig.reduction import (Certificate, EdgeClass, SeparatingCycle,
 from torusrig.rigidity import generic_rank
 from torusrig.sparsity import SparsityVerdict, Status, check_3_6
 
-from helpers import (_blocked_faces, _grow_region, connected_regions,
-                     edge_rule_oracle, exhaustive_critical_cycles_through,
-                     facial_split, hole_reduce_greedy, induced, is_connected,
-                     link_cycle, record_pebble_games, run_main,
+from helpers import (_blocked_faces, _grow_region, canon_face,
+                     connected_regions, edge_rule_oracle,
+                     exhaustive_critical_cycles_through, facial_split,
+                     hole_reduce_greedy, induced, is_connected, link_cycle,
+                     one_pass_mismatches, record_pebble_games, run_main,
                      separating_cycle, tight_set_critical_cycles,
                      vertex_split, walk_alignments)
 
@@ -1128,6 +1131,75 @@ def test_substitute_error_names_cycle_and_carries_record(monkeypatch):
     record = json.loads(message.split("; record: ", 1)[1])
     assert record == hole_to_record(hole)
     assert record_to_hole(record).graph == hole.graph
+
+
+def _named_cycle(message):
+    """The hole and the cycle that a fission error names, rebuilt from the
+    message alone: the record at its end, and the disc faces and kept edges
+    it names, positions and edges of the record's torus."""
+    why, _, record = message.partition("; record: ")
+    hole = record_to_hole(json.loads(record))
+    faces, keep = re.search(
+        r"\(disc faces (\[[\d, ]*\]), keep (\[[\[\]\d, ]*\])\)", why).groups()
+    disc = DiscMap(hole.torus, json.loads(faces), map(tuple, json.loads(keep)))
+    return hole, SeparatingCycle(disc)
+
+
+@pytest.mark.parametrize("child", ["no torus", "not tight"])
+def test_fission_failure_reruns_from_its_message(monkeypatch, child):
+    # both NoMatchingCatalogGraph messages, a refill that closes no torus and
+    # a child that is not tight, name the cycle's disc; the cycle rebuilt
+    # from the message fails fission again with the same message
+    def refill(*args):
+        if child == "no torus":
+            raise errors.NotADisc("refill disabled")
+        return cut_hole(rectangular_torus(3, 3), [0])  # a 3-walk: f = 0
+
+    hole = cut_hole(rectangular_torus(3, 3), [0, 1, 2, 3, 9, 14, 15])
+    cycle = find_critical_cycle_through(hole, (3, 7))
+    assert cycle.disc.keep_edges == {(7, 8)}
+    monkeypatch.setattr(reduction, "retriangulate_holes", refill)
+    with pytest.raises(errors.NoMatchingCatalogGraph) as info:
+        fission(hole, cycle)
+    message = str(info.value)
+    again, rebuilt = _named_cycle(message)
+    assert (rebuilt.disc.faces, rebuilt.walk.vertices) == \
+        (cycle.disc.faces, cycle.walk.vertices)
+    with pytest.raises(errors.NoMatchingCatalogGraph) as rerun:
+        fission(again, rebuilt)
+    assert str(rerun.value) == message
+
+
+def _keylemma_records(seed: int, per_grid: int) -> list[dict]:
+    """The first ``per_grid`` tight records of each grid that the keylemma
+    benchmark draws at ``seed``: grids 3x4, 3x5, 4x4 and 3x6, each drawn one
+    record at a time from a generator seeded "<seed>:<r>x<s>"."""
+    records = []
+    for r, s in ((3, 4), (3, 5), (4, 4), (3, 6)):
+        rng = random.Random(f"{seed}:{r}x{s}")
+        drawn = (corpus_records(CorpusSpec(seed=rng.getrandbits(32), count=1,
+                                           grids=((r, s),)))[0]
+                 for _ in itertools.count())
+        records += itertools.islice(
+            (rec for rec in drawn if rec["meta"]["status"] == "Tight"), per_grid)
+    return records
+
+
+def test_keylemma_refills_match_the_two_pass_oracles():
+    # a fixed sample of the keylemma benchmark's seed-1 fissions: each
+    # input, its outer part G1 and its refilled child G2 against the
+    # two-pass region and the generic graph build
+    fissions = 0
+    for record in _keylemma_records(1, 2):
+        hole = record_to_hole(record)
+        assert one_pass_mismatches(hole) == []
+        for e in contractible_edges(hole):
+            cycle = find_critical_cycle_through(hole, e)
+            if cycle is not None:
+                g1, g2 = fission(hole, cycle)
+                assert one_pass_mismatches(g1) == one_pass_mismatches(g2) == []
+                fissions += 1
+    assert fissions > 20
 
 
 def _catalog_alignments(hole, cycle):
