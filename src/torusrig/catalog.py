@@ -80,7 +80,13 @@ def parse_word(text: str) -> DetachmentWord:
             j = i
             while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
-            tokens.append(int(text[i:j]))
+            # a numeral above 9 breaks the sum rule, and a run of two or
+            # more significant digits is one; int() never reads such a run
+            digits = text[i:j].lstrip("0")
+            if len(digits) > 1:
+                raise errors.SumNot9(
+                    f"a {len(digits)}-digit numeral is above 9: the word cannot sum to 9")
+            tokens.append(int(digits or "0"))
             i = j
         else:
             raise errors.BadToken(f"unexpected character {ch!r} in {text!r}")
@@ -273,9 +279,9 @@ def _load_graph_record(name: str) -> dict:
         return json.load(fh)
 
 
-@functools.lru_cache(maxsize=None)
 def build_H(i: int) -> TorusWithHole:
-    """The stored vertex-minimal representative H_i, 1 <= i <= 17.
+    """The stored vertex-minimal representative H_i, 1 <= i <= 17;
+    BadArgument unless i is an int.
 
     Representatives are data files (rectangular or annular torus face lists
     plus a hole region); the test suite revalidates tightness, the boundary
@@ -284,8 +290,15 @@ def build_H(i: int) -> TorusWithHole:
     mutated, so each record is parsed and validated once per process and the
     same object is returned after that (at most 17 are held).
     """
+    if type(i) is not int:
+        raise errors.BadArgument(f"catalog index {i!r} is not an integer")
     if not 1 <= i <= 17:
         raise errors.NoMatchingCatalogGraph(f"index {i} out of range 1..17")
+    return _build_H(i)
+
+
+@functools.lru_cache(maxsize=None)
+def _build_H(i: int) -> TorusWithHole:
     record = _load_graph_record(f"h{i:02d}.json")
     from .fileio import record_to_hole
     return record_to_hole(record)

@@ -244,8 +244,10 @@ def rectangular_torus(r: int, s: int) -> TorusComplex:
 
     Vertex (i, j) gets id i*s + j; the faces are ``grid_faces(r, s)`` in
     order.  Needs r, s >= 3; smaller grids produce loops or parallel edges
-    under the identification.
+    under the identification.  BadArgument unless both are ints.
     """
+    if type(r) is not int or type(s) is not int:
+        raise errors.BadArgument(f"grid {r!r}x{s!r}: dimensions must be integers")
     if r < 3 or s < 3:
         raise errors.TooSmall(f"grid {r}x{s}: both dimensions must be >= 3")
     return TorusComplex(grid_faces(r, s))

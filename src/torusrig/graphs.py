@@ -18,7 +18,8 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 
 
 class Graph:
-    """An immutable simple graph on integer vertex ids.
+    """An immutable simple graph on integer vertex ids; the public
+    constructor refuses a vertex that is not an ``int`` with BadArgument.
 
     Vertices need not be consecutive; isolated vertices are allowed (they
     matter for freedom-number bookkeeping).  Two more slots belong to
@@ -48,10 +49,13 @@ class Graph:
             # a move's child: frozensets of vertices and key-ordered edges
             self.vertices, self.edges, self._adj = vertices, edges, _adj
             return
+        vertices = frozenset(vertices)
         if not _keyed:
+            bad = [v for v in vertices if type(v) is not int]
+            if bad:
+                raise errors.BadArgument(f"vertex {bad[0]!r} is not an integer")
             # edge_key only for pairs not already in key order, and for loops
             edges = frozenset((u, v) if u < v else edge_key(v, u) for u, v in edges)
-        vertices = frozenset(vertices)
         adj: dict[int, set[int]] = {v: set() for v in vertices}
         for u, v in edges:
             if u not in adj or v not in adj:

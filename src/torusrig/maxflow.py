@@ -28,7 +28,19 @@ def fetch_pebble(pebbles, out, root, pinned=()) -> bool:
     out-path that reaches it; False when no out-path from ``root`` does.
 
     ``pebbles`` holds each vertex's free pebbles and ``out`` the out-sets
-    of the covered edges' orientation."""
+    of the covered edges' orientation.  Most pebbles lie one edge away, so
+    ``root``'s out-set is scanned first and the first head holding one
+    gives it up by reversing that edge; only a miss starts the depth-first
+    search.  The search meets the heads in that same order and takes the
+    first such pebble, so the scan moves the pebble the search would."""
+    heads = out[root]
+    for y in heads:
+        if pebbles[y] and y not in pinned:
+            pebbles[y] -= 1
+            pebbles[root] += 1
+            heads.remove(y)
+            out[y].add(root)
+            return True
     parent = {root: None}
     stack = [root]
     while stack:

@@ -37,8 +37,9 @@ a contractible edge has only its two apexes as common neighbours; so a
 simple leaf is named by its counts, (4, 6) K4 and (5, 9) K5 minus an edge.
 A graph that breaks the ruling raises StuckButContractible.  The rule has
 one copy, ``_contractible``: ``_candidates`` feeds it the retained faces'
-apex map (the loop's, and ``contractible_edges``), ``classify_edge`` the
-faces at e after the one FF test (``TorusWithHole.is_ff_edge``).
+apex map (the loop's, and ``contractible_edges``), ``_edge_rule`` the
+faces at e after the one FF test (``TorusWithHole.is_ff_edge``), for
+``classify_edge`` and for the guard of ``contract`` and the search.
 
 Every child hole, from a contraction, the leaf or a fission, is built one
 way (``retriangulate_holes``): its retained faces closed by a fresh collar
@@ -101,23 +102,33 @@ def _apex_faces(torus: TorusComplex, e) -> dict[int, int]:
     return {sum(faces[f]) - u - v: f for f in torus.edge_faces[e]}
 
 
-def classify_edge(hole: TorusWithHole, e) -> EdgeClass:
-    """BOUNDARY_INCIDENT_FACE unless e is FF (``TorusWithHole.is_ff_edge``),
-    else contractible or blocked by the rule (``_contractible``)."""
-    if not hole.is_ff_edge(e):
-        return EdgeClass.BOUNDARY_INCIDENT_FACE
+def _edge_rule(hole: TorusWithHole, e) -> tuple[EdgeClass, tuple, dict | None]:
+    """The class of graph edge e, its key and, for an FF edge, its
+    ``_apex_faces``: BOUNDARY_INCIDENT_FACE unless e is FF
+    (``TorusWithHole.is_ff_edge``), else contractible or blocked by the
+    rule (``_contractible``)."""
+    ff = hole.is_ff_edge(e)
     e = edge_key(*e)
-    contractible = _contractible(hole.graph, e, _apex_faces(hole.torus, e))
-    return EdgeClass.FF_CONTRACTIBLE if contractible else EdgeClass.FF_BLOCKED
+    if not ff:
+        return EdgeClass.BOUNDARY_INCIDENT_FACE, e, None
+    apex_face = _apex_faces(hole.torus, e)
+    if _contractible(hole.graph, e, apex_face):
+        return EdgeClass.FF_CONTRACTIBLE, e, apex_face
+    return EdgeClass.FF_BLOCKED, e, apex_face
+
+
+def classify_edge(hole: TorusWithHole, e) -> EdgeClass:
+    """The class of graph edge e under the contraction rule (``_edge_rule``)."""
+    return _edge_rule(hole, e)[0]
 
 
 def _contraction_apexes(hole: TorusWithHole, e) -> tuple[tuple[int, int], dict]:
     """Key and ``_apex_faces`` of a contractible FF edge, the guard of
     ``contract`` and the search; NotContractible for another graph edge."""
-    if classify_edge(hole, e) is not EdgeClass.FF_CONTRACTIBLE:
-        raise errors.NotContractible(f"{edge_key(*e)} is not a contractible FF edge")
-    e = edge_key(*e)
-    return e, _apex_faces(hole.torus, e)
+    cls, e, apex_face = _edge_rule(hole, e)
+    if cls is not EdgeClass.FF_CONTRACTIBLE:
+        raise errors.NotContractible(f"{e} is not a contractible FF edge")
+    return e, apex_face
 
 
 def _candidates(graph: Graph, faces) -> tuple[dict, list]:

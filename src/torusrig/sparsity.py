@@ -11,10 +11,14 @@ At the first placement that makes some S violating, S spans exactly 3|S| - 5
 edges, the new one among them, so S is (3,5)-tight and the new edge's
 component has three or more vertices.  So one pebble game decides sparsity and
 tightness.  Such an S has five or more vertices, and S less either end of the
-new edge spans at most 3|S| - 9 edges, as it was sparse before; so both ends
-have four or more placed edges, and a placement with an end of lower degree
-needs no component search.  The board is the out-sets of the orientation and
-a placed-degree count; in-neighbours are read off the graph's neighbour sets.
+new edge spans at most 3|S| - 9 edges, as it was sparse before; so each end
+has four or more placed edges into S.  So a placement with an end of lower
+degree needs no component search, and otherwise a search from the
+in-neighbours of one end decides.  The board is the out-sets of the
+orientation and each vertex's count of edges still to place: a placed
+degree is the graph degree less that count, and in-neighbours are read off
+the graph's neighbour sets.  Each edge is covered from the end with fewer
+edges still to place, so the other end keeps its pebbles for its next edge.
 Only a violating graph has a witness: one min-cut per edge, in sorted edge
 order, over vertex sets S containing that edge's endpoints, maximising
 |E(G[S])| - 3|S|; the first set of three or more vertices pushing the maximum
@@ -26,15 +30,16 @@ The key lemma and the greedy reduction ask again and again about graphs that
 share most edges with the hole's graph G, decided already: G/e and the
 fission child.  So the game's final orientation, every vertex's out-set,
 stays on each graph it decides, and a graph may name such a graph as its
-origin.  The game starts from the origin's orientation of the edges the two
-graphs share, each out-set cut down to the graph's neighbour set (the empty
-board without an origin decided sparse), and places only the graph's other
-edges, in sorted order.  That is sound for any two graphs: the shared
-edges span a subgraph of a sparse graph, so they are sparse, and the
-restricted orientation has out-degree at most three, a valid start.  Whether
-pebbles can be gathered and which component the search detects depend only
-on the placed graph, not on the order of placement or the valid start.  A
-violating graph still gets its witness from the unchanged flow scan.
+origin.  The game copies the origin's out-sets and cuts the edges that the
+origin has and the graph lacks, which leaves the origin's orientation of the
+edges the two graphs share (the empty board without an origin decided
+sparse), and places only the graph's other edges, in sorted order.  That
+is sound for any two graphs: the shared edges span a subgraph of a sparse
+graph, so they are sparse, and the restricted orientation has out-degree at
+most three, a valid start.  Whether pebbles can be gathered and which
+component the search detects depend only on the placed graph, not on the
+order of placement or the valid start.  A violating graph still gets its
+witness from the unchanged flow scan.
 """
 
 from __future__ import annotations
@@ -102,106 +107,121 @@ def _sparse_verdict(g: Graph) -> SparsityVerdict:
 class _PebbleGame:
     """The (3,5) pebble game with component detection (Lee & Streinu 2008;
     Jacobs & Hendrickson 1997) on a graph: three pebbles per vertex, the
-    out-sets of the placed edges' orientation and the placed degrees.
+    out-sets of the placed edges' orientation, and ``todo``, the number of
+    edges still to place at each vertex that has any.
 
     Every vertex starts with three pebbles, and a pebble on a vertex either
     lies free or covers one of its out-edges, so every vertex set S has
     3|S| = free(S) + |E(S)| + out(S).  Edge uv is accepted once u and v
-    hold six pebbles; one of u's then covers it as u -> v.  With the five
-    left on u and v, a set S containing both is (3,5)-tight exactly when it
-    is closed under out-edges and holds no other free pebble.  The largest
-    such set, the component of uv, is every vertex that cannot reach a free
-    pebble off u and v; forward searches from the in-neighbours of u and v
-    alone decide whether it has three or more vertices, and only when both
-    have placed degree four or more (the degree lemma of
-    ``_big_component``).  A component that big, or a rejected edge, is a
-    (3,6) violation; on a simple graph the component is always found first.
+    hold six pebbles; then a pebble of the end with fewer edges still to
+    place covers it, of u on a tie.  That end spends the pebble, and the
+    other keeps its three for its next edge: every edge a contraction adds
+    is at the merged vertex, which so gathers its pebbles once per game.
+    With the five left on u and v, a set S containing both is (3,5)-tight
+    exactly when it is closed under out-edges and holds no other free
+    pebble.  The largest such set, the component of uv, is every vertex that
+    cannot reach a free pebble off u and v; forward searches from the
+    in-neighbours of one end alone decide whether it has three or more
+    vertices, and only when both ends have placed degree four or more (the
+    degree lemma of ``_big_component``).  A component that big, or a
+    rejected edge, is a (3,6) violation; on a simple graph the component is
+    always found first.
 
     The game may start from any orientation of a (3,6)-sparse subgraph with
     out-degree at most three, given as every vertex's out-set: the identity
     above holds for it, and that is all gathering pebbles and finding
-    components rely on.  Degrees are counted at the start and bumped by
-    ``place``; a pebble move reverses an edge and keeps them.
+    components rely on.  A vertex's placed degree is its degree in the
+    graph less its edges still to place, so no count of the board is kept;
+    a cold game starts ``todo`` from the graph's degrees.
     """
 
-    __slots__ = ("graph", "pebbles", "out", "degree")
+    __slots__ = ("graph", "pebbles", "out", "todo")
 
-    def __init__(self, graph: Graph, out: dict):
+    def __init__(self, graph: Graph, out: dict, todo: dict):
         self.graph = graph
         self.out = out
+        self.todo = todo
         self.pebbles = {t: 3 - len(heads) for t, heads in out.items()}
-        self.degree = degree = {t: len(heads) for t, heads in out.items()}
-        for heads in out.values():
-            for h in heads:
-                degree[h] += 1
 
     def place(self, u, v) -> bool:
         """Place edge uv; False when the placed graph stops being
         (3,6)-sparse."""
+        pebbles, out, todo = self.pebbles, self.out, self.todo
         pinned = (u, v)
         for x in pinned:
-            while self.pebbles[x] < 3:
-                if not fetch_pebble(self.pebbles, self.out, x, pinned):
+            while pebbles[x] < 3:
+                if not fetch_pebble(pebbles, out, x, pinned):
                     return False
-        self.pebbles[u] -= 1
-        self.out[u].add(v)
-        self.degree[u] += 1
-        self.degree[v] += 1
+        if todo[v] < todo[u]:
+            u, v = v, u
+        todo[u] -= 1
+        todo[v] -= 1
+        pebbles[u] -= 1
+        out[u].add(v)
         return not self._big_component(u, v)
 
     def _big_component(self, u, v) -> bool:
         """Whether the (3,5)-tight component of the placed edge uv has three
         or more vertices.
 
-        Degree lemma: such a component S has five or more vertices, as three
-        or four vertices cannot span 3|S| - 5 edges.  S - u has three or
-        more vertices, does not hold uv and was placed before it, so it is
-        (3,6)-sparse and spans at most 3|S| - 9 edges; so four or more placed
-        edges join u to S, and v too.  A vertex of placed degree below four
-        rules the component out with no search.
-
         Before the placement u and v hold all their six pebbles, so no other
-        out-edge leaves them: u -> v is the only one, and the component is
-        {u, v} with every vertex that reaches no free pebble off u and v.  A
-        (3,5)-tight set S on three or more vertices spans a connected graph:
-        a part of a vertices spans at most 3a - 3 edges, so two parts with
-        no edge between them span at most 3|S| - 6.  So a component that big
-        holds a vertex w other than u and v adjacent to one of them, the
-        edge points w -> u or w -> v (u or v is in w's out-set), and only
-        these in-neighbours need a forward search.  An in-neighbour holding a
-        pebble is no start, nor are u and v, which hold five.  A vertex on
-        the parent chain to a free pebble reaches one too and is marked; the
-        other vertices that search visited may be dead ends inside the
-        component, so they are not.  A search stops at the first pushed
-        vertex that holds a pebble or is marked.
+        out-edge leaves them: the covered edge, from either end, is the only
+        one, and every other placed edge at u or v points into it.  The
+        component S is {u, v} with every vertex that reaches no free pebble
+        off u and v, called dead here; so S is big exactly when some vertex
+        is dead.
+
+        Degree lemma: a big S has five or more vertices, as three or four
+        vertices cannot span 3|S| - 5 edges.  S - u has three or more
+        vertices, does not hold uv and was placed before it, so it is
+        (3,6)-sparse and spans at most 3|S| - 9 edges; so four or more placed
+        edges join u to S, uv and three or more from dead in-neighbours of
+        u, and the same holds for v.  So only the end x with fewer placed
+        in-neighbours (the other end aside) is searched: a dead one proves S
+        big, and once all but two of them are shown to reach a free pebble,
+        S is not big.  With fewer than three, placed degree below four, no
+        search runs.
+
+        An in-neighbour holding a pebble reaches one; any other gets a
+        forward search that avoids u and v.  A vertex on the parent chain to
+        a free pebble reaches one too and is marked; the other vertices that
+        search visited may be dead, so they are not.  A search stops at the
+        first pushed vertex that holds a pebble or is marked.
         """
-        pebbles, out, degree = self.pebbles, self.out, self.degree
-        if degree[u] < 4 or degree[v] < 4:
-            return False
+        pebbles, out, todo = self.pebbles, self.out, self.todo
         adj = self.graph.neighbors
+        left_u = len(adj(u)) - todo[u] - 1
+        left_v = len(adj(v)) - todo[v] - 1
+        x, other, left = (u, v, left_u) if left_u <= left_v else (v, u, left_v)
+        if left < 3:
+            return False
         escapes: set = set()
-        for w in (*adj(u), *adj(v)):
-            if pebbles[w] or w in escapes or u not in out[w] and v not in out[w]:
+        for w in adj(x):
+            if w == other or x not in out[w]:
                 continue
-            parent = {w: None}
-            stack = [w]
-            while stack:
-                x = stack.pop()
-                for y in out[x]:
-                    if y in parent or y == u or y == v:
+            if not pebbles[w] and w not in escapes:
+                parent = {w: None}
+                stack = [w]
+                while stack:
+                    t = stack.pop()
+                    for y in out[t]:
+                        if y in parent or y == u or y == v:
+                            continue
+                        parent[y] = t
+                        if pebbles[y] or y in escapes:
+                            break
+                        stack.append(y)
+                    else:
                         continue
-                    parent[y] = x
-                    if pebbles[y] or y in escapes:
-                        break
-                    stack.append(y)
+                    while y is not None:
+                        escapes.add(y)
+                        y = parent[y]
+                    break
                 else:
-                    continue
-                while y is not None:
-                    escapes.add(y)
-                    y = parent[y]
-                break
-            else:
-                return True
+                    return True
+            left -= 1
+            if left < 3:
+                return False
         return False
 
 
@@ -209,16 +229,30 @@ def _final_orientation(g: Graph) -> dict | bool:
     """The pebble game's final orientation of ``g``, as every vertex's
     out-set, or False when ``g`` is not (3,6)-sparse.
 
-    The game starts from the origin's out-sets cut down to ``g``'s
-    neighbour sets, its orientation of the edges the two graphs share, and
-    places the other edges of ``g`` in sorted order; without an origin
-    decided sparse, from the empty board.
+    The game starts from a copy of the origin's out-sets with the edges
+    that ``g`` lacks cut, its orientation of the edges the two graphs
+    share, and places the other edges of ``g`` in sorted order; without an
+    origin decided sparse, from the empty board.
     """
     origin = g._origin
-    board = origin is not None and origin._orientation or {}
-    game = _PebbleGame(g, {t: board[t] & g.neighbors(t) if t in board else set()
-                           for t in g.vertices})
-    for a, b in sorted(g.edges - origin.edges if board else g.edges):
+    board = origin is not None and origin._orientation
+    if board:
+        out = {t: set(board[t]) if t in board else set() for t in g.vertices}
+        for a, b in origin.edges - g.edges:
+            t, h = (a, b) if b in board[a] else (b, a)
+            if t in out:
+                out[t].remove(h)
+        edges = sorted(g.edges - origin.edges)
+        todo: dict = {}
+        for a, b in edges:
+            todo[a] = todo.get(a, 0) + 1
+            todo[b] = todo.get(b, 0) + 1
+    else:
+        out = {t: set() for t in g.vertices}
+        edges = sorted(g.edges)
+        todo = {t: len(ns) for t, ns in g._adj.items()}
+    game = _PebbleGame(g, out, todo)
+    for a, b in edges:
         if not game.place(a, b):
             return False
     return game.out

@@ -2,7 +2,8 @@
 
 The package keeps the decide, classify, reduce and certify path; these are
 the slow cross-checks (dense modular and rational rank, subset-enumeration
-sparsity, the pebble game's component search without its shortcuts,
+sparsity, the pebble game's component search without its shortcuts, a
+pebble fetch by the full out-path search alone,
 exhaustive critical-cycle search over connected regions, the
 contraction rule from scans of the faces and edges, greedy reduction that
 carries the hole through every step, the complementary region by scans of
@@ -243,6 +244,31 @@ def record_pebble_games(monkeypatch) -> dict:
     monkeypatch.setattr(_PebbleGame, "place", counting_place)
     monkeypatch.setattr(sparsity, "_final_orientation", recording_final)
     return games
+
+
+def fetch_pebble_reference(pebbles, out, root, pinned=()) -> bool:
+    """``maxflow.fetch_pebble`` without its one-hop scan: a depth-first
+    search of the out-paths from ``root``, which takes the first free pebble
+    off ``pinned`` that it meets and reverses the path to it."""
+    parent = {root: None}
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        for y in out[x]:
+            if y in parent:
+                continue
+            parent[y] = x
+            if pebbles[y] and y not in pinned:
+                pebbles[y] -= 1
+                pebbles[root] += 1
+                while y != root:
+                    x = parent[y]
+                    out[x].remove(y)
+                    out[y].add(x)
+                    y = x
+                return True
+            stack.append(y)
+    return False
 
 
 def big_component_oracle(game: _PebbleGame, u, v) -> bool:

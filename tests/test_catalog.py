@@ -27,6 +27,19 @@ def test_parse_word_examples():
     for text in ("v²v6", "v\u0663v6"):  # numerals are ASCII 0-9 only
         with pytest.raises(errors.BadToken):
             parse_word(text)
+    # a numeral's value, not its length, counts: a long run of significant
+    # digits is above 9 without being read, a zero-padded 9 is 9
+    for text in ("v" + "9" * 5000, "v10", "v" + "0" * 5000 + "10"):
+        with pytest.raises(errors.SumNot9):
+            parse_word(text)
+    assert parse_word("v" + "0" * 5000 + "9").tokens == ("v", 9)
+
+
+@pytest.mark.parametrize("index", ["1", 1.0, True, None, [1]],
+                         ids=["str", "float", "bool", "none", "list"])
+def test_build_h_takes_integers_only(index):
+    with pytest.raises(errors.BadArgument, match="not an integer"):
+        build_H(index)
 
 
 def test_parse_round_trip():

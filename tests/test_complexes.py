@@ -68,10 +68,13 @@ def _with_face_2(face):
      r"face \(1.0, 4, 5\) has a corner that is not an integer"),
     (lambda t: DiscMap(t, [0, 1, True]), "face index True is not an integer"),
     (lambda t: DiscMap(t, [0, 1, 1.0]), "face index 1.0 is not an integer"),
+    (lambda t: rectangular_torus("3", 3), "grid '3'x3: dimensions must be integers"),
+    (lambda t: rectangular_torus(3.0, 3), "grid 3.0x3: dimensions must be integers"),
+    (lambda t: rectangular_torus(3, True), "grid 3xTrue: dimensions must be integers"),
 ], ids=["two-corners", "string-corner", "float-corner", "float-face",
         "bool-face", "string-face-in-search", "three-vertex-keep", "bool-keep",
         "bool-corner-in-use", "float-corner-in-use", "bool-face-in-use",
-        "float-face-in-use"])
+        "float-face-in-use", "string-grid", "float-grid", "bool-grid"])
 def test_bad_arguments_raise_bad_argument(build, message):
     with pytest.raises(errors.BadArgument, match=message):
         build(rectangular_torus(3, 3))

@@ -22,6 +22,15 @@ def test_edge_key_rejects_loops():
         edge_key(2, 2)
 
 
+@pytest.mark.parametrize("vertices, edges, bad", [
+    ([0, "a"], [(0, "a")], "'a'"), (["a", "b"], [], "'[ab]'"),
+    ([0.5, 2], [], "0.5"), ([True, 2, 3], [(2, 3)], "True")],
+    ids=["str-and-int", "str", "float", "bool"])
+def test_graph_takes_integer_vertices_only(vertices, edges, bad):
+    with pytest.raises(errors.BadArgument, match=f"vertex {bad} is not an integer"):
+        Graph(vertices, edges)
+
+
 def test_contract_edge_counts():
     k4 = complete_graph(4)
     g = contract_edge(k4, 0, 1)

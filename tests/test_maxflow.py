@@ -1,11 +1,14 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusrig import errors
 from torusrig.graphs import Graph, complete_graph
-from torusrig.maxflow import densest_extension
+from torusrig.maxflow import densest_extension, fetch_pebble
 
-from helpers import brute_force_densest_extension
+from helpers import brute_force_densest_extension, fetch_pebble_reference
 
 
 @given(st.data())
@@ -41,3 +44,41 @@ def test_overlapping_forced_sets_raise_bad_argument():
 def test_forced_vertex_outside_the_graph_raises_bad_argument(force_in, force_out):
     with pytest.raises(errors.BadArgument, match=r"\[7\]"):
         densest_extension(complete_graph(4), force_in, force_out)
+
+
+def _random_board(seed: int):
+    """A pebble board from ``seed``: an orientation of a random graph with
+    out-degree at most three, each out-set filled in a fixed order so that
+    two boards from one seed iterate alike, and up to 3 - out-degree free
+    pebbles per vertex; with a root and the pinned vertices, the root among
+    them or not."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 14)
+    out = {t: set() for t in range(n)}
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    for a, b in rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * n))):
+        tails = [t for t in rng.sample((a, b), 2) if len(out[t]) < 3]
+        if tails:
+            out[tails[0]].add(b if tails[0] == a else a)
+    pebbles = {t: rng.randint(0, 3 - len(heads)) for t, heads in out.items()}
+    root = rng.randrange(n)
+    pinned = tuple({root, *rng.sample(range(n), rng.randint(0, 2))}
+                   if rng.random() < 0.7 else rng.sample(range(n), rng.randint(0, 2)))
+    return pebbles, out, root, pinned
+
+
+def test_fetch_pebble_moves_the_pebble_of_the_full_search():
+    # the one-hop scan takes the pebble that the full search meets first,
+    # so both leave the same pebble counts and out-sets: the same pebble
+    # moved along the same path.  The boards reach a pebble one edge away,
+    # one further away, and none
+    seen = Counter()
+    for seed in range(500):
+        pebbles, out, root, pinned = _random_board(seed)
+        ref_pebbles, ref_out, _, _ = _random_board(seed)
+        near = any(pebbles[y] and y not in pinned for y in out[root])
+        got = fetch_pebble(pebbles, out, root, pinned)
+        assert got is fetch_pebble_reference(ref_pebbles, ref_out, root, pinned), seed
+        assert pebbles == ref_pebbles and out == ref_out, seed
+        seen["near" if near else "far" if got else "none"] += 1
+    assert min(seen[k] for k in ("near", "far", "none")) >= 20, seen

@@ -271,7 +271,8 @@ def test_component_search_reads_each_out_set_once():
             reads[self.tail] += 1
             return super().__iter__()
 
-    game = _PebbleGame(g, {t: CountingSet(t, hs) for t, hs in heads.items()})
+    game = _PebbleGame(g, {t: CountingSet(t, hs) for t, hs in heads.items()},
+                       dict.fromkeys(heads, 0))
     reads.clear()
     assert not game._big_component(u, v)
     assert reads[c] == reads[d] == 1 and max(reads.values()) == 1
@@ -360,6 +361,33 @@ def test_contraction_places_only_the_edges_at_the_merged_vertex(monkeypatch):
     h = contract_edge(Graph(g.vertices, g.edges), u, v)
     check_3_6(h)
     assert len(games[id(h)][1]) == len(g.edges) - 3
+
+
+def test_contraction_gathers_the_merged_vertex_pebbles_once(monkeypatch):
+    # every edge a contraction adds joins the merged vertex z to a vertex
+    # with no other edge to place, so it is covered from that end, and z
+    # keeps the three pebbles it gathered for its next edge: at most three
+    # fetches to z per game, however many edges it gains
+    real = sparsity.fetch_pebble
+    fetches = Counter()
+
+    def counting_fetch(pebbles, out, root, pinned=()):
+        fetches[root] += 1
+        return real(pebbles, out, root, pinned)
+
+    monkeypatch.setattr(sparsity, "fetch_pebble", counting_fetch)
+    gained = Counter()
+    for i in range(1, 18):
+        hole = build_H(i)
+        g = hole.graph
+        assert check_3_6(g).is_tight
+        for e in contractible_edges(hole):
+            h = contract_edge(g, *e)
+            fetches.clear()
+            check_3_6(h)
+            assert fetches[e[0]] <= 3, (i, e, fetches[e[0]])
+            gained[len(h.edges - g.edges)] += 1
+    assert gained.keys() - {0, 1}, gained
 
 
 @given(st.data())
