@@ -19,16 +19,18 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 
 class Graph:
     """An immutable simple graph on integer vertex ids; the public
-    constructor refuses a vertex that is not an ``int`` with BadArgument.
+    constructor refuses a vertex that is not an ``int``, and an edge that is
+    not a pair of them, with BadArgument.
 
     Vertices need not be consecutive; isolated vertices are allowed (they
-    matter for freedom-number bookkeeping).  Two more slots belong to
+    matter for freedom-number bookkeeping).  Three more slots belong to
     :func:`torusrig.sparsity.check_3_6` and take no part in equality or
     hashing: ``_orientation`` holds the pebble game's final orientation once
     the graph is decided, as a dict of every vertex's out-set (False when it
-    violates), and ``_origin`` holds, until then, a graph sharing most of
-    its edges whose decided orientation the game starts from (G for
-    ``contract_edge(G, u, v)``).
+    violates); ``_origin`` holds, until then, a graph sharing most of its
+    edges whose decided orientation the game starts from (G for
+    ``contract_edge(G, u, v)``), and ``_delta`` the edges the origin has
+    and this graph lacks, and those it adds, as a pair of sets.
 
     The two moves, ``contract_edge`` and ``split_vertex``, build the child
     from the parent's vertex set, edge set and adjacency, changed at the
@@ -40,11 +42,11 @@ class Graph:
     and an edge that leaves the vertex set still raises NonSimple.
     """
 
-    __slots__ = ("vertices", "edges", "_adj", "_orientation", "_origin")
+    __slots__ = ("vertices", "edges", "_adj", "_orientation", "_origin", "_delta")
 
     def __init__(self, vertices, edges, *, _adj=None, _keyed=False):
         self._orientation = None
-        self._origin = None
+        self._origin = self._delta = None
         if _adj is not None:
             # a move's child: frozensets of vertices and key-ordered edges
             self.vertices, self.edges, self._adj = vertices, edges, _adj
@@ -54,8 +56,17 @@ class Graph:
             bad = [v for v in vertices if type(v) is not int]
             if bad:
                 raise errors.BadArgument(f"vertex {bad[0]!r} is not an integer")
-            # edge_key only for pairs not already in key order, and for loops
-            edges = frozenset((u, v) if u < v else edge_key(v, u) for u, v in edges)
+            keyed = set()
+            for e in edges:
+                try:
+                    u, v = e
+                except (TypeError, ValueError):
+                    u = v = None
+                if type(u) is not int or type(v) is not int:
+                    raise errors.BadArgument(f"edge {e!r} is not a pair of integers")
+                # edge_key only for pairs not already in key order, and for loops
+                keyed.add((u, v) if u < v else edge_key(v, u))
+            edges = frozenset(keyed)
         adj: dict[int, set[int]] = {v: set() for v in vertices}
         for u, v in edges:
             if u not in adj or v not in adj:
@@ -133,8 +144,9 @@ class Graph:
 def contract_edge(g: Graph, u: int, v: int) -> Graph:
     """Merge v into u (simple-graph contraction, parallel edges coalesce).
 
-    The result remembers g as its origin, so that ``check_3_6`` can decide
-    it from g's pebble game."""
+    The result remembers g as its origin, and the edges at v it cut and the
+    edges at u it added as its delta, so that ``check_3_6`` can decide it
+    from g's pebble game."""
     if edge_key(u, v) not in g.edges:
         raise errors.NotAnEdge(f"({u},{v})")
     adj = dict(g._adj)
@@ -143,10 +155,10 @@ def contract_edge(g: Graph, u: int, v: int) -> Graph:
     for w in at_v - {u}:
         adj[w] = adj[w] - {v} | {u} if w in gained else adj[w] - {v}
     adj[u] = adj[u] - {v} | gained
-    edges = (g.edges - {edge_key(v, w) for w in at_v}
-             | {edge_key(u, w) for w in gained})
-    h = Graph(g.vertices - {v}, edges, _adj=adj)
-    h._origin = g
+    cut = {edge_key(v, w) for w in at_v}
+    added = {edge_key(u, w) for w in gained}
+    h = Graph(g.vertices - {v}, g.edges - cut | added, _adj=adj)
+    h._origin, h._delta = g, (cut, added)
     return h
 
 

@@ -9,7 +9,8 @@ enlargement holds every hole face and exposes no deleted edge, so its outer
 part G1 is a subgraph of G; a subgraph of a sparse G is sparse; G1 is one cut,
 so f(G1) = |walk| - 3 and G1 is tight iff its walk has nine edges.  The
 fission child keeps G's edges off the catalog graph, so its pebble game
-starts from G's decided orientation (G is its origin).
+starts from G's decided orientation (G is its origin, and the two edge-set
+differences its delta).
 
 The key-lemma search rests on a freedom count.  Let W be the violator of
 G/e and L its lift to G, and let a be the number of apexes of e in L.  Then
@@ -27,27 +28,36 @@ The greedy-contraction ruling: a tight graph with a contractible FF edge
 always has one whose contraction stays tight, so greedy contraction alone
 reduces every tight graph to one of the two uncontractible graphs.  That
 loop is the only reduction driver here.  It runs on the graph and its
-ordered retained faces, which is all a step reads: which edges lie in two
-retained faces, their apexes, their ends' common neighbours and whether
-G/e is tight.  It returns the uncontractible leaf graph and the
-contractions that reach it, and ``certify`` reverses them into a
-vertex-splitting construction rooted at K3 (Whiteley 1990).  Each
-contraction removes one vertex and three edges from the graph, since there
-a contractible edge has only its two apexes as common neighbours; so a
-simple leaf is named by its counts, (4, 6) K4 and (5, 9) K5 minus an edge.
-A graph that breaks the ruling raises StuckButContractible.  The rule has
-one copy, ``_contractible``: ``_candidates`` feeds it the retained faces'
-apex map (the loop's, and ``contractible_edges``), ``_edge_rule`` the
-faces at e after the one FF test (``TorusWithHole.is_ff_edge``), for
-``classify_edge`` and for the guard of ``contract`` and the search.
+boundary walk, which is all a step decides from: which edges are off the
+walk, their ends' common neighbours and whether G/e is tight.  It returns
+the uncontractible leaf graph and the contractions that reach it, and
+``certify`` reverses them into a vertex-splitting construction rooted at
+K3 (Whiteley 1990).  Each contraction removes one vertex and three edges
+from the graph, since there a contractible edge has only its two apexes as
+common neighbours; so a simple leaf is named by its counts, (4, 6) K4 and
+(5, 9) K5 minus an edge.  A graph that breaks the ruling raises
+StuckButContractible.
+
+The rule needs no face map.  A graph edge is FF iff it is off the boundary
+walks: an edge with a hole face is a region edge, and ``TorusWithHole``
+checks that the walks' edges are the region's graph edges (a kept edge lies
+on its walk twice).  An FF edge's two apexes are distinct common neighbours
+of its ends, so its ends have no other common neighbour iff they have
+exactly two: e lies in no nonfacial triangle (Barnette & Edelson 1988).
+The rule has one copy, ``_contractible``, asked of FF edges only:
+``_edge_rule`` asks it after the one FF test (``TorusWithHole.is_ff_edge``),
+for ``classify_edge`` and for the guard of ``contract`` and the search, and
+``_candidates`` runs the same count inline over the edges off a walk, for
+the loop and ``contractible_edges``.
 
 Every child hole, from a contraction, the leaf or a fission, is built one
 way (``retriangulate_holes``): its retained faces closed by a fresh collar
 over each boundary walk, filled from the walk's canonical rotation, which
 the collar's ``DiscMap`` reads back.  A contraction's retained faces are
-renamed as in the loop (``_contract_faces``) and so are its walks
-(``_contracted``); renaming commutes with rotation and reversal, so no step
-needs to know where a walk starts.  Old hole faces are never reused.  After
+renamed by the one renamer (``_contract_faces``), which ``contract`` and
+the loop's end share, and its walks move by move (``_contracted``);
+renaming commutes with rotation and reversal, so no step needs to know
+where a walk starts.  Old hole faces are never reused.  After
 a contraction, e's ends can have further common neighbours through the
 deleted edges, and those faces would fold an edge into four; in a fission
 they can hold an edge that the catalog graph uses as a chord.  A refill
@@ -85,12 +95,11 @@ class EdgeClass(enum.Enum):
     FF_BLOCKED = "FFBlocked"
 
 
-def _contractible(graph: Graph, e, apexes) -> bool:
-    """The contraction rule: e is FF (two apexes, the third corners of its
-    retained faces) and its ends have no other common neighbour."""
+def _contractible(graph: Graph, e) -> bool:
+    """The contraction rule, asked of an FF edge: its ends have exactly two
+    common neighbours, its apexes (the module docstring's count)."""
     u, v = e
-    return len(apexes) == 2 and \
-        graph.neighbors(u) & graph.neighbors(v) <= set(apexes)
+    return len(graph.neighbors(u) & graph.neighbors(v)) == 2
 
 
 def _apex_faces(torus: TorusComplex, e) -> dict[int, int]:
@@ -112,7 +121,7 @@ def _edge_rule(hole: TorusWithHole, e) -> tuple[EdgeClass, tuple, dict | None]:
     if not ff:
         return EdgeClass.BOUNDARY_INCIDENT_FACE, e, None
     apex_face = _apex_faces(hole.torus, e)
-    if _contractible(hole.graph, e, apex_face):
+    if _contractible(hole.graph, e):
         return EdgeClass.FF_CONTRACTIBLE, e, apex_face
     return EdgeClass.FF_BLOCKED, e, apex_face
 
@@ -131,18 +140,17 @@ def _contraction_apexes(hole: TorusWithHole, e) -> tuple[tuple[int, int], dict]:
     return e, apex_face
 
 
-def _candidates(graph: Graph, faces) -> tuple[dict, list]:
-    """The apexes of each edge of the retained ``faces``, in face order, and
-    the sorted edges that pass the rule."""
-    apexes: dict = {}
-    for f in faces:
-        for u, v in _face_edges(f):
-            apexes.setdefault((u, v), []).append(sum(f) - u - v)
-    return apexes, sorted(e for e, xs in apexes.items() if _contractible(graph, e, xs))
+def _candidates(graph: Graph, border) -> list[tuple[int, int]]:
+    """The sorted FF edges, the graph's edges off ``border`` (the edges of
+    the boundary walks), that pass the rule (``_contractible``'s count,
+    inline)."""
+    adj = graph._adj
+    return sorted([e for e in graph.edges - border
+                   if len(adj[e[0]] & adj[e[1]]) == 2])
 
 
 def contractible_edges(hole: TorusWithHole) -> list[tuple[int, int]]:
-    return _candidates(hole.graph, hole.faces)[1]
+    return _candidates(hole.graph, hole.boundary_edges)
 
 
 def is_uncontractible(hole: TorusWithHole) -> bool:
@@ -158,14 +166,25 @@ def contract(hole: TorusWithHole, e) -> TorusWithHole:
     refilled over its renamed walk (``_contracted``).
     """
     e, _ = _contraction_apexes(hole, e)
-    return _contracted(hole, _contract_faces(hole.faces, e), [e])
+    return _contracted(hole, _contract_faces(hole.faces, [e]), [e])
 
 
-def _contract_faces(faces, e) -> list:
-    """The retained faces, in order, less e's two, with gone renamed keep."""
-    keep, gone = e
-    return [tuple(keep if x == gone else x for x in f) for f in faces
-            if keep not in f or gone not in f]
+def _contract_faces(faces, edges) -> list:
+    """The retained faces, in order, contracted along ``edges`` in turn:
+    each edge's gone end renamed keep, and the faces that so lose a corner,
+    the two at each edge, dropped.  One pass over the faces: a vertex's
+    final name is read off the edges backwards, as a gone vertex never
+    returns."""
+    final: dict = {}
+    for keep, gone in reversed(edges):
+        final[gone] = final.get(keep, keep)
+    get = final.get
+    out = []
+    for f in faces:
+        a, b, c = [get(x, x) for x in f]
+        if a != b != c != a:
+            out.append((a, b, c))
+    return out
 
 
 def _contracted(hole: TorusWithHole, faces, edges) -> TorusWithHole:
@@ -350,8 +369,9 @@ def fission(hole: TorusWithHole, cycle: SeparatingCycle
         raise errors.InvalidCycle(f"cycle is not critical: its walk has "
                                   f"{len(cycle.walk)} edges, not {catalog.WALK_LENGTH}")
     g2 = _substitute(hole, cycle)
-    g2.graph._origin = hole.graph
-    if not check_3_6(g2.graph).is_tight:
+    g, child = hole.graph, g2.graph
+    child._origin, child._delta = g, (g.edges - child.edges, child.edges - g.edges)
+    if not check_3_6(child).is_tight:
         raise fileio.with_record(
             errors.NoMatchingCatalogGraph, hole,
             f"substitution produced a non-tight graph at {_cycle_named(cycle)}; "
@@ -424,43 +444,65 @@ class Contraction:
 
 
 def _reduce(hole: TorusWithHole) -> tuple[Graph, list, list[Contraction]]:
-    """The greedy reduction on the graph and its ordered retained faces:
-    the uncontractible leaf graph, its retained faces and the contractions
-    that reach it.
+    """The greedy reduction on the graph and its boundary walk: the
+    uncontractible leaf graph, its retained faces and the contractions that
+    reach it.
 
-    Each step hands every edge's apexes, in face order, to the one rule
-    (``_candidates``).  Contracting e renames the faces as ``contract`` does
-    (``_contract_faces``); the next graph is the decided ``contract_edge``
-    one.  Raises what ``reduce_greedy`` raises; the hole a
+    Each step hands the edges off the walk to the one rule
+    (``_candidates``) and contracts the first whose ``contract_edge`` graph
+    is tight; that decided graph is the next.  The walk is renamed move by
+    move, as ``_contracted`` renames it.  A move's apexes are e's two common
+    neighbours, ordered by their faces' positions among the retained faces:
+    an index maps each vertex to the positions of its live retained faces,
+    e's two faces are those of both its ends, and a move changes the entries
+    of the merged vertex and the apexes only.  The retained faces are
+    renamed once, after the loop (``_contract_faces``), as ``contract``
+    renames them.  Raises what ``reduce_greedy`` raises; the hole a
     StuckButContractible record needs is built only then, from the faces
-    where the loop is stuck (``_contracted``).
+    so renamed where the loop is stuck (``_contracted``).
     """
-    hole.single_disc  # raises SingleHoleRequired unless there is one hole
+    # raises SingleHoleRequired unless there is one hole
+    walk = hole.single_disc.boundary_walk.vertices
     graph = hole.graph
     if not check_3_6(graph).is_tight:
         raise fileio.with_record(
             errors.NotTight, hole, "greedy reduction needs a tight "
             "single-hole graph")
-    faces = hole.faces
+    at: dict = {}
+    for i, f in enumerate(hole.faces):
+        for x in f:
+            at.setdefault(x, set()).add(i)
     moves: list[Contraction] = []
     while True:
-        apexes, cand = _candidates(graph, faces)
+        border = {(x, y) if x < y else (y, x)
+                  for x, y in zip(walk, walk[1:] + walk[:1])}
+        cand = _candidates(graph, border)
         if not cand:
-            return graph, faces, moves
+            break
         for e in cand:
             h = contract_edge(graph, *e)
             if check_3_6(h).is_tight:
                 break
         else:
-            stuck = _contracted(hole, faces, [m.edge for m in moves])
+            edges = [m.edge for m in moves]
+            stuck = _contracted(hole, _contract_faces(hole.faces, edges), edges)
             raise fileio.with_record(
                 errors.StuckButContractible, stuck,
                 f"no tightness-preserving contraction among {len(cand)} "
                 "contractible edges")
-        moved = graph.neighbors(e[1]) - {e[0], *apexes[e]}
-        moves.append(Contraction(e, tuple(apexes[e]), frozenset(moved)))
-        faces = _contract_faces(faces, e)
+        keep, gone = e
+        at_e = at[keep] & at[gone]
+        a, b = graph.neighbors(keep) & graph.neighbors(gone)
+        if min(at_e) not in at[a]:
+            a, b = b, a
+        at[a] -= at_e
+        at[b] -= at_e
+        at[keep] = (at[keep] | at.pop(gone)) - at_e
+        moved = graph.neighbors(gone) - {keep, a, b}
+        moves.append(Contraction(e, (a, b), frozenset(moved)))
+        walk = tuple(keep if x == gone else x for x in walk)
         graph = h
+    return graph, _contract_faces(hole.faces, [m.edge for m in moves]), moves
 
 
 def reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contraction]]:

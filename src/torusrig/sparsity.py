@@ -231,18 +231,20 @@ def _final_orientation(g: Graph) -> dict | bool:
 
     The game starts from a copy of the origin's out-sets with the edges
     that ``g`` lacks cut, its orientation of the edges the two graphs
-    share, and places the other edges of ``g`` in sorted order; without an
-    origin decided sparse, from the empty board.
+    share, and places the edges ``g`` adds in sorted order, both read off
+    ``g``'s delta (``Graph._delta``); without an origin decided sparse,
+    from the empty board.
     """
     origin = g._origin
     board = origin is not None and origin._orientation
     if board:
+        cut, added = g._delta
         out = {t: set(board[t]) if t in board else set() for t in g.vertices}
-        for a, b in origin.edges - g.edges:
+        for a, b in cut:
             t, h = (a, b) if b in board[a] else (b, a)
             if t in out:
                 out[t].remove(h)
-        edges = sorted(g.edges - origin.edges)
+        edges = sorted(added)
         todo: dict = {}
         for a, b in edges:
             todo[a] = todo.get(a, 0) + 1
@@ -261,10 +263,10 @@ def _final_orientation(g: Graph) -> dict | bool:
 def _pebble_sparse(g: Graph) -> bool:
     """True iff ``g`` is (3,6)-sparse, decided by the pebble game once per
     graph: the final orientation, or False, stays on ``g``, and the link to
-    its origin is cleared."""
+    its origin and the delta are cleared."""
     if g._orientation is None:
         g._orientation = _final_orientation(g)
-        g._origin = None
+        g._origin = g._delta = None
     return g._orientation is not False
 
 
@@ -302,8 +304,10 @@ def check_3_6(graph: Graph) -> SparsityVerdict:
     plays no game.  A graph whose origin G (``Graph._origin``) is decided
     sparse starts from G's orientation of the shared edges, a valid start as
     they span a subgraph of a sparse graph, and places only its other edges;
-    once decided it drops its link to G.  ``contract_edge`` links G/e to G,
-    and ``fission`` links its child.
+    the graph's delta (``Graph._delta``) names the edges of G it lacks and
+    those it adds, so no edge set is compared.  Once decided it drops its
+    link to G and its delta.  ``contract_edge`` links G/e to G with the
+    edges it cut and added, and ``fission`` links its child.
     """
     if len(graph.vertices) < 3:
         raise errors.TooFewVertices("(3,6)-sparsity needs at least 3 vertices")

@@ -343,6 +343,32 @@ def edge_rule_oracle(hole: TorusWithHole, e) -> tuple[EdgeClass, tuple]:
     return EdgeClass.FF_BLOCKED, apexes
 
 
+def face_candidates(graph: Graph, faces) -> tuple[dict, list]:
+    """The apexes of each edge of the retained ``faces``, in face order, and
+    the sorted edges with two apexes whose ends have no other common
+    neighbour: greedy reduction's rule read off a face map.  The oracle for
+    ``reduction._candidates``, which reads the graph and the boundary walk
+    and keeps no face map."""
+    apexes: dict = {}
+    for f in faces:
+        for i in range(3):
+            u, v, w = f[i], f[(i + 1) % 3], f[(i + 2) % 3]
+            apexes.setdefault(edge_key(u, v), []).append(w)
+    return apexes, sorted(
+        e for e, xs in apexes.items() if len(xs) == 2
+        and graph.neighbors(e[0]) & graph.neighbors(e[1]) <= set(xs))
+
+
+def contract_faces_stepwise(faces, edges) -> list:
+    """The retained faces contracted along ``edges`` one at a time: at each
+    edge its two faces dropped and its gone end renamed keep.  The oracle
+    for ``reduction._contract_faces``, which renames once."""
+    for keep, gone in edges:
+        faces = [tuple(keep if x == gone else x for x in f) for f in faces
+                 if keep not in f or gone not in f]
+    return list(faces)
+
+
 def hole_reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contraction]]:
     """Greedy reduction that carries the hole through every step: each
     step takes the first edge, in sorted order, that ``edge_rule_oracle``

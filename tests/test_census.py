@@ -9,7 +9,7 @@ from torusrig.complexes import TorusComplex
 from torusrig.graphs import Graph
 from torusrig.reduction import _candidates
 
-from helpers import _rotation_code, torus_census
+from helpers import _rotation_code, face_candidates, torus_census
 
 
 @pytest.mark.parametrize("n, tori, irreducible", [(7, 1, 1), (8, 7, 4), (9, 112, 15)])
@@ -18,15 +18,19 @@ def test_small_torus_census(n, tori, irreducible):
     # 2008) counts 1, 7 and 112 tori on 7, 8 and 9 vertices, and Lawrencenko
     # (1987) 1, 4 and 15 irreducible ones among them, where no edge
     # contracts: every edge lies on a nonfacial 3-cycle.  With every face
-    # retained, that is a torus whose faces give greedy reduction no
-    # candidate
+    # retained, no edge is on a boundary walk, and that is a torus that
+    # gives greedy reduction no candidate; the rule's common-neighbour count
+    # picks the edges that the face map's apexes pick
     census = torus_census(n)
     assert len(census) == tori
     count = 0
     for faces in census.values():
         torus = TorusComplex(faces)
         assert len(torus.vertices) == n
-        count += not _candidates(Graph(torus.vertices, torus.edges), torus.faces)[1]
+        graph = Graph(torus.vertices, torus.edges)
+        cand = _candidates(graph, frozenset())
+        assert cand == face_candidates(graph, torus.faces)[1]
+        count += not cand
     assert count == irreducible
 
 

@@ -31,6 +31,15 @@ def test_graph_takes_integer_vertices_only(vertices, edges, bad):
         Graph(vertices, edges)
 
 
+@pytest.mark.parametrize("edge", [(0, "a"), (0, 1, 2), (0, 1.0), 7, (True, 1)],
+                         ids=["str", "triple", "float", "int", "bool"])
+def test_graph_takes_integer_pair_edges_only(edge):
+    # each is refused as it comes in, not by a bare TypeError or ValueError
+    # from the key order or the unpacking, nor kept as an edge
+    with pytest.raises(errors.BadArgument, match="is not a pair of integers"):
+        Graph([0, 1], [(0, 1), edge])
+
+
 def test_contract_edge_counts():
     k4 = complete_graph(4)
     g = contract_edge(k4, 0, 1)
@@ -162,7 +171,8 @@ def _draw_move(data, g: Graph) -> Graph | None:
         if data.draw(st.booleans()):
             u, v = v, u
         h = contract_edge(g, u, v)
-        assert h._origin is g
+        # the delta is the two edge-set differences the game reads
+        assert h._origin is g and h._delta == (g.edges - h.edges, h.edges - g.edges)
         return h
     hubs = sorted(v for v in g.vertices if g.degree(v) >= 2)
     if not hubs:

@@ -30,8 +30,9 @@ from torusrig.rigidity import generic_rank
 from torusrig.sparsity import SparsityVerdict, Status, check_3_6
 
 from helpers import (_blocked_faces, _grow_region, canon_face,
-                     connected_regions, edge_rule_oracle,
-                     exhaustive_critical_cycles_through, facial_split,
+                     connected_regions, contract_faces_stepwise, edge_rule_oracle,
+                     exhaustive_critical_cycles_through, face_candidates,
+                     facial_split,
                      hole_reduce_greedy, induced, is_connected, link_cycle,
                      one_pass_mismatches, record_pebble_games, run_main,
                      separating_cycle, tight_set_critical_cycles,
@@ -623,6 +624,75 @@ def _exposed_edge_holes():
     return holes
 
 
+def _steps_match_the_face_map(monkeypatch, holes) -> int:
+    """Reduce each hole, asserting at every step that the candidates the
+    loop gives from the graph and its walk are those of the face map of the
+    retained faces renamed so far (``face_candidates``), that each move's
+    apexes come in that map's order, and that the faces at the end are the
+    step-by-step renaming's; return the number of moves whose ends both lie
+    on the walk, which the move pinches at the merged vertex."""
+    steps = []
+    rule = reduction._candidates
+
+    def recording(graph, border):
+        cand = rule(graph, border)
+        steps.append((graph, border, cand))
+        return cand
+
+    pinched = 0
+    for hole in holes:
+        steps.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(reduction, "_candidates", recording)
+            _graph, faces, moves = reduction._reduce(hole)
+        assert len(steps) == len(moves) + 1
+        renamed = list(hole.faces)
+        for (graph, border, cand), m in zip(steps, moves + [None]):
+            apexes, want = face_candidates(graph, renamed)
+            assert cand == want, (hole, m)
+            if m is None:
+                break
+            assert m.apexes == tuple(apexes[m.edge]), (hole, m)
+            pinched += set(m.edge) <= {x for e in border for x in e}
+            renamed = contract_faces_stepwise(renamed, [m.edge])
+        assert faces == renamed
+    return pinched
+
+
+def test_walk_rule_matches_the_face_map_at_every_step(monkeypatch, tight_corpus):
+    # the loop keeps no face map: it decides each step from the graph and
+    # the walk renamed move by move, and orders apexes by face position.
+    # Both agree with the face map at every step, on the reduction inputs
+    # and on the tight holes whose disc keeps an edge exposed, where many
+    # moves merge two walk vertices and leave the renamed walk pinched
+    exposed = [h for h in _exposed_edge_holes() if check_3_6(h.graph).is_tight]
+    assert len(exposed) > 100
+    for holes in (_reduction_inputs(tight_corpus), exposed):
+        assert _steps_match_the_face_map(monkeypatch, holes) > 100
+
+
+def test_reduce_renames_faces_once(monkeypatch):
+    # the retained faces are renamed once per reduction, after the loop or
+    # where it is stuck, as fission refills once, never once per move
+    calls = []
+    rename = reduction._contract_faces
+
+    def counted(faces, edges):
+        calls.append(len(edges))
+        return rename(faces, edges)
+
+    monkeypatch.setattr(reduction, "_contract_faces", counted)
+    h1 = build_H(1)
+    _, faces, moves = reduction._reduce(h1)
+    assert len(moves) > 2 and calls == [len(moves)]
+    assert faces == contract_faces_stepwise(h1.faces, [m.edge for m in moves])
+    calls.clear()
+    _loosen_contractions_below(monkeypatch, len(h1.graph.vertices) - 2)
+    with pytest.raises(errors.StuckButContractible):
+        reduction._reduce(h1)
+    assert calls == [2]
+
+
 def test_classify_edge_matches_the_rule_oracle(tight_corpus):
     # the one rule, fed from the hole, classifies every graph edge as the
     # oracle's scans of the torus faces and the graph do; an FF edge's
@@ -645,8 +715,9 @@ def test_classify_edge_matches_the_rule_oracle(tight_corpus):
 
 
 def test_contractible_edges_match_classify_edge(tight_corpus):
-    # two ways to the contractible edges: the retained faces' apex map that
-    # greedy reduction starts from, and the FF test and the rule edge by edge
+    # two ways to the contractible edges: the edges off the boundary walk
+    # that greedy reduction starts from, and the FF test and the rule edge
+    # by edge
     holes = list(tight_corpus) + [build_H(i) for i in range(1, 18)] + [
         load_hole(DATA / f"{name}.json") for name in (
             "excluded_v3v2w3w1", "keylemma_repro_a", "keylemma_repro_b",

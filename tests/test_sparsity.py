@@ -412,11 +412,11 @@ def test_warm_start_from_any_decided_origin_matches_fresh_graphs(data):
              if a < b and (a, b) not in g.edges]
     edges |= set(rng.sample(pairs, min(len(pairs), rng.randint(0, 5))))
     h = Graph(vertices, edges)
-    h._origin = g
+    h._origin, h._delta = g, (g.edges - h.edges, h.edges - g.edges)
     got = check_3_6(h)
     assert got == check_3_6(Graph(h.vertices, h.edges))
     assert got.status is brute_force_3_6(h).status
-    assert g._orientation is memo and h._origin is None
+    assert g._orientation is memo and h._origin is None and h._delta is None
     if got.is_sparse:
         _assert_orientation_of(h)
 
