@@ -20,17 +20,20 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """An immutable simple graph on integer vertex ids; the public
     constructor refuses a vertex that is not an ``int``, and an edge that is
-    not a pair of them, with BadArgument.
+    not a pair of them, with BadArgument, as the two moves refuse such ids.
 
     Vertices need not be consecutive; isolated vertices are allowed (they
-    matter for freedom-number bookkeeping).  Three more slots belong to
-    :func:`torusrig.sparsity.check_3_6` and take no part in equality or
-    hashing: ``_orientation`` holds the pebble game's final orientation once
-    the graph is decided, as a dict of every vertex's out-set (False when it
-    violates); ``_origin`` holds, until then, a graph sharing most of its
-    edges whose decided orientation the game starts from (G for
-    ``contract_edge(G, u, v)``), and ``_delta`` the edges the origin has
-    and this graph lacks, and those it adds, as a pair of sets.
+    matter for freedom-number bookkeeping).  Four more slots belong to
+    :mod:`torusrig.sparsity` and take no part in equality or hashing: once
+    the graph is decided, ``_orientation`` and ``_pebbles`` hold the pebble
+    game's final board, a dict of every vertex's out-set and one of its
+    free pebbles (False and None when it violates); ``_origin`` holds,
+    until then, a graph sharing most of its edges, whose board the game
+    copies and plays on (G for ``contract_edge(G, u, v)``), and ``_delta``
+    the edges the origin has and this graph lacks, and those it adds, as a
+    pair of sets.  A board describes one graph: greedy reduction hands its
+    board from a graph to the contraction that it decides, and the graph
+    drops it.
 
     The two moves, ``contract_edge`` and ``split_vertex``, build the child
     from the parent's vertex set, edge set and adjacency, changed at the
@@ -42,10 +45,11 @@ class Graph:
     and an edge that leaves the vertex set still raises NonSimple.
     """
 
-    __slots__ = ("vertices", "edges", "_adj", "_orientation", "_origin", "_delta")
+    __slots__ = ("vertices", "edges", "_adj", "_orientation", "_pebbles",
+                 "_origin", "_delta")
 
     def __init__(self, vertices, edges, *, _adj=None, _keyed=False):
-        self._orientation = None
+        self._orientation = self._pebbles = None
         self._origin = self._delta = None
         if _adj is not None:
             # a move's child: frozensets of vertices and key-ordered edges
@@ -110,7 +114,11 @@ class Graph:
 
         The vertex ``new_vertex`` is added and joined to v1, v2, v3, and each
         edge v1--t in ``moved_edges`` is replaced by new_vertex--t.
+        BadArgument unless v1, v2, v3 and ``new_vertex`` are ``int``s.
         """
+        for x in (v1, v2, v3, new_vertex):
+            if type(x) is not int:
+                raise errors.BadArgument(f"vertex {x!r} is not an integer")
         if v1 not in self._adj:
             raise errors.InvalidAnchors(f"{v1} is not a vertex of the graph")
         if v2 not in self._adj[v1] or v3 not in self._adj[v1] or v2 == v3:
@@ -146,7 +154,9 @@ def contract_edge(g: Graph, u: int, v: int) -> Graph:
 
     The result remembers g as its origin, and the edges at v it cut and the
     edges at u it added as its delta, so that ``check_3_6`` can decide it
-    from g's pebble game."""
+    on a copy of g's board.  BadArgument unless u and v are ``int``s."""
+    if type(u) is not int or type(v) is not int:
+        raise errors.BadArgument(f"edge {(u, v)!r} is not a pair of integers")
     if edge_key(u, v) not in g.edges:
         raise errors.NotAnEdge(f"({u},{v})")
     adj = dict(g._adj)

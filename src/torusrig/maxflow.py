@@ -23,7 +23,7 @@ from __future__ import annotations
 from . import errors
 
 
-def fetch_pebble(pebbles, out, root, pinned=()) -> bool:
+def fetch_pebble(pebbles, out, root, pinned=(), log=None) -> bool:
     """Move a free pebble off ``pinned`` to ``root`` by reversing the
     out-path that reaches it; False when no out-path from ``root`` does.
 
@@ -32,10 +32,19 @@ def fetch_pebble(pebbles, out, root, pinned=()) -> bool:
     ``root``'s out-set is scanned first and the first head holding one
     gives it up by reversing that edge; only a miss starts the depth-first
     search.  The search meets the heads in that same order and takes the
-    first such pebble, so the scan moves the pebble the search would."""
+    first such pebble, so the scan moves the pebble the search would.
+
+    Given a ``log``, a dict, each out-set the reversal changes is saved in
+    it, by its tail, as it was before its first change: a pebble game's
+    trial puts them back to undo its moves (``sparsity._undo``)."""
     heads = out[root]
     for y in heads:
         if pebbles[y] and y not in pinned:
+            if log is not None:
+                if root not in log:
+                    log[root] = set(heads)
+                if y not in log:
+                    log[y] = set(out[y])
             pebbles[y] -= 1
             pebbles[root] += 1
             heads.remove(y)
@@ -54,6 +63,11 @@ def fetch_pebble(pebbles, out, root, pinned=()) -> bool:
                 pebbles[root] += 1
                 while y != root:
                     x = parent[y]
+                    if log is not None:
+                        if x not in log:
+                            log[x] = set(out[x])
+                        if y not in log:
+                            log[y] = set(out[y])
                     out[x].remove(y)
                     out[y].add(x)
                     y = x

@@ -9,7 +9,7 @@ enlargement holds every hole face and exposes no deleted edge, so its outer
 part G1 is a subgraph of G; a subgraph of a sparse G is sparse; G1 is one cut,
 so f(G1) = |walk| - 3 and G1 is tight iff its walk has nine edges.  The
 fission child keeps G's edges off the catalog graph, so its pebble game
-starts from G's decided orientation (G is its origin, and the two edge-set
+plays on a copy of G's decided board (G is its origin, and the two edge-set
 differences its delta).
 
 The key-lemma search rests on a freedom count.  Let W be the violator of
@@ -86,7 +86,9 @@ from .complexes import (ClosedWalk, DiscMap, TorusComplex, TorusWithHole,
 from .graphs import Graph, contract_edge, edge_key, is_isomorphic
 from .maxflow import densest_extension
 from .rigidity import generic_rank
-from .sparsity import _flow_scan, check_3_6, maximal_tight_subgraph
+from .sparsity import (_contraction_sparse, _contraction_trial, _copy_board,
+                       _flow_scan, _hand_over, _undo, check_3_6,
+                       maximal_tight_subgraph)
 
 
 class EdgeClass(enum.Enum):
@@ -309,8 +311,11 @@ def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | Non
     The lemma is about the graph G/e, so the search decides on the plain
     graph contraction and never builds the contracted hole or an outer part.
     G is checked first (NotTight carrying the record when it is not tight);
-    that verdict stays on the graph, so G/e is decided from G's pebble game,
-    and later searches and ``fission`` find G decided.
+    that verdict stays on the graph, and later searches and ``fission`` find
+    G decided.  G/e is tried on G's own board in place, which is then
+    undone (``_contraction_sparse``), so a contraction that stays tight
+    builds no graph and copies no board.  Only a violating one builds G/e,
+    ``contract_edge(G, *e)``, for the flow scan, which plays no game.
 
     W is read off a flow scan of the edges at the merged vertex z alone, in
     order of their other end.  Contraction changes only the subgraphs that
@@ -324,10 +329,10 @@ def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | Non
         raise fileio.with_record(
             errors.NotTight, hole, "the key-lemma search needs a tight "
             "single-hole graph")
+    if _contraction_sparse(hole.graph, e):
+        return None
     z = e[0]
     h = contract_edge(hole.graph, *e)
-    if check_3_6(h).is_sparse:
-        return None
     witness = _flow_scan(h, [edge_key(z, w) for w in sorted(h.neighbors(z))]).witness
     lifted = frozenset(witness - {z}) | set(e)
     apexes = set(apex_face)
@@ -449,17 +454,25 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list, list[Contraction]]:
     reach it.
 
     Each step hands the edges off the walk to the one rule
-    (``_candidates``) and contracts the first whose ``contract_edge`` graph
-    is tight; that decided graph is the next.  The walk is renamed move by
-    move, as ``_contracted`` renames it.  A move's apexes are e's two common
-    neighbours, ordered by their faces' positions among the retained faces:
-    an index maps each vertex to the positions of its live retained faces,
-    e's two faces are those of both its ends, and a move changes the entries
-    of the merged vertex and the apexes only.  The retained faces are
-    renamed once, after the loop (``_contract_faces``), as ``contract``
-    renames them.  Raises what ``reduce_greedy`` raises; the hole a
-    StuckButContractible record needs is built only then, from the faces
-    so renamed where the loop is stuck (``_contracted``).
+    (``_candidates``) and contracts the first whose contraction is tight.
+    The input's board is copied once, and each candidate is tried on the
+    copy in place (``_contraction_trial``); a failed trial is undone.  A
+    candidate has exactly two common neighbours, so G/e has one vertex and
+    three edges fewer, and it is tight iff it is sparse.  Only the winner's
+    G/e is built (``contract_edge``), and the board is handed on to it
+    (``_hand_over``), renamed where the trial removed the lower end; each
+    graph the loop leaves drops the board, and the input keeps its own.
+
+    The walk is renamed move by move, as ``_contracted`` renames it.  A
+    move's apexes are e's two common neighbours, ordered by their faces'
+    positions among the retained faces: an index maps each vertex to the
+    positions of its live retained faces, e's two faces are those of both
+    its ends, and a move changes the entries of the merged vertex and the
+    apexes only.  The retained faces are renamed once, after the loop
+    (``_contract_faces``), as ``contract`` renames them.  Raises what
+    ``reduce_greedy`` raises; the hole a StuckButContractible record needs
+    is built only then, from the faces so renamed where the loop is stuck
+    (``_contracted``).
     """
     # raises SingleHoleRequired unless there is one hole
     walk = hole.single_disc.boundary_walk.vertices
@@ -468,6 +481,7 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list, list[Contraction]]:
         raise fileio.with_record(
             errors.NotTight, hole, "greedy reduction needs a tight "
             "single-hole graph")
+    board = _copy_board(graph)
     at: dict = {}
     for i, f in enumerate(hole.faces):
         for x in f:
@@ -480,9 +494,10 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list, list[Contraction]]:
         if not cand:
             break
         for e in cand:
-            h = contract_edge(graph, *e)
-            if check_3_6(h).is_tight:
+            tight, removed, log = _contraction_trial(graph, board, e)
+            if tight:
                 break
+            _undo(board, log)
         else:
             edges = [m.edge for m in moves]
             stuck = _contracted(hole, _contract_faces(hole.faces, edges), edges)
@@ -501,6 +516,8 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list, list[Contraction]]:
         moved = graph.neighbors(gone) - {keep, a, b}
         moves.append(Contraction(e, (a, b), frozenset(moved)))
         walk = tuple(keep if x == gone else x for x in walk)
+        h = contract_edge(graph, *e)
+        _hand_over(board, graph, h, e, removed)
         graph = h
     return graph, _contract_faces(hole.faces, [m.edge for m in moves]), moves
 

@@ -15,9 +15,10 @@ new edge spans at most 3|S| - 9 edges, as it was sparse before; so each end
 has four or more placed edges into S.  So a placement with an end of lower
 degree needs no component search, and otherwise a search from the
 in-neighbours of one end decides.  The board is the out-sets of the
-orientation and each vertex's count of edges still to place: a placed
-degree is the graph degree less that count, and in-neighbours are read off
-the graph's neighbour sets.  Each edge is covered from the end with fewer
+orientation and every vertex's free pebbles; the game counts the edges
+still to place at their ends, so a placed degree is the graph degree less
+that count, and in-neighbours are read off the graph's neighbour sets.
+Each edge is covered from the end with fewer
 edges still to place, so the other end keeps its pebbles for its next edge.
 Only a violating graph has a witness: one min-cut per edge, in sorted edge
 order, over vertex sets S containing that edge's endpoints, maximising
@@ -28,15 +29,27 @@ oracle in the tests cross-validates both paths on small graphs.
 
 The key lemma and the greedy reduction ask again and again about graphs that
 share most edges with the hole's graph G, decided already: G/e and the
-fission child.  So the game's final orientation, every vertex's out-set,
-stays on each graph it decides, and a graph may name such a graph as its
-origin.  The game copies the origin's out-sets and cuts the edges that the
-origin has and the graph lacks, which leaves the origin's orientation of the
-edges the two graphs share (the empty board without an origin decided
-sparse), and places only the graph's other edges, in sorted order.  That
-is sound for any two graphs: the shared edges span a subgraph of a sparse
-graph, so they are sparse, and the restricted orientation has out-degree at
-most three, a valid start.  Whether pebbles can be gathered and which
+fission child.  So the game's final board, every vertex's out-set and free
+pebbles, stays on each graph it decides, and later games start from it.
+A trial plays a delta on a board in place: it lifts the edges that are cut,
+which leaves the board's orientation of the edges the two graphs share, then
+places the edges that are added, in sorted order.  It logs every out-set
+that its cuts, its placements and the path reversals of ``fetch_pebble``
+change, as it was before the first change, and the caller either keeps the
+result or undoes the log: each logged out-set is put back, and every vertex
+of a board holds three pebbles less its out-degree, so afterwards the board
+holds exactly its old out-sets and pebbles.  Until then the board is the
+trial's, so two trials on one board must not overlap.  A contraction trial
+(``_contraction_trial``) builds no child graph: it reads the neighbour sets
+at the merged vertex and at the ends that gain an edge.  It removes the end
+of e with fewer neighbours.  Merging v into u and u into v give the same
+graph up to the merged vertex's name, so the verdict is the same, and that
+end cuts and places fewer edges.  A graph linked to an origin, a
+``contract_edge`` child or a fission child, is decided by the same trial on
+a copy of the origin's board.  Any start is sound: the shared edges span a
+subgraph of a sparse graph, so they are sparse, and any orientation of
+them with out-degree at most three, with three pebbles less the out-degree
+on each vertex, is a valid start.  Whether pebbles can be gathered and which
 component the search detects depend only on the placed graph, not on the
 order of placement or the valid start.  A violating graph still gets its
 witness from the unchanged flow scan.
@@ -47,7 +60,7 @@ from __future__ import annotations
 import enum
 
 from . import errors
-from .graphs import Graph, freedom
+from .graphs import Graph, edge_key, freedom
 from .maxflow import densest_extension, fetch_pebble
 
 
@@ -90,10 +103,6 @@ class SparsityVerdict:
     def is_tight(self) -> bool:
         return self.status is Status.TIGHT
 
-    @property
-    def is_sparse(self) -> bool:
-        return self.status is not Status.VIOLATION
-
     def to_json(self) -> dict:
         return {"status": self.status.value,
                 "witness": sorted(self.witness) if self.witness else None}
@@ -106,12 +115,16 @@ def _sparse_verdict(g: Graph) -> SparsityVerdict:
 
 class _PebbleGame:
     """The (3,5) pebble game with component detection (Lee & Streinu 2008;
-    Jacobs & Hendrickson 1997) on a graph: three pebbles per vertex, the
-    out-sets of the placed edges' orientation, and ``todo``, the number of
-    edges still to place at each vertex that has any.
+    Jacobs & Hendrickson 1997) on a board: ``out``, the out-sets of the
+    placed edges' orientation, and ``pebbles``, every vertex's free
+    pebbles.  ``adj`` gives the neighbour sets, in the graph being decided,
+    of the ends of the edges to place, and ``todo`` the number of edges
+    still to place at each of them.  A trial to be undone passes a
+    ``log``, which saves every out-set the game changes, by its tail, as it
+    was before the first change.
 
-    Every vertex starts with three pebbles, and a pebble on a vertex either
-    lies free or covers one of its out-edges, so every vertex set S has
+    Every vertex has three pebbles, and a pebble on a vertex either lies
+    free or covers one of its out-edges, so every vertex set S has
     3|S| = free(S) + |E(S)| + out(S).  Edge uv is accepted once u and v
     hold six pebbles; then a pebble of the end with fewer edges still to
     place covers it, of u on a tie.  That end spends the pebble, and the
@@ -128,34 +141,54 @@ class _PebbleGame:
     always found first.
 
     The game may start from any orientation of a (3,6)-sparse subgraph with
-    out-degree at most three, given as every vertex's out-set: the identity
-    above holds for it, and that is all gathering pebbles and finding
-    components rely on.  A vertex's placed degree is its degree in the
-    graph less its edges still to place, so no count of the board is kept;
-    a cold game starts ``todo`` from the graph's degrees.
+    out-degree at most three: the identity above holds for it, and that is
+    all gathering pebbles and finding components rely on.  A vertex's
+    placed degree is its degree in the graph less its edges still to place,
+    so no count of the board is kept.  Each move changes a vertex's
+    out-degree by one and its free pebbles the other way, so every vertex
+    of a board holds three pebbles less its out-degree.
     """
 
-    __slots__ = ("graph", "pebbles", "out", "todo")
+    __slots__ = ("adj", "out", "pebbles", "todo", "log")
 
-    def __init__(self, graph: Graph, out: dict, todo: dict):
-        self.graph = graph
+    def __init__(self, adj, out: dict, pebbles: dict, todo: dict, log=None):
+        self.adj = adj
         self.out = out
+        self.pebbles = pebbles
         self.todo = todo
-        self.pebbles = {t: 3 - len(heads) for t, heads in out.items()}
+        self.log = log
+
+    def play(self, cut, added) -> bool:
+        """Play a delta: lift the edges of ``cut`` off the board, then place
+        those of ``added`` in sorted order; False at the first placement
+        that leaves the placed graph not (3,6)-sparse."""
+        out, pebbles, log = self.out, self.pebbles, self.log
+        for a, b in cut:
+            t, h = (a, b) if b in out[a] else (b, a)
+            if log is not None and t not in log:
+                log[t] = set(out[t])
+            out[t].remove(h)
+            pebbles[t] += 1
+        for a, b in sorted(added):
+            if not self.place(a, b):
+                return False
+        return True
 
     def place(self, u, v) -> bool:
         """Place edge uv; False when the placed graph stops being
         (3,6)-sparse."""
-        pebbles, out, todo = self.pebbles, self.out, self.todo
+        pebbles, out, todo, log = self.pebbles, self.out, self.todo, self.log
         pinned = (u, v)
         for x in pinned:
             while pebbles[x] < 3:
-                if not fetch_pebble(pebbles, out, x, pinned):
+                if not fetch_pebble(pebbles, out, x, pinned, log):
                     return False
         if todo[v] < todo[u]:
             u, v = v, u
         todo[u] -= 1
         todo[v] -= 1
+        if log is not None and u not in log:
+            log[u] = set(out[u])
         pebbles[u] -= 1
         out[u].add(v)
         return not self._big_component(u, v)
@@ -188,15 +221,14 @@ class _PebbleGame:
         search visited may be dead, so they are not.  A search stops at the
         first pushed vertex that holds a pebble or is marked.
         """
-        pebbles, out, todo = self.pebbles, self.out, self.todo
-        adj = self.graph.neighbors
-        left_u = len(adj(u)) - todo[u] - 1
-        left_v = len(adj(v)) - todo[v] - 1
+        pebbles, out, todo, adj = self.pebbles, self.out, self.todo, self.adj
+        left_u = len(adj[u]) - todo[u] - 1
+        left_v = len(adj[v]) - todo[v] - 1
         x, other, left = (u, v, left_u) if left_u <= left_v else (v, u, left_v)
         if left < 3:
             return False
         escapes: set = set()
-        for w in adj(x):
+        for w in adj[x]:
             if w == other or x not in out[w]:
                 continue
             if not pebbles[w] and w not in escapes:
@@ -225,47 +257,129 @@ class _PebbleGame:
         return False
 
 
-def _final_orientation(g: Graph) -> dict | bool:
-    """The pebble game's final orientation of ``g``, as every vertex's
-    out-set, or False when ``g`` is not (3,6)-sparse.
+def _copy_board(g: Graph) -> tuple[dict, dict]:
+    """A copy of the board of ``g``, decided sparse: every out-set of its
+    final orientation, and every vertex's free pebbles."""
+    return {t: set(heads) for t, heads in g._orientation.items()}, dict(g._pebbles)
 
-    The game starts from a copy of the origin's out-sets with the edges
-    that ``g`` lacks cut, its orientation of the edges the two graphs
-    share, and places the edges ``g`` adds in sorted order, both read off
-    ``g``'s delta (``Graph._delta``); without an origin decided sparse,
-    from the empty board.
+
+def _undo(board, log) -> None:
+    """Put ``board`` back as it was before the trial that wrote ``log``:
+    every out-set the trial changed gets back the copy saved before its
+    first change, and its vertex three pebbles less its out-degree, as on
+    every board."""
+    out, pebbles = board
+    for t, heads in log.items():
+        out[t] = heads
+        pebbles[t] = 3 - len(heads)
+
+
+def _contraction_trial(g: Graph, board, e) -> tuple[bool, int, dict]:
+    """Whether G/e is (3,6)-sparse, played in place on ``board``, the board
+    of ``g`` decided sparse; with the end of e the trial removed and the
+    log that ``_undo`` takes back.
+
+    The end with fewer neighbours (the second on a tie) is merged into the
+    other: the graph is G/e up to the merged vertex's name, and fewer edges
+    are cut and placed.  Its edges are cut, and the edges it gives the kept
+    end are placed, so no child graph is built.  The game reads the
+    neighbour sets of the ends of those edges: the kept end's in G/e, and
+    G's for each vertex gaining an edge.  That set is as large as in G/e,
+    as the vertex loses the removed end and gains the kept one, and the
+    component search finds the same in-neighbours in it: the removed end
+    has no out-edge left, and the kept one is the placed edge's other end,
+    which the search skips."""
+    u, v = e
+    adj = g._adj
+    keep, gone = (v, u) if len(adj[u]) < len(adj[v]) else (u, v)
+    at_gone = adj[gone]
+    gained = at_gone - adj[keep] - {keep}
+    ends = {w: adj[w] for w in gained}
+    ends[keep] = (adj[keep] | at_gone) - {keep, gone}
+    todo = dict.fromkeys(gained, 1)
+    todo[keep] = len(gained)
+    log: dict = {}
+    try:
+        sparse = _PebbleGame(ends, *board, todo, log).play(
+            [(gone, w) for w in at_gone], [edge_key(keep, w) for w in gained])
+    except BaseException:  # an interrupted trial leaves the board as it was
+        _undo(board, log)
+        raise
+    return sparse, gone, log
+
+
+def _contraction_sparse(g: Graph, e) -> bool:
+    """Whether G/e is (3,6)-sparse, for ``g`` decided sparse: a contraction
+    trial on ``g``'s own board, undone before it returns."""
+    board = g._orientation, g._pebbles
+    sparse, _, log = _contraction_trial(g, board, e)
+    _undo(board, log)
+    return sparse
+
+
+def _hand_over(board, parent: Graph, child: Graph, e, gone) -> None:
+    """Decide ``child``, ``contract_edge(parent, *e)``, with ``board``
+    after a sparse trial of that contraction that removed the end
+    ``gone``: its entry goes, and when that was e's first end, the one
+    ``child`` keeps, the trial's merged vertex is renamed to it.
+    ``parent`` drops the board if it was its own, so that no graph keeps a
+    board that no longer describes it."""
+    u, v = e
+    out, pebbles = board
+    del out[gone], pebbles[gone]
+    if gone == u:
+        out[u], pebbles[u] = out.pop(v), pebbles.pop(v)
+        for w in child.neighbors(u):
+            heads = out[w]
+            if v in heads:
+                heads.remove(v)
+                heads.add(u)
+    if parent._orientation is out:
+        parent._orientation = parent._pebbles = None
+    child._orientation, child._pebbles = board
+    child._origin = child._delta = None
+
+
+def _final_orientation(g: Graph) -> tuple[dict, dict] | bool:
+    """The pebble game's final board of ``g``, every vertex's out-set and
+    free pebbles, or False when ``g`` is not (3,6)-sparse.
+
+    The game plays ``g``'s delta (``Graph._delta``) on a copy of its
+    origin's board: it cuts the edges that ``g`` lacks, which leaves the
+    origin's orientation of the edges the two graphs share, and places the
+    edges ``g`` adds; without an origin decided sparse, it places every
+    edge on the empty board.
     """
     origin = g._origin
-    board = origin is not None and origin._orientation
-    if board:
+    if origin is not None and origin._orientation:
+        out, pebbles = _copy_board(origin)
+        dropped = out.keys() - g.vertices
+        for t in g.vertices.difference(out):
+            out[t] = set()
+            pebbles[t] = 3
         cut, added = g._delta
-        out = {t: set(board[t]) if t in board else set() for t in g.vertices}
-        for a, b in cut:
-            t, h = (a, b) if b in board[a] else (b, a)
-            if t in out:
-                out[t].remove(h)
-        edges = sorted(added)
         todo: dict = {}
-        for a, b in edges:
+        for a, b in added:
             todo[a] = todo.get(a, 0) + 1
             todo[b] = todo.get(b, 0) + 1
     else:
         out = {t: set() for t in g.vertices}
-        edges = sorted(g.edges)
+        pebbles = dict.fromkeys(g.vertices, 3)
+        cut, added, dropped = (), g.edges, ()
         todo = {t: len(ns) for t, ns in g._adj.items()}
-    game = _PebbleGame(g, out, todo)
-    for a, b in edges:
-        if not game.place(a, b):
-            return False
-    return game.out
+    if not _PebbleGame(g._adj, out, pebbles, todo).play(cut, added):
+        return False
+    for t in dropped:
+        del out[t], pebbles[t]
+    return out, pebbles
 
 
 def _pebble_sparse(g: Graph) -> bool:
     """True iff ``g`` is (3,6)-sparse, decided by the pebble game once per
-    graph: the final orientation, or False, stays on ``g``, and the link to
-    its origin and the delta are cleared."""
+    graph: the final board, or False, stays on ``g``, and the link to its
+    origin and the delta are cleared."""
     if g._orientation is None:
-        g._orientation = _final_orientation(g)
+        g._orientation, g._pebbles = _final_orientation(g) or (False, None)
         g._origin = g._delta = None
     return g._orientation is not False
 
@@ -299,15 +413,17 @@ def check_3_6(graph: Graph) -> SparsityVerdict:
     of the per-edge flow scan alone.  That scan runs on the first read of
     the verdict's ``witness``, never for a caller that reads only the status.
 
-    The game runs once per graph: its final orientation, or False for a
-    violating graph, is remembered on the ``Graph``, and a later call on it
-    plays no game.  A graph whose origin G (``Graph._origin``) is decided
-    sparse starts from G's orientation of the shared edges, a valid start as
-    they span a subgraph of a sparse graph, and places only its other edges;
-    the graph's delta (``Graph._delta``) names the edges of G it lacks and
-    those it adds, so no edge set is compared.  Once decided it drops its
-    link to G and its delta.  ``contract_edge`` links G/e to G with the
-    edges it cut and added, and ``fission`` links its child.
+    The game runs once per graph: its final board, or False for a violating
+    graph, is remembered on the ``Graph``, and a later call on it plays no
+    game.  A graph whose origin G (``Graph._origin``) is decided sparse is
+    decided by a trial of its delta (``Graph._delta``: the edges of G it
+    lacks and those it adds) on a copy of G's board, a valid start as the
+    shared edges span a subgraph of a sparse graph, so no edge set is
+    compared.  Once decided it drops its link to G and its delta.
+    ``contract_edge`` links G/e to G, and ``fission`` links its child; the
+    key-lemma search and greedy reduction try their contractions on G's
+    board in place (``_contraction_trial``) and build G/e only where they
+    need it.
     """
     if len(graph.vertices) < 3:
         raise errors.TooFewVertices("(3,6)-sparsity needs at least 3 vertices")

@@ -246,6 +246,25 @@ def record_pebble_games(monkeypatch) -> dict:
     return games
 
 
+def board_state(board) -> tuple[dict, dict]:
+    """A frozen copy of a pebble board: every out-set, and the free
+    pebbles."""
+    out, pebbles = board
+    return {t: frozenset(heads) for t, heads in out.items()}, dict(pebbles)
+
+
+def assert_board_of(out, pebbles, g: Graph):
+    """``out``, on ``g``'s vertices, orients each edge of ``g`` once with
+    out-degree at most three, and every vertex holds three free pebbles
+    less its out-degree: a board of ``g`` that a pebble game may start
+    from."""
+    out = {t: out[t] for t in g.vertices}
+    pairs = sorted(edge_key(t, h) for t, heads in out.items() for h in heads)
+    assert pairs == g.sorted_edges()
+    assert all(len(heads) <= 3 and pebbles[t] == 3 - len(heads)
+               for t, heads in out.items())
+
+
 def fetch_pebble_reference(pebbles, out, root, pinned=()) -> bool:
     """``maxflow.fetch_pebble`` without its one-hop scan: a depth-first
     search of the out-paths from ``root``, which takes the first free pebble

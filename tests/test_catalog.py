@@ -8,7 +8,7 @@ from torusrig.catalog import (THE_17_WORDS, build_H, canonical_pattern,
                               classify, expand_word, parse_word, the_17)
 from torusrig.complexes import ClosedWalk
 from torusrig.fileio import load_hole
-from torusrig.sparsity import check_3_6
+from torusrig.sparsity import Status, check_3_6
 
 from helpers import face_index, num_edges, num_vertices
 
@@ -109,7 +109,7 @@ def test_excluded_control_graph():
     # Maxwell count holds yet the graph is not (3,6)-tight
     from torusrig.graphs import freedom
     assert freedom(hole.graph) == 6
-    assert not check_3_6(hole.graph).is_sparse
+    assert check_3_6(hole.graph).status is Status.VIOLATION
 
 
 def test_representatives_all_vertices_on_boundary():

@@ -31,13 +31,21 @@ def test_graph_takes_integer_vertices_only(vertices, edges, bad):
         Graph(vertices, edges)
 
 
-@pytest.mark.parametrize("edge", [(0, "a"), (0, 1, 2), (0, 1.0), 7, (True, 1)],
-                         ids=["str", "triple", "float", "int", "bool"])
+@pytest.mark.parametrize("edge", [(0, "a"), (0, 1, 2), (0, 1.0), 7, (True, 1),
+                                  ("a", 1), (1.0, 2)],
+                         ids=["str", "triple", "float", "int", "bool",
+                              "str-first", "float-first"])
 def test_graph_takes_integer_pair_edges_only(edge):
     # each is refused as it comes in, not by a bare TypeError or ValueError
-    # from the key order or the unpacking, nor kept as an edge
+    # from the key order or the unpacking, nor kept as an edge; a pair is
+    # refused as the ends of a contraction of the path 0-1-2-3 too, where
+    # (1.0, 2) would merge into the float 1.0
     with pytest.raises(errors.BadArgument, match="is not a pair of integers"):
         Graph([0, 1], [(0, 1), edge])
+    if isinstance(edge, tuple) and len(edge) == 2:
+        path = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(errors.BadArgument, match="is not a pair of integers"):
+            contract_edge(path, *edge)
 
 
 def test_contract_edge_counts():
@@ -85,6 +93,19 @@ def test_split_vertex_refuses_a_missing_vertex_and_a_non_pair():
     for bad in (3, (0, 3, 1), (0, "x")):
         with pytest.raises(errors.NotAnEdge):
             k4.split_vertex(0, 1, 2, [bad], new_vertex=4)
+
+
+@pytest.mark.parametrize("v1, v2, v3, new_vertex, bad", [
+    (0, 1, 2, 7.0, "7.0"), (0, 1.0, 2, 5, "1.0"), (0, 1, 2, "a", "'a'"),
+    (0, 1, 2, None, "None"), (0, 1, 2, True, "True"), (0.0, 1, 2, 5, "0.0"),
+    (0, 1, "2", 5, "'2'")],
+    ids=["float-new", "float-anchor", "str-new", "none-new", "bool-new",
+         "float-vertex", "str-anchor"])
+def test_split_vertex_takes_integer_ids_only(v1, v2, v3, new_vertex, bad):
+    # refused before any lookup: no float kept as a vertex or in an edge,
+    # no bare TypeError, and True not taken for the vertex 1 already in use
+    with pytest.raises(errors.BadArgument, match=f"vertex {bad} is not an integer"):
+        complete_graph(5).split_vertex(v1, v2, v3, [], new_vertex=new_vertex)
 
 
 def test_is_isomorphic_basics():

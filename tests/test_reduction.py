@@ -10,7 +10,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusrig import catalog, errors, reduction
+from torusrig import catalog, errors, reduction, sparsity
 from torusrig.catalog import build_H, classify
 from torusrig.complexes import (ClosedWalk, DiscMap, TorusComplex, cut_hole,
                                 disc_structures, rectangular_torus,
@@ -29,8 +29,8 @@ from torusrig.reduction import (Certificate, EdgeClass, SeparatingCycle,
 from torusrig.rigidity import generic_rank
 from torusrig.sparsity import SparsityVerdict, Status, check_3_6
 
-from helpers import (_blocked_faces, _grow_region, canon_face,
-                     connected_regions, contract_faces_stepwise, edge_rule_oracle,
+from helpers import (_blocked_faces, _grow_region, assert_board_of, board_state,
+                     canon_face, connected_regions, contract_faces_stepwise, edge_rule_oracle,
                      exhaustive_critical_cycles_through, face_candidates,
                      facial_split,
                      hole_reduce_greedy, induced, is_connected, link_cycle,
@@ -319,9 +319,9 @@ def test_fission_rejects_a_cycle_that_is_not_critical():
     (cut_hole(rectangular_torus(3, 3), [0, 1, 2, 3, 9, 14, 15]), (3, 7)),
 ], ids=["repro_a", "H2", "pinched_v3v6"])
 def test_search_builds_no_outer_part(monkeypatch, hole, e):
-    # the search checks G (whose pebble game G/e is then decided from) and
-    # G/e, and builds no outer part; fission checks G again through
-    # is_critical, which finds it decided, then G2
+    # the search checks G, whose board G/e is then tried on in place, and
+    # builds no outer part; fission checks G again through is_critical,
+    # which finds it decided, then G2
     checked, built, counted = [], [], []
     real_check, real_is_critical = reduction.check_3_6, reduction.is_critical
     real_hole = reduction.TorusWithHole
@@ -342,12 +342,94 @@ def test_search_builds_no_outer_part(monkeypatch, hole, e):
     monkeypatch.setattr(reduction, "is_critical", counting_is_critical)
     monkeypatch.setattr(reduction, "TorusWithHole", counting_hole)
     cycle = find_critical_cycle_through(hole, e)
-    assert checked == [hole.graph, contract_edge(hole.graph, *e)]
+    assert checked == [hole.graph]
     assert built == [] and counted == [] and "outer" not in vars(cycle)
     g1, g2 = fission(hole, cycle)
     assert counted == [cycle]
     assert g1 is cycle.outer
-    assert checked[2] is hole.graph and checked[3] is g2.graph
+    assert checked[1] is hole.graph and checked[2] is g2.graph
+
+
+def _counting(calls, name, fn):
+    """``fn``, counting its calls in ``calls[name]``."""
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+    return counted
+
+
+def test_search_decides_the_contraction_on_the_hole_board(monkeypatch, tight_corpus):
+    # once G is decided, a search whose contraction stays tight builds no
+    # G/e, copies no board and plays no game of its own: it tries G/e on
+    # G's board in place and undoes it.  A search whose contraction breaks
+    # tightness builds G/e once, for the flow scan, and plays no second
+    # game.  G's board is as it was after every search
+    calls = collections.Counter()
+    monkeypatch.setattr(reduction, "contract_edge",
+                        _counting(calls, "contract_edge", contract_edge))
+    monkeypatch.setattr(sparsity, "_copy_board",
+                        _counting(calls, "copy", sparsity._copy_board))
+    monkeypatch.setattr(sparsity, "_final_orientation",
+                        _counting(calls, "game", sparsity._final_orientation))
+    outcomes = collections.Counter()
+    for hole in list(tight_corpus) + [build_H(i) for i in range(1, 18)]:
+        g = hole.graph
+        assert check_3_6(g).is_tight
+        before = board_state((g._orientation, g._pebbles))
+        for e in contractible_edges(hole):
+            calls.clear()
+            cycle = find_critical_cycle_through(hole, e)
+            assert calls == ({} if cycle is None else {"contract_edge": 1}), e
+            outcomes[cycle is None] += 1
+        assert board_state((g._orientation, g._pebbles)) == before
+    assert min(outcomes.values()) > 300, outcomes
+
+
+def test_reduce_copies_one_board_and_builds_one_graph_per_move(
+        monkeypatch, tight_corpus):
+    # greedy reduction copies the input's board once and tries each
+    # candidate on it in place, undoing each failed trial; it builds only
+    # the winner's G/e and hands the board on to it, renamed where the
+    # trial merged the lower end into the higher.  The input keeps its own
+    # board, each graph the loop leaves drops the board, and the leaf's
+    # board is a board of the leaf
+    calls, children, winners = collections.Counter(), [], collections.Counter()
+    real_trial = reduction._contraction_trial
+
+    def building(g, u, v):
+        children.append(contract_edge(g, u, v))
+        return children[-1]
+
+    def trial(g, board, e):
+        sparse, gone, log = real_trial(g, board, e)
+        calls["trial"] += 1
+        winners[gone == e[0]] += sparse
+        return sparse, gone, log
+
+    monkeypatch.setattr(reduction, "_copy_board",
+                        _counting(calls, "copy", reduction._copy_board))
+    monkeypatch.setattr(reduction, "contract_edge", building)
+    monkeypatch.setattr(reduction, "_contraction_trial", trial)
+    reduced = 0
+    for hole in list(tight_corpus)[:40] + [build_H(i) for i in range(1, 18)]:
+        g = hole.graph
+        assert check_3_6(g).is_tight
+        before = board_state((g._orientation, g._pebbles))
+        calls.clear()
+        children.clear()
+        leaf, _, moves = reduction._reduce(hole)
+        assert calls["copy"] == 1 and calls["trial"] >= len(moves)
+        assert len(children) == len(moves)
+        assert board_state((g._orientation, g._pebbles)) == before
+        if not moves:
+            assert leaf is g
+            continue
+        assert leaf is children[-1] and leaf._origin is leaf._delta is None
+        assert all(h._orientation is h._pebbles is None for h in children[:-1])
+        assert leaf._orientation.keys() == leaf._pebbles.keys() == leaf.vertices
+        assert_board_of(leaf._orientation, leaf._pebbles, leaf)
+        reduced += 1
+    assert reduced > 40 and min(winners.values()) > 50, (reduced, winners)
 
 
 def test_outer_parts_and_fission_children_start_from_the_hole_graph(
@@ -922,15 +1004,23 @@ def test_reduction_tree_is_the_greedy_chain(tight_corpus):
 
 def _loosen_contractions_below(monkeypatch, n_vertices):
     """Judge every graph of fewer than ``n_vertices`` vertices not tight
-    where ``reduction`` checks tightness.  Greedy reduction checks only its
-    input and the contractions it tries, so it sticks at that size."""
-    real = reduction.check_3_6
+    where ``reduction`` checks tightness: its checks of whole graphs and its
+    contraction trials, which a contraction to that size fails without
+    playing.  Greedy reduction checks only its input and the contractions
+    it tries, so it sticks at that size."""
+    real, real_trial = reduction.check_3_6, reduction._contraction_trial
 
     def check(graph):
         if len(graph.vertices) < n_vertices:
             return SparsityVerdict(Status.SPARSE_NOT_TIGHT)
         return real(graph)
+
+    def trial(graph, board, e):
+        if len(graph.vertices) - 1 < n_vertices:
+            return False, e[1], {}
+        return real_trial(graph, board, e)
     monkeypatch.setattr(reduction, "check_3_6", check)
+    monkeypatch.setattr(reduction, "_contraction_trial", trial)
 
 
 def test_no_tight_contraction_raises_stuck(monkeypatch):

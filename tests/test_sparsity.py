@@ -7,16 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from torusrig import errors, sparsity
 from torusrig.catalog import build_H
-from torusrig.complexes import cut_hole, rectangular_torus
+from torusrig.complexes import TorusComplex, cut_hole, rectangular_torus
+from torusrig.corpus import CorpusSpec, gen_corpus
 from torusrig.graphs import (Graph, complete_graph, contract_edge,
                              double_banana, edge_key, freedom)
 from torusrig.reduction import certify, contract, contractible_edges
-from torusrig.sparsity import (SparsityVerdict, Status, _flow_scan,
-                               _pebble_sparse, _PebbleGame, check_3_6,
-                               is_in_T, maximal_tight_subgraph)
+from torusrig.sparsity import (SparsityVerdict, Status, _contraction_trial,
+                               _flow_scan, _pebble_sparse, _PebbleGame, _undo,
+                               check_3_6, is_in_T, maximal_tight_subgraph)
 
-from helpers import (brute_force_3_6, component_oracle_checked, induced,
-                     random_parent, record_pebble_games, tight_plus_one_edge)
+from helpers import (assert_board_of, board_state, brute_force_3_6,
+                     component_oracle_checked, induced, random_parent,
+                     record_pebble_games, tight_plus_one_edge, torus_census)
 
 
 def random_graph(data, max_n=11):
@@ -99,7 +101,7 @@ def test_witness_is_searched_only_when_read(monkeypatch, tight_corpus):
 
     monkeypatch.setattr(sparsity, "densest_extension", counting)
     v = check_3_6(complete_graph(5))
-    assert v.status is Status.VIOLATION and not v.is_sparse and not calls
+    assert v.status is Status.VIOLATION and not calls
     assert v.witness == frozenset(range(5)) and calls
     scans = len(calls)
     assert v.witness == frozenset(range(5)) and len(calls) == scans
@@ -132,10 +134,10 @@ def test_through_vertex_restriction():
               [(5, 6), (5, 7), (6, 7)])
     assert check_3_6(g) == _flow_scan(g, g.sorted_edges()) == k5
     assert _flow_scan(g, [(5, 7), (0, 4)]) == k5
-    assert _flow_scan(g, [(5, 7), (6, 7)]).is_sparse
+    assert _flow_scan(g, [(5, 7), (6, 7)]).status is not Status.VIOLATION
     pendant = Graph(range(6), list(complete_graph(5).edges) + [(0, 5)])
     assert check_3_6(pendant) == _flow_scan(pendant, pendant.sorted_edges()) == k5
-    assert _flow_scan(pendant, [(0, 5)]).is_sparse
+    assert _flow_scan(pendant, [(0, 5)]).status is not Status.VIOLATION
 
 
 def test_maximal_tight_subgraph():
@@ -154,7 +156,7 @@ def test_maximal_tight_subgraph():
 @settings(max_examples=300, deadline=None)
 def test_pebble_game_matches_brute_force(data):
     g = random_graph(data)
-    assert _pebble_sparse(g) is brute_force_3_6(g).is_sparse
+    assert _pebble_sparse(g) is (brute_force_3_6(g).status is not Status.VIOLATION)
 
 
 @given(st.data())
@@ -169,7 +171,7 @@ def test_through_vertex_matches_flow_scan(data):
     x_first = sorted(g.edges, key=lambda e: (x not in e, e))
     assert _flow_scan(g, x_first).status is check_3_6(g).status
     at_x = _flow_scan(g, [e for e in x_first if x in e])
-    if not at_x.is_sparse:
+    if at_x.status is Status.VIOLATION:
         assert at_x == _flow_scan(g, x_first)
 
 
@@ -203,11 +205,11 @@ def test_pebble_component_check_on_tight_plus_one_edge():
     for _ in range(400):
         n_core = rng.randint(5, 8)
         g = tight_plus_one_edge(rng, n_core, rng.randint(0, 5))
-        assert not brute_force_3_6(g).is_sparse
+        assert brute_force_3_6(g).status is Status.VIOLATION
         assert _pebble_sparse(g) is False
         for e in rng.sample(sorted(g.edges), 3):
             h = Graph(g.vertices, g.edges - {e})
-            assert _pebble_sparse(h) is brute_force_3_6(h).is_sparse
+            assert _pebble_sparse(h) is (brute_force_3_6(h).status is not Status.VIOLATION)
 
 
 # -- the component search's degree test against the unfiltered search -------
@@ -259,7 +261,7 @@ def test_component_search_reads_each_out_set_once():
     heads = {u: {v}, v: set(), c: {d, u, v}, d: {e, u, v}, e: set(),
              **{w: {u, v, c} for w in (2, 3, 4, 5)}}
     g = Graph(heads, [(t, h) for t, hs in heads.items() for h in hs])
-    assert brute_force_3_6(g).is_sparse
+    assert brute_force_3_6(g).status is not Status.VIOLATION
     reads = Counter()
 
     class CountingSet(set):
@@ -271,7 +273,8 @@ def test_component_search_reads_each_out_set_once():
             reads[self.tail] += 1
             return super().__iter__()
 
-    game = _PebbleGame(g, {t: CountingSet(t, hs) for t, hs in heads.items()},
+    game = _PebbleGame(g._adj, {t: CountingSet(t, hs) for t, hs in heads.items()},
+                       {t: 3 - len(hs) for t, hs in heads.items()},
                        dict.fromkeys(heads, 0))
     reads.clear()
     assert not game._big_component(u, v)
@@ -282,13 +285,12 @@ def test_component_search_reads_each_out_set_once():
 
 
 def _assert_orientation_of(g: Graph):
-    """A sparse graph's memo, every vertex's out-set, orients each of its
-    edges once, out-degree at most three."""
+    """A sparse graph's memo, every vertex's out-set and free pebbles,
+    orients each of its edges once, out-degree at most three, and gives
+    each vertex three pebbles less its out-degree."""
     board = g._orientation
-    assert board.keys() == g.vertices
-    pairs = sorted(edge_key(t, h) for t, heads in board.items() for h in heads)
-    assert pairs == g.sorted_edges()
-    assert all(len(heads) <= 3 for heads in board.values())
+    assert board.keys() == g._pebbles.keys() == g.vertices
+    assert_board_of(board, g._pebbles, g)
 
 
 @given(st.data())
@@ -300,7 +302,7 @@ def test_contraction_chain_verdicts_match_fresh_graphs(data):
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     kind = data.draw(st.sampled_from(["tight", "sparse", "violating"]))
     g = random_parent(rng, kind, data.draw(st.integers(6, 14)))
-    assert check_3_6(g).is_sparse is (kind != "violating")
+    assert (check_3_6(g).status is not Status.VIOLATION) is (kind != "violating")
     for _ in range(data.draw(st.integers(1, 3))):
         u, v = data.draw(st.sampled_from(g.sorted_edges()))
         if data.draw(st.booleans()):
@@ -311,7 +313,7 @@ def test_contraction_chain_verdicts_match_fresh_graphs(data):
         assert got == check_3_6(Graph(h.vertices, h.edges))
         assert got.status is brute_force_3_6(h).status
         assert g._orientation is memo
-        if got.is_sparse:
+        if got.status is not Status.VIOLATION:
             _assert_orientation_of(h)
         g = h
 
@@ -335,7 +337,7 @@ def test_contraction_verdicts_match_fresh_graphs_on_corpus(tight_corpus):
             assert got == check_3_6(fresh), e
             assert g._orientation is memo
             checked += 1
-            if not got.is_sparse:
+            if got.status is Status.VIOLATION:
                 z = e[0]
                 at_z = _flow_scan(h, [edge_key(z, w) for w in sorted(h.neighbors(z))])
                 z_first = sorted(h.edges, key=lambda f: (z not in f, f))
@@ -367,13 +369,15 @@ def test_contraction_gathers_the_merged_vertex_pebbles_once(monkeypatch):
     # every edge a contraction adds joins the merged vertex z to a vertex
     # with no other edge to place, so it is covered from that end, and z
     # keeps the three pebbles it gathered for its next edge: at most three
-    # fetches to z per game, however many edges it gains
+    # fetches to z per game, however many edges it gains.  That holds for
+    # the trial on G's board, where z is the end it keeps, and for the
+    # contract_edge child decided on a copy, where z is the first end
     real = sparsity.fetch_pebble
     fetches = Counter()
 
-    def counting_fetch(pebbles, out, root, pinned=()):
+    def counting_fetch(pebbles, out, root, pinned=(), log=None):
         fetches[root] += 1
-        return real(pebbles, out, root, pinned)
+        return real(pebbles, out, root, pinned, log)
 
     monkeypatch.setattr(sparsity, "fetch_pebble", counting_fetch)
     gained = Counter()
@@ -381,7 +385,14 @@ def test_contraction_gathers_the_merged_vertex_pebbles_once(monkeypatch):
         hole = build_H(i)
         g = hole.graph
         assert check_3_6(g).is_tight
+        board = g._orientation, g._pebbles
         for e in contractible_edges(hole):
+            fetches.clear()
+            _, gone, log = _contraction_trial(g, board, e)
+            _undo(board, log)
+            z = sum(e) - gone
+            assert fetches[z] <= 3, (i, e, fetches[z])
+            gained[len(g.neighbors(gone) - g.neighbors(z)) - 1] += 1
             h = contract_edge(g, *e)
             fetches.clear()
             check_3_6(h)
@@ -401,7 +412,7 @@ def test_warm_start_from_any_decided_origin_matches_fresh_graphs(data):
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     kind = data.draw(st.sampled_from(["tight", "sparse", "violating"]))
     g = random_parent(rng, kind, data.draw(st.integers(6, 12)))
-    assert check_3_6(g).is_sparse is (kind != "violating")
+    assert (check_3_6(g).status is not Status.VIOLATION) is (kind != "violating")
     memo = g._orientation
     kept = set(rng.sample(sorted(g.vertices), rng.randint(3, len(g.vertices))))
     new = set(range(len(g.vertices), len(g.vertices) + rng.randint(0, 3)))
@@ -417,7 +428,7 @@ def test_warm_start_from_any_decided_origin_matches_fresh_graphs(data):
     assert got == check_3_6(Graph(h.vertices, h.edges))
     assert got.status is brute_force_3_6(h).status
     assert g._orientation is memo and h._origin is None and h._delta is None
-    if got.is_sparse:
+    if got.status is not Status.VIOLATION:
         _assert_orientation_of(h)
 
 
@@ -461,3 +472,100 @@ def test_decided_graph_holds_no_ancestor():
         check_3_6(h)
         assert h._origin is None and not _holds(h, chain[-1])
         chain.append(h)
+
+
+# -- contraction trials on the parent's board, in place ---------------------
+
+
+def _sparse_spanning(graph: Graph) -> Graph:
+    """A maximal (3,6)-sparse spanning subgraph: the sorted edges, each
+    kept while a cold game finds the edges kept so far with it sparse."""
+    kept = []
+    for e in graph.sorted_edges():
+        if check_3_6(Graph(graph.vertices, kept + [e])).status is not Status.VIOLATION:
+            kept.append(e)
+    return Graph(graph.vertices, kept)
+
+
+def _trial_cases() -> list:
+    """(graph, edges to contract): the contractible edges of the tight
+    ``gen`` records on 3x4 to 3x6 and of H1-H17, and every edge of a
+    maximal sparse spanning subgraph of each census torus on 7, 8 and 9
+    vertices, contractible or not.  Each graph is fresh, so its board comes
+    from a cold game."""
+    spec = CorpusSpec(seed=40, count=60, grids=((3, 4), (3, 5), (3, 6)))
+    holes = [h for h in gen_corpus(spec) if check_3_6(h.graph).is_tight]
+    holes += [build_H(i) for i in range(1, 18)]
+    cases = [(Graph(h.graph.vertices, h.graph.edges), contractible_edges(h))
+             for h in holes]
+    for n in (7, 8, 9):
+        for faces in torus_census(n).values():
+            torus = TorusComplex(faces)
+            g = _sparse_spanning(Graph(torus.vertices, torus.edges))
+            cases.append((g, g.sorted_edges()))
+    return cases
+
+
+def test_contraction_trial_matches_a_cold_game_and_undoes_exactly():
+    # every trial of G/e on G's board, for e given either way round, gives
+    # the verdict of a cold game on a fresh copy of contract_edge(G, *e);
+    # a sparse one leaves a board of G/e, named after the end it keeps, and
+    # the removed end bare.  The undo gives back G's out-sets and pebbles
+    # exactly.  Trials fail and pass, removing either end of e as given
+    seen = Counter()
+    for g, edges in _trial_cases():
+        assert check_3_6(g).status is not Status.VIOLATION
+        board = g._orientation, g._pebbles
+        before = board_state(board)
+        for e in edges:
+            for u, v in (e, e[::-1]):
+                h = contract_edge(g, u, v)
+                want = check_3_6(Graph(h.vertices, h.edges)).status is not Status.VIOLATION
+                sparse, gone, log = _contraction_trial(g, board, (u, v))
+                assert sparse is want, (e, u, gone)
+                if sparse:
+                    assert_board_of(*board, contract_edge(g, u + v - gone, gone))
+                    assert not board[0][gone] and board[1][gone] == 3
+                _undo(board, log)
+                assert board_state(board) == before, (e, u, gone)
+                seen[sparse, gone == u] += 1
+    assert len(seen) == 4 and min(seen.values()) > 100, seen
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_contraction_trial_matches_the_oracle_on_random_parents(data):
+    # tight and sparse parents that are not torus graphs, with edges of any
+    # number of common neighbours: every trial gives the exhaustive
+    # oracle's status of G/e, and its undo gives back G's board
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    g = random_parent(rng, data.draw(st.sampled_from(["tight", "sparse"])),
+                      data.draw(st.integers(6, 12)))
+    assert check_3_6(g).status is not Status.VIOLATION
+    board = g._orientation, g._pebbles
+    before = board_state(board)
+    for u, v in g.sorted_edges():
+        sparse, _, log = _contraction_trial(g, board, (u, v))
+        want = brute_force_3_6(contract_edge(g, u, v)).status
+        assert sparse is (want is not Status.VIOLATION), (u, v)
+        _undo(board, log)
+        assert board_state(board) == before
+
+
+def test_contraction_trial_removes_the_end_with_fewer_neighbours():
+    # G/e up to the merged vertex's name either way; the end with fewer
+    # neighbours goes, the second end on a tie, so fewer edges are cut and
+    # placed
+    kinds = Counter()
+    for i in range(1, 18):
+        hole = build_H(i)
+        g = hole.graph
+        assert check_3_6(g).is_tight
+        board = g._orientation, g._pebbles
+        for u, v in contractible_edges(hole):
+            for a, b in ((u, v), (v, u)):
+                _, gone, log = _contraction_trial(g, board, (a, b))
+                _undo(board, log)
+                assert gone == (a if g.degree(a) < g.degree(b) else b)
+                kinds[g.degree(a) == g.degree(b)] += 1
+    assert min(kinds[True], kinds[False]) > 20, kinds
