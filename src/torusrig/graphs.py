@@ -23,17 +23,13 @@ class Graph:
     not a pair of them, with BadArgument, as the two moves refuse such ids.
 
     Vertices need not be consecutive; isolated vertices are allowed (they
-    matter for freedom-number bookkeeping).  Four more slots belong to
+    matter for freedom-number bookkeeping).  Two more slots belong to
     :mod:`torusrig.sparsity` and take no part in equality or hashing: once
     the graph is decided, ``_orientation`` and ``_pebbles`` hold the pebble
     game's final board, a dict of every vertex's out-set and one of its
-    free pebbles (False and None when it violates); ``_origin`` holds,
-    until then, a graph sharing most of its edges, whose board the game
-    copies and plays on (G for ``contract_edge(G, u, v)``), and ``_delta``
-    the edges the origin has and this graph lacks, and those it adds, as a
-    pair of sets.  A board describes one graph: greedy reduction hands its
-    board from a graph to the contraction that it decides, and the graph
-    drops it.
+    free pebbles (False and None when it violates).  A board describes one
+    graph: greedy reduction hands its board from a graph to the contraction
+    that it decides, and the graph drops it.
 
     The two moves, ``contract_edge`` and ``split_vertex``, build the child
     from the parent's vertex set, edge set and adjacency, changed at the
@@ -45,12 +41,10 @@ class Graph:
     and an edge that leaves the vertex set still raises NonSimple.
     """
 
-    __slots__ = ("vertices", "edges", "_adj", "_orientation", "_pebbles",
-                 "_origin", "_delta")
+    __slots__ = ("vertices", "edges", "_adj", "_orientation", "_pebbles")
 
     def __init__(self, vertices, edges, *, _adj=None, _keyed=False):
         self._orientation = self._pebbles = None
-        self._origin = self._delta = None
         if _adj is not None:
             # a move's child: frozensets of vertices and key-ordered edges
             self.vertices, self.edges, self._adj = vertices, edges, _adj
@@ -151,10 +145,7 @@ class Graph:
 
 def contract_edge(g: Graph, u: int, v: int) -> Graph:
     """Merge v into u (simple-graph contraction, parallel edges coalesce).
-
-    The result remembers g as its origin, and the edges at v it cut and the
-    edges at u it added as its delta, so that ``check_3_6`` can decide it
-    on a copy of g's board.  BadArgument unless u and v are ``int``s."""
+    BadArgument unless u and v are ``int``s."""
     if type(u) is not int or type(v) is not int:
         raise errors.BadArgument(f"edge {(u, v)!r} is not a pair of integers")
     if edge_key(u, v) not in g.edges:
@@ -165,11 +156,9 @@ def contract_edge(g: Graph, u: int, v: int) -> Graph:
     for w in at_v - {u}:
         adj[w] = adj[w] - {v} | {u} if w in gained else adj[w] - {v}
     adj[u] = adj[u] - {v} | gained
-    cut = {edge_key(v, w) for w in at_v}
-    added = {edge_key(u, w) for w in gained}
-    h = Graph(g.vertices - {v}, g.edges - cut | added, _adj=adj)
-    h._origin, h._delta = g, (cut, added)
-    return h
+    edges = (g.edges - {edge_key(v, w) for w in at_v}
+             | {edge_key(u, w) for w in gained})
+    return Graph(g.vertices - {v}, edges, _adj=adj)
 
 
 def freedom(obj) -> int:

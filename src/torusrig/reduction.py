@@ -8,9 +8,8 @@ complement.  On a tight G, criticality is a count (``is_critical``): an
 enlargement holds every hole face and exposes no deleted edge, so its outer
 part G1 is a subgraph of G; a subgraph of a sparse G is sparse; G1 is one cut,
 so f(G1) = |walk| - 3 and G1 is tight iff its walk has nine edges.  The
-fission child keeps G's edges off the catalog graph, so its pebble game
-plays on a copy of G's decided board (G is its origin, and the two edge-set
-differences its delta).
+fission child keeps G's edges off the catalog graph, so, like G/e, it is
+tried on G's decided board in place (``fission``).
 
 The key-lemma search rests on a freedom count.  Let W be the violator of
 G/e and L its lift to G, and let a be the number of apexes of e in L.  Then
@@ -38,17 +37,12 @@ common neighbours; so a simple leaf is named by its counts, (4, 6) K4 and
 (5, 9) K5 minus an edge.  A graph that breaks the ruling raises
 StuckButContractible.
 
-The rule needs no face map.  A graph edge is FF iff it is off the boundary
-walks: an edge with a hole face is a region edge, and ``TorusWithHole``
-checks that the walks' edges are the region's graph edges (a kept edge lies
-on its walk twice).  An FF edge's two apexes are distinct common neighbours
-of its ends, so its ends have no other common neighbour iff they have
-exactly two: e lies in no nonfacial triangle (Barnette & Edelson 1988).
-The rule has one copy, ``_contractible``, asked of FF edges only:
-``_edge_rule`` asks it after the one FF test (``TorusWithHole.is_ff_edge``),
-for ``classify_edge`` and for the guard of ``contract`` and the search, and
-``_candidates`` runs the same count inline over the edges off a walk, for
-the loop and ``contractible_edges``.
+The contraction rule has one copy, ``_contractible``, where it is shown to
+need no face map.  It is asked of FF edges only: ``_edge_rule`` asks it
+after the one FF test (``TorusWithHole.is_ff_edge``), for ``classify_edge``
+and for the guard of ``contract`` and the search, and ``_candidates`` runs
+the same count inline over the edges off a walk, for the loop and
+``contractible_edges``.
 
 Every child hole, from a contraction, the leaf or a fission, is built one
 way (``retriangulate_holes``): its retained faces closed by a fresh collar
@@ -83,11 +77,11 @@ from . import catalog, errors, fileio
 from .complexes import (ClosedWalk, DiscMap, TorusComplex, TorusWithHole,
                         _face_edges, _symmetries, disc_structures,
                         retriangulate_holes)
-from .graphs import Graph, contract_edge, edge_key, is_isomorphic
+from .graphs import Graph, contract_edge, edge_key, freedom, is_isomorphic
 from .maxflow import densest_extension
 from .rigidity import generic_rank
-from .sparsity import (_contraction_sparse, _contraction_trial, _copy_board,
-                       _flow_scan, _hand_over, _undo, check_3_6,
+from .sparsity import (_child_sparse, _contraction_sparse, _contraction_trial,
+                       _copy_board, _flow_scan, _hand_over, _undo, check_3_6,
                        maximal_tight_subgraph)
 
 
@@ -99,7 +93,15 @@ class EdgeClass(enum.Enum):
 
 def _contractible(graph: Graph, e) -> bool:
     """The contraction rule, asked of an FF edge: its ends have exactly two
-    common neighbours, its apexes (the module docstring's count)."""
+    common neighbours, its apexes.
+
+    The rule needs no face map.  A graph edge is FF iff it is off the
+    boundary walks: an edge with a hole face is a region edge, and
+    ``TorusWithHole`` checks that the walks' edges are the region's graph
+    edges (a kept edge lies on its walk twice).  An FF edge's two apexes are
+    distinct common neighbours of its ends, so its ends have no other common
+    neighbour iff they have exactly two: e lies in no nonfacial triangle
+    (Barnette & Edelson 1988)."""
     u, v = e
     return len(graph.neighbors(u) & graph.neighbors(v)) == 2
 
@@ -367,16 +369,17 @@ def fission(hole: TorusWithHole, cycle: SeparatingCycle
 
     Criticality is ``is_critical``'s count, so G1 plays no pebble game; it
     raises what that raises, and InvalidCycle when G1 is not tight.  G2 is
-    one refill (``_substitute``); a G2 that is not tight raises
-    NoMatchingCatalogGraph with the record, the theorem-violation signal.
+    one refill (``_substitute``) on some of G's vertices.  It is tight iff
+    f(G2) = 6 and a trial of its edge-set differences on the board that
+    ``is_critical`` leaves on G finds it sparse (``_child_sparse``); G2
+    stays undecided.  A G2 that is not tight raises NoMatchingCatalogGraph
+    with the record, the theorem-violation signal.
     """
     if not is_critical(hole, cycle):
         raise errors.InvalidCycle(f"cycle is not critical: its walk has "
                                   f"{len(cycle.walk)} edges, not {catalog.WALK_LENGTH}")
     g2 = _substitute(hole, cycle)
-    g, child = hole.graph, g2.graph
-    child._origin, child._delta = g, (g.edges - child.edges, child.edges - g.edges)
-    if not check_3_6(child).is_tight:
+    if freedom(g2.graph) != 6 or not _child_sparse(hole.graph, g2.graph):
         raise fileio.with_record(
             errors.NoMatchingCatalogGraph, hole,
             f"substitution produced a non-tight graph at {_cycle_named(cycle)}; "
@@ -402,16 +405,17 @@ def _substitute(hole: TorusWithHole, cycle: SeparatingCycle) -> TorusWithHole:
     The map sends H's walk onto the cycle slot by slot, at its first
     rotation or reversal whose slots repeat as the cycle's do
     (``catalog._relabel``); one exists, as the two walks have one canonical
-    pattern.  Every vertex of H lies on its walk, so the mapped faces meet
-    the disc of annulus and collar faces at cycle vertices only, as H's
-    faces meet its hole.  They close a torus unless an edge of that disc off
-    the cycle joins two cycle vertices.  A collar edge has a fresh end, so
-    that would be an annulus edge: a graph edge outside G1 between two
-    vertices of G1.  G1 is tight (the module docstring's count), so G1 with
-    that edge breaks G's sparsity.  So on tight G the one refill closes a
-    torus.  A pattern with no catalog graph, or a refill that closes no
-    torus, raises NoMatchingCatalogGraph, naming the cycle by its walk and
-    its disc (``_cycle_named``) and carrying the record.
+    pattern.  G2's vertices are among G's: H's map to cycle vertices, and
+    the collar's are deleted.  Every vertex of H lies on its walk, so the
+    mapped faces meet the disc of annulus and collar faces at cycle vertices
+    only, as H's faces meet its hole.  They close a torus unless an edge of
+    that disc off the cycle joins two cycle vertices.  A collar edge has a
+    fresh end, so that would be an annulus edge: a graph edge outside G1
+    between two vertices of G1.  G1 is tight (the module docstring's count),
+    so G1 with that edge breaks G's sparsity.  So on tight G the one refill
+    closes a torus.  A pattern with no catalog graph, or a refill that
+    closes no torus, raises NoMatchingCatalogGraph, naming the cycle by its
+    walk and its disc (``_cycle_named``) and carrying the record.
     """
     w_c = cycle.walk.vertices
     try:

@@ -30,29 +30,11 @@ oracle in the tests cross-validates both paths on small graphs.
 The key lemma and the greedy reduction ask again and again about graphs that
 share most edges with the hole's graph G, decided already: G/e and the
 fission child.  So the game's final board, every vertex's out-set and free
-pebbles, stays on each graph it decides, and later games start from it.
-A trial plays a delta on a board in place: it lifts the edges that are cut,
-which leaves the board's orientation of the edges the two graphs share, then
-places the edges that are added, in sorted order.  It logs every out-set
-that its cuts, its placements and the path reversals of ``fetch_pebble``
-change, as it was before the first change, and the caller either keeps the
-result or undoes the log: each logged out-set is put back, and every vertex
-of a board holds three pebbles less its out-degree, so afterwards the board
-holds exactly its old out-sets and pebbles.  Until then the board is the
-trial's, so two trials on one board must not overlap.  A contraction trial
-(``_contraction_trial``) builds no child graph: it reads the neighbour sets
-at the merged vertex and at the ends that gain an edge.  It removes the end
-of e with fewer neighbours.  Merging v into u and u into v give the same
-graph up to the merged vertex's name, so the verdict is the same, and that
-end cuts and places fewer edges.  A graph linked to an origin, a
-``contract_edge`` child or a fission child, is decided by the same trial on
-a copy of the origin's board.  Any start is sound: the shared edges span a
-subgraph of a sparse graph, so they are sparse, and any orientation of
-them with out-degree at most three, with three pebbles less the out-degree
-on each vertex, is a valid start.  Whether pebbles can be gathered and which
-component the search detects depend only on the placed graph, not on the
-order of placement or the valid start.  A violating graph still gets its
-witness from the unchanged flow scan.
+pebbles, stays on each graph it decides, and those graphs are tried on G's
+board in place (``_trial``, where the start is shown valid and the undo
+exact): G/e by ``_contraction_trial``, the fission child by
+``_child_sparse``.  A violating graph still gets its witness from the
+unchanged flow scan.
 """
 
 from __future__ import annotations
@@ -119,7 +101,7 @@ class _PebbleGame:
     placed edges' orientation, and ``pebbles``, every vertex's free
     pebbles.  ``adj`` gives the neighbour sets, in the graph being decided,
     of the ends of the edges to place, and ``todo`` the number of edges
-    still to place at each of them.  A trial to be undone passes a
+    still to place at each of them.  A trial (``_trial``) passes a
     ``log``, which saves every out-set the game changes, by its tail, as it
     was before the first change.
 
@@ -140,13 +122,10 @@ class _PebbleGame:
     rejected edge, is a (3,6) violation; on a simple graph the component is
     always found first.
 
-    The game may start from any orientation of a (3,6)-sparse subgraph with
-    out-degree at most three: the identity above holds for it, and that is
-    all gathering pebbles and finding components rely on.  A vertex's
-    placed degree is its degree in the graph less its edges still to place,
-    so no count of the board is kept.  Each move changes a vertex's
-    out-degree by one and its free pebbles the other way, so every vertex
-    of a board holds three pebbles less its out-degree.
+    A vertex's placed degree is its degree in the graph less its edges
+    still to place, so no count of the board is kept.  Each move changes a
+    vertex's out-degree by one and its free pebbles the other way, so every
+    vertex of a board holds three pebbles less its out-degree.
     """
 
     __slots__ = ("adj", "out", "pebbles", "todo", "log")
@@ -274,10 +253,42 @@ def _undo(board, log) -> None:
         pebbles[t] = 3 - len(heads)
 
 
+def _trial(board, adj, todo, cut, added) -> tuple[bool, dict]:
+    """Whether the graph reached from G by the delta ``cut``, ``added`` is
+    (3,6)-sparse, played in place on ``board``, G's board decided sparse;
+    with the log that ``_undo`` takes back.  ``adj`` gives the neighbour
+    sets, in that graph, of the ends of the edges of ``added``, and ``todo``
+    the number of them at each end.
+
+    Any valid start is sound.  Lifting the edges of ``cut`` leaves G's
+    orientation of the edges the two graphs share.  They span a subgraph of
+    a sparse graph, so they are sparse, and an orientation of them with
+    out-degree at most three, with three pebbles less the out-degree on
+    each vertex, is a valid start: the identity of ``_PebbleGame`` holds
+    for it, and that is all gathering pebbles and finding components rely
+    on.  Whether pebbles can be gathered and which component the search
+    detects depend only on the placed graph, not on the order of placement
+    or the start, so the verdict is a cold game's.
+
+    The undo is exact.  The log saves every out-set that the cuts, the
+    placements and the path reversals of ``fetch_pebble`` change, as it was
+    before the first change, and every vertex of a board holds three
+    pebbles less its out-degree (``_PebbleGame``); so putting the logged
+    out-sets back gives back the board's out-sets and pebbles exactly.  An interrupted trial is
+    undone before the exception leaves.  Until the caller undoes the trial
+    or keeps its result, the board is the trial's, so two trials on one
+    board must not overlap."""
+    log: dict = {}
+    try:
+        return _PebbleGame(adj, *board, todo, log).play(cut, added), log
+    except BaseException:
+        _undo(board, log)
+        raise
+
+
 def _contraction_trial(g: Graph, board, e) -> tuple[bool, int, dict]:
-    """Whether G/e is (3,6)-sparse, played in place on ``board``, the board
-    of ``g`` decided sparse; with the end of e the trial removed and the
-    log that ``_undo`` takes back.
+    """Whether G/e is (3,6)-sparse, a ``_trial`` on ``board``, the board of
+    ``g`` decided sparse; with the end of e the trial removed and the log.
 
     The end with fewer neighbours (the second on a tie) is merged into the
     other: the graph is G/e up to the merged vertex's name, and fewer edges
@@ -298,13 +309,8 @@ def _contraction_trial(g: Graph, board, e) -> tuple[bool, int, dict]:
     ends[keep] = (adj[keep] | at_gone) - {keep, gone}
     todo = dict.fromkeys(gained, 1)
     todo[keep] = len(gained)
-    log: dict = {}
-    try:
-        sparse = _PebbleGame(ends, *board, todo, log).play(
-            [(gone, w) for w in at_gone], [edge_key(keep, w) for w in gained])
-    except BaseException:  # an interrupted trial leaves the board as it was
-        _undo(board, log)
-        raise
+    sparse, log = _trial(board, ends, todo, [(gone, w) for w in at_gone],
+                         [edge_key(keep, w) for w in gained])
     return sparse, gone, log
 
 
@@ -313,6 +319,22 @@ def _contraction_sparse(g: Graph, e) -> bool:
     trial on ``g``'s own board, undone before it returns."""
     board = g._orientation, g._pebbles
     sparse, _, log = _contraction_trial(g, board, e)
+    _undo(board, log)
+    return sparse
+
+
+def _child_sparse(g: Graph, child: Graph) -> bool:
+    """Whether ``child``, a graph on some of the vertices of ``g`` decided
+    sparse, is (3,6)-sparse: a ``_trial`` of the edges of ``g`` it lacks
+    and those it adds on ``g``'s own board, undone before it returns.  The
+    vertices it drops are left bare, all their edges cut."""
+    board = g._orientation, g._pebbles
+    added = child.edges - g.edges
+    todo: dict = {}
+    for a, b in added:
+        todo[a] = todo.get(a, 0) + 1
+        todo[b] = todo.get(b, 0) + 1
+    sparse, log = _trial(board, child._adj, todo, g.edges - child.edges, added)
     _undo(board, log)
     return sparse
 
@@ -337,50 +359,25 @@ def _hand_over(board, parent: Graph, child: Graph, e, gone) -> None:
     if parent._orientation is out:
         parent._orientation = parent._pebbles = None
     child._orientation, child._pebbles = board
-    child._origin = child._delta = None
 
 
 def _final_orientation(g: Graph) -> tuple[dict, dict] | bool:
     """The pebble game's final board of ``g``, every vertex's out-set and
-    free pebbles, or False when ``g`` is not (3,6)-sparse.
-
-    The game plays ``g``'s delta (``Graph._delta``) on a copy of its
-    origin's board: it cuts the edges that ``g`` lacks, which leaves the
-    origin's orientation of the edges the two graphs share, and places the
-    edges ``g`` adds; without an origin decided sparse, it places every
-    edge on the empty board.
-    """
-    origin = g._origin
-    if origin is not None and origin._orientation:
-        out, pebbles = _copy_board(origin)
-        dropped = out.keys() - g.vertices
-        for t in g.vertices.difference(out):
-            out[t] = set()
-            pebbles[t] = 3
-        cut, added = g._delta
-        todo: dict = {}
-        for a, b in added:
-            todo[a] = todo.get(a, 0) + 1
-            todo[b] = todo.get(b, 0) + 1
-    else:
-        out = {t: set() for t in g.vertices}
-        pebbles = dict.fromkeys(g.vertices, 3)
-        cut, added, dropped = (), g.edges, ()
-        todo = {t: len(ns) for t, ns in g._adj.items()}
-    if not _PebbleGame(g._adj, out, pebbles, todo).play(cut, added):
+    free pebbles, with every edge placed on the empty board; False when
+    ``g`` is not (3,6)-sparse."""
+    out = {t: set() for t in g.vertices}
+    pebbles = dict.fromkeys(g.vertices, 3)
+    todo = {t: len(ns) for t, ns in g._adj.items()}
+    if not _PebbleGame(g._adj, out, pebbles, todo).play((), g.edges):
         return False
-    for t in dropped:
-        del out[t], pebbles[t]
     return out, pebbles
 
 
 def _pebble_sparse(g: Graph) -> bool:
     """True iff ``g`` is (3,6)-sparse, decided by the pebble game once per
-    graph: the final board, or False, stays on ``g``, and the link to its
-    origin and the delta are cleared."""
+    graph: the final board, or False, stays on ``g``."""
     if g._orientation is None:
         g._orientation, g._pebbles = _final_orientation(g) or (False, None)
-        g._origin = g._delta = None
     return g._orientation is not False
 
 
@@ -415,15 +412,9 @@ def check_3_6(graph: Graph) -> SparsityVerdict:
 
     The game runs once per graph: its final board, or False for a violating
     graph, is remembered on the ``Graph``, and a later call on it plays no
-    game.  A graph whose origin G (``Graph._origin``) is decided sparse is
-    decided by a trial of its delta (``Graph._delta``: the edges of G it
-    lacks and those it adds) on a copy of G's board, a valid start as the
-    shared edges span a subgraph of a sparse graph, so no edge set is
-    compared.  Once decided it drops its link to G and its delta.
-    ``contract_edge`` links G/e to G, and ``fission`` links its child; the
-    key-lemma search and greedy reduction try their contractions on G's
-    board in place (``_contraction_trial``) and build G/e only where they
-    need it.
+    game.  The graphs the key lemma, greedy reduction and fission derive
+    from a decided G are tried on G's board in place instead (``_trial``),
+    so a graph that reaches this undecided plays the whole game.
     """
     if len(graph.vertices) < 3:
         raise errors.TooFewVertices("(3,6)-sparsity needs at least 3 vertices")

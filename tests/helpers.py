@@ -20,6 +20,7 @@ runner.
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 from collections import Counter
@@ -225,9 +226,11 @@ def brute_force_densest_extension(g: Graph, force_in, force_out=()):
     return best, frozenset.intersection(*optimal), frozenset.union(*optimal)
 
 
-def record_pebble_games(monkeypatch) -> dict:
+def record_pebble_games(monkeypatch) -> tuple[dict, list]:
     """From now on, ``{id(g): (g, edges placed)}`` for every graph g whose
-    pebble game is played; g is kept so that no other graph takes its id."""
+    whole game is played (``sparsity._final_orientation``), and every edge
+    placed, by those games and by trials, in order; g is kept so that no
+    other graph takes its id."""
     games, placed = {}, []
     real_place, real_final = _PebbleGame.place, sparsity._final_orientation
 
@@ -243,7 +246,22 @@ def record_pebble_games(monkeypatch) -> dict:
 
     monkeypatch.setattr(_PebbleGame, "place", counting_place)
     monkeypatch.setattr(sparsity, "_final_orientation", recording_final)
-    return games
+    return games, placed
+
+
+def holds(obj, target) -> bool:
+    """Whether ``target`` is reachable from ``obj`` through graphs and
+    containers."""
+    seen, stack = set(), [obj]
+    while stack:
+        x = stack.pop()
+        if x is target:
+            return True
+        if id(x) not in seen and isinstance(
+                x, (Graph, tuple, list, dict, set, frozenset)):
+            seen.add(id(x))
+            stack.extend(gc.get_referents(x))
+    return False
 
 
 def board_state(board) -> tuple[dict, dict]:

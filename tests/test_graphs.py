@@ -7,6 +7,7 @@ from torusrig import errors
 from torusrig.graphs import (Graph, complete_graph, contract_edge, double_banana,
                              edge_key, freedom, is_isomorphic)
 from torusrig.reduction import certify
+from torusrig.sparsity import _contraction_sparse, check_3_6
 
 from helpers import induced, is_connected, random_parent
 
@@ -192,8 +193,12 @@ def _draw_move(data, g: Graph) -> Graph | None:
         if data.draw(st.booleans()):
             u, v = v, u
         h = contract_edge(g, u, v)
-        # the delta is the two edge-set differences the game reads
-        assert h._origin is g and h._delta == (g.edges - h.edges, h.edges - g.edges)
+        # the two edge-set differences are a contraction trial's that keeps
+        # u: it cuts every edge at v and places one from u to each
+        # neighbour of v that u lacks
+        assert g.edges - h.edges == {edge_key(v, w) for w in g.neighbors(v)}
+        assert h.edges - g.edges == {
+            edge_key(u, w) for w in g.neighbors(v) - g.neighbors(u) - {u}}
         return h
     hubs = sorted(v for v in g.vertices if g.degree(v) >= 2)
     if not hubs:
@@ -238,12 +243,15 @@ def test_moves_match_graphs_built_from_scratch(certified, data):
 
 def test_certify_replays_are_built_from_scratch_and_contract_back(certified):
     # every split of every certificate of the tight corpus gives the graph
-    # built from scratch, and contracting the split edge gives its parent
+    # built from scratch, and contracting the split edge gives its parent,
+    # which a contraction trial on the split graph's board finds sparse
     for target, cert in certified:
         graphs = cert.replay()
         assert graphs[-1] == target
         for g, s, h in zip(graphs, cert.splits, graphs[1:]):
             _assert_built_from_scratch(h)
             back = contract_edge(h, s.vertex, s.new_vertex)
-            assert back == g and back._origin is h
+            assert back == g and back._orientation is None
             assert all(back.neighbors(v) == g.neighbors(v) for v in g.vertices)
+            assert check_3_6(h).is_tight
+            assert _contraction_sparse(h, (s.vertex, s.new_vertex))

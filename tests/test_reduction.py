@@ -32,7 +32,7 @@ from torusrig.sparsity import SparsityVerdict, Status, check_3_6
 from helpers import (_blocked_faces, _grow_region, assert_board_of, board_state,
                      canon_face, connected_regions, contract_faces_stepwise, edge_rule_oracle,
                      exhaustive_critical_cycles_through, face_candidates,
-                     facial_split,
+                     facial_split, holds,
                      hole_reduce_greedy, induced, is_connected, link_cycle,
                      one_pass_mismatches, record_pebble_games, run_main,
                      separating_cycle, tight_set_critical_cycles,
@@ -321,7 +321,7 @@ def test_fission_rejects_a_cycle_that_is_not_critical():
 def test_search_builds_no_outer_part(monkeypatch, hole, e):
     # the search checks G, whose board G/e is then tried on in place, and
     # builds no outer part; fission checks G again through is_critical,
-    # which finds it decided, then G2
+    # which finds it decided, and tries G2 on G's board without checking it
     checked, built, counted = [], [], []
     real_check, real_is_critical = reduction.check_3_6, reduction.is_critical
     real_hole = reduction.TorusWithHole
@@ -347,7 +347,7 @@ def test_search_builds_no_outer_part(monkeypatch, hole, e):
     g1, g2 = fission(hole, cycle)
     assert counted == [cycle]
     assert g1 is cycle.outer
-    assert checked[1] is hole.graph and checked[2] is g2.graph
+    assert checked == [hole.graph, hole.graph]
 
 
 def _counting(calls, name, fn):
@@ -391,8 +391,8 @@ def test_reduce_copies_one_board_and_builds_one_graph_per_move(
     # candidate on it in place, undoing each failed trial; it builds only
     # the winner's G/e and hands the board on to it, renamed where the
     # trial merged the lower end into the higher.  The input keeps its own
-    # board, each graph the loop leaves drops the board, and the leaf's
-    # board is a board of the leaf
+    # board, each graph the loop leaves drops the board, the leaf's board
+    # is a board of the leaf, and the leaf holds no graph the loop left
     calls, children, winners = collections.Counter(), [], collections.Counter()
     real_trial = reduction._contraction_trial
 
@@ -424,7 +424,7 @@ def test_reduce_copies_one_board_and_builds_one_graph_per_move(
         if not moves:
             assert leaf is g
             continue
-        assert leaf is children[-1] and leaf._origin is leaf._delta is None
+        assert leaf is children[-1] and not any(holds(leaf, h) for h in [g] + children[:-1])
         assert all(h._orientation is h._pebbles is None for h in children[:-1])
         assert leaf._orientation.keys() == leaf._pebbles.keys() == leaf.vertices
         assert_board_of(leaf._orientation, leaf._pebbles, leaf)
@@ -434,10 +434,10 @@ def test_reduce_copies_one_board_and_builds_one_graph_per_move(
 
 def test_outer_parts_and_fission_children_start_from_the_hole_graph(
         monkeypatch, tight_corpus):
-    # no outer part of a cycle found plays a pebble game, fission's G1
-    # included; the fission child's game starts from G's orientation and
-    # places exactly its edges that G lacks
-    games = record_pebble_games(monkeypatch)
+    # fission plays no whole game, for its G1 or its G2: the fission
+    # child's trial starts from G's orientation and places exactly its
+    # edges that G lacks, in sorted order
+    games, placed = record_pebble_games(monkeypatch)
     cycles = 0
     for hole in list(tight_corpus) + [build_H(i) for i in range(1, 18)]:
         g = hole.graph
@@ -445,17 +445,101 @@ def test_outer_parts_and_fission_children_start_from_the_hole_graph(
             cycle = find_critical_cycle_through(hole, e)
             if cycle is None:
                 continue
+            games.clear()
+            placed.clear()
             g1, g2 = fission(hole, cycle)
-            assert id(g1.graph) not in games
-            assert games[id(g2.graph)][1] == sorted(g2.graph.edges - g.edges)
+            assert not games
+            assert placed == sorted(g2.graph.edges - g.edges)
             cycles += 1
     assert cycles > 300
 
 
+def test_fission_decides_its_child_on_the_hole_board(monkeypatch, tight_corpus):
+    # on every fission of the tight corpus, H1-H17 and repro A, fission
+    # copies no board and checks no G2: it tries G2, on a subset of G's
+    # vertices, on G's own board, and leaves that board as it was.  Its
+    # verdict is that of a fresh G2 built from scratch
+    copies, checked = [], []
+    real_copy, real_check = sparsity._copy_board, sparsity.check_3_6
+
+    def copying(g):
+        copies.append(g)
+        return real_copy(g)
+
+    def checking(g):
+        checked.append(g)
+        return real_check(g)
+
+    monkeypatch.setattr(sparsity, "_copy_board", copying)
+    monkeypatch.setattr(reduction, "_copy_board", copying)
+    monkeypatch.setattr(sparsity, "check_3_6", checking)
+    monkeypatch.setattr(reduction, "check_3_6", checking)
+    holes = list(tight_corpus) + [build_H(i) for i in range(1, 18)]
+    holes.append(load_hole(DATA / "keylemma_repro_a.json"))
+    fissions = 0
+    for hole in holes:
+        g = hole.graph
+        for e in contractible_edges(hole):
+            cycle = find_critical_cycle_through(hole, e)
+            if cycle is None:
+                continue
+            before = board_state((g._orientation, g._pebbles))
+            copies.clear()
+            checked.clear()
+            g2 = fission(hole, cycle)[1].graph
+            assert not copies and all(x is g for x in checked)
+            assert g2._orientation is None
+            assert real_check(Graph(g2.vertices, g2.edges)).is_tight
+            assert g2.vertices <= g.vertices
+            assert board_state((g._orientation, g._pebbles)) == before
+            fissions += 1
+    assert fissions > 300
+
+
+def test_an_interrupted_fission_trial_leaves_the_hole_board(monkeypatch, tight_corpus):
+    # a trial stopped by an exception at any fetch of a pebble is undone
+    # before the exception leaves fission: G's board is as it was, and a
+    # rerun gives the same child
+    real = sparsity.fetch_pebble
+    calls = [0, None]
+
+    class Stop(Exception):
+        pass
+
+    def fetch(*args):
+        calls[0] += 1
+        if calls[0] == calls[1]:
+            raise Stop
+        return real(*args)
+
+    monkeypatch.setattr(sparsity, "fetch_pebble", fetch)
+    holes = list(tight_corpus)[:20] + [build_H(i) for i in range(1, 18)]
+    holes.append(load_hole(DATA / "keylemma_repro_a.json"))
+    stops = 0
+    for hole in holes:
+        for e in contractible_edges(hole):
+            cycle = find_critical_cycle_through(hole, e)
+            if cycle is None:
+                continue
+            g = hole.graph
+            before = board_state((g._orientation, g._pebbles))
+            calls[:] = [0, None]
+            want = fission(hole, cycle)[1].graph
+            for n in range(1, calls[0] + 1):
+                calls[:] = [0, n]
+                with pytest.raises(Stop):
+                    fission(hole, cycle)
+                assert board_state((g._orientation, g._pebbles)) == before, (e, n)
+                stops += 1
+            calls[:] = [0, None]
+            assert fission(hole, cycle)[1].graph == want
+            assert board_state((g._orientation, g._pebbles)) == before
+    assert stops > 1000, stops
+
+
 def _tight_outer_subgraph(hole, cycle):
     """Whether the cycle's outer part G1 is a subgraph of G, in vertices and
-    in edges, and is tight by a pebble game on a fresh graph, with no
-    origin to start from."""
+    in edges, and is tight by a whole pebble game on a fresh graph."""
     g1, g = cycle.outer.graph, hole.graph
     return g1.vertices <= g.vertices and g1.edges <= g.edges and \
         check_3_6(Graph(g1.vertices, g1.edges)).is_tight

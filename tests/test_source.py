@@ -10,13 +10,15 @@ that nothing in the package calls are the ones the package docstring lists.  Eve
 imports is used there, except the bindings the benchmark tracer wraps.
 Every import is from the standard library or relative, as the empty
 ``dependencies`` of ``pyproject.toml`` promise (numpy, say, would also add
-about 14 MB to a process's resident memory).
+about 14 MB to a process's resident memory).  Only ``sparsity`` knows the
+pebble board a ``Graph`` keeps.
 """
 
 import ast
 import collections
 import importlib.util
 import pathlib
+import re
 import sys
 
 import pytest
@@ -161,6 +163,31 @@ def test_every_import_is_used(monkeypatch):
             unused += [f"{path.name}:{node.lineno} {name}" for name in names
                        if name not in exempt[path.stem] and not named[name]]
     assert not unused, f"imported in src/ but never used: {unused}"
+
+
+def test_only_sparsity_touches_a_board():
+    # no module but sparsity reads or writes a graph's board, except for the
+    # None defaults of Graph.__init__, and no trace is left of a link from a
+    # graph to the graph it was derived from
+    board = {"_orientation", "_pebbles"}
+    touched, linked = [], []
+    for path in SOURCES:
+        text = path.read_text()
+        linked += [f"{path.name}:{n}" for n, line in enumerate(text.splitlines(), 1)
+                   if re.search(r"\b_(origin|delta)\b", line)]
+        if path.name == "sparsity.py":
+            continue
+        tree = ast.parse(text, filename=str(path))
+        defaults = {id(t) for cls in tree.body if getattr(cls, "name", "") == "Graph"
+                    for init in cls.body if getattr(init, "name", "") == "__init__"
+                    for a in ast.walk(init) if isinstance(a, ast.Assign)
+                    and isinstance(a.value, ast.Constant) and a.value.value is None
+                    for t in a.targets}
+        touched += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr in board
+                    and id(node) not in defaults]
+    assert not touched, f"a board is read or written outside sparsity.py at {touched}"
+    assert not linked, f"a link to an origin graph is named at {linked}"
 
 
 def test_reduction_builds_no_torus_or_disc():

@@ -1,4 +1,3 @@
-import gc
 import random
 from collections import Counter
 
@@ -12,12 +11,14 @@ from torusrig.corpus import CorpusSpec, gen_corpus
 from torusrig.graphs import (Graph, complete_graph, contract_edge,
                              double_banana, edge_key, freedom)
 from torusrig.reduction import certify, contract, contractible_edges
-from torusrig.sparsity import (SparsityVerdict, Status, _contraction_trial,
-                               _flow_scan, _pebble_sparse, _PebbleGame, _undo,
-                               check_3_6, is_in_T, maximal_tight_subgraph)
+from torusrig.sparsity import (SparsityVerdict, Status, _child_sparse,
+                               _contraction_sparse, _contraction_trial,
+                               _copy_board, _flow_scan, _hand_over,
+                               _pebble_sparse, _PebbleGame, _undo, check_3_6,
+                               is_in_T, maximal_tight_subgraph)
 
 from helpers import (assert_board_of, board_state, brute_force_3_6,
-                     component_oracle_checked, induced, random_parent,
+                     component_oracle_checked, holds, induced, random_parent,
                      record_pebble_games, tight_plus_one_edge, torus_census)
 
 
@@ -296,9 +297,11 @@ def _assert_orientation_of(g: Graph):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_contraction_chain_verdicts_match_fresh_graphs(data):
-    # each graph of the chain is decided from its parent's orientation when
-    # the parent is sparse; verdict and witness must be those of a graph
-    # built from scratch, and the status that of the exhaustive oracle
+    # each contraction of the chain is tried on its parent's board in place
+    # when the parent is sparse; the trial must give the verdict of a graph
+    # built from scratch and the status of the exhaustive oracle, and leave
+    # the parent's board as it was.  The child, checked afterwards, plays
+    # the whole game and gives the fresh graph's verdict and witness
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     kind = data.draw(st.sampled_from(["tight", "sparse", "violating"]))
     g = random_parent(rng, kind, data.draw(st.integers(6, 14)))
@@ -309,9 +312,15 @@ def test_contraction_chain_verdicts_match_fresh_graphs(data):
             u, v = v, u
         memo = g._orientation
         h = contract_edge(g, u, v)
+        fresh = check_3_6(Graph(h.vertices, h.edges))
+        assert fresh.status is brute_force_3_6(h).status
+        if memo is not False:
+            before = board_state((g._orientation, g._pebbles))
+            assert _contraction_sparse(g, (u, v)) is (fresh.status is not Status.VIOLATION)
+            assert board_state((g._orientation, g._pebbles)) == before
+        assert h._orientation is None
         got = check_3_6(h)
-        assert got == check_3_6(Graph(h.vertices, h.edges))
-        assert got.status is brute_force_3_6(h).status
+        assert got == fresh
         assert g._orientation is memo
         if got.status is not Status.VIOLATION:
             _assert_orientation_of(h)
@@ -319,8 +328,8 @@ def test_contraction_chain_verdicts_match_fresh_graphs(data):
 
 
 def test_contraction_verdicts_match_fresh_graphs_on_corpus(tight_corpus):
-    # every contractible edge of the tight corpus and of H1-H17, decided
-    # from the parent's orientation; the parent's memo never changes.  The
+    # every contractible edge of the tight corpus and of H1-H17, tried on
+    # the parent's board in place; the parent's board never changes.  The
     # key-lemma search reads a violating G/e's witness off the edges at the
     # merged vertex z alone, in order of their other end; on tight input
     # that is the verdict of a scan of every edge with z's first
@@ -330,37 +339,42 @@ def test_contraction_verdicts_match_fresh_graphs_on_corpus(tight_corpus):
         g = hole.graph
         assert check_3_6(g).is_tight
         memo = g._orientation
+        before = board_state((g._orientation, g._pebbles))
         for e in contractible_edges(hole):
             h = contract_edge(g, *e)
-            got = check_3_6(h)
-            fresh = Graph(h.vertices, h.edges)
-            assert got == check_3_6(fresh), e
+            fresh = check_3_6(Graph(h.vertices, h.edges))
+            assert _contraction_sparse(g, e) is (fresh.status is not Status.VIOLATION), e
             assert g._orientation is memo
             checked += 1
-            if got.status is Status.VIOLATION:
+            if fresh.status is Status.VIOLATION:
                 z = e[0]
                 at_z = _flow_scan(h, [edge_key(z, w) for w in sorted(h.neighbors(z))])
                 z_first = sorted(h.edges, key=lambda f: (z not in f, f))
-                assert at_z == _flow_scan(h, z_first), e
+                assert at_z == _flow_scan(h, z_first) == fresh, e
                 violations += 1
+        assert board_state((g._orientation, g._pebbles)) == before
     assert checked > 3000 and violations > 100
 
 
 def test_contraction_places_only_the_edges_at_the_merged_vertex(monkeypatch):
-    # a contraction's game starts from the parent's orientation of the
-    # shared edges and places exactly the edges the parent lacks, all of
-    # them at the merged vertex
+    # a contraction trial starts from the parent's orientation of the
+    # shared edges and places exactly the edges G/e has and G lacks, all
+    # of them at the kept end z, and plays no whole game; a contract_edge
+    # child checked afterwards plays the whole game
     hole = build_H(1)
     g = hole.graph
     assert check_3_6(g).is_tight
-    games = record_pebble_games(monkeypatch)
+    games, placed = record_pebble_games(monkeypatch)
+    board = g._orientation, g._pebbles
     for u, v in contractible_edges(hole):
-        h = contract_edge(g, u, v)
-        assert check_3_6(h).is_tight
-        assert games[id(h)][1] == sorted(h.edges - g.edges)
-        assert all(u in e for e in games[id(h)][1])
-    # an undecided parent leaves its contraction to the whole game
-    h = contract_edge(Graph(g.vertices, g.edges), u, v)
+        placed.clear()
+        sparse, gone, log = _contraction_trial(g, board, (u, v))
+        _undo(board, log)
+        z = u + v - gone
+        assert sparse and not games
+        assert placed == sorted(contract_edge(g, z, gone).edges - g.edges)
+        assert all(z in e for e in placed)
+    h = contract_edge(g, u, v)
     check_3_6(h)
     assert len(games[id(h)][1]) == len(g.edges) - 3
 
@@ -370,8 +384,9 @@ def test_contraction_gathers_the_merged_vertex_pebbles_once(monkeypatch):
     # with no other edge to place, so it is covered from that end, and z
     # keeps the three pebbles it gathered for its next edge: at most three
     # fetches to z per game, however many edges it gains.  That holds for
-    # the trial on G's board, where z is the end it keeps, and for the
-    # contract_edge child decided on a copy, where z is the first end
+    # the contraction trial, where z is the end it keeps, and for the
+    # trial of the contract_edge child's edge-set differences on G's board
+    # (fission's trial), where z is the first end
     real = sparsity.fetch_pebble
     fetches = Counter()
 
@@ -395,7 +410,7 @@ def test_contraction_gathers_the_merged_vertex_pebbles_once(monkeypatch):
             gained[len(g.neighbors(gone) - g.neighbors(z)) - 1] += 1
             h = contract_edge(g, *e)
             fetches.clear()
-            check_3_6(h)
+            _child_sparse(g, h)
             assert fetches[e[0]] <= 3, (i, e, fetches[e[0]])
             gained[len(h.edges - g.edges)] += 1
     assert gained.keys() - {0, 1}, gained
@@ -404,74 +419,75 @@ def test_contraction_gathers_the_merged_vertex_pebbles_once(monkeypatch):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_warm_start_from_any_decided_origin_matches_fresh_graphs(data):
-    # a child that keeps some of the origin's vertices and edges, drops
-    # others and adds new vertices and edges is decided from the origin's
-    # orientation of the shared edges when the origin is sparse; verdict
-    # and witness must be those of a graph built from scratch, and the
-    # status that of the exhaustive oracle
+    # a child on a subset of the parent's vertices, as fission's is, that
+    # keeps some of the parent's edges, drops others and adds new ones, is
+    # tried on the parent's board in place; the verdict must be that of a
+    # graph built from scratch and the status that of the exhaustive
+    # oracle, the parent's board is as it was, and the child stays
+    # undecided
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    kind = data.draw(st.sampled_from(["tight", "sparse", "violating"]))
+    kind = data.draw(st.sampled_from(["tight", "sparse"]))
     g = random_parent(rng, kind, data.draw(st.integers(6, 12)))
-    assert (check_3_6(g).status is not Status.VIOLATION) is (kind != "violating")
+    assert check_3_6(g).status is not Status.VIOLATION
     memo = g._orientation
-    kept = set(rng.sample(sorted(g.vertices), rng.randint(3, len(g.vertices))))
-    new = set(range(len(g.vertices), len(g.vertices) + rng.randint(0, 3)))
-    vertices = sorted(kept | new)
+    before = board_state((g._orientation, g._pebbles))
+    kept = sorted(rng.sample(sorted(g.vertices), rng.randint(3, len(g.vertices))))
     dropped = rng.random() / 3
-    edges = {e for e in g.edges if set(e) <= kept and rng.random() >= dropped}
-    pairs = [(a, b) for a in vertices for b in vertices
-             if a < b and (a, b) not in g.edges]
+    edges = {e for e in g.edges if set(e) <= set(kept) and rng.random() >= dropped}
+    pairs = [(a, b) for a in kept for b in kept if a < b and (a, b) not in g.edges]
     edges |= set(rng.sample(pairs, min(len(pairs), rng.randint(0, 5))))
-    h = Graph(vertices, edges)
-    h._origin, h._delta = g, (g.edges - h.edges, h.edges - g.edges)
-    got = check_3_6(h)
-    assert got == check_3_6(Graph(h.vertices, h.edges))
-    assert got.status is brute_force_3_6(h).status
-    assert g._orientation is memo and h._origin is None and h._delta is None
-    if got.status is not Status.VIOLATION:
-        _assert_orientation_of(h)
+    h = Graph(kept, edges)
+    got = _child_sparse(g, h)
+    fresh = check_3_6(Graph(h.vertices, h.edges))
+    assert got is (fresh.status is not Status.VIOLATION)
+    assert fresh.status is brute_force_3_6(h).status
+    assert g._orientation is memo and h._orientation is None
+    assert board_state((g._orientation, g._pebbles)) == before
 
 
 def test_memo_takes_no_part_in_equality_or_hashing():
-    g = build_H(1).graph
-    h = contract_edge(g, *contractible_edges(build_H(1))[0])
+    # a child handed the board of its contraction trial, as greedy
+    # reduction hands it, equals and hashes as a fresh twin with no board,
+    # and as the twin once that has its own board from the whole game
+    hole = build_H(1)
+    g = hole.graph
+    assert check_3_6(g).is_tight
+    e = contractible_edges(hole)[0]
+    board = _copy_board(g)
+    sparse, gone, _ = _contraction_trial(g, board, e)
+    h = contract_edge(g, *e)
+    _hand_over(board, g, h, e, gone)
     twin = Graph(h.vertices, h.edges)
-    assert h._origin is not None and twin._origin is None
+    assert sparse and h._orientation is board[0] and twin._orientation is None
     assert h == twin and hash(h) == hash(twin)
-    check_3_6(h)
-    assert h._orientation is not None and twin._orientation is None
+    check_3_6(twin)
+    assert twin._orientation is not None and twin._orientation is not h._orientation
     assert h == twin and hash(h) == hash(twin)
     assert {h: 1}[twin] == 1
 
 
-def _holds(obj, target) -> bool:
-    """Whether ``target`` is reachable from ``obj`` through graphs and
-    containers."""
-    seen, stack = set(), [obj]
-    while stack:
-        x = stack.pop()
-        if x is target:
-            return True
-        if id(x) not in seen and isinstance(
-                x, (Graph, tuple, list, dict, set, frozenset)):
-            seen.add(id(x))
-            stack.extend(gc.get_referents(x))
-    return False
-
-
 def test_decided_graph_holds_no_ancestor():
-    # the link to the parent goes once the graph is decided, so a chain of
-    # contractions keeps only its last graph alive
-    g = build_H(1).graph
-    assert check_3_6(g).is_tight and g._origin is None
+    # a contract_edge child never holds its parent: not before it is
+    # decided, not after, and not once it is handed its contraction
+    # trial's board, so a chain of contractions keeps only its last graph
+    # alive
+    hole = build_H(1)
+    g = hole.graph
+    assert check_3_6(g).is_tight
     chain = [g]
     for _ in range(3):
         u, v = chain[-1].sorted_edges()[0]
         h = contract_edge(chain[-1], u, v)
-        assert h._origin is chain[-1] and _holds(h, chain[-1])
+        assert not holds(h, chain[-1])
         check_3_6(h)
-        assert h._origin is None and not _holds(h, chain[-1])
+        assert not holds(h, chain[-1])
         chain.append(h)
+    e = contractible_edges(hole)[0]
+    board = _copy_board(g)
+    _, gone, _ = _contraction_trial(g, board, e)
+    h = contract_edge(g, *e)
+    _hand_over(board, g, h, e, gone)
+    assert h._orientation is board[0] and not holds(h, g)
 
 
 # -- contraction trials on the parent's board, in place ---------------------
