@@ -96,8 +96,8 @@ def cmd_reduce(args) -> int:
 
 def cmd_tree(args) -> int:
     """The greedy contraction sequence as a chain: node i is the graph after
-    i contractions, the child of node i - 1.  Each contraction removes one
-    vertex and three edges."""
+    i contractions, the child of node i - 1, with the counts each
+    contraction lowers (the ``reduction`` module docstring)."""
     hole = fileio.load_hole(args.graph)
     _, moves = reduction.reduce_greedy(hole)
     n_vertices, n_edges = len(hole.graph.vertices), len(hole.graph.edges)

@@ -23,13 +23,11 @@ class Graph:
     not a pair of them, with BadArgument, as the two moves refuse such ids.
 
     Vertices need not be consecutive; isolated vertices are allowed (they
-    matter for freedom-number bookkeeping).  Two more slots belong to
-    :mod:`torusrig.sparsity` and take no part in equality or hashing: once
-    the graph is decided, ``_orientation`` and ``_pebbles`` hold the pebble
-    game's final board, a dict of every vertex's out-set and one of its
-    free pebbles (False and None when it violates).  A board describes one
-    graph: greedy reduction hands its board from a graph to the contraction
-    that it decides, and the graph drops it.
+    matter for freedom-number bookkeeping).  One more slot, ``_board``,
+    belongs to :mod:`torusrig.sparsity` and takes no part in equality or
+    hashing: None until ``check_3_6`` decides the graph, then False when it
+    violates, else the pebble game's final board, a dict of every vertex's
+    out-set and one of its free pebbles.
 
     The two moves, ``contract_edge`` and ``split_vertex``, build the child
     from the parent's vertex set, edge set and adjacency, changed at the
@@ -41,10 +39,10 @@ class Graph:
     and an edge that leaves the vertex set still raises NonSimple.
     """
 
-    __slots__ = ("vertices", "edges", "_adj", "_orientation", "_pebbles")
+    __slots__ = ("vertices", "edges", "_adj", "_board")
 
     def __init__(self, vertices, edges, *, _adj=None, _keyed=False):
-        self._orientation = self._pebbles = None
+        self._board = None
         if _adj is not None:
             # a move's child: frozensets of vertices and key-ordered edges
             self.vertices, self.edges, self._adj = vertices, edges, _adj

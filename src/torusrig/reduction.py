@@ -7,21 +7,19 @@ a fission move, which substitutes the matching catalog graph for the
 complement.  On a tight G, criticality is a count (``is_critical``): an
 enlargement holds every hole face and exposes no deleted edge, so its outer
 part G1 is a subgraph of G; a subgraph of a sparse G is sparse; G1 is one cut,
-so f(G1) = |walk| - 3 and G1 is tight iff its walk has nine edges.  The
-fission child keeps G's edges off the catalog graph, so, like G/e, it is
-tried on G's decided board in place (``fission``).
+so f(G1) = |walk| - 3 and G1 is tight iff its walk has nine edges.
 
 The key-lemma search rests on a freedom count.  Let W be the violator of
 G/e and L its lift to G, and let a be the number of apexes of e in L.  Then
 f(L) = f(W) + 2 - a with f(W) <= 5.  So a = 2 is impossible on tight input,
-a = 1 forces f(L) = 6, and a = 0 allows f(L) in {6, 7}; that is why
-``find_critical_cycle_through`` tries the tight cores through L with either
-apex and through L alone.  Some tight inputs with a = 0 carry no critical
-cycle through e: repro B, a 14-vertex v9 record grown from H17 with a
-collar, and repro C, the smallest case, with 9 vertices and form e3e4
-(``tests/data/keylemma_repro_b.json`` and ``keylemma_repro_c.json``).  The
-search raises NoCriticalCycle there, and whether the lemma needs a further
-hypothesis or critical cycles a wider definition is open.
+a = 1 forces f(L) = 6, and a = 0 allows f(L) in {6, 7}, which fixes the
+cores ``find_critical_cycle_through`` tries.  Some tight inputs with a = 0
+carry no critical cycle through e: repro B, a 14-vertex v9 record grown
+from H17 with a collar, and repro C, the smallest case, with 9 vertices and
+form e3e4 (``tests/data/keylemma_repro_b.json`` and
+``keylemma_repro_c.json``).  The search raises NoCriticalCycle there, and
+whether the lemma needs a further hypothesis or critical cycles a wider
+definition is open.
 
 The greedy-contraction ruling: a tight graph with a contractible FF edge
 always has one whose contraction stays tight, so greedy contraction alone
@@ -38,27 +36,25 @@ common neighbours; so a simple leaf is named by its counts, (4, 6) K4 and
 StuckButContractible.
 
 The contraction rule has one copy, ``_contractible``, where it is shown to
-need no face map.  It is asked of FF edges only: ``_edge_rule`` asks it
-after the one FF test (``TorusWithHole.is_ff_edge``), for ``classify_edge``
-and for the guard of ``contract`` and the search, and ``_candidates`` runs
-the same count inline over the edges off a walk, for the loop and
-``contractible_edges``.
+need no face map.  It is asked of FF edges only: ``classify_edge`` asks it
+after the one FF test (``TorusWithHole.is_ff_edge``), also for the guard
+of ``contract`` and the search, and ``_candidates`` runs the same count
+inline over the edges off a walk, for the loop and ``contractible_edges``.
 
 Every child hole, from a contraction, the leaf or a fission, is built one
 way (``retriangulate_holes``): its retained faces closed by a fresh collar
 over each boundary walk, filled from the walk's canonical rotation, which
-the collar's ``DiscMap`` reads back.  A contraction's retained faces are
-renamed by the one renamer (``_contract_faces``), which ``contract`` and
-the loop's end share, and its walks move by move (``_contracted``);
-renaming commutes with rotation and reversal, so no step needs to know
-where a walk starts.  Old hole faces are never reused.  After
-a contraction, e's ends can have further common neighbours through the
-deleted edges, and those faces would fold an edge into four; in a fission
-they can hold an edge that the catalog graph uses as a chord.  A refill
-reads only the retained faces and the walks, so one refill after the loop's
-last move is the hole that ``contract`` gives one edge at a time;
-``reduce_greedy`` builds its leaf (which ``torusrig reduce`` prints) that
-way, once.
+the collar's ``DiscMap`` reads back.  A contracted hole is built by
+``_contracted``, which renames the retained faces once
+(``_contract_faces``) and the walks move by move; renaming commutes with
+rotation and reversal, so no step needs to know where a walk starts.  Old
+hole faces are never reused.  After a contraction, e's ends can have
+further common neighbours through the deleted edges, and those faces would
+fold an edge into four; in a fission they can hold an edge that the catalog
+graph uses as a chord.  A refill reads only the retained faces and the
+walks, so one refill after the loop's last move is the hole that
+``contract`` gives one edge at a time; ``reduce_greedy`` builds its leaf
+(which ``torusrig reduce`` prints) that way, once.
 
 Fission is a key-lemma move inside the proof, not a reduction step: its
 catalog child is not a subgraph of the input, so it yields no vertex split.
@@ -77,11 +73,11 @@ from . import catalog, errors, fileio
 from .complexes import (ClosedWalk, DiscMap, TorusComplex, TorusWithHole,
                         _face_edges, _symmetries, disc_structures,
                         retriangulate_holes)
-from .graphs import Graph, contract_edge, edge_key, freedom, is_isomorphic
+from .graphs import Graph, contract_edge, edge_key, is_isomorphic
 from .maxflow import densest_extension
 from .rigidity import generic_rank
-from .sparsity import (_child_sparse, _contraction_sparse, _contraction_trial,
-                       _copy_board, _flow_scan, _hand_over, _undo, check_3_6,
+from .sparsity import (_contraction_sparse, _contraction_trial, _copy_board,
+                       _flow_scan, _rename_merged, _undo, check_3_6,
                        maximal_tight_subgraph)
 
 
@@ -115,33 +111,25 @@ def _apex_faces(torus: TorusComplex, e) -> dict[int, int]:
     return {sum(faces[f]) - u - v: f for f in torus.edge_faces[e]}
 
 
-def _edge_rule(hole: TorusWithHole, e) -> tuple[EdgeClass, tuple, dict | None]:
-    """The class of graph edge e, its key and, for an FF edge, its
-    ``_apex_faces``: BOUNDARY_INCIDENT_FACE unless e is FF
+def classify_edge(hole: TorusWithHole, e) -> EdgeClass:
+    """The class of graph edge e: BOUNDARY_INCIDENT_FACE unless e is FF
     (``TorusWithHole.is_ff_edge``), else contractible or blocked by the
     rule (``_contractible``)."""
-    ff = hole.is_ff_edge(e)
-    e = edge_key(*e)
-    if not ff:
-        return EdgeClass.BOUNDARY_INCIDENT_FACE, e, None
-    apex_face = _apex_faces(hole.torus, e)
+    if not hole.is_ff_edge(e):
+        return EdgeClass.BOUNDARY_INCIDENT_FACE
     if _contractible(hole.graph, e):
-        return EdgeClass.FF_CONTRACTIBLE, e, apex_face
-    return EdgeClass.FF_BLOCKED, e, apex_face
-
-
-def classify_edge(hole: TorusWithHole, e) -> EdgeClass:
-    """The class of graph edge e under the contraction rule (``_edge_rule``)."""
-    return _edge_rule(hole, e)[0]
+        return EdgeClass.FF_CONTRACTIBLE
+    return EdgeClass.FF_BLOCKED
 
 
 def _contraction_apexes(hole: TorusWithHole, e) -> tuple[tuple[int, int], dict]:
     """Key and ``_apex_faces`` of a contractible FF edge, the guard of
     ``contract`` and the search; NotContractible for another graph edge."""
-    cls, e, apex_face = _edge_rule(hole, e)
+    cls = classify_edge(hole, e)
+    e = edge_key(*e)
     if cls is not EdgeClass.FF_CONTRACTIBLE:
         raise errors.NotContractible(f"{e} is not a contractible FF edge")
-    return e, apex_face
+    return e, _apex_faces(hole.torus, e)
 
 
 def _candidates(graph: Graph, border) -> list[tuple[int, int]]:
@@ -165,12 +153,11 @@ def is_uncontractible(hole: TorusWithHole) -> bool:
 def contract(hole: TorusWithHole, e) -> TorusWithHole:
     """Contract a contractible FF edge; the higher id merges into the lower.
 
-    The edge must pass greedy reduction's rule (``_contraction_apexes``).
-    The retained faces are renamed (``_contract_faces``) and each hole is
-    refilled over its renamed walk (``_contracted``).
+    The edge must pass greedy reduction's rule (``_contraction_apexes``);
+    the hole is refilled by ``_contracted``.
     """
     e, _ = _contraction_apexes(hole, e)
-    return _contracted(hole, _contract_faces(hole.faces, [e]), [e])
+    return _contracted(hole, [e])
 
 
 def _contract_faces(faces, edges) -> list:
@@ -191,12 +178,12 @@ def _contract_faces(faces, edges) -> list:
     return out
 
 
-def _contracted(hole: TorusWithHole, faces, edges) -> TorusWithHole:
-    """The hole contracted along ``edges`` in turn, given its retained faces
-    so contracted, in order: the hole itself without edges, else those
-    faces closed by a fresh collar over each boundary walk, renamed edge by
-    edge (``retriangulate_holes``); NotContractible, carrying the hole's
-    record, when they close no torus.  Renaming commutes with rotation and
+def _contracted(hole: TorusWithHole, edges) -> TorusWithHole:
+    """The hole contracted along ``edges`` in turn: the hole itself without
+    edges, else its retained faces so contracted (``_contract_faces``)
+    closed by a fresh collar over each boundary walk, renamed edge by edge
+    (``retriangulate_holes``); NotContractible, carrying the hole's record,
+    when they close no torus.  Renaming commutes with rotation and
     reversal, and a collar is filled from its walk's canonical rotation,
     so contracting the edges one at a time builds the same collars."""
     if not edges:
@@ -205,7 +192,8 @@ def _contracted(hole: TorusWithHole, faces, edges) -> TorusWithHole:
     for keep, gone in edges:
         walks = [tuple(keep if x == gone else x for x in w) for w in walks]
     try:
-        return retriangulate_holes(faces, [ClosedWalk(w) for w in walks])
+        return retriangulate_holes(_contract_faces(hole.faces, edges),
+                                   [ClosedWalk(w) for w in walks])
     except errors.TorusRigError as exc:
         raise fileio.with_record(
             errors.NotContractible, hole,
@@ -305,10 +293,9 @@ def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | Non
     from the face of e whose apex it misses (``_unspanned_region``), and
     read the nine-walk disc boundaries through e off the region
     (``_region_criticals``), each critical by count; the least walk wins.
-    With a apexes in L, f(L) = f(W) + 2 - a and f(W) <= 5: a = 2 cannot
-    occur on tight input, and a = 1 forces f(L) = 6, so L is the only core.
-    With a = 0, f(L) is 6 or 7, so the cores are L with either apex, and L
-    alone with e exposed (the region then holds both faces of e).
+    By the module docstring's freedom count, L is the only core when it
+    holds an apex; else the cores are L with either apex, and L alone with
+    e exposed (the region then holds both faces of e).
 
     The lemma is about the graph G/e, so the search decides on the plain
     graph contraction and never builds the contracted hole or an outer part.
@@ -369,17 +356,15 @@ def fission(hole: TorusWithHole, cycle: SeparatingCycle
 
     Criticality is ``is_critical``'s count, so G1 plays no pebble game; it
     raises what that raises, and InvalidCycle when G1 is not tight.  G2 is
-    one refill (``_substitute``) on some of G's vertices.  It is tight iff
-    f(G2) = 6 and a trial of its edge-set differences on the board that
-    ``is_critical`` leaves on G finds it sparse (``_child_sparse``); G2
-    stays undecided.  A G2 that is not tight raises NoMatchingCatalogGraph
-    with the record, the theorem-violation signal.
+    one refill (``_substitute``), decided by ``check_3_6``.  A G2 that is
+    not tight raises NoMatchingCatalogGraph with the record, the
+    theorem-violation signal.
     """
     if not is_critical(hole, cycle):
         raise errors.InvalidCycle(f"cycle is not critical: its walk has "
                                   f"{len(cycle.walk)} edges, not {catalog.WALK_LENGTH}")
     g2 = _substitute(hole, cycle)
-    if freedom(g2.graph) != 6 or not _child_sparse(hole.graph, g2.graph):
+    if not check_3_6(g2.graph).is_tight:
         raise fileio.with_record(
             errors.NoMatchingCatalogGraph, hole,
             f"substitution produced a non-tight graph at {_cycle_named(cycle)}; "
@@ -405,10 +390,9 @@ def _substitute(hole: TorusWithHole, cycle: SeparatingCycle) -> TorusWithHole:
     The map sends H's walk onto the cycle slot by slot, at its first
     rotation or reversal whose slots repeat as the cycle's do
     (``catalog._relabel``); one exists, as the two walks have one canonical
-    pattern.  G2's vertices are among G's: H's map to cycle vertices, and
-    the collar's are deleted.  Every vertex of H lies on its walk, so the
-    mapped faces meet the disc of annulus and collar faces at cycle vertices
-    only, as H's faces meet its hole.  They close a torus unless an edge of
+    pattern.  Every vertex of H lies on its walk, so the mapped faces meet
+    the disc of annulus and collar faces at cycle vertices only, as H's
+    faces meet its hole.  They close a torus unless an edge of
     that disc off the cycle joins two cycle vertices.  A collar edge has a
     fresh end, so that would be an annulus edge: a graph edge outside G1
     between two vertices of G1.  G1 is tight (the module docstring's count),
@@ -452,31 +436,26 @@ class Contraction:
                 "apexes": list(self.apexes), "moved": sorted(self.moved)}
 
 
-def _reduce(hole: TorusWithHole) -> tuple[Graph, list, list[Contraction]]:
+def _reduce(hole: TorusWithHole) -> tuple[Graph, list[Contraction]]:
     """The greedy reduction on the graph and its boundary walk: the
-    uncontractible leaf graph, its retained faces and the contractions that
-    reach it.
+    uncontractible leaf graph and the contractions that reach it.
 
     Each step hands the edges off the walk to the one rule
-    (``_candidates``) and contracts the first whose contraction is tight.
-    The input's board is copied once, and each candidate is tried on the
-    copy in place (``_contraction_trial``); a failed trial is undone.  A
-    candidate has exactly two common neighbours, so G/e has one vertex and
-    three edges fewer, and it is tight iff it is sparse.  Only the winner's
-    G/e is built (``contract_edge``), and the board is handed on to it
-    (``_hand_over``), renamed where the trial removed the lower end; each
-    graph the loop leaves drops the board, and the input keeps its own.
+    (``_candidates``) and contracts the first whose contraction is tight;
+    by the module docstring's count, G/e is tight iff it is sparse.  The
+    input's board is copied once, and each candidate is tried on the copy
+    in place (``_contraction_trial``); a failed trial is undone.  Only the
+    winner's G/e is built (``contract_edge``); the board its trial leaves,
+    renamed where the trial removed the lower end (``_rename_merged``), is
+    the next step's, and no graph holds it.
 
     The walk is renamed move by move, as ``_contracted`` renames it.  A
     move's apexes are e's two common neighbours, ordered by their faces'
     positions among the retained faces: an index maps each vertex to the
     positions of its live retained faces, e's two faces are those of both
     its ends, and a move changes the entries of the merged vertex and the
-    apexes only.  The retained faces are renamed once, after the loop
-    (``_contract_faces``), as ``contract`` renames them.  Raises what
-    ``reduce_greedy`` raises; the hole a StuckButContractible record needs
-    is built only then, from the faces so renamed where the loop is stuck
-    (``_contracted``).
+    apexes only.  Raises what ``reduce_greedy`` raises; the hole a
+    StuckButContractible record needs is built only then (``_contracted``).
     """
     # raises SingleHoleRequired unless there is one hole
     walk = hole.single_disc.boundary_walk.vertices
@@ -503,8 +482,7 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list, list[Contraction]]:
                 break
             _undo(board, log)
         else:
-            edges = [m.edge for m in moves]
-            stuck = _contracted(hole, _contract_faces(hole.faces, edges), edges)
+            stuck = _contracted(hole, [m.edge for m in moves])
             raise fileio.with_record(
                 errors.StuckButContractible, stuck,
                 f"no tightness-preserving contraction among {len(cand)} "
@@ -520,10 +498,9 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list, list[Contraction]]:
         moved = graph.neighbors(gone) - {keep, a, b}
         moves.append(Contraction(e, (a, b), frozenset(moved)))
         walk = tuple(keep if x == gone else x for x in walk)
-        h = contract_edge(graph, *e)
-        _hand_over(board, graph, h, e, removed)
-        graph = h
-    return graph, _contract_faces(hole.faces, [m.edge for m in moves]), moves
+        graph = contract_edge(graph, *e)
+        _rename_merged(board, graph, e, removed)
+    return graph, moves
 
 
 def reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contraction]]:
@@ -531,10 +508,9 @@ def reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contraction]
     the contractions that reach it, in order.
 
     Each step contracts the first contractible FF edge whose contraction
-    stays tight, decided on the graph and its retained faces (``_reduce``);
-    the leaf hole is then built once, from the loop's final retained faces
-    and the input's walk renamed move by move, with a fresh collar
-    (``_contracted``); without moves the input is its own leaf.
+    stays tight, decided on the graph and its walk (``_reduce``); the leaf
+    hole is then built once (``_contracted``); without moves the input is
+    its own leaf.
     ``certify`` needs only the contractions and builds no hole.  Raises
     NotTight, carrying the record, when the input is not tight, and
     StuckButContractible, carrying the record of the graph it is stuck at,
@@ -542,8 +518,8 @@ def reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contraction]
     than one hole raises SingleHoleRequired first: it can be tight without
     being rigid.
     """
-    _, faces, moves = _reduce(hole)
-    return _contracted(hole, faces, [m.edge for m in moves]), moves
+    _, moves = _reduce(hole)
+    return _contracted(hole, [m.edge for m in moves]), moves
 
 
 # -- certificates ------------------------------------------------------------
@@ -610,7 +586,7 @@ def certify(hole: TorusWithHole) -> Certificate:
     """Construction certificate: greedy-contract to an uncontractible leaf,
     seed with the stored K3 chain for that leaf, append the reversed
     contraction sequence as splits, and replay-check the result."""
-    leaf, _, moves = _reduce(hole)
+    leaf, moves = _reduce(hole)
     base, splits = _leaf_chain(leaf)
     for m in reversed(moves):
         keep, gone = m.edge

@@ -27,14 +27,12 @@ above -6 is the witness.  That scan runs when the witness is first read, so a
 caller that reads only the status never pays for it.  A subset-enumeration
 oracle in the tests cross-validates both paths on small graphs.
 
-The key lemma and the greedy reduction ask again and again about graphs that
-share most edges with the hole's graph G, decided already: G/e and the
-fission child.  So the game's final board, every vertex's out-set and free
-pebbles, stays on each graph it decides, and those graphs are tried on G's
-board in place (``_trial``, where the start is shown valid and the undo
-exact): G/e by ``_contraction_trial``, the fission child by
-``_child_sparse``.  A violating graph still gets its witness from the
-unchanged flow scan.
+The key lemma and the greedy reduction ask again and again whether G/e is
+sparse, for the hole's graph G, decided already.  So the game's final
+board, every vertex's out-set and free pebbles, stays on the graph it
+decides, and G/e is tried on G's board in place (``_contraction_trial``).
+Every game is a ``_trial``, where the start is shown valid and the undo
+exact; a graph's first game starts from the empty board.
 """
 
 from __future__ import annotations
@@ -101,9 +99,8 @@ class _PebbleGame:
     placed edges' orientation, and ``pebbles``, every vertex's free
     pebbles.  ``adj`` gives the neighbour sets, in the graph being decided,
     of the ends of the edges to place, and ``todo`` the number of edges
-    still to place at each of them.  A trial (``_trial``) passes a
-    ``log``, which saves every out-set the game changes, by its tail, as it
-    was before the first change.
+    still to place at each of them.  ``log`` saves every out-set the game
+    changes, by its tail, as it was before the first change (``_trial``).
 
     Every vertex has three pebbles, and a pebble on a vertex either lies
     free or covers one of its out-edges, so every vertex set S has
@@ -130,7 +127,7 @@ class _PebbleGame:
 
     __slots__ = ("adj", "out", "pebbles", "todo", "log")
 
-    def __init__(self, adj, out: dict, pebbles: dict, todo: dict, log=None):
+    def __init__(self, adj, out: dict, pebbles: dict, todo: dict, log: dict):
         self.adj = adj
         self.out = out
         self.pebbles = pebbles
@@ -144,7 +141,7 @@ class _PebbleGame:
         out, pebbles, log = self.out, self.pebbles, self.log
         for a, b in cut:
             t, h = (a, b) if b in out[a] else (b, a)
-            if log is not None and t not in log:
+            if t not in log:
                 log[t] = set(out[t])
             out[t].remove(h)
             pebbles[t] += 1
@@ -166,7 +163,7 @@ class _PebbleGame:
             u, v = v, u
         todo[u] -= 1
         todo[v] -= 1
-        if log is not None and u not in log:
+        if u not in log:
             log[u] = set(out[u])
         pebbles[u] -= 1
         out[u].add(v)
@@ -239,7 +236,8 @@ class _PebbleGame:
 def _copy_board(g: Graph) -> tuple[dict, dict]:
     """A copy of the board of ``g``, decided sparse: every out-set of its
     final orientation, and every vertex's free pebbles."""
-    return {t: set(heads) for t, heads in g._orientation.items()}, dict(g._pebbles)
+    out, pebbles = g._board
+    return {t: set(heads) for t, heads in out.items()}, dict(pebbles)
 
 
 def _undo(board, log) -> None:
@@ -255,7 +253,8 @@ def _undo(board, log) -> None:
 
 def _trial(board, adj, todo, cut, added) -> tuple[bool, dict]:
     """Whether the graph reached from G by the delta ``cut``, ``added`` is
-    (3,6)-sparse, played in place on ``board``, G's board decided sparse;
+    (3,6)-sparse, played in place on ``board``, G's board decided sparse
+    (for a graph's first game, G has no edges and the board is empty);
     with the log that ``_undo`` takes back.  ``adj`` gives the neighbour
     sets, in that graph, of the ends of the edges of ``added``, and ``todo``
     the number of them at each end.
@@ -317,35 +316,18 @@ def _contraction_trial(g: Graph, board, e) -> tuple[bool, int, dict]:
 def _contraction_sparse(g: Graph, e) -> bool:
     """Whether G/e is (3,6)-sparse, for ``g`` decided sparse: a contraction
     trial on ``g``'s own board, undone before it returns."""
-    board = g._orientation, g._pebbles
+    board = g._board
     sparse, _, log = _contraction_trial(g, board, e)
     _undo(board, log)
     return sparse
 
 
-def _child_sparse(g: Graph, child: Graph) -> bool:
-    """Whether ``child``, a graph on some of the vertices of ``g`` decided
-    sparse, is (3,6)-sparse: a ``_trial`` of the edges of ``g`` it lacks
-    and those it adds on ``g``'s own board, undone before it returns.  The
-    vertices it drops are left bare, all their edges cut."""
-    board = g._orientation, g._pebbles
-    added = child.edges - g.edges
-    todo: dict = {}
-    for a, b in added:
-        todo[a] = todo.get(a, 0) + 1
-        todo[b] = todo.get(b, 0) + 1
-    sparse, log = _trial(board, child._adj, todo, g.edges - child.edges, added)
-    _undo(board, log)
-    return sparse
-
-
-def _hand_over(board, parent: Graph, child: Graph, e, gone) -> None:
-    """Decide ``child``, ``contract_edge(parent, *e)``, with ``board``
-    after a sparse trial of that contraction that removed the end
-    ``gone``: its entry goes, and when that was e's first end, the one
-    ``child`` keeps, the trial's merged vertex is renamed to it.
-    ``parent`` drops the board if it was its own, so that no graph keeps a
-    board that no longer describes it."""
+def _rename_merged(board, child: Graph, e, gone) -> None:
+    """Make ``board``, left by a sparse trial of contracting e that removed
+    the end ``gone``, a board of ``child``, the graph G/e that
+    ``contract_edge`` builds: the entry of ``gone`` goes, and when that was
+    e's first end, the one ``child`` keeps, the trial's merged vertex is
+    renamed to it."""
     u, v = e
     out, pebbles = board
     del out[gone], pebbles[gone]
@@ -356,29 +338,18 @@ def _hand_over(board, parent: Graph, child: Graph, e, gone) -> None:
             if v in heads:
                 heads.remove(v)
                 heads.add(u)
-    if parent._orientation is out:
-        parent._orientation = parent._pebbles = None
-    child._orientation, child._pebbles = board
-
-
-def _final_orientation(g: Graph) -> tuple[dict, dict] | bool:
-    """The pebble game's final board of ``g``, every vertex's out-set and
-    free pebbles, with every edge placed on the empty board; False when
-    ``g`` is not (3,6)-sparse."""
-    out = {t: set() for t in g.vertices}
-    pebbles = dict.fromkeys(g.vertices, 3)
-    todo = {t: len(ns) for t, ns in g._adj.items()}
-    if not _PebbleGame(g._adj, out, pebbles, todo).play((), g.edges):
-        return False
-    return out, pebbles
 
 
 def _pebble_sparse(g: Graph) -> bool:
-    """True iff ``g`` is (3,6)-sparse, decided by the pebble game once per
-    graph: the final board, or False, stays on ``g``."""
-    if g._orientation is None:
-        g._orientation, g._pebbles = _final_orientation(g) or (False, None)
-    return g._orientation is not False
+    """True iff ``g`` is (3,6)-sparse, decided once per graph by a
+    ``_trial`` on the empty board that cuts nothing and adds every edge:
+    the final board, or False, stays on ``g``."""
+    if g._board is None:
+        board = {t: set() for t in g.vertices}, dict.fromkeys(g.vertices, 3)
+        todo = {t: len(ns) for t, ns in g._adj.items()}
+        sparse, _ = _trial(board, g._adj, todo, (), g.edges)
+        g._board = board if sparse else False
+    return g._board is not False
 
 
 def _flow_scan(g: Graph, edges) -> SparsityVerdict:
@@ -412,9 +383,7 @@ def check_3_6(graph: Graph) -> SparsityVerdict:
 
     The game runs once per graph: its final board, or False for a violating
     graph, is remembered on the ``Graph``, and a later call on it plays no
-    game.  The graphs the key lemma, greedy reduction and fission derive
-    from a decided G are tried on G's board in place instead (``_trial``),
-    so a graph that reaches this undecided plays the whole game.
+    game (``_pebble_sparse``).
     """
     if len(graph.vertices) < 3:
         raise errors.TooFewVertices("(3,6)-sparsity needs at least 3 vertices")

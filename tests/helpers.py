@@ -228,24 +228,26 @@ def brute_force_densest_extension(g: Graph, force_in, force_out=()):
 
 def record_pebble_games(monkeypatch) -> tuple[dict, list]:
     """From now on, ``{id(g): (g, edges placed)}`` for every graph g whose
-    whole game is played (``sparsity._final_orientation``), and every edge
-    placed, by those games and by trials, in order; g is kept so that no
-    other graph takes its id."""
+    whole game is played (``sparsity._pebble_sparse`` on g undecided), and
+    every edge placed, by those games and by trials, in order; g is kept so
+    that no other graph takes its id."""
     games, placed = {}, []
-    real_place, real_final = _PebbleGame.place, sparsity._final_orientation
+    real_place, real_sparse = _PebbleGame.place, sparsity._pebble_sparse
 
     def counting_place(self, u, v):
         placed.append((u, v))
         return real_place(self, u, v)
 
-    def recording_final(g):
+    def recording_sparse(g):
+        if g._board is not None:
+            return real_sparse(g)
         start = len(placed)
-        result = real_final(g)
+        result = real_sparse(g)
         games[id(g)] = (g, placed[start:])
         return result
 
     monkeypatch.setattr(_PebbleGame, "place", counting_place)
-    monkeypatch.setattr(sparsity, "_final_orientation", recording_final)
+    monkeypatch.setattr(sparsity, "_pebble_sparse", recording_sparse)
     return games, placed
 
 
@@ -411,8 +413,8 @@ def hole_reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contrac
     step takes the first edge, in sorted order, that ``edge_rule_oracle``
     finds contractible, whose graph contraction is tight and whose
     ``contract`` succeeds.  The oracle for ``reduction._reduce``, which
-    reads only the graph and its retained faces; its moves, leaf graph and
-    retained faces are the same, and its leaf hole is ``reduce_greedy``'s."""
+    reads only the graph and its walk; its moves and leaf graph are the
+    same, and its leaf hole is ``reduce_greedy``'s."""
     if not check_3_6(hole.graph).is_tight:
         raise errors.NotTight("greedy reduction needs a tight single-hole graph")
     current = hole

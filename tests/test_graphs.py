@@ -251,7 +251,7 @@ def test_certify_replays_are_built_from_scratch_and_contract_back(certified):
         for g, s, h in zip(graphs, cert.splits, graphs[1:]):
             _assert_built_from_scratch(h)
             back = contract_edge(h, s.vertex, s.new_vertex)
-            assert back == g and back._orientation is None
+            assert back == g and back._board is None
             assert all(back.neighbors(v) == g.neighbors(v) for v in g.vertices)
             assert check_3_6(h).is_tight
             assert _contraction_sparse(h, (s.vertex, s.new_vertex))

@@ -321,7 +321,7 @@ def test_fission_rejects_a_cycle_that_is_not_critical():
 def test_search_builds_no_outer_part(monkeypatch, hole, e):
     # the search checks G, whose board G/e is then tried on in place, and
     # builds no outer part; fission checks G again through is_critical,
-    # which finds it decided, and tries G2 on G's board without checking it
+    # which finds it decided, then checks G2, and decides no G1
     checked, built, counted = [], [], []
     real_check, real_is_critical = reduction.check_3_6, reduction.is_critical
     real_hole = reduction.TorusWithHole
@@ -346,8 +346,8 @@ def test_search_builds_no_outer_part(monkeypatch, hole, e):
     assert built == [] and counted == [] and "outer" not in vars(cycle)
     g1, g2 = fission(hole, cycle)
     assert counted == [cycle]
-    assert g1 is cycle.outer
-    assert checked == [hole.graph, hole.graph]
+    assert g1 is cycle.outer and g1.graph._board is None
+    assert [id(g) for g in checked] == [id(hole.graph), id(hole.graph), id(g2.graph)]
 
 
 def _counting(calls, name, fn):
@@ -369,19 +369,25 @@ def test_search_decides_the_contraction_on_the_hole_board(monkeypatch, tight_cor
                         _counting(calls, "contract_edge", contract_edge))
     monkeypatch.setattr(sparsity, "_copy_board",
                         _counting(calls, "copy", sparsity._copy_board))
-    monkeypatch.setattr(sparsity, "_final_orientation",
-                        _counting(calls, "game", sparsity._final_orientation))
+    real_sparse = sparsity._pebble_sparse
+
+    def cold(g):
+        if g._board is None:
+            calls["game"] += 1
+        return real_sparse(g)
+
+    monkeypatch.setattr(sparsity, "_pebble_sparse", cold)
     outcomes = collections.Counter()
     for hole in list(tight_corpus) + [build_H(i) for i in range(1, 18)]:
         g = hole.graph
         assert check_3_6(g).is_tight
-        before = board_state((g._orientation, g._pebbles))
+        before = board_state(g._board)
         for e in contractible_edges(hole):
             calls.clear()
             cycle = find_critical_cycle_through(hole, e)
             assert calls == ({} if cycle is None else {"contract_edge": 1}), e
             outcomes[cycle is None] += 1
-        assert board_state((g._orientation, g._pebbles)) == before
+        assert board_state(g._board) == before
     assert min(outcomes.values()) > 300, outcomes
 
 
@@ -389,12 +395,19 @@ def test_reduce_copies_one_board_and_builds_one_graph_per_move(
         monkeypatch, tight_corpus):
     # greedy reduction copies the input's board once and tries each
     # candidate on it in place, undoing each failed trial; it builds only
-    # the winner's G/e and hands the board on to it, renamed where the
-    # trial merged the lower end into the higher.  The input keeps its own
-    # board, each graph the loop leaves drops the board, the leaf's board
-    # is a board of the leaf, and the leaf holds no graph the loop left
+    # the winner's G/e, and the board the trial leaves, renamed where the
+    # trial merged the lower end into the higher, is a board of that G/e
+    # at the next step.  The input keeps its own board, no graph the loop
+    # builds holds a board, and the leaf holds no graph the loop left
     calls, children, winners = collections.Counter(), [], collections.Counter()
-    real_trial = reduction._contraction_trial
+    boards, steps = [], []
+    real_copy, real_trial = reduction._copy_board, reduction._contraction_trial
+    real_candidates = reduction._candidates
+
+    def copying(g):
+        calls["copy"] += 1
+        boards.append(real_copy(g))
+        return boards[-1]
 
     def building(g, u, v):
         children.append(contract_edge(g, u, v))
@@ -406,37 +419,44 @@ def test_reduce_copies_one_board_and_builds_one_graph_per_move(
         winners[gone == e[0]] += sparse
         return sparse, gone, log
 
-    monkeypatch.setattr(reduction, "_copy_board",
-                        _counting(calls, "copy", reduction._copy_board))
+    def candidates(graph, border):
+        out, pebbles = boards[-1]
+        assert out.keys() == pebbles.keys() == graph.vertices
+        assert_board_of(out, pebbles, graph)
+        steps.append(graph)
+        return real_candidates(graph, border)
+
+    monkeypatch.setattr(reduction, "_copy_board", copying)
     monkeypatch.setattr(reduction, "contract_edge", building)
     monkeypatch.setattr(reduction, "_contraction_trial", trial)
+    monkeypatch.setattr(reduction, "_candidates", candidates)
     reduced = 0
     for hole in list(tight_corpus)[:40] + [build_H(i) for i in range(1, 18)]:
         g = hole.graph
         assert check_3_6(g).is_tight
-        before = board_state((g._orientation, g._pebbles))
+        before = board_state(g._board)
         calls.clear()
         children.clear()
-        leaf, _, moves = reduction._reduce(hole)
+        steps.clear()
+        leaf, moves = reduction._reduce(hole)
         assert calls["copy"] == 1 and calls["trial"] >= len(moves)
         assert len(children) == len(moves)
-        assert board_state((g._orientation, g._pebbles)) == before
+        assert steps == [g] + children and all(
+            a is b for a, b in zip(steps, [g] + children))
+        assert board_state(g._board) == before
+        assert all(h._board is None for h in children)
         if not moves:
             assert leaf is g
             continue
         assert leaf is children[-1] and not any(holds(leaf, h) for h in [g] + children[:-1])
-        assert all(h._orientation is h._pebbles is None for h in children[:-1])
-        assert leaf._orientation.keys() == leaf._pebbles.keys() == leaf.vertices
-        assert_board_of(leaf._orientation, leaf._pebbles, leaf)
         reduced += 1
     assert reduced > 40 and min(winners.values()) > 50, (reduced, winners)
 
 
-def test_outer_parts_and_fission_children_start_from_the_hole_graph(
-        monkeypatch, tight_corpus):
-    # fission plays no whole game, for its G1 or its G2: the fission
-    # child's trial starts from G's orientation and places exactly its
-    # edges that G lacks, in sorted order
+def test_fission_plays_one_game_for_g2_and_none_for_g1(monkeypatch, tight_corpus):
+    # fission plays no pebble game for its G1 and one whole game for its
+    # G2, which places every edge of G2 in sorted order and leaves G's
+    # board as it was
     games, placed = record_pebble_games(monkeypatch)
     cycles = 0
     for hole in list(tight_corpus) + [build_H(i) for i in range(1, 18)]:
@@ -445,20 +465,24 @@ def test_outer_parts_and_fission_children_start_from_the_hole_graph(
             cycle = find_critical_cycle_through(hole, e)
             if cycle is None:
                 continue
+            before = board_state(g._board)
             games.clear()
             placed.clear()
             g1, g2 = fission(hole, cycle)
-            assert not games
-            assert placed == sorted(g2.graph.edges - g.edges)
+            assert list(games) == [id(g2.graph)]
+            assert placed == games[id(g2.graph)][1] == g2.graph.sorted_edges()
+            assert g1.graph._board is None
+            assert board_state(g._board) == before
             cycles += 1
     assert cycles > 300
 
 
-def test_fission_decides_its_child_on_the_hole_board(monkeypatch, tight_corpus):
+def test_fission_decides_its_child_as_a_fresh_graph(monkeypatch, tight_corpus):
     # on every fission of the tight corpus, H1-H17 and repro A, fission
-    # copies no board and checks no G2: it tries G2, on a subset of G's
-    # vertices, on G's own board, and leaves that board as it was.  Its
-    # verdict is that of a fresh G2 built from scratch
+    # copies no board and checks G, through is_critical, then G2, which
+    # keeps the board of its own game.  Its verdict is that of a fresh G2
+    # built from scratch, G2's vertices are among G's, and G's board is as
+    # it was
     copies, checked = [], []
     real_copy, real_check = sparsity._copy_board, sparsity.check_3_6
 
@@ -483,23 +507,27 @@ def test_fission_decides_its_child_on_the_hole_board(monkeypatch, tight_corpus):
             cycle = find_critical_cycle_through(hole, e)
             if cycle is None:
                 continue
-            before = board_state((g._orientation, g._pebbles))
+            before = board_state(g._board)
             copies.clear()
             checked.clear()
             g2 = fission(hole, cycle)[1].graph
-            assert not copies and all(x is g for x in checked)
-            assert g2._orientation is None
-            assert real_check(Graph(g2.vertices, g2.edges)).is_tight
+            assert not copies and [id(x) for x in checked] == [id(g), id(g2)]
+            assert_board_of(*g2._board, g2)
+            assert real_check(Graph(g2.vertices, g2.edges)) == real_check(g2)
             assert g2.vertices <= g.vertices
-            assert board_state((g._orientation, g._pebbles)) == before
+            assert board_state(g._board) == before
             fissions += 1
     assert fissions > 300
 
 
-def test_an_interrupted_fission_trial_leaves_the_hole_board(monkeypatch, tight_corpus):
-    # a trial stopped by an exception at any fetch of a pebble is undone
-    # before the exception leaves fission: G's board is as it was, and a
-    # rerun gives the same child
+def test_an_interrupted_contraction_trial_leaves_the_hole_board(monkeypatch, tight_corpus):
+    # a contraction trial stopped by an exception at any fetch of a pebble
+    # is undone before the exception leaves the key-lemma search: G's
+    # board is as it was, and a rerun gives the same cycle, or None.  An
+    # undo gives back each out-set as a copy, which may list its heads in
+    # another order, so a rerun may fetch by other paths, as often or not:
+    # the search is stopped at its n-th fetch for n = 1, 2, ... until a run
+    # makes fewer than n fetches
     real = sparsity.fetch_pebble
     calls = [0, None]
 
@@ -512,29 +540,34 @@ def test_an_interrupted_fission_trial_leaves_the_hole_board(monkeypatch, tight_c
             raise Stop
         return real(*args)
 
+    def named(cycle):
+        return None if cycle is None else (cycle.disc.faces, cycle.walk.vertices)
+
     monkeypatch.setattr(sparsity, "fetch_pebble", fetch)
     holes = list(tight_corpus)[:20] + [build_H(i) for i in range(1, 18)]
     holes.append(load_hole(DATA / "keylemma_repro_a.json"))
-    stops = 0
+    stops, outcomes = 0, collections.Counter()
     for hole in holes:
+        g = hole.graph
+        assert check_3_6(g).is_tight
+        before = board_state(g._board)
         for e in contractible_edges(hole):
-            cycle = find_critical_cycle_through(hole, e)
-            if cycle is None:
-                continue
-            g = hole.graph
-            before = board_state((g._orientation, g._pebbles))
             calls[:] = [0, None]
-            want = fission(hole, cycle)[1].graph
-            for n in range(1, calls[0] + 1):
+            want = named(find_critical_cycle_through(hole, e))
+            for n in itertools.count(1):
                 calls[:] = [0, n]
-                with pytest.raises(Stop):
-                    fission(hole, cycle)
-                assert board_state((g._orientation, g._pebbles)) == before, (e, n)
-                stops += 1
+                try:
+                    got = find_critical_cycle_through(hole, e)
+                except Stop:
+                    assert board_state(g._board) == before, (e, n)
+                    stops += 1
+                    continue
+                assert named(got) == want, (e, n)
+                break
             calls[:] = [0, None]
-            assert fission(hole, cycle)[1].graph == want
-            assert board_state((g._orientation, g._pebbles)) == before
-    assert stops > 1000, stops
+            assert board_state(g._board) == before
+            outcomes[want is None] += 1
+    assert stops > 1000 and min(outcomes.values()) > 20, (stops, outcomes)
 
 
 def _tight_outer_subgraph(hole, cycle):
@@ -726,13 +759,14 @@ def _reduces_as_the_oracle(hole) -> tuple:
     from its least corner), and that reduce_greedy's one-refill leaf is the
     oracle's leaf hole, record for record; return what ``_reduce`` returns."""
     leaf, moves = hole_reduce_greedy(hole)
-    graph, faces, reduce_moves = reduction._reduce(hole)
+    graph, reduce_moves = reduction._reduce(hole)
+    faces = reduction._contract_faces(hole.faces, [m.edge for m in moves])
     assert (graph, [canon_face(f) for f in faces], reduce_moves) == \
         (leaf.graph, list(leaf.faces), moves)
     built, built_moves = reduce_greedy(hole)
     assert built_moves == moves
     assert hole_to_record(built) == hole_to_record(leaf)
-    return graph, faces, moves
+    return graph, moves
 
 
 def test_reduction_on_retained_faces_matches_the_hole_carrying_oracle(
@@ -810,7 +844,7 @@ def _steps_match_the_face_map(monkeypatch, holes) -> int:
         steps.clear()
         with monkeypatch.context() as patch:
             patch.setattr(reduction, "_candidates", recording)
-            _graph, faces, moves = reduction._reduce(hole)
+            _graph, moves = reduction._reduce(hole)
         assert len(steps) == len(moves) + 1
         renamed = list(hole.faces)
         for (graph, border, cand), m in zip(steps, moves + [None]):
@@ -821,7 +855,7 @@ def _steps_match_the_face_map(monkeypatch, holes) -> int:
             assert m.apexes == tuple(apexes[m.edge]), (hole, m)
             pinched += set(m.edge) <= {x for e in border for x in e}
             renamed = contract_faces_stepwise(renamed, [m.edge])
-        assert faces == renamed
+        assert reduction._contract_faces(hole.faces, [m.edge for m in moves]) == renamed
     return pinched
 
 
@@ -838,20 +872,24 @@ def test_walk_rule_matches_the_face_map_at_every_step(monkeypatch, tight_corpus)
 
 
 def test_reduce_renames_faces_once(monkeypatch):
-    # the retained faces are renamed once per reduction, after the loop or
-    # where it is stuck, as fission refills once, never once per move
-    calls = []
+    # the retained faces are renamed once per hole built, after the loop or
+    # where it is stuck, as fission refills once, never once per move; the
+    # loop alone, all that certify runs, renames none
+    calls, renamed = [], []
     rename = reduction._contract_faces
 
     def counted(faces, edges):
         calls.append(len(edges))
-        return rename(faces, edges)
+        renamed.append(rename(faces, edges))
+        return renamed[-1]
 
     monkeypatch.setattr(reduction, "_contract_faces", counted)
     h1 = build_H(1)
-    _, faces, moves = reduction._reduce(h1)
-    assert len(moves) > 2 and calls == [len(moves)]
-    assert faces == contract_faces_stepwise(h1.faces, [m.edge for m in moves])
+    _, moves = reduction._reduce(h1)
+    certify(h1)
+    assert len(moves) > 2 and calls == []
+    assert reduce_greedy(h1)[1] == moves and calls == [len(moves)]
+    assert renamed == [contract_faces_stepwise(h1.faces, [m.edge for m in moves])]
     calls.clear()
     _loosen_contractions_below(monkeypatch, len(h1.graph.vertices) - 2)
     with pytest.raises(errors.StuckButContractible):

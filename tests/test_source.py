@@ -116,7 +116,7 @@ def test_every_definition_has_a_user():
 # public names with no caller in src/, each kept for the reason the package
 # docstring gives
 TEST_ONLY_PUBLIC = {
-    "classify_edge", "contract", "cut_hole", "cut_holes", "divide", "double_banana",
+    "contract", "cut_hole", "cut_holes", "divide", "double_banana",
     "find_critical_cycle_through", "fission", "is_in_T", "is_isomorphic",
     "is_min_3_rigid", "is_uncontractible", "rigidity_matrix",
 }
@@ -165,29 +165,44 @@ def test_every_import_is_used(monkeypatch):
     assert not unused, f"imported in src/ but never used: {unused}"
 
 
+def _board_uses(node, scope=""):
+    """Every ``_board`` attribute under ``node``, with the dotted names of
+    the classes and functions it sits in."""
+    if isinstance(node, ast.Attribute) and node.attr == "_board":
+        yield scope, node
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield from _board_uses(child, inner)
+
+
 def test_only_sparsity_touches_a_board():
-    # no module but sparsity reads or writes a graph's board, except for the
-    # None defaults of Graph.__init__, and no trace is left of a link from a
-    # graph to the graph it was derived from
-    board = {"_orientation", "_pebbles"}
-    touched, linked = [], []
+    # a graph's board is its one ``_board`` slot: no module but sparsity
+    # reads or writes it, except for the None default of Graph.__init__,
+    # and in sparsity only _pebble_sparse, check_3_6's memo, writes it.  No
+    # trace is left of the earlier slots or of a link from a graph to the
+    # graph it was derived from
+    touched, gone = [], []
     for path in SOURCES:
         text = path.read_text()
-        linked += [f"{path.name}:{n}" for n, line in enumerate(text.splitlines(), 1)
-                   if re.search(r"\b_(origin|delta)\b", line)]
-        if path.name == "sparsity.py":
-            continue
+        gone += [f"{path.name}:{n}" for n, line in enumerate(text.splitlines(), 1)
+                 if re.search(r"\b_(origin|delta|orientation|pebbles)\b", line)]
         tree = ast.parse(text, filename=str(path))
-        defaults = {id(t) for cls in tree.body if getattr(cls, "name", "") == "Graph"
-                    for init in cls.body if getattr(init, "name", "") == "__init__"
-                    for a in ast.walk(init) if isinstance(a, ast.Assign)
+        defaults = {id(t) for a in ast.walk(tree) if isinstance(a, ast.Assign)
                     and isinstance(a.value, ast.Constant) and a.value.value is None
                     for t in a.targets}
-        touched += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute) and node.attr in board
-                    and id(node) not in defaults]
-    assert not touched, f"a board is read or written outside sparsity.py at {touched}"
-    assert not linked, f"a link to an origin graph is named at {linked}"
+        for scope, node in _board_uses(tree):
+            writes = isinstance(node.ctx, ast.Store)
+            if path.name == "sparsity.py":
+                allowed = not writes or scope == "_pebble_sparse"
+            else:
+                allowed = (path.name, scope) == ("graphs.py", "Graph.__init__") \
+                    and id(node) in defaults
+            if not allowed:
+                touched.append(f"{path.name}:{node.lineno}")
+    assert not touched, f"a board is read or written where it may not be at {touched}"
+    assert not gone, f"a removed board slot or origin link is named at {gone}"
 
 
 def test_reduction_builds_no_torus_or_disc():

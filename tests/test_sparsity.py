@@ -11,11 +11,11 @@ from torusrig.corpus import CorpusSpec, gen_corpus
 from torusrig.graphs import (Graph, complete_graph, contract_edge,
                              double_banana, edge_key, freedom)
 from torusrig.reduction import certify, contract, contractible_edges
-from torusrig.sparsity import (SparsityVerdict, Status, _child_sparse,
-                               _contraction_sparse, _contraction_trial,
-                               _copy_board, _flow_scan, _hand_over,
-                               _pebble_sparse, _PebbleGame, _undo, check_3_6,
-                               is_in_T, maximal_tight_subgraph)
+from torusrig.sparsity import (SparsityVerdict, Status, _contraction_sparse,
+                               _contraction_trial, _copy_board, _flow_scan,
+                               _pebble_sparse, _PebbleGame, _rename_merged,
+                               _trial, _undo, check_3_6, is_in_T,
+                               maximal_tight_subgraph)
 
 from helpers import (assert_board_of, board_state, brute_force_3_6,
                      component_oracle_checked, holds, induced, random_parent,
@@ -276,7 +276,7 @@ def test_component_search_reads_each_out_set_once():
 
     game = _PebbleGame(g._adj, {t: CountingSet(t, hs) for t, hs in heads.items()},
                        {t: 3 - len(hs) for t, hs in heads.items()},
-                       dict.fromkeys(heads, 0))
+                       dict.fromkeys(heads, 0), {})
     reads.clear()
     assert not game._big_component(u, v)
     assert reads[c] == reads[d] == 1 and max(reads.values()) == 1
@@ -285,13 +285,26 @@ def test_component_search_reads_each_out_set_once():
 # -- contractions decided from the parent's pebble game ---------------------
 
 
-def _assert_orientation_of(g: Graph):
+def _assert_board_on(g: Graph):
     """A sparse graph's memo, every vertex's out-set and free pebbles,
     orients each of its edges once, out-degree at most three, and gives
     each vertex three pebbles less its out-degree."""
-    board = g._orientation
-    assert board.keys() == g._pebbles.keys() == g.vertices
-    assert_board_of(board, g._pebbles, g)
+    out, pebbles = g._board
+    assert out.keys() == pebbles.keys() == g.vertices
+    assert_board_of(out, pebbles, g)
+
+
+def _delta_sparse(g: Graph, child: Graph) -> bool:
+    """Whether ``child``, a graph on some of the vertices of ``g`` decided
+    sparse, is (3,6)-sparse: a ``_trial`` of the edges of ``g`` it lacks
+    and those it adds on ``g``'s own board, undone before it returns.  The
+    vertices it drops are left bare, all their edges cut."""
+    board = g._board
+    added = child.edges - g.edges
+    todo = Counter(x for e in added for x in e)
+    sparse, log = _trial(board, child._adj, todo, g.edges - child.edges, added)
+    _undo(board, log)
+    return sparse
 
 
 @given(st.data())
@@ -310,20 +323,20 @@ def test_contraction_chain_verdicts_match_fresh_graphs(data):
         u, v = data.draw(st.sampled_from(g.sorted_edges()))
         if data.draw(st.booleans()):
             u, v = v, u
-        memo = g._orientation
+        memo = g._board
         h = contract_edge(g, u, v)
         fresh = check_3_6(Graph(h.vertices, h.edges))
         assert fresh.status is brute_force_3_6(h).status
         if memo is not False:
-            before = board_state((g._orientation, g._pebbles))
+            before = board_state(g._board)
             assert _contraction_sparse(g, (u, v)) is (fresh.status is not Status.VIOLATION)
-            assert board_state((g._orientation, g._pebbles)) == before
-        assert h._orientation is None
+            assert board_state(g._board) == before
+        assert h._board is None
         got = check_3_6(h)
         assert got == fresh
-        assert g._orientation is memo
+        assert g._board is memo
         if got.status is not Status.VIOLATION:
-            _assert_orientation_of(h)
+            _assert_board_on(h)
         g = h
 
 
@@ -338,13 +351,13 @@ def test_contraction_verdicts_match_fresh_graphs_on_corpus(tight_corpus):
     for hole in holes:
         g = hole.graph
         assert check_3_6(g).is_tight
-        memo = g._orientation
-        before = board_state((g._orientation, g._pebbles))
+        memo = g._board
+        before = board_state(g._board)
         for e in contractible_edges(hole):
             h = contract_edge(g, *e)
             fresh = check_3_6(Graph(h.vertices, h.edges))
             assert _contraction_sparse(g, e) is (fresh.status is not Status.VIOLATION), e
-            assert g._orientation is memo
+            assert g._board is memo
             checked += 1
             if fresh.status is Status.VIOLATION:
                 z = e[0]
@@ -352,7 +365,7 @@ def test_contraction_verdicts_match_fresh_graphs_on_corpus(tight_corpus):
                 z_first = sorted(h.edges, key=lambda f: (z not in f, f))
                 assert at_z == _flow_scan(h, z_first) == fresh, e
                 violations += 1
-        assert board_state((g._orientation, g._pebbles)) == before
+        assert board_state(g._board) == before
     assert checked > 3000 and violations > 100
 
 
@@ -365,7 +378,7 @@ def test_contraction_places_only_the_edges_at_the_merged_vertex(monkeypatch):
     g = hole.graph
     assert check_3_6(g).is_tight
     games, placed = record_pebble_games(monkeypatch)
-    board = g._orientation, g._pebbles
+    board = g._board
     for u, v in contractible_edges(hole):
         placed.clear()
         sparse, gone, log = _contraction_trial(g, board, (u, v))
@@ -384,9 +397,9 @@ def test_contraction_gathers_the_merged_vertex_pebbles_once(monkeypatch):
     # with no other edge to place, so it is covered from that end, and z
     # keeps the three pebbles it gathered for its next edge: at most three
     # fetches to z per game, however many edges it gains.  That holds for
-    # the contraction trial, where z is the end it keeps, and for the
-    # trial of the contract_edge child's edge-set differences on G's board
-    # (fission's trial), where z is the first end
+    # the contraction trial, where z is the end it keeps, and for a trial
+    # of the contract_edge child's edge-set differences on G's board, where
+    # z is the first end
     real = sparsity.fetch_pebble
     fetches = Counter()
 
@@ -400,7 +413,7 @@ def test_contraction_gathers_the_merged_vertex_pebbles_once(monkeypatch):
         hole = build_H(i)
         g = hole.graph
         assert check_3_6(g).is_tight
-        board = g._orientation, g._pebbles
+        board = g._board
         for e in contractible_edges(hole):
             fetches.clear()
             _, gone, log = _contraction_trial(g, board, e)
@@ -410,7 +423,7 @@ def test_contraction_gathers_the_merged_vertex_pebbles_once(monkeypatch):
             gained[len(g.neighbors(gone) - g.neighbors(z)) - 1] += 1
             h = contract_edge(g, *e)
             fetches.clear()
-            _child_sparse(g, h)
+            _delta_sparse(g, h)
             assert fetches[e[0]] <= 3, (i, e, fetches[e[0]])
             gained[len(h.edges - g.edges)] += 1
     assert gained.keys() - {0, 1}, gained
@@ -419,9 +432,10 @@ def test_contraction_gathers_the_merged_vertex_pebbles_once(monkeypatch):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_warm_start_from_any_decided_origin_matches_fresh_graphs(data):
-    # a child on a subset of the parent's vertices, as fission's is, that
-    # keeps some of the parent's edges, drops others and adds new ones, is
-    # tried on the parent's board in place; the verdict must be that of a
+    # a child on a subset of the parent's vertices that keeps some of the
+    # parent's edges, drops others and adds new ones is tried on the
+    # parent's board in place, a trial from a valid start that is not the
+    # empty board and not a contraction's; the verdict must be that of a
     # graph built from scratch and the status that of the exhaustive
     # oracle, the parent's board is as it was, and the child stays
     # undecided
@@ -429,48 +443,50 @@ def test_warm_start_from_any_decided_origin_matches_fresh_graphs(data):
     kind = data.draw(st.sampled_from(["tight", "sparse"]))
     g = random_parent(rng, kind, data.draw(st.integers(6, 12)))
     assert check_3_6(g).status is not Status.VIOLATION
-    memo = g._orientation
-    before = board_state((g._orientation, g._pebbles))
+    memo = g._board
+    before = board_state(g._board)
     kept = sorted(rng.sample(sorted(g.vertices), rng.randint(3, len(g.vertices))))
     dropped = rng.random() / 3
     edges = {e for e in g.edges if set(e) <= set(kept) and rng.random() >= dropped}
     pairs = [(a, b) for a in kept for b in kept if a < b and (a, b) not in g.edges]
     edges |= set(rng.sample(pairs, min(len(pairs), rng.randint(0, 5))))
     h = Graph(kept, edges)
-    got = _child_sparse(g, h)
+    got = _delta_sparse(g, h)
     fresh = check_3_6(Graph(h.vertices, h.edges))
     assert got is (fresh.status is not Status.VIOLATION)
     assert fresh.status is brute_force_3_6(h).status
-    assert g._orientation is memo and h._orientation is None
-    assert board_state((g._orientation, g._pebbles)) == before
+    assert g._board is memo and h._board is None
+    assert board_state(g._board) == before
 
 
 def test_memo_takes_no_part_in_equality_or_hashing():
-    # a child handed the board of its contraction trial, as greedy
-    # reduction hands it, equals and hashes as a fresh twin with no board,
-    # and as the twin once that has its own board from the whole game
+    # a graph that holds its board, or False for a violation, equals and
+    # hashes as a fresh twin with no board, and as the twin once that has
+    # its own board from its own game
     hole = build_H(1)
     g = hole.graph
     assert check_3_6(g).is_tight
-    e = contractible_edges(hole)[0]
-    board = _copy_board(g)
-    sparse, gone, _ = _contraction_trial(g, board, e)
-    h = contract_edge(g, *e)
-    _hand_over(board, g, h, e, gone)
-    twin = Graph(h.vertices, h.edges)
-    assert sparse and h._orientation is board[0] and twin._orientation is None
-    assert h == twin and hash(h) == hash(twin)
-    check_3_6(twin)
-    assert twin._orientation is not None and twin._orientation is not h._orientation
-    assert h == twin and hash(h) == hash(twin)
-    assert {h: 1}[twin] == 1
+    violating = complete_graph(5)
+    for h in (contract_edge(g, *contractible_edges(hole)[0]), violating):
+        check_3_6(h)
+        twin = Graph(h.vertices, h.edges)
+        assert h._board is not None and twin._board is None
+        assert h == twin and hash(h) == hash(twin)
+        check_3_6(twin)
+        if h is violating:
+            assert h._board is twin._board is False
+        else:
+            assert h._board and twin._board and twin._board is not h._board
+        assert h == twin and hash(h) == hash(twin)
+        assert {h: 1}[twin] == 1
 
 
 def test_decided_graph_holds_no_ancestor():
     # a contract_edge child never holds its parent: not before it is
-    # decided, not after, and not once it is handed its contraction
-    # trial's board, so a chain of contractions keeps only its last graph
-    # alive
+    # decided and not after, so a chain of contractions keeps only its last
+    # graph alive.  The board a sparse contraction trial leaves on a copy
+    # of G's, renamed to the end contract_edge keeps, is a board of the
+    # child, which holds neither that board nor G
     hole = build_H(1)
     g = hole.graph
     assert check_3_6(g).is_tight
@@ -482,12 +498,16 @@ def test_decided_graph_holds_no_ancestor():
         check_3_6(h)
         assert not holds(h, chain[-1])
         chain.append(h)
-    e = contractible_edges(hole)[0]
-    board = _copy_board(g)
-    _, gone, _ = _contraction_trial(g, board, e)
-    h = contract_edge(g, *e)
-    _hand_over(board, g, h, e, gone)
-    assert h._orientation is board[0] and not holds(h, g)
+    for e in contractible_edges(hole):
+        board = _copy_board(g)
+        sparse, gone, _ = _contraction_trial(g, board, e)
+        if not sparse:
+            continue
+        h = contract_edge(g, *e)
+        _rename_merged(board, h, e, gone)
+        assert_board_of(*board, h)
+        assert board[0].keys() == h.vertices
+        assert h._board is None and not holds(h, g) and not holds(h, board[0])
 
 
 # -- contraction trials on the parent's board, in place ---------------------
@@ -531,7 +551,7 @@ def test_contraction_trial_matches_a_cold_game_and_undoes_exactly():
     seen = Counter()
     for g, edges in _trial_cases():
         assert check_3_6(g).status is not Status.VIOLATION
-        board = g._orientation, g._pebbles
+        board = g._board
         before = board_state(board)
         for e in edges:
             for u, v in (e, e[::-1]):
@@ -558,7 +578,7 @@ def test_contraction_trial_matches_the_oracle_on_random_parents(data):
     g = random_parent(rng, data.draw(st.sampled_from(["tight", "sparse"])),
                       data.draw(st.integers(6, 12)))
     assert check_3_6(g).status is not Status.VIOLATION
-    board = g._orientation, g._pebbles
+    board = g._board
     before = board_state(board)
     for u, v in g.sorted_edges():
         sparse, _, log = _contraction_trial(g, board, (u, v))
@@ -577,7 +597,7 @@ def test_contraction_trial_removes_the_end_with_fewer_neighbours():
         hole = build_H(i)
         g = hole.graph
         assert check_3_6(g).is_tight
-        board = g._orientation, g._pebbles
+        board = g._board
         for u, v in contractible_edges(hole):
             for a, b in ((u, v), (v, u)):
                 _, gone, log = _contraction_trial(g, board, (a, b))
