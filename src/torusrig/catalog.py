@@ -286,9 +286,10 @@ def build_H(i: int) -> TorusWithHole:
     Representatives are data files (rectangular or annular torus face lists
     plus a hole region); the test suite revalidates tightness, the boundary
     word, and V(H_i) = V(boundary) rather than trusting the data.  The data
-    is constant and belongs to the package, and a ``TorusWithHole`` is never
-    mutated, so each record is parsed and validated once per process and the
-    same object is returned after that (at most 17 are held).
+    is constant and belongs to the package, and neither a ``TorusWithHole``
+    nor its torus (``complexes.TorusComplex``) is ever changed, so each
+    record is parsed and validated once per process and the same object is
+    returned after that (at most 17 are held).
     """
     if type(i) is not int:
         raise errors.BadArgument(f"catalog index {i!r} is not an integer")

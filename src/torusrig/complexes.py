@@ -173,6 +173,12 @@ class TorusComplex(SurfaceComplex):
     each direction by its two incident faces.  Reorienting may rotate or
     reverse a face's corners but never moves it: face i has the corner set
     of the i-th input face, and callers address faces by that position.
+
+    A validated torus is never changed: nothing writes its ``faces``,
+    ``edge_faces``, ``edges`` or ``vertices`` after the constructor, and
+    its one cache, ``cochain``, reads only those.  So one torus may be
+    shared by every hole cut from it, and a new one is built only by
+    calling the constructor.
     """
 
     def __init__(self, faces):

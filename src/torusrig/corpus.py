@@ -4,7 +4,7 @@ A corpus entry is a grid torus plus a randomly grown face-connected disc
 region with a prescribed boundary-walk length.  Same spec, same corpus:
 all randomness flows from the seed.  Each grid shape is built once per
 process, with its face adjacency, and the holes of one shape share that
-torus; a ``TorusComplex`` is never changed after it is built.
+torus (shared as ``complexes.TorusComplex`` allows).
 """
 
 from __future__ import annotations

@@ -10,12 +10,18 @@ wrap-around disc.  A hole's face indices are positions in the record's
 ``faces`` list, which the loaded torus keeps.  Text that is not JSON, or a
 record of any other shape, raises MalformedRecord (naming the bad field).
 A record may also carry a ``"meta"`` object, which loading ignores.
+
+A corpus holds many holes on few tori, so ``record_to_hole`` validates each
+distinct face list once (``_torus``) and shares its ``TorusComplex``, as
+that class's docstring allows; all else, the discs, the hole and its graph,
+is built anew for each record.
 """
 
 from __future__ import annotations
 
 import codecs
 import contextlib
+import functools
 import json
 import sys
 
@@ -100,9 +106,18 @@ def _check_record(record) -> None:
                 raise errors.MalformedRecord(f"{field}[{k}]: {x} is not a face index")
 
 
+@functools.lru_cache(maxsize=64)
+def _torus(faces: tuple) -> TorusComplex:
+    """The torus of a face list given as a tuple of integer triples, held
+    while it stays among the last 64 loaded; a list that fails validation
+    is not held and raises again."""
+    return TorusComplex(faces)
+
+
 def record_to_hole(record: dict) -> TorusWithHole:
     _check_record(record)
-    torus = TorusComplex(record["faces"])
+    # every corner is an int by now, so True or 1.0 never keys 1's torus
+    torus = _torus(tuple(map(tuple, record["faces"])))
     if len(torus.vertices) != record["vertices"]:
         raise errors.NotClosedSurface(
             f"face list spans {len(torus.vertices)} vertices, "

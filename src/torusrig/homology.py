@@ -7,10 +7,10 @@ tree of the dual over the remaining edges, and the two edges left over,
 which get (1,0) and (0,1).  Tree edges get zero, and each cotree edge is
 solved so that its face's boundary sums to zero.  Summing along a closed
 walk gives its class in H_1 = Z^2.  A class vector is defined only up to a
-change of basis of Z^2; the basis is fixed per torus and is the same for
-every load of a given record.  Crossover edges (FF edges with both
-endpoints on the hole boundary) are classed by the cycles they form with
-arcs of the detachment walk, recorded up to sign.
+change of basis of Z^2; the basis is fixed per torus, one basis per
+interned torus (``fileio.record_to_hole``).  Crossover edges (FF edges
+with both endpoints on the hole boundary) are classed by the cycles they
+form with arcs of the detachment walk, recorded up to sign.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ class EdgeCochain:
     """Tree–cotree class vector of each directed edge of a torus.
 
     Holds only the edge values, not the torus, so a torus may cache its
-    cochain without keeping itself alive.
+    cochain without keeping itself alive; a torus is never changed
+    (``complexes.TorusComplex``), so it builds one cochain for every hole
+    that shares it.
     """
 
     def __init__(self, torus: TorusComplex):

@@ -34,20 +34,23 @@ def fetch_pebble(pebbles, out, root, pinned=(), log=None) -> bool:
     search.  The search meets the heads in that same order and takes the
     first such pebble, so the scan moves the pebble the search would.
 
-    Given a ``log``, a dict, each out-set the reversal changes is saved in
-    it, by its tail, as it was before its first change: a pebble game's
-    trial puts them back to undo its moves (``sparsity._undo``)."""
+    Given a ``log``, a dict, each out-set the reversal changes is kept in
+    it, by its tail, before its first change, and ``out`` gets a copy to
+    change: a pebble game's trial puts the kept sets back to undo its moves
+    (``sparsity._undo``)."""
     heads = out[root]
     for y in heads:
         if pebbles[y] and y not in pinned:
             if log is not None:
                 if root not in log:
-                    log[root] = set(heads)
+                    log[root] = heads
+                    out[root] = set(heads)
                 if y not in log:
-                    log[y] = set(out[y])
+                    log[y] = out[y]
+                    out[y] = set(out[y])
             pebbles[y] -= 1
             pebbles[root] += 1
-            heads.remove(y)
+            out[root].remove(y)
             out[y].add(root)
             return True
     parent = {root: None}
@@ -65,9 +68,11 @@ def fetch_pebble(pebbles, out, root, pinned=(), log=None) -> bool:
                     x = parent[y]
                     if log is not None:
                         if x not in log:
-                            log[x] = set(out[x])
+                            log[x] = out[x]
+                            out[x] = set(out[x])
                         if y not in log:
-                            log[y] = set(out[y])
+                            log[y] = out[y]
+                            out[y] = set(out[y])
                     out[x].remove(y)
                     out[y].add(x)
                     y = x

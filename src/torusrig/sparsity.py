@@ -99,8 +99,9 @@ class _PebbleGame:
     placed edges' orientation, and ``pebbles``, every vertex's free
     pebbles.  ``adj`` gives the neighbour sets, in the graph being decided,
     of the ends of the edges to place, and ``todo`` the number of edges
-    still to place at each of them.  ``log`` saves every out-set the game
-    changes, by its tail, as it was before the first change (``_trial``).
+    still to place at each of them.  ``log`` keeps every out-set the game
+    changes, by its tail, before the first change, and the game changes a
+    copy (``_trial``).
 
     Every vertex has three pebbles, and a pebble on a vertex either lies
     free or covers one of its out-edges, so every vertex set S has
@@ -142,7 +143,8 @@ class _PebbleGame:
         for a, b in cut:
             t, h = (a, b) if b in out[a] else (b, a)
             if t not in log:
-                log[t] = set(out[t])
+                log[t] = out[t]
+                out[t] = set(out[t])
             out[t].remove(h)
             pebbles[t] += 1
         for a, b in sorted(added):
@@ -164,7 +166,8 @@ class _PebbleGame:
         todo[u] -= 1
         todo[v] -= 1
         if u not in log:
-            log[u] = set(out[u])
+            log[u] = out[u]
+            out[u] = set(out[u])
         pebbles[u] -= 1
         out[u].add(v)
         return not self._big_component(u, v)
@@ -242,9 +245,9 @@ def _copy_board(g: Graph) -> tuple[dict, dict]:
 
 def _undo(board, log) -> None:
     """Put ``board`` back as it was before the trial that wrote ``log``:
-    every out-set the trial changed gets back the copy saved before its
-    first change, and its vertex three pebbles less its out-degree, as on
-    every board."""
+    every out-set the trial changed is replaced by the very set object the
+    log kept, which the trial never changed, and its vertex gets three
+    pebbles less its out-degree, as on every board."""
     out, pebbles = board
     for t, heads in log.items():
         out[t] = heads
@@ -269,14 +272,15 @@ def _trial(board, adj, todo, cut, added) -> tuple[bool, dict]:
     detects depend only on the placed graph, not on the order of placement
     or the start, so the verdict is a cold game's.
 
-    The undo is exact.  The log saves every out-set that the cuts, the
-    placements and the path reversals of ``fetch_pebble`` change, as it was
-    before the first change, and every vertex of a board holds three
-    pebbles less its out-degree (``_PebbleGame``); so putting the logged
-    out-sets back gives back the board's out-sets and pebbles exactly.  An interrupted trial is
-    undone before the exception leaves.  Until the caller undoes the trial
-    or keeps its result, the board is the trial's, so two trials on one
-    board must not overlap."""
+    The undo is exact.  The log keeps every out-set object that the cuts,
+    the placements and the path reversals of ``fetch_pebble`` would change,
+    and the game changes a copy of it; every vertex of a board holds three
+    pebbles less its out-degree (``_PebbleGame``).  So putting the kept
+    objects back gives back the board's out-sets, in their own iteration
+    order, and its pebbles exactly, and a repeated trial fetches along the
+    same paths.  An interrupted trial is undone before the exception
+    leaves.  Until the caller undoes the trial or keeps its result, the
+    board is the trial's, so two trials on one board must not overlap."""
     log: dict = {}
     try:
         return _PebbleGame(adj, *board, todo, log).play(cut, added), log

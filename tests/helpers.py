@@ -13,8 +13,8 @@ field at a time, walk alignments by consistency of the vertex map, the
 disc region in two passes and the hole graph by the generic build),
 the builders (face-graph quotients, separating cycles from a region, vertex
 splits on a torus) that tests compare that path against, every torus on
-seven to nine vertices by a search of the flip graph, and an in-process CLI
-runner.
+seven to nine vertices by a search of the flip graph, the records the
+keylemma benchmark draws, and an in-process CLI runner.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from __future__ import annotations
 import contextlib
 import gc
 import io
+import itertools
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -35,7 +37,7 @@ from torusrig.complexes import (ClosedWalk, DiscMap, SurfaceComplex,
                                 TorusComplex, TorusWithHole, _face_edges,
                                 _face_tuple, _Region, _symmetries,
                                 disc_structures, grid_faces)
-from torusrig.corpus import MAX_REGION, CorpusSpec
+from torusrig.corpus import MAX_REGION, CorpusSpec, corpus_records
 from torusrig.fileio import _items
 from torusrig.graphs import Graph, contract_edge, edge_key
 from torusrig.reduction import (Contraction, EdgeClass, SeparatingCycle,
@@ -51,6 +53,21 @@ CORPUS9_SPEC = CorpusSpec(seed=20260809, count=200,
 CORPUS_CUTS_SPEC = CorpusSpec(seed=987, count=500,
                               grids=((4, 4), (4, 5), (5, 5)),
                               boundary_lengths=tuple(range(3, 13)))
+
+
+def keylemma_records(seed: int, per_grid: int) -> list[dict]:
+    """The first ``per_grid`` tight records of each grid that the keylemma
+    benchmark draws at ``seed``: grids 3x4, 3x5, 4x4 and 3x6, each drawn one
+    record at a time from a generator seeded "<seed>:<r>x<s>"."""
+    records = []
+    for r, s in ((3, 4), (3, 5), (4, 4), (3, 6)):
+        rng = random.Random(f"{seed}:{r}x{s}")
+        drawn = (corpus_records(CorpusSpec(seed=rng.getrandbits(32), count=1,
+                                           grids=((r, s),)))[0]
+                 for _ in itertools.count())
+        records += itertools.islice(
+            (rec for rec in drawn if rec["meta"]["status"] == "Tight"), per_grid)
+    return records
 
 
 def run_main(args, record) -> tuple[int, str, str]:

@@ -9,15 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import torusrig
-from torusrig import errors
+from torusrig import errors, fileio
 from torusrig.catalog import build_H
-from torusrig.complexes import cut_hole, rectangular_torus
+from torusrig.complexes import TorusComplex, cut_hole, rectangular_torus
 from torusrig.corpus import CorpusSpec, corpus_records
 from torusrig.fileio import hole_to_record, record_to_hole, to_dot
 from torusrig.reduction import (contract, contractible_edges,
                                 find_critical_cycle_through, reduce_greedy)
 
-from helpers import (check_record_oracle, corrupt, raised,
+from helpers import (check_record_oracle, corrupt, raised, run_main,
                      surface_complex_oracle)
 
 
@@ -219,6 +219,27 @@ def test_batch_check_output_is_pinned():
     r = run_cli(["batch-check"], stdin=records)
     assert r.returncode == 0
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == BATCH_CHECK_DIGEST
+
+
+def test_batch_check_prints_what_check_prints_for_each_record(monkeypatch):
+    # one batch-check process shares a torus among the records of each
+    # shape; check - on each record, with a torus built afresh for it,
+    # prints the same line, less the record's index
+    gen = run_cli(["gen", "--seed", "8", "--count", "24", "--grids", "3x4", "4x4"])
+    lines = gen.stdout.splitlines()
+    checked = run_cli(["batch-check"], stdin=gen.stdout)
+    assert gen.returncode == checked.returncode == 0
+    assert len(checked.stdout.splitlines()) == len(lines) == 24
+    monkeypatch.setattr(fileio, "_torus", TorusComplex)
+    statuses = set()
+    for line, got in zip(lines, checked.stdout.splitlines()):
+        record = json.loads(line)
+        _, out, err = run_main(["check", "-"], record)
+        assert not err
+        want = {**json.loads(out), "index": record["meta"]["index"]}
+        assert got == json.dumps(want, sort_keys=True)
+        statuses.add(want["status"])
+    assert statuses == {"Tight", "Violation"}
 
 
 def test_corpus_metadata_identity():

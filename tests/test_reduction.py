@@ -3,7 +3,6 @@ import dataclasses
 import itertools
 import json
 import pathlib
-import random
 import re
 import time
 
@@ -33,7 +32,8 @@ from helpers import (_blocked_faces, _grow_region, assert_board_of, board_state,
                      canon_face, connected_regions, contract_faces_stepwise, edge_rule_oracle,
                      exhaustive_critical_cycles_through, face_candidates,
                      facial_split, holds,
-                     hole_reduce_greedy, induced, is_connected, link_cycle,
+                     hole_reduce_greedy, induced, is_connected,
+                     keylemma_records, link_cycle,
                      one_pass_mismatches, record_pebble_games, run_main,
                      separating_cycle, tight_set_critical_cycles,
                      vertex_split, walk_alignments)
@@ -523,10 +523,8 @@ def test_fission_decides_its_child_as_a_fresh_graph(monkeypatch, tight_corpus):
 def test_an_interrupted_contraction_trial_leaves_the_hole_board(monkeypatch, tight_corpus):
     # a contraction trial stopped by an exception at any fetch of a pebble
     # is undone before the exception leaves the key-lemma search: G's
-    # board is as it was, and a rerun gives the same cycle, or None.  An
-    # undo gives back each out-set as a copy, which may list its heads in
-    # another order, so a rerun may fetch by other paths, as often or not:
-    # the search is stopped at its n-th fetch for n = 1, 2, ... until a run
+    # board is as it was, and a rerun gives the same cycle, or None.  The
+    # search is stopped at its n-th fetch for n = 1, 2, ... until a run
     # makes fewer than n fetches
     real = sparsity.fetch_pebble
     calls = [0, None]
@@ -647,10 +645,16 @@ def test_a_cycle_that_misses_the_hole_is_invalid(hole, faces):
 
 
 def test_a_cycle_on_another_torus_is_invalid():
-    # H1's own hole disc, on a reloaded copy of its torus
+    # H1's own hole disc, on a copy of its torus: a reloaded record shares
+    # the torus of the last load, so the copy comes from the constructor,
+    # which builds a new torus every time
     hole = build_H(1)
-    cycle = SeparatingCycle(record_to_hole(hole_to_record(hole)).single_disc)
-    assert cycle.disc.faces == hole.single_disc.faces
+    record = hole_to_record(hole)
+    assert record_to_hole(record).torus is record_to_hole(record).torus
+    copy = TorusComplex(list(hole.torus.faces))
+    disc = hole.single_disc
+    cycle = SeparatingCycle(DiscMap(copy, disc.faces, disc.keep_edges))
+    assert cycle.disc.faces == disc.faces and cycle.disc.torus is not hole.torus
     for move in (divide, is_critical, fission):
         with pytest.raises(errors.InvalidCycle, match="does not enclose the hole"):
             move(hole, cycle)
@@ -1453,27 +1457,12 @@ def test_fission_failure_reruns_from_its_message(monkeypatch, child):
     assert str(rerun.value) == message
 
 
-def _keylemma_records(seed: int, per_grid: int) -> list[dict]:
-    """The first ``per_grid`` tight records of each grid that the keylemma
-    benchmark draws at ``seed``: grids 3x4, 3x5, 4x4 and 3x6, each drawn one
-    record at a time from a generator seeded "<seed>:<r>x<s>"."""
-    records = []
-    for r, s in ((3, 4), (3, 5), (4, 4), (3, 6)):
-        rng = random.Random(f"{seed}:{r}x{s}")
-        drawn = (corpus_records(CorpusSpec(seed=rng.getrandbits(32), count=1,
-                                           grids=((r, s),)))[0]
-                 for _ in itertools.count())
-        records += itertools.islice(
-            (rec for rec in drawn if rec["meta"]["status"] == "Tight"), per_grid)
-    return records
-
-
 def test_keylemma_refills_match_the_two_pass_oracles():
     # a fixed sample of the keylemma benchmark's seed-1 fissions: each
     # input, its outer part G1 and its refilled child G2 against the
     # two-pass region and the generic graph build
     fissions = 0
-    for record in _keylemma_records(1, 2):
+    for record in keylemma_records(1, 2):
         hole = record_to_hole(record)
         assert one_pass_mismatches(hole) == []
         for e in contractible_edges(hole):

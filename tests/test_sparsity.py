@@ -17,9 +17,12 @@ from torusrig.sparsity import (SparsityVerdict, Status, _contraction_sparse,
                                _trial, _undo, check_3_6, is_in_T,
                                maximal_tight_subgraph)
 
+from torusrig.fileio import record_to_hole
+
 from helpers import (assert_board_of, board_state, brute_force_3_6,
-                     component_oracle_checked, holds, induced, random_parent,
-                     record_pebble_games, tight_plus_one_edge, torus_census)
+                     component_oracle_checked, holds, induced, keylemma_records,
+                     random_parent, record_pebble_games, tight_plus_one_edge,
+                     torus_census)
 
 
 def random_graph(data, max_n=11):
@@ -586,6 +589,39 @@ def test_contraction_trial_matches_the_oracle_on_random_parents(data):
         assert sparse is (want is not Status.VIOLATION), (u, v)
         _undo(board, log)
         assert board_state(board) == before
+
+
+def test_a_repeated_contraction_trial_fetches_the_same_way(monkeypatch, tight_corpus):
+    # the undo puts back the very out-set objects, so every out-set lists
+    # its heads in the same order afterwards, and the same trial repeated
+    # on the same board fetches pebbles along the same paths, as often: on
+    # every contractible edge of the tight corpus and of the keylemma
+    # benchmark's seed-1 inputs
+    real = sparsity.fetch_pebble
+    fetches = [0]
+
+    def counting_fetch(*args):
+        fetches[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(sparsity, "fetch_pebble", counting_fetch)
+    holes = list(tight_corpus) + [record_to_hole(r) for r in keylemma_records(1, 16)]
+    trials = 0
+    for hole in holes:
+        g = hole.graph
+        assert check_3_6(g).is_tight
+        out = g._board[0]
+        order = {t: list(heads) for t, heads in out.items()}
+        for e in contractible_edges(hole):
+            counts = []
+            for _ in range(3):
+                fetches[0] = 0
+                _contraction_sparse(g, e)
+                counts.append(fetches[0])
+            assert counts[0] == counts[1] == counts[2], (e, counts)
+            assert {t: list(heads) for t, heads in out.items()} == order, e
+            trials += 1
+    assert trials > 3000, trials
 
 
 def test_contraction_trial_removes_the_end_with_fewer_neighbours():
