@@ -82,16 +82,20 @@ def _items(value, field: str, length: int | None = None, ints=False) -> list:
     return value
 
 
-def _check_record(record) -> None:
-    """Raise MalformedRecord unless the record has the schema's shape and
-    every hole face index is a position in its face list."""
+def _check_record(record) -> tuple:
+    """The face list as a tuple of integer triples, built in the pass that
+    checks each face; MalformedRecord unless the record has the schema's
+    shape and every hole face index is a position in its face list."""
     if not isinstance(record, dict) or type(record.get("vertices")) is not int:
         raise errors.MalformedRecord("record must be an object with integer vertices")
     if not isinstance(record.get("meta", {}), dict):
         raise errors.MalformedRecord("meta must be an object")
     faces = _items(record.get("faces"), "faces")
-    if not all(isinstance(f, (list, tuple)) and len(f) == 3 and type(f[0]) is int
-               and type(f[1]) is int and type(f[2]) is int for f in faces):
+    # every corner is an int, so True or 1.0 never keys 1's torus
+    key = tuple([tuple(f) for f in faces
+                 if isinstance(f, (list, tuple)) and len(f) == 3 and type(f[0]) is int
+                 and type(f[1]) is int and type(f[2]) is int])
+    if len(key) != len(faces):
         # walk the faces again, only to name the first bad one
         for i, f in enumerate(faces):
             _items(f, f"faces[{i}]", 3, ints=True)
@@ -104,6 +108,7 @@ def _check_record(record) -> None:
         for k, x in enumerate(_items(h, field, ints=True)):
             if not 0 <= x < len(faces):
                 raise errors.MalformedRecord(f"{field}[{k}]: {x} is not a face index")
+    return key
 
 
 @functools.lru_cache(maxsize=64)
@@ -115,9 +120,7 @@ def _torus(faces: tuple) -> TorusComplex:
 
 
 def record_to_hole(record: dict) -> TorusWithHole:
-    _check_record(record)
-    # every corner is an int by now, so True or 1.0 never keys 1's torus
-    torus = _torus(tuple(map(tuple, record["faces"])))
+    torus = _torus(_check_record(record))
     if len(torus.vertices) != record["vertices"]:
         raise errors.NotClosedSurface(
             f"face list spans {len(torus.vertices)} vertices, "

@@ -25,9 +25,9 @@ class Graph:
     Vertices need not be consecutive; isolated vertices are allowed (they
     matter for freedom-number bookkeeping).  One more slot, ``_board``,
     belongs to :mod:`torusrig.sparsity` and takes no part in equality or
-    hashing: None until ``check_3_6`` decides the graph, then False when it
-    violates, else the pebble game's final board, a dict of every vertex's
-    out-set and one of its free pebbles.
+    hashing: None, the board, or the witness: None until ``check_3_6``
+    decides the graph, then a violation's witness, else the pebble game's
+    final board, a dict of every vertex's out-set and one of its free pebbles.
 
     The two moves, ``contract_edge`` and ``split_vertex``, build the child
     from the parent's vertex set, edge set and adjacency, changed at the

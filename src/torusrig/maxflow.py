@@ -93,6 +93,17 @@ def _reach(step, start) -> frozenset:
     return frozenset(seen)
 
 
+def _dead(out, pebbles, spent=()) -> frozenset:
+    """The vertices of the board ``out``, ``pebbles`` that reach no free
+    pebble off ``spent``: those the reversed orientation misses from one."""
+    back = {v: [] for v in out}
+    for t, heads in out.items():
+        for h in heads:
+            back[h].append(t)
+    return frozenset(out.keys() - _reach(back, [v for v, p in pebbles.items()
+                                                if p and v not in spent]))
+
+
 def densest_extension(graph, force_in, force_out=()):
     """Maximise |E(G[S])| - 3|S| over force_in <= S, S disjoint from force_out.
 
@@ -122,10 +133,5 @@ def densest_extension(graph, force_in, force_out=()):
             continue
         pebbles[tail] -= 1
         out[tail].add(head)
-    back = {v: [] for v in out}  # the final orientation reversed
-    for t, heads in out.items():
-        for h in heads:
-            back[h].append(t)
     s_min = _reach(out, {x for e in loose for x in e}) | force_in
-    s_max = pebbles.keys() - _reach(back, [v for v, p in pebbles.items() if p])
-    return len(loose) - 3 * len(force_in), s_min, frozenset(s_max)
+    return len(loose) - 3 * len(force_in), s_min, _dead(out, pebbles)

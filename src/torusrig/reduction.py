@@ -76,9 +76,8 @@ from .complexes import (ClosedWalk, DiscMap, TorusComplex, TorusWithHole,
 from .graphs import Graph, contract_edge, edge_key, is_isomorphic
 from .maxflow import densest_extension
 from .rigidity import generic_rank
-from .sparsity import (_contraction_sparse, _contraction_trial, _copy_board,
-                       _flow_scan, _rename_merged, _undo, check_3_6,
-                       maximal_tight_subgraph)
+from .sparsity import (_contraction_trial, _contraction_violator, _copy_board,
+                       _rename_merged, _undo, check_3_6, maximal_tight_subgraph)
 
 
 class EdgeClass(enum.Enum):
@@ -298,19 +297,14 @@ def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | Non
     e exposed (the region then holds both faces of e).
 
     The lemma is about the graph G/e, so the search decides on the plain
-    graph contraction and never builds the contracted hole or an outer part.
-    G is checked first (NotTight carrying the record when it is not tight);
-    that verdict stays on the graph, and later searches and ``fission`` find
-    G decided.  G/e is tried on G's own board in place, which is then
-    undone (``_contraction_sparse``), so a contraction that stays tight
-    builds no graph and copies no board.  Only a violating one builds G/e,
-    ``contract_edge(G, *e)``, for the flow scan, which plays no game.
+    graph contraction and never builds the contracted hole, an outer part
+    or G/e itself.  G is checked first (NotTight carrying the record when it
+    is not tight); that verdict stays on the graph, and later searches and
+    ``fission`` find G decided.  G/e is tried on G's own board in place,
+    which is then undone, so no graph is built and no board copied.
 
-    W is read off a flow scan of the edges at the merged vertex z alone, in
-    order of their other end.  Contraction changes only the subgraphs that
-    hold z, so every violating set of G/e holds z (G is tight), and an edge
-    at z, or dropping z would leave a denser set.  So that scan finds the
-    violator that a scan of every edge, z's first, would find first.
+    W is the failing placement's component, read off that trial
+    (``_contraction_violator``).
     """
     hole.single_disc  # raises SingleHoleRequired unless there is one hole
     e, apex_face = _contraction_apexes(hole, e)
@@ -318,12 +312,10 @@ def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | Non
         raise fileio.with_record(
             errors.NotTight, hole, "the key-lemma search needs a tight "
             "single-hole graph")
-    if _contraction_sparse(hole.graph, e):
+    witness = _contraction_violator(hole.graph, e)
+    if witness is None:
         return None
-    z = e[0]
-    h = contract_edge(hole.graph, *e)
-    witness = _flow_scan(h, [edge_key(z, w) for w in sorted(h.neighbors(z))]).witness
-    lifted = frozenset(witness - {z}) | set(e)
+    lifted = witness | set(e)
     apexes = set(apex_face)
     if apexes <= lifted:
         raise fileio.with_record(
@@ -477,8 +469,8 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list[Contraction]]:
         if not cand:
             break
         for e in cand:
-            tight, removed, log = _contraction_trial(graph, board, e)
-            if tight:
+            failed, removed, log = _contraction_trial(graph, board, e)
+            if failed is None:
                 break
             _undo(board, log)
         else:
@@ -549,24 +541,18 @@ class Certificate:
                 "splits": [s.to_json() for s in self.splits]}
 
     @functools.cached_property
-    def _replayed(self) -> tuple[Graph, ...]:
+    def target(self) -> Graph:
+        """The graph the splits build from the base triangle; an invalid
+        split raises as ``Graph.split_vertex`` refuses it.  The certificate
+        is frozen, so the replay runs once, on the first read, and keeps no
+        intermediate graph."""
         a, b, c = self.base_vertices
         g = Graph([a, b, c], [(a, b), (a, c), (b, c)])
-        out = [g]
         for s in self.splits:
             g = g.split_vertex(s.vertex, *s.anchors,
                                [(s.vertex, t) for t in s.moved],
                                new_vertex=s.new_vertex)
-            out.append(g)
-        return tuple(out)
-
-    def replay(self) -> list[Graph]:
-        """All intermediate graphs, K3 first; an invalid split raises as
-        ``Graph.split_vertex`` refuses it.  The certificate is frozen, so
-        they are built once, on the first call, and shared by later ones
-        (``certify``'s check and ``verify_certificate``, which reads only
-        the last)."""
-        return list(self._replayed)
+        return g
 
 
 def _leaf_chain(leaf_graph: Graph) -> tuple[tuple[int, int, int], list[SplitMove]]:
@@ -592,8 +578,7 @@ def certify(hole: TorusWithHole) -> Certificate:
         keep, gone = m.edge
         splits.append(SplitMove(keep, m.apexes, m.moved, gone))
     cert = Certificate(base, tuple(splits))
-    final = cert.replay()[-1]
-    if final != hole.graph:
+    if cert.target != hole.graph:
         raise errors.ReplayMismatch("replayed graph differs from the input")
     return cert
 
@@ -607,7 +592,7 @@ def verify_certificate(cert: Certificate, target: Graph,
     ``Graph.split_vertex`` admits only a 3D vertex split (one new vertex
     joined to v and to two distinct neighbours of v), which keeps a graph
     generically isostatic (Whiteley, "Vertex splitting in isostatic
-    frameworks", 1990).  The replay runs once (``Certificate.replay``); an
+    frameworks", 1990).  The replay runs once (``Certificate.target``); an
     invalid split raises there, and a chain ending at any other graph than
     the target, a relabelled copy too, raises ReplayMismatch.
 
@@ -618,7 +603,7 @@ def verify_certificate(cert: Certificate, target: Graph,
     chain, a rank shortfall comes only from an unlucky placement, with
     chance at most 3|V| / p (see ``rigidity``).
     """
-    if cert.replay()[-1] != target:
+    if cert.target != target:
         raise errors.ReplayMismatch("certificate does not reproduce the target")
     if check_rank:
         rank = generic_rank(target, seed=seed)

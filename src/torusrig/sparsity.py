@@ -20,12 +20,15 @@ still to place at their ends, so a placed degree is the graph degree less
 that count, and in-neighbours are read off the graph's neighbour sets.
 Each edge is covered from the end with fewer
 edges still to place, so the other end keeps its pebbles for its next edge.
-Only a violating graph has a witness: one min-cut per edge, in sorted edge
-order, over vertex sets S containing that edge's endpoints, maximising
-|E(G[S])| - 3|S|; the first set of three or more vertices pushing the maximum
-above -6 is the witness.  That scan runs when the witness is first read, so a
-caller that reads only the status never pays for it.  A subset-enumeration
-oracle in the tests cross-validates both paths on small graphs.
+
+A violation's witness is the component of the failing placement: with the
+edges placed in sorted order, the first whose placement leaves the placed
+graph not (3,6)-sparse has ends u and v, and the witness is the largest S
+holding them that spans 3|S| - 5 placed edges.  The placed graph is
+(3,5)-sparse, so that S is unique and depends on the graph alone: u, v and
+every vertex that reaches no free pebble off them (``_PebbleGame``), read
+off the board at the failure.  A subset-enumeration oracle in the tests
+pins it on small graphs.
 
 The key lemma and the greedy reduction ask again and again whether G/e is
 sparse, for the hole's graph G, decided already.  So the game's final
@@ -38,10 +41,11 @@ exact; a graph's first game starts from the empty board.
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 
 from . import errors
 from .graphs import Graph, edge_key, freedom
-from .maxflow import densest_extension, fetch_pebble
+from .maxflow import _dead, densest_extension, fetch_pebble
 
 
 class Status(enum.Enum):
@@ -50,34 +54,12 @@ class Status(enum.Enum):
     VIOLATION = "Violation"
 
 
+@dataclass(frozen=True, slots=True)
 class SparsityVerdict:
-    """A sparsity status and, for a violation, a violating vertex set.
-
-    The witness may be given as a function of no arguments; it is then
-    called on the first read of ``witness``.  Verdicts are equal when their
-    status and witness are."""
-
-    __slots__ = ("status", "_witness")
-
-    def __init__(self, status: Status, witness=None):
-        self.status = status
-        self._witness = witness
-
-    @property
-    def witness(self) -> frozenset | None:
-        if callable(self._witness):
-            self._witness = self._witness()
-        return self._witness
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SparsityVerdict) and self.status is other.status
-                and self.witness == other.witness)
-
-    def __hash__(self):
-        return hash((self.status, self.witness))
-
-    def __repr__(self):
-        return f"SparsityVerdict(status={self.status!r}, witness={self.witness!r})"
+    """A sparsity status and, for a violation, a violating vertex set, the
+    module docstring's witness."""
+    status: Status
+    witness: frozenset | None = None
 
     @property
     def is_tight(self) -> bool:
@@ -117,8 +99,8 @@ class _PebbleGame:
     in-neighbours of one end alone decide whether it has three or more
     vertices, and only when both ends have placed degree four or more (the
     degree lemma of ``_big_component``).  A component that big, or a
-    rejected edge, is a (3,6) violation; on a simple graph the component is
-    always found first.
+    rejected edge, is a (3,6) violation; on a simple graph the component,
+    the module docstring's witness, is always found first.
 
     A vertex's placed degree is its degree in the graph less its edges
     still to place, so no count of the board is kept.  Each move changes a
@@ -135,10 +117,10 @@ class _PebbleGame:
         self.todo = todo
         self.log = log
 
-    def play(self, cut, added) -> bool:
+    def play(self, cut, added) -> tuple | None:
         """Play a delta: lift the edges of ``cut`` off the board, then place
-        those of ``added`` in sorted order; False at the first placement
-        that leaves the placed graph not (3,6)-sparse."""
+        those of ``added`` in sorted order; the first edge whose placement
+        leaves the placed graph not (3,6)-sparse, else None."""
         out, pebbles, log = self.out, self.pebbles, self.log
         for a, b in cut:
             t, h = (a, b) if b in out[a] else (b, a)
@@ -149,8 +131,8 @@ class _PebbleGame:
             pebbles[t] += 1
         for a, b in sorted(added):
             if not self.place(a, b):
-                return False
-        return True
+                return a, b
+        return None
 
     def place(self, u, v) -> bool:
         """Place edge uv; False when the placed graph stops being
@@ -254,13 +236,14 @@ def _undo(board, log) -> None:
         pebbles[t] = 3 - len(heads)
 
 
-def _trial(board, adj, todo, cut, added) -> tuple[bool, dict]:
+def _trial(board, adj, todo, cut, added) -> tuple[tuple | None, dict]:
     """Whether the graph reached from G by the delta ``cut``, ``added`` is
     (3,6)-sparse, played in place on ``board``, G's board decided sparse
-    (for a graph's first game, G has no edges and the board is empty);
-    with the log that ``_undo`` takes back.  ``adj`` gives the neighbour
-    sets, in that graph, of the ends of the edges of ``added``, and ``todo``
-    the number of them at each end.
+    (for a graph's first game, G has no edges and the board is empty): None
+    if so, else the failing edge (``_PebbleGame.play``), whose component the
+    board holds until ``_undo`` takes back the log, returned with it.
+    ``adj`` gives the neighbour sets, in that graph, of the ends of the
+    edges of ``added``, and ``todo`` the number of them at each end.
 
     Any valid start is sound.  Lifting the edges of ``cut`` leaves G's
     orientation of the edges the two graphs share.  They span a subgraph of
@@ -289,9 +272,10 @@ def _trial(board, adj, todo, cut, added) -> tuple[bool, dict]:
         raise
 
 
-def _contraction_trial(g: Graph, board, e) -> tuple[bool, int, dict]:
+def _contraction_trial(g: Graph, board, e) -> tuple[tuple | None, int, dict]:
     """Whether G/e is (3,6)-sparse, a ``_trial`` on ``board``, the board of
-    ``g`` decided sparse; with the end of e the trial removed and the log.
+    ``g`` decided sparse: None or the failing edge; with the end of e the
+    trial removed and the log.
 
     The end with fewer neighbours (the second on a tie) is merged into the
     other: the graph is G/e up to the merged vertex's name, and fewer edges
@@ -312,18 +296,22 @@ def _contraction_trial(g: Graph, board, e) -> tuple[bool, int, dict]:
     ends[keep] = (adj[keep] | at_gone) - {keep, gone}
     todo = dict.fromkeys(gained, 1)
     todo[keep] = len(gained)
-    sparse, log = _trial(board, ends, todo, [(gone, w) for w in at_gone],
+    failed, log = _trial(board, ends, todo, [(gone, w) for w in at_gone],
                          [edge_key(keep, w) for w in gained])
-    return sparse, gone, log
+    return failed, gone, log
 
 
-def _contraction_sparse(g: Graph, e) -> bool:
-    """Whether G/e is (3,6)-sparse, for ``g`` decided sparse: a contraction
-    trial on ``g``'s own board, undone before it returns."""
+def _contraction_violator(g: Graph, e) -> frozenset | None:
+    """None when G/e is (3,6)-sparse, else a violating set of G/e, for ``g``
+    decided sparse: the module docstring's witness of a contraction trial on
+    ``g``'s own board, which places the edges G/e gains at the kept end,
+    read before the trial is undone.  It holds the kept end, not the other."""
     board = g._board
-    sparse, _, log = _contraction_trial(g, board, e)
-    _undo(board, log)
-    return sparse
+    failed, _, log = _contraction_trial(g, board, e)
+    try:
+        return None if failed is None else _dead(*board, failed)
+    finally:
+        _undo(board, log)
 
 
 def _rename_merged(board, child: Graph, e, gone) -> None:
@@ -347,31 +335,13 @@ def _rename_merged(board, child: Graph, e, gone) -> None:
 def _pebble_sparse(g: Graph) -> bool:
     """True iff ``g`` is (3,6)-sparse, decided once per graph by a
     ``_trial`` on the empty board that cuts nothing and adds every edge:
-    the final board, or False, stays on ``g``."""
+    the final board, or the witness of a violation, stays on ``g``."""
     if g._board is None:
         board = {t: set() for t in g.vertices}, dict.fromkeys(g.vertices, 3)
         todo = {t: len(ns) for t, ns in g._adj.items()}
-        sparse, _ = _trial(board, g._adj, todo, (), g.edges)
-        g._board = board if sparse else False
-    return g._board is not False
-
-
-def _flow_scan(g: Graph, edges) -> SparsityVerdict:
-    """The verdict of one min-cut per edge of ``edges``, in their order, with
-    the first violating set found as the witness.  When none is found the
-    verdict is ``g``'s sparse one, which is right when every violating set
-    of ``g`` spans one of ``edges``.
-
-    The trivial optimum S = {u, v} of edge uv scores -5, so a score of -4 or
-    better proves the least optimiser violating outright; at exactly -5 an
-    optimiser violates when it has three or more vertices.
-    """
-    for u, v in edges:
-        value, s_min, s_max = densest_extension(g, (u, v))
-        for s in (s_min, s_max):
-            if value > -5 or value == -5 and len(s) >= 3:
-                return SparsityVerdict(Status.VIOLATION, s)
-    return _sparse_verdict(g)
+        failed, _ = _trial(board, g._adj, todo, (), g.edges)
+        g._board = board if failed is None else _dead(*board, failed)
+    return isinstance(g._board, tuple)
 
 
 def check_3_6(graph: Graph) -> SparsityVerdict:
@@ -379,22 +349,18 @@ def check_3_6(graph: Graph) -> SparsityVerdict:
 
     The (3,5) pebble game decides: a simple graph is (3,6)-sparse iff the
     game rejects no edge and finds no (3,5)-tight component of three or more
-    vertices, since such a component spans 3|S| - 5 edges.  A sparse graph
-    is answered at once.  Otherwise one min-cut per edge, in sorted order,
-    names the first violating set found, so verdicts and witnesses are those
-    of the per-edge flow scan alone.  That scan runs on the first read of
-    the verdict's ``witness``, never for a caller that reads only the status.
+    vertices, since such a component spans 3|S| - 5 edges.  The witness is
+    the first failing placement's component, as the module docstring says.
 
-    The game runs once per graph: its final board, or False for a violating
-    graph, is remembered on the ``Graph``, and a later call on it plays no
-    game (``_pebble_sparse``).
+    The game runs once per graph: its final board, or the witness of a
+    violating graph, is remembered on the ``Graph``, and a later call on it
+    plays no game (``_pebble_sparse``).
     """
     if len(graph.vertices) < 3:
         raise errors.TooFewVertices("(3,6)-sparsity needs at least 3 vertices")
     if _pebble_sparse(graph):
         return _sparse_verdict(graph)
-    return SparsityVerdict(
-        Status.VIOLATION, lambda: _flow_scan(graph, graph.sorted_edges()).witness)
+    return SparsityVerdict(Status.VIOLATION, graph._board)
 
 
 def maximal_tight_subgraph(graph: Graph, core, exclude=()) -> frozenset | None:

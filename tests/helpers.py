@@ -2,7 +2,8 @@
 
 The package keeps the decide, classify, reduce and certify path; these are
 the slow cross-checks (dense modular and rational rank, subset-enumeration
-sparsity, the pebble game's component search without its shortcuts, a
+sparsity and witnesses, the per-edge flow scan, also at a contraction's
+merged vertex, the pebble game's component search without its shortcuts, a
 pebble fetch by the full out-path search alone,
 exhaustive critical-cycle search over connected regions, the
 contraction rule from scans of the faces and edges, greedy reduction that
@@ -12,7 +13,8 @@ builds a disc after every added face, the record and face-list checks one
 field at a time, walk alignments by consistency of the vertex map, the
 disc region in two passes and the hole graph by the generic build),
 the builders (face-graph quotients, separating cycles from a region, vertex
-splits on a torus) that tests compare that path against, every torus on
+splits on a torus, a certificate's chain of graphs) that tests compare
+that path against, every torus on
 seven to nine vertices by a search of the flip graph, the records the
 keylemma benchmark draws, and an in-process CLI runner.
 """
@@ -40,6 +42,7 @@ from torusrig.complexes import (ClosedWalk, DiscMap, SurfaceComplex,
 from torusrig.corpus import MAX_REGION, CorpusSpec, corpus_records
 from torusrig.fileio import _items
 from torusrig.graphs import Graph, contract_edge, edge_key
+from torusrig.maxflow import densest_extension
 from torusrig.reduction import (Contraction, EdgeClass, SeparatingCycle,
                                 _region_criticals, contract)
 from torusrig.sparsity import (SparsityVerdict, Status, _PebbleGame,
@@ -171,6 +174,106 @@ def brute_force_3_6(g: Graph) -> SparsityVerdict:
     if best is not None:
         return SparsityVerdict(Status.VIOLATION, best[1])
     return _sparse_verdict(g)
+
+
+def flow_scan(g: Graph, edges) -> SparsityVerdict:
+    """The verdict of one min-cut per edge of ``edges``, in their order, with
+    the first violating set found as the witness.  When none is found the
+    verdict is ``g``'s sparse one, which is right when every violating set
+    of ``g`` spans one of ``edges``.
+
+    The trivial optimum S = {u, v} of edge uv scores -5, so a score of -4 or
+    better proves the least optimiser violating outright; at exactly -5 an
+    optimiser violates when it has three or more vertices.
+    """
+    for u, v in edges:
+        value, s_min, s_max = densest_extension(g, (u, v))
+        for s in (s_min, s_max):
+            if value > -5 or value == -5 and len(s) >= 3:
+                return SparsityVerdict(Status.VIOLATION, s)
+    return _sparse_verdict(g)
+
+
+def _span_counts(n: int, edges) -> list[int]:
+    """The number of ``edges``, pairs of positions below n, that each
+    vertex subset spans, indexed by the subset's bit mask."""
+    nbr = [0] * n
+    for a, b in edges:
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
+    counts = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        rest = mask ^ low
+        counts[mask] = counts[rest] + (nbr[low.bit_length() - 1] & rest).bit_count()
+    return counts
+
+
+def first_violator(g: Graph, order=None) -> frozenset | None:
+    """``check_3_6``'s witness by subset enumeration: None for a
+    (3,6)-sparse graph, else, for the first edge of ``order`` (the sorted
+    edges by default) whose prefix of ``order`` is not (3,6)-sparse, the
+    largest vertex set that holds its ends and spans 3|S| - 5 prefix edges.
+    That set is the union of all such sets, which is checked.  BadArgument
+    above ``BRUTE_FORCE_CAP`` vertices."""
+    verts = sorted(g.vertices)
+    n = len(verts)
+    if n > BRUTE_FORCE_CAP:
+        raise errors.BadArgument(f"{n} vertices exceeds the cap of {BRUTE_FORCE_CAP}")
+    pos = {v: i for i, v in enumerate(verts)}
+    edges = [(pos[u], pos[v]) for u, v in order or g.sorted_edges()]
+    sizes = [mask.bit_count() for mask in range(1 << n)]
+
+    def breaks_at(m) -> int:
+        """The position of the edge at which the set m first violates, the
+        (3|S| - 5)-th edge that it spans."""
+        inside = (k for k, (a, b) in enumerate(edges) if m >> a & m >> b & 1)
+        return next(itertools.islice(inside, 3 * sizes[m] - 6, None))
+
+    breaks = [breaks_at(m) for m, c in enumerate(_span_counts(n, edges))
+              if sizes[m] >= 3 and c > 3 * sizes[m] - 6]
+    if not breaks:
+        return None
+    last = min(breaks)
+    a, b = edges[last]
+    ends = 1 << a | 1 << b
+    tight = [m for m, c in enumerate(_span_counts(n, edges[:last + 1]))
+             if m & ends == ends and c == 3 * sizes[m] - 5]
+    largest = max(tight, key=sizes.__getitem__)
+    assert all(m | largest == largest for m in tight)
+    return frozenset(verts[i] for i in range(n) if largest >> i & 1)
+
+
+def scan_violator(g: Graph, e) -> frozenset | None:
+    """A violator of G/e as the key-lemma search once found it, for ``g``
+    tight: None when a fresh G/e is sparse, else the first violating set of
+    the flow scan of the edges at the merged vertex z = e[0] of
+    ``contract_edge(g, *e)``, in order of their other end.  z lies in e,
+    so its union with e is the lift the search takes."""
+    z = e[0]
+    h = contract_edge(g, *e)
+    if check_3_6(h).status is not Status.VIOLATION:
+        return None
+    return flow_scan(h, [edge_key(z, w) for w in sorted(h.neighbors(z))]).witness
+
+
+def violates_3_6(g: Graph, s) -> bool:
+    """Whether the vertex set ``s`` of three or more vertices spans more
+    than 3|s| - 6 edges of ``g``."""
+    return len(s) >= 3 and len(induced(g, s).edges) > 3 * len(s) - 6
+
+
+def replay_chain(cert) -> list[Graph]:
+    """Every graph of a certificate's replay, K3 first: the splits applied
+    one at a time, as ``Certificate.target`` applies them, each graph
+    kept."""
+    a, b, c = cert.base_vertices
+    graphs = [Graph([a, b, c], [(a, b), (a, c), (b, c)])]
+    for s in cert.splits:
+        graphs.append(graphs[-1].split_vertex(
+            s.vertex, *s.anchors, [(s.vertex, t) for t in s.moved],
+            new_vertex=s.new_vertex))
+    return graphs
 
 
 def is_connected(g: Graph) -> bool:

@@ -62,6 +62,25 @@ def test_a_corner_that_is_not_an_int_is_refused_before_the_lookup(corner):
     assert fileio._torus.cache_info() == before
 
 
+def test_a_record_s_face_list_is_walked_once():
+    # the record check builds the torus's key in the pass that checks each
+    # face, so loading a record walks its face list once, whether the torus
+    # is new or held
+    walks = []
+
+    class Faces(list):
+        def __iter__(self):
+            walks.append(1)
+            return super().__iter__()
+
+    for shift in (20_000, 20_000):
+        record = _grid_record(3, 3, shift=shift)
+        record["faces"] = Faces(record["faces"])
+        walks.clear()
+        record_to_hole(record)
+        assert len(walks) == 1
+
+
 def test_two_holes_on_one_torus_share_nothing_else():
     a = record_to_hole(_grid_record(4, 4, (0,)))
     b = record_to_hole(_grid_record(4, 4, (9,)))

@@ -210,8 +210,9 @@ def test_gen_output_is_pinned(args, digest):
 
 
 #: sha256 of ``gen --seed 3 --count 200 | batch-check``, whose 116
-#: violations carry their witnesses
-BATCH_CHECK_DIGEST = "1f94820e927f1f22ac6d1b970498137781fd64d8e2122ca0fc28a5a36d7647b6"
+#: violations carry their witnesses, each the component of the first failing
+#: placement in sorted edge order (``sparsity``)
+BATCH_CHECK_DIGEST = "edc70159caf7ca8975db185f5c1cc187d5056de392db1a8e74beaef5c0dbf36b"
 
 
 def test_batch_check_output_is_pinned():
@@ -338,7 +339,8 @@ def test_cli_check_rejects_pinched_surface():
 
 def test_cli_check_pins_violation_witness():
     # the fourth seed-7 record on the 4x4 torus violates (3,6); its witness
-    # is the first violating set of the per-edge flow scan in sorted order
+    # is the component of the first placement, in sorted edge order, that
+    # leaves the placed edges not (3,6)-sparse
     gen = run_cli(["gen", "--seed", "7", "--count", "4", "--grids", "4x4"])
     record = gen.stdout.splitlines()[3]
     out = run_cli(["check", "-"], stdin=record)

@@ -18,7 +18,7 @@ from torusrig.rigidity import (DIM, FIELD_PRIME, Placement, generic_rank,
                                rigidity_report)
 from torusrig.sparsity import check_3_6
 
-from helpers import dense_rank_mod_p, induced, rank_rational
+from helpers import dense_rank_mod_p, induced, rank_rational, replay_chain
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 OCTAHEDRON = Graph(range(6), complete_graph(6).edges - {(0, 1), (2, 3), (4, 5)})
@@ -134,7 +134,7 @@ def test_field_rank_matches_rational_rank_small():
 
 
 # every graph that certificates of H1, H5, H9 and H17 replay
-REPLAYED = [g for i in (1, 5, 9, 17) for g in certify(build_H(i)).replay()]
+REPLAYED = [g for i in (1, 5, 9, 17) for g in replay_chain(certify(build_H(i)))]
 
 
 @st.composite
@@ -242,7 +242,7 @@ def test_rank_at_placement_matches_dense_reference_on_replays():
     # every graph that verify_certificate replays for H1-H17, ranked by the
     # kernel and by the dense sorted-order reference
     for i in range(1, 18):
-        for g in certify(build_H(i)).replay():
+        for g in replay_chain(certify(build_H(i))):
             placement = random_placement(g, seed=0)
             dense = dense_rank_mod_p(rigidity_matrix(g, placement), FIELD_PRIME)
             assert rank_at_placement(g, placement) == dense \
@@ -272,7 +272,7 @@ def test_placement_of_a_subgraph_is_the_restriction():
     # every replay step and an induced subgraph see the coordinates that
     # their vertices have in the whole graph
     g = build_H(9).graph
-    subs = certify(build_H(9)).replay() + [induced(g, sorted(g.vertices)[::2])]
+    subs = replay_chain(certify(build_H(9))) + [induced(g, sorted(g.vertices)[::2])]
     for seed in (0, 1, 17):
         whole = random_placement(g, seed)
         for sub in subs:

@@ -11,12 +11,14 @@ imports is used there, except the bindings the benchmark tracer wraps.
 Every import is from the standard library or relative, as the empty
 ``dependencies`` of ``pyproject.toml`` promise (numpy, say, would also add
 about 14 MB to a process's resident memory).  Only ``sparsity`` knows the
-pebble board a ``Graph`` keeps.
+pebble board a ``Graph`` keeps, and a violation's witness comes from that
+board, not from a second engine.
 """
 
 import ast
 import collections
 import importlib.util
+import inspect
 import pathlib
 import re
 import sys
@@ -24,6 +26,7 @@ import sys
 import pytest
 
 import torusrig
+from torusrig.sparsity import SparsityVerdict
 
 TESTS = pathlib.Path(__file__).resolve().parent
 TRACER = TESTS.parent / "perfbench" / "tracer.py"
@@ -228,3 +231,32 @@ def test_imports_are_stdlib_or_relative(path):
     outside = [f"{path.name}:{line} {name}" for line, name in modules
                if name.partition(".")[0] not in sys.stdlib_module_names]
     assert not outside, f"imports from outside the standard library: {outside}"
+
+
+def test_one_engine_decides_and_witnesses():
+    # a violation's witness is read off the failing pebble-game placement:
+    # no flow scan and no callable or lazily computed witness is left in
+    # the package, and the key-lemma search builds no G/e to find one
+    scans, lazy, contractions = [], [], []
+    for path in SOURCES:
+        text = path.read_text()
+        scans += [f"{path.name}:{n}" for n, line in enumerate(text.splitlines(), 1)
+                  if "_flow_scan" in line]
+        tree = ast.parse(text, filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                args = node.args + [k.value for k in node.keywords]
+                if name == "callable" or name == "SparsityVerdict" and any(
+                        isinstance(a, ast.Lambda) for a in args):
+                    lazy.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.FunctionDef) \
+                    and node.name == "find_critical_cycle_through":
+                contractions += [
+                    f"{path.name}:{c.lineno}" for c in ast.walk(node)
+                    if isinstance(c, ast.Call) and "contract_edge" in
+                    (getattr(c.func, "id", None), getattr(c.func, "attr", None))]
+    assert not scans, f"a flow scan is named in src/ at {scans}"
+    assert not lazy, f"a witness is computed on demand at {lazy}"
+    assert not contractions, f"the key-lemma search builds G/e at {contractions}"
+    assert not isinstance(inspect.getattr_static(SparsityVerdict, "witness"), property)

@@ -10,19 +10,20 @@ from torusrig.complexes import TorusComplex, cut_hole, rectangular_torus
 from torusrig.corpus import CorpusSpec, gen_corpus
 from torusrig.graphs import (Graph, complete_graph, contract_edge,
                              double_banana, edge_key, freedom)
-from torusrig.reduction import certify, contract, contractible_edges
-from torusrig.sparsity import (SparsityVerdict, Status, _contraction_sparse,
-                               _contraction_trial, _copy_board, _flow_scan,
+from torusrig.reduction import contract, contractible_edges
+from torusrig.sparsity import (SparsityVerdict, Status, _contraction_trial,
+                               _contraction_violator, _copy_board,
                                _pebble_sparse, _PebbleGame, _rename_merged,
                                _trial, _undo, check_3_6, is_in_T,
                                maximal_tight_subgraph)
 
 from torusrig.fileio import record_to_hole
 
-from helpers import (assert_board_of, board_state, brute_force_3_6,
-                     component_oracle_checked, holds, induced, keylemma_records,
-                     random_parent, record_pebble_games, tight_plus_one_edge,
-                     torus_census)
+from helpers import (BRUTE_FORCE_CAP, assert_board_of, board_state,
+                     brute_force_3_6, component_oracle_checked, first_violator,
+                     flow_scan, holds, keylemma_records, random_parent,
+                     record_pebble_games, tight_plus_one_edge, torus_census,
+                     violates_3_6)
 
 
 def random_graph(data, max_n=11):
@@ -31,6 +32,42 @@ def random_graph(data, max_n=11):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     m = data.draw(st.integers(min_value=0, max_value=3 * n - 3))
     return Graph(range(n), data.draw(st.permutations(pairs))[:m])
+
+
+def assert_oracles_agree(g: Graph, got: SparsityVerdict):
+    """``got``, ``check_3_6``'s verdict on ``g``, has the status of the flow
+    scan of every edge in sorted order and a witness that violates; on a
+    graph within ``BRUTE_FORCE_CAP`` vertices the witness is the first
+    failing placement's component by subset enumeration."""
+    assert got.status is flow_scan(g, g.sorted_edges()).status
+    assert got.witness is None or violates_3_6(g, got.witness)
+    if len(g.vertices) <= BRUTE_FORCE_CAP:
+        assert got.witness == first_violator(g)
+
+
+def assert_contraction_violator(g: Graph, e) -> frozenset | None:
+    """``_contraction_violator(g, e)``, for ``g`` decided sparse, checked and
+    returned: None exactly when a fresh G/e is sparse, else a violating set
+    of G/e named by the end of e it holds, the kept one.  Within
+    ``BRUTE_FORCE_CAP`` vertices it is the first failing placement's
+    component by subset enumeration, with the edges G/e gains at the kept
+    end placed last, in sorted order, as the trial places them."""
+    u, v = e
+    got = _contraction_violator(g, e)
+    h = contract_edge(g, u, v)
+    fresh = check_3_6(Graph(h.vertices, h.edges))
+    assert (got is None) is (fresh.status is not Status.VIOLATION), e
+    if got is not None:
+        keep = u if u in got else v
+        gone = u + v - keep
+        assert gone not in got
+        h = contract_edge(g, keep, gone)
+        assert violates_3_6(h, got)
+        if len(h.vertices) <= BRUTE_FORCE_CAP:
+            gained = sorted(edge_key(keep, x) for x in
+                            g.neighbors(gone) - g.neighbors(keep) - {keep})
+            assert first_violator(h, sorted(h.edges - set(gained)) + gained) == got
+    return got
 
 
 def test_k4_tight_both_paths():
@@ -74,11 +111,8 @@ def test_witness_certificate_contract():
         m = rng.randrange(3 * n - 8, min(len(pairs), 3 * n - 2))
         g = Graph(range(n), rng.sample(pairs, m))
         v = check_3_6(g)
-        if v.witness is not None:
-            w = v.witness
-            ind = induced(g, w)
-            assert len(w) >= 3
-            assert len(ind.edges) > 3 * len(w) - 6
+        assert v.witness is None or violates_3_6(g, v.witness)
+        assert v.witness == first_violator(g)
 
 
 @given(st.data())
@@ -89,30 +123,21 @@ def test_flow_path_matches_brute_force(data):
     m = data.draw(st.integers(min_value=n - 1, max_value=min(len(pairs), 3 * n - 4)))
     edges = data.draw(st.permutations(pairs))[:m]
     g = Graph(range(n), edges)
-    assert check_3_6(g).status is brute_force_3_6(g).status
+    got = check_3_6(g)
+    assert got.status is brute_force_3_6(g).status
+    assert got.witness == first_violator(g)
 
 
-def test_witness_is_searched_only_when_read(monkeypatch, tight_corpus):
-    # the flow scan behind a violation's witness runs on the first read of
-    # the witness, once; greedy reduction reads only tightness, so certify
-    # runs none, though it meets violating contractions
-    calls = []
-    real = sparsity.densest_extension
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(sparsity, "densest_extension", counting)
-    v = check_3_6(complete_graph(5))
-    assert v.status is Status.VIOLATION and not calls
-    assert v.witness == frozenset(range(5)) and calls
-    scans = len(calls)
-    assert v.witness == frozenset(range(5)) and len(calls) == scans
-    calls.clear()
-    for hole in tight_corpus[:20]:
-        certify(hole)
-    assert not calls
+def test_witness_is_not_the_flow_scans():
+    # a 7-vertex, 17-edge draw on which the first failing placement's
+    # component, {0..6}, is not the set the per-edge flow scan finds
+    # first, {0..5}: the witness depends on the sorted edges alone
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3),
+             (1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5),
+             (4, 5)]
+    g = Graph(range(7), edges)
+    assert check_3_6(g).witness == first_violator(g) == frozenset(range(7))
+    assert flow_scan(g, g.sorted_edges()).witness == frozenset(range(6))
 
 
 def test_violation_monotone_under_supergraph():
@@ -136,12 +161,12 @@ def test_through_vertex_restriction():
     k5 = SparsityVerdict(Status.VIOLATION, frozenset(range(5)))
     g = Graph(range(8), list(complete_graph(5).edges) +
               [(5, 6), (5, 7), (6, 7)])
-    assert check_3_6(g) == _flow_scan(g, g.sorted_edges()) == k5
-    assert _flow_scan(g, [(5, 7), (0, 4)]) == k5
-    assert _flow_scan(g, [(5, 7), (6, 7)]).status is not Status.VIOLATION
+    assert check_3_6(g) == flow_scan(g, g.sorted_edges()) == k5
+    assert flow_scan(g, [(5, 7), (0, 4)]) == k5
+    assert flow_scan(g, [(5, 7), (6, 7)]).status is not Status.VIOLATION
     pendant = Graph(range(6), list(complete_graph(5).edges) + [(0, 5)])
-    assert check_3_6(pendant) == _flow_scan(pendant, pendant.sorted_edges()) == k5
-    assert _flow_scan(pendant, [(0, 5)]).status is not Status.VIOLATION
+    assert check_3_6(pendant) == flow_scan(pendant, pendant.sorted_edges()) == k5
+    assert flow_scan(pendant, [(0, 5)]).status is not Status.VIOLATION
 
 
 def test_maximal_tight_subgraph():
@@ -161,30 +186,32 @@ def test_maximal_tight_subgraph():
 def test_pebble_game_matches_brute_force(data):
     g = random_graph(data)
     assert _pebble_sparse(g) is (brute_force_3_6(g).status is not Status.VIOLATION)
+    assert check_3_6(g).witness == first_violator(g)
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_through_vertex_matches_flow_scan(data):
-    # check_3_6's witness is the sorted scan's; a scan with the edges at x
-    # first has the same status, and a violation that the edges at x alone
-    # find is the one that scan names
+    # check_3_6's status is the sorted scan's, and its witness violates and
+    # is the first failing placement's component; a scan with the edges at
+    # x first has the same status, and a violation that the edges at x
+    # alone find is the one that scan names
     g = random_graph(data)
     x = data.draw(st.sampled_from(sorted(g.vertices)))
-    assert check_3_6(g) == _flow_scan(g, g.sorted_edges())
+    assert_oracles_agree(g, check_3_6(g))
     x_first = sorted(g.edges, key=lambda e: (x not in e, e))
-    assert _flow_scan(g, x_first).status is check_3_6(g).status
-    at_x = _flow_scan(g, [e for e in x_first if x in e])
+    assert flow_scan(g, x_first).status is check_3_6(g).status
+    at_x = flow_scan(g, [e for e in x_first if x in e])
     if at_x.status is Status.VIOLATION:
-        assert at_x == _flow_scan(g, x_first)
+        assert at_x == flow_scan(g, x_first)
 
 
 def test_verdicts_match_flow_scan_on_corpus(corpus9, tight_corpus):
     tight = 0
     for hole in corpus9:
-        want = _flow_scan(hole.graph, hole.graph.sorted_edges())
-        assert check_3_6(hole.graph).to_json() == want.to_json()
-        tight += want.is_tight
+        got = check_3_6(hole.graph)
+        assert_oracles_agree(hole.graph, got)
+        tight += got.is_tight
     assert tight == len(tight_corpus) > 50
 
 
@@ -194,9 +221,9 @@ def test_contraction_verdicts_match_flow_scan():
         hole = build_H(i)
         for e in contractible_edges(hole):
             g = contract(hole, e).graph
-            got = check_3_6(g).to_json()
-            assert got == _flow_scan(g, g.sorted_edges()).to_json()
-            violations += got["status"] == Status.VIOLATION.value
+            got = check_3_6(g)
+            assert_oracles_agree(g, got)
+            violations += got.status is Status.VIOLATION
     assert violations > 0
 
 
@@ -249,8 +276,9 @@ def test_component_shortcut_matches_oracle_on_random_graphs(data):
         graphs += [Graph(g.vertices, g.edges - {e}) for e in rng.sample(sorted(g.edges), 3)]
     with component_oracle_checked():
         for h in graphs:
-            check_3_6(h)
-            check_3_6(contract_edge(h, *rng.choice(h.sorted_edges())))
+            h_e = contract_edge(h, *rng.choice(h.sorted_edges()))
+            for x in (h, h_e):
+                assert check_3_6(x).witness == first_violator(x)
 
 
 def test_component_search_reads_each_out_set_once():
@@ -305,9 +333,9 @@ def _delta_sparse(g: Graph, child: Graph) -> bool:
     board = g._board
     added = child.edges - g.edges
     todo = Counter(x for e in added for x in e)
-    sparse, log = _trial(board, child._adj, todo, g.edges - child.edges, added)
+    failed, log = _trial(board, child._adj, todo, g.edges - child.edges, added)
     _undo(board, log)
-    return sparse
+    return failed is None
 
 
 @given(st.data())
@@ -330,9 +358,10 @@ def test_contraction_chain_verdicts_match_fresh_graphs(data):
         h = contract_edge(g, u, v)
         fresh = check_3_6(Graph(h.vertices, h.edges))
         assert fresh.status is brute_force_3_6(h).status
-        if memo is not False:
+        assert fresh.witness == first_violator(h)
+        if isinstance(memo, tuple):
             before = board_state(g._board)
-            assert _contraction_sparse(g, (u, v)) is (fresh.status is not Status.VIOLATION)
+            assert_contraction_violator(g, (u, v))
             assert board_state(g._board) == before
         assert h._board is None
         got = check_3_6(h)
@@ -345,10 +374,11 @@ def test_contraction_chain_verdicts_match_fresh_graphs(data):
 
 def test_contraction_verdicts_match_fresh_graphs_on_corpus(tight_corpus):
     # every contractible edge of the tight corpus and of H1-H17, tried on
-    # the parent's board in place; the parent's board never changes.  The
-    # key-lemma search reads a violating G/e's witness off the edges at the
-    # merged vertex z alone, in order of their other end; on tight input
-    # that is the verdict of a scan of every edge with z's first
+    # the parent's board in place; the parent's board never changes.  A
+    # violating G/e's violator, which the key-lemma search reads off the
+    # trial, violates and is the failing placement's component; on tight
+    # input the flow scan of the edges at the merged vertex z alone finds a
+    # violation too
     holes = list(tight_corpus) + [build_H(i) for i in range(1, 18)]
     checked = violations = 0
     for hole in holes:
@@ -357,16 +387,14 @@ def test_contraction_verdicts_match_fresh_graphs_on_corpus(tight_corpus):
         memo = g._board
         before = board_state(g._board)
         for e in contractible_edges(hole):
-            h = contract_edge(g, *e)
-            fresh = check_3_6(Graph(h.vertices, h.edges))
-            assert _contraction_sparse(g, e) is (fresh.status is not Status.VIOLATION), e
+            violator = assert_contraction_violator(g, e)
             assert g._board is memo
             checked += 1
-            if fresh.status is Status.VIOLATION:
+            if violator is not None:
                 z = e[0]
-                at_z = _flow_scan(h, [edge_key(z, w) for w in sorted(h.neighbors(z))])
-                z_first = sorted(h.edges, key=lambda f: (z not in f, f))
-                assert at_z == _flow_scan(h, z_first) == fresh, e
+                h = contract_edge(g, *e)
+                at_z = flow_scan(h, [edge_key(z, w) for w in sorted(h.neighbors(z))])
+                assert at_z.status is Status.VIOLATION, e
                 violations += 1
         assert board_state(g._board) == before
     assert checked > 3000 and violations > 100
@@ -384,10 +412,10 @@ def test_contraction_places_only_the_edges_at_the_merged_vertex(monkeypatch):
     board = g._board
     for u, v in contractible_edges(hole):
         placed.clear()
-        sparse, gone, log = _contraction_trial(g, board, (u, v))
+        failed, gone, log = _contraction_trial(g, board, (u, v))
         _undo(board, log)
         z = u + v - gone
-        assert sparse and not games
+        assert failed is None and not games
         assert placed == sorted(contract_edge(g, z, gone).edges - g.edges)
         assert all(z in e for e in placed)
     h = contract_edge(g, u, v)
@@ -477,7 +505,7 @@ def test_memo_takes_no_part_in_equality_or_hashing():
         assert h == twin and hash(h) == hash(twin)
         check_3_6(twin)
         if h is violating:
-            assert h._board is twin._board is False
+            assert h._board == twin._board == frozenset(range(5))
         else:
             assert h._board and twin._board and twin._board is not h._board
         assert h == twin and hash(h) == hash(twin)
@@ -503,8 +531,8 @@ def test_decided_graph_holds_no_ancestor():
         chain.append(h)
     for e in contractible_edges(hole):
         board = _copy_board(g)
-        sparse, gone, _ = _contraction_trial(g, board, e)
-        if not sparse:
+        failed, gone, _ = _contraction_trial(g, board, e)
+        if failed:
             continue
         h = contract_edge(g, *e)
         _rename_merged(board, h, e, gone)
@@ -560,11 +588,15 @@ def test_contraction_trial_matches_a_cold_game_and_undoes_exactly():
             for u, v in (e, e[::-1]):
                 h = contract_edge(g, u, v)
                 want = check_3_6(Graph(h.vertices, h.edges)).status is not Status.VIOLATION
-                sparse, gone, log = _contraction_trial(g, board, (u, v))
+                failed, gone, log = _contraction_trial(g, board, (u, v))
+                sparse = failed is None
                 assert sparse is want, (e, u, gone)
+                child = contract_edge(g, u + v - gone, gone)
                 if sparse:
-                    assert_board_of(*board, contract_edge(g, u + v - gone, gone))
+                    assert_board_of(*board, child)
                     assert not board[0][gone] and board[1][gone] == 3
+                else:
+                    assert failed in child.edges - g.edges, (e, u, failed)
                 _undo(board, log)
                 assert board_state(board) == before, (e, u, gone)
                 seen[sparse, gone == u] += 1
@@ -584,9 +616,9 @@ def test_contraction_trial_matches_the_oracle_on_random_parents(data):
     board = g._board
     before = board_state(board)
     for u, v in g.sorted_edges():
-        sparse, _, log = _contraction_trial(g, board, (u, v))
+        failed, _, log = _contraction_trial(g, board, (u, v))
         want = brute_force_3_6(contract_edge(g, u, v)).status
-        assert sparse is (want is not Status.VIOLATION), (u, v)
+        assert (failed is None) is (want is not Status.VIOLATION), (u, v)
         _undo(board, log)
         assert board_state(board) == before
 
@@ -616,7 +648,7 @@ def test_a_repeated_contraction_trial_fetches_the_same_way(monkeypatch, tight_co
             counts = []
             for _ in range(3):
                 fetches[0] = 0
-                _contraction_sparse(g, e)
+                _contraction_violator(g, e)
                 counts.append(fetches[0])
             assert counts[0] == counts[1] == counts[2], (e, counts)
             assert {t: list(heads) for t, heads in out.items()} == order, e
