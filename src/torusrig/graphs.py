@@ -76,7 +76,15 @@ class Graph:
     # -- basic queries ------------------------------------------------
 
     def __contains__(self, edge) -> bool:
-        return edge_key(*edge) in self.edges
+        """Whether the pair ``edge`` is an edge, in either order: False for
+        a loop or a pair of non-integers, BadArgument for a non-pair."""
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise errors.BadArgument(f"edge {edge!r} is not a pair") from None
+        if type(u) is not int or type(v) is not int:
+            return False
+        return ((u, v) if u < v else (v, u)) in self.edges
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph)

@@ -1,4 +1,7 @@
-"""Densest extensions, solved on the pebble game's board.
+"""The pebble search, and densest extensions solved on the pebble game's board.
+
+``fetch_pebble`` is the one search that moves a pebble, in every game and
+trial of ``sparsity`` and in ``densest_extension``, whose log no undo reads.
 
 The selection problem: choose a vertex set S containing ``force_in`` and
 avoiding ``force_out`` that maximises |E(G[S])| - 3|S|.  It is a bounded
@@ -23,36 +26,15 @@ from __future__ import annotations
 from . import errors
 
 
-def fetch_pebble(pebbles, out, root, pinned=(), log=None) -> bool:
+def fetch_pebble(pebbles, out, root, pinned, log) -> bool:
     """Move a free pebble off ``pinned`` to ``root`` by reversing the
     out-path that reaches it; False when no out-path from ``root`` does.
 
     ``pebbles`` holds each vertex's free pebbles and ``out`` the out-sets
-    of the covered edges' orientation.  Most pebbles lie one edge away, so
-    ``root``'s out-set is scanned first and the first head holding one
-    gives it up by reversing that edge; only a miss starts the depth-first
-    search.  The search meets the heads in that same order and takes the
-    first such pebble, so the scan moves the pebble the search would.
-
-    Given a ``log``, a dict, each out-set the reversal changes is kept in
-    it, by its tail, before its first change, and ``out`` gets a copy to
-    change: a pebble game's trial puts the kept sets back to undo its moves
-    (``sparsity._undo``)."""
-    heads = out[root]
-    for y in heads:
-        if pebbles[y] and y not in pinned:
-            if log is not None:
-                if root not in log:
-                    log[root] = heads
-                    out[root] = set(heads)
-                if y not in log:
-                    log[y] = out[y]
-                    out[y] = set(out[y])
-            pebbles[y] -= 1
-            pebbles[root] += 1
-            out[root].remove(y)
-            out[y].add(root)
-            return True
+    of the covered edges' orientation.  The depth-first search takes the
+    first such pebble it meets; its first level is ``root``'s out-set, in
+    its order.  Each out-set the reversal changes goes to ``log`` before
+    its first change, as ``sparsity._trial`` states."""
     parent = {root: None}
     stack = [root]
     while stack:
@@ -66,13 +48,12 @@ def fetch_pebble(pebbles, out, root, pinned=(), log=None) -> bool:
                 pebbles[root] += 1
                 while y != root:
                     x = parent[y]
-                    if log is not None:
-                        if x not in log:
-                            log[x] = out[x]
-                            out[x] = set(out[x])
-                        if y not in log:
-                            log[y] = out[y]
-                            out[y] = set(out[y])
+                    if x not in log:
+                        log[x] = out[x]
+                        out[x] = set(out[x])
+                    if y not in log:
+                        log[y] = out[y]
+                        out[y] = set(out[y])
                     out[x].remove(y)
                     out[y].add(x)
                     y = x
@@ -93,7 +74,7 @@ def _reach(step, start) -> frozenset:
     return frozenset(seen)
 
 
-def _dead(out, pebbles, spent=()) -> frozenset:
+def _dead(out, pebbles, spent) -> frozenset:
     """The vertices of the board ``out``, ``pebbles`` that reach no free
     pebble off ``spent``: those the reversed orientation misses from one."""
     back = {v: [] for v in out}
@@ -120,13 +101,13 @@ def densest_extension(graph, force_in, force_out=()):
         raise errors.BadArgument(f"vertices {sorted(unknown)} are not in the graph")
     pebbles = {v: 0 if v in force_in else 3 for v in graph.vertices - force_out}
     out = {v: set() for v in pebbles}
-    loose = []
+    loose, log = [], {}
     for u, v in graph.edges:
         if u in force_out or v in force_out:
             continue
-        if pebbles[u] or not pebbles[v] and fetch_pebble(pebbles, out, u):
+        if pebbles[u] or not pebbles[v] and fetch_pebble(pebbles, out, u, (), log):
             tail, head = u, v
-        elif pebbles[v] or fetch_pebble(pebbles, out, v):
+        elif pebbles[v] or fetch_pebble(pebbles, out, v, (), log):
             tail, head = v, u
         else:
             loose.append((u, v))
@@ -134,4 +115,4 @@ def densest_extension(graph, force_in, force_out=()):
         pebbles[tail] -= 1
         out[tail].add(head)
     s_min = _reach(out, {x for e in loose for x in e}) | force_in
-    return len(loose) - 3 * len(force_in), s_min, _dead(out, pebbles)
+    return len(loose) - 3 * len(force_in), s_min, _dead(out, pebbles, ())

@@ -81,9 +81,8 @@ class _PebbleGame:
     placed edges' orientation, and ``pebbles``, every vertex's free
     pebbles.  ``adj`` gives the neighbour sets, in the graph being decided,
     of the ends of the edges to place, and ``todo`` the number of edges
-    still to place at each of them.  ``log`` keeps every out-set the game
-    changes, by its tail, before the first change, and the game changes a
-    copy (``_trial``).
+    still to place at each of them.  ``log`` is the trial's log, kept as
+    ``_trial`` states.
 
     Every vertex has three pebbles, and a pebble on a vertex either lies
     free or covers one of its out-edges, so every vertex set S has
@@ -227,9 +226,8 @@ def _copy_board(g: Graph) -> tuple[dict, dict]:
 
 def _undo(board, log) -> None:
     """Put ``board`` back as it was before the trial that wrote ``log``:
-    every out-set the trial changed is replaced by the very set object the
-    log kept, which the trial never changed, and its vertex gets three
-    pebbles less its out-degree, as on every board."""
+    each logged out-set object goes back in place, and its tail gets three
+    pebbles less its out-degree (``_trial``)."""
     out, pebbles = board
     for t, heads in log.items():
         out[t] = heads
@@ -255,15 +253,16 @@ def _trial(board, adj, todo, cut, added) -> tuple[tuple | None, dict]:
     detects depend only on the placed graph, not on the order of placement
     or the start, so the verdict is a cold game's.
 
-    The undo is exact.  The log keeps every out-set object that the cuts,
-    the placements and the path reversals of ``fetch_pebble`` would change,
-    and the game changes a copy of it; every vertex of a board holds three
-    pebbles less its out-degree (``_PebbleGame``).  So putting the kept
-    objects back gives back the board's out-sets, in their own iteration
-    order, and its pebbles exactly, and a repeated trial fetches along the
-    same paths.  An interrupted trial is undone before the exception
-    leaves.  Until the caller undoes the trial or keeps its result, the
-    board is the trial's, so two trials on one board must not overlap."""
+    The undo is exact.  Before a vertex's out-set first changes, by a cut,
+    a placement or a path reversal of ``fetch_pebble``, the log keeps the
+    set object by its tail and the board gets a copy to change, so no kept
+    object ever changes; every vertex of a board holds three pebbles less
+    its out-degree (``_PebbleGame``).  So putting the kept objects back
+    gives back the board's out-sets, in their own iteration order, and its
+    pebbles exactly, and a repeated trial fetches along the same paths.  An
+    interrupted trial is undone before the exception leaves.  Until the
+    caller undoes the trial or keeps its result, the board is the trial's,
+    so two trials on one board must not overlap."""
     log: dict = {}
     try:
         return _PebbleGame(adj, *board, todo, log).play(cut, added), log
@@ -368,9 +367,12 @@ def maximal_tight_subgraph(graph: Graph, core, exclude=()) -> frozenset | None:
     ``exclude``; None when every such extension is denser than tight allows
     or the core cannot reach freedom 6.
 
-    Only meaningful on sparse graphs, where tight vertex sets through a common
-    tight core are closed under union.
+    Tight vertex sets through a common tight core are closed under union
+    only on a (3,6)-sparse graph, so a graph that is not is refused with
+    BadArgument, decided once per graph as ``check_3_6`` decides it.
     """
+    if not _pebble_sparse(graph):
+        raise errors.BadArgument("maximal_tight_subgraph needs a (3,6)-sparse graph")
     value, _s_min, s_max = densest_extension(graph, core, exclude)
     if value != -6:
         return None

@@ -406,9 +406,9 @@ def assert_board_of(out, pebbles, g: Graph):
 
 
 def fetch_pebble_reference(pebbles, out, root, pinned=()) -> bool:
-    """``maxflow.fetch_pebble`` without its one-hop scan: a depth-first
-    search of the out-paths from ``root``, which takes the first free pebble
-    off ``pinned`` that it meets and reverses the path to it."""
+    """``maxflow.fetch_pebble`` without its log: a depth-first search of
+    the out-paths from ``root``, which takes the first free pebble off
+    ``pinned`` that it meets and reverses the path to it in place."""
     parent = {root: None}
     stack = [root]
     while stack:

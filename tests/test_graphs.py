@@ -49,6 +49,25 @@ def test_graph_takes_integer_pair_edges_only(edge):
             contract_edge(path, *edge)
 
 
+@pytest.mark.parametrize("edge, answer", [
+    ((0, 1), True), ((1, 0), True), ((0, 3), False), ((1, 1), False),
+    (("a", 1), False), ((True, 2), False), ((1.0, 2), False), ((0, 9), False),
+    ((0,), errors.BadArgument), ((0, 1, 2), errors.BadArgument),
+    (7, errors.BadArgument), (None, errors.BadArgument)],
+    ids=["edge", "reversed", "non-edge", "loop", "str", "bool", "float",
+         "missing-vertex", "single", "triple", "int", "none"])
+def test_graph_membership_is_typed(edge, answer):
+    # a pair is answered, loops and non-integer ends alike, with no bare
+    # TypeError from the key order and no LoopEdge; a non-pair is refused as
+    # the constructor refuses it
+    g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
+    if answer is errors.BadArgument:
+        with pytest.raises(errors.BadArgument, match="is not a pair"):
+            edge in g
+    else:
+        assert (edge in g) is answer
+
+
 def test_contract_edge_counts():
     k4 = complete_graph(4)
     g = contract_edge(k4, 0, 1)

@@ -68,17 +68,24 @@ def _random_board(seed: int):
 
 
 def test_fetch_pebble_moves_the_pebble_of_the_full_search():
-    # the one-hop scan takes the pebble that the full search meets first,
-    # so both leave the same pebble counts and out-sets: the same pebble
-    # moved along the same path.  The boards reach a pebble one edge away,
+    # the logged fetch leaves the pebble counts and out-sets of the unlogged
+    # reference search: the same pebble moved along the same path.  Its log
+    # keeps, by tail, the very set objects it replaced, unchanged, so putting
+    # them back gives back every pre-fetch out-set as the same object; a
+    # failed fetch logs nothing.  The boards reach a pebble one edge away,
     # one further away, and none
     seen = Counter()
     for seed in range(500):
         pebbles, out, root, pinned = _random_board(seed)
         ref_pebbles, ref_out, _, _ = _random_board(seed)
+        objects, contents = dict(out), {t: set(heads) for t, heads in out.items()}
         near = any(pebbles[y] and y not in pinned for y in out[root])
-        got = fetch_pebble(pebbles, out, root, pinned)
+        log = {}
+        got = fetch_pebble(pebbles, out, root, pinned, log)
         assert got is fetch_pebble_reference(ref_pebbles, ref_out, root, pinned), seed
         assert pebbles == ref_pebbles and out == ref_out, seed
+        assert bool(log) is got, seed
+        out.update(log)
+        assert all(out[t] is objects[t] for t in out) and out == contents, seed
         seen["near" if near else "far" if got else "none"] += 1
     assert min(seen[k] for k in ("near", "far", "none")) >= 20, seen

@@ -12,7 +12,8 @@ Every import is from the standard library or relative, as the empty
 ``dependencies`` of ``pyproject.toml`` promise (numpy, say, would also add
 about 14 MB to a process's resident memory).  Only ``sparsity`` knows the
 pebble board a ``Graph`` keeps, and a violation's witness comes from that
-board, not from a second engine.
+board, not from a second engine.  Every pebble moves through one search,
+which always logs what it changes.
 """
 
 import ast
@@ -260,3 +261,21 @@ def test_one_engine_decides_and_witnesses():
     assert not lazy, f"a witness is computed on demand at {lazy}"
     assert not contractions, f"the key-lemma search builds G/e at {contractions}"
     assert not isinstance(inspect.getattr_static(SparsityVerdict, "witness"), property)
+
+
+def test_one_pebble_search():
+    # fetch_pebble is one depth-first search whose path reversal always
+    # logs, so every caller passes its pinned vertices and a log, and every
+    # caller of _dead its spent vertices
+    path = TESTS.parent / "src" / "torusrig" / "maxflow.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defaults = [f"{node.name}:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name in ("fetch_pebble", "_dead")
+                and (node.args.defaults or any(node.args.kw_defaults))]
+    switches = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                and getattr(node.left, "id", None) == "log"
+                and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+                and getattr(node.comparators[0], "value", 0) is None]
+    assert not defaults, f"a pebble-search parameter has a default: {defaults}"
+    assert not switches, f"maxflow.py branches on a missing log at lines {switches}"

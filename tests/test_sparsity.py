@@ -181,6 +181,17 @@ def test_maximal_tight_subgraph():
     assert s2 == frozenset(range(4))
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_maximal_tight_subgraph_refuses_a_violating_graph(n):
+    # K5 and K6 are not (3,6)-sparse, so tight sets through a core need not
+    # close under union: refused, not answered None; the refusal plays the
+    # one game check_3_6 then reads
+    g = complete_graph(n)
+    with pytest.raises(errors.BadArgument, match="sparse"):
+        maximal_tight_subgraph(g, {0, 1, 2})
+    assert check_3_6(g).status is Status.VIOLATION
+
+
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_pebble_game_matches_brute_force(data):
@@ -434,7 +445,7 @@ def test_contraction_gathers_the_merged_vertex_pebbles_once(monkeypatch):
     real = sparsity.fetch_pebble
     fetches = Counter()
 
-    def counting_fetch(pebbles, out, root, pinned=(), log=None):
+    def counting_fetch(pebbles, out, root, pinned, log):
         fetches[root] += 1
         return real(pebbles, out, root, pinned, log)
 
