@@ -2,7 +2,11 @@
 
 Everything downstream (sparsity checks, rigidity ranks, certificates) works
 on these immutable vertex/edge-set graphs; surface structure lives in
-:mod:`torusrig.complexes` and projects down via ``.graph``.
+:mod:`torusrig.complexes` and projects down via ``.graph``.  The two moves,
+contraction and vertex split, each have one body, which changes a working
+adjacency (a dict of neighbour sets) in place: a chain of moves copies its
+graph's adjacency once (``_working``) and builds one graph at its end
+(``_graph_of``).
 """
 
 from __future__ import annotations
@@ -29,14 +33,14 @@ class Graph:
     decides the graph, then a violation's witness, else the pebble game's
     final board, a dict of every vertex's out-set and one of its free pebbles.
 
-    The two moves, ``contract_edge`` and ``split_vertex``, build the child
-    from the parent's vertex set, edge set and adjacency, changed at the
-    merged or split vertex and its neighbours only; they hand the result to
-    the constructor through the private ``_adj`` argument, which skips the
-    normalisation of every edge and the rebuild of every neighbour set.
-    A torus graph with holes passes the private ``_keyed`` instead: its
-    edges, a frozenset of key-ordered pairs, skip the normalisation alone,
-    and an edge that leaves the vertex set still raises NonSimple.
+    A chain of moves (``_contract_in_place``, ``_split_in_place``) runs on
+    a working adjacency, not on graphs; its one graph, at the end
+    (``_graph_of``), comes through the private ``_adj`` argument, which
+    skips the normalisation of every edge and the rebuild of every
+    neighbour set.  A torus graph with holes passes the private ``_keyed``
+    instead: its edges, a frozenset of key-ordered pairs, skip the
+    normalisation alone, and an edge that leaves the vertex set still
+    raises NonSimple.
     """
 
     __slots__ = ("vertices", "edges", "_adj", "_board")
@@ -44,7 +48,7 @@ class Graph:
     def __init__(self, vertices, edges, *, _adj=None, _keyed=False):
         self._board = None
         if _adj is not None:
-            # a move's child: frozensets of vertices and key-ordered edges
+            # a working adjacency's graph (_graph_of), all of it frozen
             self.vertices, self.edges, self._adj = vertices, edges, _adj
             return
         vertices = frozenset(vertices)
@@ -106,65 +110,86 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    # -- moves on abstract graphs --------------------------------------
 
-    def split_vertex(self, v1: int, v2: int, v3: int, moved_edges,
-                     new_vertex: int) -> "Graph":
-        """Vertex split at v1 with anchor neighbours v2, v3.
-
-        The vertex ``new_vertex`` is added and joined to v1, v2, v3, and each
-        edge v1--t in ``moved_edges`` is replaced by new_vertex--t.
-        BadArgument unless v1, v2, v3 and ``new_vertex`` are ``int``s.
-        """
-        for x in (v1, v2, v3, new_vertex):
-            if type(x) is not int:
-                raise errors.BadArgument(f"vertex {x!r} is not an integer")
-        if v1 not in self._adj:
-            raise errors.InvalidAnchors(f"{v1} is not a vertex of the graph")
-        if v2 not in self._adj[v1] or v3 not in self._adj[v1] or v2 == v3:
-            raise errors.InvalidAnchors(f"{v2}, {v3} must be distinct neighbours of {v1}")
-        moved = set()
-        for e in moved_edges:
-            try:
-                e = edge_key(*e)
-            except TypeError:
-                raise errors.NotAnEdge(f"{e!r} is not a vertex pair") from None
-            if e not in self.edges or v1 not in e:
-                raise errors.NotAnEdge(f"{e} is not an edge at {v1}")
-            t = e[0] if e[1] == v1 else e[1]
-            if t in (v2, v3):
-                raise errors.InvalidAnchors("anchor edges cannot be moved")
-            moved.add(t)
-        if new_vertex in self.vertices:
-            raise errors.NonSimple(f"vertex id {new_vertex} already in use")
-        adj = dict(self._adj)
-        adj[new_vertex] = frozenset(moved | {v1, v2, v3})
-        adj[v1] = adj[v1] - moved | {new_vertex}
-        for t in moved:
-            adj[t] = adj[t] - {v1} | {new_vertex}
-        for x in (v2, v3):
-            adj[x] = adj[x] | {new_vertex}
-        edges = (self.edges - {edge_key(v1, t) for t in moved}
-                 | {edge_key(new_vertex, t) for t in adj[new_vertex]})
-        return Graph(self.vertices | {new_vertex}, edges, _adj=adj)
+def _working(g: Graph) -> dict[int, set[int]]:
+    """A working adjacency of ``g``: every vertex's neighbour set, each a
+    fresh ``set`` the moves change in place."""
+    return {v: set(ns) for v, ns in g._adj.items()}
 
 
-def contract_edge(g: Graph, u: int, v: int) -> Graph:
-    """Merge v into u (simple-graph contraction, parallel edges coalesce).
-    BadArgument unless u and v are ``int``s."""
+def _graph_of(adj) -> Graph:
+    """The graph of a working adjacency, built once: its vertex set, its
+    key-ordered edges and frozen neighbour sets, handed to the constructor
+    through the private ``_adj`` argument."""
+    edges = frozenset([(u, v) for u, ns in adj.items() for v in ns if u < v])
+    return Graph(frozenset(adj), edges,
+                 _adj={v: frozenset(ns) for v, ns in adj.items()})
+
+
+def _contract_in_place(adj, u: int, v: int) -> None:
+    """Merge v into u in the working adjacency ``adj`` (simple-graph
+    contraction, parallel edges coalesce).  BadArgument unless u and v are
+    ``int``s, LoopEdge when they are equal and NotAnEdge unless uv is an
+    edge, each before the first write."""
     if type(u) is not int or type(v) is not int:
         raise errors.BadArgument(f"edge {(u, v)!r} is not a pair of integers")
-    if edge_key(u, v) not in g.edges:
+    if u == v:
+        raise errors.LoopEdge(f"loop at vertex {u}")
+    at_u = adj.get(u)
+    if at_u is None or v not in at_u:
         raise errors.NotAnEdge(f"({u},{v})")
-    adj = dict(g._adj)
     at_v = adj.pop(v)
-    gained = at_v - adj[u] - {u}  # v's neighbours that u did not have
-    for w in at_v - {u}:
-        adj[w] = adj[w] - {v} | {u} if w in gained else adj[w] - {v}
-    adj[u] = adj[u] - {v} | gained
-    edges = (g.edges - {edge_key(v, w) for w in at_v}
-             | {edge_key(u, w) for w in gained})
-    return Graph(g.vertices - {v}, edges, _adj=adj)
+    at_v.discard(u)
+    at_u.discard(v)
+    for w in at_v:
+        at_w = adj[w]
+        at_w.discard(v)
+        at_w.add(u)
+    at_u |= at_v
+
+
+def _split_in_place(adj, v1: int, v2: int, v3: int, moved_edges,
+                    new_vertex: int) -> None:
+    """Vertex split at v1 with anchor neighbours v2, v3, in the working
+    adjacency ``adj``.
+
+    The vertex ``new_vertex`` is added and joined to v1, v2, v3, and each
+    edge v1--t in ``moved_edges`` is replaced by new_vertex--t.
+    BadArgument unless v1, v2, v3 and ``new_vertex`` are ``int``s.  Every
+    check comes before the first write, so a refused split leaves ``adj``
+    as it was.
+    """
+    for x in (v1, v2, v3, new_vertex):
+        if type(x) is not int:
+            raise errors.BadArgument(f"vertex {x!r} is not an integer")
+    at_v1 = adj.get(v1)
+    if at_v1 is None:
+        raise errors.InvalidAnchors(f"{v1} is not a vertex of the graph")
+    if v2 not in at_v1 or v3 not in at_v1 or v2 == v3:
+        raise errors.InvalidAnchors(f"{v2}, {v3} must be distinct neighbours of {v1}")
+    moved = set()
+    for e in moved_edges:
+        try:
+            e = edge_key(*e)
+        except TypeError:
+            raise errors.NotAnEdge(f"{e!r} is not a vertex pair") from None
+        t = e[0] if e[1] == v1 else e[1]
+        if v1 not in e or t not in at_v1:
+            raise errors.NotAnEdge(f"{e} is not an edge at {v1}")
+        if t in (v2, v3):
+            raise errors.InvalidAnchors("anchor edges cannot be moved")
+        moved.add(t)
+    if new_vertex in adj:
+        raise errors.NonSimple(f"vertex id {new_vertex} already in use")
+    at_v1 -= moved
+    at_v1.add(new_vertex)
+    for t in moved:
+        at_t = adj[t]
+        at_t.discard(v1)
+        at_t.add(new_vertex)
+    adj[v2].add(new_vertex)
+    adj[v3].add(new_vertex)
+    adj[new_vertex] = moved | {v1, v2, v3}
 
 
 def freedom(obj) -> int:

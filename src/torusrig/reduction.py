@@ -26,20 +26,24 @@ always has one whose contraction stays tight, so greedy contraction alone
 reduces every tight graph to one of the two uncontractible graphs.  That
 loop is the only reduction driver here.  It runs on the graph and its
 boundary walk, which is all a step decides from: which edges are off the
-walk, their ends' common neighbours and whether G/e is tight.  It returns
-the uncontractible leaf graph and the contractions that reach it, and
-``certify`` reverses them into a vertex-splitting construction rooted at
-K3 (Whiteley 1990).  Each contraction removes one vertex and three edges
-from the graph, since there a contractible edge has only its two apexes as
-common neighbours; so a simple leaf is named by its counts, (4, 6) K4 and
-(5, 9) K5 minus an edge.  A graph that breaks the ruling raises
-StuckButContractible.
+walk, their ends' common neighbours and whether G/e is tight.  The graph
+is one working adjacency, contracted in place, and the loop builds one
+graph, the leaf.  It returns that uncontractible leaf graph and the
+contractions that reach it, and ``certify`` reverses them into a
+vertex-splitting construction rooted at K3 (Whiteley 1990), which
+``Certificate.target`` replays on one working adjacency too.  Each
+contraction removes one vertex and three edges from the graph, since there
+a contractible edge has only its two apexes as common neighbours; so a
+simple leaf is named by its counts, (4, 6) K4 and (5, 9) K5 minus an edge.
+A graph that breaks the ruling raises StuckButContractible.
 
 The contraction rule has one copy, ``_contractible``, where it is shown to
 need no face map.  It is asked of FF edges only: ``classify_edge`` asks it
 after the one FF test (``TorusWithHole.is_ff_edge``), also for the guard
-of ``contract`` and the search, and ``_candidates`` runs the same count
-inline over the edges off a walk, for the loop and ``contractible_edges``.
+of ``contract`` and the search, and ``_recount`` runs the same count
+inline over edges off a walk, for ``contractible_edges`` and for the loop,
+which keeps its candidate set and recounts only the edges a move can
+change.
 
 Every child hole, from a contraction, the leaf or a fission, is built one
 way (``retriangulate_holes``): its retained faces closed by a fresh collar
@@ -73,7 +77,8 @@ from . import catalog, errors, fileio
 from .complexes import (ClosedWalk, DiscMap, TorusComplex, TorusWithHole,
                         _face_edges, _symmetries, disc_structures,
                         retriangulate_holes)
-from .graphs import Graph, contract_edge, edge_key, is_isomorphic
+from .graphs import (Graph, _contract_in_place, _graph_of, _split_in_place,
+                     _working, edge_key, is_isomorphic)
 from .maxflow import densest_extension
 from .rigidity import generic_rank
 from .sparsity import (_contraction_trial, _contraction_violator, _copy_board,
@@ -131,17 +136,26 @@ def _contraction_apexes(hole: TorusWithHole, e) -> tuple[tuple[int, int], dict]:
     return e, _apex_faces(hole.torus, e)
 
 
-def _candidates(graph: Graph, border) -> list[tuple[int, int]]:
-    """The sorted FF edges, the graph's edges off ``border`` (the edges of
-    the boundary walks), that pass the rule (``_contractible``'s count,
-    inline)."""
-    adj = graph._adj
-    return sorted([e for e in graph.edges - border
-                   if len(adj[e[0]] & adj[e[1]]) == 2])
+def _recount(cand: set, adj, border, edges) -> None:
+    """Put each of ``edges`` in ``cand`` or take it out, as it is an FF
+    edge, off ``border`` (the edges of the boundary walks), that passes the
+    rule (``_contractible``'s count, inline) or not."""
+    for e in edges:
+        if e not in border and len(adj[e[0]] & adj[e[1]]) == 2:
+            cand.add(e)
+        else:
+            cand.discard(e)
+
+
+def _walk_edges(walk) -> set:
+    """The key-ordered edges of a closed walk, given by its vertices."""
+    return {(x, y) if x < y else (y, x) for x, y in zip(walk, walk[1:] + walk[:1])}
 
 
 def contractible_edges(hole: TorusWithHole) -> list[tuple[int, int]]:
-    return _candidates(hole.graph, hole.boundary_edges)
+    cand: set = set()
+    _recount(cand, hole.graph._adj, hole.boundary_edges, hole.graph.edges)
+    return sorted(cand)
 
 
 def is_uncontractible(hole: TorusWithHole) -> bool:
@@ -432,16 +446,29 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list[Contraction]]:
     """The greedy reduction on the graph and its boundary walk: the
     uncontractible leaf graph and the contractions that reach it.
 
-    Each step hands the edges off the walk to the one rule
-    (``_candidates``) and contracts the first whose contraction is tight;
-    by the module docstring's count, G/e is tight iff it is sparse.  The
-    input's board is copied once, and each candidate is tried on the copy
-    in place (``_contraction_trial``); a failed trial is undone.  Only the
-    winner's G/e is built (``contract_edge``); the board its trial leaves,
-    renamed where the trial removed the lower end (``_rename_merged``), is
-    the next step's, and no graph holds it.
+    The loop runs on one working adjacency, a copy of G's made next to the
+    copy of its board, and builds one graph, the leaf, at the end
+    (``graphs._graph_of``).  Each step tries the candidates, the edges off
+    the walk that pass the one rule, in sorted order, and contracts the
+    first whose contraction is tight; by the module docstring's count, G/e
+    is tight iff it is sparse.  Each candidate is tried on the board copy
+    in place (``_contraction_trial``); a failed trial is undone.  The
+    winner is contracted in the adjacency (``graphs._contract_in_place``),
+    and the board its trial leaves, renamed where the trial removed the
+    lower end (``_rename_merged``), is the next step's.
 
-    The walk is renamed move by move, as ``_contracted`` renames it.  A
+    The candidate set is kept, not rescanned (``_recount``).  A move of
+    e = (keep, gone) with apexes a and b changes the neighbour sets of
+    keep, a, b and the moved vertices (gone's other neighbours) only, and
+    the walk only where gone sat on it, at edges that now meet keep.  So
+    an edge off keep keeps its class unless it is ab, whose ends lose the
+    common neighbour gone, or joins a moved vertex to an old neighbour of
+    keep other than a and b, whose ends gain keep.  At any other edge from
+    a moved vertex, or from a or b, gone as a common neighbour gives way
+    to keep; the edges at gone go.
+
+    The walk is renamed move by move, as ``_contracted`` renames it, at
+    the moves whose removed end lies on it.  A
     move's apexes are e's two common neighbours, ordered by their faces'
     positions among the retained faces: an index maps each vertex to the
     positions of its live retained faces, e's two faces are those of both
@@ -456,20 +483,20 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list[Contraction]]:
         raise fileio.with_record(
             errors.NotTight, hole, "greedy reduction needs a tight "
             "single-hole graph")
-    board = _copy_board(graph)
+    adj, board = _working(graph), _copy_board(graph)
     at: dict = {}
     for i, f in enumerate(hole.faces):
         for x in f:
             at.setdefault(x, set()).add(i)
     moves: list[Contraction] = []
+    cand: set = set()
+    border, touched = _walk_edges(walk), graph.edges
     while True:
-        border = {(x, y) if x < y else (y, x)
-                  for x, y in zip(walk, walk[1:] + walk[:1])}
-        cand = _candidates(graph, border)
+        _recount(cand, adj, border, touched)
         if not cand:
             break
-        for e in cand:
-            failed, removed, log = _contraction_trial(graph, board, e)
+        for e in sorted(cand):
+            failed, removed, log = _contraction_trial(adj, board, e)
             if failed is None:
                 break
             _undo(board, log)
@@ -481,18 +508,28 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list[Contraction]]:
                 "contractible edges")
         keep, gone = e
         at_e = at[keep] & at[gone]
-        a, b = graph.neighbors(keep) & graph.neighbors(gone)
+        a, b = adj[keep] & adj[gone]
         if min(at_e) not in at[a]:
             a, b = b, a
         at[a] -= at_e
         at[b] -= at_e
         at[keep] = (at[keep] | at.pop(gone)) - at_e
-        moved = graph.neighbors(gone) - {keep, a, b}
+        near = adj[keep] - {gone, a, b}
+        moved = adj[gone] - {keep, a, b}
         moves.append(Contraction(e, (a, b), frozenset(moved)))
-        walk = tuple(keep if x == gone else x for x in walk)
-        graph = contract_edge(graph, *e)
-        _rename_merged(board, graph, e, removed)
-    return graph, moves
+        cand.difference_update([(gone, w) if gone < w else (w, gone)
+                                for w in adj[gone]])
+        _contract_in_place(adj, keep, gone)
+        _rename_merged(board, adj, e, removed)
+        if gone in walk:
+            walk = tuple(keep if x == gone else x for x in walk)
+            border = _walk_edges(walk)
+        touched = {(keep, w) if keep < w else (w, keep) for w in adj[keep]}
+        if b in adj[a]:
+            touched.add(edge_key(a, b))
+        touched.update([(m, y) if m < y else (y, m)
+                        for m in moved for y in adj[m] & near])
+    return _graph_of(adj), moves
 
 
 def reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contraction]]:
@@ -542,17 +579,29 @@ class Certificate:
 
     @functools.cached_property
     def target(self) -> Graph:
-        """The graph the splits build from the base triangle; an invalid
-        split raises as ``Graph.split_vertex`` refuses it.  The certificate
-        is frozen, so the replay runs once, on the first read, and keeps no
-        intermediate graph."""
-        a, b, c = self.base_vertices
-        g = Graph([a, b, c], [(a, b), (a, c), (b, c)])
+        """The graph the splits build from the base triangle.  The replay
+        checks the triangle through the constructor, runs every split on
+        one working adjacency of it (``graphs._split_in_place``) and builds
+        one graph, at the end; an invalid split raises as that move refuses
+        it, and a base that is not three vertices, or a split whose anchors
+        are not two or whose moved neighbours are not a collection, raises
+        BadArgument.  The certificate is frozen, so the replay runs once,
+        on the first read."""
+        try:
+            a, b, c = self.base_vertices
+        except (TypeError, ValueError):
+            raise errors.BadArgument(
+                f"base {self.base_vertices!r} is not three vertices") from None
+        adj = _working(Graph([a, b, c], [(a, b), (a, c), (b, c)]))
         for s in self.splits:
-            g = g.split_vertex(s.vertex, *s.anchors,
-                               [(s.vertex, t) for t in s.moved],
-                               new_vertex=s.new_vertex)
-        return g
+            try:
+                v2, v3 = s.anchors
+                moved = [(s.vertex, t) for t in s.moved]
+            except (TypeError, ValueError):
+                raise errors.BadArgument(f"split {s!r} needs two anchors and "
+                                         "a collection of moved neighbours") from None
+            _split_in_place(adj, s.vertex, v2, v3, moved, s.new_vertex)
+        return _graph_of(adj)
 
 
 def _leaf_chain(leaf_graph: Graph) -> tuple[tuple[int, int, int], list[SplitMove]]:
@@ -589,12 +638,13 @@ def verify_certificate(cert: Certificate, target: Graph,
     the target, and that the target has rank |E| = 3|V| - 6.
 
     The chain proves the target generically minimally rigid: K3 is, and
-    ``Graph.split_vertex`` admits only a 3D vertex split (one new vertex
-    joined to v and to two distinct neighbours of v), which keeps a graph
-    generically isostatic (Whiteley, "Vertex splitting in isostatic
-    frameworks", 1990).  The replay runs once (``Certificate.target``); an
-    invalid split raises there, and a chain ending at any other graph than
-    the target, a relabelled copy too, raises ReplayMismatch.
+    ``graphs._split_in_place`` admits only a 3D vertex split (one new
+    vertex joined to v and to two distinct neighbours of v), which keeps a
+    graph generically isostatic (Whiteley, "Vertex splitting in isostatic
+    frameworks", 1990).  The replay runs once, on one working adjacency
+    (``Certificate.target``); an invalid split raises there, and a chain
+    ending at any other graph than the target, a relabelled copy too,
+    raises ReplayMismatch.
 
     The target then gets one check: with ``check_rank`` its exact rank at
     the placement drawn from ``seed`` must be |E| = 3|V| - 6, and without it

@@ -66,7 +66,11 @@ def _coordinates(seed: int, v: int) -> tuple:
 
 def random_placement(graph: Graph, seed: int) -> Placement:
     """The placement of the graph's vertices at ``seed``, each vertex's
-    coordinates drawn from (seed, vertex) alone."""
+    coordinates drawn from (seed, vertex) alone.  BadArgument unless the
+    seed is an ``int``: ``True`` or ``1.0`` would share 1's cached draws,
+    though the string each is drawn from differs."""
+    if type(seed) is not int:
+        raise errors.BadArgument(f"seed {seed!r} is not an integer")
     return Placement({v: _coordinates(seed, v) for v in graph.vertices}, FIELD_PRIME)
 
 

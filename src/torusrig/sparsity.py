@@ -271,10 +271,11 @@ def _trial(board, adj, todo, cut, added) -> tuple[tuple | None, dict]:
         raise
 
 
-def _contraction_trial(g: Graph, board, e) -> tuple[tuple | None, int, dict]:
+def _contraction_trial(adj, board, e) -> tuple[tuple | None, int, dict]:
     """Whether G/e is (3,6)-sparse, a ``_trial`` on ``board``, the board of
-    ``g`` decided sparse: None or the failing edge; with the end of e the
-    trial removed and the log.
+    G decided sparse, for ``adj`` G's neighbour sets (a graph's, or the
+    working adjacency of a chain of contractions): None or the failing
+    edge; with the end of e the trial removed and the log.
 
     The end with fewer neighbours (the second on a tie) is merged into the
     other: the graph is G/e up to the merged vertex's name, and fewer edges
@@ -287,7 +288,6 @@ def _contraction_trial(g: Graph, board, e) -> tuple[tuple | None, int, dict]:
     has no out-edge left, and the kept one is the placed edge's other end,
     which the search skips."""
     u, v = e
-    adj = g._adj
     keep, gone = (v, u) if len(adj[u]) < len(adj[v]) else (u, v)
     at_gone = adj[gone]
     gained = at_gone - adj[keep] - {keep}
@@ -306,25 +306,25 @@ def _contraction_violator(g: Graph, e) -> frozenset | None:
     ``g``'s own board, which places the edges G/e gains at the kept end,
     read before the trial is undone.  It holds the kept end, not the other."""
     board = g._board
-    failed, _, log = _contraction_trial(g, board, e)
+    failed, _, log = _contraction_trial(g._adj, board, e)
     try:
         return None if failed is None else _dead(*board, failed)
     finally:
         _undo(board, log)
 
 
-def _rename_merged(board, child: Graph, e, gone) -> None:
+def _rename_merged(board, adj, e, gone) -> None:
     """Make ``board``, left by a sparse trial of contracting e that removed
-    the end ``gone``, a board of ``child``, the graph G/e that
-    ``contract_edge`` builds: the entry of ``gone`` goes, and when that was
-    e's first end, the one ``child`` keeps, the trial's merged vertex is
-    renamed to it."""
+    the end ``gone``, a board of G/e with e's second end merged into its
+    first, for ``adj`` the neighbour sets of that G/e: the entry of
+    ``gone`` goes, and when that was e's first end, the one G/e keeps, the
+    trial's merged vertex is renamed to it."""
     u, v = e
     out, pebbles = board
     del out[gone], pebbles[gone]
     if gone == u:
         out[u], pebbles[u] = out.pop(v), pebbles.pop(v)
-        for w in child.neighbors(u):
+        for w in adj[u]:
             heads = out[w]
             if v in heads:
                 heads.remove(v)

@@ -6,9 +6,10 @@ sparsity and witnesses, the per-edge flow scan, also at a contraction's
 merged vertex, the pebble game's component search without its shortcuts, a
 pebble fetch by the full out-path search alone,
 exhaustive critical-cycle search over connected regions, the
-contraction rule from scans of the faces and edges, greedy reduction that
-carries the hole through every step, the complementary region by scans of
-every face and edge, the slot-based disc unfolding, hole growth that
+contraction rule from scans of the faces and edges, the candidate scan of
+every edge, greedy reduction that carries the hole through every step,
+the contraction and the vertex split that build a new graph per move, the
+complementary region by scans of every face and edge, the slot-based disc unfolding, hole growth that
 builds a disc after every added face, the record and face-list checks one
 field at a time, walk alignments by consistency of the vertex map, the
 disc region in two passes and the hole graph by the generic build),
@@ -41,7 +42,7 @@ from torusrig.complexes import (ClosedWalk, DiscMap, SurfaceComplex,
                                 disc_structures, grid_faces)
 from torusrig.corpus import MAX_REGION, CorpusSpec, corpus_records
 from torusrig.fileio import _items
-from torusrig.graphs import Graph, contract_edge, edge_key
+from torusrig.graphs import Graph, _graph_of, _working, edge_key
 from torusrig.maxflow import densest_extension
 from torusrig.reduction import (Contraction, EdgeClass, SeparatingCycle,
                                 _region_criticals, contract)
@@ -244,6 +245,100 @@ def first_violator(g: Graph, order=None) -> frozenset | None:
     return frozenset(verts[i] for i in range(n) if largest >> i & 1)
 
 
+def contract_edge(g: Graph, u: int, v: int) -> Graph:
+    """Merge v into u (simple-graph contraction, parallel edges coalesce).
+    BadArgument unless u and v are ``int``s."""
+    if type(u) is not int or type(v) is not int:
+        raise errors.BadArgument(f"edge {(u, v)!r} is not a pair of integers")
+    if edge_key(u, v) not in g.edges:
+        raise errors.NotAnEdge(f"({u},{v})")
+    adj = dict(g._adj)
+    at_v = adj.pop(v)
+    gained = at_v - adj[u] - {u}  # v's neighbours that u did not have
+    for w in at_v - {u}:
+        adj[w] = adj[w] - {v} | {u} if w in gained else adj[w] - {v}
+    adj[u] = adj[u] - {v} | gained
+    edges = (g.edges - {edge_key(v, w) for w in at_v}
+             | {edge_key(u, w) for w in gained})
+    return Graph(g.vertices - {v}, edges, _adj=adj)
+
+
+def split_vertex(g: Graph, v1: int, v2: int, v3: int, moved_edges,
+                 new_vertex: int) -> Graph:
+    """Vertex split at v1 with anchor neighbours v2, v3.
+
+    The vertex ``new_vertex`` is added and joined to v1, v2, v3, and each
+    edge v1--t in ``moved_edges`` is replaced by new_vertex--t.
+    BadArgument unless v1, v2, v3 and ``new_vertex`` are ``int``s.
+    """
+    for x in (v1, v2, v3, new_vertex):
+        if type(x) is not int:
+            raise errors.BadArgument(f"vertex {x!r} is not an integer")
+    if v1 not in g._adj:
+        raise errors.InvalidAnchors(f"{v1} is not a vertex of the graph")
+    if v2 not in g._adj[v1] or v3 not in g._adj[v1] or v2 == v3:
+        raise errors.InvalidAnchors(f"{v2}, {v3} must be distinct neighbours of {v1}")
+    moved = set()
+    for e in moved_edges:
+        try:
+            e = edge_key(*e)
+        except TypeError:
+            raise errors.NotAnEdge(f"{e!r} is not a vertex pair") from None
+        if e not in g.edges or v1 not in e:
+            raise errors.NotAnEdge(f"{e} is not an edge at {v1}")
+        t = e[0] if e[1] == v1 else e[1]
+        if t in (v2, v3):
+            raise errors.InvalidAnchors("anchor edges cannot be moved")
+        moved.add(t)
+    if new_vertex in g.vertices:
+        raise errors.NonSimple(f"vertex id {new_vertex} already in use")
+    adj = dict(g._adj)
+    adj[new_vertex] = frozenset(moved | {v1, v2, v3})
+    adj[v1] = adj[v1] - moved | {new_vertex}
+    for t in moved:
+        adj[t] = adj[t] - {v1} | {new_vertex}
+    for x in (v2, v3):
+        adj[x] = adj[x] | {new_vertex}
+    edges = (g.edges - {edge_key(v1, t) for t in moved}
+             | {edge_key(new_vertex, t) for t in adj[new_vertex]})
+    return Graph(g.vertices | {new_vertex}, edges, _adj=adj)
+
+
+def both_moves(reference, move, g: Graph, *args) -> Graph:
+    """A move made twice: by ``reference`` (``contract_edge`` or
+    ``split_vertex``) on g, and by the package's in-place ``move``
+    (``graphs._contract_in_place`` or ``graphs._split_in_place``) on a
+    working adjacency of g.  Both give the same graph, with the same
+    neighbour sets, or raise the same error with the same message, and a
+    refused in-place move leaves its adjacency as it was; the graph is
+    returned, the error raised."""
+    adj = _working(g)
+    try:
+        want = reference(g, *args)
+    except Exception as exc:
+        try:
+            move(adj, *args)
+        except Exception as got:
+            assert (type(got), str(got)) == (type(exc), str(exc)), (got, exc)
+            assert adj == g._adj
+            raise
+        raise AssertionError(f"the in-place move takes what the reference refuses: {exc!r}")
+    move(adj, *args)
+    got = _graph_of(adj)
+    assert got == want and got._adj == want._adj
+    return want
+
+
+def candidate_scan(graph: Graph, border) -> list[tuple[int, int]]:
+    """The sorted FF edges, the graph's edges off ``border`` (the edges of
+    the boundary walks), that pass greedy reduction's rule, by a scan of
+    every edge.  The oracle for the candidate set that ``reduction._reduce``
+    keeps and recounts only where a move changes it."""
+    adj = graph._adj
+    return sorted([e for e in graph.edges - border
+                   if len(adj[e[0]] & adj[e[1]]) == 2])
+
+
 def scan_violator(g: Graph, e) -> frozenset | None:
     """A violator of G/e as the key-lemma search once found it, for ``g``
     tight: None when a fresh G/e is sparse, else the first violating set of
@@ -270,9 +365,9 @@ def replay_chain(cert) -> list[Graph]:
     a, b, c = cert.base_vertices
     graphs = [Graph([a, b, c], [(a, b), (a, c), (b, c)])]
     for s in cert.splits:
-        graphs.append(graphs[-1].split_vertex(
-            s.vertex, *s.anchors, [(s.vertex, t) for t in s.moved],
-            new_vertex=s.new_vertex))
+        graphs.append(split_vertex(
+            graphs[-1], s.vertex, *s.anchors, [(s.vertex, t) for t in s.moved],
+            s.new_vertex))
     return graphs
 
 
@@ -506,8 +601,8 @@ def face_candidates(graph: Graph, faces) -> tuple[dict, list]:
     """The apexes of each edge of the retained ``faces``, in face order, and
     the sorted edges with two apexes whose ends have no other common
     neighbour: greedy reduction's rule read off a face map.  The oracle for
-    ``reduction._candidates``, which reads the graph and the boundary walk
-    and keeps no face map."""
+    the candidates of ``reduction._reduce``, which reads the graph and the
+    boundary walk and keeps no face map."""
     apexes: dict = {}
     for f in faces:
         for i in range(3):
@@ -1162,13 +1257,12 @@ def vertex_split(g, v1: int, v2: int, v3: int, moved_edges):
     (``facial_split``); otherwise the abstract graph of the split is returned.
     """
     if isinstance(g, Graph):
-        return g.split_vertex(v1, v2, v3, moved_edges,
-                              new_vertex=max(g.vertices) + 1)
+        return split_vertex(g, v1, v2, v3, moved_edges, max(g.vertices) + 1)
     try:
         return facial_split(g, v1, v2, v3, moved_edges)
     except errors.TorusRigError:
-        return g.graph.split_vertex(v1, v2, v3, moved_edges,
-                                    new_vertex=max(g.graph.vertices) + 1)
+        return split_vertex(g.graph, v1, v2, v3, moved_edges,
+                            max(g.graph.vertices) + 1)
 
 
 def link_cycle(torus: TorusComplex, z: int) -> list[int]:

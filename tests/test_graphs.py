@@ -1,15 +1,24 @@
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusrig import errors
-from torusrig.graphs import (Graph, complete_graph, contract_edge, double_banana,
-                             edge_key, freedom, is_isomorphic)
+from torusrig.graphs import (Graph, _contract_in_place, _split_in_place,
+                             complete_graph, double_banana, edge_key, freedom,
+                             is_isomorphic)
 from torusrig.reduction import certify
 from torusrig.sparsity import _contraction_violator, check_3_6
 
-from helpers import induced, is_connected, random_parent, replay_chain
+from helpers import (both_moves, contract_edge, induced, is_connected,
+                     random_parent, replay_chain, split_vertex)
+
+# each move made by the reference, which builds a new graph, and by the
+# package's body, which changes a working adjacency in place: the same graph
+# or the same refusal (``both_moves``)
+contract = functools.partial(both_moves, contract_edge, _contract_in_place)
+split = functools.partial(both_moves, split_vertex, _split_in_place)
 
 
 def test_freedom_small_graphs():
@@ -46,7 +55,7 @@ def test_graph_takes_integer_pair_edges_only(edge):
     if isinstance(edge, tuple) and len(edge) == 2:
         path = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(errors.BadArgument, match="is not a pair of integers"):
-            contract_edge(path, *edge)
+            contract(path, *edge)
 
 
 @pytest.mark.parametrize("edge, answer", [
@@ -70,13 +79,13 @@ def test_graph_membership_is_typed(edge, answer):
 
 def test_contract_edge_counts():
     k4 = complete_graph(4)
-    g = contract_edge(k4, 0, 1)
+    g = contract(k4, 0, 1)
     assert len(g.vertices) == 3 and len(g.edges) == 3
 
 
 def test_split_vertex_k3_to_k4():
     k3 = complete_graph(3)
-    g = k3.split_vertex(0, 1, 2, [], new_vertex=3)
+    g = split(k3, 0, 1, 2, [], 3)
     assert len(g.vertices) == 4 and len(g.edges) == 6
     assert g.neighbors(3) == {0, 1, 2}
     assert is_isomorphic(g, complete_graph(4))
@@ -85,7 +94,7 @@ def test_split_vertex_k3_to_k4():
 def test_split_vertex_k4_to_k5_minus_edge():
     # move one non-anchor edge across: 5 vertices, 9 edges, one missing pair
     k4 = complete_graph(4)
-    g = k4.split_vertex(0, 1, 2, [(0, 3)], new_vertex=4)
+    g = split(k4, 0, 1, 2, [(0, 3)], 4)
     assert len(g.vertices) == 5 and len(g.edges) == 9
     k5 = complete_graph(5)
     k5e = Graph(k5.vertices, k5.edges - {(0, 1)})
@@ -96,23 +105,23 @@ def test_split_vertex_k4_to_k5_minus_edge():
 def test_split_vertex_anchor_validation():
     k4 = complete_graph(4)
     with pytest.raises(errors.InvalidAnchors):
-        k4.split_vertex(0, 1, 1, [], new_vertex=4)
+        split(k4, 0, 1, 1, [], 4)
     with pytest.raises(errors.InvalidAnchors):
-        k4.split_vertex(0, 1, 2, [(0, 2)], new_vertex=4)
+        split(k4, 0, 1, 2, [(0, 2)], 4)
     with pytest.raises(errors.NotAnEdge):
-        k4.split_vertex(0, 1, 2, [(1, 2)], new_vertex=4)
+        split(k4, 0, 1, 2, [(1, 2)], 4)
     with pytest.raises(errors.NonSimple):
-        k4.split_vertex(0, 1, 2, [], new_vertex=3)
+        split(k4, 0, 1, 2, [], 3)
 
 
 def test_split_vertex_refuses_a_missing_vertex_and_a_non_pair():
     # typed errors, not the KeyError of a lookup or the TypeError of an unpack
     with pytest.raises(errors.InvalidAnchors):
-        complete_graph(3).split_vertex(9, 1, 2, [], new_vertex=3)
+        split(complete_graph(3), 9, 1, 2, [], 3)
     k4 = complete_graph(4)
     for bad in (3, (0, 3, 1), (0, "x")):
         with pytest.raises(errors.NotAnEdge):
-            k4.split_vertex(0, 1, 2, [bad], new_vertex=4)
+            split(k4, 0, 1, 2, [bad], 4)
 
 
 @pytest.mark.parametrize("v1, v2, v3, new_vertex, bad", [
@@ -125,7 +134,7 @@ def test_split_vertex_takes_integer_ids_only(v1, v2, v3, new_vertex, bad):
     # refused before any lookup: no float kept as a vertex or in an edge,
     # no bare TypeError, and True not taken for the vertex 1 already in use
     with pytest.raises(errors.BadArgument, match=f"vertex {bad} is not an integer"):
-        complete_graph(5).split_vertex(v1, v2, v3, [], new_vertex=new_vertex)
+        split(complete_graph(5), v1, v2, v3, [], new_vertex)
 
 
 def test_is_isomorphic_basics():
@@ -170,34 +179,37 @@ def _assert_built_from_scratch(h: Graph):
 
 
 def _assert_moves_refused(data, g: Graph):
-    """Invalid moves raise what they raise, and leave g as it was."""
+    """Invalid moves raise what they raise, and leave g as it was; a split
+    refused only after it has taken every other moved edge changes nothing
+    in place either."""
     before = Graph(g.vertices, g.edges)
     vs = sorted(g.vertices)
     non_edges = [(a, b) for a in vs for b in vs if a < b and (a, b) not in g.edges]
     if non_edges:
         with pytest.raises(errors.NotAnEdge):
-            contract_edge(g, *data.draw(st.sampled_from(non_edges)))
+            contract(g, *data.draw(st.sampled_from(non_edges)))
     with pytest.raises(errors.LoopEdge):
-        contract_edge(g, vs[0], vs[0])
+        contract(g, vs[0], vs[0])
     hubs = [v for v in vs if g.degree(v) >= 2]
     if hubs:
         v1 = data.draw(st.sampled_from(hubs))
         v2, v3 = sorted(g.neighbors(v1))[:2]
         new = max(vs) + 1
         with pytest.raises(errors.InvalidAnchors):
-            g.split_vertex(v1, v2, v2, [], new_vertex=new)
+            split(g, v1, v2, v2, [], new)
         strangers = sorted(g.vertices - g.neighbors(v1) - {v1})
         if strangers:
             with pytest.raises(errors.InvalidAnchors):
-                g.split_vertex(v1, v2, strangers[0], [], new_vertex=new)
+                split(g, v1, v2, strangers[0], [], new)
         with pytest.raises(errors.InvalidAnchors):
-            g.split_vertex(v1, v2, v3, [(v3, v1)], new_vertex=new)
+            split(g, v1, v2, v3, [(v3, v1)], new)
+        valid = [(v1, t) for t in sorted(g.neighbors(v1) - {v2, v3})]
         away = [e for e in g.sorted_edges() if v1 not in e]
         if away:
             with pytest.raises(errors.NotAnEdge):
-                g.split_vertex(v1, v2, v3, [away[0]], new_vertex=new)
+                split(g, v1, v2, v3, valid + [away[0]], new)
         with pytest.raises(errors.NonSimple):
-            g.split_vertex(v1, v2, v3, [], new_vertex=v1)
+            split(g, v1, v2, v3, valid, v1)
     assert g == before
     assert all(g.neighbors(v) == before.neighbors(v) for v in vs)
 
@@ -211,7 +223,7 @@ def _draw_move(data, g: Graph) -> Graph | None:
         u, v = data.draw(st.sampled_from(g.sorted_edges()))
         if data.draw(st.booleans()):
             u, v = v, u
-        h = contract_edge(g, u, v)
+        h = contract(g, u, v)
         # the two edge-set differences are a contraction trial's that keeps
         # u: it cuts every edge at v and places one from u to each
         # neighbour of v that u lacks
@@ -227,7 +239,7 @@ def _draw_move(data, g: Graph) -> Graph | None:
     rest = sorted(g.neighbors(v1) - {v2, v3})
     moved = data.draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
     edges = [(v1, t) if data.draw(st.booleans()) else (t, v1) for t in moved]
-    h = g.split_vertex(v1, v2, v3, edges, new_vertex=max(g.vertices) + 1)
+    h = split(g, v1, v2, v3, edges, max(g.vertices) + 1)
     assert h.neighbors(max(h.vertices)) == {v1, v2, v3, *moved}
     return h
 
@@ -243,7 +255,9 @@ def certified(tight_corpus):
 def test_moves_match_graphs_built_from_scratch(certified, data):
     # chains of contractions and vertex splits from a random tight, sparse or
     # violating graph, or from a certificate step; each child is the graph
-    # that the constructor builds from its vertex and edge sets
+    # that the constructor builds from its vertex and edge sets, and the
+    # package's in-place moves make the reference moves' graphs and refuse
+    # what they refuse, with the same errors (``both_moves``)
     if data.draw(st.booleans()):
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
         kind = data.draw(st.sampled_from(["tight", "sparse", "violating"]))
@@ -269,7 +283,7 @@ def test_certify_replays_are_built_from_scratch_and_contract_back(certified):
         assert graphs[-1] == target == cert.target
         for g, s, h in zip(graphs, cert.splits, graphs[1:]):
             _assert_built_from_scratch(h)
-            back = contract_edge(h, s.vertex, s.new_vertex)
+            back = contract(h, s.vertex, s.new_vertex)
             assert back == g and back._board is None
             assert all(back.neighbors(v) == g.neighbors(v) for v in g.vertices)
             assert check_3_6(h).is_tight

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import pathlib
+import random
 import re
 import time
 
@@ -11,13 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from torusrig import catalog, errors, reduction, sparsity
 from torusrig.catalog import build_H, classify
-from torusrig.complexes import (ClosedWalk, DiscMap, TorusComplex, cut_hole,
-                                disc_structures, rectangular_torus,
-                                retriangulate_holes)
+from torusrig.complexes import (ClosedWalk, DiscMap, TorusComplex,
+                                TorusWithHole, cut_hole, disc_structures,
+                                rectangular_torus, retriangulate_holes)
 from torusrig.corpus import CorpusSpec, corpus_records
 from torusrig.fileio import hole_to_record, load_hole, record_to_hole
-from torusrig.graphs import (Graph, complete_graph, contract_edge, edge_key,
-                             freedom, is_isomorphic)
+from torusrig.graphs import (Graph, complete_graph, edge_key, freedom,
+                             is_isomorphic)
 from torusrig.homology import crossover_class
 from torusrig.reduction import (Certificate, EdgeClass, SeparatingCycle,
                                 certify, classify_edge,
@@ -29,14 +30,16 @@ from torusrig.rigidity import generic_rank
 from torusrig.sparsity import SparsityVerdict, Status, check_3_6
 
 from helpers import (_blocked_faces, _grow_region, assert_board_of, board_state,
-                     canon_face, connected_regions, contract_faces_stepwise, edge_rule_oracle,
+                     candidate_scan, canon_face, connected_regions,
+                     contract_edge, contract_faces_stepwise, edge_rule_oracle,
                      exhaustive_critical_cycles_through, face_candidates,
-                     facial_split, holds,
+                     facial_split, grow_hole_oracle, holds,
                      hole_reduce_greedy, induced, is_connected,
                      keylemma_records, link_cycle,
                      one_pass_mismatches, record_pebble_games, replay_chain,
                      run_main, scan_violator, separating_cycle,
-                     tight_set_critical_cycles, vertex_split, walk_alignments)
+                     tight_set_critical_cycles, torus_census, vertex_split,
+                     walk_alignments)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -365,8 +368,8 @@ def test_search_decides_the_contraction_on_the_hole_board(monkeypatch, tight_cor
     # placement and undoes the trial.  G's board is as it was after every
     # search
     calls = collections.Counter()
-    monkeypatch.setattr(reduction, "contract_edge",
-                        _counting(calls, "contract_edge", contract_edge))
+    monkeypatch.setattr(reduction, "_contract_in_place",
+                        _counting(calls, "contract", reduction._contract_in_place))
     monkeypatch.setattr(sparsity, "_copy_board",
                         _counting(calls, "copy", sparsity._copy_board))
     real_sparse = sparsity._pebble_sparse
@@ -391,65 +394,69 @@ def test_search_decides_the_contraction_on_the_hole_board(monkeypatch, tight_cor
     assert min(outcomes.values()) > 300, outcomes
 
 
-def test_reduce_copies_one_board_and_builds_one_graph_per_move(
-        monkeypatch, tight_corpus):
-    # greedy reduction copies the input's board once and tries each
-    # candidate on it in place, undoing each failed trial; it builds only
-    # the winner's G/e, and the board the trial leaves, renamed where the
-    # trial merged the lower end into the higher, is a board of that G/e
-    # at the next step.  The input keeps its own board, no graph the loop
-    # builds holds a board, and the leaf holds no graph the loop left
-    calls, children, winners = collections.Counter(), [], collections.Counter()
-    boards, steps = [], []
+def _step_graph(adj) -> Graph:
+    """The graph of ``_reduce``'s working adjacency at a step, built from
+    scratch."""
+    return Graph(adj.keys(), [(u, v) for u, ns in adj.items() for v in ns if u < v])
+
+
+def test_reduce_copies_one_board_and_builds_one_graph(monkeypatch, tight_corpus):
+    # greedy reduction copies the input's board and adjacency once, tries
+    # each candidate on the board in place, undoing each failed trial, and
+    # contracts the winner in the adjacency, once per move; the board the
+    # trial leaves, renamed where the trial merged the lower end into the
+    # higher, is a board of that G/e at the next step.  It builds one
+    # graph, the leaf, which holds no board and nothing of the input; the
+    # input keeps its own board and neighbour sets
+    calls, winners, boards, steps = collections.Counter(), collections.Counter(), [], []
     real_copy, real_trial = reduction._copy_board, reduction._contraction_trial
-    real_candidates = reduction._candidates
+    real_recount, init = reduction._recount, Graph.__init__
 
     def copying(g):
         calls["copy"] += 1
         boards.append(real_copy(g))
         return boards[-1]
 
-    def building(g, u, v):
-        children.append(contract_edge(g, u, v))
-        return children[-1]
-
-    def trial(g, board, e):
-        failed, gone, log = real_trial(g, board, e)
+    def trial(adj, board, e):
+        failed, gone, log = real_trial(adj, board, e)
         calls["trial"] += 1
         winners[gone == e[0]] += failed is None
         return failed, gone, log
 
-    def candidates(graph, border):
+    def recounting(cand, adj, border, edges):
+        real_recount(cand, adj, border, edges)
+        graph = _step_graph(adj)
+        calls["graph"] -= 1  # the test's own build
         out, pebbles = boards[-1]
         assert out.keys() == pebbles.keys() == graph.vertices
         assert_board_of(out, pebbles, graph)
         steps.append(graph)
-        return real_candidates(graph, border)
+
+    def building(self, *args, **kw):
+        calls["graph"] += 1
+        init(self, *args, **kw)
 
     monkeypatch.setattr(reduction, "_copy_board", copying)
-    monkeypatch.setattr(reduction, "contract_edge", building)
     monkeypatch.setattr(reduction, "_contraction_trial", trial)
-    monkeypatch.setattr(reduction, "_candidates", candidates)
+    monkeypatch.setattr(reduction, "_recount", recounting)
+    monkeypatch.setattr(reduction, "_contract_in_place",
+                        _counting(calls, "contract", reduction._contract_in_place))
+    monkeypatch.setattr(Graph, "__init__", building)
     reduced = 0
     for hole in list(tight_corpus)[:40] + [build_H(i) for i in range(1, 18)]:
         g = hole.graph
         assert check_3_6(g).is_tight
-        before = board_state(g._board)
+        before, neighbours = board_state(g._board), dict(g._adj)
         calls.clear()
-        children.clear()
         steps.clear()
         leaf, moves = reduction._reduce(hole)
-        assert calls["copy"] == 1 and calls["trial"] >= len(moves)
-        assert len(children) == len(moves)
-        assert steps == [g] + children and all(
-            a is b for a, b in zip(steps, [g] + children))
+        assert calls["copy"] == calls["graph"] == 1, calls
+        assert calls["contract"] == len(moves) and calls["trial"] >= len(moves)
+        assert len(steps) == len(moves) + 1 and steps[0] == g and steps[-1] == leaf
         assert board_state(g._board) == before
-        assert all(h._board is None for h in children)
-        if not moves:
-            assert leaf is g
-            continue
-        assert leaf is children[-1] and not any(holds(leaf, h) for h in [g] + children[:-1])
-        reduced += 1
+        assert g._adj == neighbours and all(g._adj[v] is ns for v, ns in neighbours.items())
+        assert leaf._board is None and not holds(leaf, g)
+        reduced += bool(moves)
     assert reduced > 40 and min(winners.values()) > 50, (reduced, winners)
 
 
@@ -836,18 +843,17 @@ def _steps_match_the_face_map(monkeypatch, holes) -> int:
     step-by-step renaming's; return the number of moves whose ends both lie
     on the walk, which the move pinches at the merged vertex."""
     steps = []
-    rule = reduction._candidates
+    recount = reduction._recount
 
-    def recording(graph, border):
-        cand = rule(graph, border)
-        steps.append((graph, border, cand))
-        return cand
+    def recording(cand, adj, border, edges):
+        recount(cand, adj, border, edges)
+        steps.append((_step_graph(adj), frozenset(border), sorted(cand)))
 
     pinched = 0
     for hole in holes:
         steps.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(reduction, "_candidates", recording)
+            patch.setattr(reduction, "_recount", recording)
             _graph, moves = reduction._reduce(hole)
         assert len(steps) == len(moves) + 1
         renamed = list(hole.faces)
@@ -873,6 +879,58 @@ def test_walk_rule_matches_the_face_map_at_every_step(monkeypatch, tight_corpus)
     assert len(exposed) > 100
     for holes in (_reduction_inputs(tight_corpus), exposed):
         assert _steps_match_the_face_map(monkeypatch, holes) > 100
+
+
+def _census_holes() -> list:
+    """Tight single holes on the tori with 8 and 9 vertices: on each torus,
+    two discs grown at random (``grow_hole_oracle``) for each walk length
+    from 6 to 13, kept when the hole is tight."""
+    rng = random.Random(47)
+    holes = []
+    for n in (8, 9):
+        for faces in torus_census(n).values():
+            torus = TorusComplex(faces)
+            for length in range(6, 14):
+                for _ in range(2):
+                    disc = grow_hole_oracle(torus, rng, length)
+                    if disc is not None:
+                        hole = TorusWithHole(torus, [disc])
+                        if check_3_6(hole.graph).is_tight:
+                            holes.append(hole)
+    return holes
+
+
+def test_kept_candidates_match_a_full_scan_at_every_step(monkeypatch, tight_corpus):
+    # the candidate set the loop keeps, recounted only at the edges a move
+    # can change, is at every step the scan of every edge off the walk
+    # (``candidate_scan``); each step's graph, contracted in place, is the
+    # reference contraction of the one before, and the moves are those of
+    # the reduction that carries the hole through every step.  On the
+    # tight corpus, H1-H17, tight holes on the census tori and repros A-C
+    census = _census_holes()
+    assert len(census) > 40
+    holes = list(tight_corpus) + [build_H(i) for i in range(1, 18)] + census
+    holes += [load_hole(DATA / f"keylemma_repro_{x}.json") for x in "abc"]
+    recount, steps = reduction._recount, []
+
+    def recording(cand, adj, border, edges):
+        recount(cand, adj, border, edges)
+        graph = _step_graph(adj)
+        assert sorted(cand) == candidate_scan(graph, border)
+        steps.append(graph)
+
+    monkeypatch.setattr(reduction, "_recount", recording)
+    checked = 0
+    for hole in holes:
+        steps.clear()
+        leaf, moves = reduction._reduce(hole)
+        assert moves == hole_reduce_greedy(hole)[1]
+        assert steps[0] == hole.graph and steps[-1] == leaf
+        assert len(steps) == len(moves) + 1
+        for g, m, h in zip(steps, moves, steps[1:]):
+            assert h == contract_edge(g, *m.edge), m
+        checked += len(steps)
+    assert checked > 1500, checked
 
 
 def test_reduce_renames_faces_once(monkeypatch):
@@ -1141,10 +1199,10 @@ def _loosen_contractions_below(monkeypatch, n_vertices):
             return SparsityVerdict(Status.SPARSE_NOT_TIGHT)
         return real(graph)
 
-    def trial(graph, board, e):
-        if len(graph.vertices) - 1 < n_vertices:
+    def trial(adj, board, e):
+        if len(adj) - 1 < n_vertices:
             return e, e[1], {}
-        return real_trial(graph, board, e)
+        return real_trial(adj, board, e)
     monkeypatch.setattr(reduction, "check_3_6", check)
     monkeypatch.setattr(reduction, "_contraction_trial", trial)
 
@@ -1287,12 +1345,28 @@ def test_verify_refuses_any_other_target_at_once():
 
 def test_verify_refuses_a_split_at_a_missing_vertex_or_of_a_non_vertex():
     # a split at a vertex K3 lacks, and a moved neighbour that is not a
-    # vertex id, raise typed errors during the replay
+    # vertex id, raise typed errors during the replay, as does every other
+    # refusal of the split; so do a base that is not three vertices, and a
+    # split whose anchors are not two or whose moved neighbours are no
+    # collection, which the replay refuses before it splits
+    move = reduction.SplitMove
     for split, error in (
-            (reduction.SplitMove(9, (1, 2), frozenset(), 3), errors.InvalidAnchors),
-            (reduction.SplitMove(0, (1, 2), frozenset({(1, 2)}), 3), errors.NotAnEdge)):
+            (move(9, (1, 2), frozenset(), 3), errors.InvalidAnchors),
+            (move(0, (1, 2), frozenset({(1, 2)}), 3), errors.NotAnEdge),
+            (move(0, (1, 2), frozenset(), 3.0), errors.BadArgument),
+            (move(0, (1, 1), frozenset(), 3), errors.InvalidAnchors),
+            (move(0, (1, 2), frozenset({1}), 3), errors.InvalidAnchors),
+            (move(0, (1, 2), frozenset({0}), 3), errors.LoopEdge),
+            (move(0, (1, 2), frozenset(), 2), errors.NonSimple),
+            (move(0, (1,), frozenset(), 3), errors.BadArgument),
+            (move(0, (1, 2, 0), frozenset(), 3), errors.BadArgument),
+            (move(0, None, frozenset(), 3), errors.BadArgument),
+            (move(0, (1, 2), None, 3), errors.BadArgument)):
         with pytest.raises(error):
             verify_certificate(Certificate((0, 1, 2), (split,)), complete_graph(3))
+    for base in ((0, 1), (0, 1, 2, 3), None):
+        with pytest.raises(errors.BadArgument, match="is not three vertices"):
+            Certificate(base, ()).target
 
 
 def test_verify_ranks_the_target_once(monkeypatch):

@@ -11,9 +11,9 @@ from torusrig import errors
 from torusrig.catalog import build_H
 from torusrig.fileio import load_hole
 from torusrig.graphs import Graph, complete_graph, double_banana
-from torusrig.reduction import certify
-from torusrig.rigidity import (DIM, FIELD_PRIME, Placement, generic_rank,
-                               is_min_3_rigid, random_placement,
+from torusrig.reduction import certify, verify_certificate
+from torusrig.rigidity import (DIM, FIELD_PRIME, Placement, _coordinates,
+                               generic_rank, is_min_3_rigid, random_placement,
                                rank_at_placement, rigidity_matrix,
                                rigidity_report)
 from torusrig.sparsity import check_3_6
@@ -298,3 +298,26 @@ def test_placement_is_pinned_and_independent_of_the_hash_seed():
                              capture_output=True, text=True, check=True).stdout
         assert json.loads(out) == [list(random_placement(g, 0)[v])
                                    for v in range(4)]
+
+
+@pytest.mark.parametrize("seed", [True, 1.0, "1", [1], None],
+                         ids=["bool", "float", "str", "list", "none"])
+def test_a_seed_that_is_not_an_integer_is_refused(seed):
+    # True and 1.0 equal 1, so the placement cache would hand either the
+    # draws of whichever of the three came first, though each draws from
+    # another string: the placement would depend on the order of calls.
+    # Every rank refuses such a seed, after a draw at 1 and before one
+    g = build_H(5).graph
+    cert = certify(build_H(5))
+    calls = (lambda: random_placement(g, seed), lambda: generic_rank(g, seed),
+             lambda: rigidity_report(g, seed=seed),
+             lambda: is_min_3_rigid(g, seed=seed),
+             lambda: verify_certificate(cert, g, seed=seed))
+    for first_at_one in (False, True):
+        _coordinates.cache_clear()
+        if first_at_one:
+            generic_rank(g, 1)
+        for call in calls:
+            with pytest.raises(errors.BadArgument, match="is not an integer"):
+                call()
+    assert generic_rank(g, 1) == 3 * len(g.vertices) - 6

@@ -13,7 +13,9 @@ Every import is from the standard library or relative, as the empty
 about 14 MB to a process's resident memory).  Only ``sparsity`` knows the
 pebble board a ``Graph`` keeps, and a violation's witness comes from that
 board, not from a second engine.  Every pebble moves through one search,
-which always logs what it changes.
+which always logs what it changes.  Each move of the graph calculus,
+contraction and vertex split, has one body, which changes a working
+adjacency in place.
 """
 
 import ast
@@ -279,3 +281,20 @@ def test_one_pebble_search():
                 and getattr(node.comparators[0], "value", 0) is None]
     assert not defaults, f"a pebble-search parameter has a default: {defaults}"
     assert not switches, f"maxflow.py branches on a missing log at lines {switches}"
+
+
+def test_one_body_per_move():
+    # graphs.py has one function per move, contraction and vertex split,
+    # each changing a working adjacency in place, so no move that builds a
+    # new graph comes back beside it; reduction.py, whose loop and replay
+    # run those bodies, names neither old move
+    src = TESTS.parent / "src" / "torusrig"
+    tree = ast.parse((src / "graphs.py").read_text())
+    moves = sorted(node.name for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)
+                   and re.search("contract|split", node.name))
+    assert moves == ["_contract_in_place", "_split_in_place"], moves
+    text = (src / "reduction.py").read_text()
+    named = [f"reduction.py:{n}" for n, line in enumerate(text.splitlines(), 1)
+             if re.search(r"\b(contract_edge|split_vertex)\b", line)]
+    assert not named, f"an old graph move is named at {named}"

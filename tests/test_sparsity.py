@@ -8,8 +8,8 @@ from torusrig import errors, sparsity
 from torusrig.catalog import build_H
 from torusrig.complexes import TorusComplex, cut_hole, rectangular_torus
 from torusrig.corpus import CorpusSpec, gen_corpus
-from torusrig.graphs import (Graph, complete_graph, contract_edge,
-                             double_banana, edge_key, freedom)
+from torusrig.graphs import (Graph, complete_graph, double_banana, edge_key,
+                             freedom)
 from torusrig.reduction import contract, contractible_edges
 from torusrig.sparsity import (SparsityVerdict, Status, _contraction_trial,
                                _contraction_violator, _copy_board,
@@ -20,7 +20,8 @@ from torusrig.sparsity import (SparsityVerdict, Status, _contraction_trial,
 from torusrig.fileio import record_to_hole
 
 from helpers import (BRUTE_FORCE_CAP, assert_board_of, board_state,
-                     brute_force_3_6, component_oracle_checked, first_violator,
+                     brute_force_3_6, component_oracle_checked, contract_edge,
+                     first_violator,
                      flow_scan, holds, keylemma_records, random_parent,
                      record_pebble_games, tight_plus_one_edge, torus_census,
                      violates_3_6)
@@ -423,7 +424,7 @@ def test_contraction_places_only_the_edges_at_the_merged_vertex(monkeypatch):
     board = g._board
     for u, v in contractible_edges(hole):
         placed.clear()
-        failed, gone, log = _contraction_trial(g, board, (u, v))
+        failed, gone, log = _contraction_trial(g._adj, board, (u, v))
         _undo(board, log)
         z = u + v - gone
         assert failed is None and not games
@@ -458,7 +459,7 @@ def test_contraction_gathers_the_merged_vertex_pebbles_once(monkeypatch):
         board = g._board
         for e in contractible_edges(hole):
             fetches.clear()
-            _, gone, log = _contraction_trial(g, board, e)
+            _, gone, log = _contraction_trial(g._adj, board, e)
             _undo(board, log)
             z = sum(e) - gone
             assert fetches[z] <= 3, (i, e, fetches[z])
@@ -542,11 +543,11 @@ def test_decided_graph_holds_no_ancestor():
         chain.append(h)
     for e in contractible_edges(hole):
         board = _copy_board(g)
-        failed, gone, _ = _contraction_trial(g, board, e)
+        failed, gone, _ = _contraction_trial(g._adj, board, e)
         if failed:
             continue
         h = contract_edge(g, *e)
-        _rename_merged(board, h, e, gone)
+        _rename_merged(board, h._adj, e, gone)
         assert_board_of(*board, h)
         assert board[0].keys() == h.vertices
         assert h._board is None and not holds(h, g) and not holds(h, board[0])
@@ -599,7 +600,7 @@ def test_contraction_trial_matches_a_cold_game_and_undoes_exactly():
             for u, v in (e, e[::-1]):
                 h = contract_edge(g, u, v)
                 want = check_3_6(Graph(h.vertices, h.edges)).status is not Status.VIOLATION
-                failed, gone, log = _contraction_trial(g, board, (u, v))
+                failed, gone, log = _contraction_trial(g._adj, board, (u, v))
                 sparse = failed is None
                 assert sparse is want, (e, u, gone)
                 child = contract_edge(g, u + v - gone, gone)
@@ -627,7 +628,7 @@ def test_contraction_trial_matches_the_oracle_on_random_parents(data):
     board = g._board
     before = board_state(board)
     for u, v in g.sorted_edges():
-        failed, _, log = _contraction_trial(g, board, (u, v))
+        failed, _, log = _contraction_trial(g._adj, board, (u, v))
         want = brute_force_3_6(contract_edge(g, u, v)).status
         assert (failed is None) is (want is not Status.VIOLATION), (u, v)
         _undo(board, log)
@@ -679,7 +680,7 @@ def test_contraction_trial_removes_the_end_with_fewer_neighbours():
         board = g._board
         for u, v in contractible_edges(hole):
             for a, b in ((u, v), (v, u)):
-                _, gone, log = _contraction_trial(g, board, (a, b))
+                _, gone, log = _contraction_trial(g._adj, board, (a, b))
                 _undo(board, log)
                 assert gone == (a if g.degree(a) < g.degree(b) else b)
                 kinds[g.degree(a) == g.degree(b)] += 1
