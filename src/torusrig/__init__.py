@@ -12,7 +12,7 @@ rigidity follows from tightness only for one hole: two octahedra glued at an
 antipodal pair form a tight two-hole torus graph of rank 3|V| - 7.  So the
 reduction and certificate commands refuse more than one hole.
 
-Twelve public names have no caller in the package, only in the tests and the
+Eleven public names have no caller in the package, only in the tests and the
 benchmark; each stays public for a reason.  ``find_critical_cycle_through``
 and ``fission`` are the key lemma's search and move, which the benchmark
 runs.  ``contract`` is one contraction of a hole, which the benchmark's
@@ -20,11 +20,11 @@ key-lemma check calls and its tracer times; greedy reduction builds its leaf
 with one refill instead.  ``divide`` is the paper's division move,
 ``cut_hole`` and ``cut_holes`` build its torus with one or several holes,
 and ``double_banana`` is its flexible graph that meets the Maxwell count.
-``is_in_T`` is the main theorem's class 𝒯, ``is_min_3_rigid`` the property
-the theorem equates with it and ``is_uncontractible`` the test that ends the
-reduction; the acceptance criteria import all three, and ``is_isomorphic``,
-which the benchmark's tracer times.  ``rigidity_matrix`` is the matrix
-``generic_rank`` ranks, which the tests rank densely as an oracle.
+``is_in_T`` is the main theorem's class 𝒯 and ``is_uncontractible`` the
+test that ends the reduction; the acceptance criteria import both, and
+``is_isomorphic``, which the benchmark's tracer times.  ``rigidity_matrix``
+is the matrix ``generic_rank`` ranks, which the tests rank densely as an
+oracle.
 """
 
 from .complexes import (ClosedWalk, DiscMap, SurfaceComplex, TorusComplex,

@@ -155,7 +155,9 @@ def _split_in_place(adj, v1: int, v2: int, v3: int, moved_edges,
 
     The vertex ``new_vertex`` is added and joined to v1, v2, v3, and each
     edge v1--t in ``moved_edges`` is replaced by new_vertex--t.
-    BadArgument unless v1, v2, v3 and ``new_vertex`` are ``int``s.  Every
+    BadArgument unless v1, v2, v3, ``new_vertex`` and the ends of each
+    moved edge are ``int``s: a moved ``3.0`` or ``True`` would pass as the
+    neighbour it equals and enter the new vertex's neighbour set.  Every
     check comes before the first write, so a refused split leaves ``adj``
     as it was.
     """
@@ -173,6 +175,9 @@ def _split_in_place(adj, v1: int, v2: int, v3: int, moved_edges,
             e = edge_key(*e)
         except TypeError:
             raise errors.NotAnEdge(f"{e!r} is not a vertex pair") from None
+        for x in e:
+            if type(x) is not int:
+                raise errors.BadArgument(f"vertex {x!r} is not an integer")
         t = e[0] if e[1] == v1 else e[1]
         if v1 not in e or t not in at_v1:
             raise errors.NotAnEdge(f"{e} is not an edge at {v1}")

@@ -80,7 +80,7 @@ from .complexes import (ClosedWalk, DiscMap, TorusComplex, TorusWithHole,
 from .graphs import (Graph, _contract_in_place, _graph_of, _split_in_place,
                      _working, edge_key, is_isomorphic)
 from .maxflow import densest_extension
-from .rigidity import generic_rank
+from .rigidity import generic_rank, is_min_3_rigid
 from .sparsity import (_contraction_trial, _contraction_violator, _copy_board,
                        _rename_merged, _undo, check_3_6, maximal_tight_subgraph)
 
@@ -646,18 +646,21 @@ def verify_certificate(cert: Certificate, target: Graph,
     ending at any other graph than the target, a relabelled copy too,
     raises ReplayMismatch.
 
-    The target then gets one check: with ``check_rank`` its exact rank at
-    the placement drawn from ``seed`` must be |E| = 3|V| - 6, and without it
-    one (3,6) tightness check, which a target already decided answers
-    without a pebble game; ReplayMismatch when it fails.  Given a valid
-    chain, a rank shortfall comes only from an unlucky placement, with
-    chance at most 3|V| / p (see ``rigidity``).
+    The target then gets one check.  With ``check_rank`` it is
+    ``is_min_3_rigid`` at ``seed``: |E| = 3|V| - 6 and a rank that reaches
+    it, at the word point first and at the 62-bit point only on a
+    shortfall; ReplayMismatch when it fails, naming the target's
+    ``generic_rank``.  Without it the check is one (3,6) tightness check,
+    which a target already decided answers without a pebble game;
+    ReplayMismatch when it fails.  Given a valid chain, a rank shortfall
+    comes only from an unlucky placement, with chance at most
+    3|V| / 2^62 (see ``rigidity``).
     """
     if cert.target != target:
         raise errors.ReplayMismatch("certificate does not reproduce the target")
     if check_rank:
-        rank = generic_rank(target, seed=seed)
-        if not rank == len(target.edges) == 3 * len(target.vertices) - 6:
+        if not is_min_3_rigid(target, seed=seed):
+            rank = generic_rank(target, seed=seed)
             raise errors.ReplayMismatch(
                 f"target on {len(target.vertices)} vertices and "
                 f"{len(target.edges)} edges has rank {rank}, not 3|V| - 6")

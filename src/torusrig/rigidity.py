@@ -1,18 +1,26 @@
 """Generic infinitesimal 3-rigidity by exact rigidity-matrix rank.
 
 The generic rank is the rank at one placement drawn uniformly from the
-prime field of order 2^62 - 57, computed by exact modular elimination.  That
-rank can only be under-reported (the placement may be unlucky), never
-over-reported.  An r x r minor of the rigidity matrix that is nonzero as a
-polynomial has degree at most r <= 3|V| in the coordinates, so it vanishes
-at a random placement with probability at most r / p <= 3|V| / 2^62
-(Schwartz 1980; Zippel 1979) -- far below 2^-40 at desk scale.
+prime field of order 2^62 - 57, computed by exact modular elimination.  A
+rank is one-sided: a minor that vanishes at the placement's integer
+coordinates vanishes mod every prime p, so the rank over GF(p) is at most
+the rank over the rationals, itself at most the generic rank, and a rank of
+3|V| - 6 over any prime proves the generic one.  Only a shortfall can be
+false, at an unlucky point.  An r x r minor of the rigidity matrix that is
+nonzero as a polynomial has degree at most r <= 3|V| in the coordinates,
+so it vanishes at a random placement with probability at most
+r / p <= 3|V| / 2^62 (Schwartz 1980; Zippel 1979) -- far below 2^-40 at
+desk scale.  So ``is_min_3_rigid`` ranks first at the same point read mod
+``WORD_PRIME``, below 2^30, where every reduced entry is one CPython digit,
+and at 2^62 - 57 only on a shortfall, which keeps that bound on a false
+"not rigid"; ``generic_rank`` is one 62-bit rank.
 
 A placement is drawn per (seed, vertex): p(v) depends on nothing else, so
 a rank is the same in every process at the same seed, and the placement of
-a subgraph is the restriction of the graph's.  A certificate needs one rank,
-of its target: its vertex splits keep generic rigidity by Whiteley's lemma,
-so the steps before it need none (``reduction.verify_certificate``).
+a subgraph is the restriction of the graph's.  A certificate needs one rank
+check, of its target (``is_min_3_rigid``): its vertex splits keep generic
+rigidity by Whiteley's lemma, so the steps before it need none
+(``reduction.verify_certificate``).
 
 ``rank_at_placement`` holds row uv as the blocks p(u) - p(v) at u and its
 negative at v, and clears one vertex block at a time in (degree, label)
@@ -41,13 +49,16 @@ from .graphs import Graph
 
 # largest prime below 2**62
 FIELD_PRIME = 4611686018427387847
+# largest prime below 2**30, so that a reduced entry is one CPython digit
+WORD_PRIME = 1073741789
 
 DIM = 3
 
 
 @dataclass(frozen=True)
 class Placement:
-    """Vertex coordinates in the prime field of order ``modulus``."""
+    """Vertex coordinates, integers read in the prime field of order
+    ``modulus`` (``_block_rows`` reduces each difference)."""
     coords: dict
     modulus: int
 
@@ -219,8 +230,17 @@ def rigidity_report(graph: Graph, seed: int = 0) -> RigidityReport:
 
 
 def is_min_3_rigid(graph: Graph, seed: int = 0) -> bool:
-    """True iff |E| = 3|V| - 6 and the generic rank attains it."""
+    """True iff |E| = 3|V| - 6 and the generic rank attains it.
+
+    The rank is taken at the seed's placement read mod ``WORD_PRIME``, and
+    at ``generic_rank``'s 62-bit point only on a shortfall, so the answer is
+    ``generic_rank``'s except where its own point alone was unlucky.
+    """
     if len(graph.vertices) < 3:
         raise errors.TooFewVertices("minimal 3-rigidity needs at least 3 vertices")
     target = DIM * len(graph.vertices) - 6
-    return len(graph.edges) == target and generic_rank(graph, seed=seed) == target
+    if len(graph.edges) != target:
+        return False
+    word = Placement(random_placement(graph, seed).coords, WORD_PRIME)
+    return (rank_at_placement(graph, word) == target
+            or generic_rank(graph, seed=seed) == target)

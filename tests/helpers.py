@@ -34,7 +34,7 @@ from unittest import mock
 
 from hypothesis import strategies as st
 
-from torusrig import cli, errors, sparsity
+from torusrig import cli, errors, rigidity, sparsity
 from torusrig.catalog import _classes
 from torusrig.complexes import (ClosedWalk, DiscMap, SurfaceComplex,
                                 TorusComplex, TorusWithHole, _face_edges,
@@ -46,6 +46,7 @@ from torusrig.graphs import Graph, _graph_of, _working, edge_key
 from torusrig.maxflow import densest_extension
 from torusrig.reduction import (Contraction, EdgeClass, SeparatingCycle,
                                 _region_criticals, contract)
+from torusrig.rigidity import rank_at_placement as _rank_at_placement
 from torusrig.sparsity import (SparsityVerdict, Status, _PebbleGame,
                                _sparse_verdict, check_3_6)
 
@@ -83,6 +84,20 @@ def run_main(args, record) -> tuple[int, str, str]:
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(args)
     return code, out.getvalue(), err.getvalue()
+
+
+def record_ranks(monkeypatch, short=lambda g, placement: False) -> list:
+    """Every ``rigidity.rank_at_placement`` call from now on, as (graph,
+    placement) pairs, each through the kernel; a call that ``short`` picks
+    reports one less than the rank.  Another call replaces the recorder."""
+    calls = []
+
+    def recorded(g, placement):
+        calls.append((g, placement))
+        return _rank_at_placement(g, placement) - bool(short(g, placement))
+
+    monkeypatch.setattr(rigidity, "rank_at_placement", recorded)
+    return calls
 
 
 def dense_rank_mod_p(rows, p: int) -> int:
@@ -269,7 +284,8 @@ def split_vertex(g: Graph, v1: int, v2: int, v3: int, moved_edges,
 
     The vertex ``new_vertex`` is added and joined to v1, v2, v3, and each
     edge v1--t in ``moved_edges`` is replaced by new_vertex--t.
-    BadArgument unless v1, v2, v3 and ``new_vertex`` are ``int``s.
+    BadArgument unless v1, v2, v3, ``new_vertex`` and the ends of each
+    moved edge are ``int``s.
     """
     for x in (v1, v2, v3, new_vertex):
         if type(x) is not int:
@@ -284,6 +300,9 @@ def split_vertex(g: Graph, v1: int, v2: int, v3: int, moved_edges,
             e = edge_key(*e)
         except TypeError:
             raise errors.NotAnEdge(f"{e!r} is not a vertex pair") from None
+        for x in e:
+            if type(x) is not int:
+                raise errors.BadArgument(f"vertex {x!r} is not an integer")
         if e not in g.edges or v1 not in e:
             raise errors.NotAnEdge(f"{e} is not an edge at {v1}")
         t = e[0] if e[1] == v1 else e[1]

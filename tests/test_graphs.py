@@ -137,6 +137,16 @@ def test_split_vertex_takes_integer_ids_only(v1, v2, v3, new_vertex, bad):
         split(complete_graph(5), v1, v2, v3, [], new_vertex)
 
 
+@pytest.mark.parametrize("moved, bad", [
+    ((0, 3.0), "3.0"), ((0.0, 3), "0.0"), ((0, True), "True"), ((4.5, 0), "4.5")],
+    ids=["float-neighbour", "float-vertex", "bool-neighbour", "float-stranger"])
+def test_split_vertex_takes_integer_moved_edges_only(moved, bad):
+    # a moved 3.0 equals the neighbour 3, and True the anchor 1: refused
+    # before the first write, so neither enters a neighbour set
+    with pytest.raises(errors.BadArgument, match=f"vertex {bad} is not an integer"):
+        split(complete_graph(5), 0, 1, 2, [moved], 5)
+
+
 def test_is_isomorphic_basics():
     assert is_isomorphic(complete_graph(4), complete_graph(4))
     p4 = Graph(range(4), [(0, 1), (1, 2), (2, 3)])

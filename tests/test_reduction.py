@@ -10,7 +10,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusrig import catalog, errors, reduction, sparsity
+from torusrig import catalog, errors, reduction, rigidity, sparsity
 from torusrig.catalog import build_H, classify
 from torusrig.complexes import (ClosedWalk, DiscMap, TorusComplex,
                                 TorusWithHole, cut_hole, disc_structures,
@@ -36,8 +36,8 @@ from helpers import (_blocked_faces, _grow_region, assert_board_of, board_state,
                      facial_split, grow_hole_oracle, holds,
                      hole_reduce_greedy, induced, is_connected,
                      keylemma_records, link_cycle,
-                     one_pass_mismatches, record_pebble_games, replay_chain,
-                     run_main, scan_violator, separating_cycle,
+                     one_pass_mismatches, record_pebble_games, record_ranks,
+                     replay_chain, run_main, scan_violator, separating_cycle,
                      tight_set_critical_cycles, torus_census, vertex_split,
                      walk_alignments)
 
@@ -1364,28 +1364,30 @@ def test_verify_refuses_a_split_at_a_missing_vertex_or_of_a_non_vertex():
             (move(0, (1, 2), None, 3), errors.BadArgument)):
         with pytest.raises(error):
             verify_certificate(Certificate((0, 1, 2), (split,)), complete_graph(3))
+    # a moved neighbour equal to a vertex of the graph but not an int: the
+    # second split would put 3.0, or True for the vertex 1, into the new
+    # vertex's neighbour set
+    for moved, anchors in ((3.0, (1, 2)), (True, (2, 3))):
+        first = move(0, (1, 2), frozenset(), 3)
+        cert = Certificate((0, 1, 2), (first, move(0, anchors, frozenset({moved}), 4)))
+        with pytest.raises(errors.BadArgument, match=f"vertex {moved} is not an integer"):
+            verify_certificate(cert, complete_graph(3))
     for base in ((0, 1), (0, 1, 2, 3), None):
         with pytest.raises(errors.BadArgument, match="is not three vertices"):
             Certificate(base, ()).target
 
 
 def test_verify_ranks_the_target_once(monkeypatch):
-    # one exact rank per certificate, at the caller's seed, on the target
-    # itself; the valid split chain stands for the steps before it
+    # one exact rank per certificate, of the target itself, at the caller's
+    # seed read mod the word prime; the valid split chain stands for the
+    # steps before it, and the full rank there leaves the 62-bit point out
     hole = build_H(5)
     cert = certify(hole)
-    real_rank = reduction.generic_rank
-    calls = []
-
-    def counted(g, **kw):
-        calls.append((g, kw))
-        return real_rank(g, **kw)
-
-    monkeypatch.setattr(reduction, "generic_rank", counted)
+    ranks = record_ranks(monkeypatch)
     assert verify_certificate(cert, hole.graph, check_rank=True, seed=7)
-    assert len(calls) == 1
-    (g, kw), = calls
-    assert g is hole.graph and kw == {"seed": 7}
+    (g, placement), = ranks
+    assert g is hole.graph and placement.modulus == rigidity.WORD_PRIME
+    assert placement.coords == rigidity.random_placement(g, 7).coords
 
 
 def test_verify_without_rank_checks_tightness_once_per_call(monkeypatch):
@@ -1425,17 +1427,29 @@ def test_corrupted_splits_raise_replay_mismatch(check_rank):
 
 
 def test_rank_shortfall_on_the_target_raises(monkeypatch):
-    # a rank shortfall on the target alone must be caught
+    # a rank shortfall on the target alone, at the word point and again at
+    # the 62-bit point, must be caught and name the 62-bit rank
     hole = build_H(5)
     cert = certify(hole)
-    real_rank = reduction.generic_rank
-
-    def rank_short_on_the_target(g, **kw):
-        return real_rank(g, **kw) - (g == hole.graph)
-
-    monkeypatch.setattr(reduction, "generic_rank", rank_short_on_the_target)
-    with pytest.raises(errors.ReplayMismatch, match="has rank"):
+    ranks = record_ranks(monkeypatch, lambda g, placement: g == hole.graph)
+    full = 3 * len(hole.graph.vertices) - 6
+    with pytest.raises(errors.ReplayMismatch, match=f"has rank {full - 1},"):
         verify_certificate(cert, hole.graph)
+    assert [p.modulus for _g, p in ranks] == [
+        rigidity.WORD_PRIME, rigidity.FIELD_PRIME, rigidity.FIELD_PRIME]
+
+
+def test_verify_ranks_once_at_the_word_prime(monkeypatch, tight_corpus):
+    # the word point reaches the full rank on every certificate target of
+    # the tight corpus, H1-H17 and the tight census holes: one rank each,
+    # so the 62-bit fallback never runs
+    holes = list(tight_corpus) + [build_H(i) for i in range(1, 18)] + _census_holes()
+    certs = [(certify(hole), hole.graph) for hole in holes]
+    ranks = record_ranks(monkeypatch)
+    for cert, g in certs:
+        ranks.clear()
+        assert verify_certificate(cert, g, check_rank=True)
+        assert [(h, p.modulus) for h, p in ranks] == [(g, rigidity.WORD_PRIME)]
 
 
 def test_rank_replay_agrees_with_tightness_replay(tight_corpus):

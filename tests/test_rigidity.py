@@ -12,13 +12,14 @@ from torusrig.catalog import build_H
 from torusrig.fileio import load_hole
 from torusrig.graphs import Graph, complete_graph, double_banana
 from torusrig.reduction import certify, verify_certificate
-from torusrig.rigidity import (DIM, FIELD_PRIME, Placement, _coordinates,
-                               generic_rank, is_min_3_rigid, random_placement,
-                               rank_at_placement, rigidity_matrix,
-                               rigidity_report)
+from torusrig.rigidity import (DIM, FIELD_PRIME, WORD_PRIME, Placement,
+                               _coordinates, generic_rank, is_min_3_rigid,
+                               random_placement, rank_at_placement,
+                               rigidity_matrix, rigidity_report)
 from torusrig.sparsity import check_3_6
 
-from helpers import dense_rank_mod_p, induced, rank_rational, replay_chain
+from helpers import (dense_rank_mod_p, induced, rank_rational, record_ranks,
+                     replay_chain, run_main)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 OCTAHEDRON = Graph(range(6), complete_graph(6).edges - {(0, 1), (2, 3), (4, 5)})
@@ -260,6 +261,64 @@ def test_one_placement_is_seed_stable_on_deficient_graphs(corpus9):
                                   FIELD_PRIME) for seed in range(5)]
         assert ranks == dense == ranks[:1] * 5, g
         assert ranks[0] < len(g.edges)
+
+
+# -- the word point: the seed's placement read mod WORD_PRIME --------------
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_word_prime_is_the_largest_prime_below_2_to_the_30():
+    # one CPython digit: a reduced entry, and a product of two, stays small
+    assert _is_prime(WORD_PRIME) and WORD_PRIME < 2 ** 30
+    assert not any(_is_prime(n) for n in range(WORD_PRIME + 1, 2 ** 30))
+
+
+def _word_rank(g, seed) -> int:
+    return rank_at_placement(g, Placement(random_placement(g, seed).coords, WORD_PRIME))
+
+
+def test_word_point_never_outranks_the_62_bit_point(corpus9):
+    # one-sided at either prime: on graphs short of the full rank, flexible
+    # and over-braced ones too, the word point never ranks higher, and
+    # is_min_3_rigid is the 62-bit answer at every seed
+    graphs = [double_banana(), load_hole(DATA / "two_octahedra.json").graph,
+              complete_graph(5)] + [
+        h.graph for h in corpus9 if not check_3_6(h.graph).is_tight]
+    assert len(graphs) == 3 + 112
+    for g in graphs:
+        full = 3 * len(g.vertices) - 6
+        for seed in range(5):
+            rank = generic_rank(g, seed)
+            assert _word_rank(g, seed) <= rank
+            assert is_min_3_rigid(g, seed) == (rank == len(g.edges) == full), g
+
+
+def test_a_word_point_shortfall_falls_back_to_the_62_bit_point(monkeypatch):
+    # a full rank at the word point settles it; an unlucky word point alone
+    # costs one 62-bit rank and no verdict; a shortfall at both is "no"
+    g = build_H(5).graph
+    for short_at, calls, rigid in (
+            ((), [WORD_PRIME], True),
+            ((WORD_PRIME,), [WORD_PRIME, FIELD_PRIME], True),
+            ((WORD_PRIME, FIELD_PRIME), [WORD_PRIME, FIELD_PRIME], False)):
+        ranks = record_ranks(monkeypatch, lambda g, p: p.modulus in short_at)
+        assert is_min_3_rigid(g, seed=3) is rigid
+        assert [p.modulus for _g, p in ranks] == calls
+
+
+def test_rank_and_report_take_one_62_bit_rank(monkeypatch):
+    # generic_rank, rigidity_report and ``torusrig rank`` never pay for a
+    # word point: a graph short of the full rank would rank twice
+    path = str(DATA / "two_octahedra.json")
+    g = load_hole(path).graph
+    for call in (lambda: generic_rank(g, 2), lambda: rigidity_report(g, seed=2),
+                 lambda: run_main(["rank", path], None)):
+        ranks = record_ranks(monkeypatch)
+        call()
+        assert [p.modulus for _g, p in ranks] == [FIELD_PRIME]
 
 
 # -- one placement per (seed, vertex) ----------------------------------------

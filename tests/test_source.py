@@ -124,7 +124,7 @@ def test_every_definition_has_a_user():
 TEST_ONLY_PUBLIC = {
     "contract", "cut_hole", "cut_holes", "divide", "double_banana",
     "find_critical_cycle_through", "fission", "is_in_T", "is_isomorphic",
-    "is_min_3_rigid", "is_uncontractible", "rigidity_matrix",
+    "is_uncontractible", "rigidity_matrix",
 }
 
 
