@@ -12,7 +12,7 @@ rigidity follows from tightness only for one hole: two octahedra glued at an
 antipodal pair form a tight two-hole torus graph of rank 3|V| - 7.  So the
 reduction and certificate commands refuse more than one hole.
 
-Eleven public names have no caller in the package, only in the tests and the
+Twelve public names have no caller in the package, only in the tests and the
 benchmark; each stays public for a reason.  ``find_critical_cycle_through``
 and ``fission`` are the key lemma's search and move, which the benchmark
 runs.  ``contract`` is one contraction of a hole, which the benchmark's
@@ -24,7 +24,9 @@ and ``double_banana`` is its flexible graph that meets the Maxwell count.
 test that ends the reduction; the acceptance criteria import both, and
 ``is_isomorphic``, which the benchmark's tracer times.  ``rigidity_matrix``
 is the matrix ``generic_rank`` ranks, which the tests rank densely as an
-oracle.
+oracle.  ``is_min_3_rigid`` is the decision the acceptance criteria ask of
+every tight graph; a certificate's rank check takes the rank it decides by
+instead, to name it when it falls short.
 """
 
 from .complexes import (ClosedWalk, DiscMap, SurfaceComplex, TorusComplex,

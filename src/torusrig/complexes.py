@@ -25,6 +25,10 @@ keep sets; each reads its chi off the ends of its kept edges, and only a
 disc traces its walk, turning around each boundary vertex across glued
 edges.  ``DiscMap`` takes the same pass and keeps the region's edges, which
 its hole reads; the hole's graph takes the torus's key-ordered edges.
+
+A child hole is its retained faces closed over each walk by a fresh disc of
+n + 2m - 2 faces, one apex per run of distinct walk vertices; the fill and
+the argument that it fits are stated once, in ``retriangulate_holes``.
 """
 
 from __future__ import annotations
@@ -589,16 +593,40 @@ def infer_disc(torus: TorusComplex, face_indices) -> DiscMap:
 def retriangulate_holes(retained_faces, walks) -> "TorusWithHole":
     """Close a retained facial complex into a torus by fresh hole discs.
 
-    Each boundary walk is filled, from its canonical rotation, with a
-    collar of fresh vertices plus a coned centre, so every interior edge of
-    the new disc has a fresh endpoint and cannot collide with a retained
-    edge.  The collar's ``DiscMap`` reads that rotation back, so a walk in
-    any rotation or reversal fills the same collar.  Every child hole is
-    built so: a contraction's (``reduction.contract``), since the old hole
-    faces may no longer fit the renamed retained ones, and a fission's,
-    whose catalog faces may reuse a hole edge as a chord.  Fresh ids start
-    above the integer corners; ``TorusComplex`` refuses any other corner.
+    Each boundary walk b_0 ... b_{n-1}, taken in its canonical rotation, is
+    filled as follows.  Its n positions are split greedily, from position 0,
+    into m runs whose spanned walk vertices b_s, ..., b_{e+1} are distinct
+    (indices mod n; a simple walk is one run, whose ends b_0 = b_n are one
+    position).  Each run cones its walk edges to one fresh apex; consecutive
+    apexes, the last and the first too, are joined by one face at the walk
+    vertex the two runs share; and the polygon of the m apexes is fanned from
+    the first.  That is n + 2m - 2 faces, a plain cone of n faces when
+    m = 1.  It is a disc: every apex is interior, and its boundary reads
+    the walk.
+
+    It maps into the torus.  An interior edge of the fill has a fresh end,
+    an apex, so it cannot collide with a retained edge, and the only edges
+    between walk vertices are the walk edges, one fill face per visit.  At
+    a visit of a walk vertex v the fill is a fan from the walk edge behind
+    to the walk edge ahead through the apexes of the runs spanning that
+    position: one apex inside a run, two where runs meet.  Two visits of v
+    never share an apex, since a run spans v at most once.  So each apex
+    edge lies in two fill faces, the fans at v are disjoint, and v's link is
+    the retained faces' paths joined by these fans, as in the hole's own
+    disc.  The fill's ``DiscMap`` keeps the walk edges the walk runs along
+    twice and reads the canonical rotation back, so a walk in any rotation
+    or reversal fills the same disc.
+
+    Every child hole is built so: a contraction's (``reduction.contract``),
+    since the old hole faces may no longer fit the renamed retained ones,
+    and a fission's, whose catalog faces may reuse a hole edge as a chord.
+    Fresh ids start above the integer corners; ``TorusComplex`` refuses any
+    other corner.  BadArgument, before any face is built, unless ``walks``
+    is a list or tuple of ``ClosedWalk``s.
     """
+    if not (isinstance(walks, (list, tuple))
+            and all(isinstance(w, ClosedWalk) for w in walks)):
+        raise errors.BadArgument(f"walks {walks!r} are not a list of ClosedWalks")
     faces = [tuple(f) for f in retained_faces]
     next_id = max(itertools.chain((v for f in faces for v in f if type(v) is int),
                                   *(w.vertices for w in walks)), default=0) + 1
@@ -606,14 +634,23 @@ def retriangulate_holes(retained_faces, walks) -> "TorusWithHole":
     for w in walks:
         b = w.canonical()
         n = len(b)
-        ring = list(range(next_id, next_id + n))
-        centre = next_id + n
-        next_id += n + 1
-        regions.append((range(len(faces), len(faces) + 3 * n), w))
+        start = len(faces)
+        first = apex = next_id
+        run = {b[0]}
         for t in range(n):
-            faces.append((b[t], b[(t + 1) % n], ring[t]))
-            faces.append((b[(t + 1) % n], ring[t], ring[(t + 1) % n]))
-            faces.append((ring[t], ring[(t + 1) % n], centre))
+            u, v = b[t], b[(t + 1) % n]
+            # a new run, unless b_n = b_0 closes a simple walk's one run
+            if v in run and (t < n - 1 or apex > first):
+                apex += 1
+                faces.append((apex - 1, u, apex))
+                run = {u}
+            run.add(v)
+            faces.append((u, v, apex))
+        if apex > first:
+            faces.append((apex, b[0], first))
+            faces.extend((first, a, a + 1) for a in range(first + 1, apex))
+        next_id = apex + 1
+        regions.append((range(start, len(faces)), w))
     torus = TorusComplex(faces)
     discs = []
     for idxs, w in regions:

@@ -46,9 +46,10 @@ which keeps its candidate set and recounts only the edges a move can
 change.
 
 Every child hole, from a contraction, the leaf or a fission, is built one
-way (``retriangulate_holes``): its retained faces closed by a fresh collar
-over each boundary walk, filled from the walk's canonical rotation, which
-the collar's ``DiscMap`` reads back.  A contracted hole is built by
+way (``retriangulate_holes``, which states the fill and why it fits): its
+retained faces closed over each boundary walk by a fresh disc, one apex per
+run of distinct walk vertices, filled from the walk's canonical rotation,
+which the fill's ``DiscMap`` reads back.  A contracted hole is built by
 ``_contracted``, which renames the retained faces once
 (``_contract_faces``) and the walks move by move; renaming commutes with
 rotation and reversal, so no step needs to know where a walk starts.  Old
@@ -80,7 +81,7 @@ from .complexes import (ClosedWalk, DiscMap, TorusComplex, TorusWithHole,
 from .graphs import (Graph, _contract_in_place, _graph_of, _split_in_place,
                      _working, edge_key, is_isomorphic)
 from .maxflow import densest_extension
-from .rigidity import generic_rank, is_min_3_rigid
+from .rigidity import _rank_word_first, generic_rank
 from .sparsity import (_contraction_trial, _contraction_violator, _copy_board,
                        _rename_merged, _undo, check_3_6, maximal_tight_subgraph)
 
@@ -194,11 +195,11 @@ def _contract_faces(faces, edges) -> list:
 def _contracted(hole: TorusWithHole, edges) -> TorusWithHole:
     """The hole contracted along ``edges`` in turn: the hole itself without
     edges, else its retained faces so contracted (``_contract_faces``)
-    closed by a fresh collar over each boundary walk, renamed edge by edge
+    closed by a fresh fill over each boundary walk, renamed edge by edge
     (``retriangulate_holes``); NotContractible, carrying the hole's record,
     when they close no torus.  Renaming commutes with rotation and
-    reversal, and a collar is filled from its walk's canonical rotation,
-    so contracting the edges one at a time builds the same collars."""
+    reversal, and a fill is built from its walk's canonical rotation, so
+    contracting the edges one at a time builds the same fills."""
     if not edges:
         return hole
     walks = [d.boundary_walk.vertices for d in hole.discs]
@@ -390,20 +391,20 @@ def _cycle_named(cycle: SeparatingCycle) -> str:
 def _substitute(hole: TorusWithHole, cycle: SeparatingCycle) -> TorusWithHole:
     """G2: the retained faces of the catalog graph H with the cycle's
     pattern, mapped onto the cycle, and the annulus faces, closed by a fresh
-    collar over each of the hole's walks (``retriangulate_holes``, as a
+    fill over each of the hole's walks (``retriangulate_holes``, as a
     contracted hole is built).
 
     The map sends H's walk onto the cycle slot by slot, at its first
     rotation or reversal whose slots repeat as the cycle's do
     (``catalog._relabel``); one exists, as the two walks have one canonical
     pattern.  Every vertex of H lies on its walk, so the mapped faces meet
-    the disc of annulus and collar faces at cycle vertices only, as H's
-    faces meet its hole.  They close a torus unless an edge of
-    that disc off the cycle joins two cycle vertices.  A collar edge has a
-    fresh end, so that would be an annulus edge: a graph edge outside G1
-    between two vertices of G1.  G1 is tight (the module docstring's count),
-    so G1 with that edge breaks G's sparsity.  So on tight G the one refill
-    closes a torus.  A pattern with no catalog graph, or a refill that
+    the disc of annulus and fill faces at cycle vertices only, as H's
+    faces meet its hole.  They close a torus unless an edge of that disc
+    off the cycle joins two cycle vertices.  An interior edge of the fill
+    has a fresh end (``retriangulate_holes``), so that would be an annulus
+    edge: a graph edge outside G1 between two vertices of G1.  G1 is tight
+    (the module docstring's count), so G1 with that edge breaks G's
+    sparsity.  So on tight G the one refill closes a torus.  A pattern with no catalog graph, or a refill that
     closes no torus, raises NoMatchingCatalogGraph, naming the cycle by its
     walk and its disc (``_cycle_named``) and carrying the record.
     """
@@ -647,20 +648,21 @@ def verify_certificate(cert: Certificate, target: Graph,
     raises ReplayMismatch.
 
     The target then gets one check.  With ``check_rank`` it is
-    ``is_min_3_rigid`` at ``seed``: |E| = 3|V| - 6 and a rank that reaches
-    it, at the word point first and at the 62-bit point only on a
-    shortfall; ReplayMismatch when it fails, naming the target's
-    ``generic_rank``.  Without it the check is one (3,6) tightness check,
-    which a target already decided answers without a pebble game;
-    ReplayMismatch when it fails.  Given a valid chain, a rank shortfall
+    |E| = 3|V| - 6 and a rank at ``seed`` that reaches it, at the word point
+    first and at the 62-bit point only on a shortfall
+    (``rigidity._rank_word_first``); ReplayMismatch when it fails, naming
+    that 62-bit rank, so a short target is ranked twice.  Without it the
+    check is one (3,6) tightness check, which a target already decided
+    answers without a pebble game; ReplayMismatch when it fails.  Given a
+    valid chain, a rank shortfall
     comes only from an unlucky placement, with chance at most
     3|V| / 2^62 (see ``rigidity``).
     """
     if cert.target != target:
         raise errors.ReplayMismatch("certificate does not reproduce the target")
     if check_rank:
-        if not is_min_3_rigid(target, seed=seed):
-            rank = generic_rank(target, seed=seed)
+        rank = _rank_word_first(target, seed=seed)
+        if not len(target.edges) == rank == 3 * len(target.vertices) - 6:
             raise errors.ReplayMismatch(
                 f"target on {len(target.vertices)} vertices and "
                 f"{len(target.edges)} edges has rank {rank}, not 3|V| - 6")

@@ -10,7 +10,7 @@ false, at an unlucky point.  An r x r minor of the rigidity matrix that is
 nonzero as a polynomial has degree at most r <= 3|V| in the coordinates,
 so it vanishes at a random placement with probability at most
 r / p <= 3|V| / 2^62 (Schwartz 1980; Zippel 1979) -- far below 2^-40 at
-desk scale.  So ``is_min_3_rigid`` ranks first at the same point read mod
+desk scale.  So ``_rank_word_first`` ranks first at the same point read mod
 ``WORD_PRIME``, below 2^30, where every reduced entry is one CPython digit,
 and at 2^62 - 57 only on a shortfall, which keeps that bound on a false
 "not rigid"; ``generic_rank`` is one 62-bit rank.
@@ -18,7 +18,7 @@ and at 2^62 - 57 only on a shortfall, which keeps that bound on a false
 A placement is drawn per (seed, vertex): p(v) depends on nothing else, so
 a rank is the same in every process at the same seed, and the placement of
 a subgraph is the restriction of the graph's.  A certificate needs one rank
-check, of its target (``is_min_3_rigid``): its vertex splits keep generic
+check, of its target (``_rank_word_first``): its vertex splits keep generic
 rigidity by Whiteley's lemma, so the steps before it need none
 (``reduction.verify_certificate``).
 
@@ -229,18 +229,22 @@ def rigidity_report(graph: Graph, seed: int = 0) -> RigidityReport:
     )
 
 
-def is_min_3_rigid(graph: Graph, seed: int = 0) -> bool:
-    """True iff |E| = 3|V| - 6 and the generic rank attains it.
+def _rank_word_first(graph: Graph, seed: int = 0) -> int:
+    """``generic_rank``'s answer, taken at the seed's placement read mod
+    ``WORD_PRIME`` and at ``generic_rank``'s 62-bit point only when that
+    falls short of 3|V| - 6: one rank when the word point reaches it, two
+    on a shortfall, whose answer is the 62-bit rank.  A full rank over any
+    prime is the generic one, so it differs from ``generic_rank`` only where
+    that point alone is unlucky."""
+    word = Placement(random_placement(graph, seed).coords, WORD_PRIME)
+    rank = rank_at_placement(graph, word)
+    return rank if rank == DIM * len(graph.vertices) - 6 else generic_rank(graph, seed=seed)
 
-    The rank is taken at the seed's placement read mod ``WORD_PRIME``, and
-    at ``generic_rank``'s 62-bit point only on a shortfall, so the answer is
-    ``generic_rank``'s except where its own point alone was unlucky.
-    """
+
+def is_min_3_rigid(graph: Graph, seed: int = 0) -> bool:
+    """True iff |E| = 3|V| - 6 and the generic rank attains it, ranked word
+    point first (``_rank_word_first``)."""
     if len(graph.vertices) < 3:
         raise errors.TooFewVertices("minimal 3-rigidity needs at least 3 vertices")
-    target = DIM * len(graph.vertices) - 6
-    if len(graph.edges) != target:
-        return False
-    word = Placement(random_placement(graph, seed).coords, WORD_PRIME)
-    return (rank_at_placement(graph, word) == target
-            or generic_rank(graph, seed=seed) == target)
+    return (len(graph.edges) == DIM * len(graph.vertices) - 6
+            and _rank_word_first(graph, seed) == len(graph.edges))

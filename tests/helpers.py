@@ -12,7 +12,8 @@ the contraction and the vertex split that build a new graph per move, the
 complementary region by scans of every face and edge, the slot-based disc unfolding, hole growth that
 builds a disc after every added face, the record and face-list checks one
 field at a time, walk alignments by consistency of the vertex map, the
-disc region in two passes and the hole graph by the generic build),
+disc region in two passes, the hole graph by the generic build and the
+3n-face collar refill),
 the builders (face-graph quotients, separating cycles from a region, vertex
 splits on a torus, a certificate's chain of graphs) that tests compare
 that path against, every torus on
@@ -640,6 +641,51 @@ def contract_faces_stepwise(faces, edges) -> list:
         faces = [tuple(keep if x == gone else x for x in f) for f in faces
                  if keep not in f or gone not in f]
     return list(faces)
+
+
+def walk_runs(b) -> int:
+    """m: a walk's positions split greedily from position 0 into runs whose
+    spanned vertices are distinct; one run when the walk is simple.  The
+    fill of ``retriangulate_holes`` has one fresh apex per run."""
+    if len(set(b)) == len(b):
+        return 1
+    m, run = 1, {b[0]}
+    for t in range(len(b)):
+        v = b[(t + 1) % len(b)]
+        if v in run:
+            m, run = m + 1, {b[t]}
+        run.add(v)
+    return m
+
+
+def collar_refill(retained_faces, walks) -> TorusWithHole:
+    """The retained faces closed by a collar over each walk: from its
+    canonical rotation, a ring of n fresh vertices and a coned centre, 3n
+    faces.  The reference for ``retriangulate_holes``, whose fill keeps the
+    collar's one property, a fresh end on every interior edge, in n + 2m - 2
+    faces: both give the same graph, walks and kept edges."""
+    faces = [tuple(f) for f in retained_faces]
+    next_id = max(itertools.chain((v for f in faces for v in f if type(v) is int),
+                                  *(w.vertices for w in walks)), default=0) + 1
+    regions = []
+    for w in walks:
+        b = w.canonical()
+        n = len(b)
+        ring = list(range(next_id, next_id + n))
+        centre = next_id + n
+        next_id += n + 1
+        regions.append((range(len(faces), len(faces) + 3 * n), w))
+        for t in range(n):
+            faces.append((b[t], b[(t + 1) % n], ring[t]))
+            faces.append((b[(t + 1) % n], ring[t], ring[(t + 1) % n]))
+            faces.append((ring[t], ring[(t + 1) % n], centre))
+    torus = TorusComplex(faces)
+    discs = []
+    for idxs, w in regions:
+        edges = w.edges()
+        keeps = {e for e in edges if edges.count(e) > 1}
+        discs.append(DiscMap(torus, idxs, keep_edges=keeps))
+    return TorusWithHole(torus, discs)
 
 
 def hole_reduce_greedy(hole: TorusWithHole) -> tuple[TorusWithHole, list[Contraction]]:

@@ -13,6 +13,14 @@ re-recorded once a disc's walk was kept in its least rotation or reversal:
 the leaf's collar is filled from that rotation, so its fresh vertex ids
 moved.  Their moves, leaf graph and leaf walk (as a ``ClosedWalk``) are the
 ones recorded before; every other run is unchanged.
+
+The ``reduce`` runs of H1-H15, gen3-2 and gen3-3 were re-recorded again
+once a refill became one fresh apex per run of distinct walk vertices
+(n + 2m - 2 faces) instead of a 3n-face collar: the leaf's fresh faces and
+vertex ids moved, its hole from 27 faces to 13 or 15.  Their moves, retained
+faces, leaf graph, leaf walk (as a ``ClosedWalk``) and kept edges are the
+ones recorded before; H16 and H17 are their own leaves, and every other run
+is unchanged.
 """
 
 import json

@@ -6,11 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusrig import errors
+from torusrig import complexes, errors
 from torusrig.catalog import build_H
 from torusrig.complexes import (MAX_KEEP, ClosedWalk, DiscMap,
                                 SurfaceComplex, TorusComplex, TorusWithHole,
-                                cut_hole, cut_holes, disc_structures,
+                                _symmetries, cut_hole, cut_holes, disc_structures,
                                 grid_faces, infer_disc, rectangular_torus,
                                 retriangulate_holes)
 from torusrig.fileio import hole_to_record, load_hole, record_to_hole
@@ -19,7 +19,8 @@ from torusrig.graphs import Graph, freedom
 from helpers import (NonSimpleQuotient, boundary_edges, connected_regions,
                      corrupt, identify_face_graph, is_connected,
                      one_pass_mismatches, raised, region_mismatches,
-                     slot_disc, surface_complex_oracle, torus_census)
+                     slot_disc, surface_complex_oracle, torus_census,
+                     walk_runs)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -347,17 +348,75 @@ def test_retriangulate_holes_roundtrip():
     hole = cut_hole(t, [0, 1, 2, 3, 7, 12, 17])
     rebuilt = retriangulate_holes(hole.faces, [hole.detachment_walk()])
     assert rebuilt.graph == hole.graph
-    # the fresh disc is the run of faces appended after the retained ones
+    # the fresh disc is the run of faces appended after the retained ones:
+    # the walk is simple, so the fill is a cone of n faces on one apex
     n = len(hole.detachment_walk())
     assert rebuilt.single_disc.faces == tuple(range(len(hole.faces),
-                                                    len(hole.faces) + 3 * n))
-    # the collar is filled from the walk's canonical rotation, which its
-    # disc reads back, so any rotation or reversal fills the same collar
+                                                    len(hole.faces) + n))
+    assert len(rebuilt.single_disc.interior_vertices) == 1
+    # the fill is built from the walk's canonical rotation, which its disc
+    # reads back, so any rotation or reversal fills the same disc
     w = hole.detachment_walk().vertices
     assert rebuilt.detachment_walk().vertices == w
     for v in (w[3:] + w[:3], w[::-1]):
         again = retriangulate_holes(hole.faces, [ClosedWalk(v)])
         assert again.torus.faces == rebuilt.torus.faces
+
+
+def _k7_hole(faces):
+    """K7 (Lutz's 7-vertex torus) less the disc of the given faces."""
+    k7 = TorusComplex([f for i in range(7) for f in
+                       ((i, (i + 1) % 7, (i + 3) % 7), (i, (i + 2) % 7, (i + 3) % 7))])
+    index = {frozenset(f): i for i, f in enumerate(k7.faces)}
+    return cut_hole(k7, [index[frozenset(f)] for f in faces])
+
+
+def _fill_cases():
+    """Holes whose walks the fill must cover: H1-H17 (every one of the 17
+    words, keeping 0 to 3 edges), the triple-visit words on the 3x3 grid
+    and K7, simple walks, a 3-walk and two holes."""
+    grid3, grid6 = rectangular_torus(3, 3), rectangular_torus(6, 6)
+    holes = [build_H(i) for i in range(1, 18)]
+    holes.append(cut_hole(grid3, [1, 6, 7, 9, 10, 11, 12, 13, 17]))  # v3v3v3
+    holes.append(_k7_hole([(0, 1, 3), (0, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 5),
+                           (2, 4, 5), (0, 4, 5)]))  # v2ev3ve2
+    holes.append(_k7_hole([(0, 1, 3), (0, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 5),
+                           (2, 4, 5), (3, 4, 6), (3, 5, 6), (0, 4, 5), (1, 5, 6),
+                           (0, 1, 5)]))  # v2evf2ve1f
+    holes += [cut_hole(grid6, [0]), cut_hole(grid6, [0, 1, 2, 3, 13, 14])]
+    holes.append(cut_holes(grid6, [[0, 1], [42, 43, 44]]))
+    return holes
+
+
+def test_fill_is_n_plus_2m_minus_2_faces_with_fresh_interior_edges():
+    # each walk is filled by n + 2m - 2 faces on m fresh apexes, one per run
+    # of distinct walk vertices; every interior edge has a fresh end; the
+    # fill's disc reads the canonical walk back, keeps the edges the walk
+    # runs along twice, and every rotation or reversal fills the same torus
+    seen = set()
+    for hole in _fill_cases():
+        walks = [d.boundary_walk for d in hole.discs]
+        filled = retriangulate_holes(hole.faces, walks)
+        assert filled.graph == hole.graph
+        old = set().union(*hole.faces, *(w.vertices for w in walks))
+        for w, d, own in zip(walks, filled.discs, hole.discs):
+            b = w.canonical()
+            m = walk_runs(b)
+            assert len(d.interior_vertices) == m and not d.interior_vertices & old
+            assert len(d.faces) == len(b) + 2 * m - 2
+            assert all(not set(e) <= old for e in d.interior_edges)
+            assert d.boundary_walk.vertices == b
+            assert d.keep_edges == own.keep_edges
+            seen.add((len(b), m, len(d.keep_edges), max(map(b.count, b)),
+                      len(hole.discs)))
+        for k, w in enumerate(walks):
+            for v in _symmetries(w.vertices):
+                moved = walks[:k] + [ClosedWalk(v)] + walks[k + 1:]
+                assert retriangulate_holes(hole.faces, moved).torus.faces == filled.torus.faces
+    assert {keep for _n, _m, keep, _v, _h in seen} == {0, 1, 2, 3}
+    assert {visits for _n, _m, _k, visits, _h in seen} == {1, 2, 3}
+    assert {m for _n, m, _k, _v, _h in seen} >= {1, 2, 3}
+    assert (3, 1, 0, 1, 1) in seen and max(h for *_, h in seen) == 2
 
 
 def test_swapped_boundary_walk_raises_typed_error():
@@ -470,6 +529,16 @@ def test_retriangulate_holes_refuses_a_corner_that_is_not_an_integer(corner):
         TorusComplex([(0, 1, corner)])
     with pytest.raises(errors.BadArgument):
         retriangulate_holes([(0, 1, corner)], [ClosedWalk([0, 1, 2])])
+
+
+@pytest.mark.parametrize("walks", [[[0, 1, 2]], None, [ClosedWalk([0, 1, 2]), (0, 1, 2)]],
+                         ids=["list", "none", "mixed"])
+def test_retriangulate_holes_refuses_a_walk_that_is_not_a_closed_walk(walks, monkeypatch):
+    # refused before any face is built, not by the AttributeError or
+    # TypeError of reading its vertices
+    monkeypatch.setattr(complexes, "TorusComplex", None)
+    with pytest.raises(errors.BadArgument, match="ClosedWalk"):
+        retriangulate_holes([(0, 1, 2)], walks)
 
 
 def _outcome(unfold, *args):

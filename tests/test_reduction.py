@@ -30,7 +30,7 @@ from torusrig.rigidity import generic_rank
 from torusrig.sparsity import SparsityVerdict, Status, check_3_6
 
 from helpers import (_blocked_faces, _grow_region, assert_board_of, board_state,
-                     candidate_scan, canon_face, connected_regions,
+                     candidate_scan, canon_face, collar_refill, connected_regions,
                      contract_edge, contract_faces_stepwise, edge_rule_oracle,
                      exhaustive_critical_cycles_through, face_candidates,
                      facial_split, grow_hole_oracle, holds,
@@ -39,7 +39,7 @@ from helpers import (_blocked_faces, _grow_region, assert_board_of, board_state,
                      one_pass_mismatches, record_pebble_games, record_ranks,
                      replay_chain, run_main, scan_violator, separating_cycle,
                      tight_set_critical_cycles, torus_census, vertex_split,
-                     walk_alignments)
+                     walk_alignments, walk_runs)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -1428,7 +1428,8 @@ def test_corrupted_splits_raise_replay_mismatch(check_rank):
 
 def test_rank_shortfall_on_the_target_raises(monkeypatch):
     # a rank shortfall on the target alone, at the word point and again at
-    # the 62-bit point, must be caught and name the 62-bit rank
+    # the 62-bit point, must be caught and name the 62-bit rank, which is
+    # taken once
     hole = build_H(5)
     cert = certify(hole)
     ranks = record_ranks(monkeypatch, lambda g, placement: g == hole.graph)
@@ -1436,7 +1437,7 @@ def test_rank_shortfall_on_the_target_raises(monkeypatch):
     with pytest.raises(errors.ReplayMismatch, match=f"has rank {full - 1},"):
         verify_certificate(cert, hole.graph)
     assert [p.modulus for _g, p in ranks] == [
-        rigidity.WORD_PRIME, rigidity.FIELD_PRIME, rigidity.FIELD_PRIME]
+        rigidity.WORD_PRIME, rigidity.FIELD_PRIME]
 
 
 def test_verify_ranks_once_at_the_word_prime(monkeypatch, tight_corpus):
@@ -1620,14 +1621,15 @@ def first_fissions(tight_corpus):
 
 
 def test_fission_refills_the_hole_at_the_first_alignment(first_fissions):
-    # G2's hole is a fresh collar over the input hole's walk, and its graph
-    # is the catalog graph at the first consistent alignment plus the annulus
+    # G2's hole is a fresh fill over the input hole's walk, one apex per run
+    # of distinct walk vertices, and its graph is the catalog graph at the
+    # first consistent alignment plus the annulus
     assert len(first_fissions) > 60
     for hole, cycle in first_fissions:
         _, g2 = fission(hole, cycle)
         walk = hole.single_disc.boundary_walk
         assert g2.single_disc.boundary_walk.vertices == walk.vertices
-        assert len(g2.single_disc.faces) == 3 * len(walk)
+        assert len(g2.single_disc.faces) == len(walk) + 2 * walk_runs(walk.vertices) - 2
         h_rep, alignments = _catalog_alignments(hole, cycle)
         first = alignments[0]
         _, ann = divide(hole, cycle)
@@ -1676,3 +1678,40 @@ def test_critical_outer_part_is_induced(first_fissions):
         _, ann = divide(hole, cycle)
         on_cycle = set(cycle.walk.vertices)
         assert {e for e in ann.edges if set(e) <= on_cycle} <= cycle.walk.edge_set()
+
+
+def _decided(hole):
+    """What a refill decides: the graph, each hole's walk and kept edges
+    and the graph's ``check_3_6`` status."""
+    return (hole.graph, [(d.boundary_walk.vertices, d.keep_edges) for d in hole.discs],
+            check_3_6(hole.graph).status)
+
+
+def test_fill_matches_the_collar_on_every_refill(monkeypatch, tight_corpus):
+    # the fill and the reference collar (``collar_refill``) decide every
+    # refill alike: fission's G2s, ``contract`` on every contractible edge
+    # and every ``reduce_greedy`` leaf, over the tight corpus, H1-H17, the
+    # tight census holes and the keylemma benchmark's seed-1 inputs
+    refills = collections.Counter()
+
+    def compared(faces, walks):
+        refills[kind] += 1
+        hole = retriangulate_holes(faces, walks)
+        assert _decided(hole) == _decided(collar_refill(faces, walks))
+        return hole
+
+    monkeypatch.setattr(reduction, "retriangulate_holes", compared)
+    holes = list(tight_corpus) + [build_H(i) for i in range(1, 18)] + _census_holes()
+    holes += [record_to_hole(r) for r in keylemma_records(1, 4)]
+    for hole in holes:
+        for e in contractible_edges(hole):
+            kind = "contract"
+            contract(hole, e)
+            kind = "fission"
+            cycle = find_critical_cycle_through(hole, e)
+            if cycle is not None:
+                fission(hole, cycle)
+        kind = "leaf"
+        reduce_greedy(hole)
+    assert refills["fission"] > 400 and refills["contract"] > 4000
+    assert refills["leaf"] == sum(not is_uncontractible(h) for h in holes)
