@@ -8,23 +8,10 @@ the disc may wrap around the torus and touch itself along its boundary, which
 is why the disc structure is recovered by *unfolding* the chosen face region
 rather than by taking an induced subcomplex.
 
-The hole and every critical separating cycle are the same kind of object,
-the boundary of such a disc.  One search, ``disc_structures``, finds them
-all: it unfolds a region with up to ``MAX_KEEP`` shared edges kept unglued
-(exposed), in a fixed order.  ``infer_disc`` takes its first result for a
-hole; the reduction takes enlargements of a hole from it.  An unfolding is
-a disc iff it is connected with Euler characteristic one (see ``DiscMap``).
-
-Each object a hole is built from takes one pass over its faces, and no
-later step expands them again.  ``SurfaceComplex`` rotates, checks and
-files each face under its edges in one loop; ``TorusComplex`` orients the
-faces and enters the vertex links in one walk across shared edges.  A
-region (``_Region``) classifies each half-edge once, as shared or open, and
-files it in the same loop.  A disc search makes that pass once for all its
-keep sets; each reads its chi off the ends of its kept edges, and only a
-disc traces its walk, turning around each boundary vertex across glued
-edges.  ``DiscMap`` takes the same pass and keeps the region's edges, which
-its hole reads; the hole's graph takes the torus's key-ordered edges.
+The hole and every critical separating cycle are the boundary of such a
+disc, and one search finds them all (``disc_structures``).  Each object a
+hole is built from takes one pass over its faces (``SurfaceComplex``,
+``TorusComplex``, ``_Region``), and no later step expands them again.
 
 A child hole is its retained faces closed over each walk by a fresh disc of
 n + 2m - 2 faces, one apex per run of distinct walk vertices; the fill and
@@ -344,12 +331,9 @@ class DiscMap:
     interior.
 
     What does not depend on the keep set comes from one pass over the
-    region (``_Region``): its shared edges and half-edges, its connectivity
-    across them, the fully glued chi and the edges of its faces, which the
-    disc keeps as ``region_edges``.  The keep set then reads chi off
-    the ends of its edges, checks connectivity without its edges and turns
-    along the walk.  ``disc_structures`` makes that pass once for every
-    keep set it tries and hands it in through the private ``_region``.
+    region (``_Region``), whose edges the disc keeps as ``region_edges``;
+    ``disc_structures`` makes that pass once for every keep set it tries
+    and hands it in through the private ``_region``.
     """
 
     def __init__(self, torus: TorusComplex, face_indices, keep_edges=(),
@@ -617,9 +601,11 @@ def retriangulate_holes(retained_faces, walks) -> "TorusWithHole":
     twice and reads the canonical rotation back, so a walk in any rotation
     or reversal fills the same disc.
 
-    Every child hole is built so: a contraction's (``reduction.contract``),
-    since the old hole faces may no longer fit the renamed retained ones,
-    and a fission's, whose catalog faces may reuse a hole edge as a chord.
+    Every child hole is built so, and no old hole face is reused: after a
+    contraction (``reduction._contracted``) e's ends may have common
+    neighbours through the deleted edges, whose renamed faces would fold an
+    edge into four, and a fission's catalog faces may reuse a hole edge as
+    a chord.
     Fresh ids start above the integer corners; ``TorusComplex`` refuses any
     other corner.  BadArgument, before any face is built, unless ``walks``
     is a list or tuple of ``ClosedWalk``s.
@@ -666,10 +652,9 @@ class TorusWithHole:
     The graph keeps every torus vertex that retains an edge; vertices interior
     to a hole disc lose all their edges and are dropped with them, so the
     freedom-number identity f(G) = |bd D| - 3 holds for every single cut.
-    Vertex ids are never renumbered.  The hole keeps no edge -> faces map:
-    the one FF test, ``is_ff_edge``, reads the torus's.  Each disc hands in
-    its region's edges (``DiscMap.region_edges``), and the graph takes the
-    torus's edges, already in key order, less the deleted ones.
+    Vertex ids are never renumbered.  Each disc hands in its region's edges
+    (``DiscMap.region_edges``), and the graph takes the torus's edges,
+    already in key order, less the deleted ones.
     """
 
     def __init__(self, torus: TorusComplex, discs):
@@ -718,13 +703,15 @@ class TorusWithHole:
         return self.single_disc.boundary_walk
 
     def is_ff_edge(self, e) -> bool:
-        """Whether a graph edge lies in two retained faces: neither of its
-        torus faces is a hole face, so those two are its retained faces."""
+        """Whether a graph edge lies in two retained faces, which is when it
+        is off the boundary walks.  A graph edge has a hole face exactly
+        when it is a region edge that is not deleted, and those are the
+        walks' edges, as the constructor checks (a kept edge lies on its
+        walk twice)."""
         e = _edge_arg(e)
         if e not in self.graph.edges:
             raise errors.UnknownEdge(f"{e} is not an edge of the graph")
-        f1, f2 = self.torus.edge_faces[e]
-        return f1 not in self.hole_faces and f2 not in self.hole_faces
+        return e not in self.boundary_edges
 
 
 def cut_hole(torus: TorusComplex, disc_faces) -> TorusWithHole:

@@ -24,48 +24,23 @@ definition is open.
 The greedy-contraction ruling: a tight graph with a contractible FF edge
 always has one whose contraction stays tight, so greedy contraction alone
 reduces every tight graph to one of the two uncontractible graphs.  That
-loop is the only reduction driver here.  It runs on the graph and its
-boundary walk, which is all a step decides from: which edges are off the
-walk, their ends' common neighbours and whether G/e is tight.  The graph
-is one working adjacency, contracted in place, and the loop builds one
-graph, the leaf.  It returns that uncontractible leaf graph and the
-contractions that reach it, and ``certify`` reverses them into a
-vertex-splitting construction rooted at K3 (Whiteley 1990), which
-``Certificate.target`` replays on one working adjacency too.  Each
+loop (``_reduce``) is the only reduction driver here.  It returns the leaf
+graph and the contractions that reach it, and ``certify`` reverses them
+into a vertex-splitting construction rooted at K3 (Whiteley 1990).  Each
 contraction removes one vertex and three edges from the graph, since there
 a contractible edge has only its two apexes as common neighbours; so a
 simple leaf is named by its counts, (4, 6) K4 and (5, 9) K5 minus an edge.
 A graph that breaks the ruling raises StuckButContractible.
 
-The contraction rule has one copy, ``_contractible``, where it is shown to
-need no face map.  It is asked of FF edges only: ``classify_edge`` asks it
-after the one FF test (``TorusWithHole.is_ff_edge``), also for the guard
-of ``contract`` and the search, and ``_recount`` runs the same count
-inline over edges off a walk, for ``contractible_edges`` and for the loop,
-which keeps its candidate set and recounts only the edges a move can
-change.
+FF has one test, off the boundary walks (``TorusWithHole.is_ff_edge``),
+and the contraction rule one count (``_contractible``): ``classify_edge``
+asks both, and ``_recount`` asks the rule of the edges off a walk.
 
-Every child hole, from a contraction, the leaf or a fission, is built one
-way (``retriangulate_holes``, which states the fill and why it fits): its
-retained faces closed over each boundary walk by a fresh disc, one apex per
-run of distinct walk vertices, filled from the walk's canonical rotation,
-which the fill's ``DiscMap`` reads back.  A contracted hole is built by
-``_contracted``, which renames the retained faces once
-(``_contract_faces``) and the walks move by move; renaming commutes with
-rotation and reversal, so no step needs to know where a walk starts.  Old
-hole faces are never reused.  After a contraction, e's ends can have
-further common neighbours through the deleted edges, and those faces would
-fold an edge into four; in a fission they can hold an edge that the catalog
-graph uses as a chord.  A refill reads only the retained faces and the
-walks, so one refill after the loop's last move is the hole that
-``contract`` gives one edge at a time; ``reduce_greedy`` builds its leaf
-(which ``torusrig reduce`` prints) that way, once.
-
-Fission is a key-lemma move inside the proof, not a reduction step: its
-catalog child is not a subgraph of the input, so it yields no vertex split.
-Its child G2 is one refill: the catalog graph's faces, mapped onto the cycle
-at the one alignment its slot pattern fixes, and the annulus faces, closed
-over the hole's own walks (``_substitute``, which shows that it glues).
+Every child hole, from a contraction, the leaf or a fission, is one refill
+(``retriangulate_holes``): a contracted one by ``_contracted``, a fission's
+G2 by ``_substitute``.  Fission is a key-lemma move inside the proof, not a
+reduction step: its catalog child is not a subgraph of the input, so it
+yields no vertex split.
 """
 
 from __future__ import annotations
@@ -82,8 +57,8 @@ from .graphs import (Graph, _contract_in_place, _graph_of, _split_in_place,
                      _working, edge_key, is_isomorphic)
 from .maxflow import densest_extension
 from .rigidity import _rank_word_first, generic_rank
-from .sparsity import (_contraction_trial, _contraction_violator, _copy_board,
-                       _rename_merged, _undo, check_3_6, maximal_tight_subgraph)
+from .sparsity import (_contract_board, _contraction_violator, _copy_board,
+                       check_3_6, maximal_tight_subgraph)
 
 
 class EdgeClass(enum.Enum):
@@ -92,19 +67,14 @@ class EdgeClass(enum.Enum):
     FF_BLOCKED = "FFBlocked"
 
 
-def _contractible(graph: Graph, e) -> bool:
-    """The contraction rule, asked of an FF edge: its ends have exactly two
-    common neighbours, its apexes.
-
-    The rule needs no face map.  A graph edge is FF iff it is off the
-    boundary walks: an edge with a hole face is a region edge, and
-    ``TorusWithHole`` checks that the walks' edges are the region's graph
-    edges (a kept edge lies on its walk twice).  An FF edge's two apexes are
-    distinct common neighbours of its ends, so its ends have no other common
-    neighbour iff they have exactly two: e lies in no nonfacial triangle
-    (Barnette & Edelson 1988)."""
+def _contractible(adj, e) -> bool:
+    """The contraction rule, asked of an FF edge, for ``adj`` the graph's
+    neighbour sets: its ends have exactly two common neighbours.  Its two
+    apexes are distinct common neighbours, so then they are the only ones
+    and e lies in no nonfacial triangle (Barnette & Edelson 1988); the rule
+    needs no face map."""
     u, v = e
-    return len(graph.neighbors(u) & graph.neighbors(v)) == 2
+    return len(adj[u] & adj[v]) == 2
 
 
 def _apex_faces(torus: TorusComplex, e) -> dict[int, int]:
@@ -122,7 +92,7 @@ def classify_edge(hole: TorusWithHole, e) -> EdgeClass:
     rule (``_contractible``)."""
     if not hole.is_ff_edge(e):
         return EdgeClass.BOUNDARY_INCIDENT_FACE
-    if _contractible(hole.graph, e):
+    if _contractible(hole.graph._adj, e):
         return EdgeClass.FF_CONTRACTIBLE
     return EdgeClass.FF_BLOCKED
 
@@ -137,20 +107,22 @@ def _contraction_apexes(hole: TorusWithHole, e) -> tuple[tuple[int, int], dict]:
     return e, _apex_faces(hole.torus, e)
 
 
+def _require_tight(hole: TorusWithHole, message: str) -> None:
+    """NotTight, carrying the record, unless the hole's graph is tight; the
+    verdict stays on the graph (``check_3_6``)."""
+    if not check_3_6(hole.graph).is_tight:
+        raise fileio.with_record(errors.NotTight, hole, message)
+
+
 def _recount(cand: set, adj, border, edges) -> None:
     """Put each of ``edges`` in ``cand`` or take it out, as it is an FF
     edge, off ``border`` (the edges of the boundary walks), that passes the
-    rule (``_contractible``'s count, inline) or not."""
+    rule (``_contractible``) or not."""
     for e in edges:
-        if e not in border and len(adj[e[0]] & adj[e[1]]) == 2:
+        if e not in border and _contractible(adj, e):
             cand.add(e)
         else:
             cand.discard(e)
-
-
-def _walk_edges(walk) -> set:
-    """The key-ordered edges of a closed walk, given by its vertices."""
-    return {(x, y) if x < y else (y, x) for x, y in zip(walk, walk[1:] + walk[:1])}
 
 
 def contractible_edges(hole: TorusWithHole) -> list[tuple[int, int]]:
@@ -260,8 +232,7 @@ def is_critical(hole: TorusWithHole, cycle: SeparatingCycle) -> bool:
     module docstring's count).  InvalidCycle unless the cycle encloses the
     hole (``_check_encloses``), NotTight with the record unless G is tight."""
     _check_encloses(hole, cycle)
-    if not check_3_6(hole.graph).is_tight:
-        raise fileio.with_record(errors.NotTight, hole, "criticality needs a tight graph")
+    _require_tight(hole, "criticality needs a tight graph")
     return len(cycle.walk) == catalog.WALK_LENGTH
 
 
@@ -309,24 +280,13 @@ def find_critical_cycle_through(hole: TorusWithHole, e) -> SeparatingCycle | Non
     (``_region_criticals``), each critical by count; the least walk wins.
     By the module docstring's freedom count, L is the only core when it
     holds an apex; else the cores are L with either apex, and L alone with
-    e exposed (the region then holds both faces of e).
-
-    The lemma is about the graph G/e, so the search decides on the plain
-    graph contraction and never builds the contracted hole, an outer part
-    or G/e itself.  G is checked first (NotTight carrying the record when it
-    is not tight); that verdict stays on the graph, and later searches and
-    ``fission`` find G decided.  G/e is tried on G's own board in place,
-    which is then undone, so no graph is built and no board copied.
-
-    W is the failing placement's component, read off that trial
+    e exposed (the region then holds both faces of e).  G must be tight
+    (``_require_tight``); W is read off a trial of G/e on G's own board
     (``_contraction_violator``).
     """
     hole.single_disc  # raises SingleHoleRequired unless there is one hole
     e, apex_face = _contraction_apexes(hole, e)
-    if not check_3_6(hole.graph).is_tight:
-        raise fileio.with_record(
-            errors.NotTight, hole, "the key-lemma search needs a tight "
-            "single-hole graph")
+    _require_tight(hole, "the key-lemma search needs a tight single-hole graph")
     witness = _contraction_violator(hole.graph, e)
     if witness is None:
         return None
@@ -447,16 +407,11 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list[Contraction]]:
     """The greedy reduction on the graph and its boundary walk: the
     uncontractible leaf graph and the contractions that reach it.
 
-    The loop runs on one working adjacency, a copy of G's made next to the
-    copy of its board, and builds one graph, the leaf, at the end
-    (``graphs._graph_of``).  Each step tries the candidates, the edges off
-    the walk that pass the one rule, in sorted order, and contracts the
-    first whose contraction is tight; by the module docstring's count, G/e
-    is tight iff it is sparse.  Each candidate is tried on the board copy
-    in place (``_contraction_trial``); a failed trial is undone.  The
-    winner is contracted in the adjacency (``graphs._contract_in_place``),
-    and the board its trial leaves, renamed where the trial removed the
-    lower end (``_rename_merged``), is the next step's.
+    The loop runs on one working adjacency and a copy of G's board, and
+    builds one graph, the leaf (``graphs._graph_of``).  Each step contracts
+    the first candidate, in sorted order, whose contraction is sparse on the
+    board (``sparsity._contract_board``); by the module docstring's count,
+    G/e is then tight.  The adjacency follows (``graphs._contract_in_place``).
 
     The candidate set is kept, not rescanned (``_recount``).  A move of
     e = (keep, gone) with apexes a and b changes the neighbour sets of
@@ -468,22 +423,20 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list[Contraction]]:
     a moved vertex, or from a or b, gone as a common neighbour gives way
     to keep; the edges at gone go.
 
-    The walk is renamed move by move, as ``_contracted`` renames it, at
-    the moves whose removed end lies on it.  A
-    move's apexes are e's two common neighbours, ordered by their faces'
-    positions among the retained faces: an index maps each vertex to the
-    positions of its live retained faces, e's two faces are those of both
-    its ends, and a move changes the entries of the merged vertex and the
-    apexes only.  Raises what ``reduce_greedy`` raises; the hole a
-    StuckButContractible record needs is built only then (``_contracted``).
+    The border, the walk's edge set, is renamed at the moves whose removed
+    end lies on it: renaming commutes with taking a walk's edges, so it is
+    the edge set of the walk ``_contracted`` renames.  A move's apexes are
+    e's two common neighbours, ordered by their faces' positions among the
+    retained faces: an index maps each vertex to the positions of its live
+    retained faces, e's two faces are those of both its ends, and a move
+    changes the entries of the merged vertex and the apexes only.  Raises
+    what ``reduce_greedy`` raises; the hole a StuckButContractible record
+    needs is built only then (``_contracted``).
     """
     # raises SingleHoleRequired unless there is one hole
-    walk = hole.single_disc.boundary_walk.vertices
+    border = hole.single_disc.boundary_walk.edge_set()
     graph = hole.graph
-    if not check_3_6(graph).is_tight:
-        raise fileio.with_record(
-            errors.NotTight, hole, "greedy reduction needs a tight "
-            "single-hole graph")
+    _require_tight(hole, "greedy reduction needs a tight single-hole graph")
     adj, board = _working(graph), _copy_board(graph)
     at: dict = {}
     for i, f in enumerate(hole.faces):
@@ -491,17 +444,13 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list[Contraction]]:
             at.setdefault(x, set()).add(i)
     moves: list[Contraction] = []
     cand: set = set()
-    border, touched = _walk_edges(walk), graph.edges
+    touched = graph.edges
     while True:
         _recount(cand, adj, border, touched)
         if not cand:
             break
-        for e in sorted(cand):
-            failed, removed, log = _contraction_trial(adj, board, e)
-            if failed is None:
-                break
-            _undo(board, log)
-        else:
+        e = next((e for e in sorted(cand) if _contract_board(adj, board, e)), None)
+        if e is None:
             stuck = _contracted(hole, [m.edge for m in moves])
             raise fileio.with_record(
                 errors.StuckButContractible, stuck,
@@ -521,10 +470,10 @@ def _reduce(hole: TorusWithHole) -> tuple[Graph, list[Contraction]]:
         cand.difference_update([(gone, w) if gone < w else (w, gone)
                                 for w in adj[gone]])
         _contract_in_place(adj, keep, gone)
-        _rename_merged(board, adj, e, removed)
-        if gone in walk:
-            walk = tuple(keep if x == gone else x for x in walk)
-            border = _walk_edges(walk)
+        renamed = [d for d in border if gone in d]
+        if renamed:
+            border = border.difference(renamed).union(
+                [edge_key(keep, x) for d in renamed for x in d if x != gone])
         touched = {(keep, w) if keep < w else (w, keep) for w in adj[keep]}
         if b in adj[a]:
             touched.add(edge_key(a, b))
@@ -653,10 +602,8 @@ def verify_certificate(cert: Certificate, target: Graph,
     (``rigidity._rank_word_first``); ReplayMismatch when it fails, naming
     that 62-bit rank, so a short target is ranked twice.  Without it the
     check is one (3,6) tightness check, which a target already decided
-    answers without a pebble game; ReplayMismatch when it fails.  Given a
-    valid chain, a rank shortfall
-    comes only from an unlucky placement, with chance at most
-    3|V| / 2^62 (see ``rigidity``).
+    answers without a pebble game; ReplayMismatch when it fails.  A rank
+    is one-sided (``rigidity``).
     """
     if cert.target != target:
         raise errors.ReplayMismatch("certificate does not reproduce the target")

@@ -10,16 +10,7 @@ detection, finds the largest (3,5)-tight set containing each edge it places.
 At the first placement that makes some S violating, S spans exactly 3|S| - 5
 edges, the new one among them, so S is (3,5)-tight and the new edge's
 component has three or more vertices.  So one pebble game decides sparsity and
-tightness.  Such an S has five or more vertices, and S less either end of the
-new edge spans at most 3|S| - 9 edges, as it was sparse before; so each end
-has four or more placed edges into S.  So a placement with an end of lower
-degree needs no component search, and otherwise a search from the
-in-neighbours of one end decides.  The board is the out-sets of the
-orientation and every vertex's free pebbles; the game counts the edges
-still to place at their ends, so a placed degree is the graph degree less
-that count, and in-neighbours are read off the graph's neighbour sets.
-Each edge is covered from the end with fewer
-edges still to place, so the other end keeps its pebbles for its next edge.
+tightness (``_PebbleGame``).
 
 A violation's witness is the component of the failing placement: with the
 edges placed in sorted order, the first whose placement leaves the placed
@@ -33,9 +24,10 @@ pins it on small graphs.
 The key lemma and the greedy reduction ask again and again whether G/e is
 sparse, for the hole's graph G, decided already.  So the game's final
 board, every vertex's out-set and free pebbles, stays on the graph it
-decides, and G/e is tried on G's board in place (``_contraction_trial``).
-Every game is a ``_trial``, where the start is shown valid and the undo
-exact; a graph's first game starts from the empty board.
+decides (``_pebble_sparse``), and G/e is tried on G's board in place
+(``_contraction_trial``); greedy reduction keeps a sparse trial's board as
+G/e's (``_contract_board``).  Every game is a ``_trial``, where the start is
+shown valid and the undo exact.
 """
 
 from __future__ import annotations
@@ -160,9 +152,8 @@ class _PebbleGame:
         Before the placement u and v hold all their six pebbles, so no other
         out-edge leaves them: the covered edge, from either end, is the only
         one, and every other placed edge at u or v points into it.  The
-        component S is {u, v} with every vertex that reaches no free pebble
-        off u and v, called dead here; so S is big exactly when some vertex
-        is dead.
+        component S (``_PebbleGame``) is big exactly when some vertex
+        reaches no free pebble off u and v, called dead here.
 
         Degree lemma: a big S has five or more vertices, as three or four
         vertices cannot span 3|S| - 5 edges.  S - u has three or more
@@ -313,22 +304,27 @@ def _contraction_violator(g: Graph, e) -> frozenset | None:
         _undo(board, log)
 
 
-def _rename_merged(board, adj, e, gone) -> None:
-    """Make ``board``, left by a sparse trial of contracting e that removed
-    the end ``gone``, a board of G/e with e's second end merged into its
-    first, for ``adj`` the neighbour sets of that G/e: the entry of
-    ``gone`` goes, and when that was e's first end, the one G/e keeps, the
-    trial's merged vertex is renamed to it."""
+def _contract_board(adj, board, e) -> bool:
+    """Whether G/e is (3,6)-sparse, a ``_contraction_trial`` on ``board``,
+    G's board decided sparse, for ``adj`` G's neighbour sets.  A failed
+    trial is undone.  A sparse one leaves a board of G/e with e's second end
+    merged into its first: the removed end's entry goes, and when that was
+    e's first end, the merged vertex is renamed to it."""
+    failed, gone, log = _contraction_trial(adj, board, e)
+    if failed is not None:
+        _undo(board, log)
+        return False
     u, v = e
     out, pebbles = board
     del out[gone], pebbles[gone]
     if gone == u:
         out[u], pebbles[u] = out.pop(v), pebbles.pop(v)
-        for w in adj[u]:
+        for w in (adj[u] | adj[v]) - {u, v}:
             heads = out[w]
             if v in heads:
                 heads.remove(v)
                 heads.add(u)
+    return True
 
 
 def _pebble_sparse(g: Graph) -> bool:
@@ -344,17 +340,8 @@ def _pebble_sparse(g: Graph) -> bool:
 
 
 def check_3_6(graph: Graph) -> SparsityVerdict:
-    """Decide (3,6)-sparsity/tightness, with a violating-set certificate.
-
-    The (3,5) pebble game decides: a simple graph is (3,6)-sparse iff the
-    game rejects no edge and finds no (3,5)-tight component of three or more
-    vertices, since such a component spans 3|S| - 5 edges.  The witness is
-    the first failing placement's component, as the module docstring says.
-
-    The game runs once per graph: its final board, or the witness of a
-    violating graph, is remembered on the ``Graph``, and a later call on it
-    plays no game (``_pebble_sparse``).
-    """
+    """Decide (3,6)-sparsity/tightness, with the module docstring's
+    witness for a violation; one game per graph (``_pebble_sparse``)."""
     if len(graph.vertices) < 3:
         raise errors.TooFewVertices("(3,6)-sparsity needs at least 3 vertices")
     if _pebble_sparse(graph):

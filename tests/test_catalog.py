@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusrig import errors
-from torusrig.catalog import (THE_17_WORDS, build_H, canonical_pattern,
+from torusrig.catalog import (THE_17_WORDS, DetachmentWord, build_H,
+                              canonical_pattern, catalog_graph_for_class,
                               classify, expand_word, parse_word, the_17)
 from torusrig.complexes import ClosedWalk
 from torusrig.fileio import load_hole
@@ -24,6 +25,8 @@ def test_parse_word_examples():
         parse_word("q9")
     with pytest.raises(errors.BadToken):
         parse_word("e9")  # edge letter must occur twice
+    with pytest.raises(errors.BadToken, match="empty word"):
+        parse_word("")
     for text in ("v²v6", "v\u0663v6"):  # numerals are ASCII 0-9 only
         with pytest.raises(errors.BadToken):
             parse_word(text)
@@ -40,6 +43,9 @@ def test_parse_word_examples():
 def test_build_h_takes_integers_only(index):
     with pytest.raises(errors.BadArgument, match="not an integer"):
         build_H(index)
+    for outside in (0, 18):
+        with pytest.raises(errors.NoMatchingCatalogGraph, match="out of range 1..17"):
+            build_H(outside)
 
 
 def test_parse_round_trip():
@@ -57,6 +63,10 @@ def test_the_17_count_and_sum_rule():
 def test_the_17_pairwise_distinct():
     patterns = [pattern for _, pattern in the_17()]
     assert len(set(patterns)) == 17
+    assert [catalog_graph_for_class(p)[0] for p in patterns] == list(range(1, 18))
+    # v3v3v3, a triple visit, has no catalog graph
+    with pytest.raises(errors.NoMatchingCatalogGraph, match="no catalog word matches"):
+        catalog_graph_for_class(canonical_pattern((0, 1, 2, 0, 3, 4, 0, 5, 6)))
 
 
 # vertex and edge counts of each form, straight off the walk structure
@@ -74,6 +84,10 @@ def test_expansion_counts_match_forms():
     for text, pattern in the_17():
         assert (num_vertices(pattern), num_edges(pattern)) == \
             FORM_COUNTS[text], text
+    # a token that is neither a letter nor a numeral advances no edge, so
+    # the word does not advance its length
+    with pytest.raises(errors.BadToken, match="does not advance exactly 8 edges"):
+        expand_word(DetachmentWord(("z", 8)))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=4), min_size=3, max_size=12),

@@ -69,13 +69,14 @@ def _with_face_2(face):
      r"face \(1.0, 4, 5\) has a corner that is not an integer"),
     (lambda t: DiscMap(t, [0, 1, True]), "face index True is not an integer"),
     (lambda t: DiscMap(t, [0, 1, 1.0]), "face index 1.0 is not an integer"),
+    (lambda t: cut_hole(t, 5), "face indices 5 are not integers"),
     (lambda t: rectangular_torus("3", 3), "grid '3'x3: dimensions must be integers"),
     (lambda t: rectangular_torus(3.0, 3), "grid 3.0x3: dimensions must be integers"),
     (lambda t: rectangular_torus(3, True), "grid 3xTrue: dimensions must be integers"),
 ], ids=["two-corners", "string-corner", "float-corner", "float-face",
         "bool-face", "string-face-in-search", "three-vertex-keep", "bool-keep",
         "bool-corner-in-use", "float-corner-in-use", "bool-face-in-use",
-        "float-face-in-use", "string-grid", "float-grid", "bool-grid"])
+        "float-face-in-use", "non-iterable-faces", "string-grid", "float-grid", "bool-grid"])
 def test_bad_arguments_raise_bad_argument(build, message):
     with pytest.raises(errors.BadArgument, match=message):
         build(rectangular_torus(3, 3))
@@ -280,6 +281,8 @@ def test_not_face_connected():
 def test_infer_disc_empty_region():
     with pytest.raises(errors.NotADisc):
         infer_disc(rectangular_torus(3, 3), [])
+    with pytest.raises(errors.NotADisc, match="empty face set"):
+        DiscMap(rectangular_torus(3, 3), [])
 
 
 def test_wraparound_strip_needs_exposed_edge():
@@ -341,6 +344,13 @@ def test_hole_interaction_rejected():
     overlap = sorted(r1)[:2]
     with pytest.raises(errors.HoleInteraction):
         cut_holes(t, [sorted(r1), overlap])
+    # two adjacent faces share an edge but no face
+    with pytest.raises(errors.HoleInteraction, match="share an edge"):
+        cut_holes(t, [[0], [min(adj[0])]])
+    with pytest.raises(errors.HoleInteraction, match="different torus"):
+        TorusWithHole(t, [infer_disc(rectangular_torus(4, 4), [0])])
+    with pytest.raises(errors.NotADisc, match="at least one disc"):
+        TorusWithHole(t, [])
 
 
 def test_retriangulate_holes_roundtrip():
@@ -499,6 +509,14 @@ def test_closed_walk_refuses_an_empty_sequence():
     with pytest.raises(errors.BadArgument):
         ClosedWalk([])
     assert ClosedWalk([2, 0, 1]).canonical() == (0, 1, 2)
+    # nor has a walk with two equal consecutive entries, the last and the
+    # first too; a rotated or reversed walk is the same walk
+    for loop in ([0, 1, 1, 2], [0, 1, 2, 0]):
+        with pytest.raises(errors.LoopEdge):
+            ClosedWalk(loop)
+    same = [ClosedWalk(w) for w in ([0, 1, 2, 3], [2, 3, 0, 1], [3, 2, 1, 0])]
+    assert same[0] == same[1] == same[2] != ClosedWalk([0, 2, 1, 3])
+    assert len({hash(w) for w in same}) == 1
 
 
 @pytest.mark.parametrize("vertices", [["a", 1, 2], [True, 2, 3], [1.0, 2, 3],

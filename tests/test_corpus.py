@@ -56,6 +56,14 @@ def test_missed_attempts_match_the_oracle(monkeypatch):
     monkeypatch.undo()
     assert sum(misses) >= 10
     assert _records(holes) == _records(_oracle_corpus(MISSING_SPEC, monkeypatch))
+    # the 3x3 grid has 18 faces, so none of its regions has a walk of
+    # MAX_REGION + 2 edges: every attempt misses, and generation gives up
+    misses.clear()
+    monkeypatch.setattr(corpus, "_grow_hole", counted)
+    with pytest.raises(errors.NotADisc, match="could not grow a boundary-26 hole"):
+        gen_corpus(CorpusSpec(seed=0, count=1, grids=((3, 3),),
+                              boundary_lengths=(corpus.MAX_REGION + 2,)))
+    assert misses == [True] * corpus.ATTEMPTS_PER_GRAPH
 
 
 @pytest.mark.parametrize("spec", [CorpusSpec(seed=1, count=30), MISSING_SPEC,
@@ -103,6 +111,11 @@ def test_an_impossible_boundary_length_raises_before_any_draw(monkeypatch):
     monkeypatch.setattr(corpus, "_grow_hole", lambda *args: pytest.fail("drew"))
     with pytest.raises(errors.BadArgument, match="boundary length 2 is below 3"):
         gen_corpus(CorpusSpec(seed=0, count=1, boundary_lengths=(9, 2)))
+    # a face-connected region of at most MAX_REGION faces has a walk of at
+    # most MAX_REGION + 2 edges
+    longest = corpus.MAX_REGION + 2
+    with pytest.raises(errors.BadArgument, match=f"boundary length {longest + 1} is above"):
+        gen_corpus(CorpusSpec(seed=0, count=1, boundary_lengths=(9, longest + 1)))
 
 
 @pytest.mark.parametrize("spec", [

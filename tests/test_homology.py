@@ -197,6 +197,13 @@ def test_boundary_edge_not_crossover():
     e = next(iter(h1.boundary_edges))
     with pytest.raises(errors.NotACrossover):
         crossover_class(h1, e)
+    # an FF edge with one end off the boundary graph is no crossover either
+    hole = cut_hole(rectangular_torus(4, 4), [0])
+    on_boundary = {v for e in hole.boundary_edges for v in e}
+    e = next(e for e in hole.graph.sorted_edges()
+             if hole.is_ff_edge(e) and (e[0] in on_boundary) != (e[1] in on_boundary))
+    with pytest.raises(errors.NotACrossover, match="not on the boundary graph"):
+        crossover_class(hole, e)
 
 
 def _crossover_edges(hole):

@@ -402,14 +402,15 @@ def _step_graph(adj) -> Graph:
 
 def test_reduce_copies_one_board_and_builds_one_graph(monkeypatch, tight_corpus):
     # greedy reduction copies the input's board and adjacency once, tries
-    # each candidate on the board in place, undoing each failed trial, and
-    # contracts the winner in the adjacency, once per move; the board the
-    # trial leaves, renamed where the trial merged the lower end into the
-    # higher, is a board of that G/e at the next step.  It builds one
+    # each candidate on the board in place (sparsity._contract_board),
+    # undoing each failed trial, and contracts the winner in the adjacency,
+    # once per move; the board the trial leaves, renamed where the trial
+    # merged the lower end into the higher, is a board of that G/e at the
+    # next step.  It builds one
     # graph, the leaf, which holds no board and nothing of the input; the
     # input keeps its own board and neighbour sets
     calls, winners, boards, steps = collections.Counter(), collections.Counter(), [], []
-    real_copy, real_trial = reduction._copy_board, reduction._contraction_trial
+    real_copy, real_trial = reduction._copy_board, sparsity._contraction_trial
     real_recount, init = reduction._recount, Graph.__init__
 
     def copying(g):
@@ -437,7 +438,7 @@ def test_reduce_copies_one_board_and_builds_one_graph(monkeypatch, tight_corpus)
         init(self, *args, **kw)
 
     monkeypatch.setattr(reduction, "_copy_board", copying)
-    monkeypatch.setattr(reduction, "_contraction_trial", trial)
+    monkeypatch.setattr(sparsity, "_contraction_trial", trial)
     monkeypatch.setattr(reduction, "_recount", recounting)
     monkeypatch.setattr(reduction, "_contract_in_place",
                         _counting(calls, "contract", reduction._contract_in_place))
@@ -1188,11 +1189,12 @@ def test_reduction_tree_is_the_greedy_chain(tight_corpus):
 
 def _loosen_contractions_below(monkeypatch, n_vertices):
     """Judge every graph of fewer than ``n_vertices`` vertices not tight
-    where ``reduction`` checks tightness: its checks of whole graphs and its
-    contraction trials, which a contraction to that size fails without
-    playing.  Greedy reduction checks only its input and the contractions
-    it tries, so it sticks at that size."""
-    real, real_trial = reduction.check_3_6, reduction._contraction_trial
+    where greedy reduction checks tightness: ``reduction``'s checks of
+    whole graphs and the contraction trials of ``sparsity._contract_board``,
+    which a contraction to that size fails without playing.  Greedy
+    reduction checks only its input and the contractions it tries, so it
+    sticks at that size."""
+    real, real_trial = reduction.check_3_6, sparsity._contraction_trial
 
     def check(graph):
         if len(graph.vertices) < n_vertices:
@@ -1204,7 +1206,7 @@ def _loosen_contractions_below(monkeypatch, n_vertices):
             return e, e[1], {}
         return real_trial(adj, board, e)
     monkeypatch.setattr(reduction, "check_3_6", check)
-    monkeypatch.setattr(reduction, "_contraction_trial", trial)
+    monkeypatch.setattr(sparsity, "_contraction_trial", trial)
 
 
 def test_no_tight_contraction_raises_stuck(monkeypatch):

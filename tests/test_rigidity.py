@@ -68,6 +68,8 @@ def test_h17_minimally_rigid():
 def test_min_rigid_guards():
     with pytest.raises(errors.TooFewVertices):
         is_min_3_rigid(Graph([0, 1], [(0, 1)]))
+    with pytest.raises(errors.TooFewVertices, match="rigidity report"):
+        rigidity_report(Graph([0, 1], [(0, 1)]))
     with pytest.raises(errors.MissingCoordinate):
         g = complete_graph(3)
         rigidity_matrix(g, Placement({0: (1, 2, 3)}, FIELD_PRIME))

@@ -15,7 +15,9 @@ pebble board a ``Graph`` keeps, and a violation's witness comes from that
 board, not from a second engine.  Every pebble moves through one search,
 which always logs what it changes.  Each move of the graph calculus,
 contraction and vertex split, has one body, which changes a working
-adjacency in place.
+adjacency in place.  Each contraction fact has one owner: ``sparsity``
+keeps the trial log and the board step, FF is one walk test, and one
+helper raises ``reduction``'s NotTight.
 """
 
 import ast
@@ -298,3 +300,23 @@ def test_one_body_per_move():
     named = [f"reduction.py:{n}" for n, line in enumerate(text.splitlines(), 1)
              if re.search(r"\b(contract_edge|split_vertex)\b", line)]
     assert not named, f"an old graph move is named at {named}"
+
+
+def test_one_owner_per_contraction_fact():
+    # sparsity owns the contraction board step, so no trial log leaves it:
+    # reduction names no trial, undo or rename of a board.  FF is one walk
+    # test, so is_ff_edge reads no hole face, and one helper in reduction
+    # raises NotTight
+    src = TESTS.parent / "src" / "torusrig"
+    tree = ast.parse((src / "reduction.py").read_text())
+    named = _names_used(tree)
+    trial_log = [n for n in ("_contraction_trial", "_undo", "_rename_merged") if named[n]]
+    not_tight = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and node.attr == "NotTight" and getattr(node.value, "id", None) == "errors"]
+    complexes = ast.parse((src / "complexes.py").read_text())
+    ff = next(m for c in complexes.body if isinstance(c, ast.ClassDef)
+              and c.name == "TorusWithHole" for m in c.body
+              if isinstance(m, ast.FunctionDef) and m.name == "is_ff_edge")
+    assert not trial_log, f"reduction.py names the trial log's {trial_log}"
+    assert not _names_used(ff)["edge_faces"], "is_ff_edge reads the torus faces"
+    assert len(not_tight) == 1, f"reduction.py raises NotTight at lines {not_tight}"

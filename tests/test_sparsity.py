@@ -6,14 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from torusrig import errors, sparsity
 from torusrig.catalog import build_H
-from torusrig.complexes import TorusComplex, cut_hole, rectangular_torus
+from torusrig.complexes import (TorusComplex, cut_hole, cut_holes,
+                                rectangular_torus)
 from torusrig.corpus import CorpusSpec, gen_corpus
 from torusrig.graphs import (Graph, complete_graph, double_banana, edge_key,
                              freedom)
 from torusrig.reduction import contract, contractible_edges
-from torusrig.sparsity import (SparsityVerdict, Status, _contraction_trial,
-                               _contraction_violator, _copy_board,
-                               _pebble_sparse, _PebbleGame, _rename_merged,
+from torusrig.sparsity import (SparsityVerdict, Status, _contract_board,
+                               _contraction_trial, _contraction_violator,
+                               _copy_board, _pebble_sparse, _PebbleGame,
                                _trial, _undo, check_3_6, is_in_T,
                                maximal_tight_subgraph)
 
@@ -153,6 +154,10 @@ def test_is_in_T():
     assert is_in_T(build_H(1))
     trivially_cut = cut_hole(rectangular_torus(3, 3), [0])
     assert not is_in_T(trivially_cut)  # f = 0
+    # two faces with no common vertex cut two holes, which T excludes
+    torus = rectangular_torus(4, 4)
+    far = next(i for i, f in enumerate(torus.faces) if not set(f) & set(torus.faces[0]))
+    assert not is_in_T(cut_holes(torus, [[0], [far]]))
 
 
 def test_through_vertex_restriction():
@@ -527,9 +532,10 @@ def test_memo_takes_no_part_in_equality_or_hashing():
 def test_decided_graph_holds_no_ancestor():
     # a contract_edge child never holds its parent: not before it is
     # decided and not after, so a chain of contractions keeps only its last
-    # graph alive.  The board a sparse contraction trial leaves on a copy
-    # of G's, renamed to the end contract_edge keeps, is a board of the
-    # child, which holds neither that board nor G
+    # graph alive.  The board _contract_board leaves on a copy of G's, read
+    # with G's neighbour sets, after a sparse trial, renamed to the end
+    # contract_edge keeps, is a board of the child, which holds neither that
+    # board nor G; after a failed one it is G's board again
     hole = build_H(1)
     g = hole.graph
     assert check_3_6(g).is_tight
@@ -543,11 +549,10 @@ def test_decided_graph_holds_no_ancestor():
         chain.append(h)
     for e in contractible_edges(hole):
         board = _copy_board(g)
-        failed, gone, _ = _contraction_trial(g._adj, board, e)
-        if failed:
+        if not _contract_board(g._adj, board, e):
+            assert board_state(board) == board_state(g._board)
             continue
         h = contract_edge(g, *e)
-        _rename_merged(board, h._adj, e, gone)
         assert_board_of(*board, h)
         assert board[0].keys() == h.vertices
         assert h._board is None and not holds(h, g) and not holds(h, board[0])
