@@ -29,9 +29,9 @@ class Graph:
     Vertices need not be consecutive; isolated vertices are allowed (they
     matter for freedom-number bookkeeping).  One more slot, ``_board``,
     belongs to :mod:`torusrig.sparsity` and takes no part in equality or
-    hashing: None, the board, or the witness: None until ``check_3_6``
-    decides the graph, then a violation's witness, else the pebble game's
-    final board, a dict of every vertex's out-set and one of its free pebbles.
+    hashing: None until ``check_3_6`` decides the graph, then a violation's
+    witness, else the pebble game's final board, a dict of every vertex's
+    out-set.
 
     A chain of moves (``_contract_in_place``, ``_split_in_place``) runs on
     a working adjacency, not on graphs; its one graph, at the end

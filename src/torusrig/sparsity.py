@@ -23,8 +23,8 @@ pins it on small graphs.
 
 The key lemma and the greedy reduction ask again and again whether G/e is
 sparse, for the hole's graph G, decided already.  So the game's final
-board, every vertex's out-set and free pebbles, stays on the graph it
-decides (``_pebble_sparse``), and G/e is tried on G's board in place
+board, every vertex's out-set, stays on the graph it decides
+(``_pebble_sparse``), and G/e is tried on G's board in place
 (``_contraction_trial``); greedy reduction keeps a sparse trial's board as
 G/e's (``_contract_board``).  Every game is a ``_trial``, where the start is
 shown valid and the undo exact.
@@ -69,15 +69,15 @@ def _sparse_verdict(g: Graph) -> SparsityVerdict:
 
 class _PebbleGame:
     """The (3,5) pebble game with component detection (Lee & Streinu 2008;
-    Jacobs & Hendrickson 1997) on a board: ``out``, the out-sets of the
-    placed edges' orientation, and ``pebbles``, every vertex's free
-    pebbles.  ``adj`` gives the neighbour sets, in the graph being decided,
-    of the ends of the edges to place, and ``todo`` the number of edges
-    still to place at each of them.  ``log`` is the trial's log, kept as
-    ``_trial`` states.
+    Jacobs & Hendrickson 1997) on a board, ``out``: the out-sets of the
+    placed edges' orientation, and nothing else.  ``adj`` gives the
+    neighbour sets, in the graph being decided, of the ends of the edges to
+    place, and ``todo`` the number of edges still to place at each of them.
+    ``log`` is the trial's log, kept as ``_trial`` states.
 
     Every vertex has three pebbles, and a pebble on a vertex either lies
-    free or covers one of its out-edges, so every vertex set S has
+    free or covers one of its out-edges, so a vertex's free pebbles are
+    three less its out-degree, and every vertex set S has
     3|S| = free(S) + |E(S)| + out(S).  Edge uv is accepted once u and v
     hold six pebbles; then a pebble of the end with fewer edges still to
     place covers it, of u on a tie.  That end spends the pebble, and the
@@ -94,17 +94,14 @@ class _PebbleGame:
     the module docstring's witness, is always found first.
 
     A vertex's placed degree is its degree in the graph less its edges
-    still to place, so no count of the board is kept.  Each move changes a
-    vertex's out-degree by one and its free pebbles the other way, so every
-    vertex of a board holds three pebbles less its out-degree.
+    still to place, so no count of the board is kept.
     """
 
-    __slots__ = ("adj", "out", "pebbles", "todo", "log")
+    __slots__ = ("adj", "out", "todo", "log")
 
-    def __init__(self, adj, out: dict, pebbles: dict, todo: dict, log: dict):
+    def __init__(self, adj, out: dict, todo: dict, log: dict):
         self.adj = adj
         self.out = out
-        self.pebbles = pebbles
         self.todo = todo
         self.log = log
 
@@ -112,14 +109,13 @@ class _PebbleGame:
         """Play a delta: lift the edges of ``cut`` off the board, then place
         those of ``added`` in sorted order; the first edge whose placement
         leaves the placed graph not (3,6)-sparse, else None."""
-        out, pebbles, log = self.out, self.pebbles, self.log
+        out, log = self.out, self.log
         for a, b in cut:
             t, h = (a, b) if b in out[a] else (b, a)
             if t not in log:
                 log[t] = out[t]
                 out[t] = set(out[t])
             out[t].remove(h)
-            pebbles[t] += 1
         for a, b in sorted(added):
             if not self.place(a, b):
                 return a, b
@@ -128,11 +124,11 @@ class _PebbleGame:
     def place(self, u, v) -> bool:
         """Place edge uv; False when the placed graph stops being
         (3,6)-sparse."""
-        pebbles, out, todo, log = self.pebbles, self.out, self.todo, self.log
+        out, todo, log = self.out, self.todo, self.log
         pinned = (u, v)
         for x in pinned:
-            while pebbles[x] < 3:
-                if not fetch_pebble(pebbles, out, x, pinned, log):
+            while out[x]:
+                if not fetch_pebble(out, x, pinned, log):
                     return False
         if todo[v] < todo[u]:
             u, v = v, u
@@ -141,7 +137,6 @@ class _PebbleGame:
         if u not in log:
             log[u] = out[u]
             out[u] = set(out[u])
-        pebbles[u] -= 1
         out[u].add(v)
         return not self._big_component(u, v)
 
@@ -172,7 +167,7 @@ class _PebbleGame:
         search visited may be dead, so they are not.  A search stops at the
         first pushed vertex that holds a pebble or is marked.
         """
-        pebbles, out, todo, adj = self.pebbles, self.out, self.todo, self.adj
+        out, todo, adj = self.out, self.todo, self.adj
         left_u = len(adj[u]) - todo[u] - 1
         left_v = len(adj[v]) - todo[v] - 1
         x, other, left = (u, v, left_u) if left_u <= left_v else (v, u, left_v)
@@ -182,7 +177,7 @@ class _PebbleGame:
         for w in adj[x]:
             if w == other or x not in out[w]:
                 continue
-            if not pebbles[w] and w not in escapes:
+            if len(out[w]) == 3 and w not in escapes:
                 parent = {w: None}
                 stack = [w]
                 while stack:
@@ -191,7 +186,7 @@ class _PebbleGame:
                         if y in parent or y == u or y == v:
                             continue
                         parent[y] = t
-                        if pebbles[y] or y in escapes:
+                        if len(out[y]) < 3 or y in escapes:
                             break
                         stack.append(y)
                     else:
@@ -208,21 +203,10 @@ class _PebbleGame:
         return False
 
 
-def _copy_board(g: Graph) -> tuple[dict, dict]:
+def _copy_board(g: Graph) -> dict:
     """A copy of the board of ``g``, decided sparse: every out-set of its
-    final orientation, and every vertex's free pebbles."""
-    out, pebbles = g._board
-    return {t: set(heads) for t, heads in out.items()}, dict(pebbles)
-
-
-def _undo(board, log) -> None:
-    """Put ``board`` back as it was before the trial that wrote ``log``:
-    each logged out-set object goes back in place, and its tail gets three
-    pebbles less its out-degree (``_trial``)."""
-    out, pebbles = board
-    for t, heads in log.items():
-        out[t] = heads
-        pebbles[t] = 3 - len(heads)
+    final orientation."""
+    return {t: set(heads) for t, heads in g._board.items()}
 
 
 def _trial(board, adj, todo, cut, added) -> tuple[tuple | None, dict]:
@@ -230,35 +214,34 @@ def _trial(board, adj, todo, cut, added) -> tuple[tuple | None, dict]:
     (3,6)-sparse, played in place on ``board``, G's board decided sparse
     (for a graph's first game, G has no edges and the board is empty): None
     if so, else the failing edge (``_PebbleGame.play``), whose component the
-    board holds until ``_undo`` takes back the log, returned with it.
-    ``adj`` gives the neighbour sets, in that graph, of the ends of the
-    edges of ``added``, and ``todo`` the number of them at each end.
+    board holds until ``board.update(log)`` takes the trial back, returned
+    with the log.  ``adj`` gives the neighbour sets, in that graph, of the
+    ends of the edges of ``added``, and ``todo`` the number of them at each
+    end.
 
     Any valid start is sound.  Lifting the edges of ``cut`` leaves G's
     orientation of the edges the two graphs share.  They span a subgraph of
     a sparse graph, so they are sparse, and an orientation of them with
-    out-degree at most three, with three pebbles less the out-degree on
-    each vertex, is a valid start: the identity of ``_PebbleGame`` holds
-    for it, and that is all gathering pebbles and finding components rely
-    on.  Whether pebbles can be gathered and which component the search
-    detects depend only on the placed graph, not on the order of placement
-    or the start, so the verdict is a cold game's.
+    out-degree at most three is a valid start: the identity of
+    ``_PebbleGame`` holds for it, and that is all gathering pebbles and
+    finding components rely on.  Whether pebbles can be gathered and which
+    component the search detects depend only on the placed graph, not on
+    the order of placement or the start, so the verdict is a cold game's.
 
     The undo is exact.  Before a vertex's out-set first changes, by a cut,
     a placement or a path reversal of ``fetch_pebble``, the log keeps the
     set object by its tail and the board gets a copy to change, so no kept
-    object ever changes; every vertex of a board holds three pebbles less
-    its out-degree (``_PebbleGame``).  So putting the kept objects back
-    gives back the board's out-sets, in their own iteration order, and its
-    pebbles exactly, and a repeated trial fetches along the same paths.  An
-    interrupted trial is undone before the exception leaves.  Until the
-    caller undoes the trial or keeps its result, the board is the trial's,
-    so two trials on one board must not overlap."""
+    object ever changes.  So putting the kept objects back gives back the
+    board exactly, each out-set in its own iteration order, and a repeated
+    trial fetches along the same paths.  An interrupted trial is undone
+    before the exception leaves.  Until the caller undoes the trial or keeps
+    its result, the board is the trial's, so two trials on one board must
+    not overlap."""
     log: dict = {}
     try:
-        return _PebbleGame(adj, *board, todo, log).play(cut, added), log
+        return _PebbleGame(adj, board, todo, log).play(cut, added), log
     except BaseException:
-        _undo(board, log)
+        board.update(log)
         raise
 
 
@@ -299,9 +282,9 @@ def _contraction_violator(g: Graph, e) -> frozenset | None:
     board = g._board
     failed, _, log = _contraction_trial(g._adj, board, e)
     try:
-        return None if failed is None else _dead(*board, failed)
+        return None if failed is None else _dead(board, failed)
     finally:
-        _undo(board, log)
+        board.update(log)
 
 
 def _contract_board(adj, board, e) -> bool:
@@ -312,15 +295,14 @@ def _contract_board(adj, board, e) -> bool:
     e's first end, the merged vertex is renamed to it."""
     failed, gone, log = _contraction_trial(adj, board, e)
     if failed is not None:
-        _undo(board, log)
+        board.update(log)
         return False
     u, v = e
-    out, pebbles = board
-    del out[gone], pebbles[gone]
+    del board[gone]
     if gone == u:
-        out[u], pebbles[u] = out.pop(v), pebbles.pop(v)
+        board[u] = board.pop(v)
         for w in (adj[u] | adj[v]) - {u, v}:
-            heads = out[w]
+            heads = board[w]
             if v in heads:
                 heads.remove(v)
                 heads.add(u)
@@ -332,11 +314,11 @@ def _pebble_sparse(g: Graph) -> bool:
     ``_trial`` on the empty board that cuts nothing and adds every edge:
     the final board, or the witness of a violation, stays on ``g``."""
     if g._board is None:
-        board = {t: set() for t in g.vertices}, dict.fromkeys(g.vertices, 3)
+        board = {t: set() for t in g.vertices}
         todo = {t: len(ns) for t, ns in g._adj.items()}
         failed, _ = _trial(board, g._adj, todo, (), g.edges)
-        g._board = board if failed is None else _dead(*board, failed)
-    return isinstance(g._board, tuple)
+        g._board = board if failed is None else _dead(board, failed)
+    return isinstance(g._board, dict)
 
 
 def check_3_6(graph: Graph) -> SparsityVerdict:

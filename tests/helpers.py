@@ -501,29 +501,26 @@ def holds(obj, target) -> bool:
     return False
 
 
-def board_state(board) -> tuple[dict, dict]:
-    """A frozen copy of a pebble board: every out-set, and the free
-    pebbles."""
-    out, pebbles = board
-    return {t: frozenset(heads) for t, heads in out.items()}, dict(pebbles)
+def board_state(board) -> dict:
+    """A frozen copy of a pebble board: every out-set."""
+    return {t: frozenset(heads) for t, heads in board.items()}
 
 
-def assert_board_of(out, pebbles, g: Graph):
+def assert_board_of(out, g: Graph):
     """``out``, on ``g``'s vertices, orients each edge of ``g`` once with
-    out-degree at most three, and every vertex holds three free pebbles
-    less its out-degree: a board of ``g`` that a pebble game may start
+    out-degree at most three: a board of ``g`` that a pebble game may start
     from."""
     out = {t: out[t] for t in g.vertices}
     pairs = sorted(edge_key(t, h) for t, heads in out.items() for h in heads)
     assert pairs == g.sorted_edges()
-    assert all(len(heads) <= 3 and pebbles[t] == 3 - len(heads)
-               for t, heads in out.items())
+    assert all(len(heads) <= 3 for heads in out.values())
 
 
-def fetch_pebble_reference(pebbles, out, root, pinned=()) -> bool:
+def fetch_pebble_reference(out, root, pinned=()) -> bool:
     """``maxflow.fetch_pebble`` without its log: a depth-first search of
     the out-paths from ``root``, which takes the first free pebble off
-    ``pinned`` that it meets and reverses the path to it in place."""
+    ``pinned`` that it meets, on a vertex with fewer than three out-edges,
+    and reverses the path to it in place."""
     parent = {root: None}
     stack = [root]
     while stack:
@@ -532,9 +529,7 @@ def fetch_pebble_reference(pebbles, out, root, pinned=()) -> bool:
             if y in parent:
                 continue
             parent[y] = x
-            if pebbles[y] and y not in pinned:
-                pebbles[y] -= 1
-                pebbles[root] += 1
+            if len(out[y]) < 3 and y not in pinned:
                 while y != root:
                     x = parent[y]
                     out[x].remove(y)
@@ -550,16 +545,16 @@ def big_component_oracle(game: _PebbleGame, u, v) -> bool:
     ``game`` has three or more vertices, by a forward search from every
     in-neighbour of u and v other than u and v, found by scanning every
     out-set: no degree test, no start skipped for its pebbles, and a
-    vertex's pebbles tested when it is popped.  The reference for
-    ``_PebbleGame._big_component``."""
-    pebbles, out = game.pebbles, game.out
+    vertex tested for a free pebble, fewer than three out-edges, when it is
+    popped.  The reference for ``_PebbleGame._big_component``."""
+    out = game.out
     escapes: set = set()
     for w in {t for t, heads in out.items() if u in heads or v in heads} - {u, v}:
         parent = {w: None}
         stack = [w]
         while stack:
             x = stack.pop()
-            if x in escapes or pebbles[x]:
+            if x in escapes or len(out[x]) < 3:
                 while x is not None:
                     escapes.add(x)
                     x = parent[x]

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusrig import errors
-from torusrig.catalog import (THE_17_WORDS, DetachmentWord, build_H,
-                              canonical_pattern, catalog_graph_for_class,
-                              classify, expand_word, parse_word, the_17)
+from torusrig.catalog import (PATTERNS, THE_17_WORDS, DetachmentWord,
+                              _nonalternating_pinch, build_H, canonical_pattern,
+                              catalog_graph_for_class, classify, expand_word,
+                              parse_word, the_17)
 from torusrig.complexes import ClosedWalk
 from torusrig.fileio import load_hole
 from torusrig.sparsity import Status, check_3_6
@@ -106,6 +107,10 @@ def test_classify_all_representatives():
         result = classify(build_H(i))
         assert result.word == text
         assert not result.excluded
+        # the object ``torusrig classify`` prints
+        assert result.to_json() == {"word": text, "excluded": False,
+                                    "excluded_family": None,
+                                    "pattern": list(result.pattern)}
 
 
 def test_classify_requires_length_9():
@@ -120,6 +125,13 @@ def test_excluded_control_graph():
     result = classify(hole)
     assert result.excluded
     assert result.excluded_family == "nonalternating-pinch"
+    assert result.to_json() == {"word": None, "excluded": True,
+                                "excluded_family": "nonalternating-pinch",
+                                "pattern": [0, 1, 2, 0, 3, 4, 5, 3, 6]}
+    # its repeats, 0 at 0 and 3 and 3 at 4 and 7, are disjoint pinches; an
+    # unnamed pattern whose every two repeats interleave has none
+    for pattern in ((0, 1, 2, 0, 1, 3, 4, 5, 6), (0, 1, 2, 3, 0, 1, 2, 3, 4)):
+        assert pattern not in PATTERNS and not _nonalternating_pinch(pattern), pattern
     # Maxwell count holds yet the graph is not (3,6)-tight
     from torusrig.graphs import freedom
     assert freedom(hole.graph) == 6

@@ -132,10 +132,12 @@ def _klein_bottle_faces(r, s):
 @pytest.mark.parametrize("faces, message", [
     (OCTAHEDRON, "Euler characteristic 2 != 0"),
     (_klein_bottle_faces(3, 3), "complex is not orientable"),
-], ids=["sphere", "klein-bottle"])
+    ([], "torus has no faces"),
+], ids=["sphere", "klein-bottle", "empty"])
 def test_other_closed_surfaces_are_not_tori(faces, message):
-    # both are closed surfaces; the sphere fails the Euler count and the
-    # Klein bottle, with chi = 0, the orientation
+    # each has no boundary edge; the sphere fails the Euler count, the
+    # Klein bottle, with chi = 0, the orientation, and the empty complex,
+    # with no edge at all, the first check
     sc = SurfaceComplex(faces)
     assert not boundary_edges(sc)
     with pytest.raises(errors.NotClosedSurface, match=message):

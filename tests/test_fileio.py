@@ -1,6 +1,9 @@
 """``record_to_hole`` shares one validated torus among the records that
-carry its face list, and builds everything else per record."""
+carry its face list, and builds everything else per record.  A record that
+is not one raises the typed error, with the message, that the CLI reports.
+"""
 
+import io
 import json
 
 import pytest
@@ -60,6 +63,37 @@ def test_a_corner_that_is_not_an_int_is_refused_before_the_lookup(corner):
     with pytest.raises(errors.MalformedRecord, match=rf"faces\[{i}\]"):
         record_to_hole(record)
     assert fileio._torus.cache_info() == before
+
+
+@pytest.mark.parametrize("change, error, message", [
+    (lambda r: [r], errors.MalformedRecord,
+     "record must be an object with integer vertices"),
+    (lambda r: {**r, "vertices": "9"}, errors.MalformedRecord,
+     "record must be an object with integer vertices"),
+    (lambda r: {**r, "meta": 5}, errors.MalformedRecord, "meta must be an object"),
+    (lambda r: {**r, "vertices": 10}, errors.NotClosedSurface,
+     "face list spans 9 vertices, record says 10"),
+], ids=["not-object", "vertices-not-int", "meta-not-object", "vertex-count"])
+def test_a_record_of_the_wrong_shape_raises_the_cli_s_error(change, error, message):
+    # the CLI prints "error: " and the message; a record of the wrong shape
+    # is refused before the torus lookup, and one whose torus spans another
+    # vertex count than it says, after it
+    with pytest.raises(error) as info:
+        record_to_hole(change(_grid_record(3, 3)))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("content, why", [
+    (b"\xff\xfe{}", "text"), (b'{"meta": {"note": "\xff"}}', "text"),
+    (b"{", "JSON"), (b"[" * 200_000, "JSON"),
+    (b'{"vertices": 1' + b"0" * 5000 + b"}", "JSON")],
+    ids=["not-utf8", "not-utf8-in-meta", "not-json", "nested-too-deep",
+         "integer-too-long"])
+def test_bytes_that_are_no_record_raise_malformed_record(content, why):
+    # a file or stdin goes through text_lines, then parse_record, as the
+    # CLI reads it (load_hole)
+    with pytest.raises(errors.MalformedRecord, match=f"^record is not {why}: "):
+        fileio.parse_record("".join(fileio.text_lines(io.BytesIO(content))))
 
 
 def test_a_record_s_face_list_is_walked_once():

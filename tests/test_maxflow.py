@@ -47,11 +47,10 @@ def test_forced_vertex_outside_the_graph_raises_bad_argument(force_in, force_out
 
 
 def _random_board(seed: int):
-    """A pebble board from ``seed``: an orientation of a random graph with
-    out-degree at most three, each out-set filled in a fixed order so that
-    two boards from one seed iterate alike, and up to 3 - out-degree free
-    pebbles per vertex; with a root and the pinned vertices, the root among
-    them or not."""
+    """A pebble board from ``seed``: the out-sets of an orientation of a
+    random graph with out-degree at most three, each filled in a fixed order
+    so that two boards from one seed iterate alike; with a root and the
+    pinned vertices, the root among them or not."""
     rng = random.Random(seed)
     n = rng.randint(2, 14)
     out = {t: set() for t in range(n)}
@@ -60,30 +59,29 @@ def _random_board(seed: int):
         tails = [t for t in rng.sample((a, b), 2) if len(out[t]) < 3]
         if tails:
             out[tails[0]].add(b if tails[0] == a else a)
-    pebbles = {t: rng.randint(0, 3 - len(heads)) for t, heads in out.items()}
     root = rng.randrange(n)
     pinned = tuple({root, *rng.sample(range(n), rng.randint(0, 2))}
                    if rng.random() < 0.7 else rng.sample(range(n), rng.randint(0, 2)))
-    return pebbles, out, root, pinned
+    return out, root, pinned
 
 
 def test_fetch_pebble_moves_the_pebble_of_the_full_search():
-    # the logged fetch leaves the pebble counts and out-sets of the unlogged
-    # reference search: the same pebble moved along the same path.  Its log
-    # keeps, by tail, the very set objects it replaced, unchanged, so putting
-    # them back gives back every pre-fetch out-set as the same object; a
-    # failed fetch logs nothing.  The boards reach a pebble one edge away,
-    # one further away, and none
+    # the logged fetch leaves the out-sets of the unlogged reference search:
+    # the same pebble moved along the same path.  Its log keeps, by tail,
+    # the very set objects it replaced, unchanged, so putting them back
+    # gives back every pre-fetch out-set as the same object; a failed fetch
+    # logs nothing.  The boards reach a pebble one edge away, one further
+    # away, and none
     seen = Counter()
     for seed in range(500):
-        pebbles, out, root, pinned = _random_board(seed)
-        ref_pebbles, ref_out, _, _ = _random_board(seed)
+        out, root, pinned = _random_board(seed)
+        ref_out, _, _ = _random_board(seed)
         objects, contents = dict(out), {t: set(heads) for t, heads in out.items()}
-        near = any(pebbles[y] and y not in pinned for y in out[root])
+        near = any(len(out[y]) < 3 and y not in pinned for y in out[root])
         log = {}
-        got = fetch_pebble(pebbles, out, root, pinned, log)
-        assert got is fetch_pebble_reference(ref_pebbles, ref_out, root, pinned), seed
-        assert pebbles == ref_pebbles and out == ref_out, seed
+        got = fetch_pebble(out, root, pinned, log)
+        assert got is fetch_pebble_reference(ref_out, root, pinned), seed
+        assert out == ref_out, seed
         assert bool(log) is got, seed
         out.update(log)
         assert all(out[t] is objects[t] for t in out) and out == contents, seed

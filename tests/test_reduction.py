@@ -428,9 +428,8 @@ def test_reduce_copies_one_board_and_builds_one_graph(monkeypatch, tight_corpus)
         real_recount(cand, adj, border, edges)
         graph = _step_graph(adj)
         calls["graph"] -= 1  # the test's own build
-        out, pebbles = boards[-1]
-        assert out.keys() == pebbles.keys() == graph.vertices
-        assert_board_of(out, pebbles, graph)
+        assert boards[-1].keys() == graph.vertices
+        assert_board_of(boards[-1], graph)
         steps.append(graph)
 
     def building(self, *args, **kw):
@@ -520,7 +519,7 @@ def test_fission_decides_its_child_as_a_fresh_graph(monkeypatch, tight_corpus):
             checked.clear()
             g2 = fission(hole, cycle)[1].graph
             assert not copies and [id(x) for x in checked] == [id(g), id(g2)]
-            assert_board_of(*g2._board, g2)
+            assert_board_of(g2._board, g2)
             assert real_check(Graph(g2.vertices, g2.edges)) == real_check(g2)
             assert g2.vertices <= g.vertices
             assert board_state(g._board) == before

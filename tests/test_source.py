@@ -12,8 +12,9 @@ Every import is from the standard library or relative, as the empty
 ``dependencies`` of ``pyproject.toml`` promise (numpy, say, would also add
 about 14 MB to a process's resident memory).  Only ``sparsity`` knows the
 pebble board a ``Graph`` keeps, and a violation's witness comes from that
-board, not from a second engine.  Every pebble moves through one search,
-which always logs what it changes.  Each move of the graph calculus,
+board, not from a second engine.  A board is its out-sets, since a vertex's
+free pebbles are three less its out-degree, so no pebble count is kept.
+Every pebble moves through one search, which always logs what it changes.  Each move of the graph calculus,
 contraction and vertex split, has one body, which changes a working
 adjacency in place.  Each contraction fact has one owner: ``sparsity``
 keeps the trial log and the board step, FF is one walk test, and one
@@ -283,6 +284,31 @@ def test_one_pebble_search():
                 and getattr(node.comparators[0], "value", 0) is None]
     assert not defaults, f"a pebble-search parameter has a default: {defaults}"
     assert not switches, f"maxflow.py branches on a missing log at lines {switches}"
+
+
+def test_a_board_is_its_out_sets():
+    # a vertex's free pebbles are three less its out-degree, so no count of
+    # them is kept beside the out-sets: the pebble search and the dead-set
+    # scan take the out-sets alone, the game holds no pebbles slot, and
+    # neither engine module binds a pebbles name
+    src = TESTS.parent / "src" / "torusrig"
+    trees = {name: ast.parse((src / name).read_text())
+             for name in ("maxflow.py", "sparsity.py")}
+    params = {node.name: [a.arg for a in node.args.args]
+              for node in ast.walk(trees["maxflow.py"])
+              if isinstance(node, ast.FunctionDef)}
+    game = next(c for c in trees["sparsity.py"].body
+                if isinstance(c, ast.ClassDef) and c.name == "_PebbleGame")
+    slots = next(ast.literal_eval(a.value) for a in game.body if isinstance(a, ast.Assign)
+                 and any(getattr(t, "id", None) == "__slots__" for t in a.targets))
+    bound = [f"{name}:{node.lineno}" for name, tree in trees.items()
+             for node in ast.walk(tree)
+             if "pebbles" in (getattr(node, "id", None), getattr(node, "arg", None),
+                              getattr(node, "attr", None))]
+    assert params["fetch_pebble"] == ["out", "root", "pinned", "log"], params["fetch_pebble"]
+    assert params["_dead"] == ["out", "spent"], params["_dead"]
+    assert "pebbles" not in slots, slots
+    assert not bound, f"a pebbles name is bound at {bound}"
 
 
 def test_one_body_per_move():

@@ -15,7 +15,7 @@ from torusrig.reduction import contract, contractible_edges
 from torusrig.sparsity import (SparsityVerdict, Status, _contract_board,
                                _contraction_trial, _contraction_violator,
                                _copy_board, _pebble_sparse, _PebbleGame,
-                               _trial, _undo, check_3_6, is_in_T,
+                               _trial, check_3_6, is_in_T,
                                maximal_tight_subgraph)
 
 from torusrig.fileio import record_to_hole
@@ -323,7 +323,6 @@ def test_component_search_reads_each_out_set_once():
             return super().__iter__()
 
     game = _PebbleGame(g._adj, {t: CountingSet(t, hs) for t, hs in heads.items()},
-                       {t: 3 - len(hs) for t, hs in heads.items()},
                        dict.fromkeys(heads, 0), {})
     reads.clear()
     assert not game._big_component(u, v)
@@ -334,12 +333,10 @@ def test_component_search_reads_each_out_set_once():
 
 
 def _assert_board_on(g: Graph):
-    """A sparse graph's memo, every vertex's out-set and free pebbles,
-    orients each of its edges once, out-degree at most three, and gives
-    each vertex three pebbles less its out-degree."""
-    out, pebbles = g._board
-    assert out.keys() == pebbles.keys() == g.vertices
-    assert_board_of(out, pebbles, g)
+    """A sparse graph's memo, every vertex's out-set, orients each of its
+    edges once, out-degree at most three."""
+    assert g._board.keys() == g.vertices
+    assert_board_of(g._board, g)
 
 
 def _delta_sparse(g: Graph, child: Graph) -> bool:
@@ -351,7 +348,7 @@ def _delta_sparse(g: Graph, child: Graph) -> bool:
     added = child.edges - g.edges
     todo = Counter(x for e in added for x in e)
     failed, log = _trial(board, child._adj, todo, g.edges - child.edges, added)
-    _undo(board, log)
+    board.update(log)
     return failed is None
 
 
@@ -376,7 +373,7 @@ def test_contraction_chain_verdicts_match_fresh_graphs(data):
         fresh = check_3_6(Graph(h.vertices, h.edges))
         assert fresh.status is brute_force_3_6(h).status
         assert fresh.witness == first_violator(h)
-        if isinstance(memo, tuple):
+        if isinstance(memo, dict):
             before = board_state(g._board)
             assert_contraction_violator(g, (u, v))
             assert board_state(g._board) == before
@@ -430,7 +427,7 @@ def test_contraction_places_only_the_edges_at_the_merged_vertex(monkeypatch):
     for u, v in contractible_edges(hole):
         placed.clear()
         failed, gone, log = _contraction_trial(g._adj, board, (u, v))
-        _undo(board, log)
+        board.update(log)
         z = u + v - gone
         assert failed is None and not games
         assert placed == sorted(contract_edge(g, z, gone).edges - g.edges)
@@ -451,9 +448,9 @@ def test_contraction_gathers_the_merged_vertex_pebbles_once(monkeypatch):
     real = sparsity.fetch_pebble
     fetches = Counter()
 
-    def counting_fetch(pebbles, out, root, pinned, log):
+    def counting_fetch(out, root, pinned, log):
         fetches[root] += 1
-        return real(pebbles, out, root, pinned, log)
+        return real(out, root, pinned, log)
 
     monkeypatch.setattr(sparsity, "fetch_pebble", counting_fetch)
     gained = Counter()
@@ -465,7 +462,7 @@ def test_contraction_gathers_the_merged_vertex_pebbles_once(monkeypatch):
         for e in contractible_edges(hole):
             fetches.clear()
             _, gone, log = _contraction_trial(g._adj, board, e)
-            _undo(board, log)
+            board.update(log)
             z = sum(e) - gone
             assert fetches[z] <= 3, (i, e, fetches[z])
             gained[len(g.neighbors(gone) - g.neighbors(z)) - 1] += 1
@@ -553,9 +550,9 @@ def test_decided_graph_holds_no_ancestor():
             assert board_state(board) == board_state(g._board)
             continue
         h = contract_edge(g, *e)
-        assert_board_of(*board, h)
-        assert board[0].keys() == h.vertices
-        assert h._board is None and not holds(h, g) and not holds(h, board[0])
+        assert_board_of(board, h)
+        assert board.keys() == h.vertices
+        assert h._board is None and not holds(h, g) and not holds(h, board)
 
 
 # -- contraction trials on the parent's board, in place ---------------------
@@ -594,8 +591,8 @@ def test_contraction_trial_matches_a_cold_game_and_undoes_exactly():
     # every trial of G/e on G's board, for e given either way round, gives
     # the verdict of a cold game on a fresh copy of contract_edge(G, *e);
     # a sparse one leaves a board of G/e, named after the end it keeps, and
-    # the removed end bare.  The undo gives back G's out-sets and pebbles
-    # exactly.  Trials fail and pass, removing either end of e as given
+    # the removed end bare.  The undo gives back G's out-sets exactly.
+    # Trials fail and pass, removing either end of e as given
     seen = Counter()
     for g, edges in _trial_cases():
         assert check_3_6(g).status is not Status.VIOLATION
@@ -610,11 +607,11 @@ def test_contraction_trial_matches_a_cold_game_and_undoes_exactly():
                 assert sparse is want, (e, u, gone)
                 child = contract_edge(g, u + v - gone, gone)
                 if sparse:
-                    assert_board_of(*board, child)
-                    assert not board[0][gone] and board[1][gone] == 3
+                    assert_board_of(board, child)
+                    assert not board[gone]
                 else:
                     assert failed in child.edges - g.edges, (e, u, failed)
-                _undo(board, log)
+                board.update(log)
                 assert board_state(board) == before, (e, u, gone)
                 seen[sparse, gone == u] += 1
     assert len(seen) == 4 and min(seen.values()) > 100, seen
@@ -636,7 +633,7 @@ def test_contraction_trial_matches_the_oracle_on_random_parents(data):
         failed, _, log = _contraction_trial(g._adj, board, (u, v))
         want = brute_force_3_6(contract_edge(g, u, v)).status
         assert (failed is None) is (want is not Status.VIOLATION), (u, v)
-        _undo(board, log)
+        board.update(log)
         assert board_state(board) == before
 
 
@@ -659,7 +656,7 @@ def test_a_repeated_contraction_trial_fetches_the_same_way(monkeypatch, tight_co
     for hole in holes:
         g = hole.graph
         assert check_3_6(g).is_tight
-        out = g._board[0]
+        out = g._board
         order = {t: list(heads) for t, heads in out.items()}
         for e in contractible_edges(hole):
             counts = []
@@ -686,7 +683,7 @@ def test_contraction_trial_removes_the_end_with_fewer_neighbours():
         for u, v in contractible_edges(hole):
             for a, b in ((u, v), (v, u)):
                 _, gone, log = _contraction_trial(g._adj, board, (a, b))
-                _undo(board, log)
+                board.update(log)
                 assert gone == (a if g.degree(a) < g.degree(b) else b)
                 kinds[g.degree(a) == g.degree(b)] += 1
     assert min(kinds[True], kinds[False]) > 20, kinds
