@@ -68,7 +68,10 @@ class DetachmentWord:
 
 
 def parse_word(text: str) -> DetachmentWord:
-    """Parse a short-form cyclic word and enforce the length-9 sum rule."""
+    """Parse a short-form cyclic word and enforce the length-9 sum rule;
+    BadArgument unless ``text`` is a str."""
+    if not isinstance(text, str):
+        raise errors.BadArgument(f"word {text!r} is not a string")
     tokens: list = []
     i = 0
     while i < len(text):
@@ -204,9 +207,10 @@ def _nonalternating_pinch(pattern) -> bool:
 
     Cyclic words containing disjoint pinches of the same pair (for example
     v3v2w3w1) describe holes that trap a fully triangulated sphere and can
-    never be tight.
+    never be tight.  The answer means that only for a pattern outside
+    ``PATTERNS``, the only kind ``classify`` asks about: a named pattern may
+    give True, as H4's ``e3e4`` does.
     """
-    n = len(pattern)
     slots: dict = {}
     for i, x in enumerate(pattern):
         slots.setdefault(x, []).append(i)

@@ -566,10 +566,11 @@ def infer_disc(torus: TorusComplex, face_indices) -> DiscMap:
     Raises NotFaceConnected for a region that is not face-connected and
     NotADisc when no keep set yields a disc.
     """
-    disc = next(disc_structures(torus, face_indices), None)
+    faces = _face_tuple(torus, face_indices)
+    disc = next(disc_structures(torus, faces), None)
     if disc is None:
         raise errors.NotADisc(
-            f"face set of size {len(set(face_indices))} carries no disc "
+            f"face set of size {len(faces)} carries no disc "
             f"structure (up to {MAX_KEEP} exposed edges)")
     return disc
 

@@ -33,24 +33,17 @@ class Graph:
     witness, else the pebble game's final board, a dict of every vertex's
     out-set.
 
-    A chain of moves (``_contract_in_place``, ``_split_in_place``) runs on
-    a working adjacency, not on graphs; its one graph, at the end
-    (``_graph_of``), comes through the private ``_adj`` argument, which
-    skips the normalisation of every edge and the rebuild of every
-    neighbour set.  A torus graph with holes passes the private ``_keyed``
-    instead: its edges, a frozenset of key-ordered pairs, skip the
-    normalisation alone, and an edge that leaves the vertex set still
-    raises NonSimple.
+    The package's own graphs, a torus graph with holes and the one graph
+    at the end of a chain of moves (``_graph_of``), pass the private
+    ``_keyed``: their edges, a frozenset of key-ordered pairs stored as
+    given, skip the normalisation, and an edge that leaves the vertex set
+    still raises NonSimple.
     """
 
     __slots__ = ("vertices", "edges", "_adj", "_board")
 
-    def __init__(self, vertices, edges, *, _adj=None, _keyed=False):
+    def __init__(self, vertices, edges, *, _keyed=False):
         self._board = None
-        if _adj is not None:
-            # a working adjacency's graph (_graph_of), all of it frozen
-            self.vertices, self.edges, self._adj = vertices, edges, _adj
-            return
         vertices = frozenset(vertices)
         if not _keyed:
             bad = [v for v in vertices if type(v) is not int]
@@ -118,12 +111,10 @@ def _working(g: Graph) -> dict[int, set[int]]:
 
 
 def _graph_of(adj) -> Graph:
-    """The graph of a working adjacency, built once: its vertex set, its
-    key-ordered edges and frozen neighbour sets, handed to the constructor
-    through the private ``_adj`` argument."""
+    """The graph of a working adjacency, built once from its vertex set and
+    its key-ordered edges through the private ``_keyed`` argument."""
     edges = frozenset([(u, v) for u, ns in adj.items() for v in ns if u < v])
-    return Graph(frozenset(adj), edges,
-                 _adj={v: frozenset(ns) for v, ns in adj.items()})
+    return Graph(adj, edges, _keyed=True)
 
 
 def _contract_in_place(adj, u: int, v: int) -> None:

@@ -55,10 +55,9 @@ from .complexes import (ClosedWalk, DiscMap, TorusComplex, TorusWithHole,
                         retriangulate_holes)
 from .graphs import (Graph, _contract_in_place, _graph_of, _split_in_place,
                      _working, edge_key, is_isomorphic)
-from .maxflow import densest_extension
 from .rigidity import _rank_word_first, generic_rank
 from .sparsity import (_contract_board, _contraction_violator, _copy_board,
-                       check_3_6, maximal_tight_subgraph)
+                       check_3_6, densest_extension, maximal_tight_subgraph)
 
 
 class EdgeClass(enum.Enum):

@@ -44,12 +44,11 @@ from torusrig.complexes import (ClosedWalk, DiscMap, SurfaceComplex,
 from torusrig.corpus import MAX_REGION, CorpusSpec, corpus_records
 from torusrig.fileio import _items
 from torusrig.graphs import Graph, _graph_of, _working, edge_key
-from torusrig.maxflow import densest_extension
 from torusrig.reduction import (Contraction, EdgeClass, SeparatingCycle,
                                 _region_criticals, contract)
 from torusrig.rigidity import rank_at_placement as _rank_at_placement
 from torusrig.sparsity import (SparsityVerdict, Status, _PebbleGame,
-                               _sparse_verdict, check_3_6)
+                               _sparse_verdict, check_3_6, densest_extension)
 
 BRUTE_FORCE_CAP = 16
 
@@ -268,15 +267,11 @@ def contract_edge(g: Graph, u: int, v: int) -> Graph:
         raise errors.BadArgument(f"edge {(u, v)!r} is not a pair of integers")
     if edge_key(u, v) not in g.edges:
         raise errors.NotAnEdge(f"({u},{v})")
-    adj = dict(g._adj)
-    at_v = adj.pop(v)
-    gained = at_v - adj[u] - {u}  # v's neighbours that u did not have
-    for w in at_v - {u}:
-        adj[w] = adj[w] - {v} | {u} if w in gained else adj[w] - {v}
-    adj[u] = adj[u] - {v} | gained
+    at_v = g._adj[v]
+    gained = at_v - g._adj[u] - {u}  # v's neighbours that u did not have
     edges = (g.edges - {edge_key(v, w) for w in at_v}
              | {edge_key(u, w) for w in gained})
-    return Graph(g.vertices - {v}, edges, _adj=adj)
+    return Graph(g.vertices - {v}, edges, _keyed=True)
 
 
 def split_vertex(g: Graph, v1: int, v2: int, v3: int, moved_edges,
@@ -312,16 +307,9 @@ def split_vertex(g: Graph, v1: int, v2: int, v3: int, moved_edges,
         moved.add(t)
     if new_vertex in g.vertices:
         raise errors.NonSimple(f"vertex id {new_vertex} already in use")
-    adj = dict(g._adj)
-    adj[new_vertex] = frozenset(moved | {v1, v2, v3})
-    adj[v1] = adj[v1] - moved | {new_vertex}
-    for t in moved:
-        adj[t] = adj[t] - {v1} | {new_vertex}
-    for x in (v2, v3):
-        adj[x] = adj[x] | {new_vertex}
     edges = (g.edges - {edge_key(v1, t) for t in moved}
-             | {edge_key(new_vertex, t) for t in adj[new_vertex]})
-    return Graph(g.vertices | {new_vertex}, edges, _adj=adj)
+             | {edge_key(new_vertex, t) for t in moved | {v1, v2, v3}})
+    return Graph(g.vertices | {new_vertex}, edges, _keyed=True)
 
 
 def both_moves(reference, move, g: Graph, *args) -> Graph:
@@ -345,7 +333,7 @@ def both_moves(reference, move, g: Graph, *args) -> Graph:
         raise AssertionError(f"the in-place move takes what the reference refuses: {exc!r}")
     move(adj, *args)
     got = _graph_of(adj)
-    assert got == want and got._adj == want._adj
+    assert got == want and got._adj == want._adj == adj
     return want
 
 
@@ -444,7 +432,7 @@ def random_parent(rng, kind, n):
 
 
 def brute_force_densest_extension(g: Graph, force_in, force_out=()):
-    """``(value, s_min, s_max)`` of ``maxflow.densest_extension`` by
+    """``(value, s_min, s_max)`` of ``sparsity.densest_extension`` by
     enumerating every S with force_in <= S and S disjoint from force_out:
     the best |E(G[S])| - 3|S|, and the intersection and the union of the
     sets that reach it."""
@@ -517,7 +505,7 @@ def assert_board_of(out, g: Graph):
 
 
 def fetch_pebble_reference(out, root, pinned=()) -> bool:
-    """``maxflow.fetch_pebble`` without its log: a depth-first search of
+    """``sparsity.fetch_pebble`` without its log: a depth-first search of
     the out-paths from ``root``, which takes the first free pebble off
     ``pinned`` that it meets, on a vertex with fewer than three out-edges,
     and reverses the path to it in place."""

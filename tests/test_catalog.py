@@ -20,14 +20,15 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
 def test_parse_word_examples():
     assert parse_word("v9").tokens == ("v", 9)
     assert parse_word("ef1ge1fg1").tokens == ("e", "f", 1, "g", "e", 1, "f", "g", 1)
-    with pytest.raises(errors.SumNot9):
-        parse_word("v3v5")
-    with pytest.raises(errors.BadToken):
-        parse_word("q9")
-    with pytest.raises(errors.BadToken):
-        parse_word("e9")  # edge letter must occur twice
-    with pytest.raises(errors.BadToken, match="empty word"):
-        parse_word("")
+    for text, kind, message in [
+            ("v3v5", errors.SumNot9, "'v3v5': numerals plus edge letters sum to 8, not 9"),
+            ("q9", errors.BadToken, "unexpected character 'q' in 'q9'"),
+            ("e9", errors.BadToken, "edge letter 'e' must occur exactly twice"),
+            ("", errors.BadToken, "empty word"),
+            ("v10", errors.SumNot9, "a 2-digit numeral is above 9: the word cannot sum to 9")]:
+        with pytest.raises(kind) as caught:
+            parse_word(text)
+        assert str(caught.value) == message
     for text in ("v²v6", "v\u0663v6"):  # numerals are ASCII 0-9 only
         with pytest.raises(errors.BadToken):
             parse_word(text)
@@ -37,6 +38,13 @@ def test_parse_word_examples():
         with pytest.raises(errors.SumNot9):
             parse_word(text)
     assert parse_word("v" + "0" * 5000 + "9").tokens == ("v", 9)
+
+
+def test_parse_word_takes_strings_only():
+    # a value that is not a str is refused before any character is read
+    for text in (None, ["v", "9"], b"v9"):
+        with pytest.raises(errors.BadArgument, match="is not a string"):
+            parse_word(text)
 
 
 @pytest.mark.parametrize("index", ["1", 1.0, True, None, [1]],

@@ -287,6 +287,23 @@ def test_infer_disc_empty_region():
         DiscMap(rectangular_torus(3, 3), [])
 
 
+@pytest.mark.parametrize("build", [
+    infer_disc, cut_hole, lambda t, faces: cut_holes(t, [faces]),
+], ids=["infer_disc", "cut_hole", "cut_holes"])
+def test_not_a_disc_counts_an_iterator_s_faces(build):
+    # the search consumes an iterator of face indices, so the message
+    # counts the distinct faces read before it starts
+    t = rectangular_torus(4, 4)
+    faces = list(range(1, len(t.faces)))
+    messages = []
+    for given in (faces, iter(faces)):
+        with pytest.raises(errors.NotADisc) as caught:
+            build(t, given)
+        messages.append(str(caught.value))
+    assert messages == ["face set of size 31 carries no disc structure "
+                        f"(up to {MAX_KEEP} exposed edges)"] * 2
+
+
 def test_wraparound_strip_needs_exposed_edge():
     t = rectangular_torus(3, 3)
     strip = [i for i, f in enumerate(t.faces) if all(v % 3 in (0, 1) for v in f)]

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from torusrig import errors
 from torusrig.graphs import Graph, complete_graph
-from torusrig.maxflow import densest_extension, fetch_pebble
+from torusrig.sparsity import densest_extension, fetch_pebble
 
 from helpers import brute_force_densest_extension, fetch_pebble_reference
 

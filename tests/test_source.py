@@ -12,7 +12,9 @@ Every import is from the standard library or relative, as the empty
 ``dependencies`` of ``pyproject.toml`` promise (numpy, say, would also add
 about 14 MB to a process's resident memory).  Only ``sparsity`` knows the
 pebble board a ``Graph`` keeps, and a violation's witness comes from that
-board, not from a second engine.  A board is its out-sets, since a vertex's
+board, not from a second engine; ``sparsity`` defines every function that
+reads a board's format, and ``maxflow`` only binds the densest extension
+for the benchmark tracer.  A board is its out-sets, since a vertex's
 free pebbles are three less its out-degree, so no pebble count is kept.
 Every pebble moves through one search, which always logs what it changes.  Each move of the graph calculus,
 contraction and vertex split, has one body, which changes a working
@@ -272,7 +274,7 @@ def test_one_pebble_search():
     # fetch_pebble is one depth-first search whose path reversal always
     # logs, so every caller passes its pinned vertices and a log, and every
     # caller of _dead its spent vertices
-    path = TESTS.parent / "src" / "torusrig" / "maxflow.py"
+    path = TESTS.parent / "src" / "torusrig" / "sparsity.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     defaults = [f"{node.name}:{node.lineno}" for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef)
@@ -283,32 +285,53 @@ def test_one_pebble_search():
                 and isinstance(node.ops[0], (ast.Is, ast.IsNot))
                 and getattr(node.comparators[0], "value", 0) is None]
     assert not defaults, f"a pebble-search parameter has a default: {defaults}"
-    assert not switches, f"maxflow.py branches on a missing log at lines {switches}"
+    assert not switches, f"sparsity.py branches on a missing log at lines {switches}"
 
 
 def test_a_board_is_its_out_sets():
     # a vertex's free pebbles are three less its out-degree, so no count of
     # them is kept beside the out-sets: the pebble search and the dead-set
     # scan take the out-sets alone, the game holds no pebbles slot, and
-    # neither engine module binds a pebbles name
-    src = TESTS.parent / "src" / "torusrig"
-    trees = {name: ast.parse((src / name).read_text())
-             for name in ("maxflow.py", "sparsity.py")}
+    # the engine module binds no pebbles name
+    tree = ast.parse((TESTS.parent / "src" / "torusrig" / "sparsity.py").read_text())
     params = {node.name: [a.arg for a in node.args.args]
-              for node in ast.walk(trees["maxflow.py"])
-              if isinstance(node, ast.FunctionDef)}
-    game = next(c for c in trees["sparsity.py"].body
+              for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    game = next(c for c in tree.body
                 if isinstance(c, ast.ClassDef) and c.name == "_PebbleGame")
     slots = next(ast.literal_eval(a.value) for a in game.body if isinstance(a, ast.Assign)
                  and any(getattr(t, "id", None) == "__slots__" for t in a.targets))
-    bound = [f"{name}:{node.lineno}" for name, tree in trees.items()
-             for node in ast.walk(tree)
+    bound = [f"sparsity.py:{node.lineno}" for node in ast.walk(tree)
              if "pebbles" in (getattr(node, "id", None), getattr(node, "arg", None),
                               getattr(node, "attr", None))]
     assert params["fetch_pebble"] == ["out", "root", "pinned", "log"], params["fetch_pebble"]
     assert params["_dead"] == ["out", "spent"], params["_dead"]
     assert "pebbles" not in slots, slots
     assert not bound, f"a pebbles name is bound at {bound}"
+
+
+def test_one_module_owns_the_board():
+    # the board's format is known in sparsity alone: the pebble search, the
+    # dead-set scan and the densest extension are defined there, beside the
+    # game, and maxflow holds nothing but the tracer's binding of the
+    # extension, which no other module imports
+    src = TESTS.parent / "src" / "torusrig"
+    sparsity = ast.parse((src / "sparsity.py").read_text())
+    defined = {node.name for node in sparsity.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    maxflow = ast.parse((src / "maxflow.py").read_text())
+    body = [(type(node).__name__, getattr(node, "level", None),
+             getattr(node, "module", None), [a.name for a in getattr(node, "names", ())])
+            for node in maxflow.body[1:]]
+    importers = [f"{path.name}:{node.lineno}" for path in SOURCES
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ImportFrom)
+                 and "maxflow" in (node.module, *(a.name for a in node.names))]
+    missing = {"fetch_pebble", "_reach", "_dead", "densest_extension",
+               "_PebbleGame"} - defined
+    assert not missing, f"sparsity.py does not define {sorted(missing)}"
+    assert ast.get_docstring(maxflow), "maxflow.py has no docstring"
+    assert body == [("ImportFrom", 1, "sparsity", ["densest_extension"])], body
+    assert not importers, f"maxflow is imported at {importers}"
 
 
 def test_one_body_per_move():
